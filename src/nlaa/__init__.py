@@ -10,8 +10,8 @@ the command-line boundary.
 
 __version__ = "0.1.0"
 
-from .dynamics import (RampProtocol, Trajectory, evolve, ramp_prepare,
-                       transport_experiment)
+from .dynamics import (BatchTrajectory, RampProtocol, Trajectory, evolve,
+                       ramp_prepare, transport_experiment)
 from .eigensolve import (EigenSolution, SolverOptions, linear_spectrum,
                          nonlinear_excited_state, nonlinear_ground_state,
                          residual, solve_state)
@@ -44,8 +44,8 @@ __all__ = [
     "nonlinear_ground_state", "nonlinear_excited_state", "solve_state",
     "residual",
     # dynamics
-    "RampProtocol", "Trajectory", "evolve", "transport_experiment",
-    "ramp_prepare",
+    "RampProtocol", "Trajectory", "BatchTrajectory", "evolve",
+    "transport_experiment", "ramp_prepare",
     # phase scan
     "critical_r", "TransitionResult", "detect_transition", "transition_for_u",
     "ScanGrid", "ScanResult", "scan_phase_diagram", "classify_phase",

@@ -259,10 +259,9 @@ def cmd_ramp(args, outdir):
                     dt=DEFAULT_DT, stride=100)
     cfg = _merged(args, defaults)
     params = _params_from(cfg)
-    target = "ground" if cfg.kind == "gs" else "highest-excited"
     proto = RampProtocol.from_si(velocity_hz_per_ms=cfg.velocity_hz_per_ms,
                                  j_target_hz=cfg.j_target_hz,
-                                 hold_ms=cfg.hold_ms, target=target)
+                                 hold_ms=cfg.hold_ms).for_kind(cfg.kind)
     final, traj = ramp_prepare(params, proto, dt=cfg.dt,
                                snapshot_stride=int(cfg.stride))
     exact = solve_state(params, cfg.kind, _solver_opts(cfg))

@@ -34,7 +34,6 @@ from .model import (
     LatticeState,
     ModelParams,
     apply_hamiltonian,
-    energy_functional,
     quasiperiodic_potential,
 )
 

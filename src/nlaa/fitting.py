@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .dynamics import RampProtocol, ramp_prepare
-from .model import ModelParams, participation_ratio
+from .model import ModelParams
 
 MIN_LEFT_POINTS = 3
 
@@ -59,6 +59,11 @@ def _as_columns(data):
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ValueError("data must be rows of (delta, r) or (delta, r, sigma)")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{('delta', 'r', 'sigma')[col]} in data row {row + 1} "
+                         f"is not finite ({arr[row, col]})")
     order = np.argsort(arr[:, 0])
     arr = arr[order]
     delta, r = arr[:, 0], arr[:, 1]
@@ -134,21 +139,23 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
                            phi=0.0, dt=1e-3):
     """Emulated measured r(Delta) points from ramp-prepared states.
 
-    For each Delta the state is prepared by the finite-velocity ramp, an
-    optional uniform population floor is added on all sites before
+    All Deltas are prepared by the finite-velocity ramp in one batched
+    propagation (each row bitwise equal to its lone ramp); then, in Delta
+    order, an optional uniform population floor is added on all sites before
     renormalization (n -> (n + floor)/sum), and Gaussian noise of width
     `noise_sigma` is added to r. Returns an (n, 2) array of (delta, r) rows;
     identical arguments and seed reproduce the array bitwise.
     """
     rng = np.random.default_rng(seed)
-    proto = ramp if ramp is not None else RampProtocol.from_si()
-    if kind == "es" and proto.target != "highest-excited":
-        proto = RampProtocol(duration=proto.duration, hold=proto.hold,
-                             target="highest-excited")
+    proto = (ramp if ramp is not None else RampProtocol.from_si()).for_kind(kind)
+    deltas = np.asarray(deltas, dtype=float)
+    params = [ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
+              for delta in deltas]
+    finals, traj = ramp_prepare(params, proto, dt=dt)
     rows = []
-    for delta in np.asarray(deltas, dtype=float):
-        params = ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
-        final, _ = ramp_prepare(params, proto, dt=dt)
+    for delta, final, error in zip(deltas, finals, traj.errors):
+        if final is None:
+            raise RuntimeError(error)
         n = final.density
         if floor > 0:
             n = n + floor

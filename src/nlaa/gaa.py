@@ -35,10 +35,7 @@ from .model import (
     BETA_GOLDEN,
     LatticeState,
     ModelParams,
-    chemical_potential,
     density_fourier_coefficients,
-    energy_functional,
-    participation_ratio,
 )
 from .phasescan import transition_for_u
 

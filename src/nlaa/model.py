@@ -18,7 +18,7 @@ Conventions used throughout the package:
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

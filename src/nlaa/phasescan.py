@@ -17,7 +17,7 @@ recomputation and re-runs reproduce cells bitwise.
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -175,10 +175,7 @@ def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts):
                 f"solver did not converge (kind={kind}, U={u}, Delta={delta}, "
                 f"residual={sol.residual:.2e})")
         return participation_ratio(sol.state)
-    proto = ramp if ramp is not None else RampProtocol.from_si()
-    if kind == "es" and proto.target != "highest-excited":
-        proto = RampProtocol(duration=proto.duration, hold=proto.hold,
-                             target="highest-excited")
+    proto = (ramp if ramp is not None else RampProtocol.from_si()).for_kind(kind)
     final, _ = ramp_prepare(params, proto)
     return participation_ratio(final)
 

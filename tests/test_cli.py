@@ -312,6 +312,22 @@ def test_fit_missing_data_file_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad_row, column", [("nan,0.3", "delta"),
+                                             ("1.5,nan", "r"),
+                                             ("1.5,inf", "r")])
+def test_fit_non_finite_data_exits_2(tmp_path, capsys, bad_row, column):
+    deltas = np.linspace(0.2, 3.4, 20)
+    lines = [f"{d},{v}" for d, v in
+             zip(deltas, piecewise_model(deltas, 0.6, 1.0 / 21.0, 1.2, 1.8))]
+    lines[4] = bad_row
+    datafile = tmp_path / "meas.csv"
+    datafile.write_text("delta_over_j,r\n" + "\n".join(lines) + "\n")
+    rc = main(["fit", "--data", str(datafile), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{column} in data row 5 is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_fit_constant_data_exits_4(tmp_path):
     datafile = tmp_path / "flat.csv"
     datafile.write_text("\n".join(f"{d},0.3" for d in

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from nlaa import (
@@ -14,6 +16,9 @@ from nlaa import (
     solve_state,
     transport_experiment,
 )
+
+# a short ramp keeps the batch tests fast; batching does not depend on length
+SHORT_RAMP = RampProtocol(duration=0.4, hold=0.1)
 
 
 def test_dt_validation():
@@ -146,3 +151,101 @@ def test_hold_extends_total_time():
     assert traj.times[-1] == pytest.approx(proto.duration + proto.hold,
                                            abs=5e-4)
     assert proto.hold == pytest.approx(0.5 * proto.duration, rel=1e-12)
+
+
+def test_for_kind_sets_the_target():
+    proto = RampProtocol.from_si(hold_ms=0.5)
+    es = proto.for_kind("es")
+    assert es.target == "highest-excited"
+    assert (es.duration, es.hold) == (proto.duration, proto.hold)
+    assert es.for_kind("gs") == proto
+    with pytest.raises(ValueError):
+        proto.for_kind("both")
+
+
+# -------------------------
+# Batched propagation
+# -------------------------
+
+def _assert_same_trajectory(a, b):
+    for name in ("times", "r", "d", "energy", "norm_drift"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(a.states) == len(b.states)
+    for sa, sb in zip(a.states, b.states):
+        assert np.array_equal(sa.amplitudes, sb.amplitudes)
+        assert sa.center == sb.center
+
+
+@given(L=st.sampled_from((5, 13, 21)),
+       deltas=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+       u=st.floats(-1.0, 1.0), kind=st.sampled_from(("gs", "es")),
+       data=st.data())
+def test_batched_ramp_rows_equal_lone_ramps_bitwise(L, deltas, u, kind, data):
+    proto = SHORT_RAMP.for_kind(kind)
+    params = [ModelParams(L=L, J=1.0, Delta=d, U=u) for d in deltas]
+    order = data.draw(st.permutations(range(len(params))))
+    finals, traj = ramp_prepare(params, proto)
+    shuffled, shuffled_traj = ramp_prepare([params[i] for i in order], proto)
+    assert traj.errors == [None] * len(params)
+    for i, p in enumerate(params):
+        lone, lone_traj = ramp_prepare(p, proto)
+        j = order.index(i)
+        assert np.array_equal(finals[i].amplitudes, lone.amplitudes)
+        assert np.array_equal(shuffled[j].amplitudes, lone.amplitudes)
+        _assert_same_trajectory(traj.rows[i], lone_traj)
+        _assert_same_trajectory(shuffled_traj.rows[j], lone_traj)
+    # the batch drift is the per-snapshot maximum over its rows
+    assert np.array_equal(traj.norm_drift,
+                          np.max([row.norm_drift for row in traj.rows], axis=0))
+
+
+def test_batched_evolve_mixes_ground_and_negated_rows():
+    # one batch may carry rows of either sign of J (ground and excited
+    # preparations); each row is its lone evolution, bitwise
+    p = ModelParams(L=15, J=1.0, Delta=0.8, U=0.3)
+    rows = [p, p.negated(), ModelParams(L=15, J=0.5, Delta=1.1, U=-0.2)]
+    starts = [LatticeState.single_site(15, j) for j in (7, 3, 12)]
+    batch = evolve(rows, starts, 0.5, snapshot_stride=50)
+    for params, start, row in zip(rows, starts, batch.rows):
+        _assert_same_trajectory(row, evolve(params, start, 0.5, snapshot_stride=50))
+    with pytest.raises(ValueError):
+        evolve(rows, starts[:2], 0.5)                       # one state per row
+    with pytest.raises(ValueError):
+        evolve([p, ModelParams(L=13)],                      # one chain length
+               [starts[0], LatticeState.single_site(13, 6)], 0.5)
+
+
+def test_batched_ramp_reports_an_aborted_row_and_keeps_the_others():
+    with pytest.warns(UserWarning, match="self-trapping"):
+        wild = ModelParams(L=13, J=1.0, Delta=1.0, U=400.0)
+    calm = [ModelParams(L=13, J=1.0, Delta=1.0, U=0.3),
+            ModelParams(L=13, J=1.0, Delta=2.5, U=-0.5)]
+    with pytest.raises(RuntimeError) as lone_error:
+        ramp_prepare(wild, SHORT_RAMP)
+    finals, traj = ramp_prepare([calm[0], wild, calm[1]], SHORT_RAMP)
+    assert finals[1] is None and traj.rows[1] is None
+    assert traj.errors == [None, str(lone_error.value), None]
+    assert "at t=" in traj.errors[1]
+    without, _ = ramp_prepare(calm, SHORT_RAMP)
+    for final, alone, p in zip((finals[0], finals[2]), without, calm):
+        lone, _ = ramp_prepare(p, SHORT_RAMP)
+        assert np.array_equal(final.amplitudes, lone.amplitudes)
+        assert np.array_equal(final.amplitudes, alone.amplitudes)
+    # rows of different U and J under a drive: after the abort the per-row
+    # columns follow the rows that are left
+    rows = [calm[0], wild, calm[1].negated()]
+    starts = [LatticeState.single_site(13, j) for j in (6, 2, 9)]
+    column = np.array([[p.J] for p in rows])
+    batch = evolve(rows, starts, 0.5, snapshot_stride=50,
+                   j_of_t=lambda t: column * SHORT_RAMP.hopping_fraction(t))
+    for p, start, row, error in zip(rows, starts, batch.rows, batch.errors):
+        def lone():
+            return evolve(p, start, 0.5, snapshot_stride=50,
+                          j_of_t=lambda t: p.J * SHORT_RAMP.hopping_fraction(t))
+        if p is wild:
+            with pytest.raises(RuntimeError) as lone_error:
+                lone()
+            assert row is None and error == str(lone_error.value)
+        else:
+            assert error is None
+            _assert_same_trajectory(row, lone())

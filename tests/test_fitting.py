@@ -124,6 +124,20 @@ def test_input_validation():
                                         [0.1, 0.0, 0.1, 0.1]]))  # sigma <= 0
 
 
+@pytest.mark.parametrize("column, name", [(0, "delta"), (1, "r"), (2, "sigma")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected_at_ingress(column, name, bad):
+    data = np.column_stack([DELTAS, _clean_curve(), np.full(DELTAS.size, 0.01)])
+    data[6, column] = bad
+    with pytest.raises(ValueError, match=rf"^{name} in data row 7 is not finite"):
+        fit_transition(data)
+    with pytest.raises(ValueError, match=rf"^{name} in data row 7"):
+        bootstrap_delta_c(data, n_resamples=100)
+    if column < 2:
+        with pytest.raises(ValueError, match=rf"^{name} in data row 7"):
+            fit_transition(data[:, :2])
+
+
 # -------------------------
 # synthesize_measurement
 # -------------------------
@@ -131,6 +145,9 @@ def test_input_validation():
 def test_synthesize_matches_direct_ramp_preparation():
     proto = RampProtocol.from_si()
     out = synthesize_measurement(0.3, [1.0, 2.5], L=13)
+    noisy = synthesize_measurement(0.3, [1.0, 2.5], L=13, noise_sigma=0.01,
+                                   seed=5)
+    rng = np.random.default_rng(5)          # noise is drawn in Delta order
     assert out.shape == (2, 2)
     for k, delta in enumerate((1.0, 2.5)):
         params = ModelParams(L=13, J=1.0, Delta=delta, phi=0.0, U=0.3)
@@ -138,6 +155,7 @@ def test_synthesize_matches_direct_ramp_preparation():
         assert out[k, 0] == delta
         assert out[k, 1] == pytest.approx(participation_ratio(state),
                                           rel=1e-12)
+        assert noisy[k, 1] == out[k, 1] + rng.normal(0.0, 0.01)
 
 
 def test_synthesize_es_kind_uses_excited_target():
