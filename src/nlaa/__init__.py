@@ -22,7 +22,7 @@ from .gaa import (AaLimitError, AlphaStarResult, GaaClassification, GaaParams,
                   extract_alpha_star, effective_gaa_from_density,
                   gaa_classify_spectrum, gaa_mobility_edge, gaa_potential)
 from .model import (BETA_GOLDEN, BraggSchedule, InteractionConversion,
-                    LatticeState, ModelParams, UnitSystem, apply_hamiltonian,
+                    LatticeState, ModelParams, apply_hamiltonian,
                     bragg_detunings, chemical_potential,
                     density_fourier_coefficients, energy_functional,
                     momentum_width, participation_ratio,
@@ -34,9 +34,8 @@ from .phasescan import (ScanGrid, ScanResult, TransitionResult, classify_phase,
 __all__ = [
     "__version__",
     # model
-    "BETA_GOLDEN", "ModelParams", "LatticeState", "UnitSystem",
-    "InteractionConversion", "BraggSchedule", "quasiperiodic_potential",
-    "apply_hamiltonian", "participation_ratio", "momentum_width",
+    "BETA_GOLDEN", "ModelParams", "LatticeState", "InteractionConversion",
+    "BraggSchedule", "quasiperiodic_potential", "apply_hamiltonian", "participation_ratio", "momentum_width",
     "energy_functional", "chemical_potential", "density_fourier_coefficients",
     "scattering_length_to_U", "bragg_detunings",
     # eigensolve

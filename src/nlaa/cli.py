@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,38 +43,152 @@ class ConfigError(ValueError):
 
 
 # -------------------------
+# Option table
+# -------------------------
+
+@dataclass(frozen=True)
+class Option:
+    """One option: flag ``--<dest with - for _>``, config key ``<dest>``.
+
+    A config value must be the JSON type of `type` (a number for float,
+    true/false for bool) and one of `choices`; null leaves it unset.
+    """
+    type: type
+    help: str
+    choices: tuple = None
+
+
+# Keyed by dest; "<subcommand>.<dest>" overrides the entry for one subcommand.
+OPTIONS = {
+    "L": Option(int, "chain length"),
+    "delta_over_j": Option(float, "quasiperiodic amplitude Delta/J"),
+    "u_over_j": Option(float, "interaction U/J (positive = self-focusing)"),
+    "phi": Option(float, "potential phase"),
+    "j_internal": Option(float, "internal hopping (0 gives the decoupled chain)"),
+    "j_hz": Option(float, "hopping J/h in Hz: the SI anchor (bragg-schedule: "
+                          "energy unit of the on-site term, 0 drops it)"),
+    "delta_hz": Option(float, "SI Delta/h in Hz (needs --j-hz)"),
+    "scattering_length_a0": Option(
+        float, "SI s-wave scattering length in Bohr radii (needs --j-hz)"),
+    "density_per_cm3": Option(float, "mean atomic density in cm^-3"),
+    "residual_tol": Option(float, "eigensolver residual tolerance"),
+    "max_iterations": Option(int, "eigensolver iteration cap"),
+    "kind": Option(str, "ground (gs) or highest-excited (es) state", ("gs", "es")),
+    "scan.kind": Option(str, "states to scan", ("gs", "es", "both")),
+    "preparation": Option(str, "exact eigenstates or ramp-prepared states",
+                          ("exact", "ramped")),
+    "t_final": Option(float, "evolution time in hbar/J"),
+    "t_final_ms": Option(float, "evolution time in ms (needs --j-hz)"),
+    "dt": Option(float, "RK4 time step in hbar/J"),
+    "stride": Option(int, "RK4 steps between recorded snapshots"),
+    "velocity_hz_per_ms": Option(float, "ramp velocity of J/h in Hz per ms"),
+    "j_target_hz": Option(float, "J/h at the end of the ramp in Hz"),
+    "hold_ms": Option(float, "hold at the target after the ramp in ms"),
+    "delta_min": Option(float, "first Delta/J of the grid"),
+    "delta_max": Option(float, "last Delta/J of the grid"),
+    "delta_step": Option(float, "Delta/J grid spacing"),
+    "u_min": Option(float, "first U/J of the grid"),
+    "u_max": Option(float, "last U/J of the grid"),
+    "u_step": Option(float, "U/J grid spacing"),
+    "u_values": Option(str, "comma-separated U/J list"),
+    "energy_definition": Option(str, "transition energy: chemical potential "
+                                     "(mu) or energy functional (E)", ("mu", "E")),
+    "workers": Option(int, "worker processes"),
+    "results": Option(str, "JSONL cell store for resumable scans"),
+    "no_detect": Option(bool, "skip transition detection (r matrices only)"),
+    "alpha": Option(float, "generalized-model deformation alpha"),
+    "data": Option(str, "CSV of delta_over_j,r[,sigma] rows"),
+    "synthesize": Option(bool, "generate ramped synthetic data instead of "
+                               "reading --data"),
+    "n_points": Option(int, "number of synthetic Delta/J points"),
+    "noise_sigma": Option(float, "Gaussian noise width on synthetic r"),
+    "floor": Option(float, "uniform population floor of synthetic states"),
+    "seed": Option(int, "seed of the synthetic noise and the bootstrap"),
+    "bootstrap": Option(int, "residual-resampling refits for the Delta_c stderr"),
+    "recoil_khz": Option(float, "recoil energy E_R/h in kHz"),
+}
+
+# accepted JSON types and their name, per option type
+_JSON_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
+               float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _option(subcommand, dest):
+    return OPTIONS.get(f"{subcommand}.{dest}") or OPTIONS[dest]
+
+
+# -------------------------
 # Config merging and unit ingress
 # -------------------------
 
-def _merged(args, defaults):
-    """Defaults < JSON config file < explicit CLI flags, as a namespace."""
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as f:
-                cfg = json.load(f)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(cfg) - set(defaults))
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys {unknown}; this subcommand accepts "
-                f"{sorted(defaults)}")
+def _read_config(path):
+    try:
+        with open(path) as f:
+            cfg = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return cfg
+
+
+def _from_config(key, opt, value):
+    """A config value checked like its flag; None when it is null."""
+    if value is None:
+        return None
+    json_type, name = _JSON_TYPES[opt.type]
+    if not isinstance(value, json_type) or (isinstance(value, bool)
+                                            and opt.type is not bool):
+        raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
+    value = opt.type(value)
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(f"config key {key!r} must be one of "
+                          f"{list(opt.choices)}, got {value!r}")
+    return value
+
+
+def _config(args):
+    """The subcommand's defaults < JSON config file < flags, as a namespace."""
+    _, _, defaults = COMMANDS[args.subcommand]
+    cfg = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; this subcommand "
+                          f"accepts {sorted(defaults)}")
     out = {}
-    for name, dv in defaults.items():
-        av = getattr(args, name, None)
-        out[name] = av if av is not None else cfg.get(name, dv)
+    for key, default in defaults.items():
+        value = getattr(args, key)
+        if value is None:
+            value = _from_config(key, _option(args.subcommand, key),
+                                 cfg.get(key))
+        out[key] = default if value is None else value
     return SimpleNamespace(**out)
+
+
+def _step(cfg, name):
+    step = getattr(cfg, f"{name}_step")
+    if not step > 0:
+        raise ConfigError(f"--{name}-step must be positive, got {step}")
+    return step
+
+
+def _grid(cfg, name):
+    """The grid <name>_min, <name>_min + step, ... up to <name>_max."""
+    step = _step(cfg, name)
+    lo, hi = getattr(cfg, f"{name}_min"), getattr(cfg, f"{name}_max")
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    if grid.size == 0:
+        raise ConfigError(f"empty grid: --{name}-max {hi} is below "
+                          f"--{name}-min {lo}")
+    return grid
 
 
 def _params_from(cfg):
     """Build ModelParams from a merged config (dimensionless or SI group)."""
     delta, u = cfg.delta_over_j, cfg.u_over_j
-    if getattr(cfg, "j_hz", None):
+    if cfg.j_hz:
         if cfg.delta_over_j or cfg.u_over_j:
             raise ConfigError("SI group (--j-hz ...) cannot be combined with "
                               "--delta-over-j/--u-over-j")
@@ -86,7 +201,7 @@ def _params_from(cfg):
             u = scattering_length_to_U(conv) / j_joule
         else:
             u = 0.0
-    elif getattr(cfg, "delta_hz", None) or getattr(cfg, "scattering_length_a0", None):
+    elif cfg.delta_hz or cfg.scattering_length_a0:
         raise ConfigError("SI parameters need the --j-hz anchor")
     return ModelParams(L=cfg.L, J=getattr(cfg, "j_internal", 1.0),
                        Delta=delta, phi=cfg.phi, U=u)
@@ -94,7 +209,7 @@ def _params_from(cfg):
 
 def _solver_opts(cfg):
     return SolverOptions(residual_tol=cfg.residual_tol,
-                         max_iterations=int(cfg.max_iterations))
+                         max_iterations=cfg.max_iterations)
 
 
 # -------------------------
@@ -153,7 +268,7 @@ def _sha256(path):
 
 
 def _outdir(args):
-    out = getattr(args, "out", None) or os.environ.get(OUTDIR_ENV) or "."
+    out = args.out or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -177,16 +292,7 @@ def _write_manifest(outdir, subcommand, cfg, outputs, wall_time):
 # Subcommand handlers (each returns the list of files written)
 # -------------------------
 
-MODEL_DEFAULTS = dict(L=21, delta_over_j=0.0, u_over_j=0.0, phi=0.0,
-                      j_hz=None, delta_hz=None, scattering_length_a0=None,
-                      density_per_cm3=2.0e13)
-SOLVER_DEFAULTS = dict(residual_tol=1e-10, max_iterations=50_000)
-
-
-def cmd_solve(args, outdir):
-    defaults = dict(MODEL_DEFAULTS, **SOLVER_DEFAULTS,
-                    kind="gs", j_internal=1.0)
-    cfg = _merged(args, defaults)
+def cmd_solve(cfg, outdir):
     params = _params_from(cfg)
     sol = solve_state(params, cfg.kind, _solver_opts(cfg))
     if not sol.converged:
@@ -195,7 +301,7 @@ def cmd_solve(args, outdir):
     state = sol.state
     rows = [(j, float(state.amplitudes[j].real), float(state.amplitudes[j].imag),
              float(state.density[j])) for j in range(params.L)]
-    files = [
+    return [
         _write_csv(outdir / "state.csv",
                    ["site", "re_amplitude", "im_amplitude", "density"], rows),
         _write_json(outdir / "solve.json", {
@@ -207,13 +313,9 @@ def cmd_solve(args, outdir):
             "argmax_density": int(np.argmax(state.density)),
         }),
     ]
-    return cfg, files
 
 
-def cmd_evolve(args, outdir):
-    defaults = dict(MODEL_DEFAULTS, t_final=4.0, t_final_ms=None,
-                    dt=DEFAULT_DT, stride=100)
-    cfg = _merged(args, defaults)
+def cmd_evolve(cfg, outdir):
     params = _params_from(cfg)
     t_final = cfg.t_final
     if cfg.t_final_ms is not None:
@@ -221,9 +323,9 @@ def cmd_evolve(args, outdir):
             raise ConfigError("--t-final-ms needs the --j-hz anchor")
         t_final = 2.0 * np.pi * cfg.j_hz * cfg.t_final_ms * 1e-3
     traj = transport_experiment(params, t_final, dt=cfg.dt,
-                                snapshot_stride=int(cfg.stride))
+                                snapshot_stride=cfg.stride)
     rows = zip(traj.times, traj.r, traj.d, traj.energy, traj.norm_drift)
-    files = [
+    return [
         _write_csv(outdir / "trajectory.csv",
                    ["time", "participation_ratio", "momentum_width",
                     "energy", "norm_drift"], rows),
@@ -233,41 +335,31 @@ def cmd_evolve(args, outdir):
             "max_norm_drift": float(np.max(traj.norm_drift)),
         }),
     ]
-    return cfg, files
 
 
-def cmd_interaction_sweep(args, outdir):
-    defaults = dict(MODEL_DEFAULTS, t_final=2.0, dt=DEFAULT_DT,
-                    u_min=-0.8, u_max=0.8, u_step=0.2)
-    cfg = _merged(args, defaults)
-    us = np.arange(cfg.u_min, cfg.u_max + 0.5 * cfg.u_step, cfg.u_step)
+def cmd_interaction_sweep(cfg, outdir):
     rows = []
-    for u in us:
+    for u in _grid(cfg, "u"):
         params = ModelParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j,
                              phi=cfg.phi, U=float(u))
         traj = transport_experiment(params, cfg.t_final, dt=cfg.dt)
         rows.append((float(u), float(traj.d[-1]), float(traj.r[-1])))
-    files = [_write_csv(outdir / "sweep.csv",
-                        ["u_over_j", "momentum_width", "participation_ratio"],
-                        rows)]
-    return cfg, files
+    return [_write_csv(outdir / "sweep.csv",
+                       ["u_over_j", "momentum_width", "participation_ratio"],
+                       rows)]
 
 
-def cmd_ramp(args, outdir):
-    defaults = dict(MODEL_DEFAULTS, **SOLVER_DEFAULTS, kind="gs",
-                    velocity_hz_per_ms=275.0, j_target_hz=275.0, hold_ms=0.0,
-                    dt=DEFAULT_DT, stride=100)
-    cfg = _merged(args, defaults)
+def cmd_ramp(cfg, outdir):
     params = _params_from(cfg)
     proto = RampProtocol.from_si(velocity_hz_per_ms=cfg.velocity_hz_per_ms,
                                  j_target_hz=cfg.j_target_hz,
                                  hold_ms=cfg.hold_ms).for_kind(cfg.kind)
     final, traj = ramp_prepare(params, proto, dt=cfg.dt,
-                               snapshot_stride=int(cfg.stride))
+                               snapshot_stride=cfg.stride)
     exact = solve_state(params, cfg.kind, _solver_opts(cfg))
     r_ramp, r_exact = participation_ratio(final), participation_ratio(exact.state)
     rows = zip(traj.times, traj.r, traj.d, traj.energy, traj.norm_drift)
-    files = [
+    return [
         _write_csv(outdir / "ramp_trajectory.csv",
                    ["time", "participation_ratio", "momentum_width",
                     "energy", "norm_drift"], rows),
@@ -279,18 +371,10 @@ def cmd_ramp(args, outdir):
             "r_deficit": r_exact - r_ramp,
         }),
     ]
-    return cfg, files
 
 
-def cmd_scan(args, outdir):
-    defaults = dict(L=21, phi=0.0, kind="both", preparation="exact",
-                    delta_min=0.0, delta_max=4.0, delta_step=0.05,
-                    u_min=-1.0, u_max=1.0, u_step=0.25,
-                    workers=1, results=None, **SOLVER_DEFAULTS)
-    cfg = _merged(args, defaults)
-    deltas = np.arange(cfg.delta_min, cfg.delta_max + 0.5 * cfg.delta_step,
-                       cfg.delta_step)
-    us = np.arange(cfg.u_min, cfg.u_max + 0.5 * cfg.u_step, cfg.u_step)
+def cmd_scan(cfg, outdir):
+    deltas, us = _grid(cfg, "delta"), _grid(cfg, "u")
     grid = ScanGrid(delta_over_j=tuple(float(d) for d in deltas),
                     u_over_j=tuple(float(u) for u in us),
                     L=cfg.L, kind=cfg.kind, preparation=cfg.preparation,
@@ -298,8 +382,8 @@ def cmd_scan(args, outdir):
     results_path = cfg.results or str(outdir / "scan_cells.jsonl")
     res = scan_phase_diagram(grid, _solver_opts(cfg),
                              results_path=results_path,
-                             workers=int(cfg.workers),
-                             detect=not getattr(args, "no_detect", False))
+                             workers=cfg.workers,
+                             detect=not cfg.no_detect)
     files = []
     header = ["u_over_j"] + [_fmt(d) for d in deltas]
     for kind, mat in res.r.items():
@@ -322,7 +406,7 @@ def cmd_scan(args, outdir):
         prows = [[float(u)] + list(res.phases[i]) for i, u in enumerate(us)]
         files.append(_write_csv(outdir / "phases.csv", header, prows))
     files.append(Path(results_path))
-    return cfg, files
+    return files
 
 
 def _phase_boundary_task(task):
@@ -331,35 +415,26 @@ def _phase_boundary_task(task):
     return u, kind, (tr.delta_c if tr.found else float("nan"))
 
 
-def cmd_phases(args, outdir):
-    defaults = dict(L=21, phi=0.0, u_min=-1.0, u_max=1.0, u_step=0.25,
-                    delta_max=8.0, delta_step=0.05, workers=1,
-                    **SOLVER_DEFAULTS)
-    cfg = _merged(args, defaults)
-    us = np.arange(cfg.u_min, cfg.u_max + 0.5 * cfg.u_step, cfg.u_step)
-    kw = dict(L=cfg.L, delta_max=cfg.delta_max, delta_step=cfg.delta_step,
+def cmd_phases(cfg, outdir):
+    us = _grid(cfg, "u")
+    kw = dict(L=cfg.L, delta_max=cfg.delta_max, delta_step=_step(cfg, "delta"),
               phi=cfg.phi, opts=_solver_opts(cfg))
     tasks = [(float(u), kind, kw) for u in us for kind in ("gs", "es")]
-    if int(cfg.workers) > 1:
-        with ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             done = list(pool.map(_phase_boundary_task, tasks))
     else:
         done = [_phase_boundary_task(t) for t in tasks]
     dc = {(u, kind): val for u, kind, val in done}
     rows = [(float(u), dc[(float(u), "gs")], dc[(float(u), "es")])
             for u in us]
-    files = [_write_csv(outdir / "boundaries.csv",
-                        ["u_over_j", "delta_c_gs", "delta_c_es"], rows)]
-    return cfg, files
+    return [_write_csv(outdir / "boundaries.csv",
+                       ["u_over_j", "delta_c_gs", "delta_c_es"], rows)]
 
 
-def cmd_alpha_star(args, outdir):
-    defaults = dict(L=21, phi=0.0, u_values="-0.25,-0.125,0.125,0.25",
-                    energy_definition="mu", delta_max=8.0, delta_step=0.1,
-                    **SOLVER_DEFAULTS)
-    cfg = _merged(args, defaults)
+def cmd_alpha_star(cfg, outdir):
     try:
-        us = [float(tok) for tok in str(cfg.u_values).split(",") if tok.strip()]
+        us = [float(tok) for tok in cfg.u_values.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --u-values list: {exc}") from exc
     if not us:
@@ -369,7 +444,7 @@ def cmd_alpha_star(args, outdir):
         res = extract_alpha_star(u, L=cfg.L, phi=cfg.phi,
                                  energy_definition=cfg.energy_definition,
                                  delta_max=cfg.delta_max,
-                                 delta_step=cfg.delta_step,
+                                 delta_step=_step(cfg, "delta"),
                                  opts=_solver_opts(cfg))
         table.append(res)
         rows.append((res.U, res.delta_c_gs, res.delta_c_es,
@@ -384,25 +459,22 @@ def cmd_alpha_star(args, outdir):
         ss_tot = float(np.sum((aa - aa.mean()) ** 2))
         summary.update(slope=float(slope), intercept=float(intercept),
                        r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
-    files = [
+    return [
         _write_csv(outdir / "alpha_star.csv",
                    ["u_over_j", "delta_c_gs", "delta_c_es",
                     "e_c_gs", "e_c_es", "alpha_star"], rows),
         _write_json(outdir / "alpha_star.json", summary),
     ]
-    return cfg, files
 
 
-def cmd_gaa_me(args, outdir):
-    defaults = dict(L=987, delta_over_j=1.0, phi=0.0, alpha=0.0)
-    cfg = _merged(args, defaults)
+def cmd_gaa_me(cfg, outdir):
     gp = GaaParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j, alpha=cfg.alpha,
                    phi=cfg.phi)
     cls = gaa_classify_spectrum(gp)
     rows = [(i, float(cls.energies[i]), float(cls.r[i]),
              bool(cls.predicted_localized[i]), bool(cls.observed_localized[i]),
              bool(cls.agree[i])) for i in range(cfg.L)]
-    files = [
+    return [
         _write_csv(outdir / "gaa_spectrum.csv",
                    ["index", "energy", "participation_ratio",
                     "predicted_localized", "observed_localized", "agree"],
@@ -414,15 +486,9 @@ def cmd_gaa_me(args, outdir):
             "r_threshold": cls.threshold,
         }),
     ]
-    return cfg, files
 
 
-def cmd_fit(args, outdir):
-    defaults = dict(L=21, phi=0.0, data=None, synthesize=False,
-                    u_over_j=0.0, kind="gs", delta_min=0.2, delta_max=3.4,
-                    n_points=40, noise_sigma=0.01, floor=0.0,
-                    seed=DEFAULT_SEED, bootstrap=0, dt=DEFAULT_DT)
-    cfg = _merged(args, defaults)
+def cmd_fit(cfg, outdir):
     files = []
     if cfg.data and cfg.synthesize:
         raise ConfigError("give either --data or --synthesize, not both")
@@ -437,11 +503,11 @@ def cmd_fit(args, outdir):
         except ValueError as exc:
             raise ConfigError(f"data file is not numeric CSV: {exc}") from exc
     elif cfg.synthesize:
-        deltas = np.linspace(cfg.delta_min, cfg.delta_max, int(cfg.n_points))
+        deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.n_points)
         data = synthesize_measurement(cfg.u_over_j, deltas, L=cfg.L,
                                       kind=cfg.kind,
                                       noise_sigma=cfg.noise_sigma,
-                                      floor=cfg.floor, seed=int(cfg.seed),
+                                      floor=cfg.floor, seed=cfg.seed,
                                       phi=cfg.phi, dt=cfg.dt)
         files.append(_write_csv(outdir / "data.csv", ["delta_over_j", "r"],
                                 [tuple(row) for row in data]))
@@ -450,9 +516,9 @@ def cmd_fit(args, outdir):
 
     fit = fit_transition(data)
     boot = None
-    if int(cfg.bootstrap) > 0:
-        boot = bootstrap_delta_c(data, n_resamples=int(cfg.bootstrap),
-                                 seed=int(cfg.seed))
+    if cfg.bootstrap > 0:
+        boot = bootstrap_delta_c(data, n_resamples=cfg.bootstrap,
+                                 seed=cfg.seed)
         fit.delta_c_stderr = boot.stderr
     delta0 = np.asarray(data, dtype=float)[:, 0]
     curve_rows = zip(delta0, np.asarray(data, dtype=float)[:, 1],
@@ -470,13 +536,10 @@ def cmd_fit(args, outdir):
                 "n_failures": boot.n_failures, "valid": boot.valid},
         }),
     ]
-    return cfg, files
+    return files
 
 
-def cmd_bragg_schedule(args, outdir):
-    defaults = dict(L=21, delta_over_j=0.0, phi=0.0, recoil_khz=5.3,
-                    j_hz=0.0)
-    cfg = _merged(args, defaults)
+def cmd_bragg_schedule(cfg, outdir):
     params = ModelParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j, phi=cfg.phi)
     sched = bragg_detunings(params, recoil_joule=H_SI * cfg.recoil_khz * 1e3,
                             j_energy_joule=H_SI * cfg.j_hz)
@@ -484,7 +547,7 @@ def cmd_bragg_schedule(args, outdir):
              float(sched.detunings[j] / (2.0 * np.pi)),
              float(sched.phases[j]))
             for j in range(params.L - 1)]
-    files = [
+    return [
         _write_csv(outdir / "bragg.csv",
                    ["bond_j", "detuning_over_2pi_hz", "phase_rad"], rows),
         _write_json(outdir / "bragg.json", {
@@ -493,37 +556,57 @@ def cmd_bragg_schedule(args, outdir):
             "wavenumber_per_m": sched.wavenumber,
         }),
     ]
-    return cfg, files
 
 
 # -------------------------
-# Parser
+# Subcommands and parser
 # -------------------------
 
-def _add_model_flags(p, si=True):
-    p.add_argument("--L", type=int, default=None, help="chain length")
-    p.add_argument("--delta-over-j", dest="delta_over_j", type=float,
-                   default=None, help="quasiperiodic amplitude Delta/J")
-    p.add_argument("--u-over-j", dest="u_over_j", type=float, default=None,
-                   help="interaction U/J (positive = self-focusing)")
-    p.add_argument("--phi", type=float, default=None, help="potential phase")
-    if si:
-        p.add_argument("--j-hz", dest="j_hz", type=float, default=None,
-                       help="SI anchor: hopping J/hbar as 2*pi times this Hz value")
-        p.add_argument("--delta-hz", dest="delta_hz", type=float, default=None,
-                       help="SI Delta/h in Hz (needs --j-hz)")
-        p.add_argument("--scattering-length-a0", dest="scattering_length_a0",
-                       type=float, default=None,
-                       help="SI s-wave scattering length in Bohr radii (needs --j-hz)")
-        p.add_argument("--density-per-cm3", dest="density_per_cm3", type=float,
-                       default=None, help="mean atomic density in cm^-3")
+MODEL = dict(L=21, delta_over_j=0.0, u_over_j=0.0, phi=0.0)
+SI = dict(j_hz=None, delta_hz=None, scattering_length_a0=None,
+          density_per_cm3=2.0e13)
+SOLVER = dict(residual_tol=1e-10, max_iterations=50_000)
 
-
-def _add_solver_flags(p):
-    p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                   default=None)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int,
-                   default=None)
+# name: (handler, help, {dest: default} of every option it reads)
+COMMANDS = {
+    "solve": (cmd_solve, "ground or highest-excited eigenstate",
+              dict(MODEL, **SI, **SOLVER, kind="gs", j_internal=1.0)),
+    "evolve": (cmd_evolve, "single-site quench transport",
+               dict(MODEL, **SI, t_final=4.0, t_final_ms=None, dt=DEFAULT_DT,
+                    stride=100)),
+    "interaction-sweep": (
+        cmd_interaction_sweep,
+        "final momentum width vs interaction at fixed Delta",
+        dict(L=21, delta_over_j=0.0, phi=0.0, t_final=2.0, dt=DEFAULT_DT,
+             u_min=-0.8, u_max=0.8, u_step=0.2)),
+    "ramp": (cmd_ramp, "finite-velocity state preparation",
+             dict(MODEL, **SI, **SOLVER, kind="gs", velocity_hz_per_ms=275.0,
+                  j_target_hz=275.0, hold_ms=0.0, dt=DEFAULT_DT, stride=100)),
+    "scan": (cmd_scan, "r over the (U, Delta) grid with transitions",
+             dict(L=21, phi=0.0, kind="both", preparation="exact",
+                  delta_min=0.0, delta_max=4.0, delta_step=0.05,
+                  u_min=-1.0, u_max=1.0, u_step=0.25, workers=1,
+                  results=None, no_detect=False, **SOLVER)),
+    "phases": (cmd_phases, "GS/ES boundary curves Delta_c(U)",
+               dict(L=21, phi=0.0, u_min=-1.0, u_max=1.0, u_step=0.25,
+                    delta_max=8.0, delta_step=0.05, workers=1, **SOLVER)),
+    "alpha-star": (cmd_alpha_star, "effective-model slope table alpha*(U)",
+                   dict(L=21, phi=0.0, u_values="-0.25,-0.125,0.125,0.25",
+                        energy_definition="mu", delta_max=8.0, delta_step=0.1,
+                        **SOLVER)),
+    "gaa-me": (cmd_gaa_me,
+               "generalized-model spectrum vs its mobility-edge line",
+               dict(L=987, delta_over_j=1.0, phi=0.0, alpha=0.0)),
+    "fit": (cmd_fit, "piecewise transition fit of r(Delta) data",
+            dict(L=21, phi=0.0, data=None, synthesize=False, u_over_j=0.0,
+                 kind="gs", delta_min=0.2, delta_max=3.4, n_points=40,
+                 noise_sigma=0.01, floor=0.0, seed=DEFAULT_SEED, bootstrap=0,
+                 dt=DEFAULT_DT)),
+    "bragg-schedule": (cmd_bragg_schedule,
+                       "two-photon detuning table for the 21-site chain",
+                       dict(L=21, delta_over_j=0.0, phi=0.0, recoil_khz=5.3,
+                            j_hz=0.0)),
+}
 
 
 def build_parser():
@@ -533,133 +616,20 @@ def build_parser():
                     "quench dynamics, phase diagrams, and transition fits.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def new(name, handler, help_):
+    for name, (_, help_, defaults) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", default=None,
+        p.add_argument("--config",
                        help="JSON file with config keys (flags override)")
-        p.add_argument("--out", default=None,
+        p.add_argument("--out",
                        help=f"output directory (default ${OUTDIR_ENV} or .)")
-        p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=handler)
-        return p
-
-    p = new("solve", cmd_solve, "ground or highest-excited eigenstate")
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--kind", choices=("gs", "es"), default=None)
-    p.add_argument("--j-internal", dest="j_internal", type=float, default=None,
-                   help="internal hopping (default 1; 0 gives the decoupled chain)")
-
-    p = new("evolve", cmd_evolve, "single-site quench transport")
-    _add_model_flags(p)
-    p.add_argument("--t-final", dest="t_final", type=float, default=None,
-                   help="evolution time in hbar/J")
-    p.add_argument("--t-final-ms", dest="t_final_ms", type=float, default=None,
-                   help="evolution time in ms (needs --j-hz)")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
-
-    p = new("interaction-sweep", cmd_interaction_sweep,
-            "final momentum width vs interaction at fixed Delta")
-    _add_model_flags(p)
-    p.add_argument("--t-final", dest="t_final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--u-min", dest="u_min", type=float, default=None)
-    p.add_argument("--u-max", dest="u_max", type=float, default=None)
-    p.add_argument("--u-step", dest="u_step", type=float, default=None)
-
-    p = new("ramp", cmd_ramp, "finite-velocity state preparation")
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--kind", choices=("gs", "es"), default=None)
-    p.add_argument("--velocity-hz-per-ms", dest="velocity_hz_per_ms",
-                   type=float, default=None)
-    p.add_argument("--j-target-hz", dest="j_target_hz", type=float,
-                   default=None)
-    p.add_argument("--hold-ms", dest="hold_ms", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
-
-    p = new("scan", cmd_scan, "r over the (U, Delta) grid with transitions")
-    _add_solver_flags(p)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--kind", choices=("gs", "es", "both"), default=None)
-    p.add_argument("--preparation", choices=("exact", "ramped"), default=None)
-    p.add_argument("--delta-min", dest="delta_min", type=float, default=None)
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
-    p.add_argument("--delta-step", dest="delta_step", type=float, default=None)
-    p.add_argument("--u-min", dest="u_min", type=float, default=None)
-    p.add_argument("--u-max", dest="u_max", type=float, default=None)
-    p.add_argument("--u-step", dest="u_step", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--results", default=None,
-                   help="JSONL cell store for resumable scans")
-    p.add_argument("--no-detect", dest="no_detect", action="store_true",
-                   help="skip transition detection (r matrices only)")
-
-    p = new("phases", cmd_phases, "GS/ES boundary curves Delta_c(U)")
-    _add_solver_flags(p)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--u-min", dest="u_min", type=float, default=None)
-    p.add_argument("--u-max", dest="u_max", type=float, default=None)
-    p.add_argument("--u-step", dest="u_step", type=float, default=None)
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
-    p.add_argument("--delta-step", dest="delta_step", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-
-    p = new("alpha-star", cmd_alpha_star,
-            "effective-model slope table alpha*(U)")
-    _add_solver_flags(p)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--u-values", dest="u_values", default=None,
-                   help="comma-separated U/J list")
-    p.add_argument("--energy-definition", dest="energy_definition",
-                   choices=("mu", "E"), default=None)
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
-    p.add_argument("--delta-step", dest="delta_step", type=float, default=None)
-
-    p = new("gaa-me", cmd_gaa_me,
-            "generalized-model spectrum vs its mobility-edge line")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta-over-j", dest="delta_over_j", type=float,
-                   default=None)
-    p.add_argument("--phi", type=float, default=None)
-
-    p = new("fit", cmd_fit, "piecewise transition fit of r(Delta) data")
-    p.add_argument("--data", default=None,
-                   help="CSV of delta_over_j,r[,sigma] rows")
-    p.add_argument("--synthesize", action="store_true",
-                   help="generate ramped synthetic data instead of reading --data")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--u-over-j", dest="u_over_j", type=float, default=None)
-    p.add_argument("--kind", choices=("gs", "es"), default=None)
-    p.add_argument("--delta-min", dest="delta_min", type=float, default=None)
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
-    p.add_argument("--n-points", dest="n_points", type=int, default=None)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                   default=None)
-    p.add_argument("--floor", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--bootstrap", type=int, default=None,
-                   help="residual-resampling refits for the Delta_c stderr")
-
-    p = new("bragg-schedule", cmd_bragg_schedule,
-            "two-photon detuning table for the 21-site chain")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--delta-over-j", dest="delta_over_j", type=float,
-                   default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--recoil-khz", dest="recoil_khz", type=float, default=None,
-                   help="recoil energy E_R/h in kHz")
-    p.add_argument("--j-hz", dest="j_hz", type=float, default=None,
-                   help="energy unit J/h in Hz for the on-site term (0 drops it)")
-
+        for dest, default in defaults.items():
+            opt = _option(name, dest)
+            kw = (dict(action="store_true") if opt.type is bool
+                  else dict(type=opt.type, choices=opt.choices))
+            text = (opt.help if default is None or opt.type is bool
+                    else f"{opt.help} (default {default})")
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           default=None, help=text, **kw)
     return parser
 
 
@@ -669,7 +639,8 @@ def main(argv=None):
     outdir = _outdir(args)
     t0 = time.perf_counter()
     try:
-        cfg, files = args.func(args, outdir)
+        cfg = _config(args)
+        files = COMMANDS[args.subcommand][0](cfg, outdir)
         _write_manifest(outdir, args.subcommand, cfg, files,
                         time.perf_counter() - t0)
     except UnidentifiableFitError as exc:

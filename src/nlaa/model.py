@@ -11,7 +11,8 @@ potential and beta defaults to the inverse golden ratio (sqrt(5)-1)/2.
 
 Conventions used throughout the package:
 - internal units: hbar = 1, energies in units of J, time in hbar/J;
-  SI conversion happens only at the CLI boundary (see UnitSystem).
+  SI conversion happens only at the CLI boundary (nlaa.cli converts the
+  SI option group and --t-final-ms at ingress).
 - sites are indexed j = 0..L-1 inside the cosine; any centered labeling
   is absorbed by the disorder phase phi and the `center` field of states.
 - open (hard-wall) boundaries: phi_{-1} = phi_L = 0.
@@ -121,17 +122,6 @@ class LatticeState:
         amps[j] = 1.0
         return cls(amps, center=center)
 
-    def to_dict(self) -> dict:
-        return {
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-            "center": self.center,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-        return cls(amps, center=d.get("center"))
-
 
 # -------------------------
 # Potential and Hamiltonian action
@@ -239,45 +229,6 @@ def density_fourier_coefficients(state, beta=BETA_GOLDEN, max_harmonic=2):
 # -------------------------
 # Physical-unit conversion
 # -------------------------
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Internal-unit bookkeeping with an optional SI anchor.
-
-    Internally hbar = 1, energies are in units of J and time in hbar/J.
-    When `j_rate_hz` is set (the hopping rate nu with J/hbar = 2 pi nu),
-    the conversion maps are bijections used only at I/O boundaries.
-    """
-    hbar: float = 1.0
-    energy_unit: float = 1.0
-    j_rate_hz: float | None = None
-
-    @property
-    def time_unit(self) -> float:
-        return self.hbar / self.energy_unit
-
-    def time_si_to_internal(self, t_seconds: float) -> float:
-        """t_internal = t * J/hbar = 2 pi nu t."""
-        self._need_anchor()
-        return 2.0 * np.pi * self.j_rate_hz * t_seconds
-
-    def time_internal_to_si(self, t_internal: float) -> float:
-        self._need_anchor()
-        return t_internal / (2.0 * np.pi * self.j_rate_hz)
-
-    def energy_si_to_internal(self, e_joule: float) -> float:
-        """Energy in units of J, where J = hbar * 2 pi nu."""
-        self._need_anchor()
-        return e_joule / (HBAR_SI * 2.0 * np.pi * self.j_rate_hz)
-
-    def energy_internal_to_si(self, e_internal: float) -> float:
-        self._need_anchor()
-        return e_internal * HBAR_SI * 2.0 * np.pi * self.j_rate_hz
-
-    def _need_anchor(self):
-        if self.j_rate_hz is None:
-            raise ValueError("no SI anchor: construct UnitSystem with j_rate_hz")
-
 
 @dataclass(frozen=True)
 class InteractionConversion:

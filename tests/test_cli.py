@@ -367,3 +367,136 @@ def test_version_flag_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# -------------------------
+# Option table: flags and config keys
+# -------------------------
+
+def _config_file(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_synthesize_is_a_config_key(tmp_path):
+    cfg = _config_file(tmp_path, {"synthesize": True, "L": 13, "n_points": 8,
+                                  "dt": 0.01})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _json(tmp_path / "manifest.json")["config"]["synthesize"] is True
+    _, rows = _rows(tmp_path / "data.csv")
+    assert len(rows) == 8
+
+
+def test_no_detect_is_a_config_key(tmp_path):
+    args = [a for a in SCAN_ARGS if a != "--no-detect"]
+    cfg = _config_file(tmp_path, {"no_detect": True})
+    assert main(args + ["--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _json(tmp_path / "manifest.json")["config"]["no_detect"] is True
+    assert (tmp_path / "r_gs.csv").exists()
+    assert not (tmp_path / "transitions.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "3"],
+    ["interaction-sweep", "--u-over-j", "0.3"],
+    ["interaction-sweep", "--j-hz", "275", "--delta-hz", "550"],
+], ids=" ".join)
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("subcommand, key", [("solve", "seed"),
+                                             ("interaction-sweep", "u_over_j"),
+                                             ("interaction-sweep", "j_hz")])
+def test_config_keys_a_subcommand_does_not_read_exit_2(tmp_path, subcommand,
+                                                       key):
+    cfg = _config_file(tmp_path, {key: 3})
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+BAD_GRIDS = [
+    (["scan", "--delta-step", "0"], "--delta-step must be positive"),
+    (["scan", "--u-min", "0.5", "--u-max", "-0.5"], "empty grid"),
+    (["interaction-sweep", "--u-step", "0"], "--u-step must be positive"),
+    (["phases", "--u-step", "-1"], "--u-step must be positive"),
+    (["phases", "--delta-step", "0"], "--delta-step must be positive"),
+    (["alpha-star", "--delta-step", "-0.1"], "--delta-step must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_GRIDS,
+                         ids=[" ".join(argv) for argv, _ in BAD_GRIDS])
+def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand, obj", [
+    ("scan", {"delta_step": "0.1"}),
+    ("solve", {"L": 13.5}),
+    ("solve", {"L": True}),
+    ("solve", {"delta_over_j": "1"}),
+    ("solve", {"kind": "both"}),
+    ("fit", {"synthesize": "yes"}),
+    ("fit", {"synthesize": 1}),
+], ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_config_values_are_typed_like_flags(tmp_path, capsys, subcommand, obj):
+    cfg = _config_file(tmp_path, obj)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config key {next(iter(obj))!r} must be" in capsys.readouterr().err
+
+
+def _declared_options():
+    from nlaa.cli import COMMANDS
+    return [(name, dest) for name, (_, _, defaults) in COMMANDS.items()
+            for dest in defaults]
+
+
+def _sample(opt):
+    """A value of the option's type other than any default."""
+    if opt.choices:
+        return opt.choices[-1]
+    return {bool: True, int: 7, float: 0.375, str: "x.csv"}[opt.type]
+
+
+@pytest.fixture
+def stub_handlers(monkeypatch):
+    """Each subcommand only resolves its config and writes the manifest."""
+    import nlaa.cli as cli
+    for name, (_, help_, defaults) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            (lambda cfg, outdir: [], help_, defaults))
+
+
+@pytest.mark.parametrize("subcommand, dest", _declared_options())
+def test_flag_and_config_key_give_the_same_manifest_config(
+        tmp_path, stub_handlers, subcommand, dest):
+    from nlaa.cli import _option
+    opt = _option(subcommand, dest)
+    value = _sample(opt)
+    flag = ["--" + dest.replace("_", "-")]
+    if opt.type is not bool:
+        flag.append(str(value))
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert main([subcommand, *flag, "--out", str(by_flag)]) == 0
+    cfg = _config_file(tmp_path, {dest: value})
+    assert main([subcommand, "--config", cfg, "--out", str(by_config)]) == 0
+    got = _json(by_flag / "manifest.json")["config"]
+    assert got[dest] == value
+    assert got == _json(by_config / "manifest.json")["config"]
+
+
+@pytest.mark.parametrize("subcommand", sorted({s for s, _ in
+                                               _declared_options()}))
+def test_manifest_config_reads_back_as_a_config(tmp_path, stub_handlers,
+                                                subcommand):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([subcommand, "--out", str(first)]) == 0
+    config = _json(first / "manifest.json")["config"]
+    cfg = _config_file(tmp_path, config)
+    assert main([subcommand, "--config", cfg, "--out", str(second)]) == 0
+    assert _json(second / "manifest.json")["config"] == config

@@ -10,7 +10,6 @@ from nlaa import (
     InteractionConversion,
     LatticeState,
     ModelParams,
-    UnitSystem,
     apply_hamiltonian,
     bragg_detunings,
     chemical_potential,
@@ -161,17 +160,6 @@ def test_linear_gs_first_harmonic_is_negative():
 # -------------------------
 # Units and schedules
 # -------------------------
-
-def test_unit_system_roundtrip_and_anchor():
-    us = UnitSystem(j_rate_hz=275.0)
-    t_int = us.time_si_to_internal(1e-3)
-    assert t_int == pytest.approx(2 * np.pi * 0.275, rel=1e-14)
-    assert us.time_internal_to_si(t_int) == pytest.approx(1e-3, rel=1e-14)
-    e_int = us.energy_si_to_internal(H_SI * 275.0)
-    assert e_int == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        UnitSystem().time_si_to_internal(1.0)
-
 
 def test_scattering_length_conversion():
     conv = InteractionConversion(scattering_length_a0=100.0)
