@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -229,10 +230,11 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+    """CSV with fields quoted only where they hold a comma, quote or newline."""
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(x) for x in row] for row in rows)
     return path
 
 
@@ -405,6 +407,9 @@ def cmd_scan(cfg, outdir):
     if res.phases is not None:
         prows = [[float(u)] + list(res.phases[i]) for i, u in enumerate(us)]
         files.append(_write_csv(outdir / "phases.csv", header, prows))
+    files.append(_write_csv(outdir / "failures.csv",
+                            ["kind", "u_over_j", "delta_over_j", "message"],
+                            res.failures))
     files.append(Path(results_path))
     return files
 

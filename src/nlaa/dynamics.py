@@ -181,6 +181,9 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
         raise ValueError("dt must lie in (0, 0.01] (units hbar/J)")
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
+    if not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1:
+        raise ValueError(f"snapshot stride must be an integer >= 1, "
+                         f"got {snapshot_stride!r}")
     lone = isinstance(params, ModelParams)
     params, initial = ([params], [initial]) if lone else (list(params), list(initial))
     if not params or len(params) != len(initial):

@@ -9,24 +9,39 @@ extended-to-localized transition at fixed U is the first downward crossing
 of r_c along increasing Delta, refined by bisection (re-solving at interval
 midpoints) to 1e-3 in Delta/J.
 
-Scans persist one JSON line per grid cell, keyed by
-(kind, L, U, Delta, preparation), so interrupted runs resume without
-recomputation and re-runs reproduce cells bitwise.
+A scan's JSONL store is an exact solve cache: one record per solve, grid
+cells and bisection midpoints alike, appended as soon as it is solved. Each
+record's `key` is the sha256 of canonical JSON of every input that affects
+its r: the full ModelParams (L, J, Delta, beta, phi, U, floats by their
+round-trip repr), kind, preparation, the ramp protocol aimed at the kind
+(ramped scans), every SolverOptions field and the package version. A
+resumed scan reads each solve back bit for bit and solves only what is
+missing, so it returns what a fresh scan returns. Lines without a key,
+written by older versions, never match, so their cells are recomputed;
+failed cells (`ok: false`) are retried. A torn last line, as a kill during
+an append leaves it, is skipped with a logged warning and cut off before
+the next append; a malformed line anywhere else raises ValueError naming
+its line number.
 """
 
+import hashlib
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
+from . import __version__
 from .dynamics import RampProtocol, ramp_prepare
 from .eigensolve import SolverOptions, linear_spectrum, solve_state
 from .model import ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
+
+log = logging.getLogger(__name__)
 
 
 # -------------------------
@@ -165,33 +180,135 @@ class ScanResult:
     failures: list                 # [(kind, u, delta, message), ...]
 
 
-def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts):
-    """Participation ratio of one scan cell (pure function of its key)."""
+def _cell_inputs(kind, L, u, delta, phi, preparation, ramp):
+    """ModelParams of one scan cell and, if it is ramped, its ramp."""
     params = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=u)
     if preparation == "exact":
+        return params, None
+    ramp = ramp if ramp is not None else RampProtocol.from_si()
+    return params, ramp.for_kind(kind)
+
+
+def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts):
+    """Participation ratio of one scan cell (pure function of its key)."""
+    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation, ramp)
+    if proto is None:
         sol = solve_state(params, kind, opts)
         if not sol.converged:
             raise RuntimeError(
                 f"solver did not converge (kind={kind}, U={u}, Delta={delta}, "
                 f"residual={sol.residual:.2e})")
         return participation_ratio(sol.state)
-    proto = (ramp if ramp is not None else RampProtocol.from_si()).for_kind(kind)
     final, _ = ramp_prepare(params, proto)
     return participation_ratio(final)
 
 
-def _cell_worker(args):
-    kind, L, u, delta, phi, preparation, ramp, opts = args
-    key = {"kind": kind, "L": L, "u": u, "delta": delta, "preparation": preparation}
+def _exact_fields(obj):
+    """A dataclass's fields as JSON values, floats by their round-trip repr."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out[f.name] = (repr(float(v)) if isinstance(v, (float, np.floating))
+                       else int(v) if isinstance(v, np.integer) else v)
+    return out
+
+
+def cell_key(params, kind, preparation, ramp, opts) -> str:
+    """Store key of one solve: sha256 of canonical JSON of every input that
+    affects its r. `ramp` is the protocol after RampProtocol.for_kind, None
+    for exact preparation."""
+    text = json.dumps({"version": __version__, "kind": kind,
+                       "preparation": preparation,
+                       "params": _exact_fields(params),
+                       "ramp": None if ramp is None else _exact_fields(ramp),
+                       "solver": _exact_fields(opts)},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _key_of(cell):
+    """cell_key of a cell given by the arguments of _cell_r."""
+    kind, L, u, delta, phi, preparation, ramp, opts = cell
+    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation, ramp)
+    return cell_key(params, kind, preparation, proto, opts)
+
+
+def _cell_record(cell):
+    """Store record of one cell (the arguments of _cell_r): its key and
+    readable inputs, and r or the error that stopped it."""
+    kind, L, u, delta, phi, preparation, ramp, opts = cell
+    rec = {"key": _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
+           "preparation": preparation}
     try:
-        r = _cell_r(kind, L, u, delta, phi, preparation, ramp, opts)
-        return {**key, "ok": True, "r": r}
+        return {**rec, "ok": True, "r": _cell_r(*cell)}
     except Exception as exc:                      # cell failures must not kill the scan
-        return {**key, "ok": False, "error": str(exc)}
+        return {**rec, "ok": False, "error": str(exc)}
 
 
-def _cell_key(kind, L, u, delta, preparation):
-    return f"{kind}|{L}|{u:.12g}|{delta:.12g}|{preparation}"
+class _Store:
+    """Solve records by key: the sound records of a JSONL file (ok ones with
+    a key) plus each new one, appended to the file at once. Without a path
+    the records live in memory only."""
+
+    def __init__(self, path):
+        self.records, self._sink = {}, None
+        if not path:
+            return
+        data = b""
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+        keep = self._load(path, data)
+        self._sink = open(path, "a")
+        if keep < len(data):
+            self._sink.truncate(keep)
+        if keep and not data[:keep].endswith(b"\n"):
+            self._sink.write("\n")
+
+    def _load(self, path, data):
+        """Index the records of `data`; return how many bytes of it to keep
+        (all, or those before a torn last line)."""
+        lines = data.split(b"\n")
+        end = 0
+        for i, line in enumerate(lines):
+            start, end = end, end + len(line) + 1
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not isinstance(rec, dict):
+                if any(rest.strip() for rest in lines[i + 1:]):
+                    raise ValueError(f"{path}: line {i + 1} is not a JSON record")
+                log.warning("%s: skipping torn last line %d", path, i + 1)
+                return start
+            if "key" in rec and rec.get("ok"):
+                self.records[rec["key"]] = rec
+        return len(data)
+
+    def add(self, rec):
+        self.records[rec["key"]] = rec
+        if self._sink:
+            self._sink.write(json.dumps(rec, sort_keys=True) + "\n")
+            self._sink.flush()
+        return rec
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._sink:
+            self._sink.close()
+
+
+def _cached_r(store, cell):
+    """r of one cell (the arguments of _cell_r): the stored solve's, or
+    solved and appended at once. Raises RuntimeError if the cell failed."""
+    rec = store.records.get(_key_of(cell)) or store.add(_cell_record(cell))
+    if not rec["ok"]:
+        raise RuntimeError(rec["error"])
+    return rec["r"]
 
 
 def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
@@ -199,68 +316,43 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
                        detect=True) -> ScanResult:
     """Fill the r-matrix over the grid, then locate transition curves.
 
-    `results_path` (JSONL) enables resumable scans: completed cells are
-    loaded, missing ones computed (optionally by a process pool) and
-    appended by the single writer. Per-cell failures are recorded and the
-    scan continues; failed cells hold NaN in the matrix.
+    `results_path` (JSONL) makes the scan resumable: every solve, grid cell
+    or bisection midpoint, is read from it if stored and appended to it at
+    once if not. `workers` > 1 solves the missing grid cells in a process
+    pool first. Per-cell failures are recorded and the scan continues;
+    failed cells hold NaN in the matrix.
     """
     deltas = np.asarray(grid.delta_over_j, dtype=float)
     us = np.asarray(grid.u_over_j, dtype=float)
-    done = {}
-    if results_path and os.path.exists(results_path):
-        with open(results_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                done[_cell_key(rec["kind"], rec["L"], rec["u"], rec["delta"],
-                               rec["preparation"])] = rec
 
-    todo = []
-    for kind in grid.kinds:
-        for u in us:
-            for delta in deltas:
-                if _cell_key(kind, grid.L, u, delta, grid.preparation) not in done:
-                    todo.append((kind, grid.L, float(u), float(delta), grid.phi,
-                                 grid.preparation, grid.ramp, opts))
-
-    sink = open(results_path, "a") if results_path else None
-    try:
-        if todo:
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    records = pool.map(_cell_worker, todo, chunksize=4)
-                    for rec in records:
-                        done[_cell_key(rec["kind"], rec["L"], rec["u"],
-                                       rec["delta"], rec["preparation"])] = rec
-                        if sink:
-                            sink.write(json.dumps(rec, sort_keys=True) + "\n")
-            else:
-                for args in todo:
-                    rec = _cell_worker(args)
-                    done[_cell_key(rec["kind"], rec["L"], rec["u"],
-                                   rec["delta"], rec["preparation"])] = rec
-                    if sink:
-                        sink.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if sink:
-            sink.close()
+    def cell(kind, u, delta):
+        return (kind, grid.L, float(u), float(delta), grid.phi,
+                grid.preparation, grid.ramp, opts)
 
     r_mats, trans, rcs, failures = {}, {}, {}, []
-    for kind in grid.kinds:
-        mat = np.full((us.size, deltas.size), np.nan)
-        for i, u in enumerate(us):
-            for k, delta in enumerate(deltas):
-                rec = done[_cell_key(kind, grid.L, u, delta, grid.preparation)]
-                if rec["ok"]:
-                    mat[i, k] = rec["r"]
-                else:
-                    failures.append((kind, float(u), float(delta), rec["error"]))
-        r_mats[kind] = mat
-        rcs[kind] = critical_r(grid.L, kind)
-        if detect:
-            per_u = []
+    with _Store(results_path) as store:
+        if workers > 1:
+            todo = [cell(kind, u, delta) for kind in grid.kinds
+                    for u in us for delta in deltas]
+            todo = [c for c in todo if _key_of(c) not in store.records]
+            if todo:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    for rec in pool.map(_cell_record, todo, chunksize=4):
+                        store.add(rec)
+
+        for kind in grid.kinds:
+            mat = np.full((us.size, deltas.size), np.nan)
+            for i, u in enumerate(us):
+                for k, delta in enumerate(deltas):
+                    try:
+                        mat[i, k] = _cached_r(store, cell(kind, u, delta))
+                    except RuntimeError as exc:
+                        failures.append((kind, float(u), float(delta), str(exc)))
+            r_mats[kind] = mat
+            rcs[kind] = critical_r(grid.L, kind)
+
+        for kind in grid.kinds if detect else ():
+            mat, per_u = r_mats[kind], []
             for i, u in enumerate(us):
                 valid = np.isfinite(mat[i])
                 if valid.sum() < 2:
@@ -269,8 +361,7 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
                     continue
 
                 def r_at(delta, _kind=kind, _u=u):
-                    return _cell_r(_kind, grid.L, float(_u), float(delta),
-                                   grid.phi, grid.preparation, grid.ramp, opts)
+                    return _cached_r(store, cell(_kind, _u, delta))
 
                 per_u.append(detect_transition(deltas[valid], mat[i][valid],
                                                rcs[kind], refine=r_at))

@@ -2,6 +2,7 @@
 config precedence, and exit codes. All invocations run in-process through
 ``nlaa.cli.main``."""
 
+import csv
 import hashlib
 import json
 import re
@@ -145,6 +146,20 @@ def test_evolve_ms_without_anchor_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("subcommand", ["evolve", "ramp"])
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+def test_stride_below_one_exits_2(tmp_path, capsys, subcommand, stride,
+                                  as_config):
+    argv = [subcommand, "--L", "13", "--out", str(tmp_path)]
+    if as_config:
+        argv += ["--config", _config_file(tmp_path, {"stride": stride})]
+    else:
+        argv += [f"--stride={stride}"]
+    assert main(argv) == 2
+    assert "snapshot stride must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_interaction_sweep_u_grid(tmp_path):
     rc = main(["interaction-sweep", "--L", "13", "--t-final", "0.5",
                "--u-min", "-0.4", "--u-max", "0.4", "--u-step", "0.4",
@@ -193,6 +208,8 @@ def test_scan_matrices_and_resume(tmp_path):
     again = (tmp_path / "scan_cells.jsonl").read_text().strip().splitlines()
     assert len(again) == 12
     assert _sha(tmp_path / "r_gs.csv") == before
+    assert (tmp_path / "failures.csv").read_text() == \
+        "kind,u_over_j,delta_over_j,message\n"
 
 
 def test_scan_detect_writes_transitions(tmp_path):
@@ -207,6 +224,45 @@ def test_scan_detect_writes_transitions(tmp_path):
     assert rows[0][0] == "gs"
     dc = float(rows[0][2])
     assert 1.5 < dc < 2.5                               # AA point at U=0
+
+
+@pytest.mark.parametrize("changed", [["--phi", "1"], ["--residual-tol", "1e-5"],
+                                     ["--max-iterations", "60"]],
+                         ids=lambda argv: argv[0])
+def test_scan_store_does_not_return_cells_of_other_inputs(tmp_path, changed):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert main(SCAN_ARGS + ["--out", str(shared)]) == 0
+    assert main(SCAN_ARGS + changed + ["--out", str(shared)]) == 0
+    assert main(SCAN_ARGS + changed + ["--out", str(fresh)]) == 0
+    for kind in ("gs", "es"):
+        assert _sha(shared / f"r_{kind}.csv") == _sha(fresh / f"r_{kind}.csv")
+
+
+def test_scan_malformed_inner_line_exits_2(tmp_path, capsys):
+    assert main(SCAN_ARGS + ["--out", str(tmp_path)]) == 0
+    store = tmp_path / "scan_cells.jsonl"
+    lines = store.read_text().splitlines(keepends=True)
+    store.write_text("".join(lines[:3] + ["{oops\n"] + lines[3:]))
+    assert main(SCAN_ARGS + ["--out", str(tmp_path)]) == 2
+    assert "line 4 is not a JSON record" in capsys.readouterr().err
+
+
+def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
+    assert main(SCAN_ARGS + ["--max-iterations", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "failures.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["kind", "u_over_j", "delta_over_j", "message"]
+    assert rows and all("did not converge" in msg for *_, msg in rows)
+    failed = {(kind, float(u), float(d)) for kind, u, d, _ in rows}
+    nan_cells = set()
+    for kind in ("gs", "es"):
+        head, body = _rows(tmp_path / f"r_{kind}.csv")
+        nan_cells |= {(kind, float(row[0]), float(d))
+                      for row in body for d, r in zip(head[1:], row[1:])
+                      if r == "nan"}
+    assert failed == nan_cells
+    outputs = _json(tmp_path / "manifest.json")["outputs"]
+    assert outputs["failures.csv"] == _sha(tmp_path / "failures.csv")
 
 
 # -------------------------

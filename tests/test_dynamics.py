@@ -32,6 +32,13 @@ def test_dt_validation():
         evolve(p, st, -1.0)
 
 
+@pytest.mark.parametrize("stride", [0, -1, 2.5])
+def test_snapshot_stride_validation(stride):
+    with pytest.raises(ValueError, match="snapshot stride"):
+        evolve(ModelParams(L=11), LatticeState.single_site(11, 5), 1.0,
+               snapshot_stride=stride)
+
+
 def test_snapshot_grid():
     p = ModelParams(L=11, J=1.0, Delta=0.5)
     traj = evolve(p, LatticeState.single_site(11, 5), 1.0, dt=1e-3,

@@ -1,13 +1,22 @@
 """Transition detection, grid scans with persistence, phase labels."""
 
 import json
+import logging
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import nlaa.phasescan as phasescan
 from nlaa import (
     ModelParams,
+    RampProtocol,
     ScanGrid,
+    SolverOptions,
     classify_phase,
     critical_r,
     detect_transition,
@@ -15,7 +24,7 @@ from nlaa import (
     solve_state,
     transition_for_u,
 )
-from nlaa.phasescan import BISECTION_TOL, _cell_key
+from nlaa.phasescan import BISECTION_TOL, cell_key
 
 
 # -------------------------
@@ -145,12 +154,22 @@ def test_scan_shapes_and_determinism(tmp_path):
     assert res1.failures == []
 
 
+def _records(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def _grid_records(path, grid):
+    """Store records of the grid's cells; the others are bisection solves."""
+    return [r for r in _records(path)
+            if r["u"] in grid.u_over_j and r["delta"] in grid.delta_over_j]
+
+
 def test_scan_resume_reuses_cells(tmp_path):
     path = tmp_path / "cells.jsonl"
     grid = ScanGrid(kind="gs", **SMALL)
     res1 = scan_phase_diagram(grid, results_path=str(path))
     n_lines = len(path.read_text().splitlines())
-    assert n_lines == 6                        # one record per cell
+    assert len(_grid_records(path, grid)) == 6     # one record per cell
     res2 = scan_phase_diagram(grid, results_path=str(path))
     assert len(path.read_text().splitlines()) == n_lines   # nothing re-solved
     assert np.array_equal(res1.r["gs"], res2.r["gs"])
@@ -160,10 +179,12 @@ def test_scan_cell_records_carry_the_full_key(tmp_path):
     path = tmp_path / "cells.jsonl"
     grid = ScanGrid(kind="gs", **SMALL)
     res = scan_phase_diagram(grid, results_path=str(path))
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
-    keys = {_cell_key(r["kind"], r["L"], r["u"], r["delta"], r["preparation"])
+    recs = _records(path)
+    keys = {cell_key(ModelParams(L=r["L"], Delta=r["delta"], U=r["u"]),
+                     r["kind"], r["preparation"], None, SolverOptions())
             for r in recs}
     assert len(keys) == len(recs)            # distinct, reconstructible keys
+    assert keys == {r["key"] for r in recs}
     by_cell = {(r["u"], r["delta"]): r["r"] for r in recs}
     assert by_cell[(-0.3, 1.6)] == res.r["gs"][0, 0]
     assert all(r["ok"] for r in recs)
@@ -175,6 +196,8 @@ def test_scan_parallel_matches_serial(tmp_path):
     par = scan_phase_diagram(grid, results_path=str(tmp_path / "p.jsonl"),
                              workers=2)
     assert np.array_equal(ser.r["gs"], par.r["gs"])
+    assert ({r["key"]: r["r"] for r in _records(tmp_path / "s.jsonl")}
+            == {r["key"]: r["r"] for r in _records(tmp_path / "p.jsonl")})
 
 
 def test_scan_detects_transitions_per_u(tmp_path):
@@ -188,6 +211,142 @@ def test_scan_detects_transitions_per_u(tmp_path):
     assert res.phases is not None
     assert res.phases.shape == (1, 9)
     assert res.phases[0, 0] == "IV" and res.phases[0, -1] == "II"
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls phasescan makes to one of its solvers."""
+    calls = []
+    inner = getattr(phasescan, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(phasescan, name, counted)
+    return calls
+
+
+def test_cell_key_covers_every_input(monkeypatch):
+    params = ModelParams(L=13, Delta=1.5, U=0.3)
+    ramp, opts = RampProtocol(duration=2.0), SolverOptions()
+    base = cell_key(params, "gs", "ramped", ramp, opts)
+    assert cell_key(ModelParams(L=np.int64(13), Delta=np.float64(1.5), U=0.3),
+                    "gs", "ramped", replace(ramp), SolverOptions()) == base
+    variants = [cell_key(replace(params, **{name: value}), "gs", "ramped",
+                         ramp, opts)
+                for name, value in [("L", 15), ("J", 0.5), ("Delta", 1.5 + 1e-15),
+                                    ("beta", 0.6), ("phi", 1.0), ("U", -0.3)]]
+    variants += [cell_key(params, "es", "ramped", ramp, opts),
+                 cell_key(params, "gs", "exact", None, opts)]
+    variants += [cell_key(params, "gs", "ramped",
+                          replace(ramp, **{name: value}), opts)
+                 for name, value in [("duration", 3.0), ("hold", 0.5),
+                                     ("target", "highest-excited")]]
+    variants += [cell_key(params, "gs", "ramped", ramp,
+                          replace(opts, **{name: value}))
+                 for name, value in [("residual_tol", 1e-9), ("max_iterations", 10),
+                                     ("imag_time_step", 0.1), ("mixing", 0.5)]]
+    monkeypatch.setattr(phasescan, "__version__", "0.0.0")
+    variants.append(cell_key(params, "gs", "ramped", ramp, opts))
+    assert len(set(variants) | {base}) == len(variants) + 1
+
+
+def test_ramped_resume_reads_every_ramp_back(tmp_path, monkeypatch):
+    path = tmp_path / "cells.jsonl"
+    grid = ScanGrid(delta_over_j=(0.5, 2.0), u_over_j=(0.0,), L=13, kind="gs",
+                    preparation="ramped", ramp=RampProtocol(duration=1.0))
+    fresh = scan_phase_diagram(grid, results_path=str(path))
+    assert fresh.transitions["gs"][0].found
+    ramps = _count_calls(monkeypatch, "ramp_prepare")
+    again = scan_phase_diagram(grid, results_path=str(path))
+    assert ramps == []
+    assert np.array_equal(again.r["gs"], fresh.r["gs"])
+    assert again.transitions["gs"][0].delta_c == fresh.transitions["gs"][0].delta_c
+    faster = replace(grid, ramp=RampProtocol(duration=0.8))
+    other = scan_phase_diagram(faster, results_path=str(path), detect=False)
+    assert len(ramps) == 2
+    assert np.array_equal(other.r["gs"],
+                          scan_phase_diagram(faster, detect=False).r["gs"])
+
+
+def test_torn_last_line_is_skipped_then_cut_off(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "cells.jsonl"
+    grid = ScanGrid(kind="gs", **SMALL)
+    fresh = scan_phase_diagram(grid, results_path=str(path), detect=False)
+    text = path.read_text()
+    path.write_text(text[:-40])                   # a kill during the last append
+    solves = _count_calls(monkeypatch, "solve_state")
+    with caplog.at_level(logging.WARNING, logger="nlaa.phasescan"):
+        again = scan_phase_diagram(grid, results_path=str(path), detect=False)
+    assert "torn last line 6" in caplog.text
+    assert len(solves) == 1
+    assert np.array_equal(again.r["gs"], fresh.r["gs"])
+    assert path.read_text() == text               # torn piece replaced, not kept
+    caplog.clear()
+    scan_phase_diagram(grid, results_path=str(path), detect=False)
+    assert caplog.text == "" and len(solves) == 1
+
+
+def test_unterminated_last_record_is_used_and_terminated(tmp_path, monkeypatch):
+    path = tmp_path / "cells.jsonl"
+    grid = ScanGrid(kind="gs", **SMALL)
+    scan_phase_diagram(grid, results_path=str(path), detect=False)
+    path.write_text(path.read_text().rstrip("\n"))
+    solves = _count_calls(monkeypatch, "solve_state")
+    wider = replace(grid, delta_over_j=SMALL["delta_over_j"] + (2.8,))
+    scan_phase_diagram(wider, results_path=str(path), detect=False)
+    assert len(solves) == 2                       # only the new column
+    assert len(_records(path)) == 8
+
+
+def test_failed_record_is_retried_and_replaced(tmp_path):
+    path = tmp_path / "cells.jsonl"
+    grid = ScanGrid(kind="gs", **SMALL)
+    fresh = scan_phase_diagram(grid, results_path=str(path), detect=False)
+    recs = _records(path)
+    failed = {k: v for k, v in recs[2].items() if k != "r"}
+    recs[2] = {**failed, "ok": False, "error": "injected"}
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    again = scan_phase_diagram(grid, results_path=str(path), detect=False)
+    assert again.failures == []
+    assert np.array_equal(again.r["gs"], fresh.r["gs"])
+    last = _records(path)[-1]
+    assert last["key"] == failed["key"] and last["ok"]
+
+
+def test_records_of_older_versions_are_recomputed(tmp_path):
+    path = tmp_path / "cells.jsonl"
+    grid = ScanGrid(kind="gs", **SMALL)
+    old = [{"kind": "gs", "L": 13, "u": u, "delta": d, "preparation": "exact",
+            "ok": True, "r": 0.5}
+           for u in SMALL["u_over_j"] for d in SMALL["delta_over_j"]]
+    path.write_text("".join(json.dumps(r) + "\n" for r in old))
+    res = scan_phase_diagram(grid, results_path=str(path), detect=False)
+    fresh = scan_phase_diagram(grid, detect=False)
+    assert np.array_equal(res.r["gs"], fresh.r["gs"])
+    assert len(_records(path)) == 12
+
+
+@given(deltas=st.lists(st.sampled_from([1.2, 1.6, 2.0, 2.4, 2.8]), min_size=2,
+                       max_size=4, unique=True).map(sorted),
+       us=st.lists(st.sampled_from([-0.4, 0.0, 0.4]), min_size=1, max_size=2,
+                   unique=True).map(sorted),
+       kind=st.sampled_from(["gs", "es", "both"]),
+       phi=st.sampled_from([0.0, 0.5, np.pi]))
+def test_resumed_scan_equals_fresh_and_solves_nothing(deltas, us, kind, phi):
+    grid = ScanGrid(delta_over_j=tuple(deltas), u_over_j=tuple(us), L=13,
+                    kind=kind, phi=phi)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "cells.jsonl")
+        fresh = scan_phase_diagram(grid, results_path=path)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_calls(mp, "solve_state")
+            again = scan_phase_diagram(grid, results_path=path)
+    assert calls == []
+    for k in grid.kinds:
+        assert np.array_equal(again.r[k], fresh.r[k])
+        assert ([t.delta_c for t in again.transitions[k]]
+                == [t.delta_c for t in fresh.transitions[k]])
 
 
 # -------------------------
