@@ -8,13 +8,13 @@ Internal units are hbar = J = 1 throughout; SI conversion happens only at
 the command-line boundary.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .dynamics import (BatchTrajectory, RampProtocol, Trajectory, evolve,
                        ramp_prepare, transport_experiment)
 from .eigensolve import (EigenSolution, SolverOptions, linear_spectrum,
                          nonlinear_excited_state, nonlinear_ground_state,
-                         residual, solve_state)
+                         solve_state)
 from .fitting import (BootstrapResult, FitResult, UnidentifiableFitError,
                       bootstrap_delta_c, fit_transition, piecewise_model,
                       synthesize_measurement)
@@ -41,7 +41,6 @@ __all__ = [
     # eigensolve
     "SolverOptions", "EigenSolution", "linear_spectrum",
     "nonlinear_ground_state", "nonlinear_excited_state", "solve_state",
-    "residual",
     # dynamics
     "RampProtocol", "Trajectory", "BatchTrajectory", "evolve",
     "transport_experiment", "ramp_prepare",

@@ -25,17 +25,14 @@ The highest excited state is the ground state of the negated model
 with mu and E negated back.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from .model import (
-    LatticeState,
-    ModelParams,
-    apply_hamiltonian,
-    quasiperiodic_potential,
-)
+from .model import LatticeState, ModelParams, quasiperiodic_potential
 
 
 @dataclass(frozen=True)
@@ -87,12 +84,23 @@ def linear_spectrum(L, J, potential):
     return w, v
 
 
-def _linear_edge_state(J, eps, which):
-    """Single extreme eigenpair (which = 0 for lowest, -1 for highest)."""
-    L = len(eps)
-    sel = (0, 0) if which == 0 else (L - 1, L - 1)
-    w, v = eigh_tridiagonal(eps, np.full(L - 1, float(J)),
-                            select="i", select_range=sel)
+def _linear_edge_state(eps, off, which):
+    """Single extreme eigenpair (which = 0 for lowest, -1 for highest) of the
+    float64 tridiagonal matrix with diagonal `eps` and off-diagonal `off`.
+
+    Calls LAPACK bisection (dstebz) and inverse iteration (dstein) with the
+    arguments eigh_tridiagonal(select="i") passes them: the same pair, bit
+    for bit, without its per-call argument checks. A non-finite diagonal
+    raises the RuntimeError of _check_finite.
+    """
+    _check_finite(eps, "the tridiagonal edge eigen-solve")
+    k = 1 if which == 0 else len(eps)            # 1-based LAPACK index
+    m, w, iblock, isplit, info = dstebz(eps, off, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        v, info = dstein(eps, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal edge eigenpair did not converge (LAPACK info={info})")
     vec = v[:, 0]
     i = np.argmax(np.abs(vec))
     if vec[i] < 0:
@@ -111,15 +119,24 @@ def _h_apply_real(J, eps, U, v):
     return out
 
 
+# np.sum/np.max/np.linalg.norm run these same reductions on a 1-D float
+# array; calling them directly skips the wrappers' dispatch, bit for bit.
+_sum, _max = np.add.reduce, np.maximum.reduce
+
+
+def _norm(v):
+    return math.sqrt(v.dot(v))
+
+
 def _energy_real(J, eps, U, v):
     n = v * v
-    return 2.0 * J * np.sum(v[:-1] * v[1:]) + np.sum(eps * n) - 0.5 * U * np.sum(n * n)
+    return 2.0 * J * _sum(v[:-1] * v[1:]) + _sum(eps * n) - 0.5 * U * _sum(n * n)
 
 
 def _residual_mu(J, eps, U, v):
     hv = _h_apply_real(J, eps, U, v)
     mu = float(v @ hv)
-    return float(np.max(np.abs(hv - mu * v))), mu
+    return float(_max(np.abs(hv - mu * v))), mu
 
 
 def _check_finite(v, where):
@@ -139,7 +156,7 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     for k in range(min(max_steps, budget)):
         used += 1
         w = v - step * _h_apply_real(J, eps, U, v)
-        w /= np.linalg.norm(w)
+        w /= _norm(w)
         e = _energy_real(J, eps, U, w)
         if e > e_prev + 1e-15:
             step *= 0.5
@@ -153,7 +170,7 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     return v, step, used
 
 
-def _scf_block(J, eps, U, v, mixing, max_steps, tol, budget):
+def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
     """Self-consistent refinement with linear density mixing.
 
     Diagonalizes the Hamiltonian with the interaction frozen at the current
@@ -168,7 +185,7 @@ def _scf_block(J, eps, U, v, mixing, max_steps, tol, budget):
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
-        _, u = _linear_edge_state(J, eps - U * n, 0)
+        _, u = _linear_edge_state(eps - U * n, off, 0)
         res, _ = _residual_mu(J, eps, U, u)
         if res < best_res:
             best_res, best_v = res, u.copy()
@@ -184,43 +201,47 @@ def _scf_block(J, eps, U, v, mixing, max_steps, tol, budget):
     return best_v, best_res, best_v, used
 
 
-def _newton_polish(J, eps, U, v, mu, tol, max_newton=40):
+def _newton_polish(J, eps, U, v, mu, tol, max_newton):
     """Newton iteration on the bordered stationarity system.
 
     Unknowns (phi, mu); equations H[phi] phi - mu phi = 0 and the sphere
-    constraint. The Jacobian is tridiagonal plus a border row/column.
+    constraint. The Jacobian is tridiagonal plus a border row/column; its
+    constant hopping entries are written once, the rest refilled per step.
     Success is measured with the Rayleigh-quotient residual (the same
     measure the solver reports), not the bordered-system mu, so a returned
-    True never flips back to unconverged at the margin.
+    True never flips back to unconverged at the margin. Returns
+    (v, mu, residual, ok, steps), counting each pass that evaluates F.
     """
     L = len(v)
-    idx = np.arange(L)
+    Jm = np.zeros((L + 1, L + 1))
+    Jm[np.arange(L - 1), np.arange(1, L)] = J
+    Jm[np.arange(1, L), np.arange(L - 1)] = J
+    diag = Jm.reshape(-1)[:L * (L + 2):L + 2]      # view of Jm[j, j], j < L
+    F = np.empty(L + 1)
     for k in range(max_newton):
         hv = _h_apply_real(J, eps, U, v)
-        F = np.concatenate([hv - mu * v, [0.5 * (v @ v - 1.0)]])
-        res = np.max(np.abs(F[:L]))
+        np.subtract(hv, mu * v, out=F[:L])
+        F[L] = 0.5 * (v @ v - 1.0)
+        res = _max(np.abs(F[:L]))
         if res < tol and abs(F[L]) < 1e-13:
             res_ray, mu_ray = _residual_mu(J, eps, U, v)
             if res_ray < tol:
-                return v, mu_ray, float(res_ray), True
-        Jm = np.zeros((L + 1, L + 1))
-        Jm[idx, idx] = eps - 3.0 * U * v * v - mu
-        Jm[idx[:-1], idx[1:]] = J
-        Jm[idx[1:], idx[:-1]] = J
+                return v, mu_ray, float(res_ray), True, k + 1
+        diag[:] = eps - 3.0 * U * v * v - mu
         Jm[:L, L] = -v
         Jm[L, :L] = v
         try:
             delta = np.linalg.solve(Jm, -F)
         except np.linalg.LinAlgError:
-            return v, mu, float(res), False
+            return v, mu, float(res), False, k + 1
         v = v + delta[:L]
         mu = mu + float(delta[L])
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv == 0 or not np.isfinite(nv):
-            return v, mu, float(res), False
+            return v, mu, float(res), False, k + 1
         v /= nv
     res, mu = _residual_mu(J, eps, U, v)
-    return v, mu, float(res), res < tol
+    return v, mu, float(res), res < tol, max_newton
 
 
 def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOptions()) -> EigenSolution:
@@ -229,16 +250,18 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
     Deterministic: initialization is always the linear (U=0) ground state at
     the same (L, J, Delta, beta, phi). Convergence is declared on the
     stationarity residual ||H[phi]phi - mu phi||_inf, not on energy change.
+    `iterations` counts imaginary-time steps, SCF steps and Newton steps,
+    and never exceeds opts.max_iterations.
     """
     eps = quasiperiodic_potential(params)
     J, U = params.J, params.U
-    _, v = _linear_edge_state(J, eps, 0)
+    off = np.full(params.L - 1, float(J))
+    _, v = _linear_edge_state(eps, off, 0)
     iterations = 0
     step = opts.imag_time_step
 
     best_v = v.copy()
     best_e = _energy_real(J, eps, U, best_v)
-    res = np.inf
 
     for attempt in range(8):
         budget = opts.max_iterations - iterations
@@ -256,7 +279,7 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
         # stage B: self-consistent refinement with density mixing
         budget = opts.max_iterations - iterations
         if budget > 0:
-            u, res_scf, u_best, used = _scf_block(J, eps, U, v, opts.mixing,
+            _, res_scf, u_best, used = _scf_block(J, off, eps, U, v, opts.mixing,
                                                   2000, opts.residual_tol, budget)
             iterations += used
             e_scf = _energy_real(J, eps, U, u_best)
@@ -264,22 +287,20 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
                 best_e, best_v = e_scf, u_best.copy()
             if res_scf < opts.residual_tol:
                 best_v = u_best
-                res = res_scf
                 break
 
         # stage C: Newton polish from the best iterate so far
-        res0, mu0 = _residual_mu(J, eps, U, best_v)
-        vn, mun, resn, ok = _newton_polish(J, eps, U, best_v.copy(), mu0,
-                                           opts.residual_tol)
-        iterations += 1
+        mu0 = _residual_mu(J, eps, U, best_v)[1]
+        vn, _, _, ok, used = _newton_polish(
+            J, eps, U, best_v.copy(), mu0, opts.residual_tol,
+            min(40, opts.max_iterations - iterations))
+        iterations += used
         if ok and np.all(np.isfinite(vn)):
             en = _energy_real(J, eps, U, vn)
             if en <= best_e + 1e-12:
-                best_v, best_e, res = vn, en, resn
+                best_v, best_e = vn, en
                 break
         v = best_v.copy()
-    else:
-        res, _ = _residual_mu(J, eps, U, best_v)
 
     res, mu = _residual_mu(J, eps, U, best_v)
     state = LatticeState(best_v.astype(complex))
@@ -310,13 +331,6 @@ def nonlinear_excited_state(params: ModelParams, opts: SolverOptions = SolverOpt
         converged=sol.converged,
         kind="highest-excited",
     )
-
-
-def residual(params: ModelParams, state, mu) -> float:
-    """Stationarity measure ||H[phi] phi - mu phi||_inf."""
-    v = state.amplitudes if isinstance(state, LatticeState) else np.asarray(state)
-    hv = apply_hamiltonian(params, v)
-    return float(np.max(np.abs(hv - mu * v)))
 
 
 def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions()) -> EigenSolution:

@@ -75,7 +75,9 @@ def critical_r(L, kind="gs"):
 @dataclass
 class TransitionResult:
     delta_c: float | None          # refined first crossing, None if not found
-    crossings: list                # all bracketing intervals [(lo, hi), ...]
+    crossings: list                # bracketing intervals [(lo, hi), ...]; all
+                                   # of the grid's, but only the first from
+                                   # transition_for_u
     r_c: float
     found: bool
     message: str = ""
@@ -123,16 +125,27 @@ def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
                      phi=0.0, opts=SolverOptions(), preparation="exact",
                      ramp: RampProtocol | None = None,
                      tol=BISECTION_TOL) -> TransitionResult:
-    """Locate Delta_c for one (U, kind) by coarse scan + bisection."""
+    """Locate Delta_c for one (U, kind) by coarse scan + bisection.
+
+    The coarse grid is solved in increasing Delta and only up to its first
+    bracket r(lo) >= r_c > r(hi), which is then bisected as detect_transition
+    does on the full grid: Delta_c is the same, but `crossings` holds only
+    that first bracket, and a cell past it is neither solved nor able to
+    fail the transition.
+    """
     deltas = np.arange(0.0, delta_max + 0.5 * delta_step, delta_step)
+    r_c = critical_r(L, kind)
 
     def r_at(delta):
         return _cell_r(kind, L, float(u), float(delta), phi, preparation,
                        ramp, opts)
 
-    rs = np.array([r_at(d) for d in deltas])
-    return detect_transition(deltas, rs, critical_r(L, kind),
-                             refine=r_at, tol=tol)
+    rs = []
+    for delta in deltas:
+        rs.append(r_at(delta))
+        if len(rs) > 1 and rs[-2] >= r_c > rs[-1]:
+            break
+    return detect_transition(deltas[:len(rs)], rs, r_c, refine=r_at, tol=tol)
 
 
 # -------------------------
@@ -233,11 +246,11 @@ def _key_of(cell):
     return cell_key(params, kind, preparation, proto, opts)
 
 
-def _cell_record(cell):
-    """Store record of one cell (the arguments of _cell_r): its key and
-    readable inputs, and r or the error that stopped it."""
+def _cell_record(cell, key=None):
+    """Store record of one cell (the arguments of _cell_r): its key (given,
+    or computed) and readable inputs, and r or the error that stopped it."""
     kind, L, u, delta, phi, preparation, ramp, opts = cell
-    rec = {"key": _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
+    rec = {"key": key or _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
            "preparation": preparation}
     try:
         return {**rec, "ok": True, "r": _cell_r(*cell)}
@@ -305,7 +318,8 @@ class _Store:
 def _cached_r(store, cell):
     """r of one cell (the arguments of _cell_r): the stored solve's, or
     solved and appended at once. Raises RuntimeError if the cell failed."""
-    rec = store.records.get(_key_of(cell)) or store.add(_cell_record(cell))
+    key = _key_of(cell)
+    rec = store.records.get(key) or store.add(_cell_record(cell, key))
     if not rec["ok"]:
         raise RuntimeError(rec["error"])
     return rec["r"]

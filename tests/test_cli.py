@@ -72,6 +72,17 @@ def test_solver_failure_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_non_finite_diagonal_in_the_solver_exits_3(tmp_path, monkeypatch):
+    # a non-finite Hamiltonian diagonal reached inside the solver is a
+    # numerical failure, not bad input
+    import nlaa.eigensolve as eigensolve
+    monkeypatch.setattr(eigensolve, "quasiperiodic_potential",
+                        lambda params: np.full(params.L, np.nan))
+    rc = main(["solve", "--L", "13", "--delta-over-j", "1.0",
+               "--out", str(tmp_path)])
+    assert rc == 3
+
+
 # -------------------------
 # Config file handling
 # -------------------------

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from nlaa import (
     LatticeState,
     ModelParams,
     SolverOptions,
+    apply_hamiltonian,
     chemical_potential,
     energy_functional,
     linear_spectrum,
@@ -14,9 +18,20 @@ from nlaa import (
     nonlinear_ground_state,
     participation_ratio,
     quasiperiodic_potential,
-    residual,
     solve_state,
 )
+from nlaa.eigensolve import (_energy_real, _h_apply_real, _linear_edge_state,
+                             _norm, _residual_mu, _scf_block)
+
+
+def residual(params, state, mu):
+    """Stationarity measure ||H[phi] phi - mu phi||_inf."""
+    v = state.amplitudes
+    return float(np.max(np.abs(apply_hamiltonian(params, v) - mu * v)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def test_solver_option_defaults():
@@ -55,6 +70,62 @@ def test_sign_convention_largest_component_positive():
     for k in range(L):
         col = evecs[:, k]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+# -------------------------
+# Solver kernels: bitwise the library calls they stand in for
+# -------------------------
+
+@given(L=st.integers(2, 200), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       which=st.sampled_from([0, -1]), scale=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_edge_state_is_bitwise_eigh_tridiagonal(L, J, sign, which, scale, seed):
+    eps = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, L)
+    off = np.full(L - 1, sign * J)
+    sel = (0, 0) if which == 0 else (L - 1, L - 1)
+    w, v = eigh_tridiagonal(eps, off, select="i", select_range=sel)
+    vec = v[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    w_fast, vec_fast = _linear_edge_state(eps, off, which)
+    assert _bits(w_fast) == _bits(w[0])
+    assert _bits(vec_fast) == _bits(vec)
+
+
+@given(L=st.integers(2, 200), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       U=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_reductions_are_bitwise_the_numpy_wrappers(L, J, sign, U, seed):
+    rng = np.random.default_rng(seed)
+    J = sign * J
+    eps = rng.uniform(-4.0, 4.0, L)
+    v = rng.normal(size=L)
+    v /= np.linalg.norm(v)
+    n = v * v
+    energy = 2.0 * J * np.sum(v[:-1] * v[1:]) + np.sum(eps * n) - 0.5 * U * np.sum(n * n)
+    assert _bits(_energy_real(J, eps, U, v)) == _bits(energy)
+    hv = _h_apply_real(J, eps, U, v)
+    mu = float(v @ hv)
+    res, mu_fast = _residual_mu(J, eps, U, v)
+    assert _bits([res, mu_fast]) == _bits([np.max(np.abs(hv - mu * v)), mu])
+    w = rng.normal(size=L) * 10.0 ** rng.uniform(-3, 3)
+    assert _bits(_norm(w)) == _bits(np.linalg.norm(w))
+    assert _bits(w / _norm(w)) == _bits(w / np.linalg.norm(w))
+
+
+def test_non_finite_frozen_density_raises_runtime_error():
+    # stage B diagonalizes eps - U n; a non-finite entry is a numerical
+    # failure (RuntimeError, CLI exit 3), not bad input (ValueError)
+    L = 13
+    eps = quasiperiodic_potential(ModelParams(L=L, J=1.0, Delta=1.0))
+    off = np.full(L - 1, 1.0)
+    bad = eps.copy()
+    bad[4] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        _linear_edge_state(bad, off, 0)
+    v = np.full(L, 1.0 / np.sqrt(L))
+    v[2] = np.inf
+    with pytest.raises(RuntimeError, match="non-finite"), np.errstate(all="ignore"):
+        _scf_block(1.0, off, eps, 0.5, v, 0.3, 10, 1e-10, 10)
 
 
 # -------------------------
@@ -114,6 +185,15 @@ def test_hard_defocusing_case_converges():
     sol = nonlinear_ground_state(p)
     assert sol.converged
     assert residual(p, sol.state, sol.mu) < 1e-10
+
+
+@given(cap=st.integers(1, 400), kind=st.sampled_from(["gs", "es"]),
+       U=st.sampled_from([-0.8, -0.3, 0.3, 0.8]),
+       delta=st.sampled_from([0.5, 2.0, 3.5]))
+def test_iterations_never_exceed_the_cap(cap, kind, U, delta):
+    sol = solve_state(ModelParams(L=13, J=1.0, Delta=delta, U=U), kind,
+                      SolverOptions(max_iterations=cap))
+    assert sol.iterations <= cap
 
 
 def test_focusing_increases_localization():

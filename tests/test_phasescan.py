@@ -104,6 +104,58 @@ def test_transition_for_u_linear_anchor():
     assert tr.delta_c == pytest.approx(2.0, abs=0.05)
 
 
+STEP = 0.25                                  # exact in binary: grid = k * STEP
+
+
+def _stub_cells(mp, deltas, rs, r_c, fail_at=None):
+    """Make _cell_r read r off the curve through (deltas, rs), linear between
+    grid points, and raise at `fail_at`; return the Delta of every call."""
+    calls = []
+
+    def cell_r(kind, L, u, delta, *rest):
+        calls.append(delta)
+        if delta == fail_at:
+            raise RuntimeError("injected cell failure")
+        return float(np.interp(delta, deltas, rs))
+
+    mp.setattr(phasescan, "_cell_r", cell_r)
+    mp.setattr(phasescan, "critical_r", lambda L, kind: r_c)
+    return calls
+
+
+@given(rs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=24),
+       r_c=st.floats(0.05, 0.95))
+def test_lazy_sweep_equals_full_grid_detection(rs, r_c):
+    deltas = STEP * np.arange(len(rs))
+    full = detect_transition(deltas, rs, r_c,
+                             refine=lambda d: float(np.interp(d, deltas, rs)))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _stub_cells(mp, deltas, rs, r_c)
+        tr = transition_for_u(0.3, "gs", delta_max=deltas[-1], delta_step=STEP)
+    assert (tr.found, tr.delta_c) == (full.found, full.delta_c)
+    assert tr.crossings == full.crossings[:1]
+    grid = [d for d in calls if d in deltas]
+    if full.found:
+        hi = full.crossings[0][1]
+        assert grid == [d for d in deltas if d <= hi]   # nothing past the bracket
+        assert max(calls) == hi
+    else:
+        assert grid == list(deltas)
+
+
+def test_lazy_sweep_cell_failure_past_the_bracket_is_not_reached():
+    deltas = STEP * np.arange(8)
+    rs = [0.9, 0.8, 0.7, 0.2, 0.1, 0.6, 0.1, 0.05]     # brackets at 2 and 5
+    with pytest.MonkeyPatch.context() as mp:
+        _stub_cells(mp, deltas, rs, 0.5, fail_at=deltas[6])
+        tr = transition_for_u(0.3, "gs", delta_max=deltas[-1], delta_step=STEP)
+    assert tr.found and tr.crossings == [(deltas[2], deltas[3])]
+    with pytest.MonkeyPatch.context() as mp:
+        _stub_cells(mp, deltas, rs, 0.5, fail_at=deltas[1])
+        with pytest.raises(RuntimeError, match="injected"):
+            transition_for_u(0.3, "gs", delta_max=deltas[-1], delta_step=STEP)
+
+
 # -------------------------
 # Duality between the two solver paths
 # -------------------------
