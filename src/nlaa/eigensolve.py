@@ -20,6 +20,12 @@ Stage B alone can limit-cycle when the interaction is defocusing and the
 low-energy landscape has several competing wells (density "sloshes" between
 them); the cascade detects the stall and lets stages A/C finish the job.
 
+Many cells that share L, J and U (a scan row) can run attempt 0's stage A
+as one (B, L) array: imag_time_starts returns each cell's `start`, and
+solve_state(..., start=...) runs the rest of its cascade alone. The
+stencil, energy and residual kernels act on (..., L) arrays, so each row of
+the batch is computed bit for bit as the lone 1-D solve computes it.
+
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U), computed by the same solver and reported
 with mu and E negated back.
@@ -43,10 +49,14 @@ class SolverOptions:
     mixing: float = 0.3
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.imag_time_step <= 0:
-            raise ValueError("imag_time_step must be positive")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError(f"residual_tol must be positive and finite, "
+                             f"got {self.residual_tol!r}")
+        if not (math.isfinite(self.imag_time_step) and self.imag_time_step > 0):
+            raise ValueError(f"imag_time_step must be positive and finite, "
+                             f"got {self.imag_time_step!r}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not (0.0 < self.mixing <= 1.0):
             raise ValueError("mixing must lie in (0, 1]")
 
@@ -112,16 +122,19 @@ def _linear_edge_state(eps, off, which):
 # Nonlinear ground state
 # -------------------------
 
+# The kernels below take a state v of shape (L,) or (B, L), one state per
+# row. np.sum/np.max/np.linalg.norm run these same reductions on a 1-D float
+# array; calling them directly skips the wrappers' dispatch, bit for bit.
+# Along axis -1 they, and np.vecdot (BLAS ddot, as v.dot(w) and v @ w), reduce
+# each row of a C-contiguous (B, L) array as they reduce that row alone.
+_sum, _max = np.add.reduce, np.maximum.reduce
+
+
 def _h_apply_real(J, eps, U, v):
     out = (eps - U * v * v) * v
-    out[:-1] += J * v[1:]
-    out[1:] += J * v[:-1]
+    out[..., :-1] += J * v[..., 1:]
+    out[..., 1:] += J * v[..., :-1]
     return out
-
-
-# np.sum/np.max/np.linalg.norm run these same reductions on a 1-D float
-# array; calling them directly skips the wrappers' dispatch, bit for bit.
-_sum, _max = np.add.reduce, np.maximum.reduce
 
 
 def _norm(v):
@@ -130,19 +143,26 @@ def _norm(v):
 
 def _energy_real(J, eps, U, v):
     n = v * v
-    return 2.0 * J * _sum(v[:-1] * v[1:]) + _sum(eps * n) - 0.5 * U * _sum(n * n)
+    return (2.0 * J * _sum(v[..., :-1] * v[..., 1:], axis=-1)
+            + _sum(eps * n, axis=-1) - 0.5 * U * _sum(n * n, axis=-1))
 
 
 def _residual_mu(J, eps, U, v):
+    """Residual ||H[v] v - mu v||_inf and Rayleigh quotient mu, per row."""
     hv = _h_apply_real(J, eps, U, v)
-    mu = float(v @ hv)
-    return float(_max(np.abs(hv - mu * v))), mu
+    mu = np.vecdot(v, hv)
+    return _max(np.abs(hv - mu[..., None] * v), axis=-1), mu
 
 
 def _check_finite(v, where):
     if not np.all(np.isfinite(v)):
         raise RuntimeError(f"non-finite amplitudes encountered during {where}; "
                            "check parameters (possible self-trapping blow-up)")
+
+
+def _stage_a_plan(attempt):
+    """Step cap and residual target of stage A on cascade attempt `attempt`."""
+    return 2000 + 1000 * attempt, 10.0 ** (-3 - attempt)
 
 
 def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
@@ -168,6 +188,45 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
             if _residual_mu(J, eps, U, v)[0] < res_target:
                 break
     return v, step, used
+
+
+def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
+    """_imag_time_block on every row of the (B, L) arrays `eps` and `v`.
+
+    Each row keeps its own step size, energy guard and exit, and gets the
+    (v, step, iterations_used) the lone block returns for it, bit for bit.
+    A row leaves the batch where the lone block breaks, or where its
+    finiteness check fails: the lone block raises there, and the cascade
+    raises the same error at its check after stage A. Returns the arrays
+    (v, step, used) of shape (B, L), (B,) and (B,).
+    """
+    n_steps = min(max_steps, budget)
+    out_v, out_step = v.copy(), np.full(len(v), float(step))
+    out_used = np.full(len(v), n_steps)
+    live, step = np.arange(len(v)), out_step.copy()
+    e_prev = _energy_real(J, eps, U, v)
+    for k in range(n_steps):
+        w = v - step[:, None] * _h_apply_real(J, eps, U, v)
+        w /= np.sqrt(np.vecdot(w, w))[:, None]
+        e = _energy_real(J, eps, U, w)
+        ok = ~(e > e_prev + 1e-15)                 # NaN is accepted, as alone
+        v = np.where(ok[:, None], w, v)
+        e_prev = np.where(ok, e, e_prev)
+        step = np.where(ok, np.minimum(step * 1.02, 0.2), step * 0.5)
+        if k % 50:
+            continue
+        done = ok & (~np.isfinite(v).all(axis=-1)
+                     | (_residual_mu(J, eps, U, v)[0] < res_target))
+        if done.any():
+            rows = live[done]
+            out_v[rows], out_step[rows], out_used[rows] = v[done], step[done], k + 1
+            keep = ~done
+            live, v, eps, step, e_prev = (live[keep], v[keep], eps[keep],
+                                          step[keep], e_prev[keep])
+            if not live.size:
+                break
+    out_v[live], out_step[live] = v, step
+    return out_v, out_step, out_used
 
 
 def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
@@ -244,23 +303,31 @@ def _newton_polish(J, eps, U, v, mu, tol, max_newton):
     return v, mu, float(res), res < tol, max_newton
 
 
-def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOptions()) -> EigenSolution:
+def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOptions(),
+                           start=None) -> EigenSolution:
     """Stationary state minimizing E[phi] on the unit sphere.
 
     Deterministic: initialization is always the linear (U=0) ground state at
     the same (L, J, Delta, beta, phi). Convergence is declared on the
     stationarity residual ||H[phi]phi - mu phi||_inf, not on energy change.
     `iterations` counts imaginary-time steps, SCF steps and Newton steps,
-    and never exceeds opts.max_iterations.
+    and never exceeds opts.max_iterations. `start` is (linear ground state,
+    v, step, iterations) after attempt 0's stage A, as imag_time_starts
+    computes it for these params and opts; the cascade then goes on from
+    there, and its result is the one it returns without `start`.
     """
     eps = quasiperiodic_potential(params)
     J, U = params.J, params.U
     off = np.full(params.L - 1, float(J))
-    _, v = _linear_edge_state(eps, off, 0)
+    if start is None:
+        _, v0 = _linear_edge_state(eps, off, 0)
+        max_steps, target = _stage_a_plan(0)
+        start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, opts.imag_time_step,
+                                       target, opts.max_iterations))
+    v0, v, step, used = start
     iterations = 0
-    step = opts.imag_time_step
 
-    best_v = v.copy()
+    best_v = v0.copy()
     best_e = _energy_real(J, eps, U, best_v)
 
     for attempt in range(8):
@@ -268,8 +335,11 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
         if budget <= 0:
             break
         # stage A: imaginary time toward a progressively tighter target
-        v, step, used = _imag_time_block(J, eps, U, v, 2000 + 1000 * attempt,
-                                         step, 10.0 ** (-3 - attempt), budget)
+        # (attempt 0's is the start)
+        if attempt:
+            max_steps, target = _stage_a_plan(attempt)
+            v, step, used = _imag_time_block(J, eps, U, v, max_steps, step,
+                                             target, budget)
         iterations += used
         _check_finite(v, "imaginary-time flow")
         e = _energy_real(J, eps, U, v)
@@ -302,7 +372,7 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
                 break
         v = best_v.copy()
 
-    res, mu = _residual_mu(J, eps, U, best_v)
+    res, mu = map(float, _residual_mu(J, eps, U, best_v))
     state = LatticeState(best_v.astype(complex))
     return EigenSolution(
         state=state,
@@ -315,13 +385,14 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
     )
 
 
-def nonlinear_excited_state(params: ModelParams, opts: SolverOptions = SolverOptions()) -> EigenSolution:
+def nonlinear_excited_state(params: ModelParams, opts: SolverOptions = SolverOptions(),
+                            start=None) -> EigenSolution:
     """Highest excited state, solved as the ground state of the negated model.
 
     The state vector is reused as-is; mu and E are negated back to refer to
-    the original parameters.
+    the original parameters. `start` is as in nonlinear_ground_state.
     """
-    sol = nonlinear_ground_state(params.negated(), opts)
+    sol = nonlinear_ground_state(params.negated(), opts, start)
     return EigenSolution(
         state=sol.state,
         mu=-sol.mu,
@@ -333,10 +404,43 @@ def nonlinear_excited_state(params: ModelParams, opts: SolverOptions = SolverOpt
     )
 
 
-def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions()) -> EigenSolution:
-    """Dispatch helper: kind is 'gs' (ground) or 'es' (highest excited)."""
+def _negates(kind):
+    """True if `kind` is solved as the ground state of the negated model."""
     if kind in ("gs", "ground"):
-        return nonlinear_ground_state(params, opts)
+        return False
     if kind in ("es", "highest-excited"):
-        return nonlinear_excited_state(params, opts)
+        return True
     raise ValueError(f"unknown state kind {kind!r} (expected 'gs' or 'es')")
+
+
+def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions(),
+                start=None) -> EigenSolution:
+    """Dispatch helper: kind is 'gs' (ground) or 'es' (highest excited).
+
+    `start` is this cell's entry of imag_time_starts, or None to run the
+    whole cascade here; the result is the same either way.
+    """
+    if _negates(kind):
+        return nonlinear_excited_state(params, opts, start)
+    return nonlinear_ground_state(params, opts, start)
+
+
+def imag_time_starts(cells, kind, opts: SolverOptions = SolverOptions()):
+    """Attempt 0's stage A for cells of one kind that share L, J and U.
+
+    `cells` is a sequence of ModelParams (the Delta, beta and phi may vary).
+    Stage A runs on all of them as one (B, L) array, and entry i of the
+    returned list is the `start` that solve_state(cells[i], kind, opts,
+    start=...) goes on from: bit for bit what the lone solve computes.
+    """
+    solved = [p.negated() for p in cells] if _negates(kind) else list(cells)
+    L, J, U = solved[0].L, solved[0].J, solved[0].U
+    if any((p.L, p.J, p.U) != (L, J, U) for p in solved):
+        raise ValueError("imag_time_starts needs cells that share L, J and U")
+    eps = np.array([quasiperiodic_potential(p) for p in solved])
+    off = np.full(L - 1, float(J))
+    v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
+    max_steps, target = _stage_a_plan(0)
+    v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, opts.imag_time_step,
+                                    target, opts.max_iterations)
+    return [(v0[i], v[i], float(step[i]), int(used[i])) for i in range(len(cells))]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import RampProtocol, ramp_prepare
-from .eigensolve import SolverOptions, linear_spectrum, solve_state
+from .eigensolve import SolverOptions, imag_time_starts, linear_spectrum, solve_state
 from .model import ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
@@ -202,11 +202,13 @@ def _cell_inputs(kind, L, u, delta, phi, preparation, ramp):
     return params, ramp.for_kind(kind)
 
 
-def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts):
-    """Participation ratio of one scan cell (pure function of its key)."""
+def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts, start=None):
+    """Participation ratio of one scan cell (pure function of its key).
+    `start` is an exact cell's entry of imag_time_starts; r is the same
+    with it or without."""
     params, proto = _cell_inputs(kind, L, u, delta, phi, preparation, ramp)
     if proto is None:
-        sol = solve_state(params, kind, opts)
+        sol = solve_state(params, kind, opts, start=start)
         if not sol.converged:
             raise RuntimeError(
                 f"solver did not converge (kind={kind}, U={u}, Delta={delta}, "
@@ -246,14 +248,14 @@ def _key_of(cell):
     return cell_key(params, kind, preparation, proto, opts)
 
 
-def _cell_record(cell, key=None):
+def _cell_record(cell, key=None, start=None):
     """Store record of one cell (the arguments of _cell_r): its key (given,
     or computed) and readable inputs, and r or the error that stopped it."""
     kind, L, u, delta, phi, preparation, ramp, opts = cell
     rec = {"key": key or _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
            "preparation": preparation}
     try:
-        return {**rec, "ok": True, "r": _cell_r(*cell)}
+        return {**rec, "ok": True, "r": _cell_r(*cell, start=start)}
     except Exception as exc:                      # cell failures must not kill the scan
         return {**rec, "ok": False, "error": str(exc)}
 
@@ -315,6 +317,24 @@ class _Store:
             self._sink.close()
 
 
+def _row_records(store, cells):
+    """Records of one row of cells (the arguments of _cell_r) that differ
+    only in Delta: the stored ones, and the missing ones solved and appended
+    in order. Missing exact cells run attempt 0's stage A as one batch
+    (imag_time_starts), then each its own cascade."""
+    keys = [_key_of(c) for c in cells]
+    recs = [store.records.get(k) for k in keys]
+    todo = [i for i, rec in enumerate(recs) if rec is None]
+    kind, _, _, _, _, preparation, _, opts = cells[0]
+    starts = [None] * len(todo)
+    if todo and preparation == "exact":
+        starts = imag_time_starts([_cell_inputs(*cells[i][:7])[0] for i in todo],
+                                  kind, opts)
+    for i, start in zip(todo, starts):
+        recs[i] = store.add(_cell_record(cells[i], keys[i], start))
+    return recs
+
+
 def _cached_r(store, cell):
     """r of one cell (the arguments of _cell_r): the stored solve's, or
     solved and appended at once. Raises RuntimeError if the cell failed."""
@@ -332,9 +352,11 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
 
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
     or bisection midpoint, is read from it if stored and appended to it at
-    once if not. `workers` > 1 solves the missing grid cells in a process
-    pool first. Per-cell failures are recorded and the scan continues;
-    failed cells hold NaN in the matrix.
+    once if not. With `workers` = 1 the missing exact cells of each (kind,
+    U) row run attempt 0's stage A as one batch; `workers` > 1 solves the
+    missing grid cells one by one in a process pool first. Either way r is
+    bitwise the lone solve's. Per-cell failures are recorded and the scan
+    continues; failed cells hold NaN in the matrix.
     """
     deltas = np.asarray(grid.delta_over_j, dtype=float)
     us = np.asarray(grid.u_over_j, dtype=float)
@@ -357,11 +379,12 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
         for kind in grid.kinds:
             mat = np.full((us.size, deltas.size), np.nan)
             for i, u in enumerate(us):
-                for k, delta in enumerate(deltas):
-                    try:
-                        mat[i, k] = _cached_r(store, cell(kind, u, delta))
-                    except RuntimeError as exc:
-                        failures.append((kind, float(u), float(delta), str(exc)))
+                row = [cell(kind, u, delta) for delta in deltas]
+                for k, rec in enumerate(_row_records(store, row)):
+                    if rec["ok"]:
+                        mat[i, k] = rec["r"]
+                    else:
+                        failures.append((kind, float(u), float(deltas[k]), rec["error"]))
             r_mats[kind] = mat
             rcs[kind] = critical_r(grid.L, kind)
 

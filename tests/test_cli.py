@@ -83,6 +83,18 @@ def test_non_finite_diagonal_in_the_solver_exits_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--residual-tol", "nan"], "residual_tol must be positive and finite"),
+    (["solve", "--residual-tol", "inf"], "residual_tol must be positive and finite"),
+    (["solve", "--u-over-j", "1", "--max-iterations", "-5"], "max_iterations must be >= 1"),
+    (["scan", "--max-iterations", "0"], "max_iterations must be >= 1"),
+], ids=["tol-nan", "tol-inf", "solve-cap-negative", "scan-cap-zero"])
+def test_bad_solver_options_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # -------------------------
 # Config file handling
 # -------------------------

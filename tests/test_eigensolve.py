@@ -20,8 +20,9 @@ from nlaa import (
     quasiperiodic_potential,
     solve_state,
 )
-from nlaa.eigensolve import (_energy_real, _h_apply_real, _linear_edge_state,
-                             _norm, _residual_mu, _scf_block)
+from nlaa.eigensolve import (_energy_real, _h_apply_real, _imag_time_block,
+                             _imag_time_rows, _linear_edge_state, _norm,
+                             _residual_mu, _scf_block, imag_time_starts)
 
 
 def residual(params, state, mu):
@@ -40,6 +41,15 @@ def test_solver_option_defaults():
     assert opts.max_iterations == 50_000
     assert opts.imag_time_step == 0.05
     assert opts.mixing == 0.3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("residual_tol", float("nan")), ("residual_tol", float("inf")),
+    ("imag_time_step", float("nan")), ("imag_time_step", float("inf")),
+    ("max_iterations", 0), ("max_iterations", -5)])
+def test_solver_options_reject_non_finite_and_empty_budgets(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
 
 
 # -------------------------
@@ -194,6 +204,44 @@ def test_iterations_never_exceed_the_cap(cap, kind, U, delta):
     sol = solve_state(ModelParams(L=13, J=1.0, Delta=delta, U=U), kind,
                       SolverOptions(max_iterations=cap))
     assert sol.iterations <= cap
+
+
+@given(L=st.integers(2, 34), deltas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8),
+       U=st.floats(-2.0, 2.0), kind=st.sampled_from(["gs", "es"]),
+       phi=st.floats(0.0, 2.0 * np.pi), cap=st.integers(1, 400))
+@pytest.mark.filterwarnings("ignore:.*self-trapping")
+def test_batched_stage_a_equals_lone_solves(L, deltas, U, kind, phi, cap):
+    opts = SolverOptions(max_iterations=cap)
+    cells = [ModelParams(L=L, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
+    for params, start in zip(cells, imag_time_starts(cells, kind, opts)):
+        lone = solve_state(params, kind, opts)
+        batched = solve_state(params, kind, opts, start=start)
+        assert batched.state.amplitudes.tobytes() == lone.state.amplitudes.tobytes()
+        assert _bits([batched.mu, batched.energy, batched.residual]) == \
+            _bits([lone.mu, lone.energy, lone.residual])
+        assert (batched.iterations, batched.converged) == (lone.iterations, lone.converged)
+
+
+def test_batched_row_with_non_finite_potential_fails_alone():
+    L, U, opts = 13, 0.5, SolverOptions()
+    cells = [ModelParams(L=L, J=1.0, Delta=d, U=U) for d in (0.5, 1.5, 2.5)]
+    eps = np.array([quasiperiodic_potential(p) for p in cells])
+    off = np.full(L - 1, 1.0)
+    v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
+    eps[1, 4] = np.inf
+    args = (2000, opts.imag_time_step, 1e-3, opts.max_iterations)
+    with np.errstate(all="ignore"):
+        v, step, used = _imag_time_rows(1.0, eps, U, v0, *args)
+        with pytest.raises(RuntimeError) as lone:
+            _imag_time_block(1.0, eps[1], U, v0[1], *args)
+        # the row's cascade goes on from the batch and raises the lone error
+        with pytest.raises(RuntimeError) as batched:
+            nonlinear_ground_state(cells[1], opts, start=(v0[1], v[1], step[1], used[1]))
+    assert str(batched.value) == str(lone.value)
+    for i in (0, 2):
+        v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U, v0[i], *args)
+        assert _bits(v[i]) == _bits(v_lone)
+        assert (step[i], used[i]) == (step_lone, used_lone)
 
 
 def test_focusing_increases_localization():

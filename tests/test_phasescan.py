@@ -250,6 +250,7 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert np.array_equal(ser.r["gs"], par.r["gs"])
     assert ({r["key"]: r["r"] for r in _records(tmp_path / "s.jsonl")}
             == {r["key"]: r["r"] for r in _records(tmp_path / "p.jsonl")})
+    assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "p.jsonl").read_bytes()
 
 
 def test_scan_detects_transitions_per_u(tmp_path):
@@ -349,6 +350,22 @@ def test_unterminated_last_record_is_used_and_terminated(tmp_path, monkeypatch):
     scan_phase_diagram(wider, results_path=str(path), detect=False)
     assert len(solves) == 2                       # only the new column
     assert len(_records(path)) == 8
+
+
+def test_half_stored_row_solves_only_its_missing_cells(tmp_path, monkeypatch):
+    grid = ScanGrid(delta_over_j=(0.4, 1.2, 2.0, 2.8), u_over_j=(0.3,), L=13,
+                    kind="gs")
+    full, half = tmp_path / "full.jsonl", tmp_path / "half.jsonl"
+    fresh = scan_phase_diagram(grid, results_path=str(full), detect=False)
+    lines = full.read_text().splitlines(keepends=True)
+    half.write_text(lines[0] + lines[2])                 # Delta = 0.4 and 2.0
+    batches = _count_calls(monkeypatch, "imag_time_starts")
+    solves = _count_calls(monkeypatch, "solve_state")
+    again = scan_phase_diagram(grid, results_path=str(half), detect=False)
+    assert [[p.Delta for p in cells] for cells, *_ in batches] == [[1.2, 2.8]]
+    assert [params.Delta for params, *_ in solves] == [1.2, 2.8]
+    assert again.r["gs"].tobytes() == fresh.r["gs"].tobytes()
+    assert half.read_text() == lines[0] + lines[2] + lines[1] + lines[3]
 
 
 def test_failed_record_is_retried_and_replaced(tmp_path):
