@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .dynamics import DEFAULT_DT, RampProtocol, ramp_prepare, transport_experiment
 from .eigensolve import SolverOptions, solve_state
-from .fitting import (UnidentifiableFitError, bootstrap_delta_c,
+from .fitting import (MIN_RESAMPLES, UnidentifiableFitError, bootstrap_delta_c,
                       fit_transition, synthesize_measurement)
 from .gaa import GaaParams, extract_alpha_star, gaa_classify_spectrum
 from .model import (H_SI, InteractionConversion, ModelParams, bragg_detunings,
@@ -179,6 +179,8 @@ def _grid(cfg, name):
     """The grid <name>_min, <name>_min + step, ... up to <name>_max."""
     step = _step(cfg, name)
     lo, hi = getattr(cfg, f"{name}_min"), getattr(cfg, f"{name}_max")
+    if lo == hi:
+        return np.array([lo])   # at large values hi + 0.5 * step rounds to hi
     grid = np.arange(lo, hi + 0.5 * step, step)
     if grid.size == 0:
         raise ConfigError(f"empty grid: --{name}-max {hi} is below "
@@ -494,6 +496,14 @@ def cmd_gaa_me(cfg, outdir):
 
 
 def cmd_fit(cfg, outdir):
+    if cfg.bootstrap < 0 or 0 < cfg.bootstrap < MIN_RESAMPLES:
+        raise ConfigError(f"--bootstrap must be 0 (off) or at least "
+                          f"{MIN_RESAMPLES}, got {cfg.bootstrap}")
+    for name in ("noise_sigma", "floor"):
+        value = getattr(cfg, name)
+        if not (np.isfinite(value) and value >= 0):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite and "
+                              f"non-negative, got {value}")
     files = []
     if cfg.data and cfg.synthesize:
         raise ConfigError("give either --data or --synthesize, not both")

@@ -372,6 +372,10 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
                 break
         v = best_v.copy()
 
+    nv = _norm(best_v)
+    if nv == 0 or not np.isfinite(nv):
+        raise RuntimeError("the solver ended on a zero or non-finite state; "
+                           "check parameters (possible self-trapping blow-up)")
     res, mu = map(float, _residual_mu(J, eps, U, best_v))
     state = LatticeState(best_v.astype(complex))
     return EigenSolution(

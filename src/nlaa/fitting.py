@@ -16,17 +16,26 @@ right branch and (A, gamma) are fit on the left branch — log-linear seed,
 then local nonlinear refinement. The candidate with the globally smallest
 total RSS wins. Uncertainty on Delta_c comes from residual-resampling
 bootstrap refits.
+
+The local refinement is Levenberg-Marquardt: MINPACK `lmder` through
+`scipy.optimize.leastsq`, fed the forward-difference Jacobian that scipy's
+`least_squares` builds for its default 2-point scheme. It returns the same
+x and nfev, bit for bit, as `least_squares(fun, x0, method="lm")` on the
+installed scipy, without that function's per-call wrapping, which on
+these 2-parameter problems costs about three times the solve itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .dynamics import RampProtocol, ramp_prepare
 from .model import ModelParams
 
 MIN_LEFT_POINTS = 3
+MIN_RESAMPLES = 100     # fewest bootstrap refits for a stable stderr
+_FD_REL_STEP = np.finfo(float).eps ** 0.5   # scipy's relative 2-point step
 
 
 class UnidentifiableFitError(RuntimeError):
@@ -46,6 +55,56 @@ class FitResult:
     def curve(self, delta):
         return piecewise_model(np.asarray(delta, dtype=float),
                                self.A, self.B, self.gamma, self.delta_c)
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    x: np.ndarray
+    nfev: int       # residual evaluations MINPACK asked for, as scipy reports
+
+
+def least_squares(fun, x0) -> LeastSquaresResult:
+    """Levenberg-Marquardt minimum of sum(fun(x)**2), started at x0.
+
+    `fun` maps a float array of shape (n,) to one of shape (m,), m >= n, and
+    must not modify its argument. Equals scipy's
+    `least_squares(fun, x0, method="lm", max_nfev=2000)` bitwise in x and
+    exactly in nfev: the same MINPACK routine, tolerances and budget, and
+    the same Jacobian, column i = (f(x + h_i e_i) - f(x)) / ((x_i + h_i) - x_i)
+    with h = sqrt(eps) * sign(x) * max(1, |x|) and sign(0) = +1.
+    """
+    x = np.array(x0, dtype=float).ravel()
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    # The latest point fun was evaluated at. MINPACK asks for the Jacobian
+    # right after evaluating fun at the same point, so its f(x) is reused.
+    # Points are compared with float ==, as scipy's memo compares them
+    # (0.0 equals -0.0; nan is evaluated again).
+    last = [x, x.tolist(), f]
+
+    def at(x_new):
+        if x_new.tolist() != last[1]:
+            x = x_new.copy()
+            last[:] = x, x.tolist(), fun(x)
+        return last
+
+    def residuals(x_new):
+        return at(x_new)[2]
+
+    def jacobian(x_new):
+        x, xs, f = at(x_new)
+        jt = np.empty((x.size, f.size))
+        for i, xi in enumerate(xs):
+            h = _FD_REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
+            x1 = x.copy()
+            x1[i] = xi + h
+            jt[i] = (fun(x1) - f) / ((xi + h) - xi)
+        return jt.T
+
+    x_min, _, info, _, _ = leastsq(residuals, x, Dfun=jacobian, full_output=True,
+                                   ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=2000)
+    return LeastSquaresResult(x=x_min, nfev=int(info["nfev"]))
 
 
 def piecewise_model(delta, A, B, gamma, delta_c):
@@ -110,12 +169,12 @@ def fit_transition(data) -> FitResult:
         coef = np.polyfit(np.log(delta[left]), np.log(y), 1)
         seed = (float(np.exp(coef[1])), float(-coef[0]))
 
-        dl = delta[left]
+        dl, rl = delta[left], r[left]
 
         def res_left(p):
-            return wl * (p[0] * dl ** (-p[1]) + B - r[left])
+            return wl * (p[0] * dl ** (-p[1]) + B - rl)
 
-        sol = least_squares(res_left, seed, method="lm", max_nfev=2000)
+        sol = least_squares(res_left, seed)
         A, gamma = (float(sol.x[0]), float(sol.x[1]))
         rss = float(np.sum(res_left((A, gamma)) ** 2)
                     + np.sum((wr * (r[~left] - B)) ** 2))
@@ -188,8 +247,8 @@ def bootstrap_delta_c(data, n_resamples=200, seed=0) -> BootstrapResult:
     seed, so the estimate does not depend on evaluation order. More than 20%
     refit failures invalidate the estimate (valid=False, stderr=nan).
     """
-    if n_resamples < 100:
-        raise ValueError("need n_resamples >= 100 for a stable stderr")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"need n_resamples >= {MIN_RESAMPLES} for a stable stderr")
     delta, r, w = _as_columns(data)
     base = fit_transition(data)
     fitted = base.curve(delta)

@@ -83,6 +83,19 @@ def test_non_finite_diagonal_in_the_solver_exits_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+ZERO_STATE = "the solver ended on a zero or non-finite state"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_solver_ending_on_a_zero_state_exits_3(tmp_path, capsys):
+    # at U/J = 1e300 the excited-state cascade collapses to the zero vector:
+    # a numerical failure, not bad input
+    rc = main(["solve", "--L", "13", "--kind", "es", "--u-over-j", "1e300",
+               "--delta-over-j", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert ZERO_STATE in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--residual-tol", "nan"], "residual_tol must be positive and finite"),
     (["solve", "--residual-tol", "inf"], "residual_tol must be positive and finite"),
@@ -288,6 +301,18 @@ def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
     assert outputs["failures.csv"] == _sha(tmp_path / "failures.csv")
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_scan_records_a_zero_state_cell_as_failed(tmp_path):
+    assert main(["scan", "--L", "13", "--kind", "es", "--u-min", "1e300",
+                 "--u-max", "1e300", "--delta-min", "1", "--delta-max", "1",
+                 "--no-detect", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "failures.csv", newline="") as fh:
+        _, *rows = list(csv.reader(fh))
+    assert [row[:3] for row in rows] == [["es", "1.00000000000e+300", "1.00000000000e+00"]]
+    assert rows[0][3].startswith(ZERO_STATE)
+    assert _rows(tmp_path / "r_es.csv")[1] == [["1.00000000000e+300", "nan"]]
+
+
 # -------------------------
 # phases / alpha-star / gaa-me
 # -------------------------
@@ -407,6 +432,34 @@ def test_fit_non_finite_data_exits_2(tmp_path, capsys, bad_row, column):
     assert not (tmp_path / "fit.json").exists()
 
 
+BAD_FIT_OPTIONS = [
+    (["--bootstrap", "50"], "--bootstrap must be 0 (off) or at least 100, got 50"),
+    (["--bootstrap", "1"], "--bootstrap must be 0 (off) or at least 100, got 1"),
+    (["--bootstrap", "-3"], "--bootstrap must be 0 (off) or at least 100, got -3"),
+    (["--noise-sigma", "-0.1"], "--noise-sigma must be finite and non-negative, got -0.1"),
+    (["--noise-sigma", "nan"], "--noise-sigma must be finite and non-negative, got nan"),
+    (["--noise-sigma", "inf"], "--noise-sigma must be finite and non-negative, got inf"),
+    (["--floor", "-0.001"], "--floor must be finite and non-negative, got -0.001"),
+    (["--floor", "nan"], "--floor must be finite and non-negative, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_FIT_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in BAD_FIT_OPTIONS])
+def test_bad_fit_options_exit_2_before_any_synthesis(tmp_path, capsys, argv,
+                                                      message):
+    assert main(["fit", "--synthesize"] + argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_fit_option_in_config_exits_2(tmp_path, capsys):
+    cfg = _config_file(tmp_path, {"synthesize": True, "bootstrap": 99})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "--bootstrap must be 0 (off) or at least 100, got 99" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_fit_constant_data_exits_4(tmp_path):
     datafile = tmp_path / "flat.csv"
     datafile.write_text("\n".join(f"{d},0.3" for d in
@@ -504,6 +557,17 @@ BAD_GRIDS = [
     (["phases", "--delta-step", "0"], "--delta-step must be positive"),
     (["alpha-star", "--delta-step", "-0.1"], "--delta-step must be positive"),
 ]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", ["3", "-2.5", "1e200", "-1e300"])
+def test_equal_grid_ends_give_one_point(tmp_path, value):
+    # at large values u_max + u_step / 2 rounds back to u_max
+    assert main(["scan", "--L", "13", "--kind", "gs", f"--u-min={value}",
+                 f"--u-max={value}", "--delta-min", "1", "--delta-max", "1",
+                 "--no-detect", "--out", str(tmp_path)]) == 0
+    _, rows = _rows(tmp_path / "r_gs.csv")
+    assert [float(row[0]) for row in rows] == [float(value)]
 
 
 @pytest.mark.parametrize("argv, message", BAD_GRIDS,

@@ -3,10 +3,17 @@ bootstrap uncertainty estimate."""
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlaa import fitting
 from nlaa.dynamics import RampProtocol, ramp_prepare
 from nlaa.fitting import (
+    BootstrapResult,
+    FitResult,
     UnidentifiableFitError,
+    _as_columns,
     bootstrap_delta_c,
     fit_transition,
     piecewise_model,
@@ -23,6 +30,130 @@ def _clean_curve(**kw):
     p = dict(TRUE)
     p.update(kw)
     return piecewise_model(DELTAS, **p)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# -------------------------
+# least_squares against scipy's least_squares(method="lm")
+# -------------------------
+
+@given(n=st.integers(4, 40), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       B=st.floats(0.0, 0.5),
+       x0=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)] * 2))
+def test_least_squares_equals_scipy_lm(n, weighted, seed, B, x0):
+    rng = np.random.default_rng(seed)
+    d = np.sort(rng.uniform(0.05, 5.0, n))
+    r = rng.uniform(0.01, 1.0, n)
+    w = rng.uniform(0.2, 20.0, n) if weighted else np.ones(n)
+
+    def fun(p):
+        return w * (p[0] * d ** (-p[1]) + B - r)
+
+    with np.errstate(all="ignore"):
+        try:
+            want = scipy.optimize.least_squares(fun, x0, method="lm", max_nfev=2000)
+        except ValueError as exc:    # residuals not finite at x0
+            with pytest.raises(ValueError, match=str(exc)):
+                fitting.least_squares(fun, x0)
+            return
+        got = fitting.least_squares(fun, x0)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.nfev == want.nfev
+
+
+def _scipy_fit_transition(data):
+    """fit_transition's candidate loop on scipy's least_squares(method="lm"):
+    the reference the lean MINPACK path must reproduce bit for bit."""
+    delta, r, w = _as_columns(data)
+    n = delta.size
+    if n < fitting.MIN_LEFT_POINTS + 1:
+        raise UnidentifiableFitError("too few points")
+    best = None
+    for dc in 0.5 * (delta[:-1] + delta[1:]):
+        left = delta <= dc
+        n_left = int(left.sum())
+        if n_left < fitting.MIN_LEFT_POINTS or n_left == n:
+            continue
+        wl, wr = w[left], w[~left]
+        B = float(np.sum(wr ** 2 * r[~left]) / np.sum(wr ** 2))
+        if B < 0:
+            continue
+        y = r[left] - B
+        if np.any(y <= 0):
+            continue
+        coef = np.polyfit(np.log(delta[left]), np.log(y), 1)
+        seed = (float(np.exp(coef[1])), float(-coef[0]))
+        dl = delta[left]
+
+        def res_left(p):
+            return wl * (p[0] * dl ** (-p[1]) + B - r[left])
+
+        sol = scipy.optimize.least_squares(res_left, seed, method="lm", max_nfev=2000)
+        A, gamma = (float(sol.x[0]), float(sol.x[1]))
+        rss = float(np.sum(res_left((A, gamma)) ** 2)
+                    + np.sum((wr * (r[~left] - B)) ** 2))
+        if best is None or rss < best.rss:
+            best = FitResult(A=A, B=B, gamma=gamma, delta_c=float(dc),
+                             rss=rss, n_points=n)
+    if best is None:
+        raise UnidentifiableFitError("no usable candidate")
+    return best
+
+
+def _scipy_bootstrap(data, n_resamples, seed):
+    """bootstrap_delta_c's resampling loop around _scipy_fit_transition."""
+    delta, r, w = _as_columns(data)
+    fitted = _scipy_fit_transition(data).curve(delta)
+    resid = r - fitted
+    samples, failures = [], 0
+    for ss in np.random.SeedSequence(seed).spawn(n_resamples):
+        rng = np.random.default_rng(ss)
+        r_star = fitted + rng.choice(resid, size=resid.size, replace=True)
+        rows = np.column_stack([delta, r_star]) if np.all(w == 1.0) \
+            else np.column_stack([delta, r_star, 1.0 / w])
+        try:
+            samples.append(_scipy_fit_transition(rows).delta_c)
+        except UnidentifiableFitError:
+            failures += 1
+    samples = np.array(samples)
+    valid = failures <= 0.2 * n_resamples
+    stderr = float(np.std(samples, ddof=1)) if valid and samples.size > 1 else float("nan")
+    return BootstrapResult(stderr=stderr, n_resamples=n_resamples,
+                           n_failures=failures, valid=valid, samples=samples)
+
+
+def _fit_fields(fit):
+    return _bits([fit.A, fit.B, fit.gamma, fit.delta_c, fit.rss]), fit.n_points
+
+
+@settings(max_examples=4)
+@given(n=st.integers(6, 16), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       A=st.floats(0.02, 1.0), gamma=st.floats(0.3, 2.5), split=st.floats(0.3, 0.8),
+       noise=st.sampled_from([0.0, 0.003, 0.03]))
+def test_fit_and_bootstrap_equal_scipy_loop(n, weighted, seed, A, gamma, split, noise):
+    rng = np.random.default_rng(seed)
+    d = np.sort(rng.uniform(0.2, 4.0, n))
+    dc = float(np.quantile(d, split))
+    sigma = rng.uniform(0.005, 0.05, n)
+    r = piecewise_model(d, A, 1.0 / 21.0, gamma, dc) + noise * rng.standard_normal(n)
+    data = np.column_stack([d, r, sigma]) if weighted else np.column_stack([d, r])
+    with np.errstate(all="ignore"):
+        try:
+            want = _scipy_fit_transition(data)
+        except UnidentifiableFitError:
+            with pytest.raises(UnidentifiableFitError):
+                fit_transition(data)
+            return
+        assert _fit_fields(fit_transition(data)) == _fit_fields(want)
+        got_bs = bootstrap_delta_c(data, n_resamples=100, seed=seed % 1000)
+        want_bs = _scipy_bootstrap(data, 100, seed % 1000)
+    assert _bits(got_bs.stderr) == _bits(want_bs.stderr)
+    assert (got_bs.n_resamples, got_bs.n_failures, got_bs.valid) == \
+        (want_bs.n_resamples, want_bs.n_failures, want_bs.valid)
+    assert got_bs.samples.tobytes() == want_bs.samples.tobytes()
 
 
 # -------------------------
