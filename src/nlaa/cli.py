@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -624,8 +625,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting with '-' and a
+    digit, or '-.' and a digit, as a value: -1e-1 and -0.25,0.5 as well as
+    the -1 and -0.5 argparse knows. No nlaa flag has that form."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlaa",
         description="Nonlinear Aubry-Andre lattice toolkit: eigenstates, "
                     "quench dynamics, phase diagrams, and transition fits.")

@@ -20,11 +20,12 @@ Stage B alone can limit-cycle when the interaction is defocusing and the
 low-energy landscape has several competing wells (density "sloshes" between
 them); the cascade detects the stall and lets stages A/C finish the job.
 
-Many cells that share L, J and U (a scan row) can run attempt 0's stage A
-as one (B, L) array: imag_time_starts returns each cell's `start`, and
+Many cells that share L, J and U (a scan row) can run attempt 0's stages
+A and B as (B, L) arrays: batched_starts returns each cell's `start`, and
 solve_state(..., start=...) runs the rest of its cascade alone. The
-stencil, energy and residual kernels act on (..., L) arrays, so each row of
-the batch is computed bit for bit as the lone 1-D solve computes it.
+stencil, energy and residual kernels act on (..., L) arrays, and stage B's
+LAPACK edge eigenpair runs row by row, so each row of the batch is computed
+bit for bit as the lone 1-D solve computes it.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U), computed by the same solver and reported
@@ -104,18 +105,25 @@ def _linear_edge_state(eps, off, which):
     raises the RuntimeError of _check_finite.
     """
     _check_finite(eps, "the tridiagonal edge eigen-solve")
-    k = 1 if which == 0 else len(eps)            # 1-based LAPACK index
-    m, w, iblock, isplit, info = dstebz(eps, off, 2, 0.0, 1.0, k, k, 0.0, "B")
-    if info == 0:
-        v, info = dstein(eps, off, w[:m], iblock, isplit)
+    w, vec, info = _edge_pair(eps, off, 1 if which == 0 else len(eps))
     if info != 0:
         raise np.linalg.LinAlgError(
             f"tridiagonal edge eigenpair did not converge (LAPACK info={info})")
-    vec = v[:, 0]
     i = np.argmax(np.abs(vec))
     if vec[i] < 0:
         vec = -vec
-    return w[0], vec
+    return w, vec
+
+
+def _edge_pair(d, off, k):
+    """Eigenpair k (1-based, ascending) of the tridiagonal (d, off) as LAPACK
+    returns it, before the sign fix: (eigenvalue, vector, info). The vector
+    is None when dstebz fails (info != 0)."""
+    m, w, iblock, isplit, info = dstebz(d, off, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info != 0:
+        return None, None, info
+    v, info = dstein(d, off, w[:m], iblock, isplit)
+    return w[0], v[:, 0], info
 
 
 # -------------------------
@@ -236,6 +244,7 @@ def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
     density, relaxes the density toward the resulting ground state, and
     tracks the best iterate (by residual). Stops early on convergence or on
     a stall (no meaningful residual decrease across a damping window).
+    Returns (best residual, best iterate, iterations_used).
     """
     n = v * v
     best_res, best_v = _residual_mu(J, eps, U, v)[0], v.copy()
@@ -249,7 +258,7 @@ def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
         if res < best_res:
             best_res, best_v = res, u.copy()
         if res < tol:
-            return u, best_res, best_v, used
+            break
         n = (1.0 - mix) * n + mix * u * u
         if (k + 1) % 100 == 0:
             if res > 0.5 * window_best:
@@ -257,7 +266,60 @@ def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
             if res > 0.95 * window_best:
                 break                      # sloshing / stalled
             window_best = min(window_best, res)
-    return best_v, best_res, best_v, used
+    return best_res, best_v, used
+
+
+def _scf_rows(J, off, eps, U, v, mixing, max_steps, tol, budgets):
+    """_scf_block on every row of the (B, L) arrays `eps` and `v`, with the
+    (B,) integer array `budgets`.
+
+    Each row keeps its own density, mixing, stall window, best iterate and
+    exit, and entry i of the returned list is the (best residual, best
+    iterate, iterations_used) the lone block returns for row i, bit for
+    bit. Only the LAPACK edge pair runs row by row. A row whose frozen
+    Hamiltonian is not finite or whose edge pair fails leaves the batch
+    with None: the lone block raises there, and so does a lone rerun.
+    """
+    n_steps = np.minimum(max_steps, budgets)
+    best_res, best_v = _residual_mu(J, eps, U, v)[0], v.copy()
+    out = [(best_res[i], best_v[i].copy(), 0) for i in range(len(v))]
+    live = np.flatnonzero(n_steps > 0)
+    eps, n, best_res, best_v, n_steps = (eps[live], v[live] * v[live], best_res[live],
+                                         best_v[live], n_steps[live])
+    mix, window_best = np.full(live.size, float(mixing)), np.full(live.size, np.inf)
+    k = 0
+    while live.size:
+        h = eps - U * n
+        ok = np.isfinite(h).all(axis=-1)
+        u = np.zeros_like(h)                 # a failed row keeps u = 0 and leaves
+        for j in np.flatnonzero(ok):
+            _, vec, info = _edge_pair(h[j], off, 1)
+            if info != 0:
+                ok[j] = False
+            else:
+                u[j] = vec
+        flip = u[np.arange(live.size), np.argmax(np.abs(u), axis=-1)] < 0
+        u[flip] = -u[flip]
+        res = _residual_mu(J, eps, U, u)[0]
+        better = res < best_res
+        best_res = np.where(better, res, best_res)
+        best_v = np.where(better[:, None], u, best_v)
+        done = ~ok | (res < tol)
+        n = (1.0 - mix)[:, None] * n + mix[:, None] * u * u
+        k += 1
+        if k % 100 == 0:
+            mix = np.where(res > 0.5 * window_best, np.maximum(0.5 * mix, 0.01), mix)
+            done |= res > 0.95 * window_best
+            window_best = np.where(res < window_best, res, window_best)
+        done |= n_steps == k
+        if done.any():
+            for j in np.flatnonzero(done):
+                out[live[j]] = (best_res[j], best_v[j].copy(), k) if ok[j] else None
+            keep = ~done
+            live, eps, n, best_res, best_v, n_steps, mix, window_best = (
+                a[keep] for a in (live, eps, n, best_res, best_v, n_steps, mix,
+                                  window_best))
+    return out
 
 
 def _newton_polish(J, eps, U, v, mu, tol, max_newton):
@@ -312,9 +374,11 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
     stationarity residual ||H[phi]phi - mu phi||_inf, not on energy change.
     `iterations` counts imaginary-time steps, SCF steps and Newton steps,
     and never exceeds opts.max_iterations. `start` is (linear ground state,
-    v, step, iterations) after attempt 0's stage A, as imag_time_starts
-    computes it for these params and opts; the cascade then goes on from
-    there, and its result is the one it returns without `start`.
+    v, step, iterations, stage B) after attempt 0's stage A, as
+    batched_starts computes it for these params and opts; stage B is
+    attempt 0's _scf_block outcome, or None to run it here. The cascade
+    then goes on from there, and its result is the one it returns without
+    `start`.
     """
     eps = quasiperiodic_potential(params)
     J, U = params.J, params.U
@@ -323,8 +387,8 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
         _, v0 = _linear_edge_state(eps, off, 0)
         max_steps, target = _stage_a_plan(0)
         start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, opts.imag_time_step,
-                                       target, opts.max_iterations))
-    v0, v, step, used = start
+                                       target, opts.max_iterations), None)
+    v0, v, step, used, scf = start
     iterations = 0
 
     best_v = v0.copy()
@@ -349,8 +413,10 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
         # stage B: self-consistent refinement with density mixing
         budget = opts.max_iterations - iterations
         if budget > 0:
-            _, res_scf, u_best, used = _scf_block(J, off, eps, U, v, opts.mixing,
-                                                  2000, opts.residual_tol, budget)
+            if attempt or scf is None:
+                scf = _scf_block(J, off, eps, U, v, opts.mixing, 2000,
+                                 opts.residual_tol, budget)
+            res_scf, u_best, used = scf
             iterations += used
             e_scf = _energy_real(J, eps, U, u_best)
             if e_scf <= best_e:
@@ -421,7 +487,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
                 start=None) -> EigenSolution:
     """Dispatch helper: kind is 'gs' (ground) or 'es' (highest excited).
 
-    `start` is this cell's entry of imag_time_starts, or None to run the
+    `start` is this cell's entry of batched_starts, or None to run the
     whole cascade here; the result is the same either way.
     """
     if _negates(kind):
@@ -429,22 +495,32 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     return nonlinear_ground_state(params, opts, start)
 
 
-def imag_time_starts(cells, kind, opts: SolverOptions = SolverOptions()):
-    """Attempt 0's stage A for cells of one kind that share L, J and U.
+def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
+    """Attempt 0's stages A and B for cells of one kind that share L, J and U.
 
     `cells` is a sequence of ModelParams (the Delta, beta and phi may vary).
-    Stage A runs on all of them as one (B, L) array, and entry i of the
+    Both stages run on all of them as (B, L) arrays, and entry i of the
     returned list is the `start` that solve_state(cells[i], kind, opts,
-    start=...) goes on from: bit for bit what the lone solve computes.
+    start=...) goes on from: bit for bit what the lone solve computes. A
+    cell that is not finite after stage A, has no budget left for stage B,
+    or fails in it carries no stage B outcome, and its cascade runs (and
+    fails in) stage B alone.
     """
     solved = [p.negated() for p in cells] if _negates(kind) else list(cells)
     L, J, U = solved[0].L, solved[0].J, solved[0].U
     if any((p.L, p.J, p.U) != (L, J, U) for p in solved):
-        raise ValueError("imag_time_starts needs cells that share L, J and U")
+        raise ValueError("batched_starts needs cells that share L, J and U")
     eps = np.array([quasiperiodic_potential(p) for p in solved])
     off = np.full(L - 1, float(J))
     v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
     max_steps, target = _stage_a_plan(0)
     v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, opts.imag_time_step,
                                     target, opts.max_iterations)
-    return [(v0[i], v[i], float(step[i]), int(used[i])) for i in range(len(cells))]
+    budgets = opts.max_iterations - used
+    rows = np.flatnonzero(np.isfinite(v).all(axis=-1) & (budgets > 0))
+    scf = [None] * len(cells)
+    for i, out in zip(rows, _scf_rows(J, off, eps[rows], U, v[rows], opts.mixing,
+                                      2000, opts.residual_tol, budgets[rows])):
+        scf[i] = out
+    return [(v0[i], v[i], float(step[i]), int(used[i]), scf[i])
+            for i in range(len(cells))]

@@ -25,6 +25,7 @@ installed scipy, without that function's per-call wrapping, which on
 these 2-parameter problems costs about three times the solve itself.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ from .model import ModelParams
 MIN_LEFT_POINTS = 3
 MIN_RESAMPLES = 100     # fewest bootstrap refits for a stable stderr
 _FD_REL_STEP = np.finfo(float).eps ** 0.5   # scipy's relative 2-point step
+# leastsq's RuntimeWarnings for MINPACK info 5-8
+_MINPACK_STOPS = r"Number of calls to function has reached|[fxg]tol=.* is too small"
 
 
 class UnidentifiableFitError(RuntimeError):
@@ -89,7 +92,10 @@ def least_squares(fun, x0) -> LeastSquaresResult:
             last[:] = x, x.tolist(), fun(x)
         return last
 
+    calls = [0]
+
     def residuals(x_new):
+        calls[0] += 1
         return at(x_new)[2]
 
     def jacobian(x_new):
@@ -102,9 +108,15 @@ def least_squares(fun, x0) -> LeastSquaresResult:
             jt[i] = (fun(x1) - f) / ((xi + h) - xi)
         return jt.T
 
-    x_min, _, info, _, _ = leastsq(residuals, x, Dfun=jacobian, full_output=True,
-                                   ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=2000)
-    return LeastSquaresResult(x=x_min, nfev=int(info["nfev"]))
+    # MINPACK's stops 5-8 (budget spent, a tolerance below machine
+    # precision) are results here, as in scipy's least_squares.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _MINPACK_STOPS, RuntimeWarning)
+        x_min, _ = leastsq(residuals, x, Dfun=jacobian, ftol=1e-8, xtol=1e-8,
+                           gtol=1e-8, maxfev=2000)
+    # leastsq calls fun at x0 twice before MINPACK counts: its shape check
+    # and the first call of its MINPACK wrapper.
+    return LeastSquaresResult(x=x_min, nfev=calls[0] - 2)
 
 
 def piecewise_model(delta, A, B, gamma, delta_c):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import RampProtocol, ramp_prepare
-from .eigensolve import SolverOptions, imag_time_starts, linear_spectrum, solve_state
+from .eigensolve import SolverOptions, batched_starts, linear_spectrum, solve_state
 from .model import ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
@@ -204,7 +204,7 @@ def _cell_inputs(kind, L, u, delta, phi, preparation, ramp):
 
 def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts, start=None):
     """Participation ratio of one scan cell (pure function of its key).
-    `start` is an exact cell's entry of imag_time_starts; r is the same
+    `start` is an exact cell's entry of batched_starts; r is the same
     with it or without."""
     params, proto = _cell_inputs(kind, L, u, delta, phi, preparation, ramp)
     if proto is None:
@@ -320,16 +320,16 @@ class _Store:
 def _row_records(store, cells):
     """Records of one row of cells (the arguments of _cell_r) that differ
     only in Delta: the stored ones, and the missing ones solved and appended
-    in order. Missing exact cells run attempt 0's stage A as one batch
-    (imag_time_starts), then each its own cascade."""
+    in order. Missing exact cells run attempt 0's stages A and B as one
+    batch (batched_starts), then each the rest of its cascade alone."""
     keys = [_key_of(c) for c in cells]
     recs = [store.records.get(k) for k in keys]
     todo = [i for i, rec in enumerate(recs) if rec is None]
     kind, _, _, _, _, preparation, _, opts = cells[0]
     starts = [None] * len(todo)
     if todo and preparation == "exact":
-        starts = imag_time_starts([_cell_inputs(*cells[i][:7])[0] for i in todo],
-                                  kind, opts)
+        starts = batched_starts([_cell_inputs(*cells[i][:7])[0] for i in todo],
+                                kind, opts)
     for i, start in zip(todo, starts):
         recs[i] = store.add(_cell_record(cells[i], keys[i], start))
     return recs
@@ -353,10 +353,10 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
     or bisection midpoint, is read from it if stored and appended to it at
     once if not. With `workers` = 1 the missing exact cells of each (kind,
-    U) row run attempt 0's stage A as one batch; `workers` > 1 solves the
-    missing grid cells one by one in a process pool first. Either way r is
-    bitwise the lone solve's. Per-cell failures are recorded and the scan
-    continues; failed cells hold NaN in the matrix.
+    U) row run attempt 0's stages A and B as one batch; `workers` > 1
+    solves the missing grid cells one by one in a process pool first.
+    Either way r is bitwise the lone solve's. Per-cell failures are
+    recorded and the scan continues; failed cells hold NaN in the matrix.
     """
     deltas = np.asarray(grid.delta_over_j, dtype=float)
     us = np.asarray(grid.u_over_j, dtype=float)

@@ -606,6 +606,28 @@ def _sample(opt):
     return {bool: True, int: 7, float: 0.375, str: "x.csv"}[opt.type]
 
 
+def _float_options():
+    from nlaa.cli import _option
+    return [(name, dest) for name, dest in _declared_options()
+            if _option(name, dest).type is float]
+
+
+@pytest.mark.parametrize("subcommand, dest", _float_options())
+def test_negative_float_values_parse_in_every_form(subcommand, dest):
+    from nlaa.cli import build_parser
+    flag = "--" + dest.replace("_", "-")
+    for text in ("-0.1", "-1e-1", "-1E-1", "-.1", "-0.01e1"):
+        args = build_parser().parse_args([subcommand, flag, text])
+        assert getattr(args, dest) == -0.1
+
+
+@pytest.mark.parametrize("text", ["-0.25,-0.125,0.125,0.25", "-1e-1", "-2.5e-1,1e-1"])
+def test_u_values_lists_starting_with_minus_parse(text):
+    from nlaa.cli import build_parser
+    args = build_parser().parse_args(["alpha-star", "--u-values", text])
+    assert args.u_values == text
+
+
 @pytest.fixture
 def stub_handlers(monkeypatch):
     """Each subcommand only resolves its config and writes the manifest."""

@@ -20,9 +20,10 @@ from nlaa import (
     quasiperiodic_potential,
     solve_state,
 )
+from nlaa import eigensolve
 from nlaa.eigensolve import (_energy_real, _h_apply_real, _imag_time_block,
                              _imag_time_rows, _linear_edge_state, _norm,
-                             _residual_mu, _scf_block, imag_time_starts)
+                             _residual_mu, _scf_block, _scf_rows, batched_starts)
 
 
 def residual(params, state, mu):
@@ -213,13 +214,104 @@ def test_iterations_never_exceed_the_cap(cap, kind, U, delta):
 def test_batched_stage_a_equals_lone_solves(L, deltas, U, kind, phi, cap):
     opts = SolverOptions(max_iterations=cap)
     cells = [ModelParams(L=L, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
-    for params, start in zip(cells, imag_time_starts(cells, kind, opts)):
+    _assert_batched_equals_lone(cells, kind, opts)
+
+
+def _assert_batched_equals_lone(cells, kind, opts):
+    """Solve the cells from batched_starts and alone; compare bitwise.
+    Returns the starts."""
+    starts = batched_starts(cells, kind, opts)
+    for params, start in zip(cells, starts):
         lone = solve_state(params, kind, opts)
         batched = solve_state(params, kind, opts, start=start)
         assert batched.state.amplitudes.tobytes() == lone.state.amplitudes.tobytes()
         assert _bits([batched.mu, batched.energy, batched.residual]) == \
             _bits([lone.mu, lone.energy, lone.residual])
         assert (batched.iterations, batched.converged) == (lone.iterations, lone.converged)
+    return starts
+
+
+@given(deltas=st.lists(st.sampled_from([0.5, 1.5, 2.0, 3.0, 5.0]), min_size=1,
+                       max_size=5),
+       U=st.sampled_from([-1.0, -0.5, 0.5, 1.0]), kind=st.sampled_from(["gs", "es"]),
+       phi=st.floats(0.0, 2.0 * np.pi), frac=st.floats(0.0, 1.0))
+def test_batched_stage_b_equals_lone_when_the_cap_ends_inside_it(deltas, U, kind,
+                                                                  phi, frac):
+    cells = [ModelParams(L=13, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
+    _, _, _, used_a, (_, _, used_b) = batched_starts(cells, kind)[0]
+    # a cap that stops the first cell's stage B after 1 ... used_b - 1 steps
+    cut = 1 + int(frac * (used_b - 2)) if used_b > 1 else 1
+    starts = _assert_batched_equals_lone(
+        cells, kind, SolverOptions(max_iterations=used_a + cut))
+    assert starts[0][4][2] == cut
+
+
+@pytest.mark.parametrize("kind, U", [("gs", -1.0), ("es", 0.5), ("es", 1.0)])
+def test_batched_stage_b_stalls_fall_through_to_newton_as_alone(kind, U):
+    # defocusing rows: stage B converges for small Delta and stalls (its
+    # residual stops falling across a 100-step window) for large Delta
+    opts = SolverOptions()
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U) for d in (0.5, 2.5, 3.0, 5.0, 6.0)]
+    starts = _assert_batched_equals_lone(cells, kind, opts)
+    stalled = [scf for *_, scf in starts if scf[0] >= opts.residual_tol]
+    assert stalled and all(used % 100 == 0 and used < 2000 for _, _, used in stalled)
+    assert any(used > 100 for _, _, used in stalled)
+
+
+def _stage_a_rows(cells, opts):
+    """eps, linear ground states and attempt 0's stage A of ground-state cells."""
+    eps = np.array([quasiperiodic_potential(p) for p in cells])
+    off = np.full(cells[0].L - 1, cells[0].J)
+    v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
+    args = (2000, opts.imag_time_step, 1e-3, opts.max_iterations)
+    return (eps, off, v0, *_imag_time_rows(cells[0].J, eps, cells[0].U, v0, *args))
+
+
+@pytest.mark.parametrize("failure", ["lapack", "non-finite"])
+def test_batched_stage_b_row_that_fails_leaves_the_others_bitwise(monkeypatch,
+                                                                  failure):
+    opts = SolverOptions()
+    J, U = 1.0, -1.0
+    cells = [ModelParams(L=13, J=J, Delta=d, U=U) for d in (0.5, 6.0, 3.0)]
+    eps, off, v0, v, step, used = _stage_a_rows(cells, opts)
+    args = (opts.mixing, 2000, opts.residual_tol)
+    error = RuntimeError
+    if failure == "non-finite":
+        v[1, 4] = np.inf
+    else:
+        # LAPACK info = 7 on row 1's eighth frozen Hamiltonian (|U| n <= 1
+        # keeps it within 1 of that row's potential and no other row's)
+        calls, error, lapack = [], np.linalg.LinAlgError, eigensolve.dstebz
+
+        def dstebz(d, *rest):
+            out = lapack(d, *rest)
+            if np.max(np.abs(d - eps[1])) <= 1.0:
+                calls.append(d)
+                if len(calls) == 8:
+                    return (*out[:4], 7)
+            return out
+
+        monkeypatch.setattr(eigensolve, "dstebz", dstebz)
+    with np.errstate(all="ignore"):
+        rows = _scf_rows(J, off, eps, U, v, *args, opts.max_iterations - used)
+        if failure == "lapack":
+            calls.clear()
+        with pytest.raises(error) as lone:
+            _scf_block(J, off, eps[1], U, v[1], *args, opts.max_iterations - used[1])
+    assert rows[1] is None
+    if failure == "lapack":
+        assert len(calls) == 8 and "LAPACK info=7" in str(lone.value)
+        # the row's cascade runs stage B alone and raises the lone error
+        calls.clear()
+        with pytest.raises(error) as cascade:
+            nonlinear_ground_state(cells[1], opts,
+                                   start=(v0[1], v[1], step[1], used[1], None))
+        assert str(cascade.value) == str(lone.value)
+    for i in (0, 2):
+        res, best, n = _scf_block(J, off, eps[i], U, v[i], *args,
+                                  opts.max_iterations - used[i])
+        assert _bits([rows[i][0], *rows[i][1]]) == _bits([res, *best])
+        assert rows[i][2] == n
 
 
 def test_batched_row_with_non_finite_potential_fails_alone():
@@ -236,7 +328,8 @@ def test_batched_row_with_non_finite_potential_fails_alone():
             _imag_time_block(1.0, eps[1], U, v0[1], *args)
         # the row's cascade goes on from the batch and raises the lone error
         with pytest.raises(RuntimeError) as batched:
-            nonlinear_ground_state(cells[1], opts, start=(v0[1], v[1], step[1], used[1]))
+            nonlinear_ground_state(cells[1], opts,
+                                   start=(v0[1], v[1], step[1], used[1], None))
     assert str(batched.value) == str(lone.value)
     for i in (0, 2):
         v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U, v0[i], *args)

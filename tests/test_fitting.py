@@ -1,6 +1,8 @@
 """Tests for the piecewise transition fit, synthetic measurements, and the
 bootstrap uncertainty estimate."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -62,6 +64,37 @@ def test_least_squares_equals_scipy_lm(n, weighted, seed, B, x0):
         got = fitting.least_squares(fun, x0)
     assert got.x.tobytes() == want.x.tobytes()
     assert got.nfev == want.nfev
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+def test_least_squares_ending_on_its_budget_emits_no_warning(monkeypatch, budget):
+    # MINPACK info 5 (the budget is spent) is the only stop of 5-8 that the
+    # tolerances of 1e-8 can reach; a smaller budget reaches it at once
+    d = np.linspace(0.2, 3.4, 12)
+    r = 0.6 * d ** -1.2 + 0.05
+
+    def fun(p):
+        return p[0] * d ** (-p[1]) + 0.05 - r
+
+    leastsq = fitting.leastsq
+    monkeypatch.setattr(fitting, "leastsq",
+                        lambda *args, **kw: leastsq(*args, **{**kw, "maxfev": budget}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fitting.least_squares(fun, [1.0, 1.0])
+    want = scipy.optimize.least_squares(fun, [1.0, 1.0], method="lm", max_nfev=budget)
+    assert want.status == 0                      # MINPACK info 5
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.nfev == want.nfev
+
+
+def test_least_squares_lets_warnings_of_the_residuals_through():
+    def fun(p):
+        warnings.warn("from the residuals", RuntimeWarning)
+        return np.array([p[0] - 1.0, p[1] - 2.0, 0.5])
+
+    with pytest.warns(RuntimeWarning, match="from the residuals"):
+        fitting.least_squares(fun, [0.0, 0.0])
 
 
 def _scipy_fit_transition(data):

@@ -359,7 +359,7 @@ def test_half_stored_row_solves_only_its_missing_cells(tmp_path, monkeypatch):
     fresh = scan_phase_diagram(grid, results_path=str(full), detect=False)
     lines = full.read_text().splitlines(keepends=True)
     half.write_text(lines[0] + lines[2])                 # Delta = 0.4 and 2.0
-    batches = _count_calls(monkeypatch, "imag_time_starts")
+    batches = _count_calls(monkeypatch, "batched_starts")
     solves = _count_calls(monkeypatch, "solve_state")
     again = scan_phase_diagram(grid, results_path=str(half), detect=False)
     assert [[p.Delta for p in cells] for cells, *_ in batches] == [[1.2, 2.8]]
