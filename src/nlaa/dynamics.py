@@ -10,7 +10,8 @@ advice to reduce dt.
 Time-dependent hopping (the ramp protocol J(t) = 2 pi hbar v t) is handled
 by freezing J over each step at its midpoint value J(t + dt/2), which is
 second-order accurate in the drive and well below the integrator error at
-the default step.
+the default step. H[phi] phi is model.apply_stencil with the diagonal
+eps - U |phi|^2, and the recorded energy is model.energy_of.
 
 The stepper works on (..., L) amplitude arrays, so `evolve` and
 `ramp_prepare` also take a sequence of chains of one length and propagate
@@ -31,6 +32,8 @@ import numpy as np
 from .model import (
     LatticeState,
     ModelParams,
+    apply_stencil,
+    energy_of,
     momentum_width,
     participation_ratio,
     quasiperiodic_potential,
@@ -62,17 +65,15 @@ class RampProtocol:
             raise ValueError(f"unknown ramp target {self.target!r}")
 
     @classmethod
-    def from_si(cls, velocity_hz_per_ms=275.0, j_target_hz=275.0,
-                hold_ms=0.0, target="ground"):
+    def from_si(cls, velocity_hz_per_ms=275.0, j_target_hz=275.0, hold_ms=0.0):
         """Internal protocol for a ramp at `velocity_hz_per_ms` up to
-        J/hbar = 2 pi * j_target_hz."""
+        J/hbar = 2 pi * j_target_hz, aimed at the ground state (for_kind)."""
         if velocity_hz_per_ms <= 0 or j_target_hz <= 0:
             raise ValueError("ramp velocity and target rate must be positive")
         duration_s = j_target_hz / (velocity_hz_per_ms * 1e3)
         to_internal = 2.0 * np.pi * j_target_hz
         return cls(duration=to_internal * duration_s,
-                   hold=to_internal * hold_ms * 1e-3,
-                   target=target)
+                   hold=to_internal * hold_ms * 1e-3)
 
     def for_kind(self, kind) -> "RampProtocol":
         """The same ramp aimed at the ground ("gs") or highest-excited ("es")
@@ -120,14 +121,11 @@ class _Chain:
 
     def record(self, t, v, J_now):
         st = LatticeState(v, center=self.center)
-        n = st.density
-        hop = 2.0 * J_now * float(np.real(np.vdot(st.amplitudes[:-1],
-                                                  st.amplitudes[1:])))
         self.times.append(t)
         self.states.append(st)
         self.r.append(participation_ratio(st))
         self.d.append(momentum_width(st))
-        self.energy.append(hop + float(self.eps @ n) - 0.5 * self.U * float(n @ n))
+        self.energy.append(float(energy_of(J_now, self.eps, self.U, st.amplitudes)))
         self.drift.append(abs(np.sum(np.abs(v) ** 2) - 1.0))
         return self.drift[-1]
 
@@ -149,10 +147,7 @@ def _column(values):
 def _rhs(eps, U, J, v):
     """-i H[phi] phi on (L,) or (B, L) amplitudes, eps of the same shape; U
     and J are scalars or (B, 1) columns."""
-    out = (eps - U * np.abs(v) ** 2) * v
-    out[..., :-1] += J * v[..., 1:]
-    out[..., 1:] += J * v[..., :-1]
-    return -1j * out
+    return -1j * apply_stencil(J, eps - U * np.abs(v) ** 2, v)
 
 
 def _abort_message(drift, t):

@@ -22,10 +22,10 @@ them); the cascade detects the stall and lets stages A/C finish the job.
 
 Many cells that share L, J and U (a scan row) can run attempt 0's stages
 A and B as (B, L) arrays: batched_starts returns each cell's `start`, and
-solve_state(..., start=...) runs the rest of its cascade alone. The
-stencil, energy and residual kernels act on (..., L) arrays, and stage B's
-LAPACK edge eigenpair runs row by row, so each row of the batch is computed
-bit for bit as the lone 1-D solve computes it.
+solve_state(..., start=...) runs the rest of its cascade alone. The model's
+apply_stencil and energy_of and the residual act on (..., L) arrays, and
+stage B's LAPACK edge eigenpair runs row by row, so each row of the batch
+is computed bit for bit as the lone 1-D solve computes it.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U), computed by the same solver and reported
@@ -39,27 +39,24 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
 
-from .model import LatticeState, ModelParams, quasiperiodic_potential
+from .model import (LatticeState, ModelParams, apply_stencil, energy_of,
+                    quasiperiodic_potential)
+
+IMAG_TIME_STEP = 0.05     # stage A's first step size
+SCF_MIXING = 0.3          # stage B's first density-mixing weight
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     residual_tol: float = 1e-10
     max_iterations: int = 50_000
-    imag_time_step: float = 0.05
-    mixing: float = 0.3
 
     def __post_init__(self):
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise ValueError(f"residual_tol must be positive and finite, "
                              f"got {self.residual_tol!r}")
-        if not (math.isfinite(self.imag_time_step) and self.imag_time_step > 0):
-            raise ValueError(f"imag_time_step must be positive and finite, "
-                             f"got {self.imag_time_step!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not (0.0 < self.mixing <= 1.0):
-            raise ValueError("mixing must lie in (0, 1]")
 
 
 @dataclass
@@ -130,34 +127,21 @@ def _edge_pair(d, off, k):
 # Nonlinear ground state
 # -------------------------
 
-# The kernels below take a state v of shape (L,) or (B, L), one state per
-# row. np.sum/np.max/np.linalg.norm run these same reductions on a 1-D float
+# The kernels below take a real state v of shape (L,) or (B, L), one state
+# per row. np.max/np.linalg.norm run these same reductions on a 1-D float
 # array; calling them directly skips the wrappers' dispatch, bit for bit.
 # Along axis -1 they, and np.vecdot (BLAS ddot, as v.dot(w) and v @ w), reduce
 # each row of a C-contiguous (B, L) array as they reduce that row alone.
-_sum, _max = np.add.reduce, np.maximum.reduce
-
-
-def _h_apply_real(J, eps, U, v):
-    out = (eps - U * v * v) * v
-    out[..., :-1] += J * v[..., 1:]
-    out[..., 1:] += J * v[..., :-1]
-    return out
+_max = np.maximum.reduce
 
 
 def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _energy_real(J, eps, U, v):
-    n = v * v
-    return (2.0 * J * _sum(v[..., :-1] * v[..., 1:], axis=-1)
-            + _sum(eps * n, axis=-1) - 0.5 * U * _sum(n * n, axis=-1))
-
-
 def _residual_mu(J, eps, U, v):
     """Residual ||H[v] v - mu v||_inf and Rayleigh quotient mu, per row."""
-    hv = _h_apply_real(J, eps, U, v)
+    hv = apply_stencil(J, eps - U * v * v, v)
     mu = np.vecdot(v, hv)
     return _max(np.abs(hv - mu[..., None] * v), axis=-1), mu
 
@@ -179,13 +163,13 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     Steps that raise the energy are rejected and retried with half the step;
     accepted steps slowly re-grow it. Returns (v, step, iterations_used).
     """
-    e_prev = _energy_real(J, eps, U, v)
+    e_prev = energy_of(J, eps, U, v)
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
-        w = v - step * _h_apply_real(J, eps, U, v)
+        w = v - step * apply_stencil(J, eps - U * v * v, v)
         w /= _norm(w)
-        e = _energy_real(J, eps, U, w)
+        e = energy_of(J, eps, U, w)
         if e > e_prev + 1e-15:
             step *= 0.5
             continue
@@ -212,11 +196,11 @@ def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
     out_v, out_step = v.copy(), np.full(len(v), float(step))
     out_used = np.full(len(v), n_steps)
     live, step = np.arange(len(v)), out_step.copy()
-    e_prev = _energy_real(J, eps, U, v)
+    e_prev = energy_of(J, eps, U, v)
     for k in range(n_steps):
-        w = v - step[:, None] * _h_apply_real(J, eps, U, v)
+        w = v - step[:, None] * apply_stencil(J, eps - U * v * v, v)
         w /= np.sqrt(np.vecdot(w, w))[:, None]
-        e = _energy_real(J, eps, U, w)
+        e = energy_of(J, eps, U, w)
         ok = ~(e > e_prev + 1e-15)                 # NaN is accepted, as alone
         v = np.where(ok[:, None], w, v)
         e_prev = np.where(ok, e, e_prev)
@@ -237,7 +221,7 @@ def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
     return out_v, out_step, out_used
 
 
-def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
+def _scf_block(J, off, eps, U, v, max_steps, tol, budget):
     """Self-consistent refinement with linear density mixing.
 
     Diagonalizes the Hamiltonian with the interaction frozen at the current
@@ -248,7 +232,7 @@ def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
     """
     n = v * v
     best_res, best_v = _residual_mu(J, eps, U, v)[0], v.copy()
-    mix = mixing
+    mix = SCF_MIXING
     window_best = np.inf
     used = 0
     for k in range(min(max_steps, budget)):
@@ -269,7 +253,7 @@ def _scf_block(J, off, eps, U, v, mixing, max_steps, tol, budget):
     return best_res, best_v, used
 
 
-def _scf_rows(J, off, eps, U, v, mixing, max_steps, tol, budgets):
+def _scf_rows(J, off, eps, U, v, max_steps, tol, budgets):
     """_scf_block on every row of the (B, L) arrays `eps` and `v`, with the
     (B,) integer array `budgets`.
 
@@ -286,7 +270,7 @@ def _scf_rows(J, off, eps, U, v, mixing, max_steps, tol, budgets):
     live = np.flatnonzero(n_steps > 0)
     eps, n, best_res, best_v, n_steps = (eps[live], v[live] * v[live], best_res[live],
                                          best_v[live], n_steps[live])
-    mix, window_best = np.full(live.size, float(mixing)), np.full(live.size, np.inf)
+    mix, window_best = np.full(live.size, SCF_MIXING), np.full(live.size, np.inf)
     k = 0
     while live.size:
         h = eps - U * n
@@ -340,7 +324,7 @@ def _newton_polish(J, eps, U, v, mu, tol, max_newton):
     diag = Jm.reshape(-1)[:L * (L + 2):L + 2]      # view of Jm[j, j], j < L
     F = np.empty(L + 1)
     for k in range(max_newton):
-        hv = _h_apply_real(J, eps, U, v)
+        hv = apply_stencil(J, eps - U * v * v, v)
         np.subtract(hv, mu * v, out=F[:L])
         F[L] = 0.5 * (v @ v - 1.0)
         res = _max(np.abs(F[:L]))
@@ -386,13 +370,13 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
     if start is None:
         _, v0 = _linear_edge_state(eps, off, 0)
         max_steps, target = _stage_a_plan(0)
-        start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, opts.imag_time_step,
+        start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                        target, opts.max_iterations), None)
     v0, v, step, used, scf = start
     iterations = 0
 
     best_v = v0.copy()
-    best_e = _energy_real(J, eps, U, best_v)
+    best_e = energy_of(J, eps, U, best_v)
 
     for attempt in range(8):
         budget = opts.max_iterations - iterations
@@ -406,7 +390,7 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
                                              target, budget)
         iterations += used
         _check_finite(v, "imaginary-time flow")
-        e = _energy_real(J, eps, U, v)
+        e = energy_of(J, eps, U, v)
         if e <= best_e:
             best_e, best_v = e, v.copy()
 
@@ -414,11 +398,11 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
         budget = opts.max_iterations - iterations
         if budget > 0:
             if attempt or scf is None:
-                scf = _scf_block(J, off, eps, U, v, opts.mixing, 2000,
-                                 opts.residual_tol, budget)
+                scf = _scf_block(J, off, eps, U, v, 2000, opts.residual_tol,
+                                 budget)
             res_scf, u_best, used = scf
             iterations += used
-            e_scf = _energy_real(J, eps, U, u_best)
+            e_scf = energy_of(J, eps, U, u_best)
             if e_scf <= best_e:
                 best_e, best_v = e_scf, u_best.copy()
             if res_scf < opts.residual_tol:
@@ -432,7 +416,7 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
             min(40, opts.max_iterations - iterations))
         iterations += used
         if ok and np.all(np.isfinite(vn)):
-            en = _energy_real(J, eps, U, vn)
+            en = energy_of(J, eps, U, vn)
             if en <= best_e + 1e-12:
                 best_v, best_e = vn, en
                 break
@@ -447,7 +431,7 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
     return EigenSolution(
         state=state,
         mu=mu,
-        energy=_energy_real(J, eps, U, best_v),
+        energy=energy_of(J, eps, U, best_v),
         residual=res,
         iterations=iterations,
         converged=res < opts.residual_tol,
@@ -514,13 +498,13 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     off = np.full(L - 1, float(J))
     v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
     max_steps, target = _stage_a_plan(0)
-    v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, opts.imag_time_step,
+    v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                     target, opts.max_iterations)
     budgets = opts.max_iterations - used
     rows = np.flatnonzero(np.isfinite(v).all(axis=-1) & (budgets > 0))
     scf = [None] * len(cells)
-    for i, out in zip(rows, _scf_rows(J, off, eps[rows], U, v[rows], opts.mixing,
-                                      2000, opts.residual_tol, budgets[rows])):
+    for i, out in zip(rows, _scf_rows(J, off, eps[rows], U, v[rows], 2000,
+                                      opts.residual_tol, budgets[rows])):
         scf[i] = out
     return [(v0[i], v[i], float(step[i]), int(used[i]), scf[i])
             for i in range(len(cells))]

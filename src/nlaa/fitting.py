@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import leastsq
 
 from .dynamics import RampProtocol, ramp_prepare
-from .model import ModelParams
+from .model import ModelParams, participation_of
 
 MIN_LEFT_POINTS = 3
 MIN_RESAMPLES = 100     # fewest bootstrap refits for a stable stderr
@@ -80,16 +80,18 @@ def least_squares(fun, x0) -> LeastSquaresResult:
     f = fun(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("Residuals are not finite in the initial point.")
-    # The latest point fun was evaluated at. MINPACK asks for the Jacobian
-    # right after evaluating fun at the same point, so its f(x) is reused.
+    # The latest point fun was evaluated at, f(x) and, once asked for, the
+    # Jacobian. MINPACK asks for the Jacobian right after evaluating fun at
+    # the same point, so its f(x) is reused; leastsq's shape check asks for
+    # it at x0 before MINPACK does, so that is reused too.
     # Points are compared with float ==, as scipy's memo compares them
     # (0.0 equals -0.0; nan is evaluated again).
-    last = [x, x.tolist(), f]
+    last = [x, x.tolist(), f, None]
 
     def at(x_new):
         if x_new.tolist() != last[1]:
             x = x_new.copy()
-            last[:] = x, x.tolist(), fun(x)
+            last[:] = x, x.tolist(), fun(x), None
         return last
 
     calls = [0]
@@ -99,14 +101,17 @@ def least_squares(fun, x0) -> LeastSquaresResult:
         return at(x_new)[2]
 
     def jacobian(x_new):
-        x, xs, f = at(x_new)
+        x, xs, f, jac = at(x_new)
+        if jac is not None:
+            return jac
         jt = np.empty((x.size, f.size))
         for i, xi in enumerate(xs):
             h = _FD_REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
             x1 = x.copy()
             x1[i] = xi + h
             jt[i] = (fun(x1) - f) / ((xi + h) - xi)
-        return jt.T
+        last[3] = jt.T
+        return last[3]
 
     # MINPACK's stops 5-8 (budget spent, a tolerance below machine
     # precision) are results here, as in scipy's least_squares.
@@ -206,11 +211,10 @@ def fit_transition(data) -> FitResult:
 # -------------------------
 
 def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
-                           floor=0.0, seed=12345, ramp: RampProtocol | None = None,
-                           phi=0.0, dt=1e-3):
+                           floor=0.0, seed=12345, phi=0.0, dt=1e-3):
     """Emulated measured r(Delta) points from ramp-prepared states.
 
-    All Deltas are prepared by the finite-velocity ramp in one batched
+    All Deltas are prepared by RampProtocol.from_si() in one batched
     propagation (each row bitwise equal to its lone ramp); then, in Delta
     order, an optional uniform population floor is added on all sites before
     renormalization (n -> (n + floor)/sum), and Gaussian noise of width
@@ -218,7 +222,7 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
     identical arguments and seed reproduce the array bitwise.
     """
     rng = np.random.default_rng(seed)
-    proto = (ramp if ramp is not None else RampProtocol.from_si()).for_kind(kind)
+    proto = RampProtocol.from_si().for_kind(kind)
     deltas = np.asarray(deltas, dtype=float)
     params = [ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
               for delta in deltas]
@@ -231,7 +235,7 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
         if floor > 0:
             n = n + floor
             n = n / n.sum()
-        r = 1.0 / (L * np.sum(n ** 2))
+        r = participation_of(n)
         rows.append((float(delta), float(r + rng.normal(0.0, noise_sigma)
                                          if noise_sigma > 0 else r)))
     return np.array(rows)

@@ -36,6 +36,7 @@ from .model import (
     LatticeState,
     ModelParams,
     density_fourier_coefficients,
+    participation_of,
 )
 from .phasescan import transition_for_u
 
@@ -71,15 +72,9 @@ class GaaParams:
                              f"got alpha={self.alpha}")
 
 
-def gaa_potential(gp: GaaParams, j=None):
-    """GAA on-site energies; j=None gives the full vector."""
-    if j is None:
-        idx = np.arange(gp.L)
-    else:
-        if not (0 <= j < gp.L):
-            raise IndexError(f"site index {j} outside 0..{gp.L - 1}")
-        idx = j
-    c = np.cos(2.0 * np.pi * gp.beta * idx + gp.phi)
+def gaa_potential(gp: GaaParams):
+    """GAA on-site energies V_j, j = 0..L-1."""
+    c = np.cos(2.0 * np.pi * gp.beta * np.arange(gp.L) + gp.phi)
     return gp.Delta * c / (1.0 - gp.alpha * c)
 
 
@@ -139,8 +134,7 @@ def gaa_classify_spectrum(gp: GaaParams) -> GaaClassification:
     """
     pot = gaa_potential(gp)
     w, v = linear_spectrum(gp.L, gp.J, pot)
-    n = np.abs(v) ** 2
-    r = 1.0 / (gp.L * np.sum(n ** 2, axis=0))
+    r = participation_of(np.abs(v.T) ** 2)      # eigenvectors are columns
 
     if gp.alpha == 0:
         edge = None

@@ -9,6 +9,11 @@ Gross-Pitaevskii-type equation of motion
 where eps_j = Delta * cos(2 pi beta j + phi) is the quasiperiodic on-site
 potential and beta defaults to the inverse golden ratio (sqrt(5)-1)/2.
 
+The Hamiltonian's action (apply_stencil), the energy E[phi] (energy_of) and
+the participation ratio r (participation_of) are written once, here, on
+(..., L) arrays, one chain per row, each row computed bit for bit as alone;
+the other modules and the public observables below all call them.
+
 Conventions used throughout the package:
 - internal units: hbar = 1, energies in units of J, time in hbar/J;
   SI conversion happens only at the CLI boundary (nlaa.cli converts the
@@ -127,19 +132,36 @@ class LatticeState:
 # Potential and Hamiltonian action
 # -------------------------
 
-def quasiperiodic_potential(params: ModelParams, j=None):
-    """On-site energies eps_j = Delta cos(2 pi beta j + phi).
+def quasiperiodic_potential(params: ModelParams):
+    """On-site energies eps_j = Delta cos(2 pi beta j + phi), j = 0..L-1."""
+    return params.Delta * np.cos(2.0 * np.pi * params.beta * np.arange(params.L)
+                                 + params.phi)
 
-    With j=None the full length-L vector is returned; an integer j gives the
-    single value (j must be in range).
-    """
-    if j is None:
-        idx = np.arange(params.L)
-    else:
-        if not (0 <= j < params.L):
-            raise IndexError(f"site index {j} outside 0..{params.L - 1}")
-        idx = j
-    return params.Delta * np.cos(2.0 * np.pi * params.beta * idx + params.phi)
+
+def apply_stencil(J, diag, v):
+    """diag_j v_j + J (v_{j+1} + v_{j-1}) per row, hard walls. Callers pass
+    their own diagonal (eps - U |v|^2); J is a scalar or a (B, 1) column."""
+    out = diag * v
+    out[..., :-1] += J * v[..., 1:]
+    out[..., 1:] += J * v[..., :-1]
+    return out
+
+
+_sum = np.add.reduce     # np.sum without its dispatch wrapper, bit for bit
+
+
+def energy_of(J, eps, U, v):
+    """E[v] of energy_functional per row; J and U are scalars or (B,) arrays.
+    On a real v, .conj() and .real return v itself (no extra arithmetic)."""
+    n = (v.conj() * v).real
+    hop = (v[..., :-1].conj() * v[..., 1:]).real
+    return (2.0 * J * _sum(hop, axis=-1) + _sum(eps * n, axis=-1)
+            - 0.5 * U * _sum(n * n, axis=-1))
+
+
+def participation_of(n):
+    """r = (1/L) / sum_j n_j^2 per row of normalized densities n."""
+    return 1.0 / (n.shape[-1] * _sum(n ** 2, axis=-1))
 
 
 def apply_hamiltonian(params: ModelParams, state):
@@ -152,12 +174,8 @@ def apply_hamiltonian(params: ModelParams, state):
     v = state.amplitudes if isinstance(state, LatticeState) else np.asarray(state)
     if v.shape != (params.L,):
         raise ValueError(f"state length {v.shape} does not match L={params.L}")
-    eps = quasiperiodic_potential(params)
-    out = (eps - params.U * np.abs(v) ** 2) * v
-    out = out.astype(v.dtype if np.iscomplexobj(v) else float)
-    out[:-1] += params.J * v[1:]
-    out[1:] += params.J * v[:-1]
-    return out
+    diag = quasiperiodic_potential(params) - params.U * np.abs(v) ** 2
+    return apply_stencil(params.J, diag, v)
 
 
 # -------------------------
@@ -170,8 +188,7 @@ def participation_ratio(state) -> float:
     total = n.sum()
     if total <= 0.0 or not np.isfinite(total):
         raise ValueError("zero-norm state has no participation ratio")
-    n = n / total
-    return float(1.0 / (n.size * np.sum(n ** 2)))
+    return float(participation_of(n / total))
 
 
 def momentum_width(state: LatticeState) -> float:
@@ -188,10 +205,7 @@ def energy_functional(params: ModelParams, state) -> float:
     so it is the conserved energy of the dynamics.
     """
     v = state.amplitudes if isinstance(state, LatticeState) else np.asarray(state)
-    n = np.abs(v) ** 2
-    eps = quasiperiodic_potential(params)
-    hop = 2.0 * params.J * np.real(np.sum(np.conj(v[:-1]) * v[1:]))
-    return float(hop + np.sum(eps * n) - 0.5 * params.U * np.sum(n ** 2))
+    return float(energy_of(params.J, quasiperiodic_potential(params), params.U, v))
 
 
 def chemical_potential(params: ModelParams, state) -> float:
@@ -235,15 +249,12 @@ class InteractionConversion:
     """Mean-field interaction energy from scattering parameters.
 
     U = 4 pi hbar^2 a rho / m with a the s-wave scattering length, rho the
-    mean density and m the atomic mass; sign(U) = sign(a).
+    mean density and m the caesium-133 mass; sign(U) = sign(a).
     """
     scattering_length_a0: float          # in Bohr radii
-    mass_kg: float = CS_MASS_SI
     density_per_cm3: float = 2.0e13
 
     def __post_init__(self):
-        if self.mass_kg <= 0:
-            raise ValueError("mass must be positive")
         if self.density_per_cm3 <= 0:
             raise ValueError("density must be positive")
 
@@ -255,7 +266,7 @@ class InteractionConversion:
 def scattering_length_to_U(conv: InteractionConversion) -> float:
     """U in Joules from U = 4 pi hbar^2 a rho / m."""
     rho_si = conv.density_per_cm3 * 1e6   # cm^-3 -> m^-3
-    return 4.0 * np.pi * HBAR_SI ** 2 * conv.scattering_length_m * rho_si / conv.mass_kg
+    return 4.0 * np.pi * HBAR_SI ** 2 * conv.scattering_length_m * rho_si / CS_MASS_SI
 
 
 # -------------------------
@@ -278,7 +289,7 @@ class BraggSchedule:
 
 
 def bragg_detunings(params: ModelParams, recoil_joule: float,
-                    j_energy_joule: float = 0.0, mass_kg: float = CS_MASS_SI) -> BraggSchedule:
+                    j_energy_joule: float = 0.0) -> BraggSchedule:
     """Design detunings hbar*dw_j = 4(2j+1) E_R - (eps_{j+1} - eps_j).
 
     The j in the design formula is the centered site label j = -10..9, so a
@@ -299,6 +310,6 @@ def bragg_detunings(params: ModelParams, recoil_joule: float,
     detunings = hbar_domega / HBAR_SI
     phase = 0.0 if params.J >= 0 else np.pi
     phases = np.full(params.L - 1, phase)
-    k = np.sqrt(2.0 * mass_kg * recoil_joule) / HBAR_SI
+    k = np.sqrt(2.0 * CS_MASS_SI * recoil_joule) / HBAR_SI
     return BraggSchedule(detunings=detunings, phases=phases,
                          recoil=recoil_joule, wavenumber=k, site_offset=offset)

@@ -29,7 +29,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -83,8 +83,7 @@ class TransitionResult:
     message: str = ""
 
 
-def detect_transition(deltas, r_values, r_c, refine=None,
-                      tol=BISECTION_TOL) -> TransitionResult:
+def detect_transition(deltas, r_values, r_c, refine=None) -> TransitionResult:
     """First downward crossing of r_c on an increasing Delta grid.
 
     `deltas`/`r_values` sample the r(Delta) curve; every bracketing interval
@@ -111,7 +110,7 @@ def detect_transition(deltas, r_values, r_c, refine=None,
 
     lo, hi = brackets[0]
     if refine is not None:
-        while hi - lo > tol:
+        while hi - lo > BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             if refine(mid) >= r_c:
                 lo = mid
@@ -122,9 +121,7 @@ def detect_transition(deltas, r_values, r_c, refine=None,
 
 
 def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
-                     phi=0.0, opts=SolverOptions(), preparation="exact",
-                     ramp: RampProtocol | None = None,
-                     tol=BISECTION_TOL) -> TransitionResult:
+                     phi=0.0, opts=SolverOptions()) -> TransitionResult:
     """Locate Delta_c for one (U, kind) by coarse scan + bisection.
 
     The coarse grid is solved in increasing Delta and only up to its first
@@ -137,15 +134,14 @@ def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
     r_c = critical_r(L, kind)
 
     def r_at(delta):
-        return _cell_r(kind, L, float(u), float(delta), phi, preparation,
-                       ramp, opts)
+        return _cell_r(kind, L, float(u), float(delta), phi, "exact", None, opts)
 
     rs = []
     for delta in deltas:
         rs.append(r_at(delta))
         if len(rs) > 1 and rs[-2] >= r_c > rs[-1]:
             break
-    return detect_transition(deltas[:len(rs)], rs, r_c, refine=r_at, tol=tol)
+    return detect_transition(deltas[:len(rs)], rs, r_c, refine=r_at)
 
 
 # -------------------------
@@ -196,10 +192,7 @@ class ScanResult:
 def _cell_inputs(kind, L, u, delta, phi, preparation, ramp):
     """ModelParams of one scan cell and, if it is ramped, its ramp."""
     params = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=u)
-    if preparation == "exact":
-        return params, None
-    ramp = ramp if ramp is not None else RampProtocol.from_si()
-    return params, ramp.for_kind(kind)
+    return params, None if preparation == "exact" else ramp.for_kind(kind)
 
 
 def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts, start=None):
@@ -335,13 +328,17 @@ def _row_records(store, cells):
     return recs
 
 
+class _CellFailed(RuntimeError):
+    """A solve failed; args are its Delta and its record's error."""
+
+
 def _cached_r(store, cell):
     """r of one cell (the arguments of _cell_r): the stored solve's, or
-    solved and appended at once. Raises RuntimeError if the cell failed."""
+    solved and appended at once. Raises _CellFailed if the cell failed."""
     key = _key_of(cell)
     rec = store.records.get(key) or store.add(_cell_record(cell, key))
     if not rec["ok"]:
-        raise RuntimeError(rec["error"])
+        raise _CellFailed(cell[3], rec["error"])
     return rec["r"]
 
 
@@ -357,6 +354,8 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     solves the missing grid cells one by one in a process pool first.
     Either way r is bitwise the lone solve's. Per-cell failures are
     recorded and the scan continues; failed cells hold NaN in the matrix.
+    A bisection solve that fails ends that U's detection (found=False,
+    the grid's crossings kept) and is recorded once among the failures.
     """
     deltas = np.asarray(grid.delta_over_j, dtype=float)
     us = np.asarray(grid.u_over_j, dtype=float)
@@ -400,8 +399,18 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
                 def r_at(delta, _kind=kind, _u=u):
                     return _cached_r(store, cell(_kind, _u, delta))
 
-                per_u.append(detect_transition(deltas[valid], mat[i][valid],
-                                               rcs[kind], refine=r_at))
+                try:
+                    tr = detect_transition(deltas[valid], mat[i][valid],
+                                           rcs[kind], refine=r_at)
+                except _CellFailed as exc:
+                    delta, error = exc.args
+                    tr = replace(detect_transition(deltas[valid], mat[i][valid], rcs[kind]),
+                                 delta_c=None, found=False,
+                                 message=f"refinement failed at Delta={delta:.6g}: {error}")
+                    # a failed grid cell the bisection lands on is listed already
+                    if (kind, float(u), delta, error) not in failures:
+                        failures.append((kind, float(u), delta, error))
+                per_u.append(tr)
             trans[kind] = per_u
 
     phases = None

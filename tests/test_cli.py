@@ -301,6 +301,36 @@ def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
     assert outputs["failures.csv"] == _sha(tmp_path / "failures.csv")
 
 
+def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path):
+    # (gs, U = 0.25): the bisection of the bracket (1, 2) lands again on the
+    # failed grid cell Delta = 1.5; (es, U = -0.25): its midpoint 1.625 fails
+    argv = ["scan", "--L", "13", "--max-iterations", "300", "--delta-step", "0.5"]
+    detect, grid = tmp_path / "detect", tmp_path / "grid"
+    assert main(argv + ["--out", str(detect)]) == 0
+    assert main(argv + ["--no-detect", "--out", str(grid)]) == 0
+    assert set(_json(detect / "manifest.json")["outputs"]) == {
+        "r_gs.csv", "r_es.csv", "transitions.csv", "phases.csv",
+        "failures.csv", "scan_cells.jsonl"}
+    rows = {}
+    for out in (detect, grid):
+        with open(out / "failures.csv", newline="") as fh:
+            _, *body = list(csv.reader(fh))
+        rows[out] = [(kind, float(u), float(d)) for kind, u, d, _ in body]
+    assert len(set(rows[detect])) == len(rows[detect])
+    assert set(rows[grid]) < set(rows[detect])
+    assert ("gs", 0.25, 1.5) in rows[grid]
+    assert ("es", -0.25, 1.625) in set(rows[detect]) - set(rows[grid])
+    _, trans = _rows(detect / "transitions.csv")
+    found = {(kind, float(u)): (dc, int(n)) for kind, u, dc, n, _ in trans}
+    assert found[("gs", 0.25)] == ("nan", 1)             # the grid's bracket kept
+    assert found[("es", -0.25)][0] == "nan"
+    assert all(found[(kind, 0.0)][0] != "nan" for kind in ("gs", "es"))
+    _, phases = _rows(detect / "phases.csv")
+    labels = {float(row[0]): set(row[1:]) for row in phases}
+    assert labels[0.25] == labels[-0.25] == {"?"}
+    assert "?" not in labels[0.0]
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
 def test_scan_records_a_zero_state_cell_as_failed(tmp_path):
     assert main(["scan", "--L", "13", "--kind", "es", "--u-min", "1e300",

@@ -135,7 +135,7 @@ def test_ramp_excited_target_starts_at_potential_maximum():
     # original potential is highest
     p = ModelParams(L=21, J=1.0, Delta=1.3)
     eps = quasiperiodic_potential(p)
-    proto = RampProtocol.from_si(target="highest-excited")
+    proto = RampProtocol.from_si().for_kind("es")
     _, traj = ramp_prepare(p, proto)
     assert np.argmax(traj.states[0].density) == np.argmax(eps)
 

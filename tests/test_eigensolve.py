@@ -1,5 +1,7 @@
 """Self-consistent ground/excited eigenstate solver."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,9 +23,10 @@ from nlaa import (
     solve_state,
 )
 from nlaa import eigensolve
-from nlaa.eigensolve import (_energy_real, _h_apply_real, _imag_time_block,
+from nlaa.eigensolve import (IMAG_TIME_STEP, SCF_MIXING, _imag_time_block,
                              _imag_time_rows, _linear_edge_state, _norm,
                              _residual_mu, _scf_block, _scf_rows, batched_starts)
+from nlaa.model import apply_stencil, energy_of
 
 
 def residual(params, state, mu):
@@ -40,13 +43,13 @@ def test_solver_option_defaults():
     opts = SolverOptions()
     assert opts.residual_tol == 1e-10
     assert opts.max_iterations == 50_000
-    assert opts.imag_time_step == 0.05
-    assert opts.mixing == 0.3
+    assert [f.name for f in fields(SolverOptions)] == ["residual_tol",
+                                                        "max_iterations"]
+    assert (IMAG_TIME_STEP, SCF_MIXING) == (0.05, 0.3)
 
 
 @pytest.mark.parametrize("field, value", [
     ("residual_tol", float("nan")), ("residual_tol", float("inf")),
-    ("imag_time_step", float("nan")), ("imag_time_step", float("inf")),
     ("max_iterations", 0), ("max_iterations", -5)])
 def test_solver_options_reject_non_finite_and_empty_budgets(field, value):
     with pytest.raises(ValueError, match=field):
@@ -113,8 +116,8 @@ def test_reductions_are_bitwise_the_numpy_wrappers(L, J, sign, U, seed):
     v /= np.linalg.norm(v)
     n = v * v
     energy = 2.0 * J * np.sum(v[:-1] * v[1:]) + np.sum(eps * n) - 0.5 * U * np.sum(n * n)
-    assert _bits(_energy_real(J, eps, U, v)) == _bits(energy)
-    hv = _h_apply_real(J, eps, U, v)
+    assert _bits(energy_of(J, eps, U, v)) == _bits(energy)
+    hv = apply_stencil(J, eps - U * v * v, v)
     mu = float(v @ hv)
     res, mu_fast = _residual_mu(J, eps, U, v)
     assert _bits([res, mu_fast]) == _bits([np.max(np.abs(hv - mu * v)), mu])
@@ -136,7 +139,7 @@ def test_non_finite_frozen_density_raises_runtime_error():
     v = np.full(L, 1.0 / np.sqrt(L))
     v[2] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"), np.errstate(all="ignore"):
-        _scf_block(1.0, off, eps, 0.5, v, 0.3, 10, 1e-10, 10)
+        _scf_block(1.0, off, eps, 0.5, v, 10, 1e-10, 10)
 
 
 # -------------------------
@@ -263,7 +266,7 @@ def _stage_a_rows(cells, opts):
     eps = np.array([quasiperiodic_potential(p) for p in cells])
     off = np.full(cells[0].L - 1, cells[0].J)
     v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
-    args = (2000, opts.imag_time_step, 1e-3, opts.max_iterations)
+    args = (2000, IMAG_TIME_STEP, 1e-3, opts.max_iterations)
     return (eps, off, v0, *_imag_time_rows(cells[0].J, eps, cells[0].U, v0, *args))
 
 
@@ -274,7 +277,7 @@ def test_batched_stage_b_row_that_fails_leaves_the_others_bitwise(monkeypatch,
     J, U = 1.0, -1.0
     cells = [ModelParams(L=13, J=J, Delta=d, U=U) for d in (0.5, 6.0, 3.0)]
     eps, off, v0, v, step, used = _stage_a_rows(cells, opts)
-    args = (opts.mixing, 2000, opts.residual_tol)
+    args = (2000, opts.residual_tol)
     error = RuntimeError
     if failure == "non-finite":
         v[1, 4] = np.inf
@@ -321,7 +324,7 @@ def test_batched_row_with_non_finite_potential_fails_alone():
     off = np.full(L - 1, 1.0)
     v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
     eps[1, 4] = np.inf
-    args = (2000, opts.imag_time_step, 1e-3, opts.max_iterations)
+    args = (2000, IMAG_TIME_STEP, 1e-3, opts.max_iterations)
     with np.errstate(all="ignore"):
         v, step, used = _imag_time_rows(1.0, eps, U, v0, *args)
         with pytest.raises(RuntimeError) as lone:

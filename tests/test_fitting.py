@@ -61,9 +61,16 @@ def test_least_squares_equals_scipy_lm(n, weighted, seed, B, x0):
             with pytest.raises(ValueError, match=str(exc)):
                 fitting.least_squares(fun, x0)
             return
-        got = fitting.least_squares(fun, x0)
+        points = []
+
+        def counted(p):
+            points.append(tuple(p))
+            return fun(p)
+
+        got = fitting.least_squares(counted, x0)
     assert got.x.tobytes() == want.x.tobytes()
     assert got.nfev == want.nfev
+    assert len(set(points)) == len(points)     # no point, Jacobian's or not, twice
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5])

