@@ -5,7 +5,7 @@ interaction-shifted localization phase diagrams, an effective
 generalized-model (mobility-edge) analysis, and empirical transition fits.
 
 Internal units are hbar = J = 1 throughout; SI conversion happens only at
-the command-line boundary.
+the command-line boundary, in nlaa.cli's _internal_units.
 """
 
 __version__ = "0.1.1"
@@ -21,12 +21,11 @@ from .fitting import (BootstrapResult, FitResult, UnidentifiableFitError,
 from .gaa import (AaLimitError, AlphaStarResult, GaaClassification, GaaParams,
                   extract_alpha_star, effective_gaa_from_density,
                   gaa_classify_spectrum, gaa_mobility_edge, gaa_potential)
-from .model import (BETA_GOLDEN, BraggSchedule, InteractionConversion,
-                    LatticeState, ModelParams, apply_hamiltonian,
-                    bragg_detunings, chemical_potential,
+from .model import (BETA_GOLDEN, BraggSchedule, LatticeState, ModelParams,
+                    apply_hamiltonian, bragg_detunings, chemical_potential,
                     density_fourier_coefficients, energy_functional,
                     momentum_width, participation_ratio,
-                    quasiperiodic_potential, scattering_length_to_U)
+                    quasiperiodic_potential)
 from .phasescan import (ScanGrid, ScanResult, TransitionResult, classify_phase,
                         critical_r, detect_transition, scan_phase_diagram,
                         transition_for_u)
@@ -34,10 +33,10 @@ from .phasescan import (ScanGrid, ScanResult, TransitionResult, classify_phase,
 __all__ = [
     "__version__",
     # model
-    "BETA_GOLDEN", "ModelParams", "LatticeState", "InteractionConversion",
+    "BETA_GOLDEN", "ModelParams", "LatticeState",
     "BraggSchedule", "quasiperiodic_potential", "apply_hamiltonian", "participation_ratio", "momentum_width",
     "energy_functional", "chemical_potential", "density_fourier_coefficients",
-    "scattering_length_to_U", "bragg_detunings",
+    "bragg_detunings",
     # eigensolve
     "SolverOptions", "EigenSolution", "linear_spectrum",
     "nonlinear_ground_state", "nonlinear_excited_state", "solve_state",

@@ -3,8 +3,8 @@ Command-line front end.
 
 All physics lives in the library modules; this layer does configuration
 ingestion (JSON config file + flag overrides), SI-to-internal unit
-conversion at ingress, subcommand dispatch, and plot-ready CSV/JSON output
-with a manifest per run.
+conversion at ingress (`_internal_units`, the only place lab units enter),
+subcommand dispatch, and plot-ready CSV/JSON output with a manifest per run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unidentifiable fit.
@@ -32,8 +32,8 @@ from .eigensolve import SolverOptions, solve_state
 from .fitting import (MIN_RESAMPLES, UnidentifiableFitError, bootstrap_delta_c,
                       fit_transition, synthesize_measurement)
 from .gaa import GaaParams, extract_alpha_star, gaa_classify_spectrum
-from .model import (H_SI, InteractionConversion, ModelParams, bragg_detunings,
-                    momentum_width, participation_ratio, scattering_length_to_U)
+from .model import (BOHR_RADIUS_SI, CS_MASS_SI, H_SI, HBAR_SI, ModelParams,
+                    bragg_detunings, momentum_width, participation_ratio)
 from .phasescan import ScanGrid, scan_phase_diagram, transition_for_u
 
 DEFAULT_SEED = 12345
@@ -67,8 +67,9 @@ OPTIONS = {
     "u_over_j": Option(float, "interaction U/J (positive = self-focusing)"),
     "phi": Option(float, "potential phase"),
     "j_internal": Option(float, "internal hopping (0 gives the decoupled chain)"),
-    "j_hz": Option(float, "hopping J/h in Hz: the SI anchor (bragg-schedule: "
-                          "energy unit of the on-site term, 0 drops it)"),
+    "j_hz": Option(float, "hopping J/h in Hz: the SI anchor (ramp: J/h at its "
+                          "end, 275 Hz without it; bragg-schedule: energy "
+                          "unit of the on-site term, 0 drops it)"),
     "delta_hz": Option(float, "SI Delta/h in Hz (needs --j-hz)"),
     "scattering_length_a0": Option(
         float, "SI s-wave scattering length in Bohr radii (needs --j-hz)"),
@@ -84,7 +85,6 @@ OPTIONS = {
     "dt": Option(float, "RK4 time step in hbar/J"),
     "stride": Option(int, "RK4 steps between recorded snapshots"),
     "velocity_hz_per_ms": Option(float, "ramp velocity of J/h in Hz per ms"),
-    "j_target_hz": Option(float, "J/h at the end of the ramp in Hz"),
     "hold_ms": Option(float, "hold at the target after the ramp in ms"),
     "delta_min": Option(float, "first Delta/J of the grid"),
     "delta_max": Option(float, "last Delta/J of the grid"),
@@ -189,26 +189,66 @@ def _grid(cfg, name):
     return grid
 
 
-def _params_from(cfg):
-    """Build ModelParams from a merged config (dimensionless or SI group)."""
-    delta, u = cfg.delta_over_j, cfg.u_over_j
-    if cfg.j_hz:
+# SI options: those in _SI_POSITIVE must be finite and > 0, the rest finite
+_SI_OPTIONS = ("j_hz", "delta_hz", "scattering_length_a0", "density_per_cm3",
+               "t_final_ms", "velocity_hz_per_ms", "hold_ms", "recoil_khz")
+_SI_POSITIVE = ("j_hz", "density_per_cm3", "velocity_hz_per_ms", "recoil_khz")
+
+
+def _internal_units(cfg):
+    """The lab-unit inputs of a merged config in internal units, each checked
+    before any work runs: the one place SI values enter. J/h = --j-hz is the
+    one anchor of Delta, U and times in ms; the ramp ends there, or at 275 Hz
+    without it. Returns delta and u, t_final (evolve) and ramp (ramp);
+    bragg-schedule keeps SI (recoil_joule, j_joule), and its --j-hz may be 0,
+    which drops the on-site term."""
+    si = {k: v for k, v in vars(cfg).items()
+          if k in _SI_OPTIONS and v is not None}
+    bragg = "recoil_khz" in si
+    for name, value in si.items():
+        if bragg and name == "j_hz":
+            ok, need = 0.0 <= value < np.inf, "finite and >= 0"
+        elif name in _SI_POSITIVE:
+            ok, need = 0.0 < value < np.inf, "finite and > 0"
+        else:
+            ok, need = bool(np.isfinite(value)), "finite"
+        if not ok:
+            raise ConfigError(f"--{name.replace('_', '-')} must be {need}, "
+                              f"got {value}")
+    j_hz = si.get("j_hz")
+    if bragg:
+        return SimpleNamespace(recoil_joule=H_SI * si["recoil_khz"] * 1e3,
+                               j_joule=H_SI * j_hz)
+    units = SimpleNamespace(delta=cfg.delta_over_j, u=cfg.u_over_j,
+                            t_final=getattr(cfg, "t_final", None))
+    if j_hz is not None:
         if cfg.delta_over_j or cfg.u_over_j:
             raise ConfigError("SI group (--j-hz ...) cannot be combined with "
                               "--delta-over-j/--u-over-j")
-        j_joule = H_SI * cfg.j_hz
-        delta = (H_SI * cfg.delta_hz) / j_joule if cfg.delta_hz else 0.0
-        if cfg.scattering_length_a0:
-            conv = InteractionConversion(
-                scattering_length_a0=cfg.scattering_length_a0,
-                density_per_cm3=cfg.density_per_cm3)
-            u = scattering_length_to_U(conv) / j_joule
-        else:
-            u = 0.0
-    elif cfg.delta_hz or cfg.scattering_length_a0:
-        raise ConfigError("SI parameters need the --j-hz anchor")
+        # U/h = 4 pi hbar^2 a rho / (m h) for caesium-133, rho in m^-3
+        u_hz = (4.0 * np.pi * HBAR_SI ** 2 * BOHR_RADIUS_SI
+                * si.get("scattering_length_a0", 0.0)
+                * si["density_per_cm3"] * 1e6 / CS_MASS_SI / H_SI)
+        units.delta, units.u = si.get("delta_hz", 0.0) / j_hz, u_hz / j_hz
+    elif si.keys() & {"delta_hz", "scattering_length_a0", "t_final_ms"}:
+        raise ConfigError("--delta-hz, --scattering-length-a0 and "
+                          "--t-final-ms need the --j-hz anchor")
+    j_hz = 275.0 if j_hz is None else j_hz          # the experiment's ramp end
+    per_s = 2.0 * np.pi * j_hz                      # hbar/J per second
+    if "t_final_ms" in si:
+        units.t_final = per_s * si["t_final_ms"] * 1e-3
+    if "velocity_hz_per_ms" in si:
+        units.ramp = RampProtocol(
+            duration=per_s * (j_hz / (si["velocity_hz_per_ms"] * 1e3)),
+            hold=per_s * si["hold_ms"] * 1e-3)
+    return units
+
+
+def _params_from(cfg):
+    """ModelParams of a merged config, and its _internal_units."""
+    units = _internal_units(cfg)
     return ModelParams(L=cfg.L, J=getattr(cfg, "j_internal", 1.0),
-                       Delta=delta, phi=cfg.phi, U=u)
+                       Delta=units.delta, phi=cfg.phi, U=units.u), units
 
 
 def _solver_opts(cfg):
@@ -239,6 +279,12 @@ def _write_csv(path, header, rows):
         out.writerow(header)
         out.writerows([_fmt(x) for x in row] for row in rows)
     return path
+
+
+def _write_trajectory(path, traj):
+    rows = zip(traj.times, traj.r, traj.d, traj.energy, traj.norm_drift)
+    return _write_csv(path, ["time", "participation_ratio", "momentum_width",
+                             "energy", "norm_drift"], rows)
 
 
 def _jsonable(obj):
@@ -298,7 +344,7 @@ def _write_manifest(outdir, subcommand, cfg, outputs, wall_time):
 # -------------------------
 
 def cmd_solve(cfg, outdir):
-    params = _params_from(cfg)
+    params, _ = _params_from(cfg)
     sol = solve_state(params, cfg.kind, _solver_opts(cfg))
     if not sol.converged:
         raise RuntimeError(
@@ -321,21 +367,13 @@ def cmd_solve(cfg, outdir):
 
 
 def cmd_evolve(cfg, outdir):
-    params = _params_from(cfg)
-    t_final = cfg.t_final
-    if cfg.t_final_ms is not None:
-        if not cfg.j_hz:
-            raise ConfigError("--t-final-ms needs the --j-hz anchor")
-        t_final = 2.0 * np.pi * cfg.j_hz * cfg.t_final_ms * 1e-3
-    traj = transport_experiment(params, t_final, dt=cfg.dt,
+    params, units = _params_from(cfg)
+    traj = transport_experiment(params, units.t_final, dt=cfg.dt,
                                 snapshot_stride=cfg.stride)
-    rows = zip(traj.times, traj.r, traj.d, traj.energy, traj.norm_drift)
     return [
-        _write_csv(outdir / "trajectory.csv",
-                   ["time", "participation_ratio", "momentum_width",
-                    "energy", "norm_drift"], rows),
+        _write_trajectory(outdir / "trajectory.csv", traj),
         _write_json(outdir / "evolve.json", {
-            "params": params.to_dict(), "t_final": t_final, "dt": cfg.dt,
+            "params": params.to_dict(), "t_final": units.t_final, "dt": cfg.dt,
             "final_r": float(traj.r[-1]), "final_d": float(traj.d[-1]),
             "max_norm_drift": float(np.max(traj.norm_drift)),
         }),
@@ -355,19 +393,14 @@ def cmd_interaction_sweep(cfg, outdir):
 
 
 def cmd_ramp(cfg, outdir):
-    params = _params_from(cfg)
-    proto = RampProtocol.from_si(velocity_hz_per_ms=cfg.velocity_hz_per_ms,
-                                 j_target_hz=cfg.j_target_hz,
-                                 hold_ms=cfg.hold_ms).for_kind(cfg.kind)
+    params, units = _params_from(cfg)
+    proto = units.ramp.for_kind(cfg.kind)
     final, traj = ramp_prepare(params, proto, dt=cfg.dt,
                                snapshot_stride=cfg.stride)
     exact = solve_state(params, cfg.kind, _solver_opts(cfg))
     r_ramp, r_exact = participation_ratio(final), participation_ratio(exact.state)
-    rows = zip(traj.times, traj.r, traj.d, traj.energy, traj.norm_drift)
     return [
-        _write_csv(outdir / "ramp_trajectory.csv",
-                   ["time", "participation_ratio", "momentum_width",
-                    "energy", "norm_drift"], rows),
+        _write_trajectory(outdir / "ramp_trajectory.csv", traj),
         _write_json(outdir / "ramp.json", {
             "params": params.to_dict(), "kind": cfg.kind,
             "ramp_duration_internal": proto.duration,
@@ -403,10 +436,11 @@ def cmd_scan(cfg, outdir):
                               float("nan") if tr.delta_c is None else tr.delta_c,
                               len(tr.crossings),
                               ";".join(f"{lo:.11e}..{hi:.11e}"
-                                       for lo, hi in tr.crossings)))
+                                       for lo, hi in tr.crossings),
+                              tr.message))
         files.append(_write_csv(outdir / "transitions.csv",
                                 ["kind", "u_over_j", "delta_c_over_j",
-                                 "n_crossings", "crossings"], trows))
+                                 "n_crossings", "crossings", "message"], trows))
     if res.phases is not None:
         prows = [[float(u)] + list(res.phases[i]) for i, u in enumerate(us)]
         files.append(_write_csv(outdir / "phases.csv", header, prows))
@@ -556,9 +590,10 @@ def cmd_fit(cfg, outdir):
 
 
 def cmd_bragg_schedule(cfg, outdir):
+    units = _internal_units(cfg)
     params = ModelParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j, phi=cfg.phi)
-    sched = bragg_detunings(params, recoil_joule=H_SI * cfg.recoil_khz * 1e3,
-                            j_energy_joule=H_SI * cfg.j_hz)
+    sched = bragg_detunings(params, recoil_joule=units.recoil_joule,
+                            j_energy_joule=units.j_joule)
     rows = [(int(j + sched.site_offset),
              float(sched.detunings[j] / (2.0 * np.pi)),
              float(sched.phases[j]))
@@ -597,7 +632,7 @@ COMMANDS = {
              u_min=-0.8, u_max=0.8, u_step=0.2)),
     "ramp": (cmd_ramp, "finite-velocity state preparation",
              dict(MODEL, **SI, **SOLVER, kind="gs", velocity_hz_per_ms=275.0,
-                  j_target_hz=275.0, hold_ms=0.0, dt=DEFAULT_DT, stride=100)),
+                  hold_ms=0.0, dt=DEFAULT_DT, stride=100)),
     "scan": (cmd_scan, "r over the (U, Delta) grid with transitions",
              dict(L=21, phi=0.0, kind="both", preparation="exact",
                   delta_min=0.0, delta_max=4.0, delta_step=0.05,

@@ -47,10 +47,10 @@ NORM_ABORT = 1e-6
 class RampProtocol:
     """Linear switch-on of the hopping, J(t) = J_target * t / duration.
 
-    All fields are in internal units (time in hbar/J_target). The SI recipe
-    J(t)/hbar = 2 pi v t with v in Hz/ms is mapped by `from_si`; the default
-    experimental numbers v = 275 Hz/ms ramping to J/hbar = 2 pi x 275 Hz give
-    duration = 1 ms, i.e. tau_f = 2 pi x 0.275 in internal time.
+    All fields are in internal units (time in hbar/J_target); the CLI maps
+    the SI recipe J(t)/h = v t with v in Hz/ms. EXPERIMENT_RAMP is the
+    experiment's: v = 275 Hz/ms up to J/h = 275 Hz takes 1 ms, i.e.
+    tau_f = 2 pi x 0.275 in internal time.
     """
     duration: float
     hold: float = 0.0
@@ -64,17 +64,6 @@ class RampProtocol:
         if self.target not in ("ground", "highest-excited"):
             raise ValueError(f"unknown ramp target {self.target!r}")
 
-    @classmethod
-    def from_si(cls, velocity_hz_per_ms=275.0, j_target_hz=275.0, hold_ms=0.0):
-        """Internal protocol for a ramp at `velocity_hz_per_ms` up to
-        J/hbar = 2 pi * j_target_hz, aimed at the ground state (for_kind)."""
-        if velocity_hz_per_ms <= 0 or j_target_hz <= 0:
-            raise ValueError("ramp velocity and target rate must be positive")
-        duration_s = j_target_hz / (velocity_hz_per_ms * 1e3)
-        to_internal = 2.0 * np.pi * j_target_hz
-        return cls(duration=to_internal * duration_s,
-                   hold=to_internal * hold_ms * 1e-3)
-
     def for_kind(self, kind) -> "RampProtocol":
         """The same ramp aimed at the ground ("gs") or highest-excited ("es")
         state."""
@@ -85,6 +74,9 @@ class RampProtocol:
     def hopping_fraction(self, t: float) -> float:
         """J(t)/J_target: linear up to 1 at t = duration, then flat."""
         return min(max(t, 0.0) / self.duration, 1.0)
+
+
+EXPERIMENT_RAMP = RampProtocol(duration=2.0 * np.pi * 275.0 * 1e-3)
 
 
 @dataclass

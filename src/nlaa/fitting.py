@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import leastsq
 
-from .dynamics import RampProtocol, ramp_prepare
+from .dynamics import EXPERIMENT_RAMP, ramp_prepare
 from .model import ModelParams, participation_of
 
 MIN_LEFT_POINTS = 3
@@ -214,7 +214,7 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
                            floor=0.0, seed=12345, phi=0.0, dt=1e-3):
     """Emulated measured r(Delta) points from ramp-prepared states.
 
-    All Deltas are prepared by RampProtocol.from_si() in one batched
+    All Deltas are prepared by EXPERIMENT_RAMP in one batched
     propagation (each row bitwise equal to its lone ramp); then, in Delta
     order, an optional uniform population floor is added on all sites before
     renormalization (n -> (n + floor)/sum), and Gaussian noise of width
@@ -222,7 +222,7 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
     identical arguments and seed reproduce the array bitwise.
     """
     rng = np.random.default_rng(seed)
-    proto = RampProtocol.from_si().for_kind(kind)
+    proto = EXPERIMENT_RAMP.for_kind(kind)
     deltas = np.asarray(deltas, dtype=float)
     params = [ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
               for delta in deltas]

@@ -16,8 +16,8 @@ the other modules and the public observables below all call them.
 
 Conventions used throughout the package:
 - internal units: hbar = 1, energies in units of J, time in hbar/J;
-  SI conversion happens only at the CLI boundary (nlaa.cli converts the
-  SI option group and --t-final-ms at ingress).
+  SI conversion happens only at the CLI boundary, in nlaa.cli's
+  _internal_units (bragg_detunings below is an SI design helper).
 - sites are indexed j = 0..L-1 inside the cosine; any centered labeling
   is absorbed by the disorder phase phi and the `center` field of states.
 - open (hard-wall) boundaries: phi_{-1} = phi_L = 0.
@@ -35,7 +35,8 @@ BETA_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # parameter sets past this are accepted but flagged
 SELF_TRAPPING_RATIO = 1.5
 
-# SI constants (CODATA-sized, for boundary conversions only)
+# SI constants (CODATA-sized, for the CLI's boundary conversion and
+# bragg_detunings only)
 HBAR_SI = 1.054571817e-34      # J s
 H_SI = 6.62607015e-34          # J s
 BOHR_RADIUS_SI = 5.29177210903e-11   # m
@@ -238,35 +239,6 @@ def density_fourier_coefficients(state, beta=BETA_GOLDEN, max_harmonic=2):
     for m in range(1, max_harmonic + 1):
         coeffs.append(2.0 / L * np.sum(n * np.cos(2.0 * np.pi * beta * m * j)))
     return np.array(coeffs)
-
-
-# -------------------------
-# Physical-unit conversion
-# -------------------------
-
-@dataclass(frozen=True)
-class InteractionConversion:
-    """Mean-field interaction energy from scattering parameters.
-
-    U = 4 pi hbar^2 a rho / m with a the s-wave scattering length, rho the
-    mean density and m the caesium-133 mass; sign(U) = sign(a).
-    """
-    scattering_length_a0: float          # in Bohr radii
-    density_per_cm3: float = 2.0e13
-
-    def __post_init__(self):
-        if self.density_per_cm3 <= 0:
-            raise ValueError("density must be positive")
-
-    @property
-    def scattering_length_m(self) -> float:
-        return self.scattering_length_a0 * BOHR_RADIUS_SI
-
-
-def scattering_length_to_U(conv: InteractionConversion) -> float:
-    """U in Joules from U = 4 pi hbar^2 a rho / m."""
-    rho_si = conv.density_per_cm3 * 1e6   # cm^-3 -> m^-3
-    return 4.0 * np.pi * HBAR_SI ** 2 * conv.scattering_length_m * rho_si / CS_MASS_SI
 
 
 # -------------------------

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .dynamics import RampProtocol, ramp_prepare
+from .dynamics import EXPERIMENT_RAMP, RampProtocol, ramp_prepare
 from .eigensolve import SolverOptions, batched_starts, linear_spectrum, solve_state
 from .model import ModelParams, participation_ratio, quasiperiodic_potential
 
@@ -172,7 +172,7 @@ class ScanGrid:
         if self.preparation not in ("exact", "ramped"):
             raise ValueError(f"unknown preparation {self.preparation!r}")
         if self.preparation == "ramped" and self.ramp is None:
-            object.__setattr__(self, "ramp", RampProtocol.from_si())
+            object.__setattr__(self, "ramp", EXPERIMENT_RAMP)
 
     @property
     def kinds(self):

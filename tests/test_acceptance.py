@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from nlaa.dynamics import RampProtocol, evolve, ramp_prepare, \
+from nlaa.dynamics import EXPERIMENT_RAMP, evolve, ramp_prepare, \
     transport_experiment
 from nlaa.eigensolve import linear_spectrum, solve_state
 from nlaa.fitting import fit_transition, piecewise_model
@@ -207,7 +207,7 @@ def test_criterion_09_gaa_exact_mobility_edge():
 def test_criterion_10_ramp_non_adiabaticity():
     # v = 275 Hz/ms to J/h = 275 Hz: shallow lattice (Delta/J = 0.5) is
     # strongly non-adiabatic, deep lattice (Delta/J = 3) is faithful
-    proto = RampProtocol.from_si(velocity_hz_per_ms=275.0, j_target_hz=275.0)
+    proto = EXPERIMENT_RAMP
 
     p_shallow = ModelParams(L=21, J=1.0, Delta=0.5)
     ramped, _ = ramp_prepare(p_shallow, proto)

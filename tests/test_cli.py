@@ -6,11 +6,16 @@ import csv
 import hashlib
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nlaa.cli import main
+from nlaa.dynamics import EXPERIMENT_RAMP
 from nlaa.fitting import piecewise_model
 
 SIG12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -161,6 +166,109 @@ def test_si_without_anchor_exits_2(tmp_path):
     assert rc == 2
 
 
+# (argv, SI option, bad value, message): --j-hz is the anchor (> 0) except
+# in bragg-schedule (>= 0, where 0 drops the on-site term)
+BAD_SI = [
+    (["bragg-schedule"], "j_hz", "nan", "--j-hz must be finite and >= 0"),
+    (["bragg-schedule"], "j_hz", "inf", "--j-hz must be finite and >= 0"),
+    (["bragg-schedule", "--delta-over-j", "1"], "j_hz", "-275",
+     "--j-hz must be finite and >= 0"),
+    (["bragg-schedule"], "recoil_khz", "nan", "--recoil-khz must be finite and > 0"),
+    (["bragg-schedule"], "recoil_khz", "0", "--recoil-khz must be finite and > 0"),
+    (["solve"], "j_hz", "nan", "--j-hz must be finite and > 0"),
+    (["solve"], "j_hz", "0", "--j-hz must be finite and > 0"),
+    (["solve"], "j_hz", "-inf", "--j-hz must be finite and > 0"),
+    (["solve", "--j-hz", "275"], "delta_hz", "inf", "--delta-hz must be finite"),
+    (["solve", "--j-hz", "275"], "scattering_length_a0", "nan",
+     "--scattering-length-a0 must be finite"),
+    (["solve", "--j-hz", "275"], "density_per_cm3", "0",
+     "--density-per-cm3 must be finite and > 0"),
+    (["solve"], "density_per_cm3", "-inf",
+     "--density-per-cm3 must be finite and > 0"),
+    (["evolve", "--t-final-ms", "1"], "j_hz", "nan",
+     "--j-hz must be finite and > 0"),
+    (["evolve", "--j-hz", "275"], "t_final_ms", "nan",
+     "--t-final-ms must be finite"),
+    (["ramp"], "velocity_hz_per_ms", "0",
+     "--velocity-hz-per-ms must be finite and > 0"),
+    (["ramp"], "velocity_hz_per_ms", "-275",
+     "--velocity-hz-per-ms must be finite and > 0"),
+    (["ramp"], "velocity_hz_per_ms", "nan",
+     "--velocity-hz-per-ms must be finite and > 0"),
+    (["ramp"], "hold_ms", "nan", "--hold-ms must be finite"),
+    (["ramp"], "hold_ms", "inf", "--hold-ms must be finite"),
+    (["ramp"], "j_hz", "inf", "--j-hz must be finite and > 0"),
+]
+
+
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, dest, value, message", BAD_SI,
+                         ids=[" ".join(a + [d, v]) for a, d, v, _ in BAD_SI])
+def test_bad_si_values_exit_2_before_any_work(tmp_path, capsys, argv, dest,
+                                              value, message, as_config):
+    out = tmp_path / "out"
+    if as_config:      # json writes nan and inf as NaN and Infinity
+        extra = ["--config", _config_file(tmp_path, {dest: float(value)})]
+    else:
+        extra = [f"--{dest.replace('_', '-')}={value}"]
+    assert main(argv + extra + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# Hz inputs scale by s, Hz/ms by s^2, the scattering length by s (U is
+# linear in it) and ms inputs by 1/s; (argv, output, internal values)
+SI_RUNS = [
+    (["solve", "--L", "5", "--j-hz", "275", "--delta-hz", "412.5",
+      "--scattering-length-a0", "25"], "solve.json", ("Delta", "U")),
+    (["evolve", "--L", "5", "--dt", "0.01", "--j-hz", "275",
+      "--t-final-ms", "0.05"], "evolve.json", ("t_final",)),
+    (["ramp", "--L", "5", "--dt", "0.01", "--j-hz", "275", "--delta-hz",
+      "412.5", "--velocity-hz-per-ms", "275", "--hold-ms", "0.1"],
+     "ramp.json", ("Delta", "ramp_duration_internal", "hold_internal")),
+]
+SI_POWERS = {"--j-hz": 1, "--delta-hz": 1, "--scattering-length-a0": 1,
+             "--velocity-hz-per-ms": 2, "--t-final-ms": -1, "--hold-ms": -1}
+
+
+def _internal_values(run, s):
+    argv, name, keys = SI_RUNS[run]
+    argv = [repr(float(tok) * s ** SI_POWERS[flag]) if flag in SI_POWERS
+            else tok for flag, tok in zip([None] + argv, argv)]
+    with tempfile.TemporaryDirectory() as out:
+        assert main(argv + ["--out", out]) == 0
+        got = _json(Path(out) / name)
+    return [got["params"][k] if k in ("Delta", "U") else got[k] for k in keys]
+
+
+@given(st.floats(min_value=1e-3, max_value=1e3))
+def test_internal_values_do_not_depend_on_the_lab_unit(s):
+    for run in range(len(SI_RUNS)):
+        assert _internal_values(run, s) == pytest.approx(
+            _internal_values(run, 1.0), rel=1e-12, abs=0)
+
+
+def test_ramp_ends_at_j_hz(tmp_path):
+    # the anchor sets the unit and the ramp: 100/275 ms up to J/h = 100 Hz
+    assert main(["ramp", "--j-hz", "100", "--delta-hz", "150",
+                 "--velocity-hz-per-ms", "275", "--out", str(tmp_path)]) == 0
+    rj = _json(tmp_path / "ramp.json")
+    assert rj["params"]["Delta"] == 1.5
+    assert rj["ramp_duration_internal"] == pytest.approx(
+        2 * np.pi * 100 * (100 / 275) * 1e-3, rel=1e-12)
+
+
+def test_ramp_without_j_hz_is_the_experiment_ramp(tmp_path):
+    for argv in ([], ["--j-hz", "275"]):
+        out = tmp_path / str(len(argv))
+        assert main(["ramp", "--L", "5", "--dt", "0.01", "--hold-ms", "0.5",
+                     *argv, "--out", str(out)]) == 0
+        rj = _json(out / "ramp.json")
+        assert rj["ramp_duration_internal"] == EXPERIMENT_RAMP.duration
+        assert rj["hold_internal"] == pytest.approx(
+            0.5 * EXPERIMENT_RAMP.duration, rel=1e-12)
+
+
 # -------------------------
 # evolve / interaction-sweep / ramp
 # -------------------------
@@ -256,10 +364,11 @@ def test_scan_detect_writes_transitions(tmp_path):
     assert rc == 0
     header, rows = _rows(tmp_path / "transitions.csv")
     assert header == ["kind", "u_over_j", "delta_c_over_j", "n_crossings",
-                      "crossings"]
+                      "crossings", "message"]
     assert rows[0][0] == "gs"
     dc = float(rows[0][2])
     assert 1.5 < dc < 2.5                               # AA point at U=0
+    assert rows[0][-1] == ""
 
 
 @pytest.mark.parametrize("changed", [["--phi", "1"], ["--residual-tol", "1e-5"],
@@ -320,8 +429,8 @@ def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path):
     assert set(rows[grid]) < set(rows[detect])
     assert ("gs", 0.25, 1.5) in rows[grid]
     assert ("es", -0.25, 1.625) in set(rows[detect]) - set(rows[grid])
-    _, trans = _rows(detect / "transitions.csv")
-    found = {(kind, float(u)): (dc, int(n)) for kind, u, dc, n, _ in trans}
+    found = {(kind, float(u)): (dc, int(n))
+             for kind, u, dc, n, _, _ in _transitions(detect)}
     assert found[("gs", 0.25)] == ("nan", 1)             # the grid's bracket kept
     assert found[("es", -0.25)][0] == "nan"
     assert all(found[(kind, 0.0)][0] != "nan" for kind in ("gs", "es"))
@@ -329,6 +438,28 @@ def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path):
     labels = {float(row[0]): set(row[1:]) for row in phases}
     assert labels[0.25] == labels[-0.25] == {"?"}
     assert "?" not in labels[0.0]
+
+
+def _transitions(out):
+    """transitions.csv rows; its message column may hold quoted commas."""
+    with open(out / "transitions.csv", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_transitions_csv_says_why_delta_c_is_nan(tmp_path):
+    assert main(["scan", "--L", "13", "--max-iterations", "300",
+                 "--delta-step", "0.5", "--out", str(tmp_path)]) == 0
+    why = re.compile(r"no downward crossing of r_c=|insufficient valid cells$"
+                     r"|refinement failed at Delta=")
+    messages = {}
+    for kind, u, dc, _, _, message in _transitions(tmp_path):
+        if dc == "nan":
+            assert why.match(message), message
+        else:
+            assert message == ""
+        messages.setdefault(dc == "nan", []).append(message)
+    assert len(messages[False]) == 2                     # U = 0, both kinds
+    assert {m.split(" ")[0] for m in messages[True]} == {"no", "refinement"}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
@@ -563,6 +694,7 @@ def test_no_detect_is_a_config_key(tmp_path):
     ["solve", "--seed", "3"],
     ["interaction-sweep", "--u-over-j", "0.3"],
     ["interaction-sweep", "--j-hz", "275", "--delta-hz", "550"],
+    ["ramp", "--j-target-hz", "275"],
 ], ids=" ".join)
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -572,7 +704,8 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv):
 
 @pytest.mark.parametrize("subcommand, key", [("solve", "seed"),
                                              ("interaction-sweep", "u_over_j"),
-                                             ("interaction-sweep", "j_hz")])
+                                             ("interaction-sweep", "j_hz"),
+                                             ("ramp", "j_target_hz")])
 def test_config_keys_a_subcommand_does_not_read_exit_2(tmp_path, subcommand,
                                                        key):
     cfg = _config_file(tmp_path, {key: 3})

@@ -1,5 +1,7 @@
 """Real-time propagation: quenches, ramps, conservation, oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from nlaa import (
     solve_state,
     transport_experiment,
 )
+from nlaa.dynamics import EXPERIMENT_RAMP
 
 # a short ramp keeps the batch tests fast; batching does not depend on length
 SHORT_RAMP = RampProtocol(duration=0.4, hold=0.1)
@@ -97,13 +100,15 @@ def test_constant_ramp_equals_plain_evolution():
 # Ramp protocol
 # -------------------------
 
-def test_from_si_default_duration():
-    proto = RampProtocol.from_si()
+def test_experiment_ramp_default_duration():
+    # v = 275 Hz/ms up to J/h = 275 Hz: 1 ms, the CLI's default ramp (its
+    # velocity > 0 check is in test_cli)
+    proto = EXPERIMENT_RAMP
     assert proto.duration == pytest.approx(2 * np.pi * 0.275, rel=1e-14)
     assert proto.hold == 0.0
     assert proto.target == "ground"
     with pytest.raises(ValueError):
-        RampProtocol.from_si(velocity_hz_per_ms=0.0)
+        RampProtocol(duration=0.0)
 
 
 def test_hopping_fraction_profile():
@@ -117,7 +122,7 @@ def test_hopping_fraction_profile():
 def test_ramp_starts_at_potential_minimum():
     p = ModelParams(L=21, J=1.0, Delta=1.3)
     eps = quasiperiodic_potential(p)
-    _, traj = ramp_prepare(p, RampProtocol.from_si())
+    _, traj = ramp_prepare(p, EXPERIMENT_RAMP)
     first = traj.states[0].density
     assert np.argmax(first) == np.argmin(eps)
     assert first[np.argmin(eps)] == pytest.approx(1.0, abs=1e-12)
@@ -126,7 +131,7 @@ def test_ramp_starts_at_potential_minimum():
 def test_ramp_flat_potential_starts_at_lowest_index():
     # all eps equal: the tie breaks toward the lowest site index
     p = ModelParams(L=13, J=1.0, Delta=0.0)
-    _, traj = ramp_prepare(p, RampProtocol.from_si())
+    _, traj = ramp_prepare(p, EXPERIMENT_RAMP)
     assert np.argmax(traj.states[0].density) == 0
 
 
@@ -135,7 +140,7 @@ def test_ramp_excited_target_starts_at_potential_maximum():
     # original potential is highest
     p = ModelParams(L=21, J=1.0, Delta=1.3)
     eps = quasiperiodic_potential(p)
-    proto = RampProtocol.from_si().for_kind("es")
+    proto = EXPERIMENT_RAMP.for_kind("es")
     _, traj = ramp_prepare(p, proto)
     assert np.argmax(traj.states[0].density) == np.argmax(eps)
 
@@ -143,7 +148,7 @@ def test_ramp_excited_target_starts_at_potential_maximum():
 def test_slow_ramp_approaches_exact_state():
     # at Delta/J = 3 the default experimental ramp is nearly adiabatic
     p = ModelParams(L=21, J=1.0, Delta=3.0)
-    final, _ = ramp_prepare(p, RampProtocol.from_si())
+    final, _ = ramp_prepare(p, EXPERIMENT_RAMP)
     exact = solve_state(p, "gs")
     from nlaa import participation_ratio
     assert abs(participation_ratio(final)
@@ -152,16 +157,16 @@ def test_slow_ramp_approaches_exact_state():
 
 def test_hold_extends_total_time():
     p = ModelParams(L=13, J=1.0, Delta=1.0)
-    proto = RampProtocol.from_si(hold_ms=0.5)
+    # a 0.5 ms hold (test_cli checks that --hold-ms 0.5 gives this hold)
+    proto = replace(EXPERIMENT_RAMP, hold=0.5 * EXPERIMENT_RAMP.duration)
     _, traj = ramp_prepare(p, proto)
     # the integrator takes whole dt steps, so the endpoint rounds to dt/2
     assert traj.times[-1] == pytest.approx(proto.duration + proto.hold,
                                            abs=5e-4)
-    assert proto.hold == pytest.approx(0.5 * proto.duration, rel=1e-12)
 
 
 def test_for_kind_sets_the_target():
-    proto = RampProtocol.from_si(hold_ms=0.5)
+    proto = replace(EXPERIMENT_RAMP, hold=0.5 * EXPERIMENT_RAMP.duration)
     es = proto.for_kind("es")
     assert es.target == "highest-excited"
     assert (es.duration, es.hold) == (proto.duration, proto.hold)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlaa import fitting
-from nlaa.dynamics import RampProtocol, ramp_prepare
+from nlaa.dynamics import EXPERIMENT_RAMP, RampProtocol, ramp_prepare
 from nlaa.fitting import (
     BootstrapResult,
     FitResult,
@@ -314,7 +314,7 @@ def test_non_finite_data_is_rejected_at_ingress(column, name, bad):
 # -------------------------
 
 def test_synthesize_matches_direct_ramp_preparation():
-    proto = RampProtocol.from_si()
+    proto = EXPERIMENT_RAMP
     out = synthesize_measurement(0.3, [1.0, 2.5], L=13)
     noisy = synthesize_measurement(0.3, [1.0, 2.5], L=13, noise_sigma=0.01,
                                    seed=5)
@@ -330,7 +330,7 @@ def test_synthesize_matches_direct_ramp_preparation():
 
 
 def test_synthesize_es_kind_uses_excited_target():
-    proto = RampProtocol.from_si()
+    proto = EXPERIMENT_RAMP
     excited = RampProtocol(duration=proto.duration, hold=proto.hold,
                            target="highest-excited")
     out = synthesize_measurement(0.3, [1.5], L=13, kind="es")

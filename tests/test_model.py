@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nlaa import (
     BETA_GOLDEN,
-    InteractionConversion,
     LatticeState,
     ModelParams,
     apply_hamiltonian,
@@ -21,7 +20,6 @@ from nlaa import (
     momentum_width,
     participation_ratio,
     quasiperiodic_potential,
-    scattering_length_to_U,
 )
 from nlaa.model import H_SI, HBAR_SI, apply_stencil, energy_of, participation_of
 
@@ -225,13 +223,22 @@ def test_kernels_compute_each_row_as_alone(B, L, is_complex, per_row, seed):
 # Units and schedules
 # -------------------------
 
+def _si_units(**si):
+    """The CLI's internal units of a `solve` config with the SI values `si`."""
+    from types import SimpleNamespace
+
+    from nlaa.cli import COMMANDS, _internal_units
+    return _internal_units(SimpleNamespace(**{**COMMANDS["solve"][2], **si}))
+
+
 def test_scattering_length_conversion():
-    conv = InteractionConversion(scattering_length_a0=100.0)
-    u_joule = scattering_length_to_U(conv)
-    assert u_joule / H_SI == pytest.approx(101.147, rel=1e-4)
-    assert u_joule / (H_SI * 275.0) == pytest.approx(0.36781, rel=1e-4)
-    neg = InteractionConversion(scattering_length_a0=-50.0)
-    assert scattering_length_to_U(neg) < 0
+    # a = 100 a0 at the default 2e13 cm^-3: U/h = 101.147 Hz (U over a 1 Hz
+    # anchor), U/J = 0.36781 at J/h = 275 Hz; sign(U) = sign(a)
+    assert _si_units(j_hz=1.0, scattering_length_a0=100.0).u == \
+        pytest.approx(101.147, rel=1e-4)
+    assert _si_units(j_hz=275.0, scattering_length_a0=100.0).u == \
+        pytest.approx(0.36781, rel=1e-4)
+    assert _si_units(j_hz=275.0, scattering_length_a0=-50.0).u < 0
 
 
 def test_bragg_detunings_flat_lattice():
