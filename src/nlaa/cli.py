@@ -29,8 +29,9 @@ import scipy
 from . import __version__
 from .dynamics import DEFAULT_DT, RampProtocol, ramp_prepare, transport_experiment
 from .eigensolve import SolverOptions, solve_state
-from .fitting import (MIN_RESAMPLES, UnidentifiableFitError, bootstrap_delta_c,
-                      fit_transition, synthesize_measurement)
+from .fitting import (MIN_LEFT_POINTS, MIN_RESAMPLES, UnidentifiableFitError,
+                      bootstrap_delta_c, fit_transition,
+                      synthesize_measurement)
 from .gaa import GaaParams, extract_alpha_star, gaa_classify_spectrum
 from .model import (BOHR_RADIUS_SI, CS_MASS_SI, H_SI, HBAR_SI, ModelParams,
                     bragg_detunings, momentum_width, participation_ratio)
@@ -199,9 +200,10 @@ def _internal_units(cfg):
     """The lab-unit inputs of a merged config in internal units, each checked
     before any work runs: the one place SI values enter. J/h = --j-hz is the
     one anchor of Delta, U and times in ms; the ramp ends there, or at 275 Hz
-    without it. Returns delta and u, t_final (evolve) and ramp (ramp);
-    bragg-schedule keeps SI (recoil_joule, j_joule), and its --j-hz may be 0,
-    which drops the on-site term."""
+    without it. Returns delta and u, t_final (evolve) and ramp (ramp), whose
+    times are checked again after conversion: finite and >= 0, the ramp
+    duration > 0. bragg-schedule keeps SI (recoil_joule, j_joule), and its
+    --j-hz may be 0, which drops the on-site term."""
     si = {k: v for k, v in vars(cfg).items()
           if k in _SI_OPTIONS and v is not None}
     bragg = "recoil_khz" in si
@@ -233,15 +235,31 @@ def _internal_units(cfg):
     elif si.keys() & {"delta_hz", "scattering_length_a0", "t_final_ms"}:
         raise ConfigError("--delta-hz, --scattering-length-a0 and "
                           "--t-final-ms need the --j-hz anchor")
+    anchor = "--j-hz and " if "j_hz" in si else ""
     j_hz = 275.0 if j_hz is None else j_hz          # the experiment's ramp end
     per_s = 2.0 * np.pi * j_hz                      # hbar/J per second
     if "t_final_ms" in si:
         units.t_final = per_s * si["t_final_ms"] * 1e-3
+        _check_time("t_final", units.t_final, anchor + "--t-final-ms")
+    elif units.t_final is not None:
+        _check_time("t_final", units.t_final, "--t-final")
     if "velocity_hz_per_ms" in si:
-        units.ramp = RampProtocol(
-            duration=per_s * (j_hz / (si["velocity_hz_per_ms"] * 1e3)),
-            hold=per_s * si["hold_ms"] * 1e-3)
+        duration = per_s * (j_hz / (si["velocity_hz_per_ms"] * 1e3))
+        hold = per_s * si["hold_ms"] * 1e-3
+        _check_time("ramp duration", duration, anchor + "--velocity-hz-per-ms",
+                    positive=True)
+        _check_time("hold", hold, anchor + "--hold-ms")
+        units.ramp = RampProtocol(duration=duration, hold=hold)
     return units
+
+
+def _check_time(name, value, flags, positive=False):
+    """Reject an internal time (hbar/J) that is not finite or is below 0
+    (at or below 0 if `positive`), naming the flags it was converted from:
+    a finite lab value can still overflow or underflow on conversion."""
+    if not (0.0 < value < np.inf if positive else 0.0 <= value < np.inf):
+        raise ConfigError(f"the {name} from {flags} is {value} hbar/J; it "
+                          f"must be finite and {'>' if positive else '>='} 0")
 
 
 def _params_from(cfg):
@@ -553,6 +571,10 @@ def cmd_fit(cfg, outdir):
         except ValueError as exc:
             raise ConfigError(f"data file is not numeric CSV: {exc}") from exc
     elif cfg.synthesize:
+        if cfg.n_points < MIN_LEFT_POINTS + 1:
+            raise ConfigError(f"--n-points must be at least "
+                              f"{MIN_LEFT_POINTS + 1} for a fit, got "
+                              f"{cfg.n_points}")
         deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.n_points)
         data = synthesize_measurement(cfg.u_over_j, deltas, L=cfg.L,
                                       kind=cfg.kind,

@@ -57,10 +57,12 @@ class RampProtocol:
     target: str = "ground"        # "ground" | "highest-excited"
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("ramp duration must be positive")
-        if self.hold < 0:
-            raise ValueError("hold time must be nonnegative")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"ramp duration must be finite and positive, "
+                             f"got {self.duration}")
+        if not 0 <= self.hold < np.inf:
+            raise ValueError(f"hold time must be finite and nonnegative, "
+                             f"got {self.hold}")
         if self.target not in ("ground", "highest-excited"):
             raise ValueError(f"unknown ramp target {self.target!r}")
 
@@ -131,9 +133,12 @@ class _Chain:
 def _column(values):
     """Per-row values as one scalar when all rows share it, else a (B, 1)
     column. A shared scalar spares every step the broadcast of a column; the
-    elementwise arithmetic is the same either way."""
+    elementwise arithmetic is the same either way. No rows give an empty
+    column, so that `evolve` reports the empty batch."""
     values = np.array(values, dtype=float)
-    return float(values[0]) if np.all(values == values[0]) else values[:, None]
+    if values.size and np.all(values == values[0]):
+        return float(values[0])
+    return values[:, None]
 
 
 def _rhs(eps, U, J, v):
@@ -164,10 +169,11 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
     raise is dropped at that step and holds the message instead. A lone
     chain is propagated as a batch of one.
     """
-    if dt <= 0 or dt > 0.01:
-        raise ValueError("dt must lie in (0, 0.01] (units hbar/J)")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not 0 < dt <= 0.01:
+        raise ValueError(f"dt must lie in (0, 0.01] (units hbar/J), got {dt}")
+    if not 0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, "
+                         f"got {t_final}")
     if not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1:
         raise ValueError(f"snapshot stride must be an integer >= 1, "
                          f"got {snapshot_stride!r}")

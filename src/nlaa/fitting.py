@@ -14,8 +14,19 @@ exactly over the discontinuity: Delta_c is grid-searched over the data
 interval midpoints; for each candidate, B is the (weighted) mean of the
 right branch and (A, gamma) are fit on the left branch — log-linear seed,
 then local nonlinear refinement. The candidate with the globally smallest
-total RSS wins. Uncertainty on Delta_c comes from residual-resampling
-bootstrap refits.
+total RSS wins; among equal totals, the first in Delta_c order wins.
+Uncertainty on Delta_c comes from residual-resampling bootstrap refits.
+
+Most candidates need no left-branch fit. A candidate's total is
+rss = fl(left + right), where right, the RSS of the flat branch about B,
+is known before any fit and left, a sum of squares, is >= 0. IEEE rounding
+is monotonic, so fl(left + right) >= right: a candidate whose right
+exceeds the best total found so far cannot win. The left branches are
+therefore fit in order of increasing right (ties by position), and the
+search stops at the first candidate whose right is strictly greater than
+the best total. A candidate whose right equals it is still fit, since its
+total may tie and it may come first. The result is bitwise the one the
+exhaustive search over all candidates gives.
 
 The local refinement is Levenberg-Marquardt: MINPACK `lmder` through
 `scipy.optimize.leastsq`, fed the forward-difference Jacobian that scipy's
@@ -169,35 +180,42 @@ def fit_transition(data) -> FitResult:
         raise UnidentifiableFitError(
             f"need at least {MIN_LEFT_POINTS + 1} points, got {n}")
 
+    # Pass 1: B, the usability checks and the right-branch RSS of every
+    # candidate. delta is sorted, so its left branch is the prefix delta[:m].
     candidates = 0.5 * (delta[:-1] + delta[1:])
-    best = None
-    for dc in candidates:
-        left = delta <= dc
-        n_left = int(left.sum())
-        if n_left < MIN_LEFT_POINTS or n_left == n:
+    n_left = np.searchsorted(delta, candidates, "right")
+    usable = []
+    for i, (dc, m) in enumerate(zip(candidates, n_left)):
+        if m < MIN_LEFT_POINTS or m == n:
             continue
-        wl, wr = w[left], w[~left]
-        B = float(np.sum(wr ** 2 * r[~left]) / np.sum(wr ** 2))
+        wr = w[m:]
+        wr2 = wr ** 2
+        B = float((wr2 * r[m:]).sum() / wr2.sum())
         if B < 0:
             continue
-        y = r[left] - B
-        if np.any(y <= 0):
+        if (r[:m] - B <= 0).any():
             continue        # gamma fit would diverge for this candidate
-        coef = np.polyfit(np.log(delta[left]), np.log(y), 1)
-        seed = (float(np.exp(coef[1])), float(-coef[0]))
+        usable.append((((wr * (r[m:] - B)) ** 2).sum(), i, float(dc), m, B))
 
-        dl, rl = delta[left], r[left]
+    # Pass 2: fit the left branches in (right, index) order (a stable sort);
+    # rss >= right, so once right exceeds the best rss no later one can win.
+    best, best_key = None, None
+    for right, i, dc, m, B in sorted(usable, key=lambda c: c[0]):
+        if best is not None and right > best.rss:
+            break
+        wl, dl, rl = w[:m], delta[:m], r[:m]
+        coef = np.polyfit(np.log(dl), np.log(rl - B), 1)
+        seed = (float(np.exp(coef[1])), float(-coef[0]))
 
         def res_left(p):
             return wl * (p[0] * dl ** (-p[1]) + B - rl)
 
         sol = least_squares(res_left, seed)
         A, gamma = (float(sol.x[0]), float(sol.x[1]))
-        rss = float(np.sum(res_left((A, gamma)) ** 2)
-                    + np.sum((wr * (r[~left] - B)) ** 2))
-        if best is None or rss < best.rss:
-            best = FitResult(A=A, B=B, gamma=gamma, delta_c=float(dc),
-                             rss=rss, n_points=n)
+        rss = float((res_left((A, gamma)) ** 2).sum() + right)
+        if best is None or (rss, i) < best_key:
+            best, best_key = FitResult(A=A, B=B, gamma=gamma, delta_c=dc,
+                                       rss=rss, n_points=n), (rss, i)
 
     if best is None:
         raise UnidentifiableFitError(

@@ -248,6 +248,38 @@ def test_internal_values_do_not_depend_on_the_lab_unit(s):
             _internal_values(run, 1.0), rel=1e-12, abs=0)
 
 
+# (argv, message naming the flag): a value the SI checks let through, or an
+# internal one, that would break the work; each must exit 2 before any output
+BAD_WORK = [
+    (["ramp", "--j-hz", "1e200"],
+     "ramp duration from --j-hz and --velocity-hz-per-ms is inf"),
+    (["ramp", "--j-hz", "1e-200"],
+     "ramp duration from --j-hz and --velocity-hz-per-ms is 0.0"),
+    (["ramp", "--j-hz", "1e160", "--velocity-hz-per-ms", "1e300",
+      "--hold-ms", "1e200"], "hold from --j-hz and --hold-ms is inf"),
+    (["ramp", "--hold-ms=-1"], "hold from --hold-ms is -"),
+    (["evolve", "--t-final", "nan"], "t_final from --t-final is nan"),
+    (["evolve", "--t-final", "inf"], "t_final from --t-final is inf"),
+    (["evolve", "--t-final=-1"], "t_final from --t-final is -1.0"),
+    (["evolve", "--j-hz", "1e300", "--t-final-ms", "1e300"],
+     "t_final from --j-hz and --t-final-ms is inf"),
+    (["evolve", "--dt", "nan"], "dt must lie in (0, 0.01]"),
+    (["fit", "--synthesize", "--dt", "nan"], "dt must lie in (0, 0.01]"),
+    (["fit", "--synthesize", "--n-points", "0"], "--n-points must be at least"),
+    (["fit", "--synthesize", "--n-points", "3"], "--n-points must be at least"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_WORK,
+                         ids=[" ".join(argv) for argv, _ in BAD_WORK])
+def test_values_that_break_the_work_exit_2_naming_the_flag(tmp_path, capsys,
+                                                           argv, message):
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--L", "5"] + argv[1:] + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_ramp_ends_at_j_hz(tmp_path):
     # the anchor sets the unit and the ramp: 100/275 ms up to J/h = 100 Hz
     assert main(["ramp", "--j-hz", "100", "--delta-hz", "150",

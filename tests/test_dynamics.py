@@ -27,12 +27,30 @@ SHORT_RAMP = RampProtocol(duration=0.4, hold=0.1)
 def test_dt_validation():
     p = ModelParams(L=11, J=1.0)
     st = LatticeState.single_site(11, 5)
-    with pytest.raises(ValueError):
-        evolve(p, st, 1.0, dt=0.02)
-    with pytest.raises(ValueError):
-        evolve(p, st, 1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        evolve(p, st, -1.0)
+    for dt in (0.02, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must lie in"):
+            evolve(p, st, 1.0, dt=dt)
+    for t_final in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            evolve(p, st, t_final)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(duration=np.nan), "ramp duration"),
+    (dict(duration=np.inf), "ramp duration"),
+    (dict(duration=1.0, hold=np.nan), "hold time"),
+    (dict(duration=1.0, hold=np.inf), "hold time"),
+    (dict(duration=1.0, hold=-0.5), "hold time"),
+], ids=["duration-nan", "duration-inf", "hold-nan", "hold-inf",
+        "hold-negative"])
+def test_ramp_protocol_rejects_non_finite_times(kw, message):
+    with pytest.raises(ValueError, match=message):
+        RampProtocol(**kw)
+
+
+def test_empty_ramp_batch_is_rejected_like_an_empty_evolve():
+    with pytest.raises(ValueError, match="a batch needs at least one chain"):
+        ramp_prepare([], EXPERIMENT_RAMP)
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5])

@@ -104,9 +104,16 @@ def test_least_squares_lets_warnings_of_the_residuals_through():
         fitting.least_squares(fun, [0.0, 0.0])
 
 
-def _scipy_fit_transition(data):
-    """fit_transition's candidate loop on scipy's least_squares(method="lm"):
-    the reference the lean MINPACK path must reproduce bit for bit."""
+def _scipy_lm(fun, x0):
+    return scipy.optimize.least_squares(fun, x0, method="lm", max_nfev=2000)
+
+
+def _exhaustive_fit_transition(data, lm, totals=None):
+    """The exhaustive candidate search: every usable Delta_c candidate, in
+    order, gets its left-branch fit from `lm(fun, x0)`, and the first one with
+    the smallest total RSS wins. The reference fit_transition must reproduce
+    bit for bit. `totals`, if given, maps each usable candidate's Delta_c to
+    its (total RSS, right-branch RSS)."""
     delta, r, w = _as_columns(data)
     n = delta.size
     if n < fitting.MIN_LEFT_POINTS + 1:
@@ -131,16 +138,24 @@ def _scipy_fit_transition(data):
         def res_left(p):
             return wl * (p[0] * dl ** (-p[1]) + B - r[left])
 
-        sol = scipy.optimize.least_squares(res_left, seed, method="lm", max_nfev=2000)
+        sol = lm(res_left, seed)
         A, gamma = (float(sol.x[0]), float(sol.x[1]))
-        rss = float(np.sum(res_left((A, gamma)) ** 2)
-                    + np.sum((wr * (r[~left] - B)) ** 2))
+        right = np.sum((wr * (r[~left] - B)) ** 2)
+        rss = float(np.sum(res_left((A, gamma)) ** 2) + right)
+        if totals is not None:
+            totals[float(dc)] = (rss, float(right))
         if best is None or rss < best.rss:
             best = FitResult(A=A, B=B, gamma=gamma, delta_c=float(dc),
                              rss=rss, n_points=n)
     if best is None:
         raise UnidentifiableFitError("no usable candidate")
     return best
+
+
+def _scipy_fit_transition(data):
+    """The exhaustive search on scipy's least_squares(method="lm"): the
+    reference of both the pruning and the lean MINPACK path."""
+    return _exhaustive_fit_transition(data, _scipy_lm)
 
 
 def _scipy_bootstrap(data, n_resamples, seed):
@@ -194,6 +209,83 @@ def test_fit_and_bootstrap_equal_scipy_loop(n, weighted, seed, A, gamma, split, 
     assert (got_bs.n_resamples, got_bs.n_failures, got_bs.valid) == \
         (want_bs.n_resamples, want_bs.n_failures, want_bs.valid)
     assert got_bs.samples.tobytes() == want_bs.samples.tobytes()
+
+
+@settings(max_examples=25)
+@given(n=st.integers(4, 30), weighted=st.booleans(), repeated=st.booleans(),
+       flat=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from([0.0, 1e-9, 0.003, 0.03]))
+def test_pruned_search_equals_exhaustive_search(n, weighted, repeated, flat,
+                                                seed, noise):
+    # the exhaustive loop on nlaa's own least_squares: any difference is the
+    # pruning's, and each example stays cheap
+    rng = np.random.default_rng(seed)
+    if repeated:        # ties in Delta: equal candidates, equal branches
+        d = np.sort(rng.choice(np.linspace(0.2, 4.0, max(2, n // 3)), n))
+    else:
+        d = np.sort(rng.uniform(0.2, 4.0, n))
+    if flat:            # near-flat data: many candidates unusable
+        r = 0.05 + 1e-7 * rng.standard_normal(n)
+    else:
+        r = piecewise_model(d, rng.uniform(0.02, 1.0), 1.0 / 21.0,
+                            rng.uniform(0.3, 2.5),
+                            float(np.quantile(d, rng.uniform(0.2, 0.9))))
+    r = r + noise * rng.standard_normal(n)
+    data = np.column_stack([d, r, rng.uniform(0.005, 0.05, n)]) if weighted \
+        else np.column_stack([d, r])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            want = _exhaustive_fit_transition(data, fitting.least_squares)
+        except UnidentifiableFitError:
+            with pytest.raises(UnidentifiableFitError):
+                fit_transition(data)
+            return
+        assert _fit_fields(fit_transition(data)) == _fit_fields(want)
+
+
+def test_equal_totals_go_to_the_first_candidate():
+    # a point of negligible weight just past Delta_c makes the candidates on
+    # either side of it tie in total RSS in some noise draws, and rounding can
+    # leave the later one with the smaller right-branch RSS, so it is fit
+    # first: the earlier one must still win the tie
+    k = int(np.searchsorted(DELTAS, TRUE["delta_c"]))
+    sigma = np.full(DELTAS.size, 0.01)
+    sigma[k] = 1e12
+    early, late = 0.5 * (DELTAS[k - 1:k + 1] + DELTAS[k:k + 2])
+    inverted_ties = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        r = _clean_curve() + 0.01 * rng.standard_normal(DELTAS.size)
+        # on the power law, so that the later candidate is usable too
+        r[k] = TRUE["A"] * DELTAS[k] ** -TRUE["gamma"] + TRUE["B"]
+        data = np.column_stack([DELTAS, r, sigma])
+        totals = {}
+        want = _exhaustive_fit_transition(data, fitting.least_squares, totals)
+        assert _fit_fields(fit_transition(data)) == _fit_fields(want)
+        (rss_early, right_early), (rss_late, right_late) = \
+            totals[early], totals[late]
+        if want.rss == rss_early == rss_late and right_late < right_early:
+            inverted_ties += 1
+    assert inverted_ties >= 1
+
+
+def test_pruning_skips_most_left_branch_fits(monkeypatch):
+    # a search that fit every usable candidate would make 1939 calls here;
+    # the pruned one makes 222, about two per fit
+    rng = np.random.default_rng(0)
+    data = np.column_stack([DELTAS, _clean_curve()
+                            + 0.003 * rng.standard_normal(DELTAS.size)])
+    calls = []
+    least_squares = fitting.least_squares
+
+    def counted(fun, x0):
+        calls.append(None)
+        return least_squares(fun, x0)
+
+    monkeypatch.setattr(fitting, "least_squares", counted)
+    bootstrap_delta_c(data, n_resamples=100, seed=0)
+    assert 101 <= len(calls) <= 400
 
 
 # -------------------------
