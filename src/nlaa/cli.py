@@ -172,15 +172,22 @@ def _config(args):
 
 def _step(cfg, name):
     step = getattr(cfg, f"{name}_step")
-    if not step > 0:
-        raise ConfigError(f"--{name}-step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ConfigError(f"--{name}-step must be positive and finite, got {step}")
     return step
+
+
+def _finite(cfg, dest):
+    value = getattr(cfg, dest)
+    if not np.isfinite(value):
+        raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+    return value
 
 
 def _grid(cfg, name):
     """The grid <name>_min, <name>_min + step, ... up to <name>_max."""
     step = _step(cfg, name)
-    lo, hi = getattr(cfg, f"{name}_min"), getattr(cfg, f"{name}_max")
+    lo, hi = _finite(cfg, f"{name}_min"), _finite(cfg, f"{name}_max")
     if lo == hi:
         return np.array([lo])   # at large values hi + 0.5 * step rounds to hi
     grid = np.arange(lo, hi + 0.5 * step, step)
@@ -188,6 +195,17 @@ def _grid(cfg, name):
         raise ConfigError(f"empty grid: --{name}-max {hi} is below "
                           f"--{name}-min {lo}")
     return grid
+
+
+def _delta_window(cfg):
+    """--delta-step of phases and alpha-star, checked so that the Delta grid
+    0, step, ... up to --delta-max that transition_for_u solves holds at
+    least 2 samples."""
+    step, hi = _step(cfg, "delta"), _finite(cfg, "delta_max")
+    if not (hi + 0.5 * step) / step > 1:          # np.arange's length is the ceil
+        raise ConfigError(f"--delta-max {hi} with --delta-step {step} leaves "
+                          "fewer than 2 Delta samples from 0")
+    return step
 
 
 # SI options: those in _SI_POSITIVE must be finite and > 0, the rest finite
@@ -477,7 +495,7 @@ def _phase_boundary_task(task):
 
 def cmd_phases(cfg, outdir):
     us = _grid(cfg, "u")
-    kw = dict(L=cfg.L, delta_max=cfg.delta_max, delta_step=_step(cfg, "delta"),
+    kw = dict(L=cfg.L, delta_max=cfg.delta_max, delta_step=_delta_window(cfg),
               phi=cfg.phi, opts=_solver_opts(cfg))
     tasks = [(float(u), kind, kw) for u in us for kind in ("gs", "es")]
     if cfg.workers > 1:
@@ -499,12 +517,11 @@ def cmd_alpha_star(cfg, outdir):
         raise ConfigError(f"bad --u-values list: {exc}") from exc
     if not us:
         raise ConfigError("--u-values must name at least one interaction")
-    rows, table = [], []
+    rows, table, delta_step = [], [], _delta_window(cfg)
     for u in us:
         res = extract_alpha_star(u, L=cfg.L, phi=cfg.phi,
                                  energy_definition=cfg.energy_definition,
-                                 delta_max=cfg.delta_max,
-                                 delta_step=_step(cfg, "delta"),
+                                 delta_max=cfg.delta_max, delta_step=delta_step,
                                  opts=_solver_opts(cfg))
         table.append(res)
         rows.append((res.U, res.delta_c_gs, res.delta_c_es,

@@ -20,12 +20,16 @@ Stage B alone can limit-cycle when the interaction is defocusing and the
 low-energy landscape has several competing wells (density "sloshes" between
 them); the cascade detects the stall and lets stages A/C finish the job.
 
-Many cells that share L, J and U (a scan row) can run attempt 0's stages
-A and B as (B, L) arrays: batched_starts returns each cell's `start`, and
-solve_state(..., start=...) runs the rest of its cascade alone. The model's
+Many cells that share L (a scan's grid, or one bisection level of all its
+rows, of both kinds and any U) can run attempt 0's stages A and B as (B, L)
+arrays: batched_starts returns each cell's `start`, and
+solve_state(..., start=...) runs the rest of its cascade alone. Each row
+carries its own J and U, as (B, 1) columns in the stencil and the
+eps - U v^2 diagonal and as (B,) arrays in energy_of. The model's
 apply_stencil and energy_of and the residual act on (..., L) arrays, and
-stage B's LAPACK edge eigenpair runs row by row, so each row of the batch
-is computed bit for bit as the lone 1-D solve computes it.
+stage B's LAPACK edge eigenpair runs row by row on that row's own
+off-diagonal, so each row of the batch is computed bit for bit as the lone
+1-D solve computes it.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U), computed by the same solver and reported
@@ -183,7 +187,8 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
 
 
 def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
-    """_imag_time_block on every row of the (B, L) arrays `eps` and `v`.
+    """_imag_time_block on every row of the (B, L) arrays `eps` and `v`, with
+    row i's own hopping J[i] and interaction U[i] ((B,) arrays).
 
     Each row keeps its own step size, energy guard and exit, and gets the
     (v, step, iterations_used) the lone block returns for it, bit for bit.
@@ -198,7 +203,8 @@ def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
     live, step = np.arange(len(v)), out_step.copy()
     e_prev = energy_of(J, eps, U, v)
     for k in range(n_steps):
-        w = v - step[:, None] * apply_stencil(J, eps - U * v * v, v)
+        Jc, Uc = J[:, None], U[:, None]
+        w = v - step[:, None] * apply_stencil(Jc, eps - Uc * v * v, v)
         w /= np.sqrt(np.vecdot(w, w))[:, None]
         e = energy_of(J, eps, U, w)
         ok = ~(e > e_prev + 1e-15)                 # NaN is accepted, as alone
@@ -208,13 +214,13 @@ def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
         if k % 50:
             continue
         done = ok & (~np.isfinite(v).all(axis=-1)
-                     | (_residual_mu(J, eps, U, v)[0] < res_target))
+                     | (_residual_mu(Jc, eps, Uc, v)[0] < res_target))
         if done.any():
             rows = live[done]
             out_v[rows], out_step[rows], out_used[rows] = v[done], step[done], k + 1
             keep = ~done
-            live, v, eps, step, e_prev = (live[keep], v[keep], eps[keep],
-                                          step[keep], e_prev[keep])
+            live, v, eps, J, U, step, e_prev = (a[keep] for a in (
+                live, v, eps, J, U, step, e_prev))
             if not live.size:
                 break
     out_v[live], out_step[live] = v, step
@@ -253,38 +259,43 @@ def _scf_block(J, off, eps, U, v, max_steps, tol, budget):
     return best_res, best_v, used
 
 
-def _scf_rows(J, off, eps, U, v, max_steps, tol, budgets):
-    """_scf_block on every row of the (B, L) arrays `eps` and `v`, with the
-    (B,) integer array `budgets`.
+def _scf_rows(J, eps, U, v, max_steps, tol, budgets):
+    """_scf_block on every row of the (B, L) arrays `eps` and `v`, with row
+    i's own hopping J[i], interaction U[i] and budget budgets[i] ((B,)
+    arrays).
 
     Each row keeps its own density, mixing, stall window, best iterate and
     exit, and entry i of the returned list is the (best residual, best
     iterate, iterations_used) the lone block returns for row i, bit for
-    bit. Only the LAPACK edge pair runs row by row. A row whose frozen
-    Hamiltonian is not finite or whose edge pair fails leaves the batch
-    with None: the lone block raises there, and so does a lone rerun.
+    bit. Only the LAPACK edge pair runs row by row, on the row's own
+    off-diagonal. A row whose frozen Hamiltonian is not finite or whose edge
+    pair fails leaves the batch with None: the lone block raises there, and
+    so does a lone rerun.
     """
     n_steps = np.minimum(max_steps, budgets)
-    best_res, best_v = _residual_mu(J, eps, U, v)[0], v.copy()
+    best_res, best_v = _residual_mu(J[:, None], eps, U[:, None], v)[0], v.copy()
     out = [(best_res[i], best_v[i].copy(), 0) for i in range(len(v))]
     live = np.flatnonzero(n_steps > 0)
-    eps, n, best_res, best_v, n_steps = (eps[live], v[live] * v[live], best_res[live],
-                                         best_v[live], n_steps[live])
+    J, U, eps, n, best_res, best_v, n_steps = (J[live], U[live], eps[live],
+                                               v[live] * v[live], best_res[live],
+                                               best_v[live], n_steps[live])
+    off = np.repeat(J[:, None], eps.shape[-1] - 1, axis=-1)
     mix, window_best = np.full(live.size, SCF_MIXING), np.full(live.size, np.inf)
     k = 0
     while live.size:
-        h = eps - U * n
+        Jc, Uc = J[:, None], U[:, None]
+        h = eps - Uc * n
         ok = np.isfinite(h).all(axis=-1)
         u = np.zeros_like(h)                 # a failed row keeps u = 0 and leaves
         for j in np.flatnonzero(ok):
-            _, vec, info = _edge_pair(h[j], off, 1)
+            _, vec, info = _edge_pair(h[j], off[j], 1)
             if info != 0:
                 ok[j] = False
             else:
                 u[j] = vec
         flip = u[np.arange(live.size), np.argmax(np.abs(u), axis=-1)] < 0
         u[flip] = -u[flip]
-        res = _residual_mu(J, eps, U, u)[0]
+        res = _residual_mu(Jc, eps, Uc, u)[0]
         better = res < best_res
         best_res = np.where(better, res, best_res)
         best_v = np.where(better[:, None], u, best_v)
@@ -300,9 +311,9 @@ def _scf_rows(J, off, eps, U, v, max_steps, tol, budgets):
             for j in np.flatnonzero(done):
                 out[live[j]] = (best_res[j], best_v[j].copy(), k) if ok[j] else None
             keep = ~done
-            live, eps, n, best_res, best_v, n_steps, mix, window_best = (
-                a[keep] for a in (live, eps, n, best_res, best_v, n_steps, mix,
-                                  window_best))
+            live, J, U, off, eps, n, best_res, best_v, n_steps, mix, window_best = (
+                a[keep] for a in (live, J, U, off, eps, n, best_res, best_v, n_steps,
+                                  mix, window_best))
     return out
 
 
@@ -480,30 +491,31 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
 
 
 def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
-    """Attempt 0's stages A and B for cells of one kind that share L, J and U.
+    """Attempt 0's stages A and B for cells that share L.
 
-    `cells` is a sequence of ModelParams (the Delta, beta and phi may vary).
-    Both stages run on all of them as (B, L) arrays, and entry i of the
-    returned list is the `start` that solve_state(cells[i], kind, opts,
-    start=...) goes on from: bit for bit what the lone solve computes. A
-    cell that is not finite after stage A, has no budget left for stage B,
-    or fails in it carries no stage B outcome, and its cascade runs (and
-    fails in) stage B alone.
+    `cells` is a sequence of ModelParams (J, Delta, beta, phi and U may
+    vary), and `kind` is one kind for all of them or a sequence of one kind
+    per cell. Both stages run on all of them as (B, L) arrays, each row with
+    its own J and U, and entry i of the returned list is the `start` that
+    solve_state(cells[i], kind_i, opts, start=...) goes on from: bit for bit
+    what the lone solve computes. A cell that is not finite after stage A,
+    has no budget left for stage B, or fails in it carries no stage B
+    outcome, and its cascade runs (and fails in) stage B alone.
     """
-    solved = [p.negated() for p in cells] if _negates(kind) else list(cells)
-    L, J, U = solved[0].L, solved[0].J, solved[0].U
-    if any((p.L, p.J, p.U) != (L, J, U) for p in solved):
-        raise ValueError("batched_starts needs cells that share L, J and U")
+    kinds = [kind] * len(cells) if isinstance(kind, str) else kind
+    solved = [p.negated() if _negates(k) else p for p, k in zip(cells, kinds)]
+    J = np.array([p.J for p in solved], dtype=float)
+    U = np.array([p.U for p in solved], dtype=float)
     eps = np.array([quasiperiodic_potential(p) for p in solved])
-    off = np.full(L - 1, float(J))
-    v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
+    v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, j), 0)[1]
+                   for row, j in zip(eps, J)])
     max_steps, target = _stage_a_plan(0)
     v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                     target, opts.max_iterations)
     budgets = opts.max_iterations - used
     rows = np.flatnonzero(np.isfinite(v).all(axis=-1) & (budgets > 0))
     scf = [None] * len(cells)
-    for i, out in zip(rows, _scf_rows(J, off, eps[rows], U, v[rows], 2000,
+    for i, out in zip(rows, _scf_rows(J[rows], eps[rows], U[rows], v[rows], 2000,
                                       opts.residual_tol, budgets[rows])):
         scf[i] = out
     return [(v0[i], v[i], float(step[i]), int(used[i]), scf[i])

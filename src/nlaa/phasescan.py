@@ -29,7 +29,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -83,7 +83,7 @@ class TransitionResult:
     message: str = ""
 
 
-def detect_transition(deltas, r_values, r_c, refine=None) -> TransitionResult:
+def detect_transition(deltas, r_values, r_c, refine=None):
     """First downward crossing of r_c on an increasing Delta grid.
 
     `deltas`/`r_values` sample the r(Delta) curve; every bracketing interval
@@ -91,7 +91,30 @@ def detect_transition(deltas, r_values, r_c, refine=None) -> TransitionResult:
     bisection when a `refine(delta) -> r` callback is supplied (the callback
     re-solves the model at interval midpoints). Without a callback the grid
     midpoint of the first bracket is returned.
+
+    Many-row form: `r_c` is a sequence with one critical value per row, and
+    `deltas` and `r_values` are sequences of each row's samples. It returns
+    one TransitionResult per row, the one the 1-D call returns for that row,
+    and bisects all rows' first brackets in lockstep: at each level,
+    `refine(rows, mids)` gets the indices of the rows still bisecting and
+    their midpoints, and returns one r per row, or the exception that
+    stopped that row's solve. Such a row's detection ends unfound, with its
+    grid crossings kept and the failed midpoint in its message.
     """
+    if np.ndim(r_c):
+        results = [_grid_transition(d, r, rc)
+                   for d, r, rc in zip(deltas, r_values, r_c, strict=True)]
+        if refine is not None:
+            _bisect(results, refine)
+        return results
+    result = _grid_transition(deltas, r_values, r_c)
+    if refine is not None:
+        _bisect([result], lambda rows, mids: [refine(mids[0])])
+    return result
+
+
+def _grid_transition(deltas, r_values, r_c):
+    """detect_transition of one row without refinement."""
     deltas = np.asarray(deltas, dtype=float)
     r_values = np.asarray(r_values, dtype=float)
     if deltas.size != r_values.size or deltas.size < 2:
@@ -107,17 +130,32 @@ def detect_transition(deltas, r_values, r_c, refine=None) -> TransitionResult:
             delta_c=None, crossings=[], r_c=float(r_c), found=False,
             message=f"no downward crossing of r_c={r_c:.6g} in "
                     f"[{deltas[0]:.6g}, {deltas[-1]:.6g}]")
-
     lo, hi = brackets[0]
-    if refine is not None:
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if refine(mid) >= r_c:
-                lo = mid
-            else:
-                hi = mid
     return TransitionResult(delta_c=0.5 * (lo + hi), crossings=brackets,
                             r_c=float(r_c), found=True)
+
+
+def _bisect(results, refine):
+    """Bisect the first bracket of every found result in `results` to
+    BISECTION_TOL, all rows level by level, with detect_transition's
+    many-row `refine`; each result is updated in place."""
+    brackets = {i: list(tr.crossings[0]) for i, tr in enumerate(results) if tr.found}
+    live = [i for i, (lo, hi) in brackets.items() if hi - lo > BISECTION_TOL]
+    while live:
+        mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in live]
+        for i, mid, r in zip(live, mids, refine(live, mids), strict=True):
+            if isinstance(r, Exception):
+                del brackets[i]
+                results[i].delta_c, results[i].found = None, False
+                results[i].message = f"refinement failed at Delta={mid:.6g}: {r}"
+            elif r >= results[i].r_c:
+                brackets[i][0] = mid
+            else:
+                brackets[i][1] = mid
+        live = [i for i in live
+                if i in brackets and brackets[i][1] - brackets[i][0] > BISECTION_TOL]
+    for i, (lo, hi) in brackets.items():
+        results[i].delta_c = 0.5 * (lo + hi)
 
 
 def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
@@ -310,36 +348,22 @@ class _Store:
             self._sink.close()
 
 
-def _row_records(store, cells):
-    """Records of one row of cells (the arguments of _cell_r) that differ
-    only in Delta: the stored ones, and the missing ones solved and appended
-    in order. Missing exact cells run attempt 0's stages A and B as one
-    batch (batched_starts), then each the rest of its cascade alone."""
+def _records(store, cells):
+    """Records of cells (the arguments of _cell_r) that share L, preparation
+    and solver options: the stored ones, and the missing ones solved and
+    appended in the order given. Missing exact cells, of any kind and U, run
+    attempt 0's stages A and B as one batch (batched_starts), then each the
+    rest of its cascade alone."""
     keys = [_key_of(c) for c in cells]
     recs = [store.records.get(k) for k in keys]
     todo = [i for i, rec in enumerate(recs) if rec is None]
-    kind, _, _, _, _, preparation, _, opts = cells[0]
     starts = [None] * len(todo)
-    if todo and preparation == "exact":
+    if todo and cells[0][5] == "exact":
         starts = batched_starts([_cell_inputs(*cells[i][:7])[0] for i in todo],
-                                kind, opts)
+                                [cells[i][0] for i in todo], cells[0][7])
     for i, start in zip(todo, starts):
         recs[i] = store.add(_cell_record(cells[i], keys[i], start))
     return recs
-
-
-class _CellFailed(RuntimeError):
-    """A solve failed; args are its Delta and its record's error."""
-
-
-def _cached_r(store, cell):
-    """r of one cell (the arguments of _cell_r): the stored solve's, or
-    solved and appended at once. Raises _CellFailed if the cell failed."""
-    key = _key_of(cell)
-    rec = store.records.get(key) or store.add(_cell_record(cell, key))
-    if not rec["ok"]:
-        raise _CellFailed(cell[3], rec["error"])
-    return rec["r"]
 
 
 def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
@@ -349,70 +373,72 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
 
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
     or bisection midpoint, is read from it if stored and appended to it at
-    once if not. With `workers` = 1 the missing exact cells of each (kind,
-    U) row run attempt 0's stages A and B as one batch; `workers` > 1
-    solves the missing grid cells one by one in a process pool first.
-    Either way r is bitwise the lone solve's. Per-cell failures are
-    recorded and the scan continues; failed cells hold NaN in the matrix.
-    A bisection solve that fails ends that U's detection (found=False,
-    the grid's crossings kept) and is recorded once among the failures.
+    once if not. With `workers` = 1 all missing exact grid cells, of both
+    kinds and every U, run attempt 0's stages A and B as one batch and are
+    appended in (kind, U, Delta) order; `workers` > 1 solves the missing
+    grid cells one by one in a process pool first. Every (kind, U) row's
+    first bracket is then bisected in lockstep (detect_transition's
+    many-row form): at each level the missing midpoints of all rows are
+    solved as one batch and appended together. Either way r is bitwise the
+    lone solve's. Per-cell failures are recorded and the scan continues;
+    failed cells hold NaN in the matrix. A bisection solve that fails ends
+    that U's detection (found=False, the grid's crossings kept) and is
+    recorded once among the failures.
     """
     deltas = np.asarray(grid.delta_over_j, dtype=float)
     us = np.asarray(grid.u_over_j, dtype=float)
+    rows = [(kind, float(u)) for kind in grid.kinds for u in us]
 
     def cell(kind, u, delta):
-        return (kind, grid.L, float(u), float(delta), grid.phi,
+        return (kind, grid.L, u, float(delta), grid.phi,
                 grid.preparation, grid.ramp, opts)
 
-    r_mats, trans, rcs, failures = {}, {}, {}, []
+    trans, failures = {}, []
     with _Store(results_path) as store:
+        cells = [cell(kind, u, delta) for kind, u in rows for delta in deltas]
         if workers > 1:
-            todo = [cell(kind, u, delta) for kind in grid.kinds
-                    for u in us for delta in deltas]
-            todo = [c for c in todo if _key_of(c) not in store.records]
+            todo = [c for c in cells if _key_of(c) not in store.records]
             if todo:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     for rec in pool.map(_cell_record, todo, chunksize=4):
                         store.add(rec)
 
-        for kind in grid.kinds:
-            mat = np.full((us.size, deltas.size), np.nan)
-            for i, u in enumerate(us):
-                row = [cell(kind, u, delta) for delta in deltas]
-                for k, rec in enumerate(_row_records(store, row)):
-                    if rec["ok"]:
-                        mat[i, k] = rec["r"]
-                    else:
-                        failures.append((kind, float(u), float(deltas[k]), rec["error"]))
-            r_mats[kind] = mat
-            rcs[kind] = critical_r(grid.L, kind)
+        mat = np.full(len(cells), np.nan)
+        for k, (c, rec) in enumerate(zip(cells, _records(store, cells))):
+            if rec["ok"]:
+                mat[k] = rec["r"]
+            else:
+                failures.append((c[0], c[2], c[3], rec["error"]))
+        mat = mat.reshape(len(rows), deltas.size)
+        rcs = {kind: critical_r(grid.L, kind) for kind in grid.kinds}
 
-        for kind in grid.kinds if detect else ():
-            mat, per_u = r_mats[kind], []
-            for i, u in enumerate(us):
-                valid = np.isfinite(mat[i])
-                if valid.sum() < 2:
-                    per_u.append(TransitionResult(None, [], rcs[kind], False,
-                                                  "insufficient valid cells"))
-                    continue
+        if detect:
+            valid = np.isfinite(mat)
+            fit = [i for i in range(len(rows)) if valid[i].sum() >= 2]
+            failed = {}
 
-                def r_at(delta, _kind=kind, _u=u):
-                    return _cached_r(store, cell(_kind, _u, delta))
+            def refine(live, mids):
+                level = [cell(*rows[fit[j]], mid) for j, mid in zip(live, mids)]
+                out = []
+                for j, c, rec in zip(live, level, _records(store, level)):
+                    if not rec["ok"]:
+                        failed[j] = (c[0], c[2], c[3], rec["error"])
+                    out.append(rec["r"] if rec["ok"] else RuntimeError(rec["error"]))
+                return out
 
-                try:
-                    tr = detect_transition(deltas[valid], mat[i][valid],
-                                           rcs[kind], refine=r_at)
-                except _CellFailed as exc:
-                    delta, error = exc.args
-                    tr = replace(detect_transition(deltas[valid], mat[i][valid], rcs[kind]),
-                                 delta_c=None, found=False,
-                                 message=f"refinement failed at Delta={delta:.6g}: {error}")
-                    # a failed grid cell the bisection lands on is listed already
-                    if (kind, float(u), delta, error) not in failures:
-                        failures.append((kind, float(u), delta, error))
-                per_u.append(tr)
-            trans[kind] = per_u
+            per_row = [TransitionResult(None, [], rcs[kind], False,
+                                        "insufficient valid cells")
+                       for kind, _ in rows]
+            for i, tr in zip(fit, detect_transition(
+                    [deltas[valid[i]] for i in fit], [mat[i][valid[i]] for i in fit],
+                    [rcs[rows[i][0]] for i in fit], refine)):
+                per_row[i] = tr
+            # a failed grid cell the bisection lands on is listed already
+            failures += [failed[j] for j in sorted(failed) if failed[j] not in failures]
+            for kind in grid.kinds:
+                trans[kind] = [tr for (k, _), tr in zip(rows, per_row) if k == kind]
 
+    r_mats = dict(zip(grid.kinds, np.split(mat, len(grid.kinds))))
     phases = None
     if detect and set(grid.kinds) == {"gs", "es"}:
         phases = np.empty((us.size, deltas.size), dtype=object)

@@ -751,6 +751,17 @@ BAD_GRIDS = [
     (["phases", "--u-step", "-1"], "--u-step must be positive"),
     (["phases", "--delta-step", "0"], "--delta-step must be positive"),
     (["alpha-star", "--delta-step", "-0.1"], "--delta-step must be positive"),
+    (["scan", "--delta-step", "inf"], "--delta-step must be positive and finite"),
+    (["scan", "--delta-min", "nan"], "--delta-min must be finite"),
+    (["scan", "--delta-max", "inf"], "--delta-max must be finite"),
+    (["scan", "--u-min=-inf"], "--u-min must be finite"),
+    (["interaction-sweep", "--u-max", "nan"], "--u-max must be finite"),
+    (["phases", "--delta-max", "nan"], "--delta-max must be finite"),
+    (["alpha-star", "--delta-max", "nan"], "--delta-max must be finite"),
+    (["phases", "--delta-max", "-1"], "fewer than 2 Delta samples"),
+    (["phases", "--delta-max", "0.2", "--delta-step", "0.5"],
+     "fewer than 2 Delta samples"),
+    (["alpha-star", "--delta-max", "0.04"], "fewer than 2 Delta samples"),
 ]
 
 

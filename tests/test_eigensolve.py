@@ -210,23 +210,26 @@ def test_iterations_never_exceed_the_cap(cap, kind, U, delta):
     assert sol.iterations <= cap
 
 
-@given(L=st.integers(2, 34), deltas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8),
-       U=st.floats(-2.0, 2.0), kind=st.sampled_from(["gs", "es"]),
+@given(L=st.integers(2, 34),
+       cells=st.lists(st.tuples(st.floats(0.0, 8.0), st.floats(-2.0, 2.0),
+                                st.sampled_from(["gs", "es"])), min_size=1, max_size=8),
        phi=st.floats(0.0, 2.0 * np.pi), cap=st.integers(1, 400))
 @pytest.mark.filterwarnings("ignore:.*self-trapping")
-def test_batched_stage_a_equals_lone_solves(L, deltas, U, kind, phi, cap):
+def test_batched_stage_a_equals_lone_solves(L, cells, phi, cap):
+    # one batch of cells with their own Delta, U and kind
     opts = SolverOptions(max_iterations=cap)
-    cells = [ModelParams(L=L, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
-    _assert_batched_equals_lone(cells, kind, opts)
+    params = [ModelParams(L=L, J=1.0, Delta=d, phi=phi, U=U) for d, U, _ in cells]
+    _assert_batched_equals_lone(params, [kind for *_, kind in cells], opts)
 
 
 def _assert_batched_equals_lone(cells, kind, opts):
     """Solve the cells from batched_starts and alone; compare bitwise.
-    Returns the starts."""
+    `kind` is one kind or one per cell. Returns the starts."""
     starts = batched_starts(cells, kind, opts)
-    for params, start in zip(cells, starts):
-        lone = solve_state(params, kind, opts)
-        batched = solve_state(params, kind, opts, start=start)
+    kinds = [kind] * len(cells) if isinstance(kind, str) else kind
+    for params, k, start in zip(cells, kinds, starts):
+        lone = solve_state(params, k, opts)
+        batched = solve_state(params, k, opts, start=start)
         assert batched.state.amplitudes.tobytes() == lone.state.amplitudes.tobytes()
         assert _bits([batched.mu, batched.energy, batched.residual]) == \
             _bits([lone.mu, lone.energy, lone.residual])
@@ -262,21 +265,31 @@ def test_batched_stage_b_stalls_fall_through_to_newton_as_alone(kind, U):
 
 
 def _stage_a_rows(cells, opts):
-    """eps, linear ground states and attempt 0's stage A of ground-state cells."""
+    """Per-row J, U, eps, linear ground states and attempt 0's stage A of
+    ground-state cells."""
+    J, U = np.array([p.J for p in cells]), np.array([p.U for p in cells])
     eps = np.array([quasiperiodic_potential(p) for p in cells])
-    off = np.full(cells[0].L - 1, cells[0].J)
-    v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
+    v0 = np.array([_linear_edge_state(row, np.full(p.L - 1, p.J), 0)[1]
+                   for row, p in zip(eps, cells)])
     args = (2000, IMAG_TIME_STEP, 1e-3, opts.max_iterations)
-    return (eps, off, v0, *_imag_time_rows(cells[0].J, eps, cells[0].U, v0, *args))
+    return (J, U, eps, v0, *_imag_time_rows(J, eps, U, v0, *args))
 
 
 @pytest.mark.parametrize("failure", ["lapack", "non-finite"])
 def test_batched_stage_b_row_that_fails_leaves_the_others_bitwise(monkeypatch,
                                                                   failure):
+    # on a batch sharing U and on one mixing U (row 1, the failing one, keeps
+    # U = -1 in both)
+    for us in ((-1.0, -1.0, -1.0), (0.7, -1.0, 0.4)):
+        with monkeypatch.context() as mp:
+            _check_failing_stage_b_row(mp, failure, us)
+
+
+def _check_failing_stage_b_row(monkeypatch, failure, us):
     opts = SolverOptions()
-    J, U = 1.0, -1.0
-    cells = [ModelParams(L=13, J=J, Delta=d, U=U) for d in (0.5, 6.0, 3.0)]
-    eps, off, v0, v, step, used = _stage_a_rows(cells, opts)
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U) for d, U in zip((0.5, 6.0, 3.0), us)]
+    J, U, eps, v0, v, step, used = _stage_a_rows(cells, opts)
+    off = np.full(12, 1.0)
     args = (2000, opts.residual_tol)
     error = RuntimeError
     if failure == "non-finite":
@@ -296,11 +309,12 @@ def test_batched_stage_b_row_that_fails_leaves_the_others_bitwise(monkeypatch,
 
         monkeypatch.setattr(eigensolve, "dstebz", dstebz)
     with np.errstate(all="ignore"):
-        rows = _scf_rows(J, off, eps, U, v, *args, opts.max_iterations - used)
+        rows = _scf_rows(J, eps, U, v, *args, opts.max_iterations - used)
         if failure == "lapack":
             calls.clear()
         with pytest.raises(error) as lone:
-            _scf_block(J, off, eps[1], U, v[1], *args, opts.max_iterations - used[1])
+            _scf_block(J[1], off, eps[1], U[1], v[1], *args,
+                       opts.max_iterations - used[1])
     assert rows[1] is None
     if failure == "lapack":
         assert len(calls) == 8 and "LAPACK info=7" in str(lone.value)
@@ -311,31 +325,38 @@ def test_batched_stage_b_row_that_fails_leaves_the_others_bitwise(monkeypatch,
                                    start=(v0[1], v[1], step[1], used[1], None))
         assert str(cascade.value) == str(lone.value)
     for i in (0, 2):
-        res, best, n = _scf_block(J, off, eps[i], U, v[i], *args,
+        res, best, n = _scf_block(J[i], off, eps[i], U[i], v[i], *args,
                                   opts.max_iterations - used[i])
         assert _bits([rows[i][0], *rows[i][1]]) == _bits([res, *best])
         assert rows[i][2] == n
 
 
 def test_batched_row_with_non_finite_potential_fails_alone():
-    L, U, opts = 13, 0.5, SolverOptions()
-    cells = [ModelParams(L=L, J=1.0, Delta=d, U=U) for d in (0.5, 1.5, 2.5)]
+    # on a batch sharing U and on one mixing U
+    for us in ((0.5, 0.5, 0.5), (0.5, -0.8, 1.2)):
+        _check_non_finite_potential_row(us)
+
+
+def _check_non_finite_potential_row(us):
+    opts = SolverOptions()
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U) for d, U in zip((0.5, 1.5, 2.5), us)]
+    J, U = np.ones(3), np.array(us)
     eps = np.array([quasiperiodic_potential(p) for p in cells])
-    off = np.full(L - 1, 1.0)
+    off = np.full(12, 1.0)
     v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
     eps[1, 4] = np.inf
     args = (2000, IMAG_TIME_STEP, 1e-3, opts.max_iterations)
     with np.errstate(all="ignore"):
-        v, step, used = _imag_time_rows(1.0, eps, U, v0, *args)
+        v, step, used = _imag_time_rows(J, eps, U, v0, *args)
         with pytest.raises(RuntimeError) as lone:
-            _imag_time_block(1.0, eps[1], U, v0[1], *args)
+            _imag_time_block(1.0, eps[1], U[1], v0[1], *args)
         # the row's cascade goes on from the batch and raises the lone error
         with pytest.raises(RuntimeError) as batched:
             nonlinear_ground_state(cells[1], opts,
                                    start=(v0[1], v[1], step[1], used[1], None))
     assert str(batched.value) == str(lone.value)
     for i in (0, 2):
-        v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U, v0[i], *args)
+        v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U[i], v0[i], *args)
         assert _bits(v[i]) == _bits(v_lone)
         assert (step[i], used[i]) == (step_lone, used_lone)
 

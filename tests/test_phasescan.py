@@ -280,6 +280,110 @@ def test_failed_bisection_solve_ends_only_that_detection():
     assert [f[:3] for f in res.failures] == [("gs", 0.25, 1.5)]
 
 
+# a (kind, U) grid at L = 13 whose rows' first brackets are (2.0, 2.25) for
+# gs at U = 0, (1.25, 1.5) for gs at 0.4 and es at -0.4 and (1.75, 2.0) for
+# es at 0; the other two rows have none
+ORACLE = ScanGrid(delta_over_j=tuple(np.arange(1.0, 3.01, 0.25)),
+                  u_over_j=(-0.4, 0.0, 0.4), L=13, kind="both")
+
+
+def _lone_scan(grid, opts):
+    """(r, transitions, failures) of scan_phase_diagram from lone solves: each
+    (kind, U) row filled cell by cell, then detected alone with
+    detect_transition(..., refine=lone solve)."""
+    deltas = np.asarray(grid.delta_over_j)
+
+    def r_at(kind, u, delta):
+        return phasescan._cell_r(kind, grid.L, u, float(delta), grid.phi, "exact",
+                                 None, opts)
+
+    r, transitions, failures = {}, {}, []
+    for kind in grid.kinds:
+        r[kind] = np.full((len(grid.u_over_j), deltas.size), np.nan)
+        for i, u in enumerate(grid.u_over_j):
+            for k, delta in enumerate(deltas):
+                try:
+                    r[kind][i, k] = r_at(kind, u, delta)
+                except RuntimeError as exc:
+                    failures.append((kind, u, float(delta), str(exc)))
+    for kind in grid.kinds:
+        transitions[kind] = []
+        r_c = critical_r(grid.L, kind)
+        for i, u in enumerate(grid.u_over_j):
+            valid = np.isfinite(r[kind][i])
+            mids = []
+
+            def refine(delta, kind=kind, u=u):
+                mids.append(delta)
+                return r_at(kind, u, delta)
+
+            try:
+                tr = detect_transition(deltas[valid], r[kind][i][valid], r_c, refine)
+            except RuntimeError as exc:
+                tr = replace(detect_transition(deltas[valid], r[kind][i][valid], r_c),
+                             delta_c=None, found=False,
+                             message=f"refinement failed at Delta={mids[-1]:.6g}: {exc}")
+                if (kind, u, mids[-1], str(exc)) not in failures:
+                    failures.append((kind, u, mids[-1], str(exc)))
+            transitions[kind].append(tr)
+    return r, transitions, failures
+
+
+def test_scan_equals_lone_detection_row_by_row(monkeypatch):
+    # injected non-convergence: gs at U = 0 loses the grid cells 1.75 and 2.0,
+    # so its bracket widens to (1.5, 2.25) and it needs two more levels than
+    # the others; es at U = -0.4 fails at its second midpoint
+    fail = {("gs", 0.0, 1.75), ("gs", 0.0, 2.0), ("es", -0.4, 1.3125),
+            ("es", -0.4, 1.4375)}
+    inner = phasescan.solve_state
+
+    def solve(params, kind, opts, start=None):
+        sol = inner(params, kind, opts, start=start)
+        if (kind, params.U, params.Delta) in fail:
+            return replace(sol, converged=False)
+        return sol
+
+    monkeypatch.setattr(phasescan, "solve_state", solve)
+    opts = SolverOptions()
+    res = scan_phase_diagram(ORACLE, opts)
+    r, transitions, failures = _lone_scan(ORACLE, opts)
+    for kind in ("gs", "es"):
+        assert res.r[kind].tobytes() == r[kind].tobytes()
+        assert res.transitions[kind] == transitions[kind]
+    assert res.failures == failures
+    gs0, es_neg = res.transitions["gs"][1], res.transitions["es"][0]
+    assert gs0.found and gs0.crossings == [(1.5, 2.25)]
+    assert es_neg.message.startswith("refinement failed at Delta=1.")
+    assert [f[:3] for f in failures][:2] == [("gs", 0.0, 1.75), ("gs", 0.0, 2.0)]
+    assert len(failures) == 3 and failures[2][:2] == ("es", -0.4)
+    assert sum(tr.found for trs in res.transitions.values() for tr in trs) == 3
+
+
+def test_fresh_scan_batches_the_grid_once_and_each_bisection_level_once(
+        tmp_path, monkeypatch):
+    path = tmp_path / "cells.jsonl"
+    batches = _count_calls(monkeypatch, "batched_starts")
+    res = scan_phase_diagram(ORACLE, results_path=str(path))
+    (grid_cells, grid_kinds, _), *levels = batches
+    assert len(grid_cells) == 2 * 3 * 9
+    assert grid_kinds == ["gs"] * 27 + ["es"] * 27
+    # four brackets of width 0.25, halved to BISECTION_TOL in 8 levels: one
+    # batch per level, holding every bisecting row's midpoint
+    assert [t.found for trs in res.transitions.values() for t in trs] == [
+        False, True, True, True, True, False]
+    assert len(levels) == 8
+    assert all(len(cells) == 4 and len(set(kinds)) == 2 for cells, kinds, _ in levels)
+    # a level whose midpoints are all stored makes no call
+    lines = path.read_text().splitlines(keepends=True)
+    fifth = lines[54 + 4 * 4:54 + 5 * 4]
+    path.write_text("".join(line for line in lines if line not in fifth))
+    batches.clear()
+    again = scan_phase_diagram(ORACLE, results_path=str(path))
+    assert [sorted(p.Delta for p in cells) for cells, *_ in batches] == [
+        sorted(json.loads(line)["delta"] for line in fifth)]
+    assert again.transitions == res.transitions
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls phasescan makes to one of its solvers."""
     calls = []
