@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -49,66 +50,100 @@ class ConfigError(ValueError):
 # Option table
 # -------------------------
 
+# domains of option values: (test, text) pairs
+FINITE = (math.isfinite, "finite")
+POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+
+
+def _at_least(k):
+    return (lambda v: v >= k, f"an integer >= {k}")
+
+
+def _numbers(text):
+    """The floats of a comma-separated list, or None unless it holds one or
+    more and all are finite."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        return None
+    return values if values and all(map(math.isfinite, values)) else None
+
+
 @dataclass(frozen=True)
 class Option:
     """One option: flag ``--<dest with - for _>``, config key ``<dest>``.
 
     A config value must be the JSON type of `type` (a number for float,
-    true/false for bool) and one of `choices`; null leaves it unset.
+    true/false for bool) and one of `choices`; null leaves it unset. A set
+    value, from a flag or a config key, must pass the test of `domain`.
     """
     type: type
     help: str
+    domain: tuple = None
     choices: tuple = None
 
 
 # Keyed by dest; "<subcommand>.<dest>" overrides the entry for one subcommand.
 OPTIONS = {
-    "L": Option(int, "chain length"),
-    "delta_over_j": Option(float, "quasiperiodic amplitude Delta/J"),
-    "u_over_j": Option(float, "interaction U/J (positive = self-focusing)"),
-    "phi": Option(float, "potential phase"),
-    "j_internal": Option(float, "internal hopping (0 gives the decoupled chain)"),
+    "L": Option(int, "chain length", _at_least(2)),
+    "bragg-schedule.L": Option(int, "chain length", choices=(21,)),
+    "delta_over_j": Option(float, "quasiperiodic amplitude Delta/J", FINITE),
+    "u_over_j": Option(float, "interaction U/J (> 0 is self-focusing)", FINITE),
+    "phi": Option(float, "potential phase", FINITE),
+    "j_internal": Option(float, "internal hopping (0: decoupled chain)", FINITE),
     "j_hz": Option(float, "hopping J/h in Hz: the SI anchor (ramp: J/h at its "
-                          "end, 275 Hz without it; bragg-schedule: energy "
-                          "unit of the on-site term, 0 drops it)"),
-    "delta_hz": Option(float, "SI Delta/h in Hz (needs --j-hz)"),
+                          "end, 275 Hz without it)", POSITIVE),
+    "bragg-schedule.j_hz": Option(float, "J/h in Hz, the energy unit of the "
+                                         "on-site term (0 drops it)", NON_NEGATIVE),
+    "delta_hz": Option(float, "SI Delta/h in Hz (needs --j-hz)", FINITE),
     "scattering_length_a0": Option(
-        float, "SI s-wave scattering length in Bohr radii (needs --j-hz)"),
-    "density_per_cm3": Option(float, "mean atomic density in cm^-3"),
-    "residual_tol": Option(float, "eigensolver residual tolerance"),
-    "max_iterations": Option(int, "eigensolver iteration cap"),
-    "kind": Option(str, "ground (gs) or highest-excited (es) state", ("gs", "es")),
-    "scan.kind": Option(str, "states to scan", ("gs", "es", "both")),
+        float, "SI s-wave scattering length in Bohr radii (needs --j-hz)", FINITE),
+    "density_per_cm3": Option(float, "mean atomic density in cm^-3", POSITIVE),
+    "residual_tol": Option(float, "eigensolver residual tolerance", POSITIVE),
+    "max_iterations": Option(int, "eigensolver iteration cap", _at_least(1)),
+    "kind": Option(str, "ground (gs) or highest-excited (es) state",
+                   choices=("gs", "es")),
+    "scan.kind": Option(str, "states to scan", choices=("gs", "es", "both")),
     "preparation": Option(str, "exact eigenstates or ramp-prepared states",
-                          ("exact", "ramped")),
-    "t_final": Option(float, "evolution time in hbar/J"),
-    "t_final_ms": Option(float, "evolution time in ms (needs --j-hz)"),
-    "dt": Option(float, "RK4 time step in hbar/J"),
-    "stride": Option(int, "RK4 steps between recorded snapshots"),
-    "velocity_hz_per_ms": Option(float, "ramp velocity of J/h in Hz per ms"),
-    "hold_ms": Option(float, "hold at the target after the ramp in ms"),
-    "delta_min": Option(float, "first Delta/J of the grid"),
-    "delta_max": Option(float, "last Delta/J of the grid"),
-    "delta_step": Option(float, "Delta/J grid spacing"),
-    "u_min": Option(float, "first U/J of the grid"),
-    "u_max": Option(float, "last U/J of the grid"),
-    "u_step": Option(float, "U/J grid spacing"),
-    "u_values": Option(str, "comma-separated U/J list"),
+                          choices=("exact", "ramped")),
+    "t_final": Option(float, "evolution time in hbar/J", NON_NEGATIVE),
+    "t_final_ms": Option(float, "evolution time in ms (needs --j-hz)", FINITE),
+    "dt": Option(float, "RK4 time step in hbar/J",
+                 (lambda v: 0 < v <= 0.01, "in (0, 0.01]")),
+    "stride": Option(int, "RK4 steps between recorded snapshots", _at_least(1)),
+    "velocity_hz_per_ms": Option(float, "ramp speed of J/h in Hz/ms", POSITIVE),
+    "hold_ms": Option(float, "hold at the target after the ramp in ms", FINITE),
+    "delta_min": Option(float, "first Delta/J of the grid", FINITE),
+    "delta_max": Option(float, "last Delta/J of the grid", FINITE),
+    "delta_step": Option(float, "Delta/J grid spacing", POSITIVE),
+    "u_min": Option(float, "first U/J of the grid", FINITE),
+    "u_max": Option(float, "last U/J of the grid", FINITE),
+    "u_step": Option(float, "U/J grid spacing", POSITIVE),
+    "u_values": Option(str, "U/J values", (lambda v: _numbers(v) is not None,
+                                           "comma-separated finite numbers")),
     "energy_definition": Option(str, "transition energy: chemical potential "
-                                     "(mu) or energy functional (E)", ("mu", "E")),
-    "workers": Option(int, "worker processes"),
+                                     "(mu) or energy functional (E)",
+                                choices=("mu", "E")),
+    "workers": Option(int, "worker processes", _at_least(1)),
     "results": Option(str, "JSONL cell store for resumable scans"),
     "no_detect": Option(bool, "skip transition detection (r matrices only)"),
-    "alpha": Option(float, "generalized-model deformation alpha"),
+    "alpha": Option(float, "generalized-model deformation alpha",
+                    (lambda v: -1 < v < 1, "in (-1, 1)")),
     "data": Option(str, "CSV of delta_over_j,r[,sigma] rows"),
     "synthesize": Option(bool, "generate ramped synthetic data instead of "
                                "reading --data"),
-    "n_points": Option(int, "number of synthetic Delta/J points"),
-    "noise_sigma": Option(float, "Gaussian noise width on synthetic r"),
-    "floor": Option(float, "uniform population floor of synthetic states"),
-    "seed": Option(int, "seed of the synthetic noise and the bootstrap"),
-    "bootstrap": Option(int, "residual-resampling refits for the Delta_c stderr"),
-    "recoil_khz": Option(float, "recoil energy E_R/h in kHz"),
+    "n_points": Option(int, "number of synthetic Delta/J points",
+                       _at_least(MIN_LEFT_POINTS + 1)),
+    "noise_sigma": Option(float, "Gaussian noise width on synthetic r",
+                          NON_NEGATIVE),
+    "floor": Option(float, "uniform population floor of synthetic states",
+                    NON_NEGATIVE),
+    "seed": Option(int, "seed of synthetic noise and bootstrap", _at_least(0)),
+    "bootstrap": Option(int, "residual-resampling refits for the Delta_c stderr",
+                        (lambda v: v == 0 or v >= MIN_RESAMPLES,
+                         f"0 or an integer >= {MIN_RESAMPLES}")),
+    "recoil_khz": Option(float, "recoil energy E_R/h in kHz", POSITIVE),
 }
 
 # accepted JSON types and their name, per option type
@@ -145,7 +180,10 @@ def _from_config(key, opt, value):
     if not isinstance(value, json_type) or (isinstance(value, bool)
                                             and opt.type is not bool):
         raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
-    value = opt.type(value)
+    try:
+        value = opt.type(value)
+    except OverflowError:   # an integer past the float range: inf, as from a flag
+        value = math.inf if value > 0 else -math.inf
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"config key {key!r} must be one of "
                           f"{list(opt.choices)}, got {value!r}")
@@ -153,7 +191,8 @@ def _from_config(key, opt, value):
 
 
 def _config(args):
-    """The subcommand's defaults < JSON config file < flags, as a namespace."""
+    """The subcommand's defaults < JSON config file < flags, as a namespace;
+    each set value checked against its option's domain."""
     _, _, defaults = COMMANDS[args.subcommand]
     cfg = _read_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(defaults))
@@ -162,35 +201,33 @@ def _config(args):
                           f"accepts {sorted(defaults)}")
     out = {}
     for key, default in defaults.items():
+        opt = _option(args.subcommand, key)
         value = getattr(args, key)
         if value is None:
-            value = _from_config(key, _option(args.subcommand, key),
-                                 cfg.get(key))
+            value = _from_config(key, opt, cfg.get(key))
+        if value is not None and opt.domain and not opt.domain[0](value):
+            raise ConfigError(f"--{key.replace('_', '-')} must be "
+                              f"{opt.domain[1]}, got {value!r}")
         out[key] = default if value is None else value
     return SimpleNamespace(**out)
 
 
-def _step(cfg, name):
-    step = getattr(cfg, f"{name}_step")
-    if not 0 < step < np.inf:
-        raise ConfigError(f"--{name}-step must be positive and finite, got {step}")
-    return step
-
-
-def _finite(cfg, dest):
-    value = getattr(cfg, dest)
-    if not np.isfinite(value):
-        raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
-    return value
+def _arange(lo, hi, step, flags):
+    """lo, lo + step, ... up to hi, as np.arange makes it for transition_for_u
+    too; a grid with more samples than an array can hold names `flags`."""
+    try:
+        return np.arange(lo, hi + 0.5 * step, step)
+    except ValueError as exc:
+        raise ConfigError(f"{flags} give more grid samples than an array "
+                          f"can hold ({exc})") from exc
 
 
 def _grid(cfg, name):
     """The grid <name>_min, <name>_min + step, ... up to <name>_max."""
-    step = _step(cfg, name)
-    lo, hi = _finite(cfg, f"{name}_min"), _finite(cfg, f"{name}_max")
+    lo, hi, step = (getattr(cfg, f"{name}_{end}") for end in ("min", "max", "step"))
     if lo == hi:
         return np.array([lo])   # at large values hi + 0.5 * step rounds to hi
-    grid = np.arange(lo, hi + 0.5 * step, step)
+    grid = _arange(lo, hi, step, f"--{name}-min, --{name}-max and --{name}-step")
     if grid.size == 0:
         raise ConfigError(f"empty grid: --{name}-max {hi} is below "
                           f"--{name}-min {lo}")
@@ -201,42 +238,23 @@ def _delta_window(cfg):
     """--delta-step of phases and alpha-star, checked so that the Delta grid
     0, step, ... up to --delta-max that transition_for_u solves holds at
     least 2 samples."""
-    step, hi = _step(cfg, "delta"), _finite(cfg, "delta_max")
-    if not (hi + 0.5 * step) / step > 1:          # np.arange's length is the ceil
+    hi, step = cfg.delta_max, cfg.delta_step
+    if _arange(0.0, hi, step, "--delta-max and --delta-step").size < 2:
         raise ConfigError(f"--delta-max {hi} with --delta-step {step} leaves "
                           "fewer than 2 Delta samples from 0")
     return step
 
 
-# SI options: those in _SI_POSITIVE must be finite and > 0, the rest finite
-_SI_OPTIONS = ("j_hz", "delta_hz", "scattering_length_a0", "density_per_cm3",
-               "t_final_ms", "velocity_hz_per_ms", "hold_ms", "recoil_khz")
-_SI_POSITIVE = ("j_hz", "density_per_cm3", "velocity_hz_per_ms", "recoil_khz")
-
-
 def _internal_units(cfg):
-    """The lab-unit inputs of a merged config in internal units, each checked
-    before any work runs: the one place SI values enter. J/h = --j-hz is the
-    one anchor of Delta, U and times in ms; the ramp ends there, or at 275 Hz
-    without it. Returns delta and u, t_final (evolve) and ramp (ramp), whose
-    times are checked again after conversion: finite and >= 0, the ramp
-    duration > 0. bragg-schedule keeps SI (recoil_joule, j_joule), and its
-    --j-hz may be 0, which drops the on-site term."""
-    si = {k: v for k, v in vars(cfg).items()
-          if k in _SI_OPTIONS and v is not None}
-    bragg = "recoil_khz" in si
-    for name, value in si.items():
-        if bragg and name == "j_hz":
-            ok, need = 0.0 <= value < np.inf, "finite and >= 0"
-        elif name in _SI_POSITIVE:
-            ok, need = 0.0 < value < np.inf, "finite and > 0"
-        else:
-            ok, need = bool(np.isfinite(value)), "finite"
-        if not ok:
-            raise ConfigError(f"--{name.replace('_', '-')} must be {need}, "
-                              f"got {value}")
+    """The lab-unit inputs of a merged config in internal units: the one
+    place SI values enter. J/h = --j-hz is the one anchor of Delta, U and
+    times in ms; the ramp ends there, or at 275 Hz without it. Returns delta
+    and u, t_final (evolve) and ramp (ramp), whose times converted from lab
+    units are checked: finite and >= 0, the ramp duration > 0.
+    bragg-schedule keeps SI (recoil_joule, j_joule)."""
+    si = {k: v for k, v in vars(cfg).items() if v is not None}
     j_hz = si.get("j_hz")
-    if bragg:
+    if "recoil_khz" in si:
         return SimpleNamespace(recoil_joule=H_SI * si["recoil_khz"] * 1e3,
                                j_joule=H_SI * j_hz)
     units = SimpleNamespace(delta=cfg.delta_over_j, u=cfg.u_over_j,
@@ -259,8 +277,6 @@ def _internal_units(cfg):
     if "t_final_ms" in si:
         units.t_final = per_s * si["t_final_ms"] * 1e-3
         _check_time("t_final", units.t_final, anchor + "--t-final-ms")
-    elif units.t_final is not None:
-        _check_time("t_final", units.t_final, "--t-final")
     if "velocity_hz_per_ms" in si:
         duration = per_s * (j_hz / (si["velocity_hz_per_ms"] * 1e3))
         hold = per_s * si["hold_ms"] * 1e-3
@@ -511,13 +527,8 @@ def cmd_phases(cfg, outdir):
 
 
 def cmd_alpha_star(cfg, outdir):
-    try:
-        us = [float(tok) for tok in cfg.u_values.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --u-values list: {exc}") from exc
-    if not us:
-        raise ConfigError("--u-values must name at least one interaction")
-    rows, table, delta_step = [], [], _delta_window(cfg)
+    us, rows, table = _numbers(cfg.u_values), [], []
+    delta_step = _delta_window(cfg)
     for u in us:
         res = extract_alpha_star(u, L=cfg.L, phi=cfg.phi,
                                  energy_definition=cfg.energy_definition,
@@ -566,14 +577,6 @@ def cmd_gaa_me(cfg, outdir):
 
 
 def cmd_fit(cfg, outdir):
-    if cfg.bootstrap < 0 or 0 < cfg.bootstrap < MIN_RESAMPLES:
-        raise ConfigError(f"--bootstrap must be 0 (off) or at least "
-                          f"{MIN_RESAMPLES}, got {cfg.bootstrap}")
-    for name in ("noise_sigma", "floor"):
-        value = getattr(cfg, name)
-        if not (np.isfinite(value) and value >= 0):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite and "
-                              f"non-negative, got {value}")
     files = []
     if cfg.data and cfg.synthesize:
         raise ConfigError("give either --data or --synthesize, not both")
@@ -588,10 +591,6 @@ def cmd_fit(cfg, outdir):
         except ValueError as exc:
             raise ConfigError(f"data file is not numeric CSV: {exc}") from exc
     elif cfg.synthesize:
-        if cfg.n_points < MIN_LEFT_POINTS + 1:
-            raise ConfigError(f"--n-points must be at least "
-                              f"{MIN_LEFT_POINTS + 1} for a fit, got "
-                              f"{cfg.n_points}")
         deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.n_points)
         data = synthesize_measurement(cfg.u_over_j, deltas, L=cfg.L,
                                       kind=cfg.kind,
@@ -726,8 +725,9 @@ def build_parser():
             opt = _option(name, dest)
             kw = (dict(action="store_true") if opt.type is bool
                   else dict(type=opt.type, choices=opt.choices))
-            text = (opt.help if default is None or opt.type is bool
-                    else f"{opt.help} (default {default})")
+            text = opt.help + (f"; must be {opt.domain[1]}" if opt.domain else "")
+            if default is not None and opt.type is not bool:
+                text += f" (default {default})"
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
                            default=None, help=text, **kw)
     return parser

@@ -102,10 +102,11 @@ def test_solver_ending_on_a_zero_state_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--residual-tol", "nan"], "residual_tol must be positive and finite"),
-    (["solve", "--residual-tol", "inf"], "residual_tol must be positive and finite"),
-    (["solve", "--u-over-j", "1", "--max-iterations", "-5"], "max_iterations must be >= 1"),
-    (["scan", "--max-iterations", "0"], "max_iterations must be >= 1"),
+    (["solve", "--residual-tol", "nan"], "--residual-tol must be finite and > 0"),
+    (["solve", "--residual-tol", "inf"], "--residual-tol must be finite and > 0"),
+    (["solve", "--u-over-j", "1", "--max-iterations", "-5"],
+     "--max-iterations must be an integer >= 1"),
+    (["scan", "--max-iterations", "0"], "--max-iterations must be an integer >= 1"),
 ], ids=["tol-nan", "tol-inf", "solve-cap-negative", "scan-cap-zero"])
 def test_bad_solver_options_exit_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -258,15 +259,15 @@ BAD_WORK = [
     (["ramp", "--j-hz", "1e160", "--velocity-hz-per-ms", "1e300",
       "--hold-ms", "1e200"], "hold from --j-hz and --hold-ms is inf"),
     (["ramp", "--hold-ms=-1"], "hold from --hold-ms is -"),
-    (["evolve", "--t-final", "nan"], "t_final from --t-final is nan"),
-    (["evolve", "--t-final", "inf"], "t_final from --t-final is inf"),
-    (["evolve", "--t-final=-1"], "t_final from --t-final is -1.0"),
+    (["evolve", "--t-final", "nan"], "--t-final must be finite and >= 0, got nan"),
+    (["evolve", "--t-final", "inf"], "--t-final must be finite and >= 0, got inf"),
+    (["evolve", "--t-final=-1"], "--t-final must be finite and >= 0, got -1.0"),
     (["evolve", "--j-hz", "1e300", "--t-final-ms", "1e300"],
      "t_final from --j-hz and --t-final-ms is inf"),
-    (["evolve", "--dt", "nan"], "dt must lie in (0, 0.01]"),
-    (["fit", "--synthesize", "--dt", "nan"], "dt must lie in (0, 0.01]"),
-    (["fit", "--synthesize", "--n-points", "0"], "--n-points must be at least"),
-    (["fit", "--synthesize", "--n-points", "3"], "--n-points must be at least"),
+    (["evolve", "--dt", "nan"], "--dt must be in (0, 0.01], got nan"),
+    (["fit", "--synthesize", "--dt", "nan"], "--dt must be in (0, 0.01], got nan"),
+    (["fit", "--synthesize", "--n-points", "0"], "--n-points must be an integer >= 4"),
+    (["fit", "--synthesize", "--n-points", "3"], "--n-points must be an integer >= 4"),
 ]
 
 
@@ -333,7 +334,7 @@ def test_stride_below_one_exits_2(tmp_path, capsys, subcommand, stride,
     else:
         argv += [f"--stride={stride}"]
     assert main(argv) == 2
-    assert "snapshot stride must be an integer >= 1" in capsys.readouterr().err
+    assert f"--stride must be an integer >= 1, got {stride}" in capsys.readouterr().err
 
 
 def test_interaction_sweep_u_grid(tmp_path):
@@ -626,14 +627,14 @@ def test_fit_non_finite_data_exits_2(tmp_path, capsys, bad_row, column):
 
 
 BAD_FIT_OPTIONS = [
-    (["--bootstrap", "50"], "--bootstrap must be 0 (off) or at least 100, got 50"),
-    (["--bootstrap", "1"], "--bootstrap must be 0 (off) or at least 100, got 1"),
-    (["--bootstrap", "-3"], "--bootstrap must be 0 (off) or at least 100, got -3"),
-    (["--noise-sigma", "-0.1"], "--noise-sigma must be finite and non-negative, got -0.1"),
-    (["--noise-sigma", "nan"], "--noise-sigma must be finite and non-negative, got nan"),
-    (["--noise-sigma", "inf"], "--noise-sigma must be finite and non-negative, got inf"),
-    (["--floor", "-0.001"], "--floor must be finite and non-negative, got -0.001"),
-    (["--floor", "nan"], "--floor must be finite and non-negative, got nan"),
+    (["--bootstrap", "50"], "--bootstrap must be 0 or an integer >= 100, got 50"),
+    (["--bootstrap", "1"], "--bootstrap must be 0 or an integer >= 100, got 1"),
+    (["--bootstrap", "-3"], "--bootstrap must be 0 or an integer >= 100, got -3"),
+    (["--noise-sigma", "-0.1"], "--noise-sigma must be finite and >= 0, got -0.1"),
+    (["--noise-sigma", "nan"], "--noise-sigma must be finite and >= 0, got nan"),
+    (["--noise-sigma", "inf"], "--noise-sigma must be finite and >= 0, got inf"),
+    (["--floor", "-0.001"], "--floor must be finite and >= 0, got -0.001"),
+    (["--floor", "nan"], "--floor must be finite and >= 0, got nan"),
 ]
 
 
@@ -649,7 +650,7 @@ def test_bad_fit_options_exit_2_before_any_synthesis(tmp_path, capsys, argv,
 def test_bad_fit_option_in_config_exits_2(tmp_path, capsys):
     cfg = _config_file(tmp_path, {"synthesize": True, "bootstrap": 99})
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "--bootstrap must be 0 (off) or at least 100, got 99" in capsys.readouterr().err
+    assert "--bootstrap must be 0 or an integer >= 100, got 99" in capsys.readouterr().err
     assert not (tmp_path / "data.csv").exists()
 
 
@@ -745,13 +746,13 @@ def test_config_keys_a_subcommand_does_not_read_exit_2(tmp_path, subcommand,
 
 
 BAD_GRIDS = [
-    (["scan", "--delta-step", "0"], "--delta-step must be positive"),
+    (["scan", "--delta-step", "0"], "--delta-step must be finite and > 0"),
     (["scan", "--u-min", "0.5", "--u-max", "-0.5"], "empty grid"),
-    (["interaction-sweep", "--u-step", "0"], "--u-step must be positive"),
-    (["phases", "--u-step", "-1"], "--u-step must be positive"),
-    (["phases", "--delta-step", "0"], "--delta-step must be positive"),
-    (["alpha-star", "--delta-step", "-0.1"], "--delta-step must be positive"),
-    (["scan", "--delta-step", "inf"], "--delta-step must be positive and finite"),
+    (["interaction-sweep", "--u-step", "0"], "--u-step must be finite and > 0"),
+    (["phases", "--u-step", "-1"], "--u-step must be finite and > 0"),
+    (["phases", "--delta-step", "0"], "--delta-step must be finite and > 0"),
+    (["alpha-star", "--delta-step", "-0.1"], "--delta-step must be finite and > 0"),
+    (["scan", "--delta-step", "inf"], "--delta-step must be finite and > 0"),
     (["scan", "--delta-min", "nan"], "--delta-min must be finite"),
     (["scan", "--delta-max", "inf"], "--delta-max must be finite"),
     (["scan", "--u-min=-inf"], "--u-min must be finite"),
@@ -762,6 +763,12 @@ BAD_GRIDS = [
     (["phases", "--delta-max", "0.2", "--delta-step", "0.5"],
      "fewer than 2 Delta samples"),
     (["alpha-star", "--delta-max", "0.04"], "fewer than 2 Delta samples"),
+    (["scan", "--L", "5", "--delta-max", "1e300"],
+     "--delta-min, --delta-max and --delta-step give more grid samples"),
+    (["scan", "--L", "5", "--u-min", "-1e300", "--u-max", "1e300"],
+     "--u-min, --u-max and --u-step give more grid samples"),
+    (["phases", "--L", "5", "--delta-max", "1e300"],
+     "--delta-max and --delta-step give more grid samples"),
 ]
 
 
@@ -806,10 +813,12 @@ def _declared_options():
 
 
 def _sample(opt):
-    """A value of the option's type other than any default."""
+    """A value of the option's type inside its domain, other than any default."""
     if opt.choices:
         return opt.choices[-1]
-    return {bool: True, int: 7, float: 0.375, str: "x.csv"}[opt.type]
+    candidates = {bool: [True], int: [7, 150], float: [0.375, 0.005],
+                  str: ["x.csv", "0.5"]}[opt.type]
+    return next(v for v in candidates if not opt.domain or opt.domain[0](v))
 
 
 def _float_options():
@@ -871,3 +880,61 @@ def test_manifest_config_reads_back_as_a_config(tmp_path, stub_handlers,
     cfg = _config_file(tmp_path, config)
     assert main([subcommand, "--config", cfg, "--out", str(second)]) == 0
     assert _json(second / "manifest.json")["config"] == config
+
+
+def _domain_options():
+    from nlaa.cli import _option
+    return [(name, dest) for name, dest in _declared_options()
+            if _option(name, dest).domain]
+
+
+def _outside(opt):
+    """Values just outside the option's domain, read from its text: nan,
+    +-inf and integers past the float range for a float, the first integer
+    below each integer bound, and the excluded ends of an interval."""
+    text = opt.domain[1]
+    values = ([float("nan"), float("inf"), float("-inf"), 10 ** 400, -10 ** 400]
+              if opt.type is float else [])
+    bound = re.fullmatch(r"(0 or )?an integer >= (\d+)", text)
+    if bound:
+        return values + [int(bound[2]) - 1] + ([-1] if bound[1] else [])
+    return values + {
+        "finite": [],
+        "finite and > 0": [0.0, -1.0],
+        "finite and >= 0": [-5e-324],
+        "in (0, 0.01]": [0.0, 0.010000000000000002],
+        "in (-1, 1)": [-1.0, 1.0],
+        "comma-separated finite numbers": ["", ",", "abc", "0.1,nan", "1e400"],
+    }[text]
+
+
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("subcommand, dest", _domain_options())
+def test_values_outside_the_domain_exit_2_naming_the_flag(tmp_path, capsys,
+                                                          subcommand, dest,
+                                                          as_config):
+    from nlaa.cli import _option
+    flag = "--" + dest.replace("_", "-")
+    for i, value in enumerate(_outside(_option(subcommand, dest))):
+        out = tmp_path / f"out{i}"
+        if as_config:      # json writes nan and inf as NaN and Infinity
+            extra = ["--config", _config_file(tmp_path, {dest: value})]
+        else:
+            extra = [f"{flag}={value}"]
+        assert main([subcommand, *extra, "--out", str(out)]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be "), (value, err)
+        assert list(out.iterdir()) == [], value
+
+
+def test_every_number_option_has_a_domain_that_holds_its_defaults():
+    from nlaa.cli import COMMANDS, OPTIONS, _option
+    for key, opt in OPTIONS.items():
+        if opt.type in (int, float):
+            assert opt.domain or opt.choices, key
+    for subcommand, dest in _declared_options():
+        opt, default = _option(subcommand, dest), COMMANDS[subcommand][2][dest]
+        if default is not None and opt.domain:
+            assert opt.domain[0](default), (subcommand, dest, default)
+        if default is not None and opt.choices:
+            assert default in opt.choices, (subcommand, dest, default)
