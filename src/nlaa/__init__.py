@@ -12,9 +12,7 @@ __version__ = "0.1.1"
 
 from .dynamics import (BatchTrajectory, RampProtocol, Trajectory, evolve,
                        ramp_prepare, transport_experiment)
-from .eigensolve import (EigenSolution, SolverOptions, linear_spectrum,
-                         nonlinear_excited_state, nonlinear_ground_state,
-                         solve_state)
+from .eigensolve import EigenSolution, SolverOptions, linear_spectrum, solve_state
 from .fitting import (BootstrapResult, FitResult, UnidentifiableFitError,
                       bootstrap_delta_c, fit_transition, piecewise_model,
                       synthesize_measurement)
@@ -38,8 +36,7 @@ __all__ = [
     "energy_functional", "chemical_potential", "density_fourier_coefficients",
     "bragg_detunings",
     # eigensolve
-    "SolverOptions", "EigenSolution", "linear_spectrum",
-    "nonlinear_ground_state", "nonlinear_excited_state", "solve_state",
+    "SolverOptions", "EigenSolution", "linear_spectrum", "solve_state",
     # dynamics
     "RampProtocol", "Trajectory", "BatchTrajectory", "evolve",
     "transport_experiment", "ramp_prepare",

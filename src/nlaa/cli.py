@@ -34,8 +34,9 @@ from .fitting import (MIN_LEFT_POINTS, MIN_RESAMPLES, UnidentifiableFitError,
                       bootstrap_delta_c, fit_transition,
                       synthesize_measurement)
 from .gaa import GaaParams, extract_alpha_star, gaa_classify_spectrum
-from .model import (BOHR_RADIUS_SI, CS_MASS_SI, H_SI, HBAR_SI, ModelParams,
-                    bragg_detunings, momentum_width, participation_ratio)
+from .model import (BOHR_RADIUS_SI, BRAGG_SITE_OFFSET, CS_MASS_SI, H_SI, HBAR_SI,
+                    ModelParams, bragg_detunings, momentum_width,
+                    participation_ratio)
 from .phasescan import ScanGrid, scan_phase_diagram, transition_for_u
 
 DEFAULT_SEED = 12345
@@ -58,6 +59,10 @@ NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 def _at_least(k):
     return (lambda v: v >= k, f"an integer >= {k}")
+
+
+def _between(lo, hi):
+    return (lambda v: lo <= v <= hi, f"an integer in [{lo}, {hi}]")
 
 
 def _numbers(text):
@@ -125,7 +130,7 @@ OPTIONS = {
     "energy_definition": Option(str, "transition energy: chemical potential "
                                      "(mu) or energy functional (E)",
                                 choices=("mu", "E")),
-    "workers": Option(int, "worker processes", _at_least(1)),
+    "workers": Option(int, "worker processes", _between(1, os.cpu_count() or 1)),
     "results": Option(str, "JSONL cell store for resumable scans"),
     "no_detect": Option(bool, "skip transition detection (r matrices only)"),
     "alpha": Option(float, "generalized-model deformation alpha",
@@ -249,8 +254,9 @@ def _internal_units(cfg):
     """The lab-unit inputs of a merged config in internal units: the one
     place SI values enter. J/h = --j-hz is the one anchor of Delta, U and
     times in ms; the ramp ends there, or at 275 Hz without it. Returns delta
-    and u, t_final (evolve) and ramp (ramp), whose times converted from lab
-    units are checked: finite and >= 0, the ramp duration > 0.
+    and u, t_final (evolve) and ramp (ramp), each checked after conversion
+    from lab units: delta and u finite, times finite and >= 0, the ramp
+    duration > 0.
     bragg-schedule keeps SI (recoil_joule, j_joule)."""
     si = {k: v for k, v in vars(cfg).items() if v is not None}
     j_hz = si.get("j_hz")
@@ -268,6 +274,13 @@ def _internal_units(cfg):
                 * si.get("scattering_length_a0", 0.0)
                 * si["density_per_cm3"] * 1e6 / CS_MASS_SI / H_SI)
         units.delta, units.u = si.get("delta_hz", 0.0) / j_hz, u_hz / j_hz
+        for name, value, flags in (
+                ("Delta", units.delta, "--j-hz and --delta-hz"),
+                ("U", units.u, "--j-hz, --scattering-length-a0 and "
+                               "--density-per-cm3")):
+            if not math.isfinite(value):
+                raise ConfigError(f"the {name} from {flags} is {value} in units "
+                                  "of J; it must be finite")
     elif si.keys() & {"delta_hz", "scattering_length_a0", "t_final_ms"}:
         raise ConfigError("--delta-hz, --scattering-length-a0 and "
                           "--t-final-ms need the --j-hz anchor")
@@ -339,25 +352,19 @@ def _write_trajectory(path, traj):
                              "energy", "norm_drift"], rows)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """json.dump's fallback: a numpy array as a list, a numpy scalar as the
+    Python bool, int or float it holds."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path, obj):
     with open(path, "w") as f:
-        json.dump(_jsonable(obj), f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
     return path
 
@@ -380,7 +387,7 @@ def _outdir(args):
 def _write_manifest(outdir, subcommand, cfg, outputs, wall_time):
     manifest = {
         "subcommand": subcommand,
-        "config": _jsonable(vars(cfg)),
+        "config": vars(cfg),
         "versions": {"package": __version__,
                      "python": sys.version.split()[0],
                      "numpy": np.__version__,
@@ -632,7 +639,7 @@ def cmd_bragg_schedule(cfg, outdir):
     params = ModelParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j, phi=cfg.phi)
     sched = bragg_detunings(params, recoil_joule=units.recoil_joule,
                             j_energy_joule=units.j_joule)
-    rows = [(int(j + sched.site_offset),
+    rows = [(j + BRAGG_SITE_OFFSET,
              float(sched.detunings[j] / (2.0 * np.pi)),
              float(sched.phases[j]))
             for j in range(params.L - 1)]

@@ -32,8 +32,9 @@ off-diagonal, so each row of the batch is computed bit for bit as the lone
 1-D solve computes it.
 
 The highest excited state is the ground state of the negated model
-(J, Delta, U) -> (-J, -Delta, -U), computed by the same solver and reported
-with mu and E negated back.
+(J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
+kind 'gs' as given and kind 'es' on the negated params, reporting mu and E
+negated back.
 """
 
 import math
@@ -128,7 +129,7 @@ def _edge_pair(d, off, k):
 
 
 # -------------------------
-# Nonlinear ground state
+# Nonlinear eigenstates
 # -------------------------
 
 # The kernels below take a real state v of shape (L,) or (B, L), one state
@@ -360,21 +361,33 @@ def _newton_polish(J, eps, U, v, mu, tol, max_newton):
     return v, mu, float(res), res < tol, max_newton
 
 
-def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOptions(),
-                           start=None) -> EigenSolution:
-    """Stationary state minimizing E[phi] on the unit sphere.
+def _negates(kind):
+    """True if `kind` is solved as the ground state of the negated model."""
+    if kind not in ("gs", "es"):
+        raise ValueError(f"unknown state kind {kind!r} (expected 'gs' or 'es')")
+    return kind == "es"
 
-    Deterministic: initialization is always the linear (U=0) ground state at
-    the same (L, J, Delta, beta, phi). Convergence is declared on the
-    stationarity residual ||H[phi]phi - mu phi||_inf, not on energy change.
-    `iterations` counts imaginary-time steps, SCF steps and Newton steps,
-    and never exceeds opts.max_iterations. `start` is (linear ground state,
-    v, step, iterations, stage B) after attempt 0's stage A, as
-    batched_starts computes it for these params and opts; stage B is
-    attempt 0's _scf_block outcome, or None to run it here. The cascade
-    then goes on from there, and its result is the one it returns without
-    `start`.
+
+def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions(),
+                start=None) -> EigenSolution:
+    """The ground state (kind 'gs') or the highest excited state ('es').
+
+    The ground state is the stationary state minimizing E[phi] on the unit
+    sphere; the highest excited state is that of the negated model, its
+    state reported as-is and mu and E negated back. Deterministic:
+    initialization is always the linear (U=0) ground state of the solved
+    model at the same (L, J, Delta, beta, phi). Convergence is declared on
+    the stationarity residual ||H[phi]phi - mu phi||_inf, not on energy
+    change. `iterations` counts imaginary-time steps, SCF steps and Newton
+    steps, and never exceeds opts.max_iterations. `start` is this cell's
+    entry of batched_starts: (linear ground state, v, step, iterations,
+    stage B) after attempt 0's stage A, where stage B is attempt 0's
+    _scf_block outcome or None to run it here. The cascade then goes on
+    from there, and its result is the one it returns without `start`.
     """
+    negate = _negates(kind)
+    if negate:
+        params = params.negated()
     eps = quasiperiodic_potential(params)
     J, U = params.J, params.U
     off = np.full(params.L - 1, float(J))
@@ -438,56 +451,16 @@ def nonlinear_ground_state(params: ModelParams, opts: SolverOptions = SolverOpti
         raise RuntimeError("the solver ended on a zero or non-finite state; "
                            "check parameters (possible self-trapping blow-up)")
     res, mu = map(float, _residual_mu(J, eps, U, best_v))
-    state = LatticeState(best_v.astype(complex))
+    energy = energy_of(J, eps, U, best_v)
     return EigenSolution(
-        state=state,
-        mu=mu,
-        energy=energy_of(J, eps, U, best_v),
+        state=LatticeState(best_v.astype(complex)),
+        mu=-mu if negate else mu,
+        energy=-energy if negate else energy,
         residual=res,
         iterations=iterations,
         converged=res < opts.residual_tol,
-        kind="ground",
+        kind="highest-excited" if negate else "ground",
     )
-
-
-def nonlinear_excited_state(params: ModelParams, opts: SolverOptions = SolverOptions(),
-                            start=None) -> EigenSolution:
-    """Highest excited state, solved as the ground state of the negated model.
-
-    The state vector is reused as-is; mu and E are negated back to refer to
-    the original parameters. `start` is as in nonlinear_ground_state.
-    """
-    sol = nonlinear_ground_state(params.negated(), opts, start)
-    return EigenSolution(
-        state=sol.state,
-        mu=-sol.mu,
-        energy=-sol.energy,
-        residual=sol.residual,
-        iterations=sol.iterations,
-        converged=sol.converged,
-        kind="highest-excited",
-    )
-
-
-def _negates(kind):
-    """True if `kind` is solved as the ground state of the negated model."""
-    if kind in ("gs", "ground"):
-        return False
-    if kind in ("es", "highest-excited"):
-        return True
-    raise ValueError(f"unknown state kind {kind!r} (expected 'gs' or 'es')")
-
-
-def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions(),
-                start=None) -> EigenSolution:
-    """Dispatch helper: kind is 'gs' (ground) or 'es' (highest excited).
-
-    `start` is this cell's entry of batched_starts, or None to run the
-    whole cascade here; the result is the same either way.
-    """
-    if _negates(kind):
-        return nonlinear_excited_state(params, opts, start)
-    return nonlinear_ground_state(params, opts, start)
 
 
 def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):

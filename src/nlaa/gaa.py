@@ -184,7 +184,7 @@ def effective_gaa_from_density(state: LatticeState, params: ModelParams):
         warnings.warn("effective GAA matching is perturbative in U/Delta; "
                       f"U={params.U}, Delta={params.Delta} is outside the "
                       "trusted regime", stacklevel=2)
-    c = density_fourier_coefficients(state, beta=params.beta, max_harmonic=2)
+    c = density_fourier_coefficients(state, beta=params.beta)
     delta_eff = params.Delta - params.U * c[1]
     if abs(delta_eff) < 1e-12:
         raise ValueError("Delta_eff ~ 0: second-harmonic matching undefined")

@@ -42,6 +42,10 @@ H_SI = 6.62607015e-34          # J s
 BOHR_RADIUS_SI = 5.29177210903e-11   # m
 CS_MASS_SI = 2.2069e-25        # kg, caesium-133
 
+# paper-style site index of internal site 0 in the 21-site Bragg convention
+# (sites j = -10..10)
+BRAGG_SITE_OFFSET = -10
+
 
 # -------------------------
 # Parameter containers
@@ -221,22 +225,20 @@ def chemical_potential(params: ModelParams, state) -> float:
     return float(np.real(np.vdot(v, hv)))
 
 
-def density_fourier_coefficients(state, beta=BETA_GOLDEN, max_harmonic=2):
+def density_fourier_coefficients(state, beta=BETA_GOLDEN):
     """Cosine-projection coefficients of the density at harmonics of beta.
 
-    Returns an array [c_0, c_1, ..., c_max] with the convention
+    Returns the array [c_0, c_1, c_2] with the convention
         c_0 = (1/L) sum_j n_j          (the mean density),
-        c_m = (2/L) sum_j n_j cos(2 pi beta m j)   for m >= 1.
+        c_m = (2/L) sum_j n_j cos(2 pi beta m j)   for m = 1, 2.
     The 2/L normalization makes c_m the amplitude of a pure
     n_j = c_m cos(2 pi beta m j) modulation up to finite-size leakage.
     """
-    if max_harmonic < 1:
-        raise ValueError("max_harmonic must be >= 1")
     n = state.density if isinstance(state, LatticeState) else np.abs(np.asarray(state)) ** 2
     L = n.size
     j = np.arange(L)
     coeffs = [n.sum() / L]
-    for m in range(1, max_harmonic + 1):
+    for m in (1, 2):
         coeffs.append(2.0 / L * np.sum(n * np.cos(2.0 * np.pi * beta * m * j)))
     return np.array(coeffs)
 
@@ -250,14 +252,13 @@ class BraggSchedule:
     """Two-photon detunings and phases realizing the model on a momentum ladder.
 
     detunings[i] is the angular frequency for the bond between paper-style
-    sites j and j+1 with j = i - 10 (the 21-site convention j = -10..9);
-    phases are 0 for J > 0 and pi to realize a negative hopping.
+    sites j and j+1 with j = i + BRAGG_SITE_OFFSET (the 21-site convention
+    j = -10..9); phases are 0 for J > 0 and pi to realize a negative hopping.
     """
     detunings: np.ndarray      # rad/s, length L-1
     phases: np.ndarray         # radians, length L-1
     recoil: float              # E_R in Joules
     wavenumber: float          # k in 1/m (from E_R = hbar^2 k^2 / 2m)
-    site_offset: int = -10     # paper-style index of internal site 0
 
 
 def bragg_detunings(params: ModelParams, recoil_joule: float,
@@ -276,12 +277,11 @@ def bragg_detunings(params: ModelParams, recoil_joule: float,
         raise ValueError("recoil energy must be positive")
     eps_int = quasiperiodic_potential(params)
     eps_si = eps_int * j_energy_joule
-    offset = -10
-    jj = np.arange(params.L - 1) + offset      # centered bond labels -10..9
+    jj = np.arange(params.L - 1) + BRAGG_SITE_OFFSET    # bond labels -10..9
     hbar_domega = 4.0 * (2 * jj + 1) * recoil_joule - np.diff(eps_si)
     detunings = hbar_domega / HBAR_SI
     phase = 0.0 if params.J >= 0 else np.pi
     phases = np.full(params.L - 1, phase)
     k = np.sqrt(2.0 * CS_MASS_SI * recoil_joule) / HBAR_SI
     return BraggSchedule(detunings=detunings, phases=phases,
-                         recoil=recoil_joule, wavenumber=k, site_offset=offset)
+                         recoil=recoil_joule, wavenumber=k)

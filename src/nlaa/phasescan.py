@@ -13,7 +13,7 @@ A scan's JSONL store is an exact solve cache: one record per solve, grid
 cells and bisection midpoints alike, appended as soon as it is solved. Each
 record's `key` is the sha256 of canonical JSON of every input that affects
 its r: the full ModelParams (L, J, Delta, beta, phi, U, floats by their
-round-trip repr), kind, preparation, the ramp protocol aimed at the kind
+round-trip repr), kind, preparation, EXPERIMENT_RAMP aimed at the kind
 (ramped scans), every SolverOptions field and the package version. A
 resumed scan reads each solve back bit for bit and solves only what is
 missing, so it returns what a fresh scan returns. Lines without a key,
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .dynamics import EXPERIMENT_RAMP, RampProtocol, ramp_prepare
+from .dynamics import EXPERIMENT_RAMP, ramp_prepare
 from .eigensolve import SolverOptions, batched_starts, linear_spectrum, solve_state
 from .model import ModelParams, participation_ratio, quasiperiodic_potential
 
@@ -172,7 +172,7 @@ def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
     r_c = critical_r(L, kind)
 
     def r_at(delta):
-        return _cell_r(kind, L, float(u), float(delta), phi, "exact", None, opts)
+        return _cell_r(kind, L, float(u), float(delta), phi, "exact", opts)
 
     rs = []
     for delta in deltas:
@@ -192,8 +192,7 @@ class ScanGrid:
     u_over_j: tuple
     L: int = 21
     kind: str = "both"             # "gs" | "es" | "both"
-    preparation: str = "exact"     # "exact" | "ramped"
-    ramp: RampProtocol | None = None
+    preparation: str = "exact"     # "exact" | "ramped" (by EXPERIMENT_RAMP)
     phi: float = 0.0
 
     def __post_init__(self):
@@ -209,8 +208,6 @@ class ScanGrid:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.preparation not in ("exact", "ramped"):
             raise ValueError(f"unknown preparation {self.preparation!r}")
-        if self.preparation == "ramped" and self.ramp is None:
-            object.__setattr__(self, "ramp", EXPERIMENT_RAMP)
 
     @property
     def kinds(self):
@@ -227,17 +224,18 @@ class ScanResult:
     failures: list                 # [(kind, u, delta, message), ...]
 
 
-def _cell_inputs(kind, L, u, delta, phi, preparation, ramp):
-    """ModelParams of one scan cell and, if it is ramped, its ramp."""
+def _cell_inputs(kind, L, u, delta, phi, preparation):
+    """ModelParams of one scan cell and, if it is ramped, EXPERIMENT_RAMP
+    aimed at its kind."""
     params = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=u)
-    return params, None if preparation == "exact" else ramp.for_kind(kind)
+    return params, None if preparation == "exact" else EXPERIMENT_RAMP.for_kind(kind)
 
 
-def _cell_r(kind, L, u, delta, phi, preparation, ramp, opts, start=None):
+def _cell_r(kind, L, u, delta, phi, preparation, opts, start=None):
     """Participation ratio of one scan cell (pure function of its key).
     `start` is an exact cell's entry of batched_starts; r is the same
     with it or without."""
-    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation, ramp)
+    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation)
     if proto is None:
         sol = solve_state(params, kind, opts, start=start)
         if not sol.converged:
@@ -274,15 +272,15 @@ def cell_key(params, kind, preparation, ramp, opts) -> str:
 
 def _key_of(cell):
     """cell_key of a cell given by the arguments of _cell_r."""
-    kind, L, u, delta, phi, preparation, ramp, opts = cell
-    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation, ramp)
+    kind, L, u, delta, phi, preparation, opts = cell
+    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation)
     return cell_key(params, kind, preparation, proto, opts)
 
 
 def _cell_record(cell, key=None, start=None):
     """Store record of one cell (the arguments of _cell_r): its key (given,
     or computed) and readable inputs, and r or the error that stopped it."""
-    kind, L, u, delta, phi, preparation, ramp, opts = cell
+    kind, L, u, delta, phi, preparation, opts = cell
     rec = {"key": key or _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
            "preparation": preparation}
     try:
@@ -359,8 +357,8 @@ def _records(store, cells):
     todo = [i for i, rec in enumerate(recs) if rec is None]
     starts = [None] * len(todo)
     if todo and cells[0][5] == "exact":
-        starts = batched_starts([_cell_inputs(*cells[i][:7])[0] for i in todo],
-                                [cells[i][0] for i in todo], cells[0][7])
+        starts = batched_starts([_cell_inputs(*cells[i][:6])[0] for i in todo],
+                                [cells[i][0] for i in todo], cells[0][6])
     for i, start in zip(todo, starts):
         recs[i] = store.add(_cell_record(cells[i], keys[i], start))
     return recs
@@ -390,8 +388,7 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     rows = [(kind, float(u)) for kind in grid.kinds for u in us]
 
     def cell(kind, u, delta):
-        return (kind, grid.L, u, float(delta), grid.phi,
-                grid.preparation, grid.ramp, opts)
+        return (kind, grid.L, u, float(delta), grid.phi, grid.preparation, opts)
 
     trans, failures = {}, []
     with _Store(results_path) as store:

@@ -5,6 +5,7 @@ config precedence, and exit codes. All invocations run in-process through
 import csv
 import hashlib
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -264,6 +265,11 @@ BAD_WORK = [
     (["evolve", "--t-final=-1"], "--t-final must be finite and >= 0, got -1.0"),
     (["evolve", "--j-hz", "1e300", "--t-final-ms", "1e300"],
      "t_final from --j-hz and --t-final-ms is inf"),
+    (["solve", "--j-hz", "1e-310", "--delta-hz", "1"],
+     "Delta from --j-hz and --delta-hz is inf"),
+    (["solve", "--j-hz", "275", "--scattering-length-a0", "1e300",
+      "--density-per-cm3", "1e300"],
+     "U from --j-hz, --scattering-length-a0 and --density-per-cm3 is inf"),
     (["evolve", "--dt", "nan"], "--dt must be in (0, 0.01], got nan"),
     (["fit", "--synthesize", "--dt", "nan"], "--dt must be in (0, 0.01], got nan"),
     (["fit", "--synthesize", "--n-points", "0"], "--n-points must be an integer >= 4"),
@@ -816,7 +822,7 @@ def _sample(opt):
     """A value of the option's type inside its domain, other than any default."""
     if opt.choices:
         return opt.choices[-1]
-    candidates = {bool: [True], int: [7, 150], float: [0.375, 0.005],
+    candidates = {bool: [True], int: [7, 150, 2, 1], float: [0.375, 0.005],
                   str: ["x.csv", "0.5"]}[opt.type]
     return next(v for v in candidates if not opt.domain or opt.domain[0](v))
 
@@ -898,6 +904,9 @@ def _outside(opt):
     bound = re.fullmatch(r"(0 or )?an integer >= (\d+)", text)
     if bound:
         return values + [int(bound[2]) - 1] + ([-1] if bound[1] else [])
+    ends = re.fullmatch(r"an integer in \[(\d+), (\d+)\]", text)
+    if ends:
+        return [int(ends[1]) - 1, int(ends[2]) + 1]
     return values + {
         "finite": [],
         "finite and > 0": [0.0, -1.0],
@@ -925,6 +934,28 @@ def test_values_outside_the_domain_exit_2_naming_the_flag(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be "), (value, err)
         assert list(out.iterdir()) == [], value
+
+
+@pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("subcommand", ["scan", "phases"])
+def test_workers_above_the_cpu_count_exit_2_before_any_pool(
+        tmp_path, capsys, monkeypatch, subcommand, as_config):
+    import nlaa.cli as cli
+    import nlaa.phasescan as phasescan
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    for module in (cli, phasescan):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
+    n = os.cpu_count() or 1
+    out = tmp_path / "out"
+    extra = (["--config", _config_file(tmp_path, {"workers": n + 1})] if as_config
+             else ["--workers", str(n + 1)])
+    assert main([subcommand, "--L", "5", *extra, "--out", str(out)]) == 2
+    assert (f"error: --workers must be an integer in [1, {n}], got {n + 1}"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 def test_every_number_option_has_a_domain_that_holds_its_defaults():

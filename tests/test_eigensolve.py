@@ -16,8 +16,6 @@ from nlaa import (
     chemical_potential,
     energy_functional,
     linear_spectrum,
-    nonlinear_excited_state,
-    nonlinear_ground_state,
     participation_ratio,
     quasiperiodic_potential,
     solve_state,
@@ -150,7 +148,7 @@ def test_u_zero_reduces_to_linear_ground_state():
     p = ModelParams(L=21, J=1.0, Delta=1.0)
     eps = quasiperiodic_potential(p)
     evals, evecs = linear_spectrum(p.L, p.J, eps)
-    sol = nonlinear_ground_state(p)
+    sol = solve_state(p, "gs")
     assert sol.converged
     overlap = abs(np.vdot(evecs[:, 0], sol.state.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -164,7 +162,7 @@ def test_l2_analytic_ground_state():
     eps = quasiperiodic_potential(p)
     mean, half = 0.5 * (eps[0] + eps[1]), 0.5 * (eps[0] - eps[1])
     e_exact = mean - np.hypot(half, p.J)
-    sol = nonlinear_ground_state(p)
+    sol = solve_state(p, "gs")
     assert sol.converged
     assert sol.energy == pytest.approx(e_exact, abs=1e-10)
 
@@ -172,7 +170,7 @@ def test_l2_analytic_ground_state():
 def test_solution_satisfies_definitions():
     for D, U in [(0.5, 0.6), (2.5, -0.6), (2.0, 0.0)]:
         p = ModelParams(L=21, J=1.0, Delta=D, U=U)
-        sol = nonlinear_ground_state(p)
+        sol = solve_state(p, "gs")
         assert sol.converged
         assert residual(p, sol.state, sol.mu) < 1e-10
         assert sol.mu == pytest.approx(chemical_potential(p, sol.state),
@@ -188,7 +186,7 @@ def test_variational_improvement_over_linear_seed():
         eps = quasiperiodic_potential(p)
         _, evecs = linear_spectrum(p.L, p.J, eps)
         e_seed = energy_functional(p, evecs[:, 0])
-        sol = nonlinear_ground_state(p)
+        sol = solve_state(p, "gs")
         assert sol.converged
         assert sol.energy <= e_seed + 1e-12
 
@@ -196,7 +194,7 @@ def test_variational_improvement_over_linear_seed():
 def test_hard_defocusing_case_converges():
     # multi-well defocusing state that plain density mixing cannot reach
     p = ModelParams(L=144, J=1.0, Delta=2.0, U=-0.5)
-    sol = nonlinear_ground_state(p)
+    sol = solve_state(p, "gs")
     assert sol.converged
     assert residual(p, sol.state, sol.mu) < 1e-10
 
@@ -321,8 +319,8 @@ def _check_failing_stage_b_row(monkeypatch, failure, us):
         # the row's cascade runs stage B alone and raises the lone error
         calls.clear()
         with pytest.raises(error) as cascade:
-            nonlinear_ground_state(cells[1], opts,
-                                   start=(v0[1], v[1], step[1], used[1], None))
+            solve_state(cells[1], "gs", opts,
+                        start=(v0[1], v[1], step[1], used[1], None))
         assert str(cascade.value) == str(lone.value)
     for i in (0, 2):
         res, best, n = _scf_block(J[i], off, eps[i], U[i], v[i], *args,
@@ -352,8 +350,8 @@ def _check_non_finite_potential_row(us):
             _imag_time_block(1.0, eps[1], U[1], v0[1], *args)
         # the row's cascade goes on from the batch and raises the lone error
         with pytest.raises(RuntimeError) as batched:
-            nonlinear_ground_state(cells[1], opts,
-                                   start=(v0[1], v[1], step[1], used[1], None))
+            solve_state(cells[1], "gs", opts,
+                        start=(v0[1], v[1], step[1], used[1], None))
     assert str(batched.value) == str(lone.value)
     for i in (0, 2):
         v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U[i], v0[i], *args)
@@ -363,11 +361,11 @@ def _check_non_finite_potential_row(us):
 
 def test_focusing_increases_localization():
     p0 = ModelParams(L=21, J=1.0, Delta=1.8)
-    r0 = participation_ratio(nonlinear_ground_state(p0).state)
-    rp = participation_ratio(nonlinear_ground_state(
-        ModelParams(L=21, J=1.0, Delta=1.8, U=0.5)).state)
-    rm = participation_ratio(nonlinear_ground_state(
-        ModelParams(L=21, J=1.0, Delta=1.8, U=-0.5)).state)
+    r0 = participation_ratio(solve_state(p0, "gs").state)
+    rp = participation_ratio(solve_state(
+        ModelParams(L=21, J=1.0, Delta=1.8, U=0.5), "gs").state)
+    rm = participation_ratio(solve_state(
+        ModelParams(L=21, J=1.0, Delta=1.8, U=-0.5), "gs").state)
     assert rp < r0 < rm
 
 
@@ -375,26 +373,31 @@ def test_focusing_increases_localization():
 # Excited state via negation
 # -------------------------
 
-def test_excited_state_duality_elementwise():
-    p = ModelParams(L=21, J=1.0, Delta=1.3, phi=0.2, U=0.4)
-    es = nonlinear_excited_state(p)
-    gs = nonlinear_ground_state(p.negated())
-    assert es.converged and gs.converged
-    assert np.allclose(np.abs(es.state.amplitudes), np.abs(gs.state.amplitudes),
-                       rtol=0, atol=1e-8)
-    assert es.mu == pytest.approx(-gs.mu, rel=1e-12)
-    assert es.energy == pytest.approx(-gs.energy, rel=1e-12)
-    assert es.kind == "highest-excited"
+@given(L=st.integers(2, 34), delta=st.floats(0.0, 8.0), U=st.floats(-1.0, 1.0),
+       phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_excited_state_duality_elementwise(L, delta, U, phi):
+    # the highest excited state is the negated model's ground state, bit for
+    # bit, with mu and E negated back
+    p = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=U)
+    es = solve_state(p, "es")
+    gs = solve_state(p.negated(), "gs")
+    assert es.state.amplitudes.tobytes() == gs.state.amplitudes.tobytes()
+    assert (es.residual, es.iterations, es.converged) == (
+        gs.residual, gs.iterations, gs.converged)
+    assert _bits([es.mu, es.energy]) == _bits([-gs.mu, -gs.energy])
+    assert (es.kind, gs.kind) == ("highest-excited", "ground")
     # the ES residual is measured against the original parameters
-    assert residual(p, es.state, es.mu) < 1e-9
+    if es.converged:
+        assert residual(p, es.state, es.mu) < 1e-9
 
 
 def test_solve_state_dispatch():
     p = ModelParams(L=13, J=1.0, Delta=1.0, U=0.2)
     assert solve_state(p, "gs").kind == "ground"
     assert solve_state(p, "es").kind == "highest-excited"
-    with pytest.raises(ValueError):
-        solve_state(p, "middle")
+    for kind in ("middle", "ground", "highest-excited"):
+        with pytest.raises(ValueError):
+            solve_state(p, kind)
 
 
 # -------------------------
@@ -444,7 +447,7 @@ def _grid_minimum_energy(p, step=1e-2):
                                        (4, 0.9, 0.6)])
 def test_small_l_brute_force(L, delta, u):
     p = ModelParams(L=L, J=1.0, Delta=delta, phi=0.3, U=u)
-    sol = nonlinear_ground_state(p)
+    sol = solve_state(p, "gs")
     assert sol.converged
     e_grid = _grid_minimum_energy(p)
     assert sol.energy <= e_grid + 1e-12       # solver can only do better

@@ -188,8 +188,6 @@ def test_scan_grid_validation():
         ScanGrid(delta_over_j=(1.0, 0.5), u_over_j=(0.0,))
     with pytest.raises(ValueError):
         ScanGrid(delta_over_j=(1.0,), u_over_j=(0.0,), kind="middle")
-    g = ScanGrid(delta_over_j=(1.0,), u_over_j=(0.0,), preparation="ramped")
-    assert g.ramp is not None                 # default protocol filled in
 
 
 SMALL = dict(delta_over_j=(1.6, 2.0, 2.4), u_over_j=(-0.3, 0.3), L=13)
@@ -295,7 +293,7 @@ def _lone_scan(grid, opts):
 
     def r_at(kind, u, delta):
         return phasescan._cell_r(kind, grid.L, u, float(delta), grid.phi, "exact",
-                                 None, opts)
+                                 opts)
 
     r, transitions, failures = {}, {}, []
     for kind in grid.kinds:
@@ -424,7 +422,7 @@ def test_cell_key_covers_every_input(monkeypatch):
 def test_ramped_resume_reads_every_ramp_back(tmp_path, monkeypatch):
     path = tmp_path / "cells.jsonl"
     grid = ScanGrid(delta_over_j=(0.5, 2.0), u_over_j=(0.0,), L=13, kind="gs",
-                    preparation="ramped", ramp=RampProtocol(duration=1.0))
+                    preparation="ramped")
     fresh = scan_phase_diagram(grid, results_path=str(path))
     assert fresh.transitions["gs"][0].found
     ramps = _count_calls(monkeypatch, "ramp_prepare")
@@ -432,11 +430,6 @@ def test_ramped_resume_reads_every_ramp_back(tmp_path, monkeypatch):
     assert ramps == []
     assert np.array_equal(again.r["gs"], fresh.r["gs"])
     assert again.transitions["gs"][0].delta_c == fresh.transitions["gs"][0].delta_c
-    faster = replace(grid, ramp=RampProtocol(duration=0.8))
-    other = scan_phase_diagram(faster, results_path=str(path), detect=False)
-    assert len(ramps) == 2
-    assert np.array_equal(other.r["gs"],
-                          scan_phase_diagram(faster, detect=False).r["gs"])
 
 
 def test_torn_last_line_is_skipped_then_cut_off(tmp_path, monkeypatch, caplog):
