@@ -114,9 +114,12 @@ OPTIONS = {
                           choices=("exact", "ramped")),
     "t_final": Option(float, "evolution time in hbar/J", NON_NEGATIVE),
     "t_final_ms": Option(float, "evolution time in ms (needs --j-hz)", FINITE),
-    "dt": Option(float, "RK4 time step in hbar/J",
+    "dt": Option(float, "time-grid step in hbar/J; snapshots and the end time "
+                        "are whole multiples of it (the run ends at "
+                        "round(t_final/dt) dt)",
                  (lambda v: 0 < v <= 0.01, "in (0, 0.01]")),
-    "stride": Option(int, "RK4 steps between recorded snapshots", _at_least(1)),
+    "stride": Option(int, "time-grid steps between recorded snapshots",
+                     _at_least(1)),
     "velocity_hz_per_ms": Option(float, "ramp speed of J/h in Hz/ms", POSITIVE),
     "hold_ms": Option(float, "hold at the target after the ramp in ms", FINITE),
     "delta_min": Option(float, "first Delta/J of the grid", FINITE),

@@ -1,33 +1,33 @@
 """
 Real-time propagation of the nonlinear AA model.
 
-The equation of motion i d(phi)/dt = H[phi] phi is integrated with the
-classic explicit 4th-order Runge-Kutta stepper at a fixed step (default
-dt = 1e-3 in units of hbar/J). The norm is monitored, never enforced:
-norm drift is the accuracy diagnostic, and a drift beyond 1e-6 aborts with
-advice to reduce dt.
+The equation of motion i d(phi)/dt = H[phi] phi is integrated by scipy's
+compiled DOP853, the adaptive 8th-order Runge-Kutta method of Hairer,
+Norsett & Wanner (Solving ODEs I, 1993), at rtol = atol = ODE_TOL; the
+complex amplitudes pass through a float view. H[phi] phi is
+model.apply_stencil with the diagonal eps - U |phi|^2, and the recorded
+energy is model.energy_of.
 
-Time-dependent hopping (the ramp protocol J(t) = 2 pi hbar v t) is handled
-by freezing J over each step at its midpoint value J(t + dt/2), which is
-second-order accurate in the drive and well below the integrator error at
-the default step. H[phi] phi is model.apply_stencil with the diagonal
-eps - U |phi|^2, and the recorded energy is model.energy_of.
+Snapshots lie on a time grid of step dt (default 1e-3 in units of hbar/J):
+one every `snapshot_stride` grid steps and one at the end, which is the grid
+time round(t_final/dt) dt, not t_final itself. The integrator stops at each
+snapshot and restarts from it, with a step budget proportional to the
+interval. A ramp's hopping J(t) = J min(t/duration, 1) has a kink at
+t = duration, where the integrator also stops and restarts. The norm is
+monitored, never enforced: a drift beyond NORM_ABORT at a snapshot, or an
+integrator that fails within its budget, aborts the chain.
 
-The stepper works on (..., L) amplitude arrays, so `evolve` and
-`ramp_prepare` also take a sequence of chains of one length and propagate
-them as a single array: one RK4 step of B chains costs about what one step
-of a single chain does, since at L ~ 21 a step is mostly numpy call
-overhead. A lone chain is a batch of one. Each row sees exactly the
-elementwise arithmetic of a lone propagation, so every row of a batch is
-bitwise equal to the chain evolved on its own, whatever the batch around it
-or its position in it. A row whose norm drift passes the abort threshold is
-dropped from the batch and reported with the message a lone propagation
-raises; the other rows go on.
+`evolve` and `ramp_prepare` also take a sequence of chains of one length (a
+synthetic measurement's ramps). The batch is a loop over lone propagations,
+so every row is bitwise the chain evolved on its own; a row that aborts
+holds the message a lone propagation raises, and the other rows go on.
 """
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import ode
 
 from .model import (
     LatticeState,
@@ -41,6 +41,16 @@ from .model import (
 
 DEFAULT_DT = 1e-3
 NORM_ABORT = 1e-6
+ODE_TOL = 1e-10
+# DOP853's step budget per interval: proportional to the interval above a
+# floor for tiny ones, so a long snapshot stride gets the budget per unit time
+# of a short one (and needs fewer restarts). A run takes about 3|U/J| + 20
+# steps per unit time, so U/J up to about 3e3 fits.
+MIN_STEP_BUDGET = 50
+STEPS_PER_TIME = 1e4
+MAX_STEP_BUDGET = 2 ** 31 - 1       # DOP853 counts its steps in 32 bits
+DOP853_FAILURES = {-1: "inconsistent input", -2: "step budget spent",
+                   -3: "step size too small", -4: "problem probably stiff"}
 
 
 @dataclass(frozen=True)
@@ -98,8 +108,8 @@ class Trajectory:
 @dataclass
 class BatchTrajectory:
     """Outcome of a batched evolution, one entry per chain (row)."""
-    rows: list                       # Trajectory per row; None where it aborted
-    errors: list                     # None per row, or its norm-abort message
+    rows: list                       # Trajectory per row; None where it failed
+    errors: list                     # None per row, or its failure message
     norm_drift: np.ndarray           # per snapshot, the largest over live rows
 
 
@@ -114,14 +124,17 @@ class _Chain:
         self.energy, self.drift = [], []
 
     def record(self, t, v, J_now):
+        """Append the snapshot at t, or return the norm-abort message."""
+        drift = abs(np.sum(np.abs(v) ** 2) - 1.0)
+        if not drift <= NORM_ABORT:           # False for NaN as well
+            return f"norm drift {drift:.3e} at t={t:.4f} exceeds {NORM_ABORT}"
         st = LatticeState(v, center=self.center)
         self.times.append(t)
         self.states.append(st)
         self.r.append(participation_ratio(st))
         self.d.append(momentum_width(st))
         self.energy.append(float(energy_of(J_now, self.eps, self.U, st.amplitudes)))
-        self.drift.append(abs(np.sum(np.abs(v) ** 2) - 1.0))
-        return self.drift[-1]
+        self.drift.append(drift)
 
     def trajectory(self) -> Trajectory:
         return Trajectory(times=np.array(self.times), states=self.states,
@@ -130,53 +143,79 @@ class _Chain:
                           norm_drift=np.array(self.drift))
 
 
-def _column(values):
-    """Per-row values as one scalar when all rows share it, else a (B, 1)
-    column. A shared scalar spares every step the broadcast of a column; the
-    elementwise arithmetic is the same either way. No rows give an empty
-    column, so that `evolve` reports the empty batch."""
-    values = np.array(values, dtype=float)
-    if values.size and np.all(values == values[0]):
-        return float(values[0])
-    return values[:, None]
+def _propagate(params, start, times, j_of_t, ramp):
+    """Integrate one chain from t = 0 through the snapshot `times`, stopping
+    at each and at the ramp's kink; `j_of_t` and `ramp` as in `evolve`.
 
+    Returns (chain, error): the snapshots recorded and None, or those before
+    the failure and its message."""
+    chain = _Chain(params, start.center)
+    J, kink = params.J, np.inf if ramp is None else ramp.duration
+    hopping = ((lambda t: J * ramp.hopping_fraction(t)) if ramp is not None
+               else j_of_t or (lambda t: J))
+    # -i H[phi] phi with the -i folded into the stencil's inputs; the values
+    # are exact, as times -i only swaps and negates a number's two parts
+    eps_i, U_i = -1j * chain.eps, 1j * params.U
 
-def _rhs(eps, U, J, v):
-    """-i H[phi] phi on (L,) or (B, L) amplitudes, eps of the same shape; U
-    and J are scalars or (B, 1) columns."""
-    return -1j * apply_stencil(J, eps - U * np.abs(v) ** 2, v)
+    def rhs(t, y):
+        v = y.view(complex)
+        diag = eps_i + U_i * (v.real ** 2 + v.imag ** 2)
+        return apply_stencil(-1j * hopping(t), diag, v).view(float)
 
-
-def _abort_message(drift, t):
-    return f"norm drift {drift:.3e} at t={t:.4f} exceeds {NORM_ABORT}; reduce dt"
+    chain.record(0.0, start.amplitudes, hopping(0.0))   # normalized: no abort
+    y, t0 = start.amplitudes.view(float), 0.0
+    for t in times:
+        for stop in ((kink, t) if t0 < kink < t else (t,)):
+            budget = max(MIN_STEP_BUDGET, STEPS_PER_TIME * (stop - t0))
+            solver = ode(rhs).set_integrator(
+                "dop853", rtol=ODE_TOL, atol=ODE_TOL,
+                nsteps=int(min(budget, MAX_STEP_BUDGET)))
+            solver.set_initial_value(y, t0)
+            with warnings.catch_warnings():   # the failure is reported below
+                warnings.filterwarnings("ignore", "dop853:", UserWarning)
+                y = solver.integrate(stop)
+            if not solver.successful():
+                code = solver.get_return_code()
+                return chain, (f"DOP853 failed at t={solver.t:.4f}: "
+                               f"{DOP853_FAILURES.get(code, code)}")
+            t0 = stop
+        error = chain.record(t, y.view(complex), hopping(t))
+        if error:
+            return chain, error
+    return chain, None
 
 
 def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
-           j_of_t=None):
-    """Propagate `initial` to t_final; snapshots every `snapshot_stride` steps.
+           j_of_t=None, ramp=None):
+    """Propagate `initial` to the grid time round(t_final/dt) dt, recording a
+    snapshot at t = 0, every `snapshot_stride` grid steps and at the end;
+    `snapshot_stride=None` records none in between, which spares DOP853 a
+    restart at each of them when only the final state is wanted.
 
-    `j_of_t` optionally replaces the constant hopping with J(t); it is
-    sampled once per step at the midpoint. Observables recorded per snapshot:
-    participation ratio r, momentum width d (around initial.center), energy
-    E[phi] (with the instantaneous J), and the norm drift |sum n - 1|.
-    Returns a Trajectory; a norm drift past NORM_ABORT raises RuntimeError.
+    The hopping is params.J unless `j_of_t` (a callable t -> scalar J(t),
+    shared by every row) or `ramp` (a RampProtocol: each row's hopping is
+    its own J times ramp.hopping_fraction(t), with a restart at the kink)
+    replaces it. Observables recorded per snapshot: participation ratio r,
+    momentum width d (around initial.center), energy E[phi] (with the
+    instantaneous J), and the norm drift |sum n - 1|. Returns a Trajectory;
+    a norm drift past NORM_ABORT or a failed integration raises RuntimeError.
 
     Batched form: `params` a sequence of ModelParams sharing L and `initial`
-    a sequence of as many LatticeStates. All B chains step as one (B, L)
-    array, and `j_of_t(t)` returns a scalar or a (B, 1) column of per-row
-    hoppings. Returns a BatchTrajectory whose row b is bitwise the
-    Trajectory of evolve(params[b], initial[b], ...); a row that would
-    raise is dropped at that step and holds the message instead. A lone
-    chain is propagated as a batch of one.
+    a sequence of as many LatticeStates. Returns a BatchTrajectory whose row
+    b is bitwise the Trajectory of evolve(params[b], initial[b], ...); a row
+    that would raise holds None and the message instead.
     """
     if not 0 < dt <= 0.01:
         raise ValueError(f"dt must lie in (0, 0.01] (units hbar/J), got {dt}")
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, "
                          f"got {t_final}")
-    if not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1:
+    if snapshot_stride is not None and (
+            not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1):
         raise ValueError(f"snapshot stride must be an integer >= 1, "
                          f"got {snapshot_stride!r}")
+    if j_of_t is not None and ramp is not None:
+        raise ValueError("give j_of_t or ramp, not both")
     lone = isinstance(params, ModelParams)
     params, initial = ([params], [initial]) if lone else (list(params), list(initial))
     if not params or len(params) != len(initial):
@@ -184,59 +223,23 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
                          "state per parameter set")
     if len({p.L for p in params} | {s.L for s in initial}) != 1:
         raise ValueError("batched chains must share the chain length L")
-    chains = [_Chain(p, s.center) for p, s in zip(params, initial)]
-    eps = np.stack([c.eps for c in chains])
-    U = _column([p.U for p in params])
-    J = _column([p.J for p in params])
-    v = np.stack([s.amplitudes for s in initial])
-    B = len(chains)
-    if B == 1:                  # a lone chain steps as 1-D arrays, whose numpy
-        eps, v = eps[0], v[0]   # calls cost less than those on (1, L) arrays
-    live = np.arange(B)                   # batch rows still propagated
-    errors = [None] * B
-    snapshot_drift = []
     n_steps = int(round(t_final / dt))
+    stride = snapshot_stride or max(n_steps, 1)
+    # the grid steps of the snapshots after t = 0: every stride-th and the last
+    marks = range(stride, n_steps + stride, stride)
 
-    def hopping(t):
-        """J(t) of the live rows: a scalar or a column."""
-        J_t = J if j_of_t is None else j_of_t(t)
-        return J_t if np.ndim(J_t) == 0 or len(J_t) == live.size else J_t[live]
-
-    def record(t, v):
-        J_t = np.broadcast_to(hopping(t), (live.size, 1))
-        rows = np.atleast_2d(v)
-        snapshot_drift.append(max(chains[b].record(t, rows[i], J_t[i, 0])
-                                  for i, b in enumerate(live)))
-
-    record(0.0, v)
-    for k in range(n_steps):
-        t = k * dt
-        J_mid = hopping(t + 0.5 * dt)
-        k1 = _rhs(eps, U, J_mid, v)
-        k2 = _rhs(eps, U, J_mid, v + 0.5 * dt * k1)
-        k3 = _rhs(eps, U, J_mid, v + 0.5 * dt * k2)
-        k4 = _rhs(eps, U, J_mid, v + dt * k3)
-        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = abs((np.abs(v) ** 2).sum(axis=-1) - 1.0)
-        ok = drift <= NORM_ABORT          # False for NaN as well
-        if not ok.all():
-            drift, ok = np.atleast_1d(drift, ok)
-            for i in np.flatnonzero(~ok):
-                errors[live[i]] = _abort_message(drift[i], t + dt)
-            live, v, eps = live[ok], np.atleast_2d(v)[ok], np.atleast_2d(eps)[ok]
-            U = U if np.ndim(U) == 0 else U[ok]
-            if not live.size:
-                break
-        if (k + 1) % snapshot_stride == 0 or k == n_steps - 1:
-            record((k + 1) * dt, v)
-
-    rows = [None if err else c.trajectory() for c, err in zip(chains, errors)]
+    chains, errors = zip(*(_propagate(p, s, (min(m, n_steps) * dt for m in marks),
+                                      j_of_t, ramp)
+                           for p, s in zip(params, initial)))
     if lone:
         if errors[0]:
             raise RuntimeError(errors[0])
-        return rows[0]
-    return BatchTrajectory(rows=rows, errors=errors,
-                           norm_drift=np.array(snapshot_drift))
+        return chains[0].trajectory()
+    snapshot_drift = [max(c.drift[i] for c in chains if i < len(c.drift))
+                      for i in range(max(len(c.drift) for c in chains))]
+    return BatchTrajectory(
+        rows=[None if err else c.trajectory() for c, err in zip(chains, errors)],
+        errors=list(errors), norm_drift=np.array(snapshot_drift))
 
 
 def transport_experiment(params: ModelParams, t_final, dt=DEFAULT_DT,
@@ -252,7 +255,7 @@ def transport_experiment(params: ModelParams, t_final, dt=DEFAULT_DT,
 
 
 def ramp_prepare(params_target, protocol: RampProtocol, dt=DEFAULT_DT,
-                 snapshot_stride=100):
+                 snapshot_stride=None):
     """Finite-velocity preparation of the target eigenstate.
 
     The chain starts in the J=0 ground state, i.e. all population on the
@@ -263,10 +266,12 @@ def ramp_prepare(params_target, protocol: RampProtocol, dt=DEFAULT_DT,
     excited state of the original; the returned state is reported as-is
     (densities and r are negation-invariant).
 
-    Returns (final LatticeState, Trajectory). Given a sequence of
-    ModelParams sharing L, all ramps run as one batched `evolve` and the
-    return is (list of final states, BatchTrajectory); a row that aborted
-    has None as its final state and its message in `errors`.
+    Returns (final LatticeState, Trajectory); the trajectory holds t = 0
+    and the end unless a `snapshot_stride` asks for snapshots in between.
+    Given a sequence of ModelParams sharing L, all ramps run as one batched
+    `evolve` and the return is (list of final states, BatchTrajectory); a
+    row that aborted has None as its final state and its message in
+    `errors`.
     """
     lone = isinstance(params_target, ModelParams)
     targets = [params_target] if lone else list(params_target)
@@ -274,13 +279,8 @@ def ramp_prepare(params_target, protocol: RampProtocol, dt=DEFAULT_DT,
     initial = [LatticeState.single_site(
         p.L, int(np.argmin(quasiperiodic_potential(p))),   # lowest index on ties
         center=(p.L - 1) // 2) for p in chains]
-    J = _column([p.J for p in chains])
-
-    def j_of_t(t):
-        return J * protocol.hopping_fraction(t)
-
     traj = evolve(chains, initial, protocol.duration + protocol.hold, dt=dt,
-                  snapshot_stride=snapshot_stride, j_of_t=j_of_t)
+                  snapshot_stride=snapshot_stride, ramp=protocol)
     finals = [None if row is None else row.final_state() for row in traj.rows]
     if lone:
         if traj.errors[0]:

@@ -27,6 +27,7 @@ the slope connecting the two critical points in the (E, Delta) plane.
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,9 +61,9 @@ class GaaParams:
     L: int
     J: float = 1.0
     Delta: float = 0.0
-    beta: float = BETA_GOLDEN
     phi: float = 0.0
     alpha: float = 0.0
+    beta: ClassVar[float] = BETA_GOLDEN     # not a field: no caller varies it
 
     def __post_init__(self):
         if self.L < 2:

@@ -324,6 +324,18 @@ def test_evolve_trajectory_grid(tmp_path):
     assert ev["max_norm_drift"] < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_evolve_integrator_failure_exits_3(tmp_path, capsys):
+    # at U/J = 4e4 the integrator spends its step budget within the first
+    # snapshot interval: a numerical failure that names its time
+    rc = main(["evolve", "--L", "13", "--u-over-j", "40000", "--t-final", "0.5",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "failed at t=" in err and "Traceback" not in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_evolve_ms_without_anchor_exits_2(tmp_path):
     rc = main(["evolve", "--t-final-ms", "1.0", "--out", str(tmp_path)])
     assert rc == 2

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import jv
 
@@ -13,11 +13,13 @@ from nlaa import (
     ModelParams,
     RampProtocol,
     evolve,
+    participation_ratio,
     quasiperiodic_potential,
     ramp_prepare,
     solve_state,
     transport_experiment,
 )
+from nlaa import dynamics
 from nlaa.dynamics import EXPERIMENT_RAMP
 
 # a short ramp keeps the batch tests fast; batching does not depend on length
@@ -105,6 +107,53 @@ def test_bessel_spreading_within_integrator_window():
     assert worst < 1e-6
 
 
+@given(L=st.sampled_from((5, 13, 21)), delta=st.floats(0.0, 4.0),
+       u=st.floats(-1.0, 1.0), t_final=st.floats(0.0, 2.0), data=st.data())
+def test_constant_j_evolution_conserves_and_keeps_the_gauge(L, delta, u,
+                                                           t_final, data):
+    parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * L,
+                               max_size=2 * L))
+    amps = np.array(parts[:L]) + 1j * np.array(parts[L:])
+    assume(np.linalg.norm(amps) > 1e-3)
+    p = ModelParams(L=L, J=1.0, Delta=delta, U=u)
+    traj = evolve(p, LatticeState(amps), t_final)
+    assert np.max(traj.norm_drift) <= 1e-10
+    assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-10
+    # J -> -J with phi_j -> (-1)^j phi_j is exact in floating point: every
+    # product and sum flips sign together, and DOP853 only sees magnitudes
+    sign = (-1.0) ** np.arange(L)
+    gauged = evolve(replace(p, J=-1.0), LatticeState(sign * amps), t_final)
+    for name in ("times", "r", "d", "energy", "norm_drift"):
+        assert np.array_equal(getattr(gauged, name), getattr(traj, name)), name
+
+
+def test_step_budget_scales_with_the_interval_and_fits_dop853(monkeypatch):
+    # a budget of 30 steps per unit time lets a stride of 1000 grid steps
+    # pass like a stride of 100; one step per interval, a budget blind to
+    # the interval, passes the short stride and fails the long one
+    p = ModelParams(L=13, J=1.0, Delta=1.0, U=0.5)
+    start = LatticeState.single_site(13, 6)
+    monkeypatch.setattr(dynamics, "MIN_STEP_BUDGET", 1)
+    monkeypatch.setattr(dynamics, "STEPS_PER_TIME", 30)
+    short = evolve(p, start, 1.0, snapshot_stride=100)
+    long = evolve(p, start, 1.0, snapshot_stride=1000)
+    assert np.array_equal(long.times, short.times[[0, -1]])
+    assert abs(long.r[-1] - short.r[-1]) < 1e-8
+    monkeypatch.setattr(dynamics, "STEPS_PER_TIME", 0)
+    evolve(p, start, 1.0, snapshot_stride=100)
+    with pytest.raises(RuntimeError, match="step budget spent"):
+        evolve(p, start, 1.0, snapshot_stride=1000)
+    # a budget past DOP853's 32-bit step counter is clipped, not an error
+    monkeypatch.setattr(dynamics, "STEPS_PER_TIME", 1e300)
+    assert np.array_equal(evolve(p, start, 1.0, snapshot_stride=1000).r, long.r)
+
+
+def test_hopping_is_given_once():
+    with pytest.raises(ValueError, match="j_of_t or ramp"):
+        evolve(ModelParams(L=11), LatticeState.single_site(11, 5), 1.0,
+               j_of_t=lambda t: 1.0, ramp=SHORT_RAMP)
+
+
 def test_constant_ramp_equals_plain_evolution():
     # j_of_t returning the constant J must reproduce evolve() bitwise
     p = ModelParams(L=15, J=1.0, Delta=0.8, U=0.3)
@@ -168,7 +217,6 @@ def test_slow_ramp_approaches_exact_state():
     p = ModelParams(L=21, J=1.0, Delta=3.0)
     final, _ = ramp_prepare(p, EXPERIMENT_RAMP)
     exact = solve_state(p, "gs")
-    from nlaa import participation_ratio
     assert abs(participation_ratio(final)
                - participation_ratio(exact.state)) < 0.02
 
@@ -178,9 +226,25 @@ def test_hold_extends_total_time():
     # a 0.5 ms hold (test_cli checks that --hold-ms 0.5 gives this hold)
     proto = replace(EXPERIMENT_RAMP, hold=0.5 * EXPERIMENT_RAMP.duration)
     _, traj = ramp_prepare(p, proto)
-    # the integrator takes whole dt steps, so the endpoint rounds to dt/2
+    # the run ends on the time grid of step dt, so the endpoint rounds to dt/2
     assert traj.times[-1] == pytest.approx(proto.duration + proto.hold,
                                            abs=5e-4)
+
+
+# ramp_prepare's final r at (L = 21, U = 0.3), as the fixed-step RK4
+# integrator this module used before DOP853 gave it on the same time grid
+# (dt = 1e-3). perfbench's ramp_fit reference holds such r at RK4_TOL = 1e-6.
+RK4_RAMPED_R = [("gs", 0.2, 0.18923134933906144),
+                ("gs", 1.8, 0.06526930392036258),
+                ("gs", 3.4, 0.05400221100097506),
+                ("es", 1.8, 0.06400197541388723)]
+
+
+@pytest.mark.parametrize("kind, delta, r_rk4", RK4_RAMPED_R)
+def test_ramped_r_matches_the_rk4_reference(kind, delta, r_rk4):
+    p = ModelParams(L=21, J=1.0, Delta=delta, U=0.3)
+    final, _ = ramp_prepare(p, EXPERIMENT_RAMP.for_kind(kind))
+    assert abs(participation_ratio(final) - r_rk4) <= 1e-6
 
 
 def test_for_kind_sets_the_target():
@@ -247,7 +311,7 @@ def test_batched_evolve_mixes_ground_and_negated_rows():
 
 def test_batched_ramp_reports_an_aborted_row_and_keeps_the_others():
     with pytest.warns(UserWarning, match="self-trapping"):
-        wild = ModelParams(L=13, J=1.0, Delta=1.0, U=400.0)
+        wild = ModelParams(L=13, J=1.0, Delta=1.0, U=4e4)
     calm = [ModelParams(L=13, J=1.0, Delta=1.0, U=0.3),
             ModelParams(L=13, J=1.0, Delta=2.5, U=-0.5)]
     with pytest.raises(RuntimeError) as lone_error:
@@ -261,17 +325,14 @@ def test_batched_ramp_reports_an_aborted_row_and_keeps_the_others():
         lone, _ = ramp_prepare(p, SHORT_RAMP)
         assert np.array_equal(final.amplitudes, lone.amplitudes)
         assert np.array_equal(final.amplitudes, alone.amplitudes)
-    # rows of different U and J under a drive: after the abort the per-row
-    # columns follow the rows that are left
+    # rows of different U and J under a drive, each scaling the ramp by its
+    # own J: the abort of one row leaves the others their lone runs
     rows = [calm[0], wild, calm[1].negated()]
     starts = [LatticeState.single_site(13, j) for j in (6, 2, 9)]
-    column = np.array([[p.J] for p in rows])
-    batch = evolve(rows, starts, 0.5, snapshot_stride=50,
-                   j_of_t=lambda t: column * SHORT_RAMP.hopping_fraction(t))
+    batch = evolve(rows, starts, 0.5, snapshot_stride=50, ramp=SHORT_RAMP)
     for p, start, row, error in zip(rows, starts, batch.rows, batch.errors):
         def lone():
-            return evolve(p, start, 0.5, snapshot_stride=50,
-                          j_of_t=lambda t: p.J * SHORT_RAMP.hopping_fraction(t))
+            return evolve(p, start, 0.5, snapshot_stride=50, ramp=SHORT_RAMP)
         if p is wild:
             with pytest.raises(RuntimeError) as lone_error:
                 lone()
@@ -279,3 +340,37 @@ def test_batched_ramp_reports_an_aborted_row_and_keeps_the_others():
         else:
             assert error is None
             _assert_same_trajectory(row, lone())
+
+
+def test_norm_drift_past_the_threshold_fails_only_its_row(monkeypatch):
+    # at U/J = 400 the norm drifts by ~1e-8 over the short ramp, the calm
+    # row by ~1e-12; with the threshold between them only the first aborts
+    monkeypatch.setattr(dynamics, "NORM_ABORT", 1e-10)
+    with pytest.warns(UserWarning, match="self-trapping"):
+        drifting = ModelParams(L=13, J=1.0, Delta=1.0, U=400.0)
+    calm = ModelParams(L=13, J=1.0, Delta=1.0, U=0.3)
+    with pytest.raises(RuntimeError, match="norm drift .* exceeds 1e-10"):
+        ramp_prepare(drifting, SHORT_RAMP)
+    finals, traj = ramp_prepare([drifting, calm], SHORT_RAMP)
+    assert finals[0] is None and "exceeds 1e-10" in traj.errors[0]
+    assert traj.errors[1] is None
+    assert np.array_equal(finals[1].amplitudes,
+                          ramp_prepare(calm, SHORT_RAMP)[0].amplitudes)
+
+
+def test_ramp_integration_stops_at_the_kink(monkeypatch):
+    # the hopping's slope jumps at t = duration, off the snapshot grid for
+    # the experiment's ramp: one integration interval ends there exactly
+    stops = []
+
+    class RecordingOde(dynamics.ode):
+        def integrate(self, t, *args, **kwargs):
+            stops.append(t)
+            return super().integrate(t, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "ode", RecordingOde)
+    _, traj = ramp_prepare(ModelParams(L=13, J=1.0, Delta=1.0), EXPERIMENT_RAMP)
+    assert len(traj.times) == 2                  # by default t = 0 and the end
+    assert EXPERIMENT_RAMP.duration not in traj.times
+    assert stops == sorted(set(stops))
+    assert set(stops) == set(traj.times[1:]) | {EXPERIMENT_RAMP.duration}
