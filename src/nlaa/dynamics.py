@@ -143,16 +143,16 @@ class _Chain:
                           norm_drift=np.array(self.drift))
 
 
-def _propagate(params, start, times, j_of_t, ramp):
+def _propagate(params, start, times, ramp):
     """Integrate one chain from t = 0 through the snapshot `times`, stopping
-    at each and at the ramp's kink; `j_of_t` and `ramp` as in `evolve`.
+    at each and at the ramp's kink; `ramp` as in `evolve`.
 
     Returns (chain, error): the snapshots recorded and None, or those before
     the failure and its message."""
     chain = _Chain(params, start.center)
     J, kink = params.J, np.inf if ramp is None else ramp.duration
-    hopping = ((lambda t: J * ramp.hopping_fraction(t)) if ramp is not None
-               else j_of_t or (lambda t: J))
+    hopping = ((lambda t: J) if ramp is None
+               else (lambda t: J * ramp.hopping_fraction(t)))
     # -i H[phi] phi with the -i folded into the stencil's inputs; the values
     # are exact, as times -i only swaps and negates a number's two parts
     eps_i, U_i = -1j * chain.eps, 1j * params.U
@@ -186,18 +186,17 @@ def _propagate(params, start, times, j_of_t, ramp):
 
 
 def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
-           j_of_t=None, ramp=None):
+           ramp=None):
     """Propagate `initial` to the grid time round(t_final/dt) dt, recording a
     snapshot at t = 0, every `snapshot_stride` grid steps and at the end;
     `snapshot_stride=None` records none in between, which spares DOP853 a
     restart at each of them when only the final state is wanted.
 
-    The hopping is params.J unless `j_of_t` (a callable t -> scalar J(t),
-    shared by every row) or `ramp` (a RampProtocol: each row's hopping is
-    its own J times ramp.hopping_fraction(t), with a restart at the kink)
-    replaces it. Observables recorded per snapshot: participation ratio r,
-    momentum width d (around initial.center), energy E[phi] (with the
-    instantaneous J), and the norm drift |sum n - 1|. Returns a Trajectory;
+    The hopping is params.J unless `ramp` (a RampProtocol: each row's
+    hopping is its own J times ramp.hopping_fraction(t), with a restart at
+    the kink) replaces it. Observables recorded per snapshot: participation
+    ratio r, momentum width d (around initial.center), energy E[phi] (with
+    the instantaneous J), and the norm drift |sum n - 1|. Returns a Trajectory;
     a norm drift past NORM_ABORT or a failed integration raises RuntimeError.
 
     Batched form: `params` a sequence of ModelParams sharing L and `initial`
@@ -214,8 +213,6 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
             not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1):
         raise ValueError(f"snapshot stride must be an integer >= 1, "
                          f"got {snapshot_stride!r}")
-    if j_of_t is not None and ramp is not None:
-        raise ValueError("give j_of_t or ramp, not both")
     lone = isinstance(params, ModelParams)
     params, initial = ([params], [initial]) if lone else (list(params), list(initial))
     if not params or len(params) != len(initial):
@@ -229,7 +226,7 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
     marks = range(stride, n_steps + stride, stride)
 
     chains, errors = zip(*(_propagate(p, s, (min(m, n_steps) * dt for m in marks),
-                                      j_of_t, ramp)
+                                      ramp)
                            for p, s in zip(params, initial)))
     if lone:
         if errors[0]:

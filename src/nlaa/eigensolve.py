@@ -8,17 +8,22 @@ nonlinear ground state is found variationally on the unit sphere:
            state (robust far from the solution; energy is monotone under
            the accepted steps, with adaptive step halving),
   stage B  self-consistent refinement: the density is relaxed with linear
-           mixing against the ground state of the frozen-density Hamiltonian,
-           which converges fast near a focusing solution,
+           mixing against the ground state of the frozen-density Hamiltonian.
+           It stops at residual NEWTON_HANDOVER (1e-5), or at the solver's
+           tolerance if that is looser, or when a SCF_WINDOW-step window
+           lowers its residual by less than 5 %,
   stage C  a bordered Newton solve of the stationarity system
            (H[phi] phi - mu phi = 0, ||phi||^2 = 1), which reaches residuals
            near machine precision in a few quadratic steps. Newton output is
            accepted only if it does not raise the energy, so the cascade
            cannot be pulled away from the variational basin.
 
-Stage B alone can limit-cycle when the interaction is defocusing and the
-low-energy landscape has several competing wells (density "sloshes" between
-them); the cascade detects the stall and lets stages A/C finish the job.
+Stage B converges only linearly, so Newton finishes every solve that stage B
+does not end below the tolerance: from the handover it takes 3 to 5 steps
+where stage B would take hundreds. Stage B can also limit-cycle when the
+interaction is defocusing and the low-energy landscape has several competing
+wells (density "sloshes" between them); the stall exit hands such a block to
+Newton too, and to stage A of the next attempt if Newton fails.
 
 Many cells that share L (a scan's grid, or one bisection level of all its
 rows, of both kinds and any U) can run attempt 0's stages A and B as (B, L)
@@ -49,6 +54,8 @@ from .model import (LatticeState, ModelParams, apply_stencil, energy_of,
 
 IMAG_TIME_STEP = 0.05     # stage A's first step size
 SCF_MIXING = 0.3          # stage B's first density-mixing weight
+SCF_WINDOW = 50           # stage B's steps per mixing-halving and stall check
+NEWTON_HANDOVER = 1e-5    # stage B's residual at which Newton takes over
 
 
 @dataclass(frozen=True)
@@ -233,14 +240,16 @@ def _scf_block(J, off, eps, U, v, max_steps, tol, budget):
 
     Diagonalizes the Hamiltonian with the interaction frozen at the current
     density, relaxes the density toward the resulting ground state, and
-    tracks the best iterate (by residual). Stops early on convergence or on
-    a stall (no meaningful residual decrease across a damping window).
+    tracks the best iterate (by residual). Stops early once the residual is
+    below max(tol, NEWTON_HANDOVER), where Newton takes over, or on a stall
+    (the residual falls by less than 5 % across a SCF_WINDOW-step window).
     Returns (best residual, best iterate, iterations_used).
     """
     n = v * v
     best_res, best_v = _residual_mu(J, eps, U, v)[0], v.copy()
     mix = SCF_MIXING
     window_best = np.inf
+    handover = max(tol, NEWTON_HANDOVER)
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
@@ -248,10 +257,10 @@ def _scf_block(J, off, eps, U, v, max_steps, tol, budget):
         res, _ = _residual_mu(J, eps, U, u)
         if res < best_res:
             best_res, best_v = res, u.copy()
-        if res < tol:
+        if res < handover:
             break
         n = (1.0 - mix) * n + mix * u * u
-        if (k + 1) % 100 == 0:
+        if (k + 1) % SCF_WINDOW == 0:
             if res > 0.5 * window_best:
                 mix = max(0.5 * mix, 0.01)
             if res > 0.95 * window_best:
@@ -282,6 +291,7 @@ def _scf_rows(J, eps, U, v, max_steps, tol, budgets):
                                                best_v[live], n_steps[live])
     off = np.repeat(J[:, None], eps.shape[-1] - 1, axis=-1)
     mix, window_best = np.full(live.size, SCF_MIXING), np.full(live.size, np.inf)
+    handover = max(tol, NEWTON_HANDOVER)
     k = 0
     while live.size:
         Jc, Uc = J[:, None], U[:, None]
@@ -300,10 +310,10 @@ def _scf_rows(J, eps, U, v, max_steps, tol, budgets):
         better = res < best_res
         best_res = np.where(better, res, best_res)
         best_v = np.where(better[:, None], u, best_v)
-        done = ~ok | (res < tol)
+        done = ~ok | (res < handover)
         n = (1.0 - mix)[:, None] * n + mix[:, None] * u * u
         k += 1
-        if k % 100 == 0:
+        if k % SCF_WINDOW == 0:
             mix = np.where(res > 0.5 * window_best, np.maximum(0.5 * mix, 0.01), mix)
             done |= res > 0.95 * window_best
             window_best = np.where(res < window_best, res, window_best)

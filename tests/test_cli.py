@@ -464,7 +464,7 @@ def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
 def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path):
     # (gs, U = 0.25): the bisection of the bracket (1, 2) lands again on the
     # failed grid cell Delta = 1.5; (es, U = -0.25): its midpoint 1.625 fails
-    argv = ["scan", "--L", "13", "--max-iterations", "300", "--delta-step", "0.5"]
+    argv = ["scan", "--L", "13", "--max-iterations", "240", "--delta-step", "0.5"]
     detect, grid = tmp_path / "detect", tmp_path / "grid"
     assert main(argv + ["--out", str(detect)]) == 0
     assert main(argv + ["--no-detect", "--out", str(grid)]) == 0
@@ -498,7 +498,7 @@ def _transitions(out):
 
 
 def test_transitions_csv_says_why_delta_c_is_nan(tmp_path):
-    assert main(["scan", "--L", "13", "--max-iterations", "300",
+    assert main(["scan", "--L", "13", "--max-iterations", "240",
                  "--delta-step", "0.5", "--out", str(tmp_path)]) == 0
     why = re.compile(r"no downward crossing of r_c=|insufficient valid cells$"
                      r"|refinement failed at Delta=")

@@ -148,21 +148,6 @@ def test_step_budget_scales_with_the_interval_and_fits_dop853(monkeypatch):
     assert np.array_equal(evolve(p, start, 1.0, snapshot_stride=1000).r, long.r)
 
 
-def test_hopping_is_given_once():
-    with pytest.raises(ValueError, match="j_of_t or ramp"):
-        evolve(ModelParams(L=11), LatticeState.single_site(11, 5), 1.0,
-               j_of_t=lambda t: 1.0, ramp=SHORT_RAMP)
-
-
-def test_constant_ramp_equals_plain_evolution():
-    # j_of_t returning the constant J must reproduce evolve() bitwise
-    p = ModelParams(L=15, J=1.0, Delta=0.8, U=0.3)
-    start = LatticeState.single_site(15, 7)
-    a = evolve(p, start, 1.0)
-    b = evolve(p, start, 1.0, j_of_t=lambda t: p.J)
-    assert np.array_equal(a.final_state().amplitudes, b.final_state().amplitudes)
-
-
 # -------------------------
 # Ramp protocol
 # -------------------------

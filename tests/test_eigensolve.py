@@ -21,9 +21,10 @@ from nlaa import (
     solve_state,
 )
 from nlaa import eigensolve
-from nlaa.eigensolve import (IMAG_TIME_STEP, SCF_MIXING, _imag_time_block,
-                             _imag_time_rows, _linear_edge_state, _norm,
-                             _residual_mu, _scf_block, _scf_rows, batched_starts)
+from nlaa.eigensolve import (IMAG_TIME_STEP, NEWTON_HANDOVER, SCF_MIXING, SCF_WINDOW,
+                             _imag_time_block, _imag_time_rows, _linear_edge_state,
+                             _norm, _residual_mu, _scf_block, _scf_rows,
+                             batched_starts)
 from nlaa.model import apply_stencil, energy_of
 
 
@@ -44,6 +45,7 @@ def test_solver_option_defaults():
     assert [f.name for f in fields(SolverOptions)] == ["residual_tol",
                                                         "max_iterations"]
     assert (IMAG_TIME_STEP, SCF_MIXING) == (0.05, 0.3)
+    assert (SCF_WINDOW, NEWTON_HANDOVER) == (50, 1e-5)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -252,14 +254,66 @@ def test_batched_stage_b_equals_lone_when_the_cap_ends_inside_it(deltas, U, kind
 
 @pytest.mark.parametrize("kind, U", [("gs", -1.0), ("es", 0.5), ("es", 1.0)])
 def test_batched_stage_b_stalls_fall_through_to_newton_as_alone(kind, U):
-    # defocusing rows: stage B converges for small Delta and stalls (its
-    # residual stops falling across a 100-step window) for large Delta
+    # defocusing rows: stage B hands over to Newton for small Delta and
+    # stalls (its residual stops falling across a SCF_WINDOW-step window) for
+    # large Delta; the first window only sets the bar, so the earliest stall
+    # is at 2 * SCF_WINDOW, and one row here stalls later than that
     opts = SolverOptions()
-    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U) for d in (0.5, 2.5, 3.0, 5.0, 6.0)]
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U)
+             for d in (0.5, 2.5, 3.0, 4.5, 5.0, 6.0)]
     starts = _assert_batched_equals_lone(cells, kind, opts)
-    stalled = [scf for *_, scf in starts if scf[0] >= opts.residual_tol]
-    assert stalled and all(used % 100 == 0 and used < 2000 for _, _, used in stalled)
-    assert any(used > 100 for _, _, used in stalled)
+    stalled = [scf for *_, scf in starts if scf[0] >= NEWTON_HANDOVER]
+    assert stalled and all(used % SCF_WINDOW == 0 and used < 2000
+                           for _, _, used in stalled)
+    assert any(used > 2 * SCF_WINDOW for _, _, used in stalled)
+
+
+def test_batched_stage_b_exits_at_handover_stall_and_later_as_alone():
+    # one batch, three exits: row 0 hands over to Newton within the first
+    # window, row 1 stalls at the earliest stall check, and row 2 runs on
+    # past both and hands over after its second window
+    opts = SolverOptions()
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U)
+             for d, U in ((0.5, 0.5), (3.0, 0.5), (2.5, 1.0))]
+    starts = _assert_batched_equals_lone(cells, "es", opts)
+    (res0, _, used0), (res1, _, used1), (res2, _, used2) = (s[4] for s in starts)
+    assert opts.residual_tol <= res0 < NEWTON_HANDOVER and used0 < SCF_WINDOW
+    assert res1 >= NEWTON_HANDOVER and used1 == 2 * SCF_WINDOW
+    assert opts.residual_tol <= res2 < NEWTON_HANDOVER and used2 > 2 * SCF_WINDOW
+    assert all(solve_state(p, "es", opts).converged for p in cells)
+
+
+# (L, kind, U, Delta, r, E, iterations) of the cascade before stage B handed
+# over to Newton at NEWTON_HANDOVER and stalled after SCF_WINDOW = 50 steps
+# (it ran to residual_tol, with 100-step stall windows). The L = 21 defocusing
+# rows (gs at U = -1, es at U = 1) hold stalled blocks; the L = 144 cell is
+# one that a 20-step window sent into attempt 1.
+CASCADE_ORACLE = [
+    (21, "gs", -1.0, 0.5, 0.7638701039454517, -1.9832592366770398, 135),
+    (21, "gs", -1.0, 2.5, 0.2857735587518411, -2.837217304280702, 404),
+    (21, "gs", -1.0, 4.0, 0.14970147294566927, -4.055508300346356, 555),
+    (21, "gs", 1.0, 0.5, 0.41072957782453834, -2.0590737206549488, 629),
+    (21, "gs", 1.0, 2.5, 0.055442368959513134, -3.3721224860447707, 121),
+    (21, "gs", 1.0, 4.0, 0.05085164881924992, -4.748211688212812, 75),
+    (21, "es", -1.0, 0.5, 0.3967214278138722, 2.0586321351924624, 553),
+    (21, "es", -1.0, 2.5, 0.05599931036881728, 3.324951015616266, 129),
+    (21, "es", -1.0, 4.0, 0.05106239296990144, 4.664816817211647, 81),
+    (21, "es", 1.0, 0.5, 0.7562463203263505, 1.9827095672315198, 134),
+    (21, "es", 1.0, 2.5, 0.29451868915155505, 2.7968098324052457, 555),
+    (21, "es", 1.0, 4.0, 0.16378015129384665, 4.000145637579121, 505),
+    (144, "es", -0.5, 1.0, 0.06478442747050914, 2.1538983348033542, 304),
+]
+
+
+@pytest.mark.parametrize("L, kind, U, delta, r, energy, iterations", CASCADE_ORACLE)
+def test_cascade_lands_on_the_recorded_state(L, kind, U, delta, r, energy, iterations):
+    sol = solve_state(ModelParams(L=L, J=1.0, Delta=delta, U=U), kind)
+    assert sol.converged
+    assert abs(participation_ratio(sol.state) - r) <= 1e-8
+    # no higher in the solved model's energy (-E for es), no more iterations
+    sign = -1.0 if kind == "es" else 1.0
+    assert sign * sol.energy <= sign * energy + 1e-12
+    assert sol.iterations <= iterations
 
 
 def _stage_a_rows(cells, opts):

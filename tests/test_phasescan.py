@@ -266,10 +266,10 @@ def test_scan_detects_transitions_per_u(tmp_path):
 
 def test_failed_bisection_solve_ends_only_that_detection():
     # the bisection of the bracket (1, 2) lands on the grid cell 1.5, whose
-    # solve fails within 300 iterations
+    # solve fails within 240 iterations
     grid = ScanGrid(delta_over_j=tuple(np.arange(0.0, 4.01, 0.5)),
                     u_over_j=(0.0, 0.25), L=13, kind="gs")
-    res = scan_phase_diagram(grid, SolverOptions(max_iterations=300))
+    res = scan_phase_diagram(grid, SolverOptions(max_iterations=240))
     assert res.transitions["gs"][0].found
     tr = res.transitions["gs"][1]
     assert (tr.found, tr.delta_c, tr.crossings) == (False, None, [(1.0, 2.0)])
