@@ -6,7 +6,8 @@ nonlinear ground state is found variationally on the unit sphere:
 
   stage A  normalized imaginary-time gradient flow from the linear ground
            state (robust far from the solution; energy is monotone under
-           the accepted steps, with adaptive step halving),
+           the accepted steps, with adaptive step halving; one
+           Hamiltonian product per step gives energy and gradient),
   stage B  self-consistent refinement: the density is relaxed with linear
            mixing against the ground state of the frozen-density Hamiltonian.
            It stops at residual NEWTON_HANDOVER (1e-5), or at the solver's
@@ -29,9 +30,9 @@ Many cells that share L (a scan's grid, or one bisection level of all its
 rows, of both kinds and any U) can run attempt 0's stages A and B as (B, L)
 arrays: batched_starts returns each cell's `start`, and
 solve_state(..., start=...) runs the rest of its cascade alone. Each row
-carries its own J and U, as (B, 1) columns in the stencil and the
-eps - U v^2 diagonal and as (B,) arrays in energy_of. The model's
-apply_stencil and energy_of and the residual act on (..., L) arrays, and
+carries its own J and U, as (B, 1) columns in the stencil, the
+eps - U v^2 diagonal and stage A's energy and gradient. The model's
+apply_stencil and the residual act on (..., L) arrays, and
 stage B's LAPACK edge eigenpair runs row by row on that row's own
 off-diagonal, so each row of the batch is computed bit for bit as the lone
 1-D solve computes it.
@@ -153,13 +154,29 @@ def _norm(v):
 
 def _residual_mu(J, eps, U, v):
     """Residual ||H[v] v - mu v||_inf and Rayleigh quotient mu, per row."""
-    hv = apply_stencil(J, eps - U * v * v, v)
-    mu = np.vecdot(v, hv)
-    return _max(np.abs(hv - mu[..., None] * v), axis=-1), mu
+    return _projected(v, apply_stencil(J, eps - U * v * v, v))
+
+
+def _projected(v, g):
+    """max|g - mu v| and mu = v.g per row; for g = H[v] v, _residual_mu."""
+    mu = np.vecdot(v, g)
+    return _max(np.abs(g - mu[..., None] * v), axis=-1), mu
+
+
+def _energy_gradient(J, eps, U, w):
+    """E[w] and the gradient H[w] w per row from one linear stencil: with
+    h = H0 w (no interaction diagonal) and n = w*w, E = w.h - n.(U n) / 2
+    and H[w] w = h - (U n) w. J and U are scalars or (B, 1) columns."""
+    h = apply_stencil(J, eps, w)
+    n = w * w
+    un = U * n
+    if w.ndim == 1:        # ndarray.dot: np.vecdot's ddot, with less call overhead
+        return w.dot(h) - 0.5 * n.dot(un), h - un * w
+    return np.vecdot(w, h) - 0.5 * np.vecdot(n, un), h - un * w
 
 
 def _check_finite(v, where):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise RuntimeError(f"non-finite amplitudes encountered during {where}; "
                            "check parameters (possible self-trapping blow-up)")
 
@@ -173,23 +190,24 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     """Projected gradient descent in imaginary time.
 
     Steps that raise the energy are rejected and retried with half the step;
-    accepted steps slowly re-grow it. Returns (v, step, iterations_used).
+    accepted steps slowly re-grow it. An accepted state's _energy_gradient
+    gives the next step. Returns (v, step, iterations_used).
     """
-    e_prev = energy_of(J, eps, U, v)
+    e_prev, g = _energy_gradient(J, eps, U, v)
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
-        w = v - step * apply_stencil(J, eps - U * v * v, v)
+        w = v - step * g
         w /= _norm(w)
-        e = energy_of(J, eps, U, w)
+        e, g_w = _energy_gradient(J, eps, U, w)
         if e > e_prev + 1e-15:
             step *= 0.5
             continue
-        v, e_prev = w, e
+        v, e_prev, g = w, e, g_w
         step = min(step * 1.02, 0.2)
         if k % 50 == 0:
             _check_finite(v, "imaginary-time flow")
-            if _residual_mu(J, eps, U, v)[0] < res_target:
+            if _projected(v, g)[0] < res_target:
                 break
     return v, step, used
 
@@ -209,26 +227,27 @@ def _imag_time_rows(J, eps, U, v, max_steps, step, res_target, budget):
     out_v, out_step = v.copy(), np.full(len(v), float(step))
     out_used = np.full(len(v), n_steps)
     live, step = np.arange(len(v)), out_step.copy()
-    e_prev = energy_of(J, eps, U, v)
+    J, U = J[:, None], U[:, None]
+    e_prev, g = _energy_gradient(J, eps, U, v)
     for k in range(n_steps):
-        Jc, Uc = J[:, None], U[:, None]
-        w = v - step[:, None] * apply_stencil(Jc, eps - Uc * v * v, v)
+        w = v - step[:, None] * g
         w /= np.sqrt(np.vecdot(w, w))[:, None]
-        e = energy_of(J, eps, U, w)
+        e, g_w = _energy_gradient(J, eps, U, w)
         ok = ~(e > e_prev + 1e-15)                 # NaN is accepted, as alone
         v = np.where(ok[:, None], w, v)
+        g = np.where(ok[:, None], g_w, g)
         e_prev = np.where(ok, e, e_prev)
         step = np.where(ok, np.minimum(step * 1.02, 0.2), step * 0.5)
         if k % 50:
             continue
         done = ok & (~np.isfinite(v).all(axis=-1)
-                     | (_residual_mu(Jc, eps, Uc, v)[0] < res_target))
+                     | (_projected(v, g)[0] < res_target))
         if done.any():
             rows = live[done]
             out_v[rows], out_step[rows], out_used[rows] = v[done], step[done], k + 1
             keep = ~done
-            live, v, eps, J, U, step, e_prev = (a[keep] for a in (
-                live, v, eps, J, U, step, e_prev))
+            live, v, g, eps, J, U, step, e_prev = (a[keep] for a in (
+                live, v, g, eps, J, U, step, e_prev))
             if not live.size:
                 break
     out_v[live], out_step[live] = v, step

@@ -461,10 +461,11 @@ def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
     assert outputs["failures.csv"] == _sha(tmp_path / "failures.csv")
 
 
-def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path):
+def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path, fail_solves):
     # (gs, U = 0.25): the bisection of the bracket (1, 2) lands again on the
     # failed grid cell Delta = 1.5; (es, U = -0.25): its midpoint 1.625 fails
-    argv = ["scan", "--L", "13", "--max-iterations", "240", "--delta-step", "0.5"]
+    fail_solves({("gs", 0.25, 1.5), ("es", -0.25, 1.625)})
+    argv = ["scan", "--L", "13", "--delta-step", "0.5"]
     detect, grid = tmp_path / "detect", tmp_path / "grid"
     assert main(argv + ["--out", str(detect)]) == 0
     assert main(argv + ["--no-detect", "--out", str(grid)]) == 0
@@ -497,9 +498,11 @@ def _transitions(out):
         return list(csv.reader(fh))[1:]
 
 
-def test_transitions_csv_says_why_delta_c_is_nan(tmp_path):
-    assert main(["scan", "--L", "13", "--max-iterations", "240",
-                 "--delta-step", "0.5", "--out", str(tmp_path)]) == 0
+def test_transitions_csv_says_why_delta_c_is_nan(tmp_path, fail_solves):
+    # every bisection midpoint off U = 0 fails; (gs, U = -1) has no crossing
+    fail_solves(lambda kind, u, delta: u != 0.0 and delta % 0.5 != 0.0)
+    assert main(["scan", "--L", "13", "--delta-step", "0.5",
+                 "--out", str(tmp_path)]) == 0
     why = re.compile(r"no downward crossing of r_c=|insufficient valid cells$"
                      r"|refinement failed at Delta=")
     messages = {}

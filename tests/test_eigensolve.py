@@ -22,9 +22,9 @@ from nlaa import (
 )
 from nlaa import eigensolve
 from nlaa.eigensolve import (IMAG_TIME_STEP, NEWTON_HANDOVER, SCF_MIXING, SCF_WINDOW,
-                             _imag_time_block, _imag_time_rows, _linear_edge_state,
-                             _norm, _residual_mu, _scf_block, _scf_rows,
-                             batched_starts)
+                             _energy_gradient, _imag_time_block, _imag_time_rows,
+                             _linear_edge_state, _norm, _projected, _residual_mu,
+                             _scf_block, _scf_rows, batched_starts)
 from nlaa.model import apply_stencil, energy_of
 
 
@@ -121,9 +121,45 @@ def test_reductions_are_bitwise_the_numpy_wrappers(L, J, sign, U, seed):
     mu = float(v @ hv)
     res, mu_fast = _residual_mu(J, eps, U, v)
     assert _bits([res, mu_fast]) == _bits([np.max(np.abs(hv - mu * v)), mu])
+    # stage A's step: one linear stencil for E and the gradient
+    h = apply_stencil(J, eps, v)
+    energy, g = _energy_gradient(J, eps, U, v)
+    assert _bits(energy) == _bits(v @ h - 0.5 * (n @ (U * n)))
+    assert _bits(g) == _bits(h - U * n * v)
+    mu = float(v @ g)
+    assert _bits(_projected(v, g)) == _bits([np.max(np.abs(g - mu * v)), mu])
     w = rng.normal(size=L) * 10.0 ** rng.uniform(-3, 3)
     assert _bits(_norm(w)) == _bits(np.linalg.norm(w))
     assert _bits(w / _norm(w)) == _bits(w / np.linalg.norm(w))
+
+
+def _close(a, b):
+    """Elementwise |a - b| <= 1e-13 max(1, |b|)."""
+    return np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+@given(L=st.integers(2, 34),
+       cells=st.lists(st.tuples(st.floats(0.1, 2.0), st.sampled_from([1.0, -1.0]),
+                                st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_a_energy_and_gradient_are_the_kernels(L, cells, seed):
+    # one stencil without the interaction gives E[v] and H[v] v, in the lone
+    # form (scalar J, U) and the batched one ((B, 1) columns, rows as alone)
+    rng = np.random.default_rng(seed)
+    J = np.array([a * sign for a, sign, _ in cells])
+    U = np.array([u for *_, u in cells])
+    eps = rng.uniform(-4.0, 4.0, (len(cells), L))
+    v = rng.normal(size=(len(cells), L))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    energies, grads = _energy_gradient(J[:, None], eps, U[:, None], v)
+    assert _close(energies, energy_of(J, eps, U, v))
+    assert _close(grads, apply_stencil(J[:, None], eps - U[:, None] * v * v, v))
+    for i in range(len(cells)):
+        energy, g = _energy_gradient(J[i], eps[i], U[i], v[i])
+        assert _close(energy, energy_of(J[i], eps[i], U[i], v[i]))
+        assert _close(g, apply_stencil(J[i], eps[i] - U[i] * v[i] * v[i], v[i]))
+        assert _bits([energy, *g]) == _bits([energies[i], *grads[i]])
 
 
 def test_non_finite_frozen_density_raises_runtime_error():

@@ -264,12 +264,13 @@ def test_scan_detects_transitions_per_u(tmp_path):
     assert res.phases[0, 0] == "IV" and res.phases[0, -1] == "II"
 
 
-def test_failed_bisection_solve_ends_only_that_detection():
+def test_failed_bisection_solve_ends_only_that_detection(fail_solves):
     # the bisection of the bracket (1, 2) lands on the grid cell 1.5, whose
-    # solve fails within 240 iterations
+    # solve fails
+    fail_solves({("gs", 0.25, 1.5)})
     grid = ScanGrid(delta_over_j=tuple(np.arange(0.0, 4.01, 0.5)),
                     u_over_j=(0.0, 0.25), L=13, kind="gs")
-    res = scan_phase_diagram(grid, SolverOptions(max_iterations=240))
+    res = scan_phase_diagram(grid)
     assert res.transitions["gs"][0].found
     tr = res.transitions["gs"][1]
     assert (tr.found, tr.delta_c, tr.crossings) == (False, None, [(1.0, 2.0)])
