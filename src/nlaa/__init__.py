@@ -10,8 +10,8 @@ the command-line boundary, in nlaa.cli's _internal_units.
 
 __version__ = "0.1.4"
 
-from .dynamics import (BatchTrajectory, RampProtocol, Trajectory, evolve,
-                       ramp_prepare, transport_experiment)
+from .dynamics import (RampProtocol, Trajectory, evolve, ramp_prepare,
+                       transport_experiment)
 from .eigensolve import EigenSolution, SolverOptions, linear_spectrum, solve_state
 from .fitting import (BootstrapResult, FitResult, UnidentifiableFitError,
                       bootstrap_delta_c, fit_transition, piecewise_model,
@@ -38,8 +38,8 @@ __all__ = [
     # eigensolve
     "SolverOptions", "EigenSolution", "linear_spectrum", "solve_state",
     # dynamics
-    "RampProtocol", "Trajectory", "BatchTrajectory", "evolve",
-    "transport_experiment", "ramp_prepare",
+    "RampProtocol", "Trajectory", "evolve", "transport_experiment",
+    "ramp_prepare",
     # phase scan
     "critical_r", "TransitionResult", "detect_transition", "transition_for_u",
     "ScanGrid", "ScanResult", "scan_phase_diagram", "classify_phase",

@@ -383,7 +383,12 @@ def _sha256(path):
 def _outdir(args):
     out = args.out or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # a file in the way, or no permission
+        source = "--out" if args.out else f"${OUTDIR_ENV}"
+        raise ConfigError(f"{source} {out} is not a usable directory: "
+                          f"{exc.strerror}") from exc
     return path
 
 
@@ -479,6 +484,10 @@ def cmd_scan(cfg, outdir):
                     u_over_j=tuple(float(u) for u in us),
                     L=cfg.L, kind=cfg.kind, preparation=cfg.preparation,
                     phi=cfg.phi)
+    if cfg.results and (os.path.isdir(cfg.results) or not os.path.isdir(
+            os.path.dirname(cfg.results) or ".")):
+        raise ConfigError(f"--results {cfg.results} must name a file in an "
+                          f"existing directory")
     results_path = cfg.results or str(outdir / "scan_cells.jsonl")
     res = scan_phase_diagram(grid, _solver_opts(cfg),
                              results_path=results_path,
@@ -746,9 +755,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    outdir = _outdir(args)
     t0 = time.perf_counter()
     try:
+        outdir = _outdir(args)
         cfg = _config(args)
         files = COMMANDS[args.subcommand][0](cfg, outdir)
         _write_manifest(outdir, args.subcommand, cfg, files,

@@ -15,12 +15,7 @@ snapshot and restarts from it, with a step budget proportional to the
 interval. A ramp's hopping J(t) = J min(t/duration, 1) has a kink at
 t = duration, where the integrator also stops and restarts. The norm is
 monitored, never enforced: a drift beyond NORM_ABORT at a snapshot, or an
-integrator that fails within its budget, aborts the chain.
-
-`evolve` and `ramp_prepare` also take a sequence of chains of one length (a
-synthetic measurement's ramps). The batch is a loop over lone propagations,
-so every row is bitwise the chain evolved on its own; a row that aborts
-holds the message a lone propagation raises, and the other rows go on.
+integrator that fails within its budget, raises RuntimeError.
 """
 
 import warnings
@@ -105,16 +100,8 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass
-class BatchTrajectory:
-    """Outcome of a batched evolution, one entry per chain (row)."""
-    rows: list                       # Trajectory per row; None where it failed
-    errors: list                     # None per row, or its failure message
-    norm_drift: np.ndarray           # per snapshot, the largest over live rows
-
-
 class _Chain:
-    """Snapshots of one chain, with the observables of a lone evolution."""
+    """Snapshots of one chain and the observables recorded at each."""
 
     def __init__(self, params, center):
         self.eps = quasiperiodic_potential(params)
@@ -124,10 +111,11 @@ class _Chain:
         self.energy, self.drift = [], []
 
     def record(self, t, v, J_now):
-        """Append the snapshot at t, or return the norm-abort message."""
+        """Append the snapshot at t; a norm drift past NORM_ABORT raises."""
         drift = abs(np.sum(np.abs(v) ** 2) - 1.0)
         if not drift <= NORM_ABORT:           # False for NaN as well
-            return f"norm drift {drift:.3e} at t={t:.4f} exceeds {NORM_ABORT}"
+            raise RuntimeError(f"norm drift {drift:.3e} at t={t:.4f} "
+                               f"exceeds {NORM_ABORT}")
         st = LatticeState(v, center=self.center)
         self.times.append(t)
         self.states.append(st)
@@ -145,10 +133,8 @@ class _Chain:
 
 def _propagate(params, start, times, ramp):
     """Integrate one chain from t = 0 through the snapshot `times`, stopping
-    at each and at the ramp's kink; `ramp` as in `evolve`.
-
-    Returns (chain, error): the snapshots recorded and None, or those before
-    the failure and its message."""
+    at each and at the ramp's kink; `ramp` as in `evolve`. Returns the
+    Trajectory; an abort raises RuntimeError."""
     chain = _Chain(params, start.center)
     J, kink = params.J, np.inf if ramp is None else ramp.duration
     hopping = ((lambda t: J) if ramp is None
@@ -176,13 +162,11 @@ def _propagate(params, start, times, ramp):
                 y = solver.integrate(stop)
             if not solver.successful():
                 code = solver.get_return_code()
-                return chain, (f"DOP853 failed at t={solver.t:.4f}: "
-                               f"{DOP853_FAILURES.get(code, code)}")
+                raise RuntimeError(f"DOP853 failed at t={solver.t:.4f}: "
+                                   f"{DOP853_FAILURES.get(code, code)}")
             t0 = stop
-        error = chain.record(t, y.view(complex), hopping(t))
-        if error:
-            return chain, error
-    return chain, None
+        chain.record(t, y.view(complex), hopping(t))
+    return chain.trajectory()
 
 
 def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
@@ -192,17 +176,12 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
     `snapshot_stride=None` records none in between, which spares DOP853 a
     restart at each of them when only the final state is wanted.
 
-    The hopping is params.J unless `ramp` (a RampProtocol: each row's
-    hopping is its own J times ramp.hopping_fraction(t), with a restart at
-    the kink) replaces it. Observables recorded per snapshot: participation
+    The hopping is params.J unless `ramp` (a RampProtocol: the hopping is
+    params.J times ramp.hopping_fraction(t), with a restart at the kink)
+    replaces it. Observables recorded per snapshot: participation
     ratio r, momentum width d (around initial.center), energy E[phi] (with
     the instantaneous J), and the norm drift |sum n - 1|. Returns a Trajectory;
     a norm drift past NORM_ABORT or a failed integration raises RuntimeError.
-
-    Batched form: `params` a sequence of ModelParams sharing L and `initial`
-    a sequence of as many LatticeStates. Returns a BatchTrajectory whose row
-    b is bitwise the Trajectory of evolve(params[b], initial[b], ...); a row
-    that would raise holds None and the message instead.
     """
     if not 0 < dt <= 0.01:
         raise ValueError(f"dt must lie in (0, 0.01] (units hbar/J), got {dt}")
@@ -213,30 +192,16 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
             not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1):
         raise ValueError(f"snapshot stride must be an integer >= 1, "
                          f"got {snapshot_stride!r}")
-    lone = isinstance(params, ModelParams)
-    params, initial = ([params], [initial]) if lone else (list(params), list(initial))
-    if not params or len(params) != len(initial):
-        raise ValueError("a batch needs at least one chain and one initial "
-                         "state per parameter set")
-    if len({p.L for p in params} | {s.L for s in initial}) != 1:
-        raise ValueError("batched chains must share the chain length L")
+    if initial.L != params.L:
+        raise ValueError(f"the initial state has {initial.L} sites, the "
+                         f"chain L = {params.L}")
     n_steps = int(round(t_final / dt))
     stride = snapshot_stride or max(n_steps, 1)
     # the grid steps of the snapshots after t = 0: every stride-th and the last
     marks = range(stride, n_steps + stride, stride)
 
-    chains, errors = zip(*(_propagate(p, s, (min(m, n_steps) * dt for m in marks),
-                                      ramp)
-                           for p, s in zip(params, initial)))
-    if lone:
-        if errors[0]:
-            raise RuntimeError(errors[0])
-        return chains[0].trajectory()
-    snapshot_drift = [max(c.drift[i] for c in chains if i < len(c.drift))
-                      for i in range(max(len(c.drift) for c in chains))]
-    return BatchTrajectory(
-        rows=[None if err else c.trajectory() for c, err in zip(chains, errors)],
-        errors=list(errors), norm_drift=np.array(snapshot_drift))
+    return _propagate(params, initial, (min(m, n_steps) * dt for m in marks),
+                      ramp)
 
 
 def transport_experiment(params: ModelParams, t_final, dt=DEFAULT_DT,
@@ -265,22 +230,11 @@ def ramp_prepare(params_target, protocol: RampProtocol, dt=DEFAULT_DT,
 
     Returns (final LatticeState, Trajectory); the trajectory holds t = 0
     and the end unless a `snapshot_stride` asks for snapshots in between.
-    Given a sequence of ModelParams sharing L, all ramps run as one batched
-    `evolve` and the return is (list of final states, BatchTrajectory); a
-    row that aborted has None as its final state and its message in
-    `errors`.
     """
-    lone = isinstance(params_target, ModelParams)
-    targets = [params_target] if lone else list(params_target)
-    chains = [p if protocol.target == "ground" else p.negated() for p in targets]
-    initial = [LatticeState.single_site(
-        p.L, int(np.argmin(quasiperiodic_potential(p))),   # lowest index on ties
-        center=(p.L - 1) // 2) for p in chains]
-    traj = evolve(chains, initial, protocol.duration + protocol.hold, dt=dt,
+    chain = (params_target if protocol.target == "ground"
+             else params_target.negated())
+    site = int(np.argmin(quasiperiodic_potential(chain)))   # lowest index on ties
+    initial = LatticeState.single_site(chain.L, site, center=(chain.L - 1) // 2)
+    traj = evolve(chain, initial, protocol.duration + protocol.hold, dt=dt,
                   snapshot_stride=snapshot_stride, ramp=protocol)
-    finals = [None if row is None else row.final_state() for row in traj.rows]
-    if lone:
-        if traj.errors[0]:
-            raise RuntimeError(traj.errors[0])
-        return finals[0], traj.rows[0]
-    return finals, traj
+    return traj.final_state(), traj

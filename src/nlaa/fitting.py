@@ -232,23 +232,19 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
                            floor=0.0, seed=12345, phi=0.0, dt=1e-3):
     """Emulated measured r(Delta) points from ramp-prepared states.
 
-    All Deltas are prepared by EXPERIMENT_RAMP in one batched
-    propagation (each row bitwise equal to its lone ramp); then, in Delta
-    order, an optional uniform population floor is added on all sites before
-    renormalization (n -> (n + floor)/sum), and Gaussian noise of width
-    `noise_sigma` is added to r. Returns an (n, 2) array of (delta, r) rows;
-    identical arguments and seed reproduce the array bitwise.
+    In Delta order, each Delta's state is prepared by EXPERIMENT_RAMP (a
+    ramp that aborts raises its RuntimeError), an optional uniform
+    population floor is added on all sites before renormalization
+    (n -> (n + floor)/sum), and Gaussian noise of width `noise_sigma` is
+    added to r. Returns an (n, 2) array of (delta, r) rows; identical
+    arguments and seed reproduce the array bitwise.
     """
     rng = np.random.default_rng(seed)
     proto = EXPERIMENT_RAMP.for_kind(kind)
-    deltas = np.asarray(deltas, dtype=float)
-    params = [ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
-              for delta in deltas]
-    finals, traj = ramp_prepare(params, proto, dt=dt)
     rows = []
-    for delta, final, error in zip(deltas, finals, traj.errors):
-        if final is None:
-            raise RuntimeError(error)
+    for delta in np.asarray(deltas, dtype=float):
+        p = ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
+        final, _ = ramp_prepare(p, proto, dt=dt)
         n = final.density
         if floor > 0:
             n = n + floor

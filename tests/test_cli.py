@@ -443,6 +443,19 @@ def test_scan_malformed_inner_line_exits_2(tmp_path, capsys):
     assert "line 4 is not a JSON record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("results", ["a-directory", "missing/cells.jsonl"])
+def test_scan_results_path_that_cannot_be_a_file_exits_2(tmp_path, capsys,
+                                                          results):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / "out"
+    assert main(["scan", "--L", "5", "--results", str(tmp_path / results),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --results {tmp_path / results} must name a file")
+    assert list(out.iterdir()) == []
+    assert list((tmp_path / "a-directory").iterdir()) == []
+
+
 def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
     assert main(SCAN_ARGS + ["--max-iterations", "1", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "failures.csv", newline="") as fh:
@@ -708,6 +721,19 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
     assert rc == 0
     assert (tmp_path / "envout" / "bragg.csv").exists()
     assert (tmp_path / "envout" / "manifest.json").exists()
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert main(["solve", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {taken} is not")
+    monkeypatch.setenv("NLAA_OUTDIR", str(taken))
+    assert main(["solve"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: $NLAA_OUTDIR {taken} is not")
+    assert taken.read_text() == "keep\n"
+    assert sorted(tmp_path.iterdir()) == [taken]
 
 
 def test_version_flag_exits_cleanly():

@@ -22,7 +22,7 @@ from nlaa import (
 from nlaa import dynamics
 from nlaa.dynamics import EXPERIMENT_RAMP
 
-# a short ramp keeps the batch tests fast; batching does not depend on length
+# a short ramp keeps the abort tests fast; an abort comes within it
 SHORT_RAMP = RampProtocol(duration=0.4, hold=0.1)
 
 
@@ -48,11 +48,6 @@ def test_dt_validation():
 def test_ramp_protocol_rejects_non_finite_times(kw, message):
     with pytest.raises(ValueError, match=message):
         RampProtocol(**kw)
-
-
-def test_empty_ramp_batch_is_rejected_like_an_empty_evolve():
-    with pytest.raises(ValueError, match="a batch needs at least one chain"):
-        ramp_prepare([], EXPERIMENT_RAMP)
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5])
@@ -243,104 +238,28 @@ def test_for_kind_sets_the_target():
 
 
 # -------------------------
-# Batched propagation
+# Aborts
 # -------------------------
 
-def _assert_same_trajectory(a, b):
-    for name in ("times", "r", "d", "energy", "norm_drift"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert len(a.states) == len(b.states)
-    for sa, sb in zip(a.states, b.states):
-        assert np.array_equal(sa.amplitudes, sb.amplitudes)
-        assert sa.center == sb.center
+def test_evolve_rejects_an_initial_state_of_another_length():
+    with pytest.raises(ValueError, match="initial state has 13 sites"):
+        evolve(ModelParams(L=15), LatticeState.single_site(13, 6), 0.5)
 
 
-@given(L=st.sampled_from((5, 13, 21)),
-       deltas=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
-       u=st.floats(-1.0, 1.0), kind=st.sampled_from(("gs", "es")),
-       data=st.data())
-def test_batched_ramp_rows_equal_lone_ramps_bitwise(L, deltas, u, kind, data):
-    proto = SHORT_RAMP.for_kind(kind)
-    params = [ModelParams(L=L, J=1.0, Delta=d, U=u) for d in deltas]
-    order = data.draw(st.permutations(range(len(params))))
-    finals, traj = ramp_prepare(params, proto)
-    shuffled, shuffled_traj = ramp_prepare([params[i] for i in order], proto)
-    assert traj.errors == [None] * len(params)
-    for i, p in enumerate(params):
-        lone, lone_traj = ramp_prepare(p, proto)
-        j = order.index(i)
-        assert np.array_equal(finals[i].amplitudes, lone.amplitudes)
-        assert np.array_equal(shuffled[j].amplitudes, lone.amplitudes)
-        _assert_same_trajectory(traj.rows[i], lone_traj)
-        _assert_same_trajectory(shuffled_traj.rows[j], lone_traj)
-    # the batch drift is the per-snapshot maximum over its rows
-    assert np.array_equal(traj.norm_drift,
-                          np.max([row.norm_drift for row in traj.rows], axis=0))
-
-
-def test_batched_evolve_mixes_ground_and_negated_rows():
-    # one batch may carry rows of either sign of J (ground and excited
-    # preparations); each row is its lone evolution, bitwise
-    p = ModelParams(L=15, J=1.0, Delta=0.8, U=0.3)
-    rows = [p, p.negated(), ModelParams(L=15, J=0.5, Delta=1.1, U=-0.2)]
-    starts = [LatticeState.single_site(15, j) for j in (7, 3, 12)]
-    batch = evolve(rows, starts, 0.5, snapshot_stride=50)
-    for params, start, row in zip(rows, starts, batch.rows):
-        _assert_same_trajectory(row, evolve(params, start, 0.5, snapshot_stride=50))
-    with pytest.raises(ValueError):
-        evolve(rows, starts[:2], 0.5)                       # one state per row
-    with pytest.raises(ValueError):
-        evolve([p, ModelParams(L=13)],                      # one chain length
-               [starts[0], LatticeState.single_site(13, 6)], 0.5)
-
-
-def test_batched_ramp_reports_an_aborted_row_and_keeps_the_others():
+def test_ramp_that_the_integrator_cannot_follow_raises_at_its_time():
     with pytest.warns(UserWarning, match="self-trapping"):
         wild = ModelParams(L=13, J=1.0, Delta=1.0, U=4e4)
-    calm = [ModelParams(L=13, J=1.0, Delta=1.0, U=0.3),
-            ModelParams(L=13, J=1.0, Delta=2.5, U=-0.5)]
-    with pytest.raises(RuntimeError) as lone_error:
+    with pytest.raises(RuntimeError, match="DOP853 failed at t="):
         ramp_prepare(wild, SHORT_RAMP)
-    finals, traj = ramp_prepare([calm[0], wild, calm[1]], SHORT_RAMP)
-    assert finals[1] is None and traj.rows[1] is None
-    assert traj.errors == [None, str(lone_error.value), None]
-    assert "at t=" in traj.errors[1]
-    without, _ = ramp_prepare(calm, SHORT_RAMP)
-    for final, alone, p in zip((finals[0], finals[2]), without, calm):
-        lone, _ = ramp_prepare(p, SHORT_RAMP)
-        assert np.array_equal(final.amplitudes, lone.amplitudes)
-        assert np.array_equal(final.amplitudes, alone.amplitudes)
-    # rows of different U and J under a drive, each scaling the ramp by its
-    # own J: the abort of one row leaves the others their lone runs
-    rows = [calm[0], wild, calm[1].negated()]
-    starts = [LatticeState.single_site(13, j) for j in (6, 2, 9)]
-    batch = evolve(rows, starts, 0.5, snapshot_stride=50, ramp=SHORT_RAMP)
-    for p, start, row, error in zip(rows, starts, batch.rows, batch.errors):
-        def lone():
-            return evolve(p, start, 0.5, snapshot_stride=50, ramp=SHORT_RAMP)
-        if p is wild:
-            with pytest.raises(RuntimeError) as lone_error:
-                lone()
-            assert row is None and error == str(lone_error.value)
-        else:
-            assert error is None
-            _assert_same_trajectory(row, lone())
 
 
-def test_norm_drift_past_the_threshold_fails_only_its_row(monkeypatch):
-    # at U/J = 400 the norm drifts by ~1e-8 over the short ramp, the calm
-    # row by ~1e-12; with the threshold between them only the first aborts
+def test_norm_drift_past_the_threshold_aborts_the_ramp(monkeypatch):
+    # at U/J = 400 the norm drifts by ~1e-8 over the short ramp
     monkeypatch.setattr(dynamics, "NORM_ABORT", 1e-10)
     with pytest.warns(UserWarning, match="self-trapping"):
         drifting = ModelParams(L=13, J=1.0, Delta=1.0, U=400.0)
-    calm = ModelParams(L=13, J=1.0, Delta=1.0, U=0.3)
     with pytest.raises(RuntimeError, match="norm drift .* exceeds 1e-10"):
         ramp_prepare(drifting, SHORT_RAMP)
-    finals, traj = ramp_prepare([drifting, calm], SHORT_RAMP)
-    assert finals[0] is None and "exceeds 1e-10" in traj.errors[0]
-    assert traj.errors[1] is None
-    assert np.array_equal(finals[1].amplitudes,
-                          ramp_prepare(calm, SHORT_RAMP)[0].amplitudes)
 
 
 def test_ramp_integration_stops_at_the_kink(monkeypatch):

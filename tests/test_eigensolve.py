@@ -321,9 +321,10 @@ def test_batched_stage_b_exits_at_handover_stall_and_later_as_alone():
 
 # (L, kind, U, Delta, r, E, iterations) of the cascade before stage B handed
 # over to Newton at NEWTON_HANDOVER and stalled after SCF_WINDOW = 50 steps
-# (it ran to residual_tol, with 100-step stall windows). The L = 21 defocusing
-# rows (gs at U = -1, es at U = 1) hold stalled blocks; the L = 144 cell is
-# one that a 20-step window sent into attempt 1.
+# (it ran to residual_tol, with 100-step stall windows), but for the last two
+# rows, recorded on the cascade with the handover. The L = 21 defocusing rows
+# (gs at U = -1, es at U = 1) hold stalled blocks; the last two L = 144 rows
+# finish in a retry of the cascade, at the attempt CASCADE_ATTEMPTS holds.
 CASCADE_ORACLE = [
     (21, "gs", -1.0, 0.5, 0.7638701039454517, -1.9832592366770398, 135),
     (21, "gs", -1.0, 2.5, 0.2857735587518411, -2.837217304280702, 404),
@@ -338,13 +339,26 @@ CASCADE_ORACLE = [
     (21, "es", 1.0, 2.5, 0.29451868915155505, 2.7968098324052457, 555),
     (21, "es", 1.0, 4.0, 0.16378015129384665, 4.000145637579121, 505),
     (144, "es", -0.5, 1.0, 0.06478442747050914, 2.1538983348033542, 304),
+    (144, "gs", -0.5, 2.5, 0.1080134430341452, -2.9400271780830103, 3310),
+    (144, "es", -0.5, 0.5, 0.14730222707244123, 2.04180308810881, 18292),
 ]
+# the attempt that finishes a CASCADE_ORACLE cell, where it is not attempt 0
+CASCADE_ATTEMPTS = {(144, "gs", -0.5, 2.5): 1, (144, "es", -0.5, 0.5): 5}
 
 
 @pytest.mark.parametrize("L, kind, U, delta, r, energy, iterations", CASCADE_ORACLE)
-def test_cascade_lands_on_the_recorded_state(L, kind, U, delta, r, energy, iterations):
+def test_cascade_lands_on_the_recorded_state(monkeypatch, L, kind, U, delta, r,
+                                            energy, iterations):
+    plan, attempts = eigensolve._stage_a_plan, []
+
+    def stage_a_plan(attempt):      # called at the start of every attempt
+        attempts.append(attempt)
+        return plan(attempt)
+
+    monkeypatch.setattr(eigensolve, "_stage_a_plan", stage_a_plan)
     sol = solve_state(ModelParams(L=L, J=1.0, Delta=delta, U=U), kind)
     assert sol.converged
+    assert attempts[-1] == CASCADE_ATTEMPTS.get((L, kind, U, delta), 0)
     assert abs(participation_ratio(sol.state) - r) <= 1e-8
     # no higher in the solved model's energy (-E for es), no more iterations
     sign = -1.0 if kind == "es" else 1.0

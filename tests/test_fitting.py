@@ -431,6 +431,27 @@ def test_synthesize_es_kind_uses_excited_target():
     assert out[0, 1] == pytest.approx(participation_ratio(state), rel=1e-12)
 
 
+def test_synthesize_raises_the_message_of_the_first_failing_ramp(monkeypatch):
+    # U/J = 4e4 outruns DOP853's step budget at every Delta: the lone ramp
+    # of the first Delta raises its message, and no later Delta is ramped
+    with pytest.warns(UserWarning, match="self-trapping"):
+        params = ModelParams(L=13, J=1.0, Delta=1.0, phi=0.0, U=4e4)
+    with pytest.raises(RuntimeError) as lone:
+        ramp_prepare(params, EXPERIMENT_RAMP, dt=1e-3)
+    ramped = []
+
+    def recording_ramp(p, *args, **kwargs):
+        ramped.append(p.Delta)
+        return ramp_prepare(p, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "ramp_prepare", recording_ramp)
+    with pytest.warns(UserWarning, match="self-trapping"):
+        with pytest.raises(RuntimeError) as synthesized:
+            synthesize_measurement(4e4, [1.0, 2.0], L=13)
+    assert str(synthesized.value) == str(lone.value)
+    assert ramped == [1.0]
+
+
 def test_population_floor_raises_r_of_localized_state():
     bare = synthesize_measurement(0.0, [3.5], L=21)
     floored = synthesize_measurement(0.0, [3.5], L=21, floor=1e-3)
