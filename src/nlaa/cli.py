@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -534,6 +533,8 @@ def cmd_phases(cfg, outdir):
               phi=cfg.phi, opts=_solver_opts(cfg))
     tasks = [(float(u), kind, kw) for u in us for kind in ("gs", "es")]
     if cfg.workers > 1:
+        # imported here: multiprocessing is only needed for a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             done = list(pool.map(_phase_boundary_task, tasks))
     else:

@@ -34,13 +34,17 @@ The local refinement is Levenberg-Marquardt: MINPACK `lmder` through
 x and nfev, bit for bit, as `least_squares(fun, x0, method="lm")` on the
 installed scipy, without that function's per-call wrapping, which on
 these 2-parameter problems costs about three times the solve itself.
+
+scipy.optimize, with scipy.special behind it, is imported on first use, in
+`least_squares`: on top of numpy and scipy.linalg it costs about 0.2 s and
+21 MB of RSS at import, which a default `scan`, `phases` and `gaa-me` never
+need.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .dynamics import EXPERIMENT_RAMP, ramp_prepare
 from .model import ModelParams, participation_of
@@ -87,6 +91,9 @@ def least_squares(fun, x0) -> LeastSquaresResult:
     the same Jacobian, column i = (f(x + h_i e_i) - f(x)) / ((x_i + h_i) - x_i)
     with h = sqrt(eps) * sign(x) * max(1, |x|) and sign(0) = +1.
     """
+    # imported here, not at module level: most subcommands never fit
+    from scipy.optimize import leastsq
+
     x = np.array(x0, dtype=float).ravel()
     f = fun(x)
     if not np.all(np.isfinite(f)):

@@ -28,7 +28,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -396,6 +395,8 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
         if workers > 1:
             todo = [c for c in cells if _key_of(c) not in store.records]
             if todo:
+                # imported here: multiprocessing is only needed for a pool
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     for rec in pool.map(_cell_record, todo, chunksize=4):
                         store.add(rec)

@@ -981,14 +981,13 @@ def test_values_outside_the_domain_exit_2_naming_the_flag(tmp_path, capsys,
 @pytest.mark.parametrize("subcommand", ["scan", "phases"])
 def test_workers_above_the_cpu_count_exit_2_before_any_pool(
         tmp_path, capsys, monkeypatch, subcommand, as_config):
-    import nlaa.cli as cli
-    import nlaa.phasescan as phasescan
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was created")
 
-    for module in (cli, phasescan):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool)
+    # cli and phasescan import the pool from concurrent.futures when they need one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     n = os.cpu_count() or 1
     out = tmp_path / "out"
     extra = (["--config", _config_file(tmp_path, {"workers": n + 1})] if as_config

@@ -1,0 +1,100 @@
+"""Each subcommand loads only the scipy subpackages it runs.
+
+`import nlaa.cli` and most subcommands need numpy and scipy.linalg only;
+scipy.integrate (with scipy.special and scipy.optimize behind it) costs about
+0.2 s and 24 MB more. Each case runs one tiny command in its own
+fresh interpreter and reports which heavy modules it left in sys.modules.
+The checks are on module sets, not times, so they do not depend on the
+machine. The interpreters of all cases run at once, a few at a time.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special",
+         "concurrent.futures.process")
+
+CHILD = """
+import json, sys
+import nlaa.cli
+try:
+    rc = nlaa.cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps({"rc": rc, "loaded": [m for m in json.loads(sys.argv[2])
+                                       if m in sys.modules]}))
+"""
+
+SCAN = ["scan", "--L", "13", "--delta-min", "0.5", "--delta-max", "1.5",
+        "--delta-step", "0.5", "--u-min", "0", "--u-max", "0.5", "--u-step", "0.5"]
+LEAN = {
+    "scan": (SCAN, 0),
+    "phases": (["phases", "--L", "13", "--u-min", "0.25", "--u-max", "0.25",
+                "--delta-max", "4.0", "--delta-step", "0.5"], 0),
+    "alpha-star": (["alpha-star", "--u-values", "0.25", "--delta-max", "0.5",
+                    "--L", "13"], 3),
+    "gaa-me": (["gaa-me", "--L", "55"], 0),
+    "solve": (["solve", "--L", "13"], 0),
+    "bragg-schedule": (["bragg-schedule"], 0),
+    "bad-flag": (["scan", "--no-such-flag"], 2),
+}
+FIT = ["fit", "--data", "../meas.csv"]
+PROPAGATING = {
+    "evolve": ["evolve", "--L", "13", "--t-final", "0.1"],
+    "scan-ramped": [*SCAN, "--preparation", "ramped"],
+}
+
+
+def _run(name, argv, root):
+    """(exit code, heavy modules loaded) of `argv` run in a fresh interpreter
+    with its own working directory and --out under `root`."""
+    cwd = root / name
+    cwd.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps([*argv, "--out", "out"]),
+         json.dumps(HEAVY)],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    return got["rc"], set(got["loaded"])
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cold_start")
+    root.joinpath("meas.csv").write_text("delta_over_j,r\n" + "".join(
+        f"{d},{0.6 * d ** -1.2 + 0.05 if d < 1.8 else 0.05}\n"
+        for d in (0.2 + 0.1 * k for k in range(30))))
+    cases = {**{name: argv for name, (argv, _) in LEAN.items()},
+             "fit": FIT, **PROPAGATING}
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        runs = {name: pool.submit(_run, name, argv, root)
+                for name, argv in cases.items()}
+        return {name: run.result() for name, run in runs.items()}
+
+
+@pytest.mark.parametrize("name", LEAN)
+def test_subcommands_without_dynamics_or_fits_load_no_heavy_module(loaded, name):
+    assert loaded[name] == (LEAN[name][1], set())
+
+
+def test_fit_on_data_loads_optimize_but_not_integrate(loaded):
+    rc, modules = loaded["fit"]
+    assert rc == 0
+    assert "scipy.optimize" in modules
+    assert "scipy.integrate" not in modules
+
+
+@pytest.mark.parametrize("name", PROPAGATING)
+def test_propagating_subcommands_load_integrate(loaded, name):
+    rc, modules = loaded[name]
+    assert rc == 0
+    assert "scipy.integrate" in modules

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import jv
@@ -267,12 +268,13 @@ def test_ramp_integration_stops_at_the_kink(monkeypatch):
     # the experiment's ramp: one integration interval ends there exactly
     stops = []
 
-    class RecordingOde(dynamics.ode):
+    class RecordingOde(scipy.integrate.ode):
         def integrate(self, t, *args, **kwargs):
             stops.append(t)
             return super().integrate(t, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "ode", RecordingOde)
+    # dynamics imports ode from scipy.integrate on each propagation
+    monkeypatch.setattr(scipy.integrate, "ode", RecordingOde)
     _, traj = ramp_prepare(ModelParams(L=13, J=1.0, Delta=1.0), EXPERIMENT_RAMP)
     assert len(traj.times) == 2                  # by default t = 0 and the end
     assert EXPERIMENT_RAMP.duration not in traj.times

@@ -83,8 +83,9 @@ def test_least_squares_ending_on_its_budget_emits_no_warning(monkeypatch, budget
     def fun(p):
         return p[0] * d ** (-p[1]) + 0.05 - r
 
-    leastsq = fitting.leastsq
-    monkeypatch.setattr(fitting, "leastsq",
+    # fitting imports leastsq from scipy.optimize on each least_squares call
+    leastsq = scipy.optimize.leastsq
+    monkeypatch.setattr(scipy.optimize, "leastsq",
                         lambda *args, **kw: leastsq(*args, **{**kw, "maxfev": budget}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
