@@ -507,10 +507,11 @@ def cmd_scan(cfg, outdir):
                               len(tr.crossings),
                               ";".join(f"{lo:.11e}..{hi:.11e}"
                                        for lo, hi in tr.crossings),
-                              tr.message))
+                              tr.message, tr.refine_solves))
         files.append(_write_csv(outdir / "transitions.csv",
                                 ["kind", "u_over_j", "delta_c_over_j",
-                                 "n_crossings", "crossings", "message"], trows))
+                                 "n_crossings", "crossings", "message",
+                                 "refine_solves"], trows))
     if res.phases is not None:
         prows = [[float(u)] + list(res.phases[i]) for i, u in enumerate(us)]
         files.append(_write_csv(outdir / "phases.csv", header, prows))

@@ -26,7 +26,7 @@ interaction is defocusing and the low-energy landscape has several competing
 wells (density "sloshes" between them); the stall exit hands such a block to
 Newton too, and to stage A of the next attempt if Newton fails.
 
-Many cells that share L (a scan's grid, or one bisection level of all its
+Many cells that share L (a scan's grid, or one refinement step of all its
 rows, of both kinds and any U) can run attempt 0's stages A and B as (B, L)
 arrays: batched_starts returns each cell's `start`, and
 solve_state(..., start=...) runs the rest of its cascade alone. Each row

@@ -213,7 +213,7 @@ def extract_alpha_star(u, L=21, phi=0.0, energy_definition="mu",
                        opts=SolverOptions()) -> AlphaStarResult:
     """alpha* = (Dc_gs - Dc_es) / (Ec_es - Ec_gs) at interaction U.
 
-    Transition points come from the phase-scan bisection (1e-3 in Delta/J);
+    Transition points come from the phase-scan refinement (1e-3 in Delta/J);
     the state energy at each critical point is the chemical potential mu by
     default, or the energy functional E with energy_definition="E". Raises
     if either transition is not bracketed in the scan window.

@@ -6,11 +6,12 @@ participation ratio r falls below the size-dependent critical value r_c(L),
 defined as the r of the corresponding *linear* (U=0) eigenstate at
 Delta/J = 2, phi = 0 — the self-dual point of the linear model. The
 extended-to-localized transition at fixed U is the first downward crossing
-of r_c along increasing Delta, refined by bisection (re-solving at interval
-midpoints) to 1e-3 in Delta/J.
+of r_c along increasing Delta, refined by ITP (re-solving at points between
+the secant root and the midpoint of the bracket) to a bracket of 1e-3 in
+Delta/J.
 
 A scan's JSONL store is an exact solve cache: one record per solve, grid
-cells and bisection midpoints alike, appended as soon as it is solved. Each
+cells and refinement points alike, appended as soon as it is solved. Each
 record's `key` is the sha256 of canonical JSON of every input that affects
 its r: the full ModelParams (L, J, Delta, beta, phi, U, floats by their
 round-trip repr), kind, preparation, EXPERIMENT_RAMP aimed at the kind
@@ -27,6 +28,7 @@ its line number.
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -39,6 +41,11 @@ from .eigensolve import SolverOptions, batched_starts, linear_spectrum, solve_st
 from .model import ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
+# ITP's epsilon: BISECTION_TOL / 2, less 2^-30 of it. A row that uses up
+# ITP's slack ends on a bracket exactly BISECTION_TOL wide; without the
+# margin, rounding leaves about 40 % of such brackets an ulp wider, which
+# costs one solve past the n_max bound
+_ITP_EPSILON = 0.5 * BISECTION_TOL * (1 - 2.0 ** -30)
 
 log = logging.getLogger(__name__)
 
@@ -80,40 +87,48 @@ class TransitionResult:
     r_c: float
     found: bool
     message: str = ""
+    refine_solves: int = 0         # Deltas the refinement solved or read back
 
 
 def detect_transition(deltas, r_values, r_c, refine=None):
     """First downward crossing of r_c on an increasing Delta grid.
 
     `deltas`/`r_values` sample the r(Delta) curve; every bracketing interval
-    with r(lo) >= r_c > r(hi) is reported, and the first is refined by
-    bisection when a `refine(delta) -> r` callback is supplied (the callback
-    re-solves the model at interval midpoints). Without a callback the grid
-    midpoint of the first bracket is returned.
+    with r(lo) >= r_c > r(hi) is reported, and the first is refined by ITP
+    when a `refine(delta) -> r` callback is supplied (the callback re-solves
+    the model at the points ITP picks). ITP (interpolate, truncate, project;
+    Oliveira & Takahashi, ACM TOMS 47(1), 5 (2020)) steps toward the secant
+    root of r - r_c but never falls more than one step behind bisection: it
+    ends, like bisection, with a bracket no wider than BISECTION_TOL and
+    Delta_c its midpoint, after at most one solve more than bisection would
+    take, whatever the shape of r. Without a callback the grid midpoint of
+    the first bracket is returned.
 
     Many-row form: `r_c` is a sequence with one critical value per row, and
     `deltas` and `r_values` are sequences of each row's samples. It returns
     one TransitionResult per row, the one the 1-D call returns for that row,
-    and bisects all rows' first brackets in lockstep: at each level,
-    `refine(rows, mids)` gets the indices of the rows still bisecting and
-    their midpoints, and returns one r per row, or the exception that
+    and refines all rows' first brackets in lockstep: at each step,
+    `refine(rows, deltas)` gets the indices of the rows still refining and
+    their next points, and returns one r per row, or the exception that
     stopped that row's solve. Such a row's detection ends unfound, with its
-    grid crossings kept and the failed midpoint in its message.
+    grid crossings kept and the failed point in its message.
     """
     if np.ndim(r_c):
-        results = [_grid_transition(d, r, rc)
-                   for d, r, rc in zip(deltas, r_values, r_c, strict=True)]
+        grid = [_grid_transition(d, r, rc)
+                for d, r, rc in zip(deltas, r_values, r_c, strict=True)]
+        results = [tr for tr, _ in grid]
         if refine is not None:
-            _bisect(results, refine)
+            _itp(results, [ends for _, ends in grid], refine)
         return results
-    result = _grid_transition(deltas, r_values, r_c)
+    result, ends = _grid_transition(deltas, r_values, r_c)
     if refine is not None:
-        _bisect([result], lambda rows, mids: [refine(mids[0])])
+        _itp([result], [ends], lambda rows, xs: [refine(xs[0])])
     return result
 
 
 def _grid_transition(deltas, r_values, r_c):
-    """detect_transition of one row without refinement."""
+    """detect_transition of one row without refinement, and r at the ends of
+    its first bracket (None without one)."""
     deltas = np.asarray(deltas, dtype=float)
     r_values = np.asarray(r_values, dtype=float)
     if deltas.size != r_values.size or deltas.size < 2:
@@ -121,48 +136,77 @@ def _grid_transition(deltas, r_values, r_c):
     if np.any(np.diff(deltas) <= 0):
         raise ValueError("delta grid must be strictly increasing")
 
-    brackets = [(float(deltas[i]), float(deltas[i + 1]))
-                for i in range(deltas.size - 1)
-                if r_values[i] >= r_c > r_values[i + 1]]
-    if not brackets:
+    down = [i for i in range(deltas.size - 1)
+            if r_values[i] >= r_c > r_values[i + 1]]
+    if not down:
         return TransitionResult(
             delta_c=None, crossings=[], r_c=float(r_c), found=False,
             message=f"no downward crossing of r_c={r_c:.6g} in "
-                    f"[{deltas[0]:.6g}, {deltas[-1]:.6g}]")
+                    f"[{deltas[0]:.6g}, {deltas[-1]:.6g}]"), None
+    brackets = [(float(deltas[i]), float(deltas[i + 1])) for i in down]
     lo, hi = brackets[0]
-    return TransitionResult(delta_c=0.5 * (lo + hi), crossings=brackets,
-                            r_c=float(r_c), found=True)
+    return (TransitionResult(delta_c=0.5 * (lo + hi), crossings=brackets,
+                             r_c=float(r_c), found=True),
+            (float(r_values[down[0]]), float(r_values[down[0] + 1])))
 
 
-def _bisect(results, refine):
-    """Bisect the first bracket of every found result in `results` to
-    BISECTION_TOL, all rows level by level, with detect_transition's
-    many-row `refine`; each result is updated in place."""
-    brackets = {i: list(tr.crossings[0]) for i, tr in enumerate(results) if tr.found}
-    live = [i for i, (lo, hi) in brackets.items() if hi - lo > BISECTION_TOL]
+def _itp(results, ends, refine):
+    """Refine the first bracket of every found result in `results` to
+    BISECTION_TOL by ITP with n0 = 1, kappa1 = 0.2 / (initial width),
+    kappa2 = 2 and epsilon = _ITP_EPSILON, all rows step by step, with
+    detect_transition's many-row `refine`; `ends` holds each row's r at its
+    bracket's ends. Each result is updated in place.
+
+    Row state is (lo, hi, f(lo), f(hi), kappa1, n_max) with f = r - r_c, so
+    f(lo) >= 0 > f(hi) throughout. Step j picks a point within
+    epsilon 2^(n_max - j) - width / 2 of the midpoint, which bounds the next
+    width by epsilon 2^(n_max - j): after n_max = ceil(log2(width /
+    BISECTION_TOL)) + 1 steps it is below BISECTION_TOL.
+    """
+    rows = {}
+    for i, (tr, r_ends) in enumerate(zip(results, ends)):
+        if tr.found:
+            (lo, hi), (r_lo, r_hi) = tr.crossings[0], r_ends
+            n_max = math.ceil(math.log2((hi - lo) / BISECTION_TOL)) + 1
+            rows[i] = [lo, hi, r_lo - tr.r_c, r_hi - tr.r_c, 0.2 / (hi - lo), n_max]
+    step = 0
+    live = [i for i, row in rows.items() if row[1] - row[0] > BISECTION_TOL]
     while live:
-        mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in live]
-        for i, mid, r in zip(live, mids, refine(live, mids), strict=True):
+        xs = [_itp_point(*rows[i], step) for i in live]
+        for i, x, r in zip(live, xs, refine(live, xs), strict=True):
+            results[i].refine_solves += 1
             if isinstance(r, Exception):
-                del brackets[i]
+                del rows[i]
                 results[i].delta_c, results[i].found = None, False
-                results[i].message = f"refinement failed at Delta={mid:.6g}: {r}"
+                results[i].message = f"refinement failed at Delta={x:.6g}: {r}"
             elif r >= results[i].r_c:
-                brackets[i][0] = mid
+                rows[i][0], rows[i][2] = x, float(r) - results[i].r_c
             else:
-                brackets[i][1] = mid
+                rows[i][1], rows[i][3] = x, float(r) - results[i].r_c
+        step += 1
         live = [i for i in live
-                if i in brackets and brackets[i][1] - brackets[i][0] > BISECTION_TOL]
-    for i, (lo, hi) in brackets.items():
+                if i in rows and rows[i][1] - rows[i][0] > BISECTION_TOL]
+    for i, (lo, hi, *_) in rows.items():
         results[i].delta_c = 0.5 * (lo + hi)
+
+
+def _itp_point(lo, hi, f_lo, f_hi, kappa1, n_max, step):
+    """The point ITP's step `step` picks in the bracket [lo, hi]."""
+    mid, width = 0.5 * (lo + hi), hi - lo
+    radius = max(_ITP_EPSILON * 2.0 ** (n_max - step) - 0.5 * width, 0.0)
+    x_f = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)       # regula falsi
+    sigma = math.copysign(1.0, mid - x_f)
+    delta = kappa1 * width ** 2
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    return x_t if abs(x_t - mid) <= radius else mid - sigma * radius
 
 
 def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
                      phi=0.0, opts=SolverOptions()) -> TransitionResult:
-    """Locate Delta_c for one (U, kind) by coarse scan + bisection.
+    """Locate Delta_c for one (U, kind) by coarse scan + ITP refinement.
 
     The coarse grid is solved in increasing Delta and only up to its first
-    bracket r(lo) >= r_c > r(hi), which is then bisected as detect_transition
+    bracket r(lo) >= r_c > r(hi), which is then refined as detect_transition
     does on the full grid: Delta_c is the same, but `crossings` holds only
     that first bracket, and a cell past it is neither solved nor able to
     fail the transition.
@@ -369,16 +413,16 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     """Fill the r-matrix over the grid, then locate transition curves.
 
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
-    or bisection midpoint, is read from it if stored and appended to it at
+    or refinement point, is read from it if stored and appended to it at
     once if not. With `workers` = 1 all missing exact grid cells, of both
     kinds and every U, run attempt 0's stages A and B as one batch and are
     appended in (kind, U, Delta) order; `workers` > 1 solves the missing
     grid cells one by one in a process pool first. Every (kind, U) row's
-    first bracket is then bisected in lockstep (detect_transition's
-    many-row form): at each level the missing midpoints of all rows are
+    first bracket is then refined in lockstep (detect_transition's
+    many-row form): at each ITP step the missing points of all rows are
     solved as one batch and appended together. Either way r is bitwise the
     lone solve's. Per-cell failures are recorded and the scan continues;
-    failed cells hold NaN in the matrix. A bisection solve that fails ends
+    failed cells hold NaN in the matrix. A refinement solve that fails ends
     that U's detection (found=False, the grid's crossings kept) and is
     recorded once among the failures.
     """
@@ -431,7 +475,7 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
                     [deltas[valid[i]] for i in fit], [mat[i][valid[i]] for i in fit],
                     [rcs[rows[i][0]] for i in fit], refine)):
                 per_row[i] = tr
-            # a failed grid cell the bisection lands on is listed already
+            # a failed grid cell the refinement lands on is listed already
             failures += [failed[j] for j in sorted(failed) if failed[j] not in failures]
             for kind in grid.kinds:
                 trans[kind] = [tr for (k, _), tr in zip(rows, per_row) if k == kind]

@@ -415,11 +415,13 @@ def test_scan_detect_writes_transitions(tmp_path):
     assert rc == 0
     header, rows = _rows(tmp_path / "transitions.csv")
     assert header == ["kind", "u_over_j", "delta_c_over_j", "n_crossings",
-                      "crossings", "message"]
+                      "crossings", "message", "refine_solves"]
     assert rows[0][0] == "gs"
     dc = float(rows[0][2])
     assert 1.5 < dc < 2.5                               # AA point at U=0
-    assert rows[0][-1] == ""
+    assert rows[0][5] == ""
+    # the bracket of width 0.5 takes at most ceil(log2(500)) + 1 = 10 steps
+    assert 1 <= int(rows[0][6]) <= 10
 
 
 @pytest.mark.parametrize("changed", [["--phi", "1"], ["--residual-tol", "1e-5"],
@@ -474,10 +476,13 @@ def test_scan_lists_failed_cells_in_failures_csv(tmp_path):
     assert outputs["failures.csv"] == _sha(tmp_path / "failures.csv")
 
 
-def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path, fail_solves):
-    # (gs, U = 0.25): the bisection of the bracket (1, 2) lands again on the
-    # failed grid cell Delta = 1.5; (es, U = -0.25): its midpoint 1.625 fails
-    fail_solves({("gs", 0.25, 1.5), ("es", -0.25, 1.625)})
+def test_scan_with_failed_refinement_solves_writes_every_file(
+        tmp_path, fail_solves, refinement_points):
+    # (gs, U = 0.75) loses the grid cell 1.5, and ITP's first point in the
+    # bracket (1, 2) is its midpoint, that failed cell; (es, U = -0.25) fails
+    # at its second refinement solve
+    second = refinement_points(13, np.arange(0.0, 4.01, 0.5), "es", -0.25)[1]
+    fail_solves({("gs", 0.75, 1.5), ("es", -0.25, second)})
     argv = ["scan", "--L", "13", "--delta-step", "0.5"]
     detect, grid = tmp_path / "detect", tmp_path / "grid"
     assert main(argv + ["--out", str(detect)]) == 0
@@ -492,16 +497,24 @@ def test_scan_with_failed_refinement_solves_writes_every_file(tmp_path, fail_sol
         rows[out] = [(kind, float(u), float(d)) for kind, u, d, _ in body]
     assert len(set(rows[detect])) == len(rows[detect])
     assert set(rows[grid]) < set(rows[detect])
-    assert ("gs", 0.25, 1.5) in rows[grid]
-    assert ("es", -0.25, 1.625) in set(rows[detect]) - set(rows[grid])
-    found = {(kind, float(u)): (dc, int(n))
-             for kind, u, dc, n, _, _ in _transitions(detect)}
-    assert found[("gs", 0.25)] == ("nan", 1)             # the grid's bracket kept
+    assert ("gs", 0.75, 1.5) in rows[grid]
+    assert ("es", -0.25, float(f"{second:.11e}")) in (set(rows[detect])
+                                                     - set(rows[grid]))
+    found = {(kind, float(u)): (dc, int(n), message, int(solves))
+             for kind, u, dc, n, _, message, solves in _transitions(detect)}
+    # the grid's bracket kept
+    assert found[("gs", 0.75)][:2] == ("nan", 1)
+    assert found[("gs", 0.75)][2].startswith(
+        "refinement failed at Delta=1.5: solver did not converge")
+    assert found[("gs", 0.75)][3] == 1
     assert found[("es", -0.25)][0] == "nan"
+    assert found[("es", -0.25)][2].startswith(
+        f"refinement failed at Delta={second:.6g}")
+    assert found[("es", -0.25)][3] == 2
     assert all(found[(kind, 0.0)][0] != "nan" for kind in ("gs", "es"))
     _, phases = _rows(detect / "phases.csv")
     labels = {float(row[0]): set(row[1:]) for row in phases}
-    assert labels[0.25] == labels[-0.25] == {"?"}
+    assert labels[0.75] == labels[-0.25] == {"?"}
     assert "?" not in labels[0.0]
 
 
@@ -519,11 +532,13 @@ def test_transitions_csv_says_why_delta_c_is_nan(tmp_path, fail_solves):
     why = re.compile(r"no downward crossing of r_c=|insufficient valid cells$"
                      r"|refinement failed at Delta=")
     messages = {}
-    for kind, u, dc, _, _, message in _transitions(tmp_path):
+    for kind, u, dc, _, _, message, solves in _transitions(tmp_path):
         if dc == "nan":
             assert why.match(message), message
+            # a refinement ends at its first solve, which fails
+            assert int(solves) == (message.startswith("refinement"))
         else:
-            assert message == ""
+            assert message == "" and int(solves) > 0
         messages.setdefault(dc == "nan", []).append(message)
     assert len(messages[False]) == 2                     # U = 0, both kinds
     assert {m.split(" ")[0] for m in messages[True]} == {"no", "refinement"}

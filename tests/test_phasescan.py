@@ -2,13 +2,14 @@
 
 import json
 import logging
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlaa.phasescan as phasescan
@@ -89,6 +90,83 @@ def test_detect_transition_bisection_on_analytic_curve():
 
     tr = detect_transition(deltas, r_of(deltas), r_c=0.5, refine=r_of)
     assert abs(tr.delta_c - 2.0) <= BISECTION_TOL
+
+
+def _refine_rows(curves, brackets, r_cs):
+    """detect_transition's many-row form on two-sample rows, each its bracket,
+    refined on `curves`; returns the results and each row's visited Deltas."""
+    visits = [[] for _ in curves]
+
+    def refine(rows, xs):
+        for i, x in zip(rows, xs):
+            visits[i].append(x)
+        return [curves[i](x) for i, x in zip(rows, xs)]
+
+    results = detect_transition(brackets, [[f(lo), f(hi)] for f, (lo, hi)
+                                           in zip(curves, brackets)], r_cs, refine)
+    return results, visits
+
+
+def _final_bracket(f, r_c, bracket, visited):
+    """The bracket the refinement ends on: each visited point lies inside the
+    bracket of its step, so the last lo is the largest point with r >= r_c
+    and the last hi the smallest with r < r_c."""
+    lo, hi = bracket
+    for x in visited:
+        lo, hi = (max(lo, x), hi) if f(x) >= r_c else (lo, min(hi, x))
+    return lo, hi
+
+
+_TANH_ROW = st.tuples(st.floats(0.0, 14.0),                  # lo
+                      st.floats(1e-4, 2.0),                  # bracket width
+                      st.floats(0.0, 0.99),                  # Delta* in it
+                      st.floats(0.01, 0.5),                  # amplitude
+                      st.floats(0.1, 1e3),                   # steepness
+                      st.floats(0.05, 0.5))                  # r_c
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(_TANH_ROW, min_size=2, max_size=6),
+       steps=st.lists(st.floats(-0.3, 0.3).filter(lambda v: abs(v) > 1e-3),
+                      min_size=2, max_size=8),
+       step_lo=st.floats(0.0, 4.0), step_width=st.floats(1e-3, 1.0))
+def test_itp_refines_many_rows_as_each_alone(rows, steps, step_lo, step_width):
+    curves, brackets, r_cs, stars = [], [], [], []
+    for lo, width, frac, a, b, r_c in rows:
+        star = lo + frac * width
+        curves.append(lambda x, a=a, b=b, star=star, r_c=r_c:
+                      r_c + a * np.tanh(b * (star - x)))
+        brackets.append((lo, lo + width))
+        r_cs.append(r_c)
+        stars.append(star)
+    # a non-monotone step curve: r - r_c is steps[k] on the k-th of
+    # len(steps) equal pieces of its bracket, positive on the first and
+    # negative on the last
+    levels = [abs(steps[0])] + steps[1:-1] + [-abs(steps[-1])]
+    curves.append(lambda x: 0.3 + levels[min(int((x - step_lo) / step_width
+                                                 * len(levels)), len(levels) - 1)])
+    brackets.append((step_lo, step_lo + step_width))
+    r_cs.append(0.3)
+    results, visits = _refine_rows(curves, brackets, r_cs)
+    for i, (f, bracket, r_c, tr) in enumerate(zip(curves, brackets, r_cs, results)):
+        lo, hi = _final_bracket(f, r_c, bracket, visits[i])
+        assert f(lo) >= r_c > f(hi) and hi - lo <= BISECTION_TOL
+        assert tr.found and tr.delta_c == 0.5 * (lo + hi)
+        assert tr.refine_solves == len(visits[i])
+        alone, [visited] = _refine_rows([f], [bracket], [r_c])
+        assert alone == [tr] and visited == visits[i]
+        single = detect_transition(bracket, [f(bracket[0]), f(bracket[1])], r_c,
+                                   refine=f)
+        assert single == tr
+        # at most one solve more than bisection, on the step curve too
+        width = bracket[1] - bracket[0]
+        bisection = max(math.ceil(math.log2(width / BISECTION_TOL)), 0)
+        assert len(visits[i]) <= bisection + (width > BISECTION_TOL)
+        if i < len(rows):                      # the tanh rows
+            # up to rounding: the midpoint's, and r's next to Delta*, where
+            # |r - r_c| < spacing(r_c) for |Delta - Delta*| up to
+            # spacing(0.5) / (0.01 * 0.1) ~ 1e-13
+            assert abs(tr.delta_c - stars[i]) <= BISECTION_TOL / 2 + 1e-12
 
 
 def test_detect_transition_validates_grid():
@@ -264,19 +342,30 @@ def test_scan_detects_transitions_per_u(tmp_path):
     assert res.phases[0, 0] == "IV" and res.phases[0, -1] == "II"
 
 
-def test_failed_bisection_solve_ends_only_that_detection(fail_solves):
-    # the bisection of the bracket (1, 2) lands on the grid cell 1.5, whose
-    # solve fails
-    fail_solves({("gs", 0.25, 1.5)})
-    grid = ScanGrid(delta_over_j=tuple(np.arange(0.0, 4.01, 0.5)),
-                    u_over_j=(0.0, 0.25), L=13, kind="gs")
+def test_failed_bisection_solve_ends_only_that_detection(fail_solves,
+                                                         refinement_points):
+    # (gs, U = 0.25) fails at its second refinement solve. (gs, U = 0.75)
+    # loses the grid cell 1.5, so its bracket is (1, 2); its regula-falsi
+    # point lies within 0.2 widths of the midpoint, so ITP's first point is
+    # that midpoint, the failed cell, whose record the refinement reads back
+    deltas = np.arange(0.0, 4.01, 0.5)
+    second = refinement_points(13, deltas, "gs", 0.25)[1]
+    fail_solves({("gs", 0.25, second), ("gs", 0.75, 1.5)})
+    grid = ScanGrid(delta_over_j=tuple(deltas), u_over_j=(0.0, 0.25, 0.75),
+                    L=13, kind="gs")
     res = scan_phase_diagram(grid)
-    assert res.transitions["gs"][0].found
-    tr = res.transitions["gs"][1]
-    assert (tr.found, tr.delta_c, tr.crossings) == (False, None, [(1.0, 2.0)])
-    assert tr.message.startswith("refinement failed at Delta=1.5: solver did "
-                                 "not converge")
-    assert [f[:3] for f in res.failures] == [("gs", 0.25, 1.5)]
+    found, at_second, on_cell = res.transitions["gs"]
+    assert found.found
+    assert (at_second.found, at_second.delta_c, at_second.crossings,
+            at_second.refine_solves) == (False, None, [(1.5, 2.0)], 2)
+    assert at_second.message.startswith(f"refinement failed at Delta={second:.6g}: "
+                                        "solver did not converge")
+    assert (on_cell.found, on_cell.delta_c, on_cell.crossings,
+            on_cell.refine_solves) == (False, None, [(1.0, 2.0)], 1)
+    assert on_cell.message.startswith("refinement failed at Delta=1.5: solver did "
+                                      "not converge")
+    assert [f[:3] for f in res.failures] == [("gs", 0.75, 1.5),
+                                             ("gs", 0.25, second)]
 
 
 # a (kind, U) grid at L = 13 whose rows' first brackets are (2.0, 2.25) for
@@ -320,7 +409,7 @@ def _lone_scan(grid, opts):
                 tr = detect_transition(deltas[valid], r[kind][i][valid], r_c, refine)
             except RuntimeError as exc:
                 tr = replace(detect_transition(deltas[valid], r[kind][i][valid], r_c),
-                             delta_c=None, found=False,
+                             delta_c=None, found=False, refine_solves=len(mids),
                              message=f"refinement failed at Delta={mids[-1]:.6g}: {exc}")
                 if (kind, u, mids[-1], str(exc)) not in failures:
                     failures.append((kind, u, mids[-1], str(exc)))
@@ -328,12 +417,12 @@ def _lone_scan(grid, opts):
     return r, transitions, failures
 
 
-def test_scan_equals_lone_detection_row_by_row(monkeypatch):
+def test_scan_equals_lone_detection_row_by_row(monkeypatch, refinement_points):
     # injected non-convergence: gs at U = 0 loses the grid cells 1.75 and 2.0,
-    # so its bracket widens to (1.5, 2.25) and it needs two more levels than
-    # the others; es at U = -0.4 fails at its second midpoint
-    fail = {("gs", 0.0, 1.75), ("gs", 0.0, 2.0), ("es", -0.4, 1.3125),
-            ("es", -0.4, 1.4375)}
+    # so its bracket widens to (1.5, 2.25) and its refinement takes its own
+    # course; es at U = -0.4 fails at its second refinement solve
+    second = refinement_points(13, ORACLE.delta_over_j, "es", -0.4)[1]
+    fail = {("gs", 0.0, 1.75), ("gs", 0.0, 2.0), ("es", -0.4, second)}
     inner = phasescan.solve_state
 
     def solve(params, kind, opts, start=None):
@@ -352,9 +441,10 @@ def test_scan_equals_lone_detection_row_by_row(monkeypatch):
     assert res.failures == failures
     gs0, es_neg = res.transitions["gs"][1], res.transitions["es"][0]
     assert gs0.found and gs0.crossings == [(1.5, 2.25)]
-    assert es_neg.message.startswith("refinement failed at Delta=1.")
-    assert [f[:3] for f in failures][:2] == [("gs", 0.0, 1.75), ("gs", 0.0, 2.0)]
-    assert len(failures) == 3 and failures[2][:2] == ("es", -0.4)
+    assert es_neg.message.startswith(f"refinement failed at Delta={second:.6g}: ")
+    assert es_neg.refine_solves == 2
+    assert [f[:3] for f in failures] == [("gs", 0.0, 1.75), ("gs", 0.0, 2.0),
+                                         ("es", -0.4, second)]
     assert sum(tr.found for trs in res.transitions.values() for tr in trs) == 3
 
 
@@ -366,21 +456,37 @@ def test_fresh_scan_batches_the_grid_once_and_each_bisection_level_once(
     (grid_cells, grid_kinds, _), *levels = batches
     assert len(grid_cells) == 2 * 3 * 9
     assert grid_kinds == ["gs"] * 27 + ["es"] * 27
-    # four brackets of width 0.25, halved to BISECTION_TOL in 8 levels: one
-    # batch per level, holding every bisecting row's midpoint
+    # four brackets of width 0.25, which bisection halves to BISECTION_TOL in
+    # 8 levels; ITP needs 3 steps for the two at 2 and 4 for the two at 1.5.
+    # One batch per step, holding every refining row's point
     assert [t.found for trs in res.transitions.values() for t in trs] == [
         False, True, True, True, True, False]
-    assert len(levels) == 8
-    assert all(len(cells) == 4 and len(set(kinds)) == 2 for cells, kinds, _ in levels)
-    # a level whose midpoints are all stored makes no call
+    assert [t.refine_solves for trs in res.transitions.values() for t in trs] == [
+        0, 3, 4, 4, 3, 0]
+    assert [len(cells) for cells, *_ in levels] == [4, 4, 4, 2]
+    assert all(len(set(kinds)) == 2 for _, kinds, _ in levels)
+    # a level whose points are all stored makes no call
     lines = path.read_text().splitlines(keepends=True)
-    fifth = lines[54 + 4 * 4:54 + 5 * 4]
-    path.write_text("".join(line for line in lines if line not in fifth))
+    second = lines[54 + 4:54 + 2 * 4]
+    path.write_text("".join(line for line in lines if line not in second))
     batches.clear()
     again = scan_phase_diagram(ORACLE, results_path=str(path))
     assert [sorted(p.Delta for p in cells) for cells, *_ in batches] == [
-        sorted(json.loads(line)["delta"] for line in fifth)]
+        sorted(json.loads(line)["delta"] for line in second)]
     assert again.transitions == res.transitions
+
+
+def test_refinement_solve_counts_are_pinned(monkeypatch):
+    # machine-independent cost of the refinement: ORACLE's 54 grid cells plus
+    # 3 + 4 + 4 + 3 ITP solves (bisection took 4 x 8 = 32), and one lazy
+    # sweep's 7 grid cells up to its bracket (1.25, 1.5) plus 4 (it took 8)
+    solves = _count_calls(monkeypatch, "solve_state")
+    scan_phase_diagram(ORACLE)
+    assert len(solves) == 54 + 14
+    solves.clear()
+    tr = transition_for_u(0.4, "gs", L=13, delta_max=3.0, delta_step=0.25)
+    assert tr.crossings == [(1.25, 1.5)] and tr.refine_solves == 4
+    assert len(solves) == 7 + 4
 
 
 def _count_calls(monkeypatch, name):
