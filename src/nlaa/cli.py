@@ -623,12 +623,13 @@ def cmd_fit(cfg, outdir):
     else:
         raise ConfigError("fit needs --data <csv> or --synthesize")
 
-    fit = fit_transition(data)
     boot = None
     if cfg.bootstrap > 0:
         boot = bootstrap_delta_c(data, n_resamples=cfg.bootstrap,
                                  seed=cfg.seed)
-        fit.delta_c_stderr = boot.stderr
+        fit = boot.base
+    else:
+        fit = fit_transition(data)
     delta0 = np.asarray(data, dtype=float)[:, 0]
     curve_rows = zip(delta0, np.asarray(data, dtype=float)[:, 1],
                      fit.curve(delta0))

@@ -12,37 +12,22 @@ power-law branch.
 Because Theta makes joint 4-parameter descent unreliable, the fit decomposes
 exactly over the discontinuity: Delta_c is grid-searched over the data
 interval midpoints; for each candidate, B is the (weighted) mean of the
-right branch and (A, gamma) are fit on the left branch — log-linear seed,
-then local nonlinear refinement. The candidate with the globally smallest
-total RSS wins; among equal totals, the first in Delta_c order wins.
-Uncertainty on Delta_c comes from residual-resampling bootstrap refits.
+right branch and (A, gamma) are fit on the left branch by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) in
+`least_squares`. The smallest total RSS wins, the first in Delta_c order
+among equal totals. Uncertainty on Delta_c comes from residual-resampling
+bootstrap refits, fit as one batch.
 
-Most candidates need no left-branch fit. A candidate's total is
-rss = fl(left + right), where right, the RSS of the flat branch about B,
-is known before any fit and left, a sum of squares, is >= 0. IEEE rounding
-is monotonic, so fl(left + right) >= right: a candidate whose right
-exceeds the best total found so far cannot win. The left branches are
-therefore fit in order of increasing right (ties by position), and the
-search stops at the first candidate whose right is strictly greater than
-the best total. A candidate whose right equals it is still fit, since its
-total may tie and it may come first. The result is bitwise the one the
-exhaustive search over all candidates gives.
-
-The local refinement is Levenberg-Marquardt: MINPACK `lmder` through
-`scipy.optimize.leastsq`, fed the forward-difference Jacobian that scipy's
-`least_squares` builds for its default 2-point scheme. It returns the same
-x and nfev, bit for bit, as `least_squares(fun, x0, method="lm")` on the
-installed scipy, without that function's per-call wrapping, which on
-these 2-parameter problems costs about three times the solve itself.
-
-scipy.optimize, with scipy.special behind it, is imported on first use, in
-`least_squares`: on top of numpy and scipy.linalg it costs about 0.2 s and
-21 MB of RSS at import, which a default `scan`, `phases` and `gaa-me` never
-need.
+Most candidates need no left-branch fit. A total is rss = fl(left + right)
+with left >= 0 and right, the flat branch's RSS about B, summed term by
+term (no cancelling running sums, so no error margin is needed). Rounding
+is monotonic, so rss >= right: a candidate whose right exceeds some total
+cannot win. Each data set's smallest-right candidate (the first among ties)
+is fit first, then every other one whose right is at most its total; so
+the winner is the minimum of (rss, index) over all usable candidates.
 """
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +36,10 @@ from .model import ModelParams, participation_of
 
 MIN_LEFT_POINTS = 3
 MIN_RESAMPLES = 100     # fewest bootstrap refits for a stable stderr
-_FD_REL_STEP = np.finfo(float).eps ** 0.5   # scipy's relative 2-point step
-# leastsq's RuntimeWarnings for MINPACK info 5-8
-_MINPACK_STOPS = r"Number of calls to function has reached|[fxg]tol=.* is too small"
+NEWTON_CAP = 100        # Newton steps a left-branch row may take
+_XTOL = 1e-10           # a Newton step below _XTOL * max(1, |gamma|) has converged
+_FTOL = 1e-14           # as has a taken step that lowers f by at most _FTOL * f
+_ROWS_PER_CALL = 64     # caps least_squares' work arrays near 0.4 MB at n = 40
 
 
 class UnidentifiableFitError(RuntimeError):
@@ -77,69 +63,79 @@ class FitResult:
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    x: np.ndarray
-    nfev: int       # residual evaluations MINPACK asked for, as scipy reports
+    A: np.ndarray
+    gamma: np.ndarray
+    rss: np.ndarray         # sum((w (A Delta^-gamma + B - r))^2) on each left branch
+    converged: np.ndarray   # False where the seed is not finite or NEWTON_CAP was hit
+    nfev: int               # row evaluations of f
 
 
-def least_squares(fun, x0) -> LeastSquaresResult:
-    """Levenberg-Marquardt minimum of sum(fun(x)**2), started at x0.
+def _project(gamma, ell, w2, y):
+    """x = exp(-gamma ln Delta), the best A and f(gamma) of each row."""
+    x = np.exp(-gamma[:, None] * ell)
+    w2x = w2 * x
+    A = (w2x * y).sum(-1) / (w2x * x).sum(-1)
+    e = y - A[:, None] * x
+    return x, A, (w2 * e * e).sum(-1)
 
-    `fun` maps a float array of shape (n,) to one of shape (m,), m >= n, and
-    must not modify its argument. Equals scipy's
-    `least_squares(fun, x0, method="lm", max_nfev=2000)` bitwise in x and
-    exactly in nfev: the same MINPACK routine, tolerances and budget, and
-    the same Jacobian, column i = (f(x + h_i e_i) - f(x)) / ((x_i + h_i) - x_i)
-    with h = sqrt(eps) * sign(x) * max(1, |x|) and sign(0) = +1.
+
+def least_squares(log_delta, w, r, B, m) -> LeastSquaresResult:
+    """Variable-projection fits of A Delta^(-gamma) + B, one per row.
+
+    Row k fits the first m[k] points of r[k] (r has shape (rows, n)) about
+    B[k], with the weights w and ln Delta = log_delta (shape (n,)) that all
+    rows share; r[k, :m[k]] must exceed B[k]. With y = r - B, x = Delta^-gamma
+    and A = sum(w^2 x y) / sum(w^2 x^2), f(gamma) = sum(w^2 (y - A x)^2) is
+    minimized from the unweighted log-log slope of y by Newton steps -f'/f''
+    (the radius downhill where f'' <= 0) clipped to a radius, initially 1,
+    that doubles after a step of its length is taken and shrinks to a
+    quarter of any step that raises f (not taken). Rows use only their own
+    data and leave the iteration once converged.
     """
-    # imported here, not at module level: most subcommands never fit
-    from scipy.optimize import leastsq
-
-    x = np.array(x0, dtype=float).ravel()
-    f = fun(x)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("Residuals are not finite in the initial point.")
-    # The latest point fun was evaluated at, f(x) and, once asked for, the
-    # Jacobian. MINPACK asks for the Jacobian right after evaluating fun at
-    # the same point, so its f(x) is reused; leastsq's shape check asks for
-    # it at x0 before MINPACK does, so that is reused too.
-    # Points are compared with float ==, as scipy's memo compares them
-    # (0.0 equals -0.0; nan is evaluated again).
-    last = [x, x.tolist(), f, None]
-
-    def at(x_new):
-        if x_new.tolist() != last[1]:
-            x = x_new.copy()
-            last[:] = x, x.tolist(), fun(x), None
-        return last
-
-    calls = [0]
-
-    def residuals(x_new):
-        calls[0] += 1
-        return at(x_new)[2]
-
-    def jacobian(x_new):
-        x, xs, f, jac = at(x_new)
-        if jac is not None:
-            return jac
-        jt = np.empty((x.size, f.size))
-        for i, xi in enumerate(xs):
-            h = _FD_REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
-            x1 = x.copy()
-            x1[i] = xi + h
-            jt[i] = (fun(x1) - f) / ((xi + h) - xi)
-        last[3] = jt.T
-        return last[3]
-
-    # MINPACK's stops 5-8 (budget spent, a tolerance below machine
-    # precision) are results here, as in scipy's least_squares.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _MINPACK_STOPS, RuntimeWarning)
-        x_min, _ = leastsq(residuals, x, Dfun=jacobian, ftol=1e-8, xtol=1e-8,
-                           gtol=1e-8, maxfev=2000)
-    # leastsq calls fun at x0 twice before MINPACK counts: its shape check
-    # and the first call of its MINPACK wrapper.
-    return LeastSquaresResult(x=x_min, nfev=calls[0] - 2)
+    rows, n = r.shape
+    left = np.arange(n) < m[:, None]
+    ell = np.where(left, log_delta, 0.0)
+    w2 = np.where(left, w * w, 0.0)
+    y = np.where(left, r - B[:, None], 1.0)     # weight 0 off the branch
+    with np.errstate(all="ignore"):
+        converged = log_delta[m - 1] == log_delta[0]   # one Delta: any gamma fits
+        du = np.where(left, ell - (ell.sum(-1) / m)[:, None], 0.0)
+        gamma = np.where(converged, 0.0, -(du * np.log(y)).sum(-1) / (du * du).sum(-1))
+        x, A, f = _project(gamma, ell, w2, y)
+        nfev = rows
+        k = np.flatnonzero(~converged & np.isfinite(f))
+        lk, w2k, yk, xk, gk, Ak, fk, rad = (
+            a[k] for a in (ell, w2, y, x, gamma, A, f, np.ones(rows)))
+        for _ in range(NEWTON_CAP):
+            if not k.size:
+                break
+            Ax = Ak[:, None] * xk
+            ek = yk - Ax
+            w2lx = w2k * lk * xk
+            b = (w2lx * (ek - Ax)).sum(-1)
+            d1 = Ak * (w2lx * ek).sum(-1)                       # f'/2
+            d2 = Ak * (w2lx * lk * (Ax - ek)).sum(-1) \
+                - b * b / (w2k * xk * xk).sum(-1)               # f''/2
+            step = np.clip(np.where(d2 > 0, -d1 / d2, -np.sign(d1) * rad),
+                           -rad, rad)
+            xt, At, ft = _project(gk + step, lk, w2k, yk)
+            nfev += k.size
+            ok = ft <= fk
+            done = (np.abs(step) <= _XTOL * np.maximum(1.0, np.abs(gk))) \
+                | (ok & (fk - ft <= _FTOL * fk))
+            rad = np.where(ok, np.where(np.abs(step) == rad, 2.0 * rad, rad),
+                           0.25 * np.abs(step))
+            np.copyto(xk, xt, where=ok[:, None])
+            gk, Ak, fk = (np.where(ok, gk + step, gk), np.where(ok, At, Ak),
+                          np.where(ok, ft, fk))
+            gamma[k[done]] = gk[done]
+            converged[k[done]] = True
+            k, lk, w2k, yk, xk, gk, Ak, fk, rad = (
+                a[~done] for a in (k, lk, w2k, yk, xk, gk, Ak, fk, rad))
+        x, A, _ = _project(gamma, ell, w2, y)
+        res = np.where(left, w * (A[:, None] * x + B[:, None] - r), 0.0)
+    return LeastSquaresResult(A=A, gamma=gamma, rss=(res * res).sum(-1),
+                              converged=converged, nfev=nfev + rows)
 
 
 def piecewise_model(delta, A, B, gamma, delta_c):
@@ -158,8 +154,7 @@ def _as_columns(data):
         row, col = bad[0]
         raise ValueError(f"{('delta', 'r', 'sigma')[col]} in data row {row + 1} "
                          f"is not finite ({arr[row, col]})")
-    order = np.argsort(arr[:, 0])
-    arr = arr[order]
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
     delta, r = arr[:, 0], arr[:, 1]
     if np.any(delta <= 0):
         raise ValueError("delta samples must be positive")
@@ -173,62 +168,68 @@ def _as_columns(data):
     return delta, r, w
 
 
+def _search(delta, w, R):
+    """Global fits of the rows of R (S, n) on a shared sorted delta and w:
+    (A, B, gamma, Delta_c, rss), some candidate usable, all fits converged."""
+    S, n = R.shape
+    candidates = 0.5 * (delta[:-1] + delta[1:])
+    n_left = np.searchsorted(delta, candidates, "right")
+
+    # Pass 1: B and the right-branch RSS of every (row, candidate). delta is
+    # sorted, so the left branch of a candidate is the prefix R[:, :m].
+    B = np.zeros((S, candidates.size))
+    right = np.full((S, candidates.size), np.inf)
+    for i, m in enumerate(n_left):
+        if MIN_LEFT_POINTS <= m < n:
+            wr2 = w[m:] ** 2
+            B[:, i] = (wr2 * R[:, m:]).sum(axis=1) / wr2.sum()
+            right[:, i] = ((w[m:] * (R[:, m:] - B[:, i, None])) ** 2).sum(axis=1)
+    # B < 0, or a left point at or below B (its gamma fit would diverge),
+    # leaves a candidate unusable; so does a flat-branch RSS past overflow
+    prefix_min = np.minimum.accumulate(R, axis=1)[:, n_left - 1]
+    usable = (B >= 0) & (prefix_min > B) & np.isfinite(right)
+
+    # Pass 2: the smallest right, then each unfit (total inf) right <= its total
+    total, A, gamma = (np.full(B.shape, np.inf) for _ in range(3))
+    converged = np.ones(S, bool)
+    rows = np.arange(S)
+    first = np.argmin(np.where(usable, right, np.inf), axis=1)
+    todo = usable & (np.arange(candidates.size) == first[:, None])
+    for _ in range(2):
+        s, c = np.nonzero(todo)
+        for at in range(0, s.size, _ROWS_PER_CALL):
+            s_, c_ = s[at:at + _ROWS_PER_CALL], c[at:at + _ROWS_PER_CALL]
+            sol = least_squares(np.log(delta), w, R[s_], B[s_, c_], n_left[c_])
+            total[s_, c_] = sol.rss + right[s_, c_]
+            A[s_, c_], gamma[s_, c_] = sol.A, sol.gamma
+            converged[s_[~sol.converged]] = False
+        todo = usable & (right <= total[rows, first, None]) & np.isinf(total) \
+            & converged[:, None]
+    win = np.argmin(total, axis=1)
+    return ((A[rows, win], B[rows, win], gamma[rows, win], candidates[win],
+             total[rows, win]), usable.any(axis=1), converged)
+
+
 def fit_transition(data) -> FitResult:
     """Global least-squares fit of the piecewise transition model.
 
     `data` is an array-like of rows (delta, r) or (delta, r, sigma); with
     sigma present the fit minimizes the chi-square-weighted RSS. Needs at
     least MIN_LEFT_POINTS points below and one above some candidate
-    Delta_c, else the transition is unidentifiable.
+    Delta_c, and converged left-branch fits, else it is unidentifiable.
     """
     delta, r, w = _as_columns(data)
     n = delta.size
     if n < MIN_LEFT_POINTS + 1:
         raise UnidentifiableFitError(
             f"need at least {MIN_LEFT_POINTS + 1} points, got {n}")
-
-    # Pass 1: B, the usability checks and the right-branch RSS of every
-    # candidate. delta is sorted, so its left branch is the prefix delta[:m].
-    candidates = 0.5 * (delta[:-1] + delta[1:])
-    n_left = np.searchsorted(delta, candidates, "right")
-    usable = []
-    for i, (dc, m) in enumerate(zip(candidates, n_left)):
-        if m < MIN_LEFT_POINTS or m == n:
-            continue
-        wr = w[m:]
-        wr2 = wr ** 2
-        B = float((wr2 * r[m:]).sum() / wr2.sum())
-        if B < 0:
-            continue
-        if (r[:m] - B <= 0).any():
-            continue        # gamma fit would diverge for this candidate
-        usable.append((((wr * (r[m:] - B)) ** 2).sum(), i, float(dc), m, B))
-
-    # Pass 2: fit the left branches in (right, index) order (a stable sort);
-    # rss >= right, so once right exceeds the best rss no later one can win.
-    best, best_key = None, None
-    for right, i, dc, m, B in sorted(usable, key=lambda c: c[0]):
-        if best is not None and right > best.rss:
-            break
-        wl, dl, rl = w[:m], delta[:m], r[:m]
-        coef = np.polyfit(np.log(dl), np.log(rl - B), 1)
-        seed = (float(np.exp(coef[1])), float(-coef[0]))
-
-        def res_left(p):
-            return wl * (p[0] * dl ** (-p[1]) + B - rl)
-
-        sol = least_squares(res_left, seed)
-        A, gamma = (float(sol.x[0]), float(sol.x[1]))
-        rss = float((res_left((A, gamma)) ** 2).sum() + right)
-        if best is None or (rss, i) < best_key:
-            best, best_key = FitResult(A=A, B=B, gamma=gamma, delta_c=dc,
-                                       rss=rss, n_points=n), (rss, i)
-
-    if best is None:
+    best, usable, converged = _search(delta, w, r[None])
+    if not (usable[0] and converged[0]):
         raise UnidentifiableFitError(
-            "every candidate Delta_c leaves the data on one side or gives a "
-            "non-positive power-law branch")
-    return best
+            f"a power-law branch fit did not converge in {NEWTON_CAP} Newton "
+            "steps" if usable[0] else "every candidate Delta_c leaves the data "
+            "on one side or gives a non-positive power-law branch")
+    return FitResult(*(float(v[0]) for v in best), n_points=n)
 
 
 # -------------------------
@@ -273,6 +274,7 @@ class BootstrapResult:
     n_failures: int
     valid: bool
     samples: np.ndarray
+    base: FitResult         # the fit of the data, delta_c_stderr = stderr
 
 
 def bootstrap_delta_c(data, n_resamples=200, seed=0) -> BootstrapResult:
@@ -281,8 +283,10 @@ def bootstrap_delta_c(data, n_resamples=200, seed=0) -> BootstrapResult:
     Residuals of the best fit are resampled with replacement onto the fitted
     curve and refit; the spread of the refit Delta_c values is the standard
     error. Each resample uses its own RNG stream derived from the master
-    seed, so the estimate does not depend on evaluation order. More than 20%
-    refit failures invalidate the estimate (valid=False, stderr=nan).
+    seed, so the estimate does not depend on evaluation order; the batched
+    refits equal lone `fit_transition` calls on (delta, r*[, 1/w]) bitwise.
+    More than 20% refit failures invalidate the estimate (valid=False,
+    stderr=nan).
     """
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need n_resamples >= {MIN_RESAMPLES} for a stable stderr")
@@ -291,19 +295,14 @@ def bootstrap_delta_c(data, n_resamples=200, seed=0) -> BootstrapResult:
     fitted = base.curve(delta)
     resid = r - fitted
 
-    streams = np.random.SeedSequence(seed).spawn(n_resamples)
-    samples, failures = [], 0
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        r_star = fitted + rng.choice(resid, size=resid.size, replace=True)
-        rows = np.column_stack([delta, r_star]) if np.all(w == 1.0) \
-            else np.column_stack([delta, r_star, 1.0 / w])
-        try:
-            samples.append(fit_transition(rows).delta_c)
-        except UnidentifiableFitError:
-            failures += 1
-    samples = np.array(samples)
+    R = np.array([fitted + np.random.default_rng(ss).choice(resid, size=resid.size,
+                                                            replace=True)
+                  for ss in np.random.SeedSequence(seed).spawn(n_resamples)])
+    best, usable, converged = _search(delta, 1.0 / (1.0 / w), R)
+    samples = best[3][usable & converged]
+    failures = n_resamples - samples.size
     valid = failures <= 0.2 * n_resamples
     stderr = float(np.std(samples, ddof=1)) if valid and samples.size > 1 else float("nan")
     return BootstrapResult(stderr=stderr, n_resamples=n_resamples,
-                           n_failures=failures, valid=valid, samples=samples)
+                           n_failures=failures, valid=valid, samples=samples,
+                           base=replace(base, delta_c_stderr=stderr))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nlaa import fitting
 from nlaa.cli import main
 from nlaa.dynamics import EXPERIMENT_RAMP
 from nlaa.fitting import piecewise_model
@@ -709,6 +710,24 @@ def test_fit_constant_data_exits_4(tmp_path):
                                   np.linspace(0.5, 3.0, 10)) + "\n")
     rc = main(["fit", "--data", str(datafile), "--out", str(tmp_path)])
     assert rc == 4
+
+
+@pytest.mark.parametrize("bootstrap", ["0", "100"])
+def test_fit_whose_base_fit_hits_the_newton_cap_exits_4(tmp_path, capsys,
+                                                        monkeypatch, bootstrap):
+    # one Newton step is too few for noisy data: the base fit fails as
+    # unidentifiable rather than returning an unconverged value
+    monkeypatch.setattr(fitting, "NEWTON_CAP", 1)
+    deltas = np.linspace(0.2, 3.4, 40)
+    r = piecewise_model(deltas, 0.6, 1.0 / 21.0, 1.2, 1.8) \
+        + np.random.default_rng(2).normal(0.0, 0.01, deltas.size)
+    datafile = tmp_path / "meas.csv"
+    datafile.write_text("\n".join(f"{d},{v}" for d, v in zip(deltas, r)) + "\n")
+    rc = main(["fit", "--data", str(datafile), "--bootstrap", bootstrap,
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "did not converge in 1 Newton steps" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.json").exists()
 
 
 # -------------------------

@@ -1,8 +1,6 @@
 """Tests for the piecewise transition fit, synthetic measurements, and the
 bootstrap uncertainty estimate."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -10,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlaa import fitting
+from nlaa.cli import main
 from nlaa.dynamics import EXPERIMENT_RAMP, RampProtocol, ramp_prepare
 from nlaa.fitting import (
-    BootstrapResult,
     FitResult,
     UnidentifiableFitError,
     _as_columns,
@@ -39,177 +37,145 @@ def _bits(x):
 
 
 # -------------------------
-# least_squares against scipy's least_squares(method="lm")
+# References: exhaustive and sequential candidate searches, lone refits
 # -------------------------
 
-@given(n=st.integers(4, 40), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       B=st.floats(0.0, 0.5),
-       x0=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)] * 2))
-def test_least_squares_equals_scipy_lm(n, weighted, seed, B, x0):
-    rng = np.random.default_rng(seed)
-    d = np.sort(rng.uniform(0.05, 5.0, n))
-    r = rng.uniform(0.01, 1.0, n)
-    w = rng.uniform(0.2, 20.0, n) if weighted else np.ones(n)
-
-    def fun(p):
-        return w * (p[0] * d ** (-p[1]) + B - r)
-
-    with np.errstate(all="ignore"):
-        try:
-            want = scipy.optimize.least_squares(fun, x0, method="lm", max_nfev=2000)
-        except ValueError as exc:    # residuals not finite at x0
-            with pytest.raises(ValueError, match=str(exc)):
-                fitting.least_squares(fun, x0)
-            return
-        points = []
-
-        def counted(p):
-            points.append(tuple(p))
-            return fun(p)
-
-        got = fitting.least_squares(counted, x0)
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.nfev == want.nfev
-    assert len(set(points)) == len(points)     # no point, Jacobian's or not, twice
-
-
-@pytest.mark.parametrize("budget", [1, 2, 3, 5])
-def test_least_squares_ending_on_its_budget_emits_no_warning(monkeypatch, budget):
-    # MINPACK info 5 (the budget is spent) is the only stop of 5-8 that the
-    # tolerances of 1e-8 can reach; a smaller budget reaches it at once
-    d = np.linspace(0.2, 3.4, 12)
-    r = 0.6 * d ** -1.2 + 0.05
-
-    def fun(p):
-        return p[0] * d ** (-p[1]) + 0.05 - r
-
-    # fitting imports leastsq from scipy.optimize on each least_squares call
-    leastsq = scipy.optimize.leastsq
-    monkeypatch.setattr(scipy.optimize, "leastsq",
-                        lambda *args, **kw: leastsq(*args, **{**kw, "maxfev": budget}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = fitting.least_squares(fun, [1.0, 1.0])
-    want = scipy.optimize.least_squares(fun, [1.0, 1.0], method="lm", max_nfev=budget)
-    assert want.status == 0                      # MINPACK info 5
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.nfev == want.nfev
-
-
-def test_least_squares_lets_warnings_of_the_residuals_through():
-    def fun(p):
-        warnings.warn("from the residuals", RuntimeWarning)
-        return np.array([p[0] - 1.0, p[1] - 2.0, 0.5])
-
-    with pytest.warns(RuntimeWarning, match="from the residuals"):
-        fitting.least_squares(fun, [0.0, 0.0])
-
-
-def _scipy_lm(fun, x0):
-    return scipy.optimize.least_squares(fun, x0, method="lm", max_nfev=2000)
-
-
-def _exhaustive_fit_transition(data, lm, totals=None):
-    """The exhaustive candidate search: every usable Delta_c candidate, in
-    order, gets its left-branch fit from `lm(fun, x0)`, and the first one with
-    the smallest total RSS wins. The reference fit_transition must reproduce
-    bit for bit. `totals`, if given, maps each usable candidate's Delta_c to
-    its (total RSS, right-branch RSS)."""
+def _flat_branches(data):
+    """(delta, r, w, [(Delta_c, m, B, right), ...]) of every usable
+    candidate in Delta_c order, by the formulas of the one-candidate loop."""
     delta, r, w = _as_columns(data)
-    n = delta.size
-    if n < fitting.MIN_LEFT_POINTS + 1:
-        raise UnidentifiableFitError("too few points")
-    best = None
+    usable = []
     for dc in 0.5 * (delta[:-1] + delta[1:]):
         left = delta <= dc
-        n_left = int(left.sum())
-        if n_left < fitting.MIN_LEFT_POINTS or n_left == n:
+        m = int(left.sum())
+        if m < fitting.MIN_LEFT_POINTS or m == delta.size:
             continue
-        wl, wr = w[left], w[~left]
+        wr = w[~left]
         B = float(np.sum(wr ** 2 * r[~left]) / np.sum(wr ** 2))
-        if B < 0:
-            continue
-        y = r[left] - B
-        if np.any(y <= 0):
-            continue
-        coef = np.polyfit(np.log(delta[left]), np.log(y), 1)
-        seed = (float(np.exp(coef[1])), float(-coef[0]))
-        dl = delta[left]
+        if B >= 0 and np.all(r[left] - B > 0):
+            usable.append((float(dc), m, B, np.sum((wr * (r[~left] - B)) ** 2)))
+    return delta, r, w, usable
 
-        def res_left(p):
-            return wl * (p[0] * dl ** (-p[1]) + B - r[left])
 
-        sol = lm(res_left, seed)
-        A, gamma = (float(sol.x[0]), float(sol.x[1]))
-        right = np.sum((wr * (r[~left] - B)) ** 2)
-        rss = float(np.sum(res_left((A, gamma)) ** 2) + right)
+def _kernel_fit(delta, r, w, m, B):
+    """(A, gamma, left RSS) of one left branch from one least_squares row."""
+    sol = fitting.least_squares(np.log(delta), w, r[None], np.array([B]),
+                                np.array([m]))
+    assert sol.converged[0], "a left-branch fit hit its Newton cap"
+    return sol.A[0], sol.gamma[0], sol.rss[0]
+
+
+def _lm_fit(delta, r, w, m, B):
+    """(A, gamma, left RSS) of one left branch by scipy's Levenberg-Marquardt
+    from the log-log seed."""
+    dl, rl, wl = delta[:m], r[:m], w[:m]
+    coef = np.polyfit(np.log(dl), np.log(rl - B), 1)
+
+    def res(p):
+        return wl * (p[0] * dl ** (-p[1]) + B - rl)
+
+    A, gamma = scipy.optimize.least_squares(
+        res, (np.exp(coef[1]), -coef[0]), method="lm", max_nfev=2000).x
+    return A, gamma, np.sum(res((A, gamma)) ** 2)
+
+
+def _exhaustive_fit_transition(data, totals=None):
+    """Every usable candidate, in order, gets its left-branch fit from its
+    own least_squares call, and the first with the smallest total RSS wins.
+    `totals`, if given, maps each usable candidate's Delta_c to its (total
+    RSS, right-branch RSS)."""
+    delta, r, w, usable = _flat_branches(data)
+    best = None
+    for dc, m, B, right in usable:
+        A, gamma, left = _kernel_fit(delta, r, w, m, B)
+        rss = left + right
         if totals is not None:
-            totals[float(dc)] = (rss, float(right))
+            totals[dc] = (float(rss), float(right))
         if best is None or rss < best.rss:
-            best = FitResult(A=A, B=B, gamma=gamma, delta_c=float(dc),
-                             rss=rss, n_points=n)
+            best = FitResult(A=float(A), B=B, gamma=float(gamma), delta_c=dc,
+                             rss=float(rss), n_points=delta.size)
     if best is None:
         raise UnidentifiableFitError("no usable candidate")
     return best
 
 
-def _scipy_fit_transition(data):
-    """The exhaustive search on scipy's least_squares(method="lm"): the
-    reference of both the pruning and the lean MINPACK path."""
-    return _exhaustive_fit_transition(data, _scipy_lm)
+def _sequential_fit_transition(data, fit_left):
+    """The candidate search one fit at a time: in (right, position) order,
+    stopping at the first right above the best total."""
+    delta, r, w, usable = _flat_branches(data)
+    best = None
+    for i, (dc, m, B, right) in sorted(enumerate(usable), key=lambda c: c[1][3]):
+        if best is not None and right > best[0]:
+            break
+        A, gamma, left = fit_left(delta, r, w, m, B)
+        if best is None or (left + right, i) < best[:2]:
+            best = (left + right, i, FitResult(A=A, B=B, gamma=gamma, delta_c=dc,
+                                               rss=left + right, n_points=delta.size))
+    if best is None:
+        raise UnidentifiableFitError("no usable candidate")
+    return best[2]
 
 
-def _scipy_bootstrap(data, n_resamples, seed):
-    """bootstrap_delta_c's resampling loop around _scipy_fit_transition."""
+def _resamples(data, n_resamples, seed):
+    """The rows (delta, r*[, 1/w]) of bootstrap_delta_c's resamples."""
     delta, r, w = _as_columns(data)
-    fitted = _scipy_fit_transition(data).curve(delta)
+    fitted = fit_transition(data).curve(delta)
     resid = r - fitted
-    samples, failures = [], 0
     for ss in np.random.SeedSequence(seed).spawn(n_resamples):
-        rng = np.random.default_rng(ss)
-        r_star = fitted + rng.choice(resid, size=resid.size, replace=True)
-        rows = np.column_stack([delta, r_star]) if np.all(w == 1.0) \
+        r_star = fitted + np.random.default_rng(ss).choice(resid, size=resid.size,
+                                                            replace=True)
+        yield np.column_stack([delta, r_star]) if np.all(w == 1.0) \
             else np.column_stack([delta, r_star, 1.0 / w])
+
+
+def _lone_refits(data, n_resamples, seed):
+    """(Delta_c of each resample that fits, failures) from one
+    fit_transition call per resample."""
+    samples, failures = [], 0
+    for rows in _resamples(data, n_resamples, seed):
         try:
-            samples.append(_scipy_fit_transition(rows).delta_c)
+            samples.append(fit_transition(rows).delta_c)
         except UnidentifiableFitError:
             failures += 1
-    samples = np.array(samples)
-    valid = failures <= 0.2 * n_resamples
-    stderr = float(np.std(samples, ddof=1)) if valid and samples.size > 1 else float("nan")
-    return BootstrapResult(stderr=stderr, n_resamples=n_resamples,
-                           n_failures=failures, valid=valid, samples=samples)
+    return np.array(samples), failures
 
 
 def _fit_fields(fit):
     return _bits([fit.A, fit.B, fit.gamma, fit.delta_c, fit.rss]), fit.n_points
 
 
-@settings(max_examples=4)
+# -------------------------
+# The batched search against its references
+# -------------------------
+
 @given(n=st.integers(6, 16), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1),
        A=st.floats(0.02, 1.0), gamma=st.floats(0.3, 2.5), split=st.floats(0.3, 0.8),
        noise=st.sampled_from([0.0, 0.003, 0.03]))
-def test_fit_and_bootstrap_equal_scipy_loop(n, weighted, seed, A, gamma, split, noise):
+def test_bootstrap_equals_a_loop_of_lone_fits(n, weighted, seed, A, gamma, split,
+                                              noise):
+    # one batch for all resamples gives each the bits of its lone fit
     rng = np.random.default_rng(seed)
     d = np.sort(rng.uniform(0.2, 4.0, n))
     dc = float(np.quantile(d, split))
     sigma = rng.uniform(0.005, 0.05, n)
     r = piecewise_model(d, A, 1.0 / 21.0, gamma, dc) + noise * rng.standard_normal(n)
     data = np.column_stack([d, r, sigma]) if weighted else np.column_stack([d, r])
-    with np.errstate(all="ignore"):
-        try:
-            want = _scipy_fit_transition(data)
-        except UnidentifiableFitError:
-            with pytest.raises(UnidentifiableFitError):
-                fit_transition(data)
-            return
-        assert _fit_fields(fit_transition(data)) == _fit_fields(want)
-        got_bs = bootstrap_delta_c(data, n_resamples=100, seed=seed % 1000)
-        want_bs = _scipy_bootstrap(data, 100, seed % 1000)
-    assert _bits(got_bs.stderr) == _bits(want_bs.stderr)
-    assert (got_bs.n_resamples, got_bs.n_failures, got_bs.valid) == \
-        (want_bs.n_resamples, want_bs.n_failures, want_bs.valid)
-    assert got_bs.samples.tobytes() == want_bs.samples.tobytes()
+    try:
+        base = fit_transition(data)
+    except UnidentifiableFitError:
+        with pytest.raises(UnidentifiableFitError):
+            bootstrap_delta_c(data, n_resamples=100, seed=seed % 1000)
+        return
+    got = bootstrap_delta_c(data, n_resamples=100, seed=seed % 1000)
+    samples, failures = _lone_refits(data, 100, seed % 1000)
+    assert got.samples.tobytes() == samples.tobytes()
+    assert (got.n_resamples, got.n_failures, got.valid) == \
+        (100, failures, failures <= 20)
+    want_stderr = np.std(samples, ddof=1) if got.valid and samples.size > 1 \
+        else np.nan
+    assert _bits(got.stderr) == _bits(want_stderr)
+    assert _fit_fields(got.base) == _fit_fields(base)
+    assert _bits(got.base.delta_c_stderr) == _bits(got.stderr)
 
 
 @settings(max_examples=25)
@@ -218,8 +184,8 @@ def test_fit_and_bootstrap_equal_scipy_loop(n, weighted, seed, A, gamma, split, 
        noise=st.sampled_from([0.0, 1e-9, 0.003, 0.03]))
 def test_pruned_search_equals_exhaustive_search(n, weighted, repeated, flat,
                                                 seed, noise):
-    # the exhaustive loop on nlaa's own least_squares: any difference is the
-    # pruning's, and each example stays cheap
+    # the exhaustive loop on nlaa's own least_squares, one row per call: any
+    # difference is the pruning's or the batching's
     rng = np.random.default_rng(seed)
     if repeated:        # ties in Delta: equal candidates, equal branches
         d = np.sort(rng.choice(np.linspace(0.2, 4.0, max(2, n // 3)), n))
@@ -234,15 +200,13 @@ def test_pruned_search_equals_exhaustive_search(n, weighted, repeated, flat,
     r = r + noise * rng.standard_normal(n)
     data = np.column_stack([d, r, rng.uniform(0.005, 0.05, n)]) if weighted \
         else np.column_stack([d, r])
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            want = _exhaustive_fit_transition(data, fitting.least_squares)
-        except UnidentifiableFitError:
-            with pytest.raises(UnidentifiableFitError):
-                fit_transition(data)
-            return
-        assert _fit_fields(fit_transition(data)) == _fit_fields(want)
+    try:
+        want = _exhaustive_fit_transition(data)
+    except UnidentifiableFitError:
+        with pytest.raises(UnidentifiableFitError):
+            fit_transition(data)
+        return
+    assert _fit_fields(fit_transition(data)) == _fit_fields(want)
 
 
 def test_equal_totals_go_to_the_first_candidate():
@@ -262,7 +226,7 @@ def test_equal_totals_go_to_the_first_candidate():
         r[k] = TRUE["A"] * DELTAS[k] ** -TRUE["gamma"] + TRUE["B"]
         data = np.column_stack([DELTAS, r, sigma])
         totals = {}
-        want = _exhaustive_fit_transition(data, fitting.least_squares, totals)
+        want = _exhaustive_fit_transition(data, totals)
         assert _fit_fields(fit_transition(data)) == _fit_fields(want)
         (rss_early, right_early), (rss_late, right_late) = \
             totals[early], totals[late]
@@ -271,22 +235,83 @@ def test_equal_totals_go_to_the_first_candidate():
     assert inverted_ties >= 1
 
 
-def test_pruning_skips_most_left_branch_fits(monkeypatch):
-    # a search that fit every usable candidate would make 1939 calls here;
-    # the pruned one makes 222, about two per fit
-    rng = np.random.default_rng(0)
-    data = np.column_stack([DELTAS, _clean_curve()
-                            + 0.003 * rng.standard_normal(DELTAS.size)])
+def test_fit_rss_is_at_most_scipy_lm_rss_on_the_calibration_curves():
+    # criterion 11's 100 noisy calibration curves: variable projection ends
+    # at least as low as Levenberg-Marquardt from the same log-log seed
+    clean = piecewise_model(DELTAS, 0.6, 1.0 / 21.0, 1.2, 1.8)
+    for seed in range(100):
+        r = clean + np.random.default_rng(seed).normal(0.0, 0.01, DELTAS.size)
+        data = np.column_stack([DELTAS, r])
+        got = fit_transition(data)
+        want = _sequential_fit_transition(data, _lm_fit)
+        assert got.rss <= want.rss * (1 + 1e-12), seed
+        assert got.delta_c == want.delta_c, seed
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-5), seed
+
+
+def _counting_least_squares(monkeypatch):
+    """Patch fitting.least_squares to record the r array of each call."""
     calls = []
     least_squares = fitting.least_squares
 
-    def counted(fun, x0):
-        calls.append(None)
-        return least_squares(fun, x0)
+    def counted(log_delta, w, r, B, m):
+        calls.append(r.copy())
+        return least_squares(log_delta, w, r, B, m)
 
     monkeypatch.setattr(fitting, "least_squares", counted)
+    return calls
+
+
+def test_pruning_skips_most_left_branch_fits(monkeypatch):
+    # a search that fit every usable candidate would fit 1939 rows here (the
+    # data and its 100 resamples); the pruned one fits 312, about three per
+    # data set
+    rng = np.random.default_rng(0)
+    data = np.column_stack([DELTAS, _clean_curve()
+                            + 0.003 * rng.standard_normal(DELTAS.size)])
+    calls = _counting_least_squares(monkeypatch)
     bootstrap_delta_c(data, n_resamples=100, seed=0)
-    assert 101 <= len(calls) <= 400
+    assert 101 <= sum(len(r) for r in calls) <= 400
+
+
+def test_cli_fits_the_base_data_once(monkeypatch, tmp_path):
+    # fit --bootstrap takes the base fit from the bootstrap, which made it
+    rng = np.random.default_rng(4)
+    r = _clean_curve() + 0.01 * rng.standard_normal(DELTAS.size)
+    datafile = tmp_path / "meas.csv"
+    datafile.write_text("".join(f"{float(d)!r},{float(v)!r}\n"
+                                for d, v in zip(DELTAS, r)))
+    calls = _counting_least_squares(monkeypatch)
+    fit_transition(np.column_stack([DELTAS, r]))
+    lone = len(calls)
+    calls.clear()
+    assert main(["fit", "--data", str(datafile), "--bootstrap", "100",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert lone >= 1
+    assert sum(any(np.array_equal(row, r) for row in rows) for rows in calls) == lone
+
+
+def test_a_row_at_its_newton_cap_fails_only_its_resample(monkeypatch):
+    # lower the cap until some, but not all, lone refits hit it while the
+    # base fit does not: the batched bootstrap fails exactly those resamples
+    rng = np.random.default_rng(1)
+    data = np.column_stack([DELTAS, _clean_curve()
+                            + 0.01 * rng.standard_normal(DELTAS.size)])
+    for cap in range(1, fitting.NEWTON_CAP):
+        monkeypatch.setattr(fitting, "NEWTON_CAP", cap)
+        try:
+            fit_transition(data)
+        except UnidentifiableFitError as exc:
+            assert "did not converge" in str(exc)
+            continue
+        samples, failures = _lone_refits(data, 100, 7)
+        if 0 < failures < 100:
+            break
+    else:
+        pytest.fail("no cap splits the resamples")
+    got = bootstrap_delta_c(data, n_resamples=100, seed=7)
+    assert got.n_failures == failures
+    assert got.samples.tobytes() == samples.tobytes()
 
 
 # -------------------------
