@@ -15,9 +15,12 @@ nonlinear ground state is found variationally on the unit sphere:
            lowers its residual by less than 5 %,
   stage C  a bordered Newton solve of the stationarity system
            (H[phi] phi - mu phi = 0, ||phi||^2 = 1), which reaches residuals
-           near machine precision in a few quadratic steps. Newton output is
-           accepted only if it does not raise the energy, so the cascade
-           cannot be pulled away from the variational basin.
+           near machine precision in a few quadratic steps. Each step costs
+           O(L): one tridiagonal LAPACK solve with two right-hand sides and
+           the border eliminated by its Schur complement, or a dense solve
+           of the bordered system where that elimination is unsafe. Newton
+           output is accepted only if it does not raise the energy, so the
+           cascade cannot be pulled away from the variational basin.
 
 Stage B converges only linearly, so Newton finishes every solve that stage B
 does not end below the tolerance: from the handover it takes 3 to 5 steps
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .model import (LatticeState, ModelParams, apply_stencil, energy_of,
                     quasiperiodic_potential)
@@ -171,8 +174,12 @@ def _energy_gradient(J, eps, U, w):
     n = w * w
     un = U * n
     if w.ndim == 1:        # ndarray.dot: np.vecdot's ddot, with less call overhead
-        return w.dot(h) - 0.5 * n.dot(un), h - un * w
-    return np.vecdot(w, h) - 0.5 * np.vecdot(n, un), h - un * w
+        e = w.dot(h) - 0.5 * n.dot(un)
+    else:
+        e = np.vecdot(w, h) - 0.5 * np.vecdot(n, un)
+    un *= w                # in place: h - un * w, bit for bit
+    h -= un
+    return e, h
 
 
 def _check_finite(v, where):
@@ -197,7 +204,8 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
-        w = v - step * g
+        w = g * -step      # then += v: v - step * g, bit for bit
+        w += v
         w /= _norm(w)
         e, g_w = _energy_gradient(J, eps, U, w)
         if e > e_prev + 1e-15:
@@ -350,44 +358,64 @@ def _scf_rows(J, eps, U, v, max_steps, tol, budgets):
 def _newton_polish(J, eps, U, v, mu, tol, max_newton):
     """Newton iteration on the bordered stationarity system.
 
-    Unknowns (phi, mu); equations H[phi] phi - mu phi = 0 and the sphere
-    constraint. The Jacobian is tridiagonal plus a border row/column; its
-    constant hopping entries are written once, the rest refilled per step.
-    Success is measured with the Rayleigh-quotient residual (the same
-    measure the solver reports), not the bordered-system mu, so a returned
-    True never flips back to unconverged at the margin. Returns
-    (v, mu, residual, ok, steps), counting each pass that evaluates F.
+    Unknowns (phi, mu); equations F = H[phi] phi - mu phi = 0 and the sphere
+    constraint F_L = (phi.phi - 1) / 2 = 0. The Jacobian is the tridiagonal
+    T = tridiag(J) + diag(eps - 3 U phi^2 - mu) bordered by -phi and phi^T,
+    and _newton_step solves it in O(L). Success is measured with the
+    Rayleigh-quotient residual (the same measure the solver reports), not
+    the bordered-system mu, so a returned True never flips back to
+    unconverged at the margin. Returns (v, mu, residual, ok, steps),
+    counting each pass that evaluates F.
     """
-    L = len(v)
-    Jm = np.zeros((L + 1, L + 1))
-    Jm[np.arange(L - 1), np.arange(1, L)] = J
-    Jm[np.arange(1, L), np.arange(L - 1)] = J
-    diag = Jm.reshape(-1)[:L * (L + 2):L + 2]      # view of Jm[j, j], j < L
-    F = np.empty(L + 1)
+    off = np.full(len(v) - 1, float(J))
     for k in range(max_newton):
-        hv = apply_stencil(J, eps - U * v * v, v)
-        np.subtract(hv, mu * v, out=F[:L])
-        F[L] = 0.5 * (v @ v - 1.0)
-        res = _max(np.abs(F[:L]))
-        if res < tol and abs(F[L]) < 1e-13:
+        F = apply_stencil(J, eps - U * v * v, v)
+        F -= mu * v
+        F_L = 0.5 * (v @ v - 1.0)
+        res = _max(np.abs(F))
+        if res < tol and abs(F_L) < 1e-13:
             res_ray, mu_ray = _residual_mu(J, eps, U, v)
             if res_ray < tol:
                 return v, mu_ray, float(res_ray), True, k + 1
-        diag[:] = eps - 3.0 * U * v * v - mu
-        Jm[:L, L] = -v
-        Jm[L, :L] = v
         try:
-            delta = np.linalg.solve(Jm, -F)
+            d_v, d_mu = _newton_step(off, eps - 3.0 * U * v * v - mu, v, F, F_L)
         except np.linalg.LinAlgError:
             return v, mu, float(res), False, k + 1
-        v = v + delta[:L]
-        mu = mu + float(delta[L])
+        v = v + d_v
+        mu = mu + float(d_mu)
         nv = _norm(v)
         if nv == 0 or not np.isfinite(nv):
             return v, mu, float(res), False, k + 1
         v /= nv
     res, mu = _residual_mu(J, eps, U, v)
     return v, mu, float(res), res < tol, max_newton
+
+
+def _newton_step(off, d, v, F, F_L):
+    """The solution (dphi, dmu) of [[T, -phi], [phi^T, 0]] [dphi, dmu] =
+    -[F, F_L], T the tridiagonal (off, d, off), by eliminating the border (a
+    Schur complement): one LAPACK dgtsv call solves T [a b] = [-F, phi], then
+    dmu = (-F_L - phi.a) / (phi.b) and dphi = a + dmu b. Where dgtsv finds T
+    singular, or |phi.b| <= 1e-8 would make dmu ill-conditioned, the step is
+    _bordered_dense_step instead, which raises LinAlgError on a singular
+    system."""
+    *_, ab, info = dgtsv(off, d, off, np.array([-F, v]).T)
+    vb = v @ ab[:, 1] if info == 0 else 0.0
+    if abs(vb) <= 1e-8:
+        return _bordered_dense_step(off, d, v, F, F_L)
+    d_mu = (-F_L - v @ ab[:, 0]) / vb
+    return ab[:, 0] + d_mu * ab[:, 1], d_mu
+
+
+def _bordered_dense_step(off, d, v, F, F_L):
+    """_newton_step by one dense solve of the (L+1)x(L+1) bordered system."""
+    L = len(v)
+    Jm = np.zeros((L + 1, L + 1))
+    Jm[:L, :L] = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+    Jm[:L, L] = -v
+    Jm[L, :L] = v
+    delta = np.linalg.solve(Jm, -np.append(F, F_L))
+    return delta[:L], delta[L]
 
 
 def _negates(kind):

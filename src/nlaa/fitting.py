@@ -295,8 +295,8 @@ def bootstrap_delta_c(data, n_resamples=200, seed=0) -> BootstrapResult:
     fitted = base.curve(delta)
     resid = r - fitted
 
-    R = np.array([fitted + np.random.default_rng(ss).choice(resid, size=resid.size,
-                                                            replace=True)
+    n = resid.size      # integers(0, n, n) draws what choice(resid, n) draws
+    R = np.array([fitted + resid[np.random.default_rng(ss).integers(0, n, n)]
                   for ss in np.random.SeedSequence(seed).spawn(n_resamples)])
     best, usable, converged = _search(delta, 1.0 / (1.0 / w), R)
     samples = best[3][usable & converged]

@@ -147,8 +147,9 @@ def apply_stencil(J, diag, v):
     """diag_j v_j + J (v_{j+1} + v_{j-1}) per row, hard walls. Callers pass
     their own diagonal (eps - U |v|^2); J is a scalar or a (B, 1) column."""
     out = diag * v
-    out[..., :-1] += J * v[..., 1:]
-    out[..., 1:] += J * v[..., :-1]
+    jv = J * v             # one product per site, shared by both neighbours
+    out[..., :-1] += jv[..., 1:]
+    out[..., 1:] += jv[..., :-1]
     return out
 
 

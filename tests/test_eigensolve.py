@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv as dgtsv_lapack
 
 from nlaa import (
     LatticeState,
@@ -160,6 +161,47 @@ def test_stage_a_energy_and_gradient_are_the_kernels(L, cells, seed):
         assert _close(energy, energy_of(J[i], eps[i], U[i], v[i]))
         assert _close(g, apply_stencil(J[i], eps[i] - U[i] * v[i] * v[i], v[i]))
         assert _bits([energy, *g]) == _bits([energies[i], *grads[i]])
+
+
+def _imag_time_reference(J, eps, U, v, max_steps, step, res_target, budget):
+    """_imag_time_block's loop with each step's arrays written as they were
+    before it ran without temporaries: w = v - step * g and the gradient
+    h - U * n * w. (apply_stencil is the two-product stencil bit for bit,
+    which tests/test_model.py checks.)"""
+    def energy_gradient(w):
+        h = apply_stencil(J, eps, w)
+        n = w * w
+        return w.dot(h) - 0.5 * n.dot(U * n), h - U * n * w
+
+    e_prev, g = energy_gradient(v)
+    used = 0
+    for k in range(min(max_steps, budget)):
+        used += 1
+        w = v - step * g
+        w /= np.sqrt(w.dot(w))
+        e, g_w = energy_gradient(w)
+        if e > e_prev + 1e-15:
+            step *= 0.5
+            continue
+        v, e_prev, g = w, e, g_w
+        step = min(step * 1.02, 0.2)
+        if k % 50 == 0 and _projected(v, g)[0] < res_target:
+            break
+    return v, step, used
+
+
+@given(L=st.integers(2, 34), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       U=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), delta=st.floats(0.0, 8.0),
+       phi=st.floats(0.0, 2.0 * np.pi), max_steps=st.integers(1, 400))
+def test_stage_a_is_bitwise_the_reference_loop(L, J, sign, U, delta, phi, max_steps):
+    J *= sign
+    eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=delta, phi=phi))
+    _, v0 = _linear_edge_state(eps, np.full(L - 1, J), 0)
+    args = (max_steps, IMAG_TIME_STEP, 1e-3, 50_000)
+    v, step, used = _imag_time_block(J, eps, U, v0, *args)
+    v_ref, step_ref, used_ref = _imag_time_reference(J, eps, U, v0, *args)
+    assert _bits([*v, step]) == _bits([*v_ref, step_ref])
+    assert used == used_ref
 
 
 def test_non_finite_frozen_density_raises_runtime_error():
@@ -364,6 +406,83 @@ def test_cascade_lands_on_the_recorded_state(monkeypatch, L, kind, U, delta, r,
     sign = -1.0 if kind == "es" else 1.0
     assert sign * sol.energy <= sign * energy + 1e-12
     assert sol.iterations <= iterations
+
+
+def _dense_bordered_step(J, d, v, F, F_L):
+    """The Newton step (dphi, dmu) by one dense solve of the whole bordered
+    system [[T, -v], [v^T, 0]] [dphi, dmu] = -[F, F_L], T = tridiag(J) +
+    diag(d): the reference for the Schur step."""
+    L = len(v)
+    Jm = np.zeros((L + 1, L + 1))
+    Jm[:L, :L] = np.diag(d) + J * (np.eye(L, k=1) + np.eye(L, k=-1))
+    Jm[:L, L], Jm[L, :L] = -v, v
+    return np.linalg.solve(Jm, -np.append(F, F_L))
+
+
+# Both solves are backward stable, so each is off the exact step by about
+# machine epsilon times the bordered Jacobian's condition number, which
+# reaches 1e7 on these inputs. 20,000 random draws from the same domains
+# differed by at most 5.2e-11 of max(1, |step|): 1e-9 leaves a factor 20.
+SCHUR_STEP_TOL = 1e-9
+
+
+@given(L=st.integers(2, 200), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       U=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), delta=st.floats(0.0, 8.0),
+       phi=st.floats(0.0, 2.0 * np.pi), distance=st.floats(0.0, 12.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_schur_newton_step_equals_the_dense_bordered_solve(L, J, sign, U, delta, phi,
+                                                          distance, seed):
+    # Newton's inputs at a state 10^-distance from the linear ground state;
+    # at U = 0 and a large distance T = H0 - mu is nearly singular along v
+    J *= sign
+    eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=delta, phi=phi))
+    off = np.full(L - 1, J)
+    _, v = _linear_edge_state(eps, off, 0)
+    v = v + 10.0 ** -distance * np.random.default_rng(seed).normal(size=L)
+    v /= np.linalg.norm(v)
+    F = apply_stencil(J, eps - U * v * v, v)
+    mu = v @ F
+    F -= mu * v
+    F_L = 0.5 * (v @ v - 1.0)
+    d = eps - 3.0 * U * v * v - mu
+    d_v, d_mu = eigensolve._newton_step(off, d, v, F, F_L)
+    want = _dense_bordered_step(J, d, v, F, F_L)
+    err = np.max(np.abs(np.append(d_v, d_mu) - want))
+    assert err <= SCHUR_STEP_TOL * max(1.0, np.max(np.abs(want)))
+
+
+def _failing_dgtsv(failure):
+    """dgtsv that reports T singular (info = 1), or that solves but returns
+    b = 0, so that |v.b| falls below the Schur step's threshold."""
+    def dgtsv(dl, d, du, b):
+        if failure == "singular":
+            return dl, d, du, b, 1
+        *factors, x, info = dgtsv_lapack(dl, d, du, b)
+        x[:, 1] = 0.0
+        return *factors, x, info
+    return dgtsv
+
+
+@pytest.mark.parametrize("failure", ["singular", "small border"])
+@pytest.mark.parametrize("L, kind, U, delta, r, energy, iterations",
+                         [CASCADE_ORACLE[1], CASCADE_ORACLE[12]])
+def test_dense_fallback_finishes_a_cell_as_the_schur_step(monkeypatch, failure, L, kind,
+                                                        U, delta, r, energy,
+                                                        iterations):
+    params = ModelParams(L=L, J=1.0, Delta=delta, U=U)
+    want = participation_ratio(solve_state(params, kind).state)
+    dense, calls = eigensolve._bordered_dense_step, []
+
+    def counted(*args):
+        calls.append(None)
+        return dense(*args)
+
+    monkeypatch.setattr(eigensolve, "dgtsv", _failing_dgtsv(failure))
+    monkeypatch.setattr(eigensolve, "_bordered_dense_step", counted)
+    sol = solve_state(params, kind)
+    assert calls and sol.converged
+    assert abs(participation_ratio(sol.state) - want) <= 1e-12
+    assert abs(participation_ratio(sol.state) - r) <= 1e-8
 
 
 def _stage_a_rows(cells, opts):

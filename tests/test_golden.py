@@ -56,6 +56,10 @@ def _delta_c_close(got, want):
     return abs(got - want) <= DELTA_C_TOL
 
 
+def _without_delta_c(rows):
+    return [{k: v for k, v in row.items() if k != "delta_c"} for row in rows]
+
+
 def test_counts_and_labels_are_exact(case):
     cmd, got, want = case
     assert got["argv"] == want["argv"]
@@ -65,9 +69,8 @@ def test_counts_and_labels_are_exact(case):
         assert got["deltas"] == want["deltas"]
         assert got["labels"] == want["labels"]
         assert got["failures"] == want["failures"]
-        strip = lambda rows: [{k: v for k, v in row.items() if k != "delta_c"}
-                              for row in rows]
-        assert strip(got["transitions"]) == strip(want["transitions"])
+        assert _without_delta_c(got["transitions"]) == \
+            _without_delta_c(want["transitions"])
     else:
         assert got["found_gs"] == want["found_gs"]
         assert got["found_es"] == want["found_es"]

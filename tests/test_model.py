@@ -164,10 +164,11 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
-def _solver_stencil(J, eps, U, v):
-    """The eigensolver's own real stencil before the shared kernel, as the
-    oracle for real input."""
-    out = (eps - U * v * v) * v
+def _two_product_stencil(J, diag, v):
+    """The stencil with one hopping product per neighbour: the eigensolver's
+    own before the shared kernel, and the kernel's before it formed J v
+    once. The oracle for apply_stencil."""
+    out = diag * v
     out[..., :-1] += J * v[..., 1:]
     out[..., 1:] += J * v[..., :-1]
     return out
@@ -179,6 +180,22 @@ def _solver_energy(J, eps, U, v):
     return (2.0 * J * np.add.reduce(v[..., :-1] * v[..., 1:], axis=-1)
             + np.add.reduce(eps * n, axis=-1)
             - 0.5 * U * np.add.reduce(n * n, axis=-1))
+
+
+@given(B=st.integers(1, 8), L=st.integers(2, 64), per_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencil_with_the_dynamics_inputs_is_the_two_product_form(B, L, per_row, seed):
+    # dynamics passes -i J and the complex diagonal -i eps + i U |v|^2
+    rng = np.random.default_rng(seed)
+    J = -1j * (rng.uniform(-2.0, 2.0, (B, 1)) if per_row else rng.uniform(-2.0, 2.0))
+    eps, U = rng.uniform(-4.0, 4.0, (B, L)), rng.uniform(-2.0, 2.0)
+    v = rng.normal(size=(B, L)) + 1j * rng.normal(size=(B, L))
+    diag = -1j * eps + 1j * U * (v.real ** 2 + v.imag ** 2)
+    want = _two_product_stencil(J, diag, v)
+    assert _bits(apply_stencil(J, diag, v)) == _bits(want)
+    if not per_row:
+        for i in range(B):
+            assert _bits(apply_stencil(J, diag[i], v[i])) == _bits(want[i])
 
 
 @given(B=st.integers(1, 8), L=st.integers(2, 64), is_complex=st.booleans(),
@@ -207,7 +224,7 @@ def test_kernels_compute_each_row_as_alone(B, L, is_complex, per_row, seed):
         assert _bits(r[i]) == _bits(participation_of(n[i]))
     if not is_complex:
         assert _bits(apply_stencil(J, eps - U * v * v, v)) == \
-            _bits(_solver_stencil(J, eps, U, v))
+            _bits(_two_product_stencil(J, eps - U * v * v, v))
         assert _bits(energy) == _bits(_solver_energy(J_row, eps, U_row, v))
         return
     for i in range(B):
