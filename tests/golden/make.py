@@ -1,21 +1,27 @@
-"""Write tests/golden/scan.json and tests/golden/phases.json, the pinned
-oracle of the `scan` and `phases` subcommands at L = 13.
+"""Write tests/golden/<cmd>.json, the pinned oracle of the `scan`, `phases`,
+`solve`, `ramp` and `gaa-me` subcommands at small sizes.
 
 Each file holds one CLI call (ARGV below) and what it wrote, read back
-from its CSVs by `record()`:
+from its CSVs and JSONs by `record()`:
 
-- scan: r of both kinds on the (U, Delta) grid, the phase labels, and per
-  transition row its Delta_c, found flag, number of grid crossings and
-  refinement solves;
-- phases: Delta_c of both kinds per U, and the found flags.
+- scan (L = 13): r of both kinds on the (U, Delta) grid, the phase labels,
+  and per transition row its Delta_c, found flag, number of grid crossings
+  and refinement solves;
+- phases (L = 13): Delta_c of both kinds per U, and the found flags;
+- solve (L = 21, es): the site densities, r, <d>, mu and E of the state,
+  its most populated site, and the echoed parameters;
+- ramp (L = 13, es): the snapshot times and r, <d> and E at each, r of the
+  ramped and of the exact state, and the echoed ramp and parameters;
+- gaa-me (L = 144): the energies, r and localized labels of the spectrum,
+  the mobility edge, the misclassified share and the r threshold.
 
-Both also count the cell solves the call ran (`solves`). The CSVs print
+Each also counts the eigen-solves the call ran (`solves`). The CSVs print
 12 significant digits, and JSON stores the floats read back from them by
 their shortest round-trip repr. tests/test_golden.py reruns the same calls
 through `record()` and compares. Run this with the nlaa whose values are to
-be pinned on the path:
+be pinned on the path, naming the calls to pin (all of them by default):
 
-    PYTHONPATH=<checkout>/src python3 tests/golden/make.py
+    PYTHONPATH=<checkout>/src python3 tests/golden/make.py [cmd ...]
 """
 
 import csv
@@ -32,6 +38,11 @@ from nlaa import cli
 ARGV = {
     "scan": ["scan", "--L", "13", "--delta-step", "0.25", "--u-step", "0.5"],
     "phases": ["phases", "--L", "13", "--delta-step", "0.25", "--u-step", "0.5"],
+    "solve": ["solve", "--L", "21", "--kind", "es", "--u-over-j", "0.5",
+              "--delta-over-j", "1.5"],
+    "ramp": ["ramp", "--L", "13", "--kind", "es", "--u-over-j", "0.3",
+             "--delta-over-j", "1"],
+    "gaa-me": ["gaa-me", "--L", "144", "--alpha", "0.3"],
 }
 HERE = Path(__file__).resolve().parent
 
@@ -73,30 +84,68 @@ def _read_phases(out):
     return rec
 
 
-READ = {"scan": _read_scan, "phases": _read_phases}
+def _column(rows, col, kind=float):
+    return [kind(row[col]) for row in rows]
+
+
+def _read_solve(out):
+    info = json.loads((out / "solve.json").read_text())
+    return {"params": info["params"], "kind": info["kind"],
+            "argmax_density": info["argmax_density"],
+            "density": _column(_rows(out / "state.csv")[1], 3),
+            "observables": {k: info[k] for k in (
+                "participation_ratio", "momentum_width", "mu", "energy")}}
+
+
+def _read_ramp(out):
+    info = json.loads((out / "ramp.json").read_text())
+    rows = _rows(out / "ramp_trajectory.csv")[1]
+    return {**{k: info[k] for k in ("params", "kind", "ramp_duration_internal",
+                                    "hold_internal", "r_ramped", "r_exact")},
+            "times": _column(rows, 0),
+            "trajectory": {name: _column(rows, col) for col, name in (
+                (1, "participation_ratio"), (2, "momentum_width"), (3, "energy"))}}
+
+
+def _read_gaa(out):
+    info = json.loads((out / "gaa.json").read_text())
+    rows = _rows(out / "gaa_spectrum.csv")[1]
+    return {**{k: info[k] for k in ("mobility_edge", "misclassification",
+                                    "r_threshold")},
+            "energies": _column(rows, 1), "r": _column(rows, 2),
+            "labels": {name: _column(rows, col, lambda x: x == "True")
+                       for col, name in ((3, "predicted_localized"),
+                                         (4, "observed_localized"), (5, "agree"))}}
+
+
+READ = {"scan": _read_scan, "phases": _read_phases, "solve": _read_solve,
+        "ramp": _read_ramp, "gaa-me": _read_gaa}
 
 
 def record(cmd, out):
     """Run ARGV[cmd] into the directory `out` and return what it wrote, with
-    the number of cell solves it ran."""
-    solve, calls = phasescan.solve_state, []
+    the number of eigen-solves it ran (the scan's cells and the CLI's own)."""
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
+    def counted(solve):
+        def count(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+        return count
 
-    phasescan.solve_state = counted
+    solvers = phasescan.solve_state, cli.solve_state
+    phasescan.solve_state, cli.solve_state = map(counted, solvers)
     try:
         code = cli.main(ARGV[cmd] + ["--out", str(out)])
     finally:
-        phasescan.solve_state = solve
+        phasescan.solve_state, cli.solve_state = solvers
     if code != 0:
         raise RuntimeError(f"nlaa {' '.join(ARGV[cmd])} exited with {code}")
     return {"argv": ARGV[cmd], **READ[cmd](Path(out)), "solves": len(calls)}
 
 
-def main():
-    for cmd in ARGV:
+def main(cmds):
+    for cmd in cmds or ARGV:
         with tempfile.TemporaryDirectory() as out:
             golden = {"nlaa_version": nlaa.__version__, **record(cmd, out)}
         path = HERE / f"{cmd}.json"
@@ -105,4 +154,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,13 +1,15 @@
-"""`scan` and `phases` against their pinned oracle, tests/golden/scan.json
-and tests/golden/phases.json.
+"""`scan`, `phases`, `solve`, `ramp` and `gaa-me` against their pinned
+oracle, tests/golden/<cmd>.json.
 
-Each oracle is one L = 13 CLI call and what it wrote (tests/golden/make.py
+Each oracle is one small CLI call and what it wrote (tests/golden/make.py
 runs the call and reads the outputs; this test reruns it through the same
-`record()`). Phase labels, found flags, crossing counts and solve counts
-must equal the oracle. r may move within R_TOL and Delta_c within
-DELTA_C_TOL, the benchmark's own tolerances in perfbench/reference.py, so
-that a change which reorders float arithmetic in the solver passes while
-one that moves a state or a transition does not.
+`record()`). Labels, flags, counts, grids and echoed inputs must equal the
+oracle. The computed quantities named in TOLERANCE may move within the
+benchmark's own tolerances in perfbench/reference.py: r of solved states
+within R_TOL, Delta_c within DELTA_C_TOL, ramp observables within RK4_TOL
+(times max(1, |value|)) and linear energies within ENERGY_TOL. A change
+which reorders float arithmetic in the solver passes, while one that moves
+a state or a transition does not.
 """
 
 import importlib.util
@@ -28,64 +30,83 @@ def _load(name, path):
     return module
 
 
-def _tolerances():
-    """(R_TOL, DELTA_C_TOL) of perfbench/reference.py, which imports its
-    sibling `workloads` by name."""
+def _reference():
+    """perfbench/reference.py, which imports its sibling `workloads` by name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        ref = _load("perfbench_reference", ROOT / "perfbench" / "reference.py")
+        return _load("perfbench_reference", ROOT / "perfbench" / "reference.py")
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    return ref.R_TOL, ref.DELTA_C_TOL
 
 
-R_TOL, DELTA_C_TOL = _tolerances()
+ref = _reference()
 make = _load("golden_make", GOLDEN / "make.py")
+
+
+def _absolute(tol):
+    return lambda want: tol
+
+
+def _scaled(tol):
+    return lambda want: tol * max(1.0, abs(want))
+
+
+# the allowed |got - want| of every number under a field of this name, as a
+# function of want; every other field must be equal
+TOLERANCE = {
+    "r": _absolute(ref.R_TOL),                          # scan, gaa-me
+    "density": _absolute(ref.R_TOL),                    # solve
+    "observables": _scaled(ref.R_TOL),                  # solve
+    "r_exact": _absolute(ref.R_TOL),                    # ramp
+    "r_threshold": _absolute(ref.R_TOL),                # gaa-me
+    "delta_c": _absolute(ref.DELTA_C_TOL),              # scan
+    "delta_c_gs": _absolute(ref.DELTA_C_TOL),           # phases
+    "delta_c_es": _absolute(ref.DELTA_C_TOL),
+    "r_ramped": _scaled(ref.RK4_TOL),                   # ramp
+    "trajectory": _scaled(ref.RK4_TOL),
+    "energies": _absolute(ref.ENERGY_TOL),              # gaa-me
+    "mobility_edge": _absolute(ref.ENERGY_TOL),
+}
 
 
 @pytest.fixture(scope="module", params=sorted(make.ARGV))
 def case(request, tmp_path_factory):
     cmd = request.param
     want = json.loads((GOLDEN / f"{cmd}.json").read_text())
-    return cmd, make.record(cmd, tmp_path_factory.mktemp(cmd)), want
+    del want["nlaa_version"]            # the nlaa that wrote the oracle
+    return make.record(cmd, tmp_path_factory.mktemp(cmd)), want
 
 
-def _delta_c_close(got, want):
-    if got is None or want is None:
-        return got is None and want is None
-    return abs(got - want) <= DELTA_C_TOL
+def _leaves(value, path=(), tol=None):
+    """(path, value, tolerance) of every scalar in a record; the tolerance is
+    that of the nearest enclosing TOLERANCE field, None for an exact one."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,), TOLERANCE.get(key, tol))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,), tol)
+    else:
+        yield path, value, tol
 
 
-def _without_delta_c(rows):
-    return [{k: v for k, v in row.items() if k != "delta_c"} for row in rows]
+def _pairs(case, toleranced):
+    """(path, got, want, tolerance) of the leaves with (or without) one."""
+    got, want = (list(_leaves(rec)) for rec in case)
+    assert [p for p, _, _ in got] == [p for p, _, _ in want]
+    return [(p, g, w, tol) for (p, g, tol), (_, w, _) in zip(got, want)
+            if (tol is not None) == toleranced]
 
 
 def test_counts_and_labels_are_exact(case):
-    cmd, got, want = case
-    assert got["argv"] == want["argv"]
-    assert got["solves"] == want["solves"]
-    assert got["u"] == want["u"]
-    if cmd == "scan":
-        assert got["deltas"] == want["deltas"]
-        assert got["labels"] == want["labels"]
-        assert got["failures"] == want["failures"]
-        assert _without_delta_c(got["transitions"]) == \
-            _without_delta_c(want["transitions"])
-    else:
-        assert got["found_gs"] == want["found_gs"]
-        assert got["found_es"] == want["found_es"]
+    for path, g, w, _ in _pairs(case, toleranced=False):
+        assert g == w, path
 
 
 def test_r_and_delta_c_within_tolerance(case):
-    cmd, got, want = case
-    if cmd == "scan":
-        for kind in ("gs", "es"):
-            for row, ref in zip(got["r"][kind], want["r"][kind], strict=True):
-                assert row == pytest.approx(ref, rel=0, abs=R_TOL)
-        pairs = [(g["delta_c"], w["delta_c"])
-                 for g, w in zip(got["transitions"], want["transitions"], strict=True)]
-    else:
-        pairs = [pair for kind in ("gs", "es") for pair in zip(
-            got[f"delta_c_{kind}"], want[f"delta_c_{kind}"], strict=True)]
-    for g, w in pairs:
-        assert _delta_c_close(g, w), (g, w)
+    """r, Delta_c and every other TOLERANCE quantity; NaN (None) stays NaN."""
+    for path, g, w, tol in _pairs(case, toleranced=True):
+        if g is None or w is None:
+            assert g is None and w is None, path
+        else:
+            assert abs(g - w) <= tol(w), (path, g, w)
