@@ -74,6 +74,15 @@ def _numbers(text):
     return values if values and all(map(math.isfinite, values)) else None
 
 
+def _is_header(line):
+    """False if every field of a CSV line reads as a float (1e-1 as well)."""
+    try:
+        [float(field) for field in line.split(",")]
+    except ValueError:
+        return True
+    return False
+
+
 @dataclass(frozen=True)
 class Option:
     """One option: flag ``--<dest with - for _>``, config key ``<dest>``.
@@ -127,8 +136,9 @@ OPTIONS = {
     "u_min": Option(float, "first U/J of the grid", FINITE),
     "u_max": Option(float, "last U/J of the grid", FINITE),
     "u_step": Option(float, "U/J grid spacing", POSITIVE),
-    "u_values": Option(str, "U/J values", (lambda v: _numbers(v) is not None,
-                                           "comma-separated finite numbers")),
+    "u_values": Option(str, "U/J values", (
+        lambda v: (us := _numbers(v)) is not None and len(set(us)) == len(us),
+        "comma-separated finite numbers, none repeated")),
     "energy_definition": Option(str, "transition energy: chemical potential "
                                      "(mu) or energy functional (E)",
                                 choices=("mu", "E")),
@@ -460,8 +470,7 @@ def cmd_interaction_sweep(cfg, outdir):
 
 def cmd_ramp(cfg, outdir):
     params, units = _params_from(cfg)
-    proto = units.ramp.for_kind(cfg.kind)
-    final, traj = ramp_prepare(params, proto, dt=cfg.dt,
+    final, traj = ramp_prepare(params, units.ramp, cfg.kind, dt=cfg.dt,
                                snapshot_stride=cfg.stride)
     exact = solve_state(params, cfg.kind, _solver_opts(cfg))
     r_ramp, r_exact = participation_ratio(final), participation_ratio(exact.state)
@@ -469,8 +478,8 @@ def cmd_ramp(cfg, outdir):
         _write_trajectory(outdir / "ramp_trajectory.csv", traj),
         _write_json(outdir / "ramp.json", {
             "params": params.to_dict(), "kind": cfg.kind,
-            "ramp_duration_internal": proto.duration,
-            "hold_internal": proto.hold,
+            "ramp_duration_internal": units.ramp.duration,
+            "hold_internal": units.ramp.hold,
             "r_ramped": r_ramp, "r_exact": r_exact,
             "r_deficit": r_exact - r_ramp,
         }),
@@ -577,8 +586,7 @@ def cmd_alpha_star(cfg, outdir):
 
 
 def cmd_gaa_me(cfg, outdir):
-    gp = GaaParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j, alpha=cfg.alpha,
-                   phi=cfg.phi)
+    gp = GaaParams(L=cfg.L, Delta=cfg.delta_over_j, alpha=cfg.alpha, phi=cfg.phi)
     cls = gaa_classify_spectrum(gp)
     rows = [(i, float(cls.energies[i]), float(cls.r[i]),
              bool(cls.predicted_localized[i]), bool(cls.observed_localized[i]),
@@ -605,7 +613,7 @@ def cmd_fit(cfg, outdir):
         try:
             with open(cfg.data) as f:
                 first = f.readline()
-            skip = 1 if any(c.isalpha() for c in first) else 0
+            skip = int(_is_header(first))
             data = np.loadtxt(cfg.data, delimiter=",", skiprows=skip, ndmin=2)
         except OSError as exc:
             raise ConfigError(f"cannot read data file: {exc}") from exc

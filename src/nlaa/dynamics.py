@@ -24,7 +24,7 @@ costs about 0.2 s and 24 MB of RSS at import, which a default `scan`,
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,11 +59,11 @@ class RampProtocol:
     All fields are in internal units (time in hbar/J_target); the CLI maps
     the SI recipe J(t)/h = v t with v in Hz/ms. EXPERIMENT_RAMP is the
     experiment's: v = 275 Hz/ms up to J/h = 275 Hz takes 1 ms, i.e.
-    tau_f = 2 pi x 0.275 in internal time.
+    tau_f = 2 pi x 0.275 in internal time. The state it prepares is the
+    `kind` given to ramp_prepare.
     """
     duration: float
     hold: float = 0.0
-    target: str = "ground"        # "ground" | "highest-excited"
 
     def __post_init__(self):
         if not 0 < self.duration < np.inf:
@@ -72,15 +72,6 @@ class RampProtocol:
         if not 0 <= self.hold < np.inf:
             raise ValueError(f"hold time must be finite and nonnegative, "
                              f"got {self.hold}")
-        if self.target not in ("ground", "highest-excited"):
-            raise ValueError(f"unknown ramp target {self.target!r}")
-
-    def for_kind(self, kind) -> "RampProtocol":
-        """The same ramp aimed at the ground ("gs") or highest-excited ("es")
-        state."""
-        if kind not in ("gs", "es"):
-            raise ValueError(f"kind must be 'gs' or 'es', got {kind!r}")
-        return replace(self, target="ground" if kind == "gs" else "highest-excited")
 
     def hopping_fraction(self, t: float) -> float:
         """J(t)/J_target: linear up to 1 at t = duration, then flat."""
@@ -107,10 +98,9 @@ class Trajectory:
 class _Chain:
     """Snapshots of one chain and the observables recorded at each."""
 
-    def __init__(self, params, center):
+    def __init__(self, params):
         self.eps = quasiperiodic_potential(params)
         self.U = params.U
-        self.center = center
         self.times, self.states, self.r, self.d = [], [], [], []
         self.energy, self.drift = [], []
 
@@ -120,7 +110,7 @@ class _Chain:
         if not drift <= NORM_ABORT:           # False for NaN as well
             raise RuntimeError(f"norm drift {drift:.3e} at t={t:.4f} "
                                f"exceeds {NORM_ABORT}")
-        st = LatticeState(v, center=self.center)
+        st = LatticeState(v)
         self.times.append(t)
         self.states.append(st)
         self.r.append(participation_ratio(st))
@@ -142,7 +132,7 @@ def _propagate(params, start, times, ramp):
     # imported here, not at module level: most subcommands never integrate
     from scipy.integrate import ode
 
-    chain = _Chain(params, start.center)
+    chain = _Chain(params)
     J, kink = params.J, np.inf if ramp is None else ramp.duration
     hopping = ((lambda t: J) if ramp is None
                else (lambda t: J * ramp.hopping_fraction(t)))
@@ -186,7 +176,7 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
     The hopping is params.J unless `ramp` (a RampProtocol: the hopping is
     params.J times ramp.hopping_fraction(t), with a restart at the kink)
     replaces it. Observables recorded per snapshot: participation
-    ratio r, momentum width d (around initial.center), energy E[phi] (with
+    ratio r, momentum width d (around the center site), energy E[phi] (with
     the instantaneous J), and the norm drift |sum n - 1|. Returns a Trajectory;
     a norm drift past NORM_ABORT or a failed integration raises RuntimeError.
     """
@@ -223,25 +213,27 @@ def transport_experiment(params: ModelParams, t_final, dt=DEFAULT_DT,
     return evolve(params, initial, t_final, dt=dt, snapshot_stride=snapshot_stride)
 
 
-def ramp_prepare(params_target, protocol: RampProtocol, dt=DEFAULT_DT,
+def ramp_prepare(params_target, protocol: RampProtocol, kind, dt=DEFAULT_DT,
                  snapshot_stride=None):
-    """Finite-velocity preparation of the target eigenstate.
+    """Finite-velocity preparation of the ground ("gs") or highest-excited
+    ("es") state of `params_target`.
 
     The chain starts in the J=0 ground state, i.e. all population on the
     site minimizing eps_j (ties broken toward lower site energy, then lower
     index), and J is ramped linearly to its target over the protocol
-    duration, followed by an optional hold. For target='highest-excited' the
-    whole procedure runs on the negated model, whose ground state is the
-    excited state of the original; the returned state is reported as-is
-    (densities and r are negation-invariant).
+    duration, followed by an optional hold. For kind 'es' the whole
+    procedure runs on the negated model, whose ground state is the excited
+    state of the original; the returned state is reported as-is (densities
+    and r are negation-invariant).
 
     Returns (final LatticeState, Trajectory); the trajectory holds t = 0
     and the end unless a `snapshot_stride` asks for snapshots in between.
     """
-    chain = (params_target if protocol.target == "ground"
-             else params_target.negated())
+    if kind not in ("gs", "es"):
+        raise ValueError(f"kind must be 'gs' or 'es', got {kind!r}")
+    chain = params_target if kind == "gs" else params_target.negated()
     site = int(np.argmin(quasiperiodic_potential(chain)))   # lowest index on ties
-    initial = LatticeState.single_site(chain.L, site, center=(chain.L - 1) // 2)
+    initial = LatticeState.single_site(chain.L, site)
     traj = evolve(chain, initial, protocol.duration + protocol.hold, dt=dt,
                   snapshot_stride=snapshot_stride, ramp=protocol)
     return traj.final_state(), traj

@@ -108,9 +108,9 @@ def linear_spectrum(L, J, potential):
     return w, v
 
 
-def _linear_edge_state(eps, off, which):
-    """Single extreme eigenpair (which = 0 for lowest, -1 for highest) of the
-    float64 tridiagonal matrix with diagonal `eps` and off-diagonal `off`.
+def _linear_edge_state(eps, off):
+    """Lowest eigenpair of the float64 tridiagonal matrix with diagonal `eps`
+    and off-diagonal `off`.
 
     Calls LAPACK bisection (dstebz) and inverse iteration (dstein) with the
     arguments eigh_tridiagonal(select="i") passes them: the same pair, bit
@@ -118,7 +118,7 @@ def _linear_edge_state(eps, off, which):
     raises the RuntimeError of _check_finite.
     """
     _check_finite(eps, "the tridiagonal edge eigen-solve")
-    w, vec, info = _edge_pair(eps, off, 1 if which == 0 else len(eps))
+    w, vec, info = _edge_pair(eps, off, 1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"tridiagonal edge eigenpair did not converge (LAPACK info={info})")
@@ -280,7 +280,7 @@ def _scf_block(J, off, eps, U, v, max_steps, tol, budget):
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
-        _, u = _linear_edge_state(eps - U * n, off, 0)
+        _, u = _linear_edge_state(eps - U * n, off)
         res, _ = _residual_mu(J, eps, U, u)
         if res < best_res:
             best_res, best_v = res, u.copy()
@@ -364,8 +364,8 @@ def _newton_polish(J, eps, U, v, mu, tol, max_newton):
     and _newton_step solves it in O(L). Success is measured with the
     Rayleigh-quotient residual (the same measure the solver reports), not
     the bordered-system mu, so a returned True never flips back to
-    unconverged at the margin. Returns (v, mu, residual, ok, steps),
-    counting each pass that evaluates F.
+    unconverged at the margin. Returns (v, ok, steps), counting each pass
+    that evaluates F.
     """
     off = np.full(len(v) - 1, float(J))
     for k in range(max_newton):
@@ -373,22 +373,19 @@ def _newton_polish(J, eps, U, v, mu, tol, max_newton):
         F -= mu * v
         F_L = 0.5 * (v @ v - 1.0)
         res = _max(np.abs(F))
-        if res < tol and abs(F_L) < 1e-13:
-            res_ray, mu_ray = _residual_mu(J, eps, U, v)
-            if res_ray < tol:
-                return v, mu_ray, float(res_ray), True, k + 1
+        if res < tol and abs(F_L) < 1e-13 and _residual_mu(J, eps, U, v)[0] < tol:
+            return v, True, k + 1
         try:
             d_v, d_mu = _newton_step(off, eps - 3.0 * U * v * v - mu, v, F, F_L)
         except np.linalg.LinAlgError:
-            return v, mu, float(res), False, k + 1
+            return v, False, k + 1
         v = v + d_v
         mu = mu + float(d_mu)
         nv = _norm(v)
         if nv == 0 or not np.isfinite(nv):
-            return v, mu, float(res), False, k + 1
+            return v, False, k + 1
         v /= nv
-    res, mu = _residual_mu(J, eps, U, v)
-    return v, mu, float(res), res < tol, max_newton
+    return v, _residual_mu(J, eps, U, v)[0] < tol, max_newton
 
 
 def _newton_step(off, d, v, F, F_L):
@@ -433,7 +430,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     sphere; the highest excited state is that of the negated model, its
     state reported as-is and mu and E negated back. Deterministic:
     initialization is always the linear (U=0) ground state of the solved
-    model at the same (L, J, Delta, beta, phi). Convergence is declared on
+    model at the same (L, J, Delta, phi). Convergence is declared on
     the stationarity residual ||H[phi]phi - mu phi||_inf, not on energy
     change. `iterations` counts imaginary-time steps, SCF steps and Newton
     steps, and never exceeds opts.max_iterations. `start` is this cell's
@@ -449,7 +446,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     J, U = params.J, params.U
     off = np.full(params.L - 1, float(J))
     if start is None:
-        _, v0 = _linear_edge_state(eps, off, 0)
+        _, v0 = _linear_edge_state(eps, off)
         max_steps, target = _stage_a_plan(0)
         start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                        target, opts.max_iterations), None)
@@ -492,7 +489,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
 
         # stage C: Newton polish from the best iterate so far
         mu0 = _residual_mu(J, eps, U, best_v)[1]
-        vn, _, _, ok, used = _newton_polish(
+        vn, ok, used = _newton_polish(
             J, eps, U, best_v.copy(), mu0, opts.residual_tol,
             min(40, opts.max_iterations - iterations))
         iterations += used
@@ -523,7 +520,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
 def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     """Attempt 0's stages A and B for cells that share L.
 
-    `cells` is a sequence of ModelParams (J, Delta, beta, phi and U may
+    `cells` is a sequence of ModelParams (J, Delta, phi and U may
     vary), and `kind` is one kind for all of them or a sequence of one kind
     per cell. Both stages run on all of them as (B, L) arrays, each row with
     its own J and U, and entry i of the returned list is the `start` that
@@ -537,7 +534,7 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     J = np.array([p.J for p in solved], dtype=float)
     U = np.array([p.U for p in solved], dtype=float)
     eps = np.array([quasiperiodic_potential(p) for p in solved])
-    v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, j), 0)[1]
+    v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, j))[1]
                    for row, j in zip(eps, J)])
     max_steps, target = _stage_a_plan(0)
     v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, IMAG_TIME_STEP,

@@ -248,11 +248,10 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
     arguments and seed reproduce the array bitwise.
     """
     rng = np.random.default_rng(seed)
-    proto = EXPERIMENT_RAMP.for_kind(kind)
     rows = []
     for delta in np.asarray(deltas, dtype=float):
         p = ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
-        final, _ = ramp_prepare(p, proto, dt=dt)
+        final, _ = ramp_prepare(p, EXPERIMENT_RAMP, kind, dt=dt)
         n = final.density
         if floor > 0:
             n = n + floor

@@ -59,11 +59,11 @@ class AaLimitError(ValueError):
 @dataclass(frozen=True)
 class GaaParams:
     L: int
-    J: float = 1.0
     Delta: float = 0.0
     phi: float = 0.0
     alpha: float = 0.0
-    beta: ClassVar[float] = BETA_GOLDEN     # not a field: no caller varies it
+    J: ClassVar[float] = 1.0                # not fields: no caller varies them;
+    beta: ClassVar[float] = BETA_GOLDEN     # energies are in units of J
 
     def __post_init__(self):
         if self.L < 2:
@@ -185,7 +185,7 @@ def effective_gaa_from_density(state: LatticeState, params: ModelParams):
         warnings.warn("effective GAA matching is perturbative in U/Delta; "
                       f"U={params.U}, Delta={params.Delta} is outside the "
                       "trusted regime", stacklevel=2)
-    c = density_fourier_coefficients(state, beta=params.beta)
+    c = density_fourier_coefficients(state)
     delta_eff = params.Delta - params.U * c[1]
     if abs(delta_eff) < 1e-12:
         raise ValueError("Delta_eff ~ 0: second-harmonic matching undefined")

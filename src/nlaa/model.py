@@ -7,7 +7,7 @@ Gross-Pitaevskii-type equation of motion
     i hbar d(phi_j)/dt = J (phi_{j+1} + phi_{j-1}) + eps_j phi_j - U |phi_j|^2 phi_j,
 
 where eps_j = Delta * cos(2 pi beta j + phi) is the quasiperiodic on-site
-potential and beta defaults to the inverse golden ratio (sqrt(5)-1)/2.
+potential and beta is the inverse golden ratio (sqrt(5)-1)/2.
 
 The Hamiltonian's action (apply_stencil), the energy E[phi] (energy_of) and
 the participation ratio r (participation_of) are written once, here, on
@@ -19,16 +19,18 @@ Conventions used throughout the package:
   SI conversion happens only at the CLI boundary, in nlaa.cli's
   _internal_units (bragg_detunings below is an SI design helper).
 - sites are indexed j = 0..L-1 inside the cosine; any centered labeling
-  is absorbed by the disorder phase phi and the `center` field of states.
+  is absorbed by the disorder phase phi, and widths are measured from the
+  middle site (L-1)//2, the `center` of a state.
 - open (hard-wall) boundaries: phi_{-1} = phi_L = 0.
 """
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-# inverse golden ratio, the standard incommensurate choice for beta
+# inverse golden ratio, the incommensurate beta of the model
 BETA_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 # interaction scale beyond which the mean-field state tends to self-trap;
@@ -57,19 +59,17 @@ class ModelParams:
     L: int
     J: float = 1.0
     Delta: float = 0.0
-    beta: float = BETA_GOLDEN
     phi: float = 0.0
     U: float = 0.0
+    beta: ClassVar[float] = BETA_GOLDEN     # not a field: no caller varies it
 
     def __post_init__(self):
         if not isinstance(self.L, (int, np.integer)) or self.L < 2:
             raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
-        for name in ("J", "Delta", "beta", "phi", "U"):
+        for name in ("J", "Delta", "phi", "U"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if self.self_trapping_guard:
             warnings.warn(
                 f"|U/J| = {abs(self.U / self.J):.3g} exceeds {SELF_TRAPPING_RATIO}; "
@@ -83,13 +83,13 @@ class ModelParams:
         return self.J != 0.0 and abs(self.U / self.J) > SELF_TRAPPING_RATIO
 
     def negated(self) -> "ModelParams":
-        """Params with (J, Delta, U) -> (-J, -Delta, -U); same beta, phi.
+        """Params with (J, Delta, U) -> (-J, -Delta, -U); same phi.
 
         The highest excited state of the model is the ground state of the
         negated model, which is how the excited-state solver is built.
         """
         return ModelParams(L=self.L, J=-self.J, Delta=-self.Delta,
-                           beta=self.beta, phi=self.phi, U=-self.U)
+                           phi=self.phi, U=-self.U)
 
     def to_dict(self) -> dict:
         return {"L": self.L, "J": self.J, "Delta": self.Delta,
@@ -98,13 +98,13 @@ class ModelParams:
 
 
 class LatticeState:
-    """Normalized complex amplitude vector phi_j with a reference center site.
+    """Normalized complex amplitude vector phi_j.
 
-    The constructor renormalizes; a zero vector is rejected. `center` is the
-    reference site for width measurements and defaults to (L-1)//2.
+    The constructor renormalizes; a zero vector is rejected. `center`, the
+    reference site for width measurements, is the middle site (L-1)//2.
     """
 
-    def __init__(self, amplitudes, center=None):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).copy()
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-d vector of length >= 2")
@@ -112,13 +112,14 @@ class LatticeState:
         if not np.isfinite(norm) or norm == 0.0:
             raise ValueError("cannot normalize a zero or non-finite state")
         self.amplitudes = amps / norm
-        self.center = int((amps.size - 1) // 2 if center is None else center)
-        if not (0 <= self.center < amps.size):
-            raise ValueError(f"center {self.center} outside 0..{amps.size - 1}")
 
     @property
     def L(self) -> int:
         return self.amplitudes.size
+
+    @property
+    def center(self) -> int:
+        return (self.L - 1) // 2
 
     @property
     def density(self) -> np.ndarray:
@@ -126,11 +127,11 @@ class LatticeState:
         return np.abs(self.amplitudes) ** 2
 
     @classmethod
-    def single_site(cls, L, j, center=None):
+    def single_site(cls, L, j):
         """All population on site j."""
         amps = np.zeros(L, dtype=complex)
         amps[j] = 1.0
-        return cls(amps, center=center)
+        return cls(amps)
 
 
 # -------------------------
@@ -226,7 +227,7 @@ def chemical_potential(params: ModelParams, state) -> float:
     return float(np.real(np.vdot(v, hv)))
 
 
-def density_fourier_coefficients(state, beta=BETA_GOLDEN):
+def density_fourier_coefficients(state):
     """Cosine-projection coefficients of the density at harmonics of beta.
 
     Returns the array [c_0, c_1, c_2] with the convention
@@ -240,7 +241,7 @@ def density_fourier_coefficients(state, beta=BETA_GOLDEN):
     j = np.arange(L)
     coeffs = [n.sum() / L]
     for m in (1, 2):
-        coeffs.append(2.0 / L * np.sum(n * np.cos(2.0 * np.pi * beta * m * j)))
+        coeffs.append(2.0 / L * np.sum(n * np.cos(2.0 * np.pi * BETA_GOLDEN * m * j)))
     return np.array(coeffs)
 
 

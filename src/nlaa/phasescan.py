@@ -13,9 +13,9 @@ Delta/J.
 A scan's JSONL store is an exact solve cache: one record per solve, grid
 cells and refinement points alike, appended as soon as it is solved. Each
 record's `key` is the sha256 of canonical JSON of every input that affects
-its r: the full ModelParams (L, J, Delta, beta, phi, U, floats by their
-round-trip repr), kind, preparation, EXPERIMENT_RAMP aimed at the kind
-(ramped scans), every SolverOptions field and the package version. A
+its r: the ModelParams fields (L, J, Delta, phi, U, floats by their
+round-trip repr; beta is fixed), kind, preparation, EXPERIMENT_RAMP (ramped
+scans), every SolverOptions field and the package version. A
 resumed scan reads each solve back bit for bit and solves only what is
 missing, so it returns what a fresh scan returns. Lines without a key,
 written by older versions, never match, so their cells are recomputed;
@@ -267,18 +267,17 @@ class ScanResult:
     failures: list                 # [(kind, u, delta, message), ...]
 
 
-def _cell_inputs(kind, L, u, delta, phi, preparation):
-    """ModelParams of one scan cell and, if it is ramped, EXPERIMENT_RAMP
-    aimed at its kind."""
+def _cell_inputs(L, u, delta, phi, preparation):
+    """ModelParams of one scan cell and, if it is ramped, EXPERIMENT_RAMP."""
     params = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=u)
-    return params, None if preparation == "exact" else EXPERIMENT_RAMP.for_kind(kind)
+    return params, None if preparation == "exact" else EXPERIMENT_RAMP
 
 
 def _cell_r(kind, L, u, delta, phi, preparation, opts, start=None):
     """Participation ratio of one scan cell (pure function of its key).
     `start` is an exact cell's entry of batched_starts; r is the same
     with it or without."""
-    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation)
+    params, proto = _cell_inputs(L, u, delta, phi, preparation)
     if proto is None:
         sol = solve_state(params, kind, opts, start=start)
         if not sol.converged:
@@ -286,7 +285,7 @@ def _cell_r(kind, L, u, delta, phi, preparation, opts, start=None):
                 f"solver did not converge (kind={kind}, U={u}, Delta={delta}, "
                 f"residual={sol.residual:.2e})")
         return participation_ratio(sol.state)
-    final, _ = ramp_prepare(params, proto)
+    final, _ = ramp_prepare(params, proto, kind)
     return participation_ratio(final)
 
 
@@ -302,8 +301,8 @@ def _exact_fields(obj):
 
 def cell_key(params, kind, preparation, ramp, opts) -> str:
     """Store key of one solve: sha256 of canonical JSON of every input that
-    affects its r. `ramp` is the protocol after RampProtocol.for_kind, None
-    for exact preparation."""
+    affects its r. `ramp` is the RampProtocol of a ramped solve, None for
+    exact preparation."""
     text = json.dumps({"version": __version__, "kind": kind,
                        "preparation": preparation,
                        "params": _exact_fields(params),
@@ -316,7 +315,7 @@ def cell_key(params, kind, preparation, ramp, opts) -> str:
 def _key_of(cell):
     """cell_key of a cell given by the arguments of _cell_r."""
     kind, L, u, delta, phi, preparation, opts = cell
-    params, proto = _cell_inputs(kind, L, u, delta, phi, preparation)
+    params, proto = _cell_inputs(L, u, delta, phi, preparation)
     return cell_key(params, kind, preparation, proto, opts)
 
 
@@ -400,7 +399,7 @@ def _records(store, cells):
     todo = [i for i, rec in enumerate(recs) if rec is None]
     starts = [None] * len(todo)
     if todo and cells[0][5] == "exact":
-        starts = batched_starts([_cell_inputs(*cells[i][:6])[0] for i in todo],
+        starts = batched_starts([_cell_inputs(*cells[i][1:6])[0] for i in todo],
                                 [cells[i][0] for i in todo], cells[0][6])
     for i, start in zip(todo, starts):
         recs[i] = store.add(_cell_record(cells[i], keys[i], start))

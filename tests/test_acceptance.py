@@ -200,7 +200,7 @@ def test_criterion_08_transport_ordering():
 def test_criterion_09_gaa_exact_mobility_edge():
     # L=987, alpha=0.3, Delta/J=1: classification agrees with the analytic
     # edge for at least 98% of eigenstates
-    cls = gaa_classify_spectrum(GaaParams(L=987, J=1.0, Delta=1.0, alpha=0.3))
+    cls = gaa_classify_spectrum(GaaParams(L=987, Delta=1.0, alpha=0.3))
     assert cls.misclassification <= 0.02, cls.misclassification
 
 
@@ -210,13 +210,13 @@ def test_criterion_10_ramp_non_adiabaticity():
     proto = EXPERIMENT_RAMP
 
     p_shallow = ModelParams(L=21, J=1.0, Delta=0.5)
-    ramped, _ = ramp_prepare(p_shallow, proto)
+    ramped, _ = ramp_prepare(p_shallow, proto, "gs")
     exact = solve_state(p_shallow, "gs")
     deficit = participation_ratio(exact.state) - participation_ratio(ramped)
     assert deficit >= 0.05, deficit
 
     p_deep = ModelParams(L=21, J=1.0, Delta=3.0)
-    ramped_d, _ = ramp_prepare(p_deep, proto)
+    ramped_d, _ = ramp_prepare(p_deep, proto, "gs")
     exact_d = solve_state(p_deep, "gs")
     assert abs(participation_ratio(exact_d.state)
                - participation_ratio(ramped_d)) < 0.02

@@ -584,6 +584,19 @@ def test_alpha_star_bad_u_values_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_alpha_star_repeated_u_value_exits_2_before_any_solve(tmp_path, capsys):
+    # two copies of one U would be fitted as a line through one point
+    rc = main(["alpha-star", "--L", "13", "--u-values", "0.1,0.1",
+               "--delta-max", "4", "--delta-step", "0.25", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--u-values must be comma-separated finite numbers, none repeated" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit):
+        main(["alpha-star", "--help"])
+    assert "finite numbers, none repeated" in " ".join(capsys.readouterr().out.split())
+
+
 def test_gaa_me_spectrum_and_edge(tmp_path):
     rc = main(["gaa-me", "--L", "233", "--alpha", "0.5",
                "--delta-over-j", "1.5", "--out", str(tmp_path)])
@@ -617,6 +630,22 @@ def test_fit_on_data_file_with_header(tmp_path):
     header, rows = _rows(tmp_path / "fitted_curve.csv")
     assert header == ["delta_over_j", "r_data", "r_fit"]
     assert len(rows) == 40
+
+
+@pytest.mark.parametrize("header", [None, "delta_over_j,r"],
+                         ids=["exponent-first-row", "text-header"])
+def test_fit_reads_a_first_row_only_as_a_header_if_it_is_not_numbers(
+        tmp_path, header):
+    # a first row in exponent form (2.000000e-01,...) holds letters but is data
+    deltas = np.linspace(0.2, 3.4, 12)
+    r = piecewise_model(deltas, 0.6, 1.0 / 21.0, 1.2, 1.8)
+    lines = [f"{d:.6e},{v:.6e}" for d, v in zip(deltas, r)]
+    datafile = tmp_path / "meas.csv"
+    datafile.write_text("\n".join(([header] if header else []) + lines) + "\n")
+    assert main(["fit", "--data", str(datafile), "--out", str(tmp_path)]) == 0
+    assert _json(tmp_path / "fit.json")["n_points"] == 12
+    _, rows = _rows(tmp_path / "fitted_curve.csv")
+    assert float(rows[0][0]) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_fit_synthesize_runs_are_byte_identical(tmp_path):
@@ -988,7 +1017,8 @@ def _outside(opt):
         "finite and >= 0": [-5e-324],
         "in (0, 0.01]": [0.0, 0.010000000000000002],
         "in (-1, 1)": [-1.0, 1.0],
-        "comma-separated finite numbers": ["", ",", "abc", "0.1,nan", "1e400"],
+        "comma-separated finite numbers, none repeated": [
+            "", ",", "abc", "0.1,nan", "1e400", "0.1,0.1", "-0.25,0.5,-0.25"],
     }[text]
 
 

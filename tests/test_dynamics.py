@@ -154,7 +154,6 @@ def test_experiment_ramp_default_duration():
     proto = EXPERIMENT_RAMP
     assert proto.duration == pytest.approx(2 * np.pi * 0.275, rel=1e-14)
     assert proto.hold == 0.0
-    assert proto.target == "ground"
     with pytest.raises(ValueError):
         RampProtocol(duration=0.0)
 
@@ -170,7 +169,7 @@ def test_hopping_fraction_profile():
 def test_ramp_starts_at_potential_minimum():
     p = ModelParams(L=21, J=1.0, Delta=1.3)
     eps = quasiperiodic_potential(p)
-    _, traj = ramp_prepare(p, EXPERIMENT_RAMP)
+    _, traj = ramp_prepare(p, EXPERIMENT_RAMP, "gs")
     first = traj.states[0].density
     assert np.argmax(first) == np.argmin(eps)
     assert first[np.argmin(eps)] == pytest.approx(1.0, abs=1e-12)
@@ -179,7 +178,7 @@ def test_ramp_starts_at_potential_minimum():
 def test_ramp_flat_potential_starts_at_lowest_index():
     # all eps equal: the tie breaks toward the lowest site index
     p = ModelParams(L=13, J=1.0, Delta=0.0)
-    _, traj = ramp_prepare(p, EXPERIMENT_RAMP)
+    _, traj = ramp_prepare(p, EXPERIMENT_RAMP, "gs")
     assert np.argmax(traj.states[0].density) == 0
 
 
@@ -188,15 +187,14 @@ def test_ramp_excited_target_starts_at_potential_maximum():
     # original potential is highest
     p = ModelParams(L=21, J=1.0, Delta=1.3)
     eps = quasiperiodic_potential(p)
-    proto = EXPERIMENT_RAMP.for_kind("es")
-    _, traj = ramp_prepare(p, proto)
+    _, traj = ramp_prepare(p, EXPERIMENT_RAMP, "es")
     assert np.argmax(traj.states[0].density) == np.argmax(eps)
 
 
 def test_slow_ramp_approaches_exact_state():
     # at Delta/J = 3 the default experimental ramp is nearly adiabatic
     p = ModelParams(L=21, J=1.0, Delta=3.0)
-    final, _ = ramp_prepare(p, EXPERIMENT_RAMP)
+    final, _ = ramp_prepare(p, EXPERIMENT_RAMP, "gs")
     exact = solve_state(p, "gs")
     assert abs(participation_ratio(final)
                - participation_ratio(exact.state)) < 0.02
@@ -206,7 +204,7 @@ def test_hold_extends_total_time():
     p = ModelParams(L=13, J=1.0, Delta=1.0)
     # a 0.5 ms hold (test_cli checks that --hold-ms 0.5 gives this hold)
     proto = replace(EXPERIMENT_RAMP, hold=0.5 * EXPERIMENT_RAMP.duration)
-    _, traj = ramp_prepare(p, proto)
+    _, traj = ramp_prepare(p, proto, "gs")
     # the run ends on the time grid of step dt, so the endpoint rounds to dt/2
     assert traj.times[-1] == pytest.approx(proto.duration + proto.hold,
                                            abs=5e-4)
@@ -224,18 +222,13 @@ RK4_RAMPED_R = [("gs", 0.2, 0.18923134933906144),
 @pytest.mark.parametrize("kind, delta, r_rk4", RK4_RAMPED_R)
 def test_ramped_r_matches_the_rk4_reference(kind, delta, r_rk4):
     p = ModelParams(L=21, J=1.0, Delta=delta, U=0.3)
-    final, _ = ramp_prepare(p, EXPERIMENT_RAMP.for_kind(kind))
+    final, _ = ramp_prepare(p, EXPERIMENT_RAMP, kind)
     assert abs(participation_ratio(final) - r_rk4) <= 1e-6
 
 
-def test_for_kind_sets_the_target():
-    proto = replace(EXPERIMENT_RAMP, hold=0.5 * EXPERIMENT_RAMP.duration)
-    es = proto.for_kind("es")
-    assert es.target == "highest-excited"
-    assert (es.duration, es.hold) == (proto.duration, proto.hold)
-    assert es.for_kind("gs") == proto
-    with pytest.raises(ValueError):
-        proto.for_kind("both")
+def test_ramp_prepare_rejects_a_kind_other_than_gs_or_es():
+    with pytest.raises(ValueError, match="kind must be 'gs' or 'es', got 'both'"):
+        ramp_prepare(ModelParams(L=13, Delta=1.0), EXPERIMENT_RAMP, "both")
 
 
 # -------------------------
@@ -251,7 +244,7 @@ def test_ramp_that_the_integrator_cannot_follow_raises_at_its_time():
     with pytest.warns(UserWarning, match="self-trapping"):
         wild = ModelParams(L=13, J=1.0, Delta=1.0, U=4e4)
     with pytest.raises(RuntimeError, match="DOP853 failed at t="):
-        ramp_prepare(wild, SHORT_RAMP)
+        ramp_prepare(wild, SHORT_RAMP, "gs")
 
 
 def test_norm_drift_past_the_threshold_aborts_the_ramp(monkeypatch):
@@ -260,7 +253,7 @@ def test_norm_drift_past_the_threshold_aborts_the_ramp(monkeypatch):
     with pytest.warns(UserWarning, match="self-trapping"):
         drifting = ModelParams(L=13, J=1.0, Delta=1.0, U=400.0)
     with pytest.raises(RuntimeError, match="norm drift .* exceeds 1e-10"):
-        ramp_prepare(drifting, SHORT_RAMP)
+        ramp_prepare(drifting, SHORT_RAMP, "gs")
 
 
 def test_ramp_integration_stops_at_the_kink(monkeypatch):
@@ -275,7 +268,8 @@ def test_ramp_integration_stops_at_the_kink(monkeypatch):
 
     # dynamics imports ode from scipy.integrate on each propagation
     monkeypatch.setattr(scipy.integrate, "ode", RecordingOde)
-    _, traj = ramp_prepare(ModelParams(L=13, J=1.0, Delta=1.0), EXPERIMENT_RAMP)
+    _, traj = ramp_prepare(ModelParams(L=13, J=1.0, Delta=1.0), EXPERIMENT_RAMP,
+                            "gs")
     assert len(traj.times) == 2                  # by default t = 0 and the end
     assert EXPERIMENT_RAMP.duration not in traj.times
     assert stops == sorted(set(stops))

@@ -92,17 +92,15 @@ def test_sign_convention_largest_component_positive():
 # -------------------------
 
 @given(L=st.integers(2, 200), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
-       which=st.sampled_from([0, -1]), scale=st.floats(0.0, 8.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_edge_state_is_bitwise_eigh_tridiagonal(L, J, sign, which, scale, seed):
+       scale=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_edge_state_is_bitwise_eigh_tridiagonal(L, J, sign, scale, seed):
     eps = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, L)
     off = np.full(L - 1, sign * J)
-    sel = (0, 0) if which == 0 else (L - 1, L - 1)
-    w, v = eigh_tridiagonal(eps, off, select="i", select_range=sel)
+    w, v = eigh_tridiagonal(eps, off, select="i", select_range=(0, 0))
     vec = v[:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
-    w_fast, vec_fast = _linear_edge_state(eps, off, which)
+    w_fast, vec_fast = _linear_edge_state(eps, off)
     assert _bits(w_fast) == _bits(w[0])
     assert _bits(vec_fast) == _bits(vec)
 
@@ -196,7 +194,7 @@ def _imag_time_reference(J, eps, U, v, max_steps, step, res_target, budget):
 def test_stage_a_is_bitwise_the_reference_loop(L, J, sign, U, delta, phi, max_steps):
     J *= sign
     eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=delta, phi=phi))
-    _, v0 = _linear_edge_state(eps, np.full(L - 1, J), 0)
+    _, v0 = _linear_edge_state(eps, np.full(L - 1, J))
     args = (max_steps, IMAG_TIME_STEP, 1e-3, 50_000)
     v, step, used = _imag_time_block(J, eps, U, v0, *args)
     v_ref, step_ref, used_ref = _imag_time_reference(J, eps, U, v0, *args)
@@ -213,7 +211,7 @@ def test_non_finite_frozen_density_raises_runtime_error():
     bad = eps.copy()
     bad[4] = np.nan
     with pytest.raises(RuntimeError, match="non-finite"):
-        _linear_edge_state(bad, off, 0)
+        _linear_edge_state(bad, off)
     v = np.full(L, 1.0 / np.sqrt(L))
     v[2] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"), np.errstate(all="ignore"):
@@ -437,7 +435,7 @@ def test_schur_newton_step_equals_the_dense_bordered_solve(L, J, sign, U, delta,
     J *= sign
     eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=delta, phi=phi))
     off = np.full(L - 1, J)
-    _, v = _linear_edge_state(eps, off, 0)
+    _, v = _linear_edge_state(eps, off)
     v = v + 10.0 ** -distance * np.random.default_rng(seed).normal(size=L)
     v /= np.linalg.norm(v)
     F = apply_stencil(J, eps - U * v * v, v)
@@ -490,7 +488,7 @@ def _stage_a_rows(cells, opts):
     ground-state cells."""
     J, U = np.array([p.J for p in cells]), np.array([p.U for p in cells])
     eps = np.array([quasiperiodic_potential(p) for p in cells])
-    v0 = np.array([_linear_edge_state(row, np.full(p.L - 1, p.J), 0)[1]
+    v0 = np.array([_linear_edge_state(row, np.full(p.L - 1, p.J))[1]
                    for row, p in zip(eps, cells)])
     args = (2000, IMAG_TIME_STEP, 1e-3, opts.max_iterations)
     return (J, U, eps, v0, *_imag_time_rows(J, eps, U, v0, *args))
@@ -564,7 +562,7 @@ def _check_non_finite_potential_row(us):
     J, U = np.ones(3), np.array(us)
     eps = np.array([quasiperiodic_potential(p) for p in cells])
     off = np.full(12, 1.0)
-    v0 = np.array([_linear_edge_state(row, off, 0)[1] for row in eps])
+    v0 = np.array([_linear_edge_state(row, off)[1] for row in eps])
     eps[1, 4] = np.inf
     args = (2000, IMAG_TIME_STEP, 1e-3, opts.max_iterations)
     with np.errstate(all="ignore"):

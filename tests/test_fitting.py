@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nlaa import fitting
 from nlaa.cli import main
-from nlaa.dynamics import EXPERIMENT_RAMP, RampProtocol, ramp_prepare
+from nlaa.dynamics import EXPERIMENT_RAMP, ramp_prepare
 from nlaa.fitting import (
     FitResult,
     UnidentifiableFitError,
@@ -440,7 +440,7 @@ def test_synthesize_matches_direct_ramp_preparation():
     assert out.shape == (2, 2)
     for k, delta in enumerate((1.0, 2.5)):
         params = ModelParams(L=13, J=1.0, Delta=delta, phi=0.0, U=0.3)
-        state, _ = ramp_prepare(params, proto, dt=1e-3)
+        state, _ = ramp_prepare(params, proto, "gs", dt=1e-3)
         assert out[k, 0] == delta
         assert out[k, 1] == pytest.approx(participation_ratio(state),
                                           rel=1e-12)
@@ -448,12 +448,9 @@ def test_synthesize_matches_direct_ramp_preparation():
 
 
 def test_synthesize_es_kind_uses_excited_target():
-    proto = EXPERIMENT_RAMP
-    excited = RampProtocol(duration=proto.duration, hold=proto.hold,
-                           target="highest-excited")
     out = synthesize_measurement(0.3, [1.5], L=13, kind="es")
     params = ModelParams(L=13, J=1.0, Delta=1.5, phi=0.0, U=0.3)
-    state, _ = ramp_prepare(params, excited, dt=1e-3)
+    state, _ = ramp_prepare(params, EXPERIMENT_RAMP, "es", dt=1e-3)
     assert out[0, 1] == pytest.approx(participation_ratio(state), rel=1e-12)
 
 
@@ -463,7 +460,7 @@ def test_synthesize_raises_the_message_of_the_first_failing_ramp(monkeypatch):
     with pytest.warns(UserWarning, match="self-trapping"):
         params = ModelParams(L=13, J=1.0, Delta=1.0, phi=0.0, U=4e4)
     with pytest.raises(RuntimeError) as lone:
-        ramp_prepare(params, EXPERIMENT_RAMP, dt=1e-3)
+        ramp_prepare(params, EXPERIMENT_RAMP, "gs", dt=1e-3)
     ramped = []
 
     def recording_ramp(p, *args, **kwargs):

@@ -17,16 +17,16 @@ from nlaa import (
 
 
 def test_gaa_potential_reduces_to_cosine_at_alpha_zero():
-    gp = GaaParams(L=13, J=1.0, Delta=1.3, alpha=0.0, phi=0.4)
+    gp = GaaParams(L=13, Delta=1.3, alpha=0.0, phi=0.4)
     theta = 2 * np.pi * gp.beta * np.arange(13) + 0.4
     assert np.allclose(gaa_potential(gp), 1.3 * np.cos(theta), atol=1e-14)
 
 
 def test_gaa_params_validation():
     with pytest.raises(ValueError):
-        GaaParams(L=13, J=1.0, Delta=1.0, alpha=1.0)
+        GaaParams(L=13, Delta=1.0, alpha=1.0)
     with pytest.raises(ValueError):
-        GaaParams(L=13, J=1.0, Delta=1.0, alpha=-1.5)
+        GaaParams(L=13, Delta=1.0, alpha=-1.5)
 
 
 def test_mobility_edge_line():
@@ -40,7 +40,7 @@ def test_mobility_edge_line():
 def test_all_extended_spectrum_matches_line():
     # edge far above the band: no state is localized on either side of the
     # comparison
-    gp = GaaParams(L=233, J=1.0, Delta=1.0, alpha=0.3)
+    gp = GaaParams(L=233, Delta=1.0, alpha=0.3)
     cls = gaa_classify_spectrum(gp)
     assert cls.mobility_edge > np.max(cls.energies)
     assert not cls.predicted_localized.any()
@@ -50,7 +50,7 @@ def test_all_extended_spectrum_matches_line():
 
 
 def test_all_localized_spectrum_matches_line():
-    gp = GaaParams(L=233, J=1.0, Delta=3.5, alpha=0.3)
+    gp = GaaParams(L=233, Delta=3.5, alpha=0.3)
     cls = gaa_classify_spectrum(gp)
     assert cls.mobility_edge < np.min(cls.energies)
     assert cls.predicted_localized.all()
@@ -60,7 +60,7 @@ def test_all_localized_spectrum_matches_line():
 
 def test_edge_cutting_spectrum_classification():
     # the edge crosses the band: both families present, high agreement
-    gp = GaaParams(L=987, J=1.0, Delta=1.5, alpha=0.5)
+    gp = GaaParams(L=987, Delta=1.5, alpha=0.5)
     cls = gaa_classify_spectrum(gp)
     assert np.min(cls.energies) < cls.mobility_edge < np.max(cls.energies)
     assert cls.threshold is not None
@@ -73,11 +73,11 @@ def test_edge_cutting_spectrum_classification():
 
 
 def test_aa_limit_classification_without_edge():
-    ext = gaa_classify_spectrum(GaaParams(L=144, J=1.0, Delta=1.0, alpha=0.0))
+    ext = gaa_classify_spectrum(GaaParams(L=144, Delta=1.0, alpha=0.0))
     assert ext.mobility_edge is None
     assert not ext.predicted_localized.any()
     assert ext.misclassification == 0.0
-    loc = gaa_classify_spectrum(GaaParams(L=144, J=1.0, Delta=3.0, alpha=0.0))
+    loc = gaa_classify_spectrum(GaaParams(L=144, Delta=3.0, alpha=0.0))
     assert loc.predicted_localized.all()
     assert loc.observed_localized.all()
 

@@ -37,8 +37,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(L=1)
     with pytest.raises(ValueError):
-        ModelParams(L=21, beta=1.2)
-    with pytest.raises(ValueError):
         ModelParams(L=21, Delta=np.inf)
 
 
@@ -91,7 +89,6 @@ def test_state_normalizes_and_rejects_zero():
 def test_center_defaults_to_middle():
     assert LatticeState(np.ones(21)).center == 10
     assert LatticeState(np.ones(20)).center == 9
-    assert LatticeState(np.ones(5), center=1).center == 1
 
 
 def test_participation_ratio_limits():

@@ -511,13 +511,12 @@ def test_cell_key_covers_every_input(monkeypatch):
     variants = [cell_key(replace(params, **{name: value}), "gs", "ramped",
                          ramp, opts)
                 for name, value in [("L", 15), ("J", 0.5), ("Delta", 1.5 + 1e-15),
-                                    ("beta", 0.6), ("phi", 1.0), ("U", -0.3)]]
+                                    ("phi", 1.0), ("U", -0.3)]]
     variants += [cell_key(params, "es", "ramped", ramp, opts),
                  cell_key(params, "gs", "exact", None, opts)]
     variants += [cell_key(params, "gs", "ramped",
                           replace(ramp, **{name: value}), opts)
-                 for name, value in [("duration", 3.0), ("hold", 0.5),
-                                     ("target", "highest-excited")]]
+                 for name, value in [("duration", 3.0), ("hold", 0.5)]]
     variants += [cell_key(params, "gs", "ramped", ramp,
                           replace(opts, **{name: value}))
                  for name, value in [("residual_tol", 1e-9), ("max_iterations", 10)]]
