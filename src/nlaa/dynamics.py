@@ -3,10 +3,16 @@ Real-time propagation of the nonlinear AA model.
 
 The equation of motion i d(phi)/dt = H[phi] phi is integrated by scipy's
 compiled DOP853, the adaptive 8th-order Runge-Kutta method of Hairer,
-Norsett & Wanner (Solving ODEs I, 1993), at rtol = atol = ODE_TOL; the
-complex amplitudes pass through a float view. H[phi] phi is
-model.apply_stencil with the diagonal eps - U |phi|^2, and the recorded
-energy is model.energy_of.
+Norsett & Wanner (Solving ODEs I, 1993); the complex amplitudes pass through
+a float view. H[phi] phi is model.apply_stencil with the diagonal
+eps - U |phi|^2, and the recorded energy is model.energy_of.
+
+`evolve` and `ramp_prepare` take one chain or a batch of B chains, the rows
+of one ODE system of 2 B L real components. The rows share L, the snapshot
+grid and the ramp; each keeps its own eps, J and U. DOP853's error norm is
+the RMS over all components, so a batch runs at rtol = atol =
+ODE_TOL / sqrt(B), which keeps each row under the error bound of a lone run;
+a lone chain is the batch B = 1, at ODE_TOL.
 
 Snapshots lie on a time grid of step dt (default 1e-3 in units of hbar/J):
 one every `snapshot_stride` grid steps and one at the end, which is the grid
@@ -14,8 +20,9 @@ time round(t_final/dt) dt, not t_final itself. The integrator stops at each
 snapshot and restarts from it, with a step budget proportional to the
 interval. A ramp's hopping J(t) = J min(t/duration, 1) has a kink at
 t = duration, where the integrator also stops and restarts. The norm is
-monitored, never enforced: a drift beyond NORM_ABORT at a snapshot, or an
-integrator that fails within its budget, raises RuntimeError.
+monitored, never enforced: a row whose drift passes NORM_ABORT at a
+snapshot, or an integrator that fails within its budget, raises
+RuntimeError.
 
 scipy.integrate, with scipy.optimize and scipy.special behind it, is
 imported on first use, in `_propagate`: on top of numpy and scipy.linalg it
@@ -83,9 +90,13 @@ EXPERIMENT_RAMP = RampProtocol(duration=2.0 * np.pi * 275.0 * 1e-3)
 
 @dataclass
 class Trajectory:
-    """Snapshots of an evolution plus per-snapshot observables."""
+    """Snapshots of an evolution plus per-snapshot observables.
+
+    For a batch of B chains, each entry of `states` is the list of the B
+    rows' states, r, d and energy are (snapshots, B) arrays, and norm_drift
+    is the largest drift over the rows."""
     times: np.ndarray
-    states: list                     # list[LatticeState]
+    states: list                     # list[LatticeState], or of B-lists
     r: np.ndarray
     d: np.ndarray
     energy: np.ndarray
@@ -95,63 +106,92 @@ class Trajectory:
         return self.states[-1]
 
 
-class _Chain:
-    """Snapshots of one chain and the observables recorded at each."""
+class _RowAbort(RuntimeError):
+    """The norm of batch row `row` drifted past NORM_ABORT."""
+
+    def __init__(self, row, message):
+        super().__init__(message)
+        self.row = row
+
+
+class _Rows:
+    """Snapshots of the chains of a batch and the observables of each row."""
 
     def __init__(self, params):
-        self.eps = quasiperiodic_potential(params)
-        self.U = params.U
+        self.params = params
+        self.eps = np.array([quasiperiodic_potential(p) for p in params])
         self.times, self.states, self.r, self.d = [], [], [], []
         self.energy, self.drift = [], []
 
-    def record(self, t, v, J_now):
-        """Append the snapshot at t; a norm drift past NORM_ABORT raises."""
-        drift = abs(np.sum(np.abs(v) ** 2) - 1.0)
-        if not drift <= NORM_ABORT:           # False for NaN as well
-            raise RuntimeError(f"norm drift {drift:.3e} at t={t:.4f} "
-                               f"exceeds {NORM_ABORT}")
-        st = LatticeState(v)
+    def record(self, t, V, fraction):
+        """Append the snapshot at t of the rows V, at hopping fraction
+        J(t)/J; a row whose norm drift passes NORM_ABORT raises."""
+        drift = [abs(np.sum(np.abs(v) ** 2) - 1.0) for v in V]
+        for row, dr in enumerate(drift):
+            if not dr <= NORM_ABORT:          # False for NaN as well
+                where = f" in row {row}" if len(V) > 1 else ""
+                raise _RowAbort(row, f"norm drift {dr:.3e} at t={t:.4f} "
+                                     f"exceeds {NORM_ABORT}{where}")
+        states = [LatticeState(v) for v in V]
         self.times.append(t)
-        self.states.append(st)
-        self.r.append(participation_ratio(st))
-        self.d.append(momentum_width(st))
-        self.energy.append(float(energy_of(J_now, self.eps, self.U, st.amplitudes)))
+        self.states.append(states)
+        self.r.append([participation_ratio(st) for st in states])
+        self.d.append([momentum_width(st) for st in states])
+        self.energy.append([float(energy_of(p.J * fraction, eps, p.U, st.amplitudes))
+                            for p, eps, st in zip(self.params, self.eps, states)])
         self.drift.append(drift)
 
-    def trajectory(self) -> Trajectory:
+    def trajectory(self, lone) -> Trajectory:
+        """The Trajectory of row 0 if `lone`, else of the batch."""
+        r, d, energy, drift = (np.array(x) for x in
+                               (self.r, self.d, self.energy, self.drift))
+        if lone:
+            return Trajectory(times=np.array(self.times),
+                              states=[st[0] for st in self.states],
+                              r=r[:, 0], d=d[:, 0], energy=energy[:, 0],
+                              norm_drift=drift[:, 0])
         return Trajectory(times=np.array(self.times), states=self.states,
-                          r=np.array(self.r), d=np.array(self.d),
-                          energy=np.array(self.energy),
-                          norm_drift=np.array(self.drift))
+                          r=r, d=d, energy=energy, norm_drift=drift.max(axis=1))
 
 
-def _propagate(params, start, times, ramp):
-    """Integrate one chain from t = 0 through the snapshot `times`, stopping
-    at each and at the ramp's kink; `ramp` as in `evolve`. Returns the
-    Trajectory; an abort raises RuntimeError."""
+def _propagate(params, starts, times, ramp):
+    """Integrate the chains `params` (a list, one row each) from the states
+    `starts` through the snapshot `times`, as one system, stopping at each
+    snapshot and at the ramp's kink; `ramp` as in `evolve`. Returns the
+    recorded _Rows; an abort raises RuntimeError."""
     # imported here, not at module level: most subcommands never integrate
     from scipy.integrate import ode
 
-    chain = _Chain(params)
-    J, kink = params.J, np.inf if ramp is None else ramp.duration
-    hopping = ((lambda t: J) if ramp is None
-               else (lambda t: J * ramp.hopping_fraction(t)))
+    rows = _Rows(params)
+    B, L = rows.eps.shape
+    kink = np.inf if ramp is None else ramp.duration
+    fraction = (lambda t: 1.0) if ramp is None else ramp.hopping_fraction
+    # a lone chain keeps scalars and (L,) arrays: broadcasting (1, 1)
+    # columns would cost it about half again its time
+    shape = (L,) if B == 1 else (B, L)
+
+    def column(values):
+        return values[0] if B == 1 else np.array(values)[:, None]
+
+    J = column([p.J for p in params])
     # -i H[phi] phi with the -i folded into the stencil's inputs; the values
     # are exact, as times -i only swaps and negates a number's two parts
-    eps_i, U_i = -1j * chain.eps, 1j * params.U
+    eps_i, U_i = -1j * rows.eps.reshape(shape), column([1j * p.U for p in params])
+    tol = ODE_TOL / np.sqrt(B)      # the RMS over B rows: each within ODE_TOL
 
     def rhs(t, y):
-        v = y.view(complex)
+        v = y.view(complex).reshape(shape)
         diag = eps_i + U_i * (v.real ** 2 + v.imag ** 2)
-        return apply_stencil(-1j * hopping(t), diag, v).view(float)
+        return apply_stencil(-1j * (J * fraction(t)), diag, v).view(float).ravel()
 
-    chain.record(0.0, start.amplitudes, hopping(0.0))   # normalized: no abort
-    y, t0 = start.amplitudes.view(float), 0.0
+    V = np.array([st.amplitudes for st in starts])
+    rows.record(0.0, V, fraction(0.0))              # normalized: no abort
+    y, t0 = V.view(float).ravel(), 0.0
     for t in times:
         for stop in ((kink, t) if t0 < kink < t else (t,)):
             budget = max(MIN_STEP_BUDGET, STEPS_PER_TIME * (stop - t0))
             solver = ode(rhs).set_integrator(
-                "dop853", rtol=ODE_TOL, atol=ODE_TOL,
+                "dop853", rtol=tol, atol=tol,
                 nsteps=int(min(budget, MAX_STEP_BUDGET)))
             solver.set_initial_value(y, t0)
             with warnings.catch_warnings():   # the failure is reported below
@@ -162,8 +202,8 @@ def _propagate(params, start, times, ramp):
                 raise RuntimeError(f"DOP853 failed at t={solver.t:.4f}: "
                                    f"{DOP853_FAILURES.get(code, code)}")
             t0 = stop
-        chain.record(t, y.view(complex), hopping(t))
-    return chain.trajectory()
+        rows.record(t, y.view(complex).reshape(B, L), fraction(t))
+    return rows
 
 
 def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
@@ -173,12 +213,15 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
     `snapshot_stride=None` records none in between, which spares DOP853 a
     restart at each of them when only the final state is wanted.
 
-    The hopping is params.J unless `ramp` (a RampProtocol: the hopping is
-    params.J times ramp.hopping_fraction(t), with a restart at the kink)
-    replaces it. Observables recorded per snapshot: participation
-    ratio r, momentum width d (around the center site), energy E[phi] (with
-    the instantaneous J), and the norm drift |sum n - 1|. Returns a Trajectory;
-    a norm drift past NORM_ABORT or a failed integration raises RuntimeError.
+    `params` and `initial` are a ModelParams and a LatticeState, or lists
+    of them for a batch of chains of one L, integrated as one system (see
+    the module docstring). The hopping is params.J unless `ramp` (a
+    RampProtocol: the hopping is params.J times ramp.hopping_fraction(t),
+    with a restart at the kink) replaces it. Observables recorded per
+    snapshot: participation ratio r, momentum width d (around the center
+    site), energy E[phi] (with the instantaneous J), and the norm drift
+    |sum n - 1|. Returns a Trajectory; a norm drift past NORM_ABORT or a
+    failed integration raises RuntimeError.
     """
     if not 0 < dt <= 0.01:
         raise ValueError(f"dt must lie in (0, 0.01] (units hbar/J), got {dt}")
@@ -189,16 +232,27 @@ def evolve(params, initial, t_final, dt=DEFAULT_DT, snapshot_stride=100,
             not isinstance(snapshot_stride, (int, np.integer)) or snapshot_stride < 1):
         raise ValueError(f"snapshot stride must be an integer >= 1, "
                          f"got {snapshot_stride!r}")
-    if initial.L != params.L:
-        raise ValueError(f"the initial state has {initial.L} sites, the "
-                         f"chain L = {params.L}")
+    lone = isinstance(params, ModelParams)
+    params, initial = ([params], [initial]) if lone else (list(params), list(initial))
+    if not params or len(initial) != len(params):
+        raise ValueError(f"a batch needs one initial state per chain and at "
+                         f"least one chain, got {len(initial)} states for "
+                         f"{len(params)} chains")
+    for p, st in zip(params, initial):
+        if p.L != params[0].L:
+            raise ValueError(f"the chains of a batch share L, got L = "
+                             f"{params[0].L} and {p.L}")
+        if st.L != p.L:
+            raise ValueError(f"the initial state has {st.L} sites, the "
+                             f"chain L = {p.L}")
     n_steps = int(round(t_final / dt))
     stride = snapshot_stride or max(n_steps, 1)
     # the grid steps of the snapshots after t = 0: every stride-th and the last
     marks = range(stride, n_steps + stride, stride)
 
-    return _propagate(params, initial, (min(m, n_steps) * dt for m in marks),
+    rows = _propagate(params, initial, (min(m, n_steps) * dt for m in marks),
                       ramp)
+    return rows.trajectory(lone)
 
 
 def transport_experiment(params: ModelParams, t_final, dt=DEFAULT_DT,
@@ -216,24 +270,37 @@ def transport_experiment(params: ModelParams, t_final, dt=DEFAULT_DT,
 def ramp_prepare(params_target, protocol: RampProtocol, kind, dt=DEFAULT_DT,
                  snapshot_stride=None):
     """Finite-velocity preparation of the ground ("gs") or highest-excited
-    ("es") state of `params_target`.
+    ("es") state of `params_target`, a ModelParams or a list of them (of one
+    L) ramped as one batch by `evolve`.
 
-    The chain starts in the J=0 ground state, i.e. all population on the
+    Each chain starts in its J=0 ground state, i.e. all population on the
     site minimizing eps_j (ties broken toward lower site energy, then lower
     index), and J is ramped linearly to its target over the protocol
     duration, followed by an optional hold. For kind 'es' the whole
     procedure runs on the negated model, whose ground state is the excited
     state of the original; the returned state is reported as-is (densities
-    and r are negation-invariant).
+    and r are negation-invariant), and the energies are negated back to
+    E[phi] of `params_target`. A row whose norm drift aborts raises its
+    RuntimeError naming its Delta.
 
-    Returns (final LatticeState, Trajectory); the trajectory holds t = 0
-    and the end unless a `snapshot_stride` asks for snapshots in between.
+    Returns (final LatticeState, Trajectory), or the list of the final
+    states and the batch's Trajectory; the trajectory holds t = 0 and the
+    end unless a `snapshot_stride` asks for snapshots in between.
     """
     if kind not in ("gs", "es"):
         raise ValueError(f"kind must be 'gs' or 'es', got {kind!r}")
-    chain = params_target if kind == "gs" else params_target.negated()
-    site = int(np.argmin(quasiperiodic_potential(chain)))   # lowest index on ties
-    initial = LatticeState.single_site(chain.L, site)
-    traj = evolve(chain, initial, protocol.duration + protocol.hold, dt=dt,
-                  snapshot_stride=snapshot_stride, ramp=protocol)
+    lone = isinstance(params_target, ModelParams)
+    targets = [params_target] if lone else list(params_target)
+    chains = targets if kind == "gs" else [p.negated() for p in targets]
+    initial = [LatticeState.single_site(c.L, int(np.argmin(quasiperiodic_potential(c))))
+               for c in chains]         # argmin: the lowest index on ties
+    if lone:
+        chains, initial = chains[0], initial[0]
+    try:
+        traj = evolve(chains, initial, protocol.duration + protocol.hold, dt=dt,
+                      snapshot_stride=snapshot_stride, ramp=protocol)
+    except _RowAbort as exc:
+        raise RuntimeError(f"{exc} at Delta = {targets[exc.row].Delta}") from None
+    if kind == "es":            # E[phi] is odd under the negation
+        traj.energy = -traj.energy
     return traj.final_state(), traj

@@ -240,18 +240,21 @@ def synthesize_measurement(u, deltas, L=21, kind="gs", noise_sigma=0.0,
                            floor=0.0, seed=12345, phi=0.0, dt=1e-3):
     """Emulated measured r(Delta) points from ramp-prepared states.
 
-    In Delta order, each Delta's state is prepared by EXPERIMENT_RAMP (a
-    ramp that aborts raises its RuntimeError), an optional uniform
-    population floor is added on all sites before renormalization
-    (n -> (n + floor)/sum), and Gaussian noise of width `noise_sigma` is
-    added to r. Returns an (n, 2) array of (delta, r) rows; identical
-    arguments and seed reproduce the array bitwise.
+    The states of all Delta are prepared by EXPERIMENT_RAMP as one batch of
+    `ramp_prepare` (each row within the error bound of its lone ramp; a row
+    that aborts raises its RuntimeError, which names its Delta). In Delta
+    order, an optional uniform population floor is added on all sites
+    before renormalization (n -> (n + floor)/sum), and Gaussian noise of
+    width `noise_sigma` is added to r. Returns an (n, 2) array of (delta, r)
+    rows; identical arguments and seed reproduce the array bitwise.
     """
     rng = np.random.default_rng(seed)
+    deltas = np.asarray(deltas, dtype=float)
+    targets = [ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
+               for delta in deltas]
+    finals, _ = ramp_prepare(targets, EXPERIMENT_RAMP, kind, dt=dt)
     rows = []
-    for delta in np.asarray(deltas, dtype=float):
-        p = ModelParams(L=L, J=1.0, Delta=float(delta), phi=phi, U=float(u))
-        final, _ = ramp_prepare(p, EXPERIMENT_RAMP, kind, dt=dt)
+    for delta, final in zip(deltas, finals):
         n = final.density
         if floor > 0:
             n = n + floor

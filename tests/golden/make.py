@@ -1,5 +1,5 @@
 """Write tests/golden/<cmd>.json, the pinned oracle of the `scan`, `phases`,
-`solve`, `ramp` and `gaa-me` subcommands at small sizes.
+`solve`, `ramp`, `evolve` and `gaa-me` subcommands at small sizes.
 
 Each file holds one CLI call (ARGV below) and what it wrote, read back
 from its CSVs and JSONs by `record()`:
@@ -12,6 +12,9 @@ from its CSVs and JSONs by `record()`:
   its most populated site, and the echoed parameters;
 - ramp (L = 13, es): the snapshot times and r, <d> and E at each, r of the
   ramped and of the exact state, and the echoed ramp and parameters;
+- evolve (L = 13, t_final = 1, Delta = 1, U = 0.8): the snapshot times, r,
+  <d>, E and the norm drift at each, the final r and <d> and the largest
+  drift, and the echoed parameters, t_final and dt;
 - gaa-me (L = 144): the energies, r and localized labels of the spectrum,
   the mobility edge, the misclassified share and the r threshold.
 
@@ -42,6 +45,8 @@ ARGV = {
               "--delta-over-j", "1.5"],
     "ramp": ["ramp", "--L", "13", "--kind", "es", "--u-over-j", "0.3",
              "--delta-over-j", "1"],
+    "evolve": ["evolve", "--L", "13", "--t-final", "1", "--delta-over-j", "1",
+               "--u-over-j", "0.8"],
     "gaa-me": ["gaa-me", "--L", "144", "--alpha", "0.3"],
 }
 HERE = Path(__file__).resolve().parent
@@ -107,6 +112,17 @@ def _read_ramp(out):
                 (1, "participation_ratio"), (2, "momentum_width"), (3, "energy"))}}
 
 
+def _read_evolve(out):
+    info = json.loads((out / "evolve.json").read_text())
+    rows = _rows(out / "trajectory.csv")[1]
+    return {**{k: info[k] for k in ("params", "t_final", "dt")},
+            "final": {k: info[k] for k in ("final_r", "final_d", "max_norm_drift")},
+            "times": _column(rows, 0),
+            "trajectory": {name: _column(rows, col) for col, name in (
+                (1, "participation_ratio"), (2, "momentum_width"), (3, "energy"),
+                (4, "norm_drift"))}}
+
+
 def _read_gaa(out):
     info = json.loads((out / "gaa.json").read_text())
     rows = _rows(out / "gaa_spectrum.csv")[1]
@@ -119,7 +135,7 @@ def _read_gaa(out):
 
 
 READ = {"scan": _read_scan, "phases": _read_phases, "solve": _read_solve,
-        "ramp": _read_ramp, "gaa-me": _read_gaa}
+        "ramp": _read_ramp, "evolve": _read_evolve, "gaa-me": _read_gaa}
 
 
 def record(cmd, out):

@@ -22,6 +22,7 @@ from nlaa import (
 )
 from nlaa import dynamics
 from nlaa.dynamics import EXPERIMENT_RAMP
+from nlaa.model import energy_of
 
 # a short ramp keeps the abort tests fast; an abort comes within it
 SHORT_RAMP = RampProtocol(duration=0.4, hold=0.1)
@@ -226,6 +227,27 @@ def test_ramped_r_matches_the_rk4_reference(kind, delta, r_rk4):
     assert abs(participation_ratio(final) - r_rk4) <= 1e-6
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["lone", "batch"])
+@pytest.mark.parametrize("kind", ["gs", "es"])
+def test_ramp_energies_are_those_of_the_model_asked_for(kind, batch):
+    # es runs on the negated model, and E[phi] is odd under the negation:
+    # the energies are negated back, as `solve --kind es` reports E
+    targets = [ModelParams(L=13, J=1.0, Delta=d, U=0.3) for d in (1.0, 2.0)]
+    targets = targets if batch else targets[:1]
+    _, traj = ramp_prepare(targets if batch else targets[0], EXPERIMENT_RAMP,
+                           kind, snapshot_stride=100)
+    states = traj.states if batch else [[st] for st in traj.states]
+    energy = traj.energy if batch else traj.energy[:, None]
+    for row, p in enumerate(targets):
+        eps = quasiperiodic_potential(p)
+        for t, st, e in zip(traj.times, states, energy[:, row]):
+            J_t = p.J * EXPERIMENT_RAMP.hopping_fraction(t)
+            assert e == energy_of(J_t, eps, p.U, st[row].amplitudes)
+        # all population starts on one site j, where E = eps_j - U/2
+        site = np.argmin(eps) if kind == "gs" else np.argmax(eps)
+        assert energy[0, row] == eps[site] - 0.5 * p.U
+
+
 def test_ramp_prepare_rejects_a_kind_other_than_gs_or_es():
     with pytest.raises(ValueError, match="kind must be 'gs' or 'es', got 'both'"):
         ramp_prepare(ModelParams(L=13, Delta=1.0), EXPERIMENT_RAMP, "both")
@@ -274,3 +296,76 @@ def test_ramp_integration_stops_at_the_kink(monkeypatch):
     assert EXPERIMENT_RAMP.duration not in traj.times
     assert stops == sorted(set(stops))
     assert set(stops) == set(traj.times[1:]) | {EXPERIMENT_RAMP.duration}
+
+
+# -------------------------
+# Batches: one DOP853 system of B chains
+# -------------------------
+
+BATCH_DELTAS = np.linspace(0.2, 3.4, 40)        # fit --synthesize's default
+
+
+@pytest.mark.parametrize("kind", ["gs", "es"])
+def test_a_one_row_batch_is_bitwise_the_lone_ramp(kind):
+    p = ModelParams(L=21, J=1.0, Delta=1.7, U=0.3)
+    lone_final, lone = ramp_prepare(p, EXPERIMENT_RAMP, kind, snapshot_stride=250)
+    (final,), batch = ramp_prepare([p], EXPERIMENT_RAMP, kind, snapshot_stride=250)
+    assert final.amplitudes.tobytes() == lone_final.amplitudes.tobytes()
+    assert batch.times.tobytes() == lone.times.tobytes()
+    for name in ("r", "d", "energy"):
+        assert getattr(batch, name).shape == (lone.times.size, 1)
+        assert getattr(batch, name)[:, 0].tobytes() == getattr(lone, name).tobytes()
+    assert batch.norm_drift.tobytes() == lone.norm_drift.tobytes()
+    for (row,), st in zip(batch.states, lone.states):
+        assert row.amplitudes.tobytes() == st.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("L", [13, 21, 34])
+@pytest.mark.parametrize("kind", ["gs", "es"])
+def test_each_row_of_a_batch_is_within_1e_9_of_its_lone_ramp(kind, L):
+    # the batch runs at ODE_TOL / sqrt(40), so each row keeps the error
+    # bound of a lone run; the rows need not take the lone runs' steps
+    for U in (-0.5, 0.3, 1.0):
+        targets = [ModelParams(L=L, J=1.0, Delta=float(d), U=U)
+                   for d in BATCH_DELTAS]
+        finals, traj = ramp_prepare(targets, EXPERIMENT_RAMP, kind)
+        assert traj.r.shape == (2, 40) and traj.norm_drift.shape == (2,)
+        assert np.max(traj.norm_drift) <= dynamics.NORM_ABORT
+        for p, final, r in zip(targets, finals, traj.r[-1]):
+            lone, _ = ramp_prepare(p, EXPERIMENT_RAMP, kind)
+            assert r == participation_ratio(final)
+            assert abs(r - participation_ratio(lone)) <= 1e-9, (U, p.Delta)
+
+
+@pytest.mark.parametrize("kind", ["gs", "es"])
+def test_a_row_past_the_norm_threshold_aborts_the_batch_naming_its_delta(
+        monkeypatch, kind):
+    # at U/J = 400 the norm drifts by ~1e-8 over the short ramp; the row's
+    # Delta is that of the target, also where es integrates the negated model
+    monkeypatch.setattr(dynamics, "NORM_ABORT", 1e-10)
+    calm = ModelParams(L=13, J=1.0, Delta=1.0, U=0.3)
+    with pytest.warns(UserWarning, match="self-trapping"):
+        drifting = ModelParams(L=13, J=1.0, Delta=2.5, U=400.0)
+        with pytest.raises(RuntimeError, match=r"^norm drift .* exceeds 1e-10 "
+                                               r"in row 1 at Delta = 2\.5$"):
+            ramp_prepare([calm, drifting], SHORT_RAMP, kind)
+
+
+def test_a_batch_that_the_integrator_cannot_follow_raises():
+    with pytest.warns(UserWarning, match="self-trapping"):
+        wild = ModelParams(L=13, J=1.0, Delta=2.0, U=4e4)
+    calm = ModelParams(L=13, J=1.0, Delta=1.0, U=0.3)
+    with pytest.raises(RuntimeError, match="DOP853 failed at t="):
+        ramp_prepare([calm, wild], SHORT_RAMP, "gs")
+
+
+def test_a_batch_takes_one_initial_state_per_chain_of_one_length():
+    st13, st15 = LatticeState.single_site(13, 6), LatticeState.single_site(15, 7)
+    with pytest.raises(ValueError, match="one initial state per chain"):
+        evolve([ModelParams(L=13)] * 2, [st13], 0.5)
+    with pytest.raises(ValueError, match="one initial state per chain"):
+        evolve([], [], 0.5)
+    with pytest.raises(ValueError, match="share L"):
+        evolve([ModelParams(L=13), ModelParams(L=15)], [st13, st15], 0.5)
+    with pytest.raises(ValueError, match="initial state has 15 sites"):
+        evolve([ModelParams(L=13)] * 2, [st13, st15], 0.5)

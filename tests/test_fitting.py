@@ -7,7 +7,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlaa import fitting
+from nlaa import dynamics, fitting
 from nlaa.cli import main
 from nlaa.dynamics import EXPERIMENT_RAMP, ramp_prepare
 from nlaa.fitting import (
@@ -19,7 +19,7 @@ from nlaa.fitting import (
     piecewise_model,
     synthesize_measurement,
 )
-from nlaa.model import ModelParams, participation_ratio
+from nlaa.model import ModelParams, participation_of, participation_ratio
 
 TRUE = dict(A=0.6, B=1.0 / 21.0, gamma=1.2, delta_c=1.8)
 # grid chosen so the true delta_c = 1.8 is exactly an interval midpoint
@@ -432,47 +432,56 @@ def test_non_finite_data_is_rejected_at_ingress(column, name, bad):
 # -------------------------
 
 def test_synthesize_matches_direct_ramp_preparation():
-    proto = EXPERIMENT_RAMP
-    out = synthesize_measurement(0.3, [1.0, 2.5], L=13)
-    noisy = synthesize_measurement(0.3, [1.0, 2.5], L=13, noise_sigma=0.01,
-                                   seed=5)
-    rng = np.random.default_rng(5)          # noise is drawn in Delta order
+    # every Delta is ramped in one batch: r is that of the batch's states,
+    # within 1e-9 of each lone ramp, and the noise is drawn in Delta order
+    deltas = (1.0, 2.5)
+    out = synthesize_measurement(0.3, deltas, L=13)
+    noisy = synthesize_measurement(0.3, deltas, L=13, noise_sigma=0.01, seed=5)
+    rng = np.random.default_rng(5)
+    targets = [ModelParams(L=13, J=1.0, Delta=d, phi=0.0, U=0.3) for d in deltas]
+    batch, _ = ramp_prepare(targets, EXPERIMENT_RAMP, "gs", dt=1e-3)
     assert out.shape == (2, 2)
-    for k, delta in enumerate((1.0, 2.5)):
-        params = ModelParams(L=13, J=1.0, Delta=delta, phi=0.0, U=0.3)
-        state, _ = ramp_prepare(params, proto, "gs", dt=1e-3)
-        assert out[k, 0] == delta
-        assert out[k, 1] == pytest.approx(participation_ratio(state),
-                                          rel=1e-12)
+    for k, (params, state) in enumerate(zip(targets, batch)):
+        lone, _ = ramp_prepare(params, EXPERIMENT_RAMP, "gs", dt=1e-3)
+        assert out[k, 0] == params.Delta
+        assert out[k, 1] == participation_of(state.density)
+        assert abs(out[k, 1] - participation_ratio(lone)) <= 1e-9
         assert noisy[k, 1] == out[k, 1] + rng.normal(0.0, 0.01)
 
 
 def test_synthesize_es_kind_uses_excited_target():
-    out = synthesize_measurement(0.3, [1.5], L=13, kind="es")
-    params = ModelParams(L=13, J=1.0, Delta=1.5, phi=0.0, U=0.3)
-    state, _ = ramp_prepare(params, EXPERIMENT_RAMP, "es", dt=1e-3)
-    assert out[0, 1] == pytest.approx(participation_ratio(state), rel=1e-12)
+    deltas = (1.5, 2.0)
+    out = synthesize_measurement(0.3, deltas, L=13, kind="es")
+    ground = synthesize_measurement(0.3, deltas, L=13)
+    for k, delta in enumerate(deltas):
+        params = ModelParams(L=13, J=1.0, Delta=delta, phi=0.0, U=0.3)
+        state, _ = ramp_prepare(params, EXPERIMENT_RAMP, "es", dt=1e-3)
+        assert abs(out[k, 1] - participation_ratio(state)) <= 1e-9
+        assert abs(out[k, 1] - ground[k, 1]) > 1e-3
 
 
 def test_synthesize_raises_the_message_of_the_first_failing_ramp(monkeypatch):
-    # U/J = 4e4 outruns DOP853's step budget at every Delta: the lone ramp
-    # of the first Delta raises its message, and no later Delta is ramped
+    # U/J = 4e4 outruns DOP853's step budget (it needs about 1e5 steps per
+    # unit time; 1e3 keeps the test short): the first failing ramp is the
+    # one ramp of all Delta, and its message is the integrator's
+    monkeypatch.setattr(dynamics, "STEPS_PER_TIME", 1e3)
     with pytest.warns(UserWarning, match="self-trapping"):
-        params = ModelParams(L=13, J=1.0, Delta=1.0, phi=0.0, U=4e4)
-    with pytest.raises(RuntimeError) as lone:
-        ramp_prepare(params, EXPERIMENT_RAMP, "gs", dt=1e-3)
+        targets = [ModelParams(L=13, J=1.0, Delta=d, phi=0.0, U=4e4)
+                   for d in (1.0, 2.0)]
+    with pytest.raises(RuntimeError) as batch:
+        ramp_prepare(targets, EXPERIMENT_RAMP, "gs", dt=1e-3)
     ramped = []
 
     def recording_ramp(p, *args, **kwargs):
-        ramped.append(p.Delta)
+        ramped.append([q.Delta for q in p])
         return ramp_prepare(p, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "ramp_prepare", recording_ramp)
     with pytest.warns(UserWarning, match="self-trapping"):
-        with pytest.raises(RuntimeError) as synthesized:
+        with pytest.raises(RuntimeError, match="DOP853 failed at t=") as synthesized:
             synthesize_measurement(4e4, [1.0, 2.0], L=13)
-    assert str(synthesized.value) == str(lone.value)
-    assert ramped == [1.0]
+    assert str(synthesized.value) == str(batch.value)
+    assert ramped == [[1.0, 2.0]]
 
 
 def test_population_floor_raises_r_of_localized_state():

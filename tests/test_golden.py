@@ -1,13 +1,13 @@
-"""`scan`, `phases`, `solve`, `ramp` and `gaa-me` against their pinned
-oracle, tests/golden/<cmd>.json.
+"""`scan`, `phases`, `solve`, `ramp`, `evolve` and `gaa-me` against their
+pinned oracle, tests/golden/<cmd>.json.
 
 Each oracle is one small CLI call and what it wrote (tests/golden/make.py
 runs the call and reads the outputs; this test reruns it through the same
 `record()`). Labels, flags, counts, grids and echoed inputs must equal the
 oracle. The computed quantities named in TOLERANCE may move within the
 benchmark's own tolerances in perfbench/reference.py: r of solved states
-within R_TOL, Delta_c within DELTA_C_TOL, ramp observables within RK4_TOL
-(times max(1, |value|)) and linear energies within ENERGY_TOL. A change
+within R_TOL, Delta_c within DELTA_C_TOL, ramp and evolve observables within
+RK4_TOL (times max(1, |value|)) and linear energies within ENERGY_TOL. A change
 which reorders float arithmetic in the solver passes, while one that moves
 a state or a transition does not.
 """
@@ -41,6 +41,7 @@ def _reference():
 
 ref = _reference()
 make = _load("golden_make", GOLDEN / "make.py")
+make_fit = _load("golden_make_fit", GOLDEN / "make_fit.py")
 
 
 def _absolute(tol):
@@ -63,7 +64,8 @@ TOLERANCE = {
     "delta_c_gs": _absolute(ref.DELTA_C_TOL),           # phases
     "delta_c_es": _absolute(ref.DELTA_C_TOL),
     "r_ramped": _scaled(ref.RK4_TOL),                   # ramp
-    "trajectory": _scaled(ref.RK4_TOL),
+    "trajectory": _scaled(ref.RK4_TOL),                 # ramp, evolve
+    "final": _scaled(ref.RK4_TOL),                      # evolve
     "energies": _absolute(ref.ENERGY_TOL),              # gaa-me
     "mobility_edge": _absolute(ref.ENERGY_TOL),
 }
@@ -110,3 +112,17 @@ def test_r_and_delta_c_within_tolerance(case):
             assert g is None and w is None, path
         else:
             assert abs(g - w) <= tol(w), (path, g, w)
+
+
+FIT_CASES = json.loads((GOLDEN / "fit.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", FIT_CASES, ids=lambda case: f"seed{case['seed']}")
+def test_ramped_fit_data_within_rk4_tol_of_the_fit_oracle(case):
+    """The data of tests/golden/fit.json, ramped again by make_fit (every
+    Delta in one batch): Delta exact, r within RK4_TOL max(1, |r|)."""
+    got = make_fit.ramp_fit_data(case["seed"])
+    want = case["data"]
+    assert [row[0] for row in got.tolist()] == [row[0] for row in want]
+    for (_, g), (delta, w) in zip(got.tolist(), want):
+        assert abs(g - w) <= ref.RK4_TOL * max(1.0, abs(w)), (delta, g, w)
