@@ -24,10 +24,10 @@ monitored, never enforced: a row whose drift passes NORM_ABORT at a
 snapshot, or an integrator that fails within its budget, raises
 RuntimeError.
 
-scipy.integrate, with scipy.optimize and scipy.special behind it, is
-imported on first use, in `_propagate`: on top of numpy and scipy.linalg it
-costs about 0.2 s and 24 MB of RSS at import, which a default `scan`,
-`phases` and `gaa-me` never need.
+scipy.integrate, with scipy.linalg, scipy.optimize and scipy.special behind
+it, is imported on first use, in `_propagate`: on top of numpy and the LAPACK
+module that eigensolve loads it costs about 0.4 s and 40 MB of RSS at
+import, which a default `scan`, `phases` and `gaa-me` never need.
 """
 
 import warnings

@@ -2,7 +2,10 @@
 Eigenstates of the (non)linear AA lattice model.
 
 Linear spectra come from dense symmetric tridiagonal diagonalization. The
-nonlinear ground state is found variationally on the unit sphere:
+LAPACK routines come from scipy's compiled module scipy/linalg/_flapack,
+loaded from its file so that the scipy.linalg package is not imported, or
+from scipy.linalg.lapack where that private file or a routine is missing.
+The nonlinear ground state is found variationally on the unit sphere:
 
   stage A  normalized imaginary-time gradient flow from the linear ground
            state (robust far from the solution; energy is monotone under
@@ -46,15 +49,61 @@ kind 'gs' as given and kind 'es' on the negated params, reporting mu and E
 negated back.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .model import (LatticeState, ModelParams, apply_stencil, energy_of,
                     quasiperiodic_potential)
+
+_LAPACK_ROUTINES = ("dgtsv", "dstebz", "dstein", "dstevd")
+
+
+def _flapack_file():
+    """Path of scipy's extension module scipy/linalg/_flapack, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_lapack():
+    """scipy's _flapack module, loaded from its file: importing it as
+    scipy.linalg._flapack would first run scipy/linalg/__init__.py and
+    scipy's array-API layer, which take most of the CLI's start-up. Falls
+    back to scipy.linalg.lapack (the same routines) if the file is missing,
+    does not load, or lacks one of _LAPACK_ROUTINES."""
+    path = _flapack_file()
+    if path is not None:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        registered = spec.name in sys.modules
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            module = None
+        if not registered:
+            # CPython enters the extension in sys.modules; without that entry
+            # a later `import scipy.linalg` loads it as a plain import would
+            # (from CPython's cache of initialized extensions) and binds it
+            # as the package's attribute
+            sys.modules.pop(spec.name, None)
+        if all(hasattr(module, name) for name in _LAPACK_ROUTINES):
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+dgtsv, dstebz, dstein, dstevd = (getattr(_load_lapack(), name)
+                                 for name in _LAPACK_ROUTINES)
 
 IMAG_TIME_STEP = 0.05     # stage A's first step size
 SCF_MIXING = 0.3          # stage B's first density-mixing weight
@@ -96,11 +145,20 @@ def linear_spectrum(L, J, potential):
     `potential` is the length-L on-site vector; the off-diagonal is the
     uniform hopping J. Eigenvectors are columns, normalized, with the sign
     fixed so the largest-magnitude component is positive.
+
+    Calls LAPACK dstevd as scipy's eigh_tridiagonal(eps, off) does, bit for
+    bit, with its ValueError on a non-finite input and its 1 x 1 shortcut.
     """
-    eps = np.asarray(potential, dtype=float)
+    eps = np.asarray_chkfinite(potential, dtype=float)
     if eps.shape != (L,):
         raise ValueError(f"potential length {eps.shape} does not match L={L}")
-    w, v = eigh_tridiagonal(eps, np.full(L - 1, float(J)))
+    off = np.asarray_chkfinite(np.full(L - 1, float(J)))
+    if L == 1:
+        return eps.copy(), np.array([[1.0]])
+    w, v, info = dstevd(eps, off, compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal eigen-solve did not converge (LAPACK info={info})")
     for k in range(L):
         i = np.argmax(np.abs(v[:, k]))
         if v[i, k] < 0:

@@ -1,5 +1,5 @@
-"""Write tests/golden/<cmd>.json, the pinned oracle of the `scan`, `phases`,
-`solve`, `ramp`, `evolve` and `gaa-me` subcommands at small sizes.
+"""Write tests/golden/<cmd>.json, the pinned oracle of every nlaa subcommand
+but `fit` (tests/golden/make_fit.py) at small sizes.
 
 Each file holds one CLI call (ARGV below) and what it wrote, read back
 from its CSVs and JSONs by `record()`:
@@ -16,7 +16,14 @@ from its CSVs and JSONs by `record()`:
   <d>, E and the norm drift at each, the final r and <d> and the largest
   drift, and the echoed parameters, t_final and dt;
 - gaa-me (L = 144): the energies, r and localized labels of the spectrum,
-  the mobility edge, the misclassified share and the r threshold.
+  the mobility edge, the misclassified share and the r threshold;
+- alpha-star (L = 13, U = -0.25, 0, 0.25): Delta_c, the chemical potential
+  at Delta_c and alpha* of both kinds per U, and the slope, intercept and
+  R^2 of the straight line through alpha*(U);
+- bragg-schedule (Delta = 1.5, J/h = 275 Hz): the bond labels, detunings and
+  phases, and the echoed parameters with the recoil energy and wavenumber;
+- interaction-sweep (L = 13, t_final = 1, Delta = 1, five U): the final <d>
+  and r at each U.
 
 Each also counts the eigen-solves the call ran (`solves`). The CSVs print
 12 significant digits, and JSON stores the floats read back from them by
@@ -35,6 +42,7 @@ import tempfile
 from pathlib import Path
 
 import nlaa
+import nlaa.gaa as gaa
 import nlaa.phasescan as phasescan
 from nlaa import cli
 
@@ -48,6 +56,12 @@ ARGV = {
     "evolve": ["evolve", "--L", "13", "--t-final", "1", "--delta-over-j", "1",
                "--u-over-j", "0.8"],
     "gaa-me": ["gaa-me", "--L", "144", "--alpha", "0.3"],
+    "alpha-star": ["alpha-star", "--L", "13", "--u-values", "-0.25,0,0.25",
+                   "--delta-max", "4", "--delta-step", "0.25"],
+    "bragg-schedule": ["bragg-schedule", "--delta-over-j", "1.5",
+                       "--j-hz", "275"],
+    "interaction-sweep": ["interaction-sweep", "--L", "13", "--t-final", "1",
+                          "--delta-over-j", "1", "--u-step", "0.4"],
 }
 HERE = Path(__file__).resolve().parent
 
@@ -134,13 +148,39 @@ def _read_gaa(out):
                                          (4, "observed_localized"), (5, "agree"))}}
 
 
+def _read_alpha_star(out):
+    info = json.loads((out / "alpha_star.json").read_text())
+    rows = _rows(out / "alpha_star.csv")[1]
+    return {"energy_definition": info["energy_definition"], "L": info["L"],
+            **{name: _column(rows, col) for col, name in enumerate((
+                "u", "delta_c_gs", "delta_c_es", "e_c_gs", "e_c_es",
+                "alpha_star"))},
+            "line": {k: info[k] for k in ("slope", "intercept", "r_squared")}}
+
+
+def _read_bragg(out):
+    rows = _rows(out / "bragg.csv")[1]
+    return {**json.loads((out / "bragg.json").read_text()),
+            "bond_j": _column(rows, 0, int), "detuning_over_2pi_hz":
+            _column(rows, 1), "phase_rad": _column(rows, 2)}
+
+
+def _read_sweep(out):
+    rows = _rows(out / "sweep.csv")[1]
+    return {"u": _column(rows, 0), "final": {
+        "momentum_width": _column(rows, 1), "participation_ratio": _column(rows, 2)}}
+
+
 READ = {"scan": _read_scan, "phases": _read_phases, "solve": _read_solve,
-        "ramp": _read_ramp, "evolve": _read_evolve, "gaa-me": _read_gaa}
+        "ramp": _read_ramp, "evolve": _read_evolve, "gaa-me": _read_gaa,
+        "alpha-star": _read_alpha_star, "bragg-schedule": _read_bragg,
+        "interaction-sweep": _read_sweep}
 
 
 def record(cmd, out):
     """Run ARGV[cmd] into the directory `out` and return what it wrote, with
-    the number of eigen-solves it ran (the scan's cells and the CLI's own)."""
+    the number of eigen-solves it ran (the scan's cells, alpha-star's states
+    at Delta_c and the CLI's own)."""
     calls = []
 
     def counted(solve):
@@ -149,12 +189,12 @@ def record(cmd, out):
             return solve(*args, **kwargs)
         return count
 
-    solvers = phasescan.solve_state, cli.solve_state
-    phasescan.solve_state, cli.solve_state = map(counted, solvers)
+    solvers = phasescan.solve_state, gaa.solve_state, cli.solve_state
+    phasescan.solve_state, gaa.solve_state, cli.solve_state = map(counted, solvers)
     try:
         code = cli.main(ARGV[cmd] + ["--out", str(out)])
     finally:
-        phasescan.solve_state, cli.solve_state = solvers
+        phasescan.solve_state, gaa.solve_state, cli.solve_state = solvers
     if code != 0:
         raise RuntimeError(f"nlaa {' '.join(ARGV[cmd])} exited with {code}")
     return {"argv": ARGV[cmd], **READ[cmd](Path(out)), "solves": len(calls)}

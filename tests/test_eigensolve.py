@@ -1,12 +1,13 @@
 """Self-consistent ground/excited eigenstate solver."""
 
+import importlib.machinery
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.linalg.lapack import dgtsv as dgtsv_lapack
 
 from nlaa import (
@@ -85,6 +86,77 @@ def test_sign_convention_largest_component_positive():
     for k in range(L):
         col = evecs[:, k]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+@pytest.mark.parametrize("L", [1, 2, 21, 987])
+def test_linear_spectrum_is_bitwise_eigh_tridiagonal(L):
+    eps = np.random.default_rng(L).uniform(-1.3, 1.3, L)
+    w, v = eigh_tridiagonal(eps, np.full(L - 1, 0.8))
+    for k in range(L):
+        if v[np.argmax(np.abs(v[:, k])), k] < 0:
+            v[:, k] = -v[:, k]
+    w_fast, v_fast = linear_spectrum(L, 0.8, eps)
+    assert _bits(w_fast) == _bits(w)
+    assert _bits(v_fast) == _bits(v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_spectrum_rejects_a_non_finite_potential(bad):
+    eps = np.zeros(7)
+    eps[3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        linear_spectrum(7, 1.0, eps)
+
+
+# -------------------------
+# LAPACK loader: scipy's _flapack file, or scipy.linalg.lapack
+# -------------------------
+
+def _lapack_results(lib, d, off):
+    """Every output of the four routines nlaa binds, called from `lib` as the
+    solver calls them, on the tridiagonal (d, off)."""
+    rhs = np.array([d, np.roll(d, 1)]).T
+    *_, x, info = lib.dgtsv(off, d, off, rhs)
+    m, w, iblock, isplit, info_z = lib.dstebz(d, off, 2, 0.0, 1.0, 1, len(d),
+                                              0.0, "B")
+    v, info_s = lib.dstein(d, off, w[:m], iblock, isplit)
+    w_all, v_all, info_d = lib.dstevd(d, off, compute_v=1)
+    return [_bits(out) for out in (x, w, iblock, isplit, v, w_all, v_all,
+                                   [info, m, info_z, info_s, info_d])]
+
+
+def _tridiagonal(L, J, scale, seed):
+    return (scale * np.random.default_rng(seed).uniform(-1.0, 1.0, L),
+            np.full(L - 1, J))
+
+
+def test_loader_takes_scipys_compiled_module():
+    assert eigensolve._load_lapack().__name__ == "scipy.linalg._flapack"
+
+
+@given(L=st.integers(2, 200), J=st.floats(-2.0, 2.0), scale=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_loaded_routines_are_bitwise_scipy_linalg_lapack(L, J, scale, seed):
+    d, off = _tridiagonal(L, J, scale, seed)
+    assert _lapack_results(eigensolve, d, off) == _lapack_results(lapack, d, off)
+
+
+@pytest.mark.parametrize("hide", ["file", "load", "routine"])
+def test_loader_falls_back_to_scipy_linalg_lapack(monkeypatch, tmp_path, hide):
+    if hide == "file":
+        monkeypatch.setattr(eigensolve, "_flapack_file", lambda: None)
+    elif hide == "load":
+        junk = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        junk.write_bytes(b"not a shared object")
+        monkeypatch.setattr(eigensolve, "_flapack_file", lambda: str(junk))
+    else:   # a name scipy.linalg.lapack has and _flapack lacks
+        monkeypatch.setattr(eigensolve, "_LAPACK_ROUTINES",
+                            eigensolve._LAPACK_ROUTINES + ("get_lapack_funcs",))
+    lib = eigensolve._load_lapack()
+    assert lib is lapack
+    for L, seed in [(2, 0), (21, 1), (144, 2)]:
+        d, off = _tridiagonal(L, -0.9, 3.0, seed)
+        assert _lapack_results(lib, d, off) == _lapack_results(eigensolve, d, off)
 
 
 # -------------------------

@@ -1,13 +1,16 @@
-"""`scan`, `phases`, `solve`, `ramp`, `evolve` and `gaa-me` against their
-pinned oracle, tests/golden/<cmd>.json.
+"""Every subcommand but `fit` against its pinned oracle,
+tests/golden/<cmd>.json, and the ramped data of the fit oracle.
 
 Each oracle is one small CLI call and what it wrote (tests/golden/make.py
 runs the call and reads the outputs; this test reruns it through the same
 `record()`). Labels, flags, counts, grids and echoed inputs must equal the
 oracle. The computed quantities named in TOLERANCE may move within the
 benchmark's own tolerances in perfbench/reference.py: r of solved states
-within R_TOL, Delta_c within DELTA_C_TOL, ramp and evolve observables within
-RK4_TOL (times max(1, |value|)) and linear energies within ENERGY_TOL. A change
+within R_TOL, Delta_c within DELTA_C_TOL, ramp, evolve and interaction-sweep
+observables within RK4_TOL (times max(1, |value|)) and linear energies
+within ENERGY_TOL. alpha-star's mu at Delta_c, alpha* and line fit follow from its Delta_c, so
+they get ALPHA_TOL, DELTA_C_TOL times the bound of their sensitivity to it.
+bragg-schedule is closed-form arithmetic and is pinned exactly. A change
 which reorders float arithmetic in the solver passes, while one that moves
 a state or a transition does not.
 """
@@ -52,6 +55,14 @@ def _scaled(tol):
     return lambda want: tol * max(1.0, abs(want))
 
 
+# alpha-star's derived numbers at the oracle's sizes: |dmu/dDelta| <= 1 + |U|
+# moves mu at Delta_c by at most 2 DELTA_C_TOL; alpha* = (Dc_gs - Dc_es) /
+# (mu_es - mu_gs) over a gap above 4 moves by less than 2 DELTA_C_TOL max(1,
+# |alpha*|); the line through the three alpha*(U), 0.25 apart in U, moves by
+# less than 5 times that
+ALPHA_TOL = 10 * ref.DELTA_C_TOL
+
+
 # the allowed |got - want| of every number under a field of this name, as a
 # function of want; every other field must be equal
 TOLERANCE = {
@@ -61,11 +72,15 @@ TOLERANCE = {
     "r_exact": _absolute(ref.R_TOL),                    # ramp
     "r_threshold": _absolute(ref.R_TOL),                # gaa-me
     "delta_c": _absolute(ref.DELTA_C_TOL),              # scan
-    "delta_c_gs": _absolute(ref.DELTA_C_TOL),           # phases
+    "delta_c_gs": _absolute(ref.DELTA_C_TOL),           # phases, alpha-star
     "delta_c_es": _absolute(ref.DELTA_C_TOL),
+    "e_c_gs": _absolute(ALPHA_TOL),                     # alpha-star
+    "e_c_es": _absolute(ALPHA_TOL),
+    "alpha_star": _scaled(ALPHA_TOL),
+    "line": _scaled(ALPHA_TOL),
     "r_ramped": _scaled(ref.RK4_TOL),                   # ramp
     "trajectory": _scaled(ref.RK4_TOL),                 # ramp, evolve
-    "final": _scaled(ref.RK4_TOL),                      # evolve
+    "final": _scaled(ref.RK4_TOL),                      # evolve, interaction-sweep
     "energies": _absolute(ref.ENERGY_TOL),              # gaa-me
     "mobility_edge": _absolute(ref.ENERGY_TOL),
 }
