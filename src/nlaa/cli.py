@@ -452,6 +452,7 @@ def cmd_evolve(cfg, outdir):
             "params": params.to_dict(), "t_final": units.t_final, "dt": cfg.dt,
             "final_r": float(traj.r[-1]), "final_d": float(traj.d[-1]),
             "max_norm_drift": float(np.max(traj.norm_drift)),
+            "rhs_calls": traj.rhs_calls, "steps": traj.steps,
         }),
     ]
 

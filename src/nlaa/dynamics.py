@@ -24,17 +24,22 @@ monitored, never enforced: a row whose drift passes NORM_ABORT at a
 snapshot, or an integrator that fails within its budget, raises
 RuntimeError.
 
-scipy.integrate, with scipy.linalg, scipy.optimize and scipy.special behind
-it, is imported on first use, in `_propagate`: on top of numpy and the LAPACK
-module that eigensolve loads it costs about 0.4 s and 40 MB of RSS at
-import, which a default `scan`, `phases` and `gaa-me` never need.
+DOP853 is the routine dopri853 of scipy's compiled module
+scipy/integrate/_dop, loaded from its file as eigensolve loads LAPACK and
+called with the arguments scipy.integrate.ode passes it, so each result is
+bitwise ode(f).set_integrator("dop853")'s. The scipy.integrate package, with
+scipy.linalg, scipy.optimize and scipy.special behind it, is imported only
+if that file is missing or does not load: it would cost about 0.45 s and
+40 MB of RSS at start-up. The routine reports failure by its return code,
+and counts its right-hand-side calls and its steps, which
+Trajectory.rhs_calls and .steps sum over the stops.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import _load_scipy_extension
 from .model import (
     LatticeState,
     ModelParams,
@@ -57,6 +62,9 @@ STEPS_PER_TIME = 1e4
 MAX_STEP_BUDGET = 2 ** 31 - 1       # DOP853 counts its steps in 32 bits
 DOP853_FAILURES = {-1: "inconsistent input", -2: "step budget spent",
                    -3: "step size too small", -4: "problem probably stiff"}
+
+dopri853 = _load_scipy_extension("integrate", "_dop", ("dopri853",),
+                                 "scipy.integrate._dop").dopri853
 
 
 @dataclass(frozen=True)
@@ -94,13 +102,17 @@ class Trajectory:
 
     For a batch of B chains, each entry of `states` is the list of the B
     rows' states, r, d and energy are (snapshots, B) arrays, and norm_drift
-    is the largest drift over the rows."""
+    is the largest drift over the rows. rhs_calls and steps are DOP853's
+    right-hand-side evaluations and computed (accepted and rejected) steps
+    over the whole run, of the one system of all rows."""
     times: np.ndarray
     states: list                     # list[LatticeState], or of B-lists
     r: np.ndarray
     d: np.ndarray
     energy: np.ndarray
     norm_drift: np.ndarray
+    rhs_calls: int
+    steps: int
 
     def final_state(self) -> LatticeState:
         return self.states[-1]
@@ -122,6 +134,7 @@ class _Rows:
         self.eps = np.array([quasiperiodic_potential(p) for p in params])
         self.times, self.states, self.r, self.d = [], [], [], []
         self.energy, self.drift = [], []
+        self.rhs_calls = self.steps = 0
 
     def record(self, t, V, fraction):
         """Append the snapshot at t of the rows V, at hopping fraction
@@ -145,13 +158,20 @@ class _Rows:
         """The Trajectory of row 0 if `lone`, else of the batch."""
         r, d, energy, drift = (np.array(x) for x in
                                (self.r, self.d, self.energy, self.drift))
+        counts = dict(rhs_calls=self.rhs_calls, steps=self.steps)
         if lone:
             return Trajectory(times=np.array(self.times),
                               states=[st[0] for st in self.states],
                               r=r[:, 0], d=d[:, 0], energy=energy[:, 0],
-                              norm_drift=drift[:, 0])
+                              norm_drift=drift[:, 0], **counts)
         return Trajectory(times=np.array(self.times), states=self.states,
-                          r=r, d=d, energy=energy, norm_drift=drift.max(axis=1))
+                          r=r, d=d, energy=energy, norm_drift=drift.max(axis=1),
+                          **counts)
+
+
+def _no_output(t, y):
+    """DOP853's dense-output callback, which iout = 0 never calls."""
+    return 1
 
 
 def _propagate(params, starts, times, ramp):
@@ -159,9 +179,6 @@ def _propagate(params, starts, times, ramp):
     `starts` through the snapshot `times`, as one system, stopping at each
     snapshot and at the ramp's kink; `ramp` as in `evolve`. Returns the
     recorded _Rows; an abort raises RuntimeError."""
-    # imported here, not at module level: most subcommands never integrate
-    from scipy.integrate import ode
-
     rows = _Rows(params)
     B, L = rows.eps.shape
     kink = np.inf if ramp is None else ramp.duration
@@ -190,16 +207,20 @@ def _propagate(params, starts, times, ramp):
     for t in times:
         for stop in ((kink, t) if t0 < kink < t else (t,)):
             budget = max(MIN_STEP_BUDGET, STEPS_PER_TIME * (stop - t0))
-            solver = ode(rhs).set_integrator(
-                "dop853", rtol=tol, atol=tol,
-                nsteps=int(min(budget, MAX_STEP_BUDGET)))
-            solver.set_initial_value(y, t0)
-            with warnings.catch_warnings():   # the failure is reported below
-                warnings.filterwarnings("ignore", "dop853:", UserWarning)
-                y = solver.integrate(stop)
-            if not solver.successful():
-                code = solver.get_return_code()
-                raise RuntimeError(f"DOP853 failed at t={solver.t:.4f}: "
+            # scipy's dop853 defaults: safety 0.9, step-size factors 0.3 and 6,
+            # no dense output, no messages; and ode's empty f_params, without
+            # which the routine can crash
+            work = np.zeros(11 * y.size + 21)
+            work[1:4] = 0.9, 0.3, 6.0
+            iwork = np.zeros(21, np.int32)
+            x, y, code = dopri853(rhs, t0, y, stop, tol, tol, _no_output, 0,
+                                  work, iwork, int(min(budget, MAX_STEP_BUDGET)),
+                                  -1, ())
+            # Hairer's IWORK(17) and (18): right-hand-side calls, computed steps
+            rows.rhs_calls += int(iwork[16])
+            rows.steps += int(iwork[17])
+            if code < 0:
+                raise RuntimeError(f"DOP853 failed at t={x:.4f}: "
                                    f"{DOP853_FAILURES.get(code, code)}")
             t0 = stop
         rows.record(t, y.view(complex).reshape(B, L), fraction(t))

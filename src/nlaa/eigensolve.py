@@ -4,7 +4,8 @@ Eigenstates of the (non)linear AA lattice model.
 Linear spectra come from dense symmetric tridiagonal diagonalization. The
 LAPACK routines come from scipy's compiled module scipy/linalg/_flapack,
 loaded from its file so that the scipy.linalg package is not imported, or
-from scipy.linalg.lapack where that private file or a routine is missing.
+from scipy.linalg.lapack where that private file or a routine is missing;
+dynamics loads scipy's DOP853 the same way, by _load_scipy_extension.
 The nonlinear ground state is found variationally on the unit sphere:
 
   stage A  normalized imaginary-time gradient flow from the linear ground
@@ -64,46 +65,48 @@ from .model import (LatticeState, ModelParams, apply_stencil, energy_of,
 _LAPACK_ROUTINES = ("dgtsv", "dstebz", "dstein", "dstevd")
 
 
-def _flapack_file():
-    """Path of scipy's extension module scipy/linalg/_flapack, or None."""
+def _scipy_extension_file(subpackage, module):
+    """Path of scipy's extension module scipy/<subpackage>/<module>, or None."""
     spec = importlib.util.find_spec("scipy")
     for root in spec.submodule_search_locations if spec else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            path = os.path.join(root, subpackage, module + suffix)
             if os.path.isfile(path):
                 return path
     return None
 
 
-def _load_lapack():
-    """scipy's _flapack module, loaded from its file: importing it as
-    scipy.linalg._flapack would first run scipy/linalg/__init__.py and
-    scipy's array-API layer, which take most of the CLI's start-up. Falls
-    back to scipy.linalg.lapack (the same routines) if the file is missing,
-    does not load, or lacks one of _LAPACK_ROUTINES."""
-    path = _flapack_file()
+def _load_scipy_extension(subpackage, module, names, fallback):
+    """scipy's compiled module scipy.<subpackage>.<module>, loaded from its
+    file: importing it by name would first run the subpackage's __init__.py
+    (and, for scipy.linalg and scipy.integrate, scipy's array-API layer and
+    further subpackages), which take most of the CLI's start-up. Falls back
+    to importing the module named `fallback` if the file is missing, does
+    not load, or lacks one of `names`."""
+    path = _scipy_extension_file(subpackage, module)
     if path is not None:
-        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        spec = importlib.util.spec_from_file_location(
+            f"scipy.{subpackage}.{module}", path)
         registered = spec.name in sys.modules
         try:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
+            loaded = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(loaded)
         except ImportError:
-            module = None
+            loaded = None
         if not registered:
-            # CPython enters the extension in sys.modules; without that entry
-            # a later `import scipy.linalg` loads it as a plain import would
-            # (from CPython's cache of initialized extensions) and binds it
-            # as the package's attribute
+            # CPython may enter the extension in sys.modules; without that
+            # entry a later `import scipy.<subpackage>` loads it as a plain
+            # import would (from CPython's cache of initialized extensions)
+            # and binds it as the package's attribute
             sys.modules.pop(spec.name, None)
-        if all(hasattr(module, name) for name in _LAPACK_ROUTINES):
-            return module
-    from scipy.linalg import lapack
-    return lapack
+        if all(hasattr(loaded, name) for name in names):
+            return loaded
+    return importlib.import_module(fallback)
 
 
-dgtsv, dstebz, dstein, dstevd = (getattr(_load_lapack(), name)
-                                 for name in _LAPACK_ROUTINES)
+_lapack = _load_scipy_extension("linalg", "_flapack", _LAPACK_ROUTINES,
+                                "scipy.linalg.lapack")
+dgtsv, dstebz, dstein, dstevd = (getattr(_lapack, name) for name in _LAPACK_ROUTINES)
 
 IMAG_TIME_STEP = 0.05     # stage A's first step size
 SCF_MIXING = 0.3          # stage B's first density-mixing weight

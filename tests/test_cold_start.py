@@ -1,14 +1,19 @@
 """Each subcommand loads only the scipy subpackages it runs.
 
-`import nlaa.cli` and every subcommand that neither propagates nor
-synthesizes a measurement need numpy and scipy's compiled LAPACK module
-alone, which nlaa loads from its file without the scipy.linalg package
-(about 0.2 s of import on its own). scipy.integrate, with scipy.linalg,
-scipy.special and scipy.optimize behind it, costs about 0.4 s and 40 MB
-more. Each case runs one tiny command in its own fresh interpreter and
-reports which heavy modules it left in sys.modules. The checks are on
-module sets, not times, so they do not depend on the machine. The
-interpreters of all cases run at once, a few at a time.
+`import nlaa.cli` and every subcommand need numpy and two of scipy's
+compiled modules alone: LAPACK (scipy/linalg/_flapack) and DOP853
+(scipy/integrate/_dop), which nlaa loads from their files without the
+scipy.linalg and scipy.integrate packages. scipy.linalg costs about 0.2 s
+of import on its own; scipy.integrate, with scipy.linalg, scipy.special and
+scipy.optimize behind it, about 0.45 s and 40 MB. So no subcommand, the
+propagating ones (evolve, ramp, interaction-sweep, fit --synthesize, a
+ramped scan) included, may leave any of HEAVY in sys.modules. Each case runs
+one tiny command in its own fresh interpreter and reports which heavy
+modules it left there. The checks are on module sets, not times, so they do
+not depend on the machine. The interpreters of all cases run at once, a few
+at a time. One more interpreter runs scan, evolve, scan and evolve again
+with the two packages imported in between, and checks that nothing it
+writes or computes changes and that both packages still work.
 """
 
 import json
@@ -49,9 +54,15 @@ LEAN = {
     "bad-flag": (["scan", "--no-such-flag"], 2),
 }
 FIT = ["fit", "--data", "../meas.csv"]
+EVOLVE = ["evolve", "--L", "13", "--t-final", "0.1"]
 PROPAGATING = {
-    "evolve": ["evolve", "--L", "13", "--t-final", "0.1"],
+    "evolve": EVOLVE,
     "scan-ramped": [*SCAN, "--preparation", "ramped"],
+    "ramp": ["ramp", "--L", "13", "--dt", "0.01"],
+    "interaction-sweep": ["interaction-sweep", "--L", "13", "--t-final", "0.1",
+                          "--u-min", "0", "--u-max", "0.2"],
+    "fit-synthesize": ["fit", "--synthesize", "--L", "13", "--n-points", "8",
+                       "--dt", "0.01"],
 }
 
 
@@ -90,19 +101,13 @@ def test_subcommands_without_dynamics_or_fits_load_no_heavy_module(loaded, name)
 
 
 def test_fit_on_data_loads_no_heavy_module(loaded):
-    # the transition fit needs numpy alone; only a synthesized measurement
-    # (its ramps) loads scipy.integrate
-    rc, modules = loaded["fit"]
-    assert rc == 0
-    assert not modules & {"scipy.linalg", "scipy.integrate", "scipy.optimize",
-                          "scipy.special"}
+    assert loaded["fit"] == (0, set())
 
 
 @pytest.mark.parametrize("name", PROPAGATING)
-def test_propagating_subcommands_load_integrate(loaded, name):
-    rc, modules = loaded[name]
-    assert rc == 0
-    assert {"scipy.integrate", "scipy.linalg"} <= modules
+def test_propagating_subcommands_load_no_heavy_module(loaded, name):
+    # DOP853 comes from scipy/integrate/_dop's file, not from scipy.integrate
+    assert loaded[name] == (0, set())
 
 
 SCAN_EVOLVE_SCAN = """
@@ -110,37 +115,63 @@ import json, sys
 from pathlib import Path
 import numpy as np
 import nlaa.cli
-scan, evolve = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-lean = [nlaa.cli.main([*scan, "--out", "scan1"]), "scipy.linalg" not in sys.modules]
-rc = nlaa.cli.main([*evolve, "--out", "evolve"])
+from nlaa import ModelParams, transport_experiment
+scan, evolve, heavy = (json.loads(arg) for arg in sys.argv[1:4])
+
+def bits():
+    traj = transport_experiment(ModelParams(L=13, Delta=1.0, U=0.8), 1.0)
+    return [x.tobytes().hex() for x in (traj.times, traj.r, traj.d, traj.energy,
+                                        traj.norm_drift, traj.final_state().amplitudes)]
+
+def same(a, b):
+    return {p.name: p.read_bytes() == Path(b, p.name).read_bytes()
+            for p in Path(a).iterdir() if p.name != "manifest.json"}
+
+rc = [nlaa.cli.main([*scan, "--out", "scan1"]),
+      nlaa.cli.main([*evolve, "--out", "evolve1"])]
+lean, before = [m for m in heavy if m in sys.modules], bits()
+import scipy.integrate
 import scipy.linalg
 from scipy.linalg.lapack import dgtsv
 *_, x, info = dgtsv(np.ones(3), np.full(4, 4.0), np.ones(3), np.ones(4))
 t = np.diag(np.full(4, 4.0)) + np.eye(4, k=1) + np.eye(4, k=-1)
+ode = scipy.integrate.ode(lambda t, y: -y).set_integrator("dop853", rtol=1e-10,
+                                                          atol=1e-10)
+ode.set_initial_value([1.0], 0.0)
+decay = ode.integrate(1.0)[0]
+rc += [nlaa.cli.main([*evolve, "--out", "evolve2"]),
+       nlaa.cli.main([*scan, "--out", "scan2"])]
 print(json.dumps({
-    "lean": lean, "evolve": rc, "scan": nlaa.cli.main([*scan, "--out", "scan2"]),
-    "same": {p.name: p.read_bytes() == Path("scan2", p.name).read_bytes()
-             for p in Path("scan1").glob("*.csv")},
+    "rc": rc, "lean": lean, "bits": before == bits(),
+    "scan": same("scan1", "scan2"), "evolve": same("evolve1", "evolve2"),
     "dgtsv": [int(info), float(np.max(np.abs(x - np.linalg.solve(t, np.ones(4)))))],
-    "bound": hasattr(scipy.linalg, "_flapack")}))
+    "ode": [ode.successful(), abs(decay - np.exp(-1.0))],
+    "bound": [hasattr(scipy.linalg, "_flapack"), hasattr(scipy.integrate, "_dop")]}))
 """
 
 
 def test_scan_after_evolve_in_one_interpreter_is_unchanged(tmp_path):
-    """serial_path's order: a scan loads _flapack from its file, an evolve
-    then imports scipy.linalg, and a second scan must write the same bytes.
-    scipy.linalg.lapack keeps working, and scipy.linalg has its _flapack
-    attribute as after a plain import."""
+    """serial_path's order and more: a scan and an evolve load LAPACK and
+    DOP853 from their files and leave every HEAVY module unloaded; then
+    scipy.integrate and scipy.linalg are imported, and an evolve and a scan
+    must write the same bytes as before, and a trajectory computed in the
+    interpreter must be bitwise the one before. scipy.linalg.lapack and
+    scipy.integrate.ode's dop853 keep working, and each package has its
+    compiled module as an attribute as after a plain import."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", SCAN_EVOLVE_SCAN, json.dumps(SCAN),
-         json.dumps(PROPAGATING["evolve"])],
+         json.dumps(EVOLVE), json.dumps(HEAVY)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["lean"] == [0, True]
-    assert (got["evolve"], got["scan"]) == (0, 0)
-    assert len(got["same"]) == 5 and all(got["same"].values()), got["same"]
+    assert got["rc"] == [0, 0, 0, 0]
+    assert got["lean"] == []
+    assert got["bits"]
+    assert len(got["scan"]) == 6 and all(got["scan"].values()), got["scan"]
+    assert len(got["evolve"]) == 2 and all(got["evolve"].values()), got["evolve"]
     info, err = got["dgtsv"]
     assert info == 0 and err < 1e-15
-    assert got["bound"]
+    ok, err = got["ode"]
+    assert ok and err < 1e-9
+    assert got["bound"] == [True, True]

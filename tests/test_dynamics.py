@@ -1,11 +1,13 @@
 """Real-time propagation: quenches, ramps, conservation, oracles."""
 
+import importlib.machinery
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.special import jv
 
@@ -20,7 +22,7 @@ from nlaa import (
     solve_state,
     transport_experiment,
 )
-from nlaa import dynamics
+from nlaa import dynamics, eigensolve
 from nlaa.dynamics import EXPERIMENT_RAMP
 from nlaa.model import energy_of
 
@@ -282,14 +284,13 @@ def test_ramp_integration_stops_at_the_kink(monkeypatch):
     # the hopping's slope jumps at t = duration, off the snapshot grid for
     # the experiment's ramp: one integration interval ends there exactly
     stops = []
+    dopri853 = dynamics.dopri853
 
-    class RecordingOde(scipy.integrate.ode):
-        def integrate(self, t, *args, **kwargs):
-            stops.append(t)
-            return super().integrate(t, *args, **kwargs)
+    def recording(fcn, x, y, xend, *args):
+        stops.append(xend)
+        return dopri853(fcn, x, y, xend, *args)
 
-    # dynamics imports ode from scipy.integrate on each propagation
-    monkeypatch.setattr(scipy.integrate, "ode", RecordingOde)
+    monkeypatch.setattr(dynamics, "dopri853", recording)
     _, traj = ramp_prepare(ModelParams(L=13, J=1.0, Delta=1.0), EXPERIMENT_RAMP,
                             "gs")
     assert len(traj.times) == 2                  # by default t = 0 and the end
@@ -369,3 +370,112 @@ def test_a_batch_takes_one_initial_state_per_chain_of_one_length():
         evolve([ModelParams(L=13), ModelParams(L=15)], [st13, st15], 0.5)
     with pytest.raises(ValueError, match="initial state has 15 sites"):
         evolve([ModelParams(L=13)] * 2, [st13, st15], 0.5)
+
+
+# -------------------------
+# The compiled DOP853: bitwise scipy.integrate.ode's dop853
+# -------------------------
+
+def _through_ode(fcn, x, y, xend, rtol, atol, solout, iout, work, iwork,
+                 nsteps, verbosity, f_params):
+    """dynamics.dopri853's call made through scipy.integrate.ode's dop853,
+    with ode's own work arrays; its counters are copied into `iwork`."""
+    solver = scipy.integrate.ode(fcn).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=nsteps)
+    solver.set_initial_value(y, x).set_f_params(*f_params)
+    with warnings.catch_warnings():       # the return code reports a failure
+        warnings.simplefilter("ignore")
+        y = solver.integrate(xend)
+    iwork[:] = solver._integrator.iwork
+    return solver.t, y, solver.get_return_code()
+
+
+def _propagation(rows, L, t_final, stride, duration, seed):
+    """evolve's Trajectory of `rows` random chains from random states (a
+    lone chain for rows = 1), under a ramp of `duration` unless None."""
+    rng = np.random.default_rng(seed)
+    params = [ModelParams(L=L, J=1.0, Delta=float(rng.uniform(0.0, 3.0)),
+                          U=float(rng.uniform(-1.0, 1.0))) for _ in range(rows)]
+    amps = rng.normal(size=(rows, L)) + 1j * rng.normal(size=(rows, L))
+    starts = [LatticeState(a / np.linalg.norm(a)) for a in amps]
+    if rows == 1:
+        params, starts = params[0], starts[0]
+    ramp = None if duration is None else RampProtocol(duration=duration)
+    return evolve(params, starts, t_final, snapshot_stride=stride, ramp=ramp)
+
+
+def _trajectory_bits(traj):
+    states = [st if isinstance(st, list) else [st] for st in traj.states]
+    return ([np.asarray(getattr(traj, name)).tobytes()
+             for name in ("times", "r", "d", "energy", "norm_drift")]
+            + [row.amplitudes.tobytes() for st in states for row in st]
+            + [traj.rhs_calls, traj.steps])
+
+
+@given(rows=st.integers(1, 3), L=st.sampled_from((5, 13)),
+       t_final=st.floats(0.0, 1.5), stride=st.sampled_from((None, 100, 250)),
+       duration=st.one_of(st.none(), st.floats(0.1, 1.2)),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=1, L=13, t_final=1.0, stride=100, duration=None, seed=0)
+@example(rows=3, L=13, t_final=1.0, stride=100, duration=None, seed=1)
+# the kink at 0.6283 lies between the snapshots at 0.5 and 0.75
+@example(rows=2, L=13, t_final=1.2, stride=250, duration=0.6283, seed=2)
+# the run ends at 0.55, between the snapshots at 0.5 and 0.75
+@example(rows=1, L=5, t_final=0.55, stride=250, duration=None, seed=3)
+def test_the_direct_call_is_bitwise_scipy_integrate_ode(rows, L, t_final, stride,
+                                                       duration, seed):
+    direct = _propagation(rows, L, t_final, stride, duration, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "dopri853", _through_ode)
+        through_ode = _propagation(rows, L, t_final, stride, duration, seed)
+    assert _trajectory_bits(direct) == _trajectory_bits(through_ode)
+
+
+def test_dop853_is_loaded_from_its_file():
+    assert dynamics.dopri853.__module__ == "scipy.integrate._dop"
+    assert dynamics.dopri853 is not scipy.integrate._dop.dopri853
+
+
+@pytest.mark.parametrize("hide", ["file", "load", "routine"])
+def test_loader_falls_back_to_scipy_integrate_dop(monkeypatch, tmp_path, hide):
+    names = ("dopri853",)
+    if hide == "file":
+        monkeypatch.setattr(eigensolve, "_scipy_extension_file", lambda *_: None)
+    elif hide == "load":
+        junk = tmp_path / ("_dop" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        junk.write_bytes(b"not a shared object")
+        monkeypatch.setattr(eigensolve, "_scipy_extension_file",
+                            lambda *_: str(junk))
+    else:   # a routine the file lacks
+        names += ("no_such_routine",)
+    lib = eigensolve._load_scipy_extension("integrate", "_dop", names,
+                                           "scipy.integrate._dop")
+    assert lib is scipy.integrate._dop
+    want = _trajectory_bits(_propagation(2, 13, 1.2, 250, 0.6283, 2))
+    monkeypatch.setattr(dynamics, "dopri853", lib.dopri853)
+    assert _trajectory_bits(_propagation(2, 13, 1.2, 250, 0.6283, 2)) == want
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_rhs_calls_count_every_right_hand_side_evaluation(monkeypatch, rows):
+    calls = []
+    apply_stencil = dynamics.apply_stencil
+
+    def counting(*args):
+        calls.append(1)
+        return apply_stencil(*args)
+
+    monkeypatch.setattr(dynamics, "apply_stencil", counting)
+    traj = _propagation(rows, 13, 1.2, 250, 0.6283, 4)
+    assert traj.rhs_calls == len(calls) > 0
+    # each DOP853 step evaluates the right-hand side 11 or 12 times
+    assert 0 < traj.steps < traj.rhs_calls
+
+
+def test_a_failed_integration_reports_without_warning():
+    with pytest.warns(UserWarning, match="self-trapping"):
+        wild = ModelParams(L=13, J=1.0, Delta=2.0, U=4e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="step budget spent"):
+            evolve(wild, LatticeState.single_site(13, 6), 1.0)

@@ -130,8 +130,14 @@ def _tridiagonal(L, J, scale, seed):
             np.full(L - 1, J))
 
 
+def _load_lapack(names=eigensolve._LAPACK_ROUTINES):
+    return eigensolve._load_scipy_extension("linalg", "_flapack", names,
+                                            "scipy.linalg.lapack")
+
+
 def test_loader_takes_scipys_compiled_module():
-    assert eigensolve._load_lapack().__name__ == "scipy.linalg._flapack"
+    assert eigensolve._lapack.__name__ == "scipy.linalg._flapack"
+    assert _load_lapack().__name__ == "scipy.linalg._flapack"
 
 
 @given(L=st.integers(2, 200), J=st.floats(-2.0, 2.0), scale=st.floats(0.0, 8.0),
@@ -143,16 +149,17 @@ def test_loaded_routines_are_bitwise_scipy_linalg_lapack(L, J, scale, seed):
 
 @pytest.mark.parametrize("hide", ["file", "load", "routine"])
 def test_loader_falls_back_to_scipy_linalg_lapack(monkeypatch, tmp_path, hide):
+    names = eigensolve._LAPACK_ROUTINES
     if hide == "file":
-        monkeypatch.setattr(eigensolve, "_flapack_file", lambda: None)
+        monkeypatch.setattr(eigensolve, "_scipy_extension_file", lambda *_: None)
     elif hide == "load":
         junk = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
         junk.write_bytes(b"not a shared object")
-        monkeypatch.setattr(eigensolve, "_flapack_file", lambda: str(junk))
+        monkeypatch.setattr(eigensolve, "_scipy_extension_file",
+                            lambda *_: str(junk))
     else:   # a name scipy.linalg.lapack has and _flapack lacks
-        monkeypatch.setattr(eigensolve, "_LAPACK_ROUTINES",
-                            eigensolve._LAPACK_ROUTINES + ("get_lapack_funcs",))
-    lib = eigensolve._load_lapack()
+        names += ("get_lapack_funcs",)
+    lib = _load_lapack(names)
     assert lib is lapack
     for L, seed in [(2, 0), (21, 1), (144, 2)]:
         d, off = _tridiagonal(L, -0.9, 3.0, seed)
