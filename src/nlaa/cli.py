@@ -28,13 +28,13 @@ import scipy
 
 from . import __version__
 from .dynamics import DEFAULT_DT, RampProtocol, ramp_prepare, transport_experiment
-from .eigensolve import SolverOptions, solve_state
+from .eigensolve import SolverOptions, require_converged, solve_state
 from .fitting import (MIN_LEFT_POINTS, MIN_RESAMPLES, UnidentifiableFitError,
                       bootstrap_delta_c, fit_transition,
                       synthesize_measurement)
 from .gaa import GaaParams, extract_alpha_star, gaa_classify_spectrum
 from .model import (BOHR_RADIUS_SI, BRAGG_SITE_OFFSET, CS_MASS_SI, H_SI, HBAR_SI,
-                    ModelParams, bragg_detunings, momentum_width,
+                    KINDS, ModelParams, bragg_detunings, momentum_width,
                     participation_ratio)
 from .phasescan import ScanGrid, scan_phase_diagram, transition_for_u
 
@@ -116,8 +116,8 @@ OPTIONS = {
     "residual_tol": Option(float, "eigensolver residual tolerance", POSITIVE),
     "max_iterations": Option(int, "eigensolver iteration cap", _at_least(1)),
     "kind": Option(str, "ground (gs) or highest-excited (es) state",
-                   choices=("gs", "es")),
-    "scan.kind": Option(str, "states to scan", choices=("gs", "es", "both")),
+                   choices=KINDS),
+    "scan.kind": Option(str, "states to scan", choices=KINDS + ("both",)),
     "preparation": Option(str, "exact eigenstates or ramp-prepared states",
                           choices=("exact", "ramped")),
     "t_final": Option(float, "evolution time in hbar/J", NON_NEGATIVE),
@@ -230,8 +230,8 @@ def _config(args):
 
 
 def _arange(lo, hi, step, flags):
-    """lo, lo + step, ... up to hi, as np.arange makes it for transition_for_u
-    too; a grid with more samples than an array can hold names `flags`."""
+    """lo, lo + step, ... up to hi; a grid with more samples than an array
+    can hold names `flags`."""
     try:
         return np.arange(lo, hi + 0.5 * step, step)
     except ValueError as exc:
@@ -252,14 +252,15 @@ def _grid(cfg, name):
 
 
 def _delta_window(cfg):
-    """--delta-step of phases and alpha-star, checked so that the Delta grid
-    0, step, ... up to --delta-max that transition_for_u solves holds at
-    least 2 samples."""
+    """The Delta grid 0, --delta-step, ... up to --delta-max on which phases
+    and alpha-star look for transitions, checked to hold at least 2
+    samples."""
     hi, step = cfg.delta_max, cfg.delta_step
-    if _arange(0.0, hi, step, "--delta-max and --delta-step").size < 2:
+    deltas = _arange(0.0, hi, step, "--delta-max and --delta-step")
+    if deltas.size < 2:
         raise ConfigError(f"--delta-max {hi} with --delta-step {step} leaves "
                           "fewer than 2 Delta samples from 0")
-    return step
+    return deltas
 
 
 def _internal_units(cfg):
@@ -364,19 +365,25 @@ def _write_trajectory(path, traj):
                              "energy", "norm_drift"], rows)
 
 
-def _json_default(obj):
-    """json.dump's fallback: a numpy array as a list, a numpy scalar as the
-    Python bool, int or float it holds."""
+def _plain(obj):
+    """`obj` in strict JSON values: a numpy array as a list, a numpy scalar
+    as the Python value it holds, and a float that is not finite as None."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_json(path, obj):
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     return path
 
@@ -421,10 +428,8 @@ def _write_manifest(outdir, subcommand, cfg, outputs, wall_time):
 
 def cmd_solve(cfg, outdir):
     params, _ = _params_from(cfg)
-    sol = solve_state(params, cfg.kind, _solver_opts(cfg))
-    if not sol.converged:
-        raise RuntimeError(
-            f"solver did not reach tolerance (residual {sol.residual:.3e})")
+    sol = require_converged(solve_state(params, cfg.kind, _solver_opts(cfg)),
+                            params, cfg.kind)
     state = sol.state
     rows = [(j, float(state.amplitudes[j].real), float(state.amplitudes[j].imag),
              float(state.density[j])) for j in range(params.L)]
@@ -432,7 +437,7 @@ def cmd_solve(cfg, outdir):
         _write_csv(outdir / "state.csv",
                    ["site", "re_amplitude", "im_amplitude", "density"], rows),
         _write_json(outdir / "solve.json", {
-            "params": params.to_dict(), "kind": sol.kind, "mu": sol.mu,
+            "params": params.to_dict(), "kind": cfg.kind, "mu": sol.mu,
             "energy": sol.energy, "residual": sol.residual,
             "iterations": sol.iterations,
             "participation_ratio": participation_ratio(state),
@@ -473,7 +478,8 @@ def cmd_ramp(cfg, outdir):
     params, units = _params_from(cfg)
     final, traj = ramp_prepare(params, units.ramp, cfg.kind, dt=cfg.dt,
                                snapshot_stride=cfg.stride)
-    exact = solve_state(params, cfg.kind, _solver_opts(cfg))
+    exact = require_converged(solve_state(params, cfg.kind, _solver_opts(cfg)),
+                              params, cfg.kind)
     r_ramp, r_exact = participation_ratio(final), participation_ratio(exact.state)
     return [
         _write_trajectory(outdir / "ramp_trajectory.csv", traj),
@@ -540,9 +546,9 @@ def _phase_boundary_task(task):
 
 def cmd_phases(cfg, outdir):
     us = _grid(cfg, "u")
-    kw = dict(L=cfg.L, delta_max=cfg.delta_max, delta_step=_delta_window(cfg),
-              phi=cfg.phi, opts=_solver_opts(cfg))
-    tasks = [(float(u), kind, kw) for u in us for kind in ("gs", "es")]
+    kw = dict(deltas=_delta_window(cfg), L=cfg.L, phi=cfg.phi,
+              opts=_solver_opts(cfg))
+    tasks = [(float(u), kind, kw) for u in us for kind in KINDS]
     if cfg.workers > 1:
         # imported here: multiprocessing is only needed for a pool
         from concurrent.futures import ProcessPoolExecutor
@@ -559,11 +565,10 @@ def cmd_phases(cfg, outdir):
 
 def cmd_alpha_star(cfg, outdir):
     us, rows, table = _numbers(cfg.u_values), [], []
-    delta_step = _delta_window(cfg)
+    deltas = _delta_window(cfg)
     for u in us:
-        res = extract_alpha_star(u, L=cfg.L, phi=cfg.phi,
+        res = extract_alpha_star(u, deltas, L=cfg.L, phi=cfg.phi,
                                  energy_definition=cfg.energy_definition,
-                                 delta_max=cfg.delta_max, delta_step=delta_step,
                                  opts=_solver_opts(cfg))
         table.append(res)
         rows.append((res.U, res.delta_c_gs, res.delta_c_es,

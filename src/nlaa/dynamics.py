@@ -297,22 +297,20 @@ def ramp_prepare(params_target, protocol: RampProtocol, kind, dt=DEFAULT_DT,
     Each chain starts in its J=0 ground state, i.e. all population on the
     site minimizing eps_j (ties broken toward lower site energy, then lower
     index), and J is ramped linearly to its target over the protocol
-    duration, followed by an optional hold. For kind 'es' the whole
-    procedure runs on the negated model, whose ground state is the excited
-    state of the original; the returned state is reported as-is (densities
-    and r are negation-invariant), and the energies are negated back to
-    E[phi] of `params_target`. A row whose norm drift aborts raises its
-    RuntimeError naming its Delta.
+    duration, followed by an optional hold. It runs on the model
+    ModelParams.for_kind gives: for kind 'es' the negated model, whose ground
+    state is the excited state of the original. The state is reported as-is
+    (densities and r are negation-invariant), and the energies are negated
+    back to E[phi] of `params_target`. A row whose norm drift aborts raises
+    its RuntimeError naming its Delta.
 
     Returns (final LatticeState, Trajectory), or the list of the final
     states and the batch's Trajectory; the trajectory holds t = 0 and the
     end unless a `snapshot_stride` asks for snapshots in between.
     """
-    if kind not in ("gs", "es"):
-        raise ValueError(f"kind must be 'gs' or 'es', got {kind!r}")
     lone = isinstance(params_target, ModelParams)
     targets = [params_target] if lone else list(params_target)
-    chains = targets if kind == "gs" else [p.negated() for p in targets]
+    chains = [p.for_kind(kind) for p in targets]
     initial = [LatticeState.single_site(c.L, int(np.argmin(quasiperiodic_potential(c))))
                for c in chains]         # argmin: the lowest index on ties
     if lone:

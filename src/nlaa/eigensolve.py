@@ -46,8 +46,8 @@ off-diagonal, so each row of the batch is computed bit for bit as the lone
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
-kind 'gs' as given and kind 'es' on the negated params, reporting mu and E
-negated back.
+the model ModelParams.for_kind gives ('es' negated), reporting mu and E
+negated back. Its callers fail an unconverged solve by require_converged.
 """
 
 import importlib.machinery
@@ -135,7 +135,6 @@ class EigenSolution:
     residual: float
     iterations: int
     converged: bool
-    kind: str                     # "ground" | "highest-excited"
 
 
 # -------------------------
@@ -476,13 +475,6 @@ def _bordered_dense_step(off, d, v, F, F_L):
     return delta[:L], delta[L]
 
 
-def _negates(kind):
-    """True if `kind` is solved as the ground state of the negated model."""
-    if kind not in ("gs", "es"):
-        raise ValueError(f"unknown state kind {kind!r} (expected 'gs' or 'es')")
-    return kind == "es"
-
-
 def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions(),
                 start=None) -> EigenSolution:
     """The ground state (kind 'gs') or the highest excited state ('es').
@@ -500,9 +492,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     _scf_block outcome or None to run it here. The cascade then goes on
     from there, and its result is the one it returns without `start`.
     """
-    negate = _negates(kind)
-    if negate:
-        params = params.negated()
+    params, negate = params.for_kind(kind), kind == "es"
     eps = quasiperiodic_potential(params)
     J, U = params.J, params.U
     off = np.full(params.L - 1, float(J))
@@ -574,8 +564,17 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
         residual=res,
         iterations=iterations,
         converged=res < opts.residual_tol,
-        kind="highest-excited" if negate else "ground",
     )
+
+
+def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:
+    """`sol`, the solve of `kind` at `params`, if it converged; else the
+    RuntimeError that names the cell and the residual it ended at."""
+    if not sol.converged:
+        raise RuntimeError(
+            f"solver did not converge (kind={kind}, U={params.U}, "
+            f"Delta={params.Delta}, residual={sol.residual:.2e})")
+    return sol
 
 
 def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
@@ -591,7 +590,7 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     outcome, and its cascade runs (and fails in) stage B alone.
     """
     kinds = [kind] * len(cells) if isinstance(kind, str) else kind
-    solved = [p.negated() if _negates(k) else p for p, k in zip(cells, kinds)]
+    solved = [p.for_kind(k) for p, k in zip(cells, kinds)]
     J = np.array([p.J for p in solved], dtype=float)
     U = np.array([p.U for p in solved], dtype=float)
     eps = np.array([quasiperiodic_potential(p) for p in solved])

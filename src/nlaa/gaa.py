@@ -31,9 +31,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .eigensolve import SolverOptions, linear_spectrum, solve_state
+from .eigensolve import SolverOptions, linear_spectrum, require_converged, solve_state
 from .model import (
     BETA_GOLDEN,
+    KINDS,
     LatticeState,
     ModelParams,
     density_fourier_coefficients,
@@ -208,27 +209,26 @@ class AlphaStarResult:
     energy_definition: str         # "mu" | "E"
 
 
-def extract_alpha_star(u, L=21, phi=0.0, energy_definition="mu",
-                       delta_max=8.0, delta_step=0.1,
+def extract_alpha_star(u, deltas, L=21, phi=0.0, energy_definition="mu",
                        opts=SolverOptions()) -> AlphaStarResult:
     """alpha* = (Dc_gs - Dc_es) / (Ec_es - Ec_gs) at interaction U.
 
-    Transition points come from the phase-scan refinement (1e-3 in Delta/J);
-    the state energy at each critical point is the chemical potential mu by
-    default, or the energy functional E with energy_definition="E". Raises
-    if either transition is not bracketed in the scan window.
+    Transition points come from the phase-scan refinement (1e-3 in Delta/J)
+    on the coarse grid `deltas`; the state energy at each critical point is
+    the chemical potential mu by default, or the energy functional E with
+    energy_definition="E". Raises RuntimeError if either transition is not
+    bracketed on the grid or a solve at a critical point does not converge.
     """
     if energy_definition not in ("mu", "E"):
         raise ValueError("energy_definition must be 'mu' or 'E'")
     points = {}
-    for kind in ("gs", "es"):
-        tr = transition_for_u(u, kind, L=L, delta_max=delta_max,
-                              delta_step=delta_step, phi=phi, opts=opts)
+    for kind in KINDS:
+        tr = transition_for_u(u, kind, deltas, L=L, phi=phi, opts=opts)
         if not tr.found:
             raise RuntimeError(f"transition not bracketed for kind={kind}, "
                                f"U={u}: {tr.message}")
         params = ModelParams(L=L, J=1.0, Delta=tr.delta_c, phi=phi, U=u)
-        sol = solve_state(params, kind, opts)
+        sol = require_converged(solve_state(params, kind, opts), params, kind)
         e_val = sol.mu if energy_definition == "mu" else sol.energy
         points[kind] = (tr.delta_c, e_val)
 

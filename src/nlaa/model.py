@@ -44,6 +44,9 @@ H_SI = 6.62607015e-34          # J s
 BOHR_RADIUS_SI = 5.29177210903e-11   # m
 CS_MASS_SI = 2.2069e-25        # kg, caesium-133
 
+# the state kinds: the ground state and the highest excited state
+KINDS = ("gs", "es")
+
 # paper-style site index of internal site 0 in the 21-site Bragg convention
 # (sites j = -10..10)
 BRAGG_SITE_OFFSET = -10
@@ -90,6 +93,13 @@ class ModelParams:
         """
         return ModelParams(L=self.L, J=-self.J, Delta=-self.Delta,
                            phi=self.phi, U=-self.U)
+
+    def for_kind(self, kind) -> "ModelParams":
+        """The model whose ground state is this model's `kind` state: itself
+        for 'gs', negated() for 'es'. The one check of a kind."""
+        if kind not in KINDS:
+            raise ValueError(f"kind must be 'gs' or 'es', got {kind!r}")
+        return self if kind == "gs" else self.negated()
 
     def to_dict(self) -> dict:
         return {"L": self.L, "J": self.J, "Delta": self.Delta,

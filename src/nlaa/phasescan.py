@@ -8,7 +8,8 @@ Delta/J = 2, phi = 0 — the self-dual point of the linear model. The
 extended-to-localized transition at fixed U is the first downward crossing
 of r_c along increasing Delta, refined by ITP (re-solving at points between
 the secant root and the midpoint of the bracket) to a bracket of 1e-3 in
-Delta/J.
+Delta/J. The caller gives the Delta grid; an exact cell whose solve ends
+unconverged fails with eigensolve.require_converged's error.
 
 A scan's JSONL store is an exact solve cache: one record per solve, grid
 cells and refinement points alike, appended as soon as it is solved. Each
@@ -37,8 +38,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import EXPERIMENT_RAMP, ramp_prepare
-from .eigensolve import SolverOptions, batched_starts, linear_spectrum, solve_state
-from .model import ModelParams, participation_ratio, quasiperiodic_potential
+from .eigensolve import (SolverOptions, batched_starts, linear_spectrum,
+                         require_converged, solve_state)
+from .model import KINDS, ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
 # ITP's epsilon: BISECTION_TOL / 2, less 2^-30 of it. A row that uses up
@@ -65,13 +67,12 @@ def critical_r(L, kind="gs"):
     """
     if L < 2:
         raise ValueError("L must be >= 2")
-    if kind not in ("gs", "es"):
-        raise ValueError(f"kind must be 'gs' or 'es', got {kind!r}")
     params = ModelParams(L=int(L), J=1.0, Delta=2.0, phi=0.0)
-    eps = quasiperiodic_potential(params)
-    w, v = linear_spectrum(L, 1.0, eps)
-    col = 0 if kind == "gs" else -1
-    return participation_ratio(v[:, col])
+    # the kind's edge of this one spectrum (the negated model's spectrum
+    # holds the same pair, but not bit for bit)
+    top = params.for_kind(kind) is not params
+    w, v = linear_spectrum(L, 1.0, quasiperiodic_potential(params))
+    return participation_ratio(v[:, -1 if top else 0])
 
 
 # -------------------------
@@ -201,17 +202,16 @@ def _itp_point(lo, hi, f_lo, f_hi, kappa1, n_max, step):
     return x_t if abs(x_t - mid) <= radius else mid - sigma * radius
 
 
-def transition_for_u(u, kind, L=21, delta_max=4.0, delta_step=0.05,
-                     phi=0.0, opts=SolverOptions()) -> TransitionResult:
+def transition_for_u(u, kind, deltas, L=21, phi=0.0,
+                     opts=SolverOptions()) -> TransitionResult:
     """Locate Delta_c for one (U, kind) by coarse scan + ITP refinement.
 
-    The coarse grid is solved in increasing Delta and only up to its first
-    bracket r(lo) >= r_c > r(hi), which is then refined as detect_transition
-    does on the full grid: Delta_c is the same, but `crossings` holds only
-    that first bracket, and a cell past it is neither solved nor able to
-    fail the transition.
+    The increasing coarse grid `deltas` is solved in increasing Delta and
+    only up to its first bracket r(lo) >= r_c > r(hi), which is then refined
+    as detect_transition does on the full grid: Delta_c is the same, but
+    `crossings` holds only that first bracket, and a cell past it is neither
+    solved nor able to fail the transition.
     """
-    deltas = np.arange(0.0, delta_max + 0.5 * delta_step, delta_step)
     r_c = critical_r(L, kind)
 
     def r_at(delta):
@@ -247,14 +247,14 @@ class ScanGrid:
             raise ValueError("delta samples must be strictly increasing")
         if u.size > 1 and np.any(np.diff(u) <= 0):
             raise ValueError("u samples must be strictly increasing")
-        if self.kind not in ("gs", "es", "both"):
+        if self.kind not in KINDS + ("both",):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.preparation not in ("exact", "ramped"):
             raise ValueError(f"unknown preparation {self.preparation!r}")
 
     @property
     def kinds(self):
-        return ("gs", "es") if self.kind == "both" else (self.kind,)
+        return KINDS if self.kind == "both" else (self.kind,)
 
 
 @dataclass
@@ -279,11 +279,8 @@ def _cell_r(kind, L, u, delta, phi, preparation, opts, start=None):
     with it or without."""
     params, proto = _cell_inputs(L, u, delta, phi, preparation)
     if proto is None:
-        sol = solve_state(params, kind, opts, start=start)
-        if not sol.converged:
-            raise RuntimeError(
-                f"solver did not converge (kind={kind}, U={u}, Delta={delta}, "
-                f"residual={sol.residual:.2e})")
+        sol = require_converged(solve_state(params, kind, opts, start=start),
+                                params, kind)
         return participation_ratio(sol.state)
     final, _ = ramp_prepare(params, proto, kind)
     return participation_ratio(final)
@@ -481,7 +478,7 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
 
     r_mats = dict(zip(grid.kinds, np.split(mat, len(grid.kinds))))
     phases = None
-    if detect and set(grid.kinds) == {"gs", "es"}:
+    if detect and grid.kinds == KINDS:
         phases = np.empty((us.size, deltas.size), dtype=object)
         for i in range(us.size):
             dc_g = trans["gs"][i].delta_c

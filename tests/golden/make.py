@@ -31,7 +31,12 @@ their shortest round-trip repr. tests/test_golden.py reruns the same calls
 through `record()` and compares. Run this with the nlaa whose values are to
 be pinned on the path, naming the calls to pin (all of them by default):
 
-    PYTHONPATH=<checkout>/src python3 tests/golden/make.py [cmd ...]
+    PYTHONPATH=<checkout>/src python3 tests/golden/make.py [--diff] [cmd ...]
+
+With --diff it writes nothing and prints each value of the named oracles
+that pinning would move, one line each as `<cmd>.json/<path>: old → new`
+(`absent` where a value is new or gone). The nlaa_version stamp is left out:
+it moves with every release.
 """
 
 import csv
@@ -200,13 +205,42 @@ def record(cmd, out):
     return {"argv": ARGV[cmd], **READ[cmd](Path(out)), "solves": len(calls)}
 
 
-def main(cmds):
-    for cmd in cmds or ARGV:
+def _leaves(value, path):
+    """(path, value) of every scalar in a JSON value, the path '/'-joined."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}/{i}")
+    else:
+        yield path, value
+
+
+def moved(cmd, golden):
+    """`path: old → new` of each value of `golden` (the new oracle of `cmd`)
+    that differs from the pinned tests/golden/<cmd>.json."""
+    old, new = ({path: json.dumps(v) for path, v in _leaves(rec, f"{cmd}.json")
+                 if path != f"{cmd}.json/nlaa_version"}
+                for rec in (json.loads((HERE / f"{cmd}.json").read_text()), golden))
+    return [f"{path}: {old.get(path, 'absent')} → {new.get(path, 'absent')}"
+            for path in {**new, **old} if old.get(path) != new.get(path)]
+
+
+def main(args):
+    diff = "--diff" in args
+    for cmd in [a for a in args if a != "--diff"] or ARGV:
         with tempfile.TemporaryDirectory() as out:
             golden = {"nlaa_version": nlaa.__version__, **record(cmd, out)}
-        path = HERE / f"{cmd}.json"
-        path.write_text(json.dumps(golden, indent=1) + "\n")
-        print(f"wrote {path} from nlaa {nlaa.__version__}", file=sys.stderr)
+        if diff:
+            lines = moved(cmd, json.loads(json.dumps(golden)))  # as the file reads back
+            for line in lines:
+                print(line)
+            print(f"{cmd}.json: {len(lines)} value(s) would move", file=sys.stderr)
+        else:
+            path = HERE / f"{cmd}.json"
+            path.write_text(json.dumps(golden, indent=1) + "\n")
+            print(f"wrote {path} from nlaa {nlaa.__version__}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,12 @@ from nlaa.model import LatticeState, ModelParams, apply_hamiltonian, \
 from nlaa.phasescan import critical_r, transition_for_u
 
 
+def _deltas(delta_max, step):
+    """The coarse Delta grid 0, step, ... up to delta_max, as the CLI's
+    phases and alpha-star build it."""
+    return np.arange(0.0, delta_max + 0.5 * step, step)
+
+
 def _linear_gs_r(L, delta, phi):
     p = ModelParams(L=L, J=1.0, Delta=delta, phi=phi)
     _, vecs = linear_spectrum(L, p.J, quasiperiodic_potential(p))
@@ -35,7 +41,7 @@ def _linear_gs_r(L, delta, phi):
 def test_criterion_01_aa_anchor_delta_c_both_kinds():
     # L=21, U=0: detected transition at Delta/J = 2.00 +/- 0.05, GS and ES
     for kind in ("gs", "es"):
-        tr = transition_for_u(0.0, kind, L=21)
+        tr = transition_for_u(0.0, kind, _deltas(4.0, 0.05), L=21)
         assert tr.found, kind
         assert tr.delta_c == pytest.approx(2.00, abs=0.05), kind
 
@@ -62,7 +68,8 @@ def test_criterion_03_alpha_star_linearity():
     # slope of alpha*(U) over U/J in {-0.25..0.25 step 0.05} = -0.81 +/- 0.15
     # with R^2 > 0.98; both energy definitions reported, one within tolerance
     us = np.round(np.arange(-0.25, 0.2501, 0.05), 10)
-    res = [extract_alpha_star(float(u), L=21, energy_definition="mu")
+    res = [extract_alpha_star(float(u), _deltas(8.0, 0.1), L=21,
+                              energy_definition="mu")
            for u in us]
     a_mu = np.array([t.alpha_star for t in res])
 
@@ -100,8 +107,7 @@ def test_criterion_04_phase_boundary_shape():
     for kind in ("gs", "es"):
         vals = []
         for u in us:
-            tr = transition_for_u(float(u), kind, L=21, delta_max=8.0,
-                                  delta_step=0.1)
+            tr = transition_for_u(float(u), kind, _deltas(8.0, 0.1), L=21)
             assert tr.found, (kind, u)
             vals.append(tr.delta_c)
         dc[kind] = np.array(vals)
@@ -244,8 +250,8 @@ def test_criterion_12_finite_size_ordering():
         for kind in ("gs", "es"):
             dc[kind] = {}
             for u in (-0.5, 0.0, 0.5):
-                tr = transition_for_u(u, kind, L=L, delta_max=delta_max,
-                                      delta_step=delta_step)
+                tr = transition_for_u(u, kind, _deltas(delta_max, delta_step),
+                                      L=L)
                 assert tr.found, (L, kind, u)
                 dc[kind][u] = tr.delta_c
         flags = (

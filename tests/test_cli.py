@@ -8,6 +8,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlaa import fitting
+from nlaa import fitting, gaa
 from nlaa.cli import main
 from nlaa.dynamics import EXPERIMENT_RAMP
 from nlaa.fitting import piecewise_model
@@ -72,11 +73,20 @@ def test_csv_floats_carry_twelve_significant_digits(tmp_path):
         assert SIG12.match(r[3]), r[3]
 
 
-def test_solver_failure_exits_3(tmp_path):
+def test_solver_failure_exits_3(tmp_path, capsys):
     # residual tolerance below machine precision cannot be met
     rc = main(["solve", "--L", "13", "--delta-over-j", "1.0",
                "--residual-tol", "1e-18", "--out", str(tmp_path)])
     assert rc == 3
+    assert "solver did not converge (kind=gs, U=0.0, Delta=1.0, residual=" \
+        in capsys.readouterr().err
+
+
+def test_solve_json_names_the_kind_as_given(tmp_path):
+    for kind in ("gs", "es"):
+        assert main(["solve", "--L", "13", "--kind", kind,
+                     "--out", str(tmp_path / kind)]) == 0
+        assert _json(tmp_path / kind / "solve.json")["kind"] == kind
 
 
 def test_non_finite_diagonal_in_the_solver_exits_3(tmp_path, monkeypatch):
@@ -379,6 +389,16 @@ def test_ramp_reports_fidelity_deficit(tmp_path):
     assert float(rows[0][0]) == 0.0
 
 
+def test_ramp_whose_exact_solve_does_not_converge_exits_3(tmp_path, capsys):
+    # three iterations leave the exact state unconverged: its r is no reference
+    rc = main(["ramp", "--L", "13", "--delta-over-j", "1", "--u-over-j", "0.5",
+               "--max-iterations", "3", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "solver did not converge (kind=gs, U=0.5, Delta=1.0, residual=" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "ramp.json").exists()
+
+
 # -------------------------
 # scan
 # -------------------------
@@ -579,6 +599,21 @@ def test_alpha_star_unbracketed_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_alpha_star_whose_critical_state_does_not_converge_exits_3(
+        tmp_path, capsys, monkeypatch):
+    # the state at Delta_c is solved after the transition is found; one left
+    # unconverged must not give e_c and alpha*
+    solve = gaa.solve_state
+    monkeypatch.setattr(gaa, "solve_state", lambda *args, **kwargs: replace(
+        solve(*args, **kwargs), converged=False))
+    rc = main(["alpha-star", "--L", "13", "--u-values", "0.25", "--delta-max", "4",
+               "--delta-step", "0.25", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "solver did not converge (kind=gs, U=0.25, Delta=" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "alpha_star.csv").exists()
+
+
 def test_alpha_star_bad_u_values_exits_2(tmp_path):
     rc = main(["alpha-star", "--u-values", "abc", "--out", str(tmp_path)])
     assert rc == 2
@@ -673,6 +708,32 @@ def test_fit_bootstrap_populates_stderr(tmp_path):
     assert fj["bootstrap"]["n_resamples"] == 100
     assert fj["bootstrap"]["valid"] is True
     assert 0.0 < fj["delta_c_stderr"] < 0.3
+
+
+def test_fit_json_of_an_invalid_bootstrap_is_strict_json(tmp_path, monkeypatch):
+    search = fitting._search
+
+    def search_failing(delta, w, R):        # 30 % of the bootstrap refits fail
+        best, usable, converged = search(delta, w, R)
+        if len(R) > 1:
+            converged = converged.copy()
+            converged[:3 * len(R) // 10] = False
+        return best, usable, converged
+
+    monkeypatch.setattr(fitting, "_search", search_failing)
+    deltas = np.linspace(0.2, 3.4, 40)
+    r = piecewise_model(deltas, 0.05, 1.0 / 21.0, 1.2, 1.8)
+    datafile = tmp_path / "meas.csv"
+    datafile.write_text("\n".join(f"{d},{v}" for d, v in zip(deltas, r)) + "\n")
+    assert main(["fit", "--data", str(datafile), "--bootstrap", "100",
+                 "--out", str(tmp_path)]) == 0
+
+    def reject(token):
+        raise ValueError(f"fit.json holds the non-standard token {token}")
+
+    fj = json.loads((tmp_path / "fit.json").read_text(), parse_constant=reject)
+    assert fj["bootstrap"] == {"n_resamples": 100, "n_failures": 30, "valid": False}
+    assert fj["delta_c_stderr"] is None
 
 
 def test_fit_without_source_exits_2(tmp_path):

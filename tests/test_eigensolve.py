@@ -26,7 +26,8 @@ from nlaa import eigensolve
 from nlaa.eigensolve import (IMAG_TIME_STEP, NEWTON_HANDOVER, SCF_MIXING, SCF_WINDOW,
                              _energy_gradient, _imag_time_block, _imag_time_rows,
                              _linear_edge_state, _norm, _projected, _residual_mu,
-                             _scf_block, _scf_rows, batched_starts)
+                             _scf_block, _scf_rows, batched_starts,
+                             require_converged)
 from nlaa.model import apply_stencil, energy_of
 
 
@@ -685,7 +686,6 @@ def test_excited_state_duality_elementwise(L, delta, U, phi):
     assert (es.residual, es.iterations, es.converged) == (
         gs.residual, gs.iterations, gs.converged)
     assert _bits([es.mu, es.energy]) == _bits([-gs.mu, -gs.energy])
-    assert (es.kind, gs.kind) == ("highest-excited", "ground")
     # the ES residual is measured against the original parameters
     if es.converged:
         assert residual(p, es.state, es.mu) < 1e-9
@@ -693,11 +693,22 @@ def test_excited_state_duality_elementwise(L, delta, U, phi):
 
 def test_solve_state_dispatch():
     p = ModelParams(L=13, J=1.0, Delta=1.0, U=0.2)
-    assert solve_state(p, "gs").kind == "ground"
-    assert solve_state(p, "es").kind == "highest-excited"
+    assert solve_state(p, "gs").mu < solve_state(p, "es").mu
     for kind in ("middle", "ground", "highest-excited"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kind must be 'gs' or 'es'"):
             solve_state(p, kind)
+
+
+def test_require_converged_returns_a_converged_solve_and_names_an_unconverged_one():
+    p = ModelParams(L=13, J=1.0, Delta=1.0, U=0.25)
+    sol = solve_state(p, "es")
+    assert require_converged(sol, p, "es") is sol
+    short = solve_state(p, "es", SolverOptions(max_iterations=3))
+    assert not short.converged
+    with pytest.raises(RuntimeError) as exc:
+        require_converged(short, p, "es")
+    assert str(exc.value) == ("solver did not converge (kind=es, U=0.25, Delta=1.0, "
+                              f"residual={short.residual:.2e})")
 
 
 # -------------------------

@@ -9,7 +9,7 @@ import inspect
 import nlaa
 
 MODULES = ("cli", "dynamics", "eigensolve", "fitting", "gaa", "model", "phasescan")
-SETTABLE_VALUES = 56
+SETTABLE_VALUES = 52
 
 
 def test_every_exported_name_resolves():

@@ -129,7 +129,7 @@ def test_effective_params_warns_outside_perturbative_window():
 # -------------------------
 
 def test_extract_alpha_star_at_quarter_u():
-    res = extract_alpha_star(0.25)
+    res = extract_alpha_star(0.25, np.arange(0.0, 8.05, 0.1))
     assert res.delta_c_gs == pytest.approx(1.5184, abs=0.01)
     assert res.delta_c_es == pytest.approx(2.5082, abs=0.01)
     # the paper-scale slope is about -0.81 U/J, so alpha*(0.25) ~ -0.2
@@ -139,4 +139,4 @@ def test_extract_alpha_star_at_quarter_u():
 
 def test_extract_alpha_star_unbracketed_window_raises():
     with pytest.raises(RuntimeError):
-        extract_alpha_star(0.25, delta_max=0.5)
+        extract_alpha_star(0.25, np.arange(0.0, 0.55, 0.1))

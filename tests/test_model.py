@@ -21,7 +21,8 @@ from nlaa import (
     participation_ratio,
     quasiperiodic_potential,
 )
-from nlaa.model import H_SI, HBAR_SI, apply_stencil, energy_of, participation_of
+from nlaa.model import (H_SI, HBAR_SI, KINDS, apply_stencil, energy_of,
+                        participation_of)
 
 
 # -------------------------
@@ -56,6 +57,16 @@ def test_negated_params_is_involution():
     assert (n.beta, n.phi, n.L) == (p.beta, p.phi, p.L)
     nn = n.negated()
     assert (nn.J, nn.Delta, nn.U) == (p.J, p.Delta, p.U)
+
+
+def test_for_kind_is_the_model_whose_ground_state_is_the_kind_state():
+    p = ModelParams(L=13, J=1.0, Delta=1.7, phi=0.4, U=0.6)
+    assert KINDS == ("gs", "es")
+    assert p.for_kind("gs") is p
+    assert p.for_kind("es") == p.negated()
+    for kind in ("both", "ground", "highest-excited", "", None):
+        with pytest.raises(ValueError, match=f"kind must be 'gs' or 'es', got {kind!r}"):
+            p.for_kind(kind)
 
 
 def test_quasiperiodic_potential_values():

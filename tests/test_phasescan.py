@@ -177,7 +177,7 @@ def test_detect_transition_validates_grid():
 
 
 def test_transition_for_u_linear_anchor():
-    tr = transition_for_u(0.0, "gs", L=21, delta_max=3.0, delta_step=0.25)
+    tr = transition_for_u(0.0, "gs", np.arange(0.0, 3.125, 0.25), L=21)
     assert tr.found
     assert tr.delta_c == pytest.approx(2.0, abs=0.05)
 
@@ -209,7 +209,7 @@ def test_lazy_sweep_equals_full_grid_detection(rs, r_c):
                              refine=lambda d: float(np.interp(d, deltas, rs)))
     with pytest.MonkeyPatch.context() as mp:
         calls = _stub_cells(mp, deltas, rs, r_c)
-        tr = transition_for_u(0.3, "gs", delta_max=deltas[-1], delta_step=STEP)
+        tr = transition_for_u(0.3, "gs", deltas)
     assert (tr.found, tr.delta_c) == (full.found, full.delta_c)
     assert tr.crossings == full.crossings[:1]
     grid = [d for d in calls if d in deltas]
@@ -226,12 +226,12 @@ def test_lazy_sweep_cell_failure_past_the_bracket_is_not_reached():
     rs = [0.9, 0.8, 0.7, 0.2, 0.1, 0.6, 0.1, 0.05]     # brackets at 2 and 5
     with pytest.MonkeyPatch.context() as mp:
         _stub_cells(mp, deltas, rs, 0.5, fail_at=deltas[6])
-        tr = transition_for_u(0.3, "gs", delta_max=deltas[-1], delta_step=STEP)
+        tr = transition_for_u(0.3, "gs", deltas)
     assert tr.found and tr.crossings == [(deltas[2], deltas[3])]
     with pytest.MonkeyPatch.context() as mp:
         _stub_cells(mp, deltas, rs, 0.5, fail_at=deltas[1])
         with pytest.raises(RuntimeError, match="injected"):
-            transition_for_u(0.3, "gs", delta_max=deltas[-1], delta_step=STEP)
+            transition_for_u(0.3, "gs", deltas)
 
 
 # -------------------------
@@ -484,7 +484,7 @@ def test_refinement_solve_counts_are_pinned(monkeypatch):
     scan_phase_diagram(ORACLE)
     assert len(solves) == 54 + 14
     solves.clear()
-    tr = transition_for_u(0.4, "gs", L=13, delta_max=3.0, delta_step=0.25)
+    tr = transition_for_u(0.4, "gs", STEP * np.arange(13), L=13)
     assert tr.crossings == [(1.25, 1.5)] and tr.refine_solves == 4
     assert len(solves) == 7 + 4
 
