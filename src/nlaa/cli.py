@@ -439,7 +439,7 @@ def cmd_solve(cfg, outdir):
         _write_json(outdir / "solve.json", {
             "params": params.to_dict(), "kind": cfg.kind, "mu": sol.mu,
             "energy": sol.energy, "residual": sol.residual,
-            "iterations": sol.iterations,
+            "iterations": sol.iterations, "certified": sol.certified,
             "participation_ratio": participation_ratio(state),
             "momentum_width": momentum_width(state),
             "argmax_density": int(np.argmax(state.density)),

@@ -33,6 +33,19 @@ interaction is defocusing and the low-energy landscape has several competing
 wells (density "sloshes" between them); the stall exit hands such a block to
 Newton too, and to stage A of the next attempt if Newton fails.
 
+Where the solved model is defocusing (U <= 0), attempt 0 first tries to end
+right after stage A (_convex_finish): Newton from stage A's state, accepted
+in place of stage B's outcome if it reaches the tolerance, passes the
+cascade's energy guard and is certified. The certificate (_certified, one
+O(L) LAPACK dpttrf factorization) says that the state is the lowest
+eigenvector of its own H[phi]. On this side E is convex in the density, and
+a stationary state that passes it is the ground state (Lieb, Seiringer &
+Yngvason, PRA 61, 043602 (2000)). Where U > 0 it is necessary but not
+sufficient: Newton from stage A can land on a certified stationary state
+above the ground state, so the exit stays off. A rejected exit costs its
+Newton steps' time but no iterations, and the cascade goes on bit for bit
+as without it. Every solve reports the certificate on the state it returns.
+
 Many cells that share L (a scan's grid, or one refinement step of all its
 rows, of both kinds and any U) can run attempt 0's stages A and B as (B, L)
 arrays: batched_starts returns each cell's `start`, and
@@ -42,7 +55,8 @@ eps - U v^2 diagonal and stage A's energy and gradient. The model's
 apply_stencil and the residual act on (..., L) arrays, and
 stage B's LAPACK edge eigenpair runs row by row on that row's own
 off-diagonal, so each row of the batch is computed bit for bit as the lone
-1-D solve computes it.
+1-D solve computes it. The convex exit runs row by row between the stages,
+and the rows it finishes leave the batch before stage B.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
@@ -62,7 +76,7 @@ import numpy as np
 from .model import (LatticeState, ModelParams, apply_stencil, energy_of,
                     quasiperiodic_potential)
 
-_LAPACK_ROUTINES = ("dgtsv", "dstebz", "dstein", "dstevd")
+_LAPACK_ROUTINES = ("dgtsv", "dpttrf", "dstebz", "dstein", "dstevd")
 
 
 def _scipy_extension_file(subpackage, module):
@@ -106,12 +120,14 @@ def _load_scipy_extension(subpackage, module, names, fallback):
 
 _lapack = _load_scipy_extension("linalg", "_flapack", _LAPACK_ROUTINES,
                                 "scipy.linalg.lapack")
-dgtsv, dstebz, dstein, dstevd = (getattr(_lapack, name) for name in _LAPACK_ROUTINES)
+dgtsv, dpttrf, dstebz, dstein, dstevd = (getattr(_lapack, name)
+                                         for name in _LAPACK_ROUTINES)
 
 IMAG_TIME_STEP = 0.05     # stage A's first step size
 SCF_MIXING = 0.3          # stage B's first density-mixing weight
 SCF_WINDOW = 50           # stage B's steps per mixing-halving and stall check
 NEWTON_HANDOVER = 1e-5    # stage B's residual at which Newton takes over
+CERTIFICATE_SHIFT = 1e-8  # how far below mu the lowest eigenvalue of H[phi] may lie
 
 
 @dataclass(frozen=True)
@@ -135,6 +151,7 @@ class EigenSolution:
     residual: float
     iterations: int
     converged: bool
+    certified: bool
 
 
 # -------------------------
@@ -475,6 +492,54 @@ def _bordered_dense_step(off, d, v, F, F_L):
     return delta[:L], delta[L]
 
 
+def _guarded_newton(J, eps, U, v, best_e, tol, max_newton):
+    """_newton_polish from v at its Rayleigh quotient, for up to max_newton
+    steps. Returns (state, its E, steps) if Newton reaches `tol` at a finite
+    state whose E is not above best_e + 1e-12, so that Newton cannot pull a
+    solve out of the variational basin; else (None, None, steps)."""
+    mu = _residual_mu(J, eps, U, v)[1]
+    vn, ok, used = _newton_polish(J, eps, U, v.copy(), mu, tol, max_newton)
+    if ok and np.all(np.isfinite(vn)):
+        en = energy_of(J, eps, U, vn)
+        if en <= best_e + 1e-12:
+            return vn, en, used
+    return None, None, used
+
+
+def _certified(J, eps, U, v, mu):
+    """Whether v is, to within CERTIFICATE_SHIFT, the lowest eigenvector of
+    its own H[v] = tridiag(J) + diag(eps - U v^2) at eigenvalue mu: LAPACK
+    dpttrf factors H[v] - (mu - CERTIFICATE_SHIFT) exactly when it is
+    positive definite, that is when the lowest eigenvalue of H[v] lies above
+    mu - CERTIFICATE_SHIFT. O(L), without an eigensolver."""
+    *_, info = dpttrf(eps - U * v * v - (mu - CERTIFICATE_SHIFT),
+                      np.full(len(v) - 1, float(J)))
+    return info == 0
+
+
+def _convex_finish(J, eps, U, v0, v, tol, budget):
+    """Attempt 0's exit after stage A, for a model with U <= 0.
+
+    There E is convex in the density, so a stationary state that is the
+    lowest eigenvector of its own H[phi] is the ground state (Lieb,
+    Seiringer & Yngvason, PRA 61, 043602 (2000)). Newton runs from stage
+    A's state v for up to min(40, budget) steps, and its result is the
+    cell's stage B outcome (residual, state, Newton steps) if it passes
+    the cascade's guard on Newton (_guarded_newton, against the lower E of
+    v0 and v) and is _certified. Otherwise, and always
+    where U > 0, returns None: there E is not convex, and a certified
+    stationary state can lie above the ground state.
+    """
+    if U > 0:
+        return None
+    best_e = min(energy_of(J, eps, U, v0), energy_of(J, eps, U, v))
+    vn, _, used = _guarded_newton(J, eps, U, v, best_e, tol, min(40, budget))
+    if vn is None:
+        return None
+    res, mu = _residual_mu(J, eps, U, vn)
+    return (res, vn, used) if _certified(J, eps, U, vn, mu) else None
+
+
 def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions(),
                 start=None) -> EigenSolution:
     """The ground state (kind 'gs') or the highest excited state ('es').
@@ -489,8 +554,10 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     steps, and never exceeds opts.max_iterations. `start` is this cell's
     entry of batched_starts: (linear ground state, v, step, iterations,
     stage B) after attempt 0's stage A, where stage B is attempt 0's
-    _scf_block outcome or None to run it here. The cascade then goes on
-    from there, and its result is the one it returns without `start`.
+    _convex_finish or _scf_block outcome, or None to run them here. The
+    cascade then goes on from there, and its result is the one it returns
+    without `start`. `certified` is _certified on the returned state, in
+    the model the kind solves.
     """
     params, negate = params.for_kind(kind), kind == "es"
     eps = quasiperiodic_potential(params)
@@ -526,6 +593,8 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
         # stage B: self-consistent refinement with density mixing
         budget = opts.max_iterations - iterations
         if budget > 0:
+            if not attempt and scf is None:
+                scf = _convex_finish(J, eps, U, v0, v, opts.residual_tol, budget)
             if attempt or scf is None:
                 scf = _scf_block(J, off, eps, U, v, 2000, opts.residual_tol,
                                  budget)
@@ -539,16 +608,12 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
                 break
 
         # stage C: Newton polish from the best iterate so far
-        mu0 = _residual_mu(J, eps, U, best_v)[1]
-        vn, ok, used = _newton_polish(
-            J, eps, U, best_v.copy(), mu0, opts.residual_tol,
-            min(40, opts.max_iterations - iterations))
+        vn, en, used = _guarded_newton(J, eps, U, best_v, best_e, opts.residual_tol,
+                                       min(40, opts.max_iterations - iterations))
         iterations += used
-        if ok and np.all(np.isfinite(vn)):
-            en = energy_of(J, eps, U, vn)
-            if en <= best_e + 1e-12:
-                best_v, best_e = vn, en
-                break
+        if vn is not None:
+            best_v, best_e = vn, en
+            break
         v = best_v.copy()
 
     nv = _norm(best_v)
@@ -564,6 +629,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
         residual=res,
         iterations=iterations,
         converged=res < opts.residual_tol,
+        certified=_certified(J, eps, U, best_v, mu),
     )
 
 
@@ -585,9 +651,11 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     per cell. Both stages run on all of them as (B, L) arrays, each row with
     its own J and U, and entry i of the returned list is the `start` that
     solve_state(cells[i], kind_i, opts, start=...) goes on from: bit for bit
-    what the lone solve computes. A cell that is not finite after stage A,
-    has no budget left for stage B, or fails in it carries no stage B
-    outcome, and its cascade runs (and fails in) stage B alone.
+    what the lone solve computes. A cell that _convex_finish finishes after
+    stage A carries that outcome and skips stage B. A cell that is not
+    finite after stage A, has no budget left for stage B, or fails in it
+    carries no stage B outcome, and its cascade runs (and fails in) stage B
+    alone.
     """
     kinds = [kind] * len(cells) if isinstance(kind, str) else kind
     solved = [p.for_kind(k) for p, k in zip(cells, kinds)]
@@ -600,8 +668,13 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                     target, opts.max_iterations)
     budgets = opts.max_iterations - used
-    rows = np.flatnonzero(np.isfinite(v).all(axis=-1) & (budgets > 0))
+    ready = np.isfinite(v).all(axis=-1) & (budgets > 0)
     scf = [None] * len(cells)
+    for i in np.flatnonzero(ready):     # convex rows that finish leave the batch
+        scf[i] = _convex_finish(J[i], eps[i], U[i], v0[i], v[i], opts.residual_tol,
+                                budgets[i])
+        ready[i] = scf[i] is None
+    rows = np.flatnonzero(ready)
     for i, out in zip(rows, _scf_rows(J[rows], eps[rows], U[rows], v[rows], 2000,
                                       opts.residual_tol, budgets[rows])):
         scf[i] = out

@@ -9,7 +9,8 @@ from its CSVs and JSONs by `record()`:
   and refinement solves;
 - phases (L = 13): Delta_c of both kinds per U, and the found flags;
 - solve (L = 21, es): the site densities, r, <d>, mu and E of the state,
-  its most populated site, and the echoed parameters;
+  its most populated site, whether it passes the certificate, and the
+  echoed parameters;
 - ramp (L = 13, es): the snapshot times and r, <d> and E at each, r of the
   ramped and of the exact state, and the echoed ramp and parameters;
 - evolve (L = 13, t_final = 1, Delta = 1, U = 0.8): the snapshot times, r,
@@ -115,7 +116,7 @@ def _column(rows, col, kind=float):
 def _read_solve(out):
     info = json.loads((out / "solve.json").read_text())
     return {"params": info["params"], "kind": info["kind"],
-            "argmax_density": info["argmax_density"],
+            "argmax_density": info["argmax_density"], "certified": info["certified"],
             "density": _column(_rows(out / "state.csv")[1], 3),
             "observables": {k: info[k] for k in (
                 "participation_ratio", "momentum_width", "mu", "energy")}}

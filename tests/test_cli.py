@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlaa import fitting, gaa
+from nlaa import eigensolve, fitting, gaa
 from nlaa.cli import main
 from nlaa.dynamics import EXPERIMENT_RAMP
 from nlaa.fitting import piecewise_model
@@ -87,6 +87,15 @@ def test_solve_json_names_the_kind_as_given(tmp_path):
         assert main(["solve", "--L", "13", "--kind", kind,
                      "--out", str(tmp_path / kind)]) == 0
         assert _json(tmp_path / kind / "solve.json")["kind"] == kind
+
+
+@pytest.mark.parametrize("kind, u, delta, certified", [
+    ("gs", -1.0, 8.0, False),    # defocusing, a stationary state above the minimum
+    ("gs", 0.5, 1.5, True), ("es", 0.5, 1.5, True), ("es", -0.5, 1.5, True)])
+def test_solve_json_reports_the_certificate(tmp_path, kind, u, delta, certified):
+    assert main(["solve", "--L", "21", "--kind", kind, "--u-over-j", str(u),
+                 "--delta-over-j", str(delta), "--out", str(tmp_path)]) == 0
+    assert _json(tmp_path / "solve.json")["certified"] is certified
 
 
 def test_non_finite_diagonal_in_the_solver_exits_3(tmp_path, monkeypatch):
@@ -591,6 +600,28 @@ def test_phases_boundary_ordering(tmp_path):
     u, dc_gs, dc_es = (float(x) for x in rows[0])
     assert u == 0.25
     assert dc_gs < dc_es                                # focusing shifts GS down
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
+def test_phases_pool_writes_the_serial_boundaries(tmp_path, monkeypatch):
+    # U on both sides of 0: the pool's lone solves take the convex exit too
+    finish, finished = eigensolve._convex_finish, []
+
+    def spy(*args):
+        out = finish(*args)
+        finished.append(out is not None)
+        return out
+
+    argv = ["phases", "--L", "13", "--u-min", "-0.5", "--u-max", "0.5",
+            "--u-step", "0.5", "--delta-max", "4", "--delta-step", "0.25"]
+    monkeypatch.setattr(eigensolve, "_convex_finish", spy)
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.undo()
+    assert any(finished) and not all(finished)
+    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool")]) == 0
+    serial, pool = (tmp_path / name / "boundaries.csv" for name in ("serial", "pool"))
+    assert pool.read_bytes() == serial.read_bytes()
+    assert len(_rows(serial)[1]) == 3
 
 
 def test_alpha_star_unbracketed_exits_3(tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.linalg.lapack import dgtsv as dgtsv_lapack
@@ -114,16 +114,20 @@ def test_linear_spectrum_rejects_a_non_finite_potential(bad):
 # -------------------------
 
 def _lapack_results(lib, d, off):
-    """Every output of the four routines nlaa binds, called from `lib` as the
+    """Every output of the five routines nlaa binds, called from `lib` as the
     solver calls them, on the tridiagonal (d, off)."""
     rhs = np.array([d, np.roll(d, 1)]).T
     *_, x, info = lib.dgtsv(off, d, off, rhs)
+    # dpttrf on (d, off), and on a diagonally dominant shift that it factors
+    d_f, e_f, info_f = lib.dpttrf(d, off)
+    d_p, e_p, info_p = lib.dpttrf(np.abs(d) + 2.5 * np.abs(off).max(initial=0.0), off)
     m, w, iblock, isplit, info_z = lib.dstebz(d, off, 2, 0.0, 1.0, 1, len(d),
                                               0.0, "B")
     v, info_s = lib.dstein(d, off, w[:m], iblock, isplit)
     w_all, v_all, info_d = lib.dstevd(d, off, compute_v=1)
-    return [_bits(out) for out in (x, w, iblock, isplit, v, w_all, v_all,
-                                   [info, m, info_z, info_s, info_d])]
+    return [_bits(out) for out in (x, d_f, e_f, d_p, e_p, w, iblock, isplit, v, w_all,
+                                   v_all, [info, info_f, info_p, m, info_z, info_s,
+                                           info_d])]
 
 
 def _tridiagonal(L, J, scale, seed):
@@ -393,19 +397,65 @@ def _assert_batched_equals_lone(cells, kind, opts):
     return starts
 
 
+def _without_convex_exit(solve, *args, **kwargs):
+    """solve(*args, **kwargs) with _convex_finish rejecting every cell: the
+    cascade as it runs where the exit after stage A does not certify."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_convex_finish", lambda *_: None)
+        return solve(*args, **kwargs)
+
+
+def _assert_same_solution(a, b):
+    assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
+    assert _bits([a.mu, a.energy, a.residual]) == _bits([b.mu, b.energy, b.residual])
+    assert (a.iterations, a.converged, a.certified) == (b.iterations, b.converged,
+                                                       b.certified)
+
+
 @given(deltas=st.lists(st.sampled_from([0.5, 1.5, 2.0, 3.0, 5.0]), min_size=1,
                        max_size=5),
-       U=st.sampled_from([-1.0, -0.5, 0.5, 1.0]), kind=st.sampled_from(["gs", "es"]),
+       U=st.sampled_from([0.5, 1.0]), kind=st.sampled_from(["gs", "es"]),
        phi=st.floats(0.0, 2.0 * np.pi), frac=st.floats(0.0, 1.0))
 def test_batched_stage_b_equals_lone_when_the_cap_ends_inside_it(deltas, U, kind,
                                                                   phi, frac):
+    # focusing cells (U > 0 in the model each kind solves), which the convex
+    # exit leaves to stage B
+    U = U if kind == "gs" else -U
     cells = [ModelParams(L=13, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
     _, _, _, used_a, (_, _, used_b) = batched_starts(cells, kind)[0]
     # a cap that stops the first cell's stage B after 1 ... used_b - 1 steps
     cut = 1 + int(frac * (used_b - 2)) if used_b > 1 else 1
-    starts = _assert_batched_equals_lone(
-        cells, kind, SolverOptions(max_iterations=used_a + cut))
-    assert starts[0][4][2] == cut
+    opts = SolverOptions(max_iterations=used_a + cut)
+    starts = _assert_batched_equals_lone(cells, kind, opts)
+    # the capped cell really ran stage B, and stage B ran to the cap
+    p = cells[0].for_kind(kind)
+    _, v, _, _, scf = starts[0]
+    want = _scf_block(p.J, np.full(12, p.J), quasiperiodic_potential(p), p.U, v,
+                      2000, opts.residual_tol, cut)
+    assert _bits([scf[0], *scf[1]]) == _bits([want[0], *want[1]])
+    assert scf[2] == want[2] == cut
+
+
+def _stage_b_as_alone(cells, kind, opts):
+    """Attempt 0's stage B of `cells` (one kind) as one _scf_rows batch on
+    their stage A output, each row checked bitwise against _scf_block alone;
+    then each cell's cascade from that row is checked bitwise against the
+    lone solve without the convex exit, which runs the same stage B itself.
+    Returns the rows' (best residual, best iterate, iterations_used)."""
+    solved = [p.for_kind(kind) for p in cells]
+    J, U, eps, v0, v, step, used = _stage_a_rows(solved, opts)
+    budgets = opts.max_iterations - used
+    args = (2000, opts.residual_tol)
+    rows = _scf_rows(J, eps, U, v, *args, budgets)
+    for i, p in enumerate(cells):
+        res, best, n = _scf_block(J[i], np.full(p.L - 1, J[i]), eps[i], U[i], v[i],
+                                  *args, budgets[i])
+        assert _bits([rows[i][0], *rows[i][1]]) == _bits([res, *best])
+        assert rows[i][2] == n
+        start = (v0[i], v[i], step[i], used[i], rows[i])
+        _assert_same_solution(solve_state(p, kind, opts, start=start),
+                              _without_convex_exit(solve_state, p, kind, opts))
+    return rows
 
 
 @pytest.mark.parametrize("kind, U", [("gs", -1.0), ("es", 0.5), ("es", 1.0)])
@@ -413,12 +463,15 @@ def test_batched_stage_b_stalls_fall_through_to_newton_as_alone(kind, U):
     # defocusing rows: stage B hands over to Newton for small Delta and
     # stalls (its residual stops falling across a SCF_WINDOW-step window) for
     # large Delta; the first window only sets the bar, so the earliest stall
-    # is at 2 * SCF_WINDOW, and one row here stalls later than that
+    # is at 2 * SCF_WINDOW, and one row here stalls later than that. The
+    # convex exit finishes these cells before stage B, so stage B runs here
+    # on their stage A output, as it does for a cell the exit rejects.
     opts = SolverOptions()
     cells = [ModelParams(L=13, J=1.0, Delta=d, U=U)
              for d in (0.5, 2.5, 3.0, 4.5, 5.0, 6.0)]
-    starts = _assert_batched_equals_lone(cells, kind, opts)
-    stalled = [scf for *_, scf in starts if scf[0] >= NEWTON_HANDOVER]
+    _assert_batched_equals_lone(cells, kind, opts)
+    stalled = [row for row in _stage_b_as_alone(cells, kind, opts)
+               if row[0] >= NEWTON_HANDOVER]
     assert stalled and all(used % SCF_WINDOW == 0 and used < 2000
                            for _, _, used in stalled)
     assert any(used > 2 * SCF_WINDOW for _, _, used in stalled)
@@ -427,16 +480,19 @@ def test_batched_stage_b_stalls_fall_through_to_newton_as_alone(kind, U):
 def test_batched_stage_b_exits_at_handover_stall_and_later_as_alone():
     # one batch, three exits: row 0 hands over to Newton within the first
     # window, row 1 stalls at the earliest stall check, and row 2 runs on
-    # past both and hands over after its second window
+    # past both and hands over after its second window (on stage A's output,
+    # as for cells the convex exit rejects)
     opts = SolverOptions()
     cells = [ModelParams(L=13, J=1.0, Delta=d, U=U)
              for d, U in ((0.5, 0.5), (3.0, 0.5), (2.5, 1.0))]
-    starts = _assert_batched_equals_lone(cells, "es", opts)
-    (res0, _, used0), (res1, _, used1), (res2, _, used2) = (s[4] for s in starts)
+    _assert_batched_equals_lone(cells, "es", opts)
+    (res0, _, used0), (res1, _, used1), (res2, _, used2) = _stage_b_as_alone(
+        cells, "es", opts)
     assert opts.residual_tol <= res0 < NEWTON_HANDOVER and used0 < SCF_WINDOW
     assert res1 >= NEWTON_HANDOVER and used1 == 2 * SCF_WINDOW
     assert opts.residual_tol <= res2 < NEWTON_HANDOVER and used2 > 2 * SCF_WINDOW
-    assert all(solve_state(p, "es", opts).converged for p in cells)
+    assert all(_without_convex_exit(solve_state, p, "es", opts).converged
+               for p in cells)
 
 
 # (L, kind, U, Delta, r, E, iterations) of the cascade before stage B handed
@@ -617,7 +673,9 @@ def _check_failing_stage_b_row(monkeypatch, failure, us):
     assert rows[1] is None
     if failure == "lapack":
         assert len(calls) == 8 and "LAPACK info=7" in str(lone.value)
-        # the row's cascade runs stage B alone and raises the lone error
+        # the row's cascade runs stage B alone and raises the lone error (a
+        # convex row reaches stage B only where the convex exit rejects it)
+        monkeypatch.setattr(eigensolve, "_convex_finish", lambda *_: None)
         calls.clear()
         with pytest.raises(error) as cascade:
             solve_state(cells[1], "gs", opts,
@@ -668,6 +726,93 @@ def test_focusing_increases_localization():
     rm = participation_ratio(solve_state(
         ModelParams(L=21, J=1.0, Delta=1.8, U=-0.5), "gs").state)
     assert rp < r0 < rm
+
+
+# -------------------------
+# The convex exit after stage A
+# -------------------------
+
+def _exit_outcomes(solve, *args):
+    """solve(*args) and what each _convex_finish call it made returned."""
+    outcomes, finish = [], eigensolve._convex_finish
+
+    def spy(*a):
+        outcomes.append(finish(*a))
+        return outcomes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_convex_finish", spy)
+        return solve(*args), outcomes
+
+
+@settings(max_examples=60)
+@given(L=st.integers(2, 34), delta=st.floats(0.0, 8.0),
+       U=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), kind=st.sampled_from(["gs", "es"]),
+       phi=st.floats(allow_nan=False, allow_infinity=False))
+@pytest.mark.filterwarnings("ignore:.*self-trapping")
+def test_convex_exit_is_sound(L, delta, U, kind, phi):
+    # against the cascade without the exit: bitwise where the exit is off or
+    # rejects; where it finishes, certified, no higher in E, and at the same
+    # state wherever the cascade's own state is certified too
+    p = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=U)
+    sol, outcomes = _exit_outcomes(solve_state, p, kind)
+    ref = _without_convex_exit(solve_state, p, kind)
+    if p.for_kind(kind).U > 0:
+        assert outcomes == [None]
+    if all(out is None for out in outcomes):
+        _assert_same_solution(sol, ref)
+        return
+    assert sol.converged and sol.certified
+    sign = -1.0 if kind == "es" else 1.0       # E of the model the kind solves
+    assert sign * sol.energy <= sign * ref.energy + 1e-12
+    if ref.certified:
+        assert abs(participation_ratio(sol.state) - participation_ratio(ref.state)) <= 1e-8
+
+
+# (L, kind, U, Delta, r, E, iterations) of cells the exit leaves to the
+# cascade, as the cascade solved them before the exit existed (0.1.9): the
+# first two end uncertified, and the third is focusing
+FALLBACK_CELLS = [
+    (21, "gs", -1.0, 8.0, 0.04881091328574938, -7.648437005140082, 155),
+    (144, "gs", -0.5, 4.888, 0.048892245099701054, -5.073753353102648, 3315),
+    (144, "gs", 0.5, 1.064, 0.03890367963309929, -2.1767126254190368, 143),
+]
+
+
+@pytest.mark.parametrize("L, kind, U, delta, r, energy, iterations", FALLBACK_CELLS)
+def test_cells_the_exit_leaves_are_solved_bitwise_as_before(L, kind, U, delta, r,
+                                                            energy, iterations):
+    p = ModelParams(L=L, J=1.0, Delta=delta, U=U)
+    sol, outcomes = _exit_outcomes(solve_state, p, kind)
+    assert outcomes == [None]
+    _assert_same_solution(sol, _without_convex_exit(solve_state, p, kind))
+    assert _bits([participation_ratio(sol.state), sol.energy]) == _bits([r, energy])
+    assert sol.iterations == iterations and sol.converged
+    assert sol.certified == (U > 0)
+
+
+def test_certified_newton_state_above_the_focusing_ground_state():
+    # why the exit stays off where U > 0: at this cell Newton from stage A
+    # passes the energy guard and the certificate, yet the cascade ends
+    # 0.0046 lower in E, at a state with r 0.039 in place of 0.103
+    p = ModelParams(L=144, J=1.0, Delta=1.064, U=0.5)
+    eps = quasiperiodic_potential(p)
+    _, v0 = _linear_edge_state(eps, np.full(p.L - 1, p.J))
+    max_steps, target = eigensolve._stage_a_plan(0)
+    v, _, _ = _imag_time_block(p.J, eps, p.U, v0, max_steps, IMAG_TIME_STEP, target,
+                               50_000)
+    mu = _residual_mu(p.J, eps, p.U, v)[1]
+    vn, ok, _ = eigensolve._newton_polish(p.J, eps, p.U, v.copy(), mu, 1e-10, 40)
+    e_newton = energy_of(p.J, eps, p.U, vn)
+    assert ok and e_newton <= min(energy_of(p.J, eps, p.U, v0),
+                                  energy_of(p.J, eps, p.U, v)) + 1e-12
+    assert eigensolve._certified(p.J, eps, p.U, vn, _residual_mu(p.J, eps, p.U, vn)[1])
+    assert e_newton == pytest.approx(-2.172161, abs=1e-6)
+    assert abs(participation_ratio(LatticeState(vn)) - 0.1026) < 1e-4
+    sol = solve_state(p, "gs")
+    assert sol.energy == pytest.approx(-2.176713, abs=1e-6)
+    assert abs(participation_ratio(sol.state) - 0.0389) < 1e-4
+    assert eigensolve._convex_finish(p.J, eps, p.U, v0, v, 1e-10, 50_000) is None
 
 
 # -------------------------
