@@ -56,7 +56,9 @@ apply_stencil and the residual act on (..., L) arrays, and
 stage B's LAPACK edge eigenpair runs row by row on that row's own
 off-diagonal, so each row of the batch is computed bit for bit as the lone
 1-D solve computes it. The convex exit runs row by row between the stages,
-and the rows it finishes leave the batch before stage B.
+and the rows it finishes leave the batch before stage B. A solve can also
+skip stage A and start from a solved neighbour's state (warm_start), as the
+transition refinement of phasescan does.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
@@ -556,8 +558,9 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     stage B) after attempt 0's stage A, where stage B is attempt 0's
     _convex_finish or _scf_block outcome, or None to run them here. The
     cascade then goes on from there, and its result is the one it returns
-    without `start`. `certified` is _certified on the returned state, in
-    the model the kind solves.
+    without `start`. A warm_start `start` begins stage B at another state,
+    so its result can differ. `certified` is _certified on the returned
+    state, in the model the kind solves.
     """
     params, negate = params.for_kind(kind), kind == "es"
     eps = quasiperiodic_potential(params)
@@ -631,6 +634,18 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
         converged=res < opts.residual_tol,
         certified=_certified(J, eps, U, best_v, mu),
     )
+
+
+def warm_start(params, kind, v):
+    """solve_state's `start` for the cell (params, kind) that skips stage A
+    and goes on from the state v, given in the frame the kind is solved in
+    (as solve_state returns it): continuation from a solved neighbour. The
+    linear ground state, from which the energy guard starts, is still the
+    cell's own."""
+    solved = params.for_kind(kind)
+    eps = quasiperiodic_potential(solved)
+    _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(solved.J)))
+    return v0, v, IMAG_TIME_STEP, 0, None
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:

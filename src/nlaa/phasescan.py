@@ -11,14 +11,31 @@ the secant root and the midpoint of the bracket) to a bracket of 1e-3 in
 Delta/J. The caller gives the Delta grid; an exact cell whose solve ends
 unconverged fails with eigensolve.require_converged's error.
 
+An exact refinement point starts warm: from the state of the nearest solved
+Delta of its row (the lower on a tie), if that solve is certified
+(eigensolve.warm_start skips stage A and goes on from that state; this is
+continuation along Delta, Allgower & Georg, SIAM 2003). The warm result is
+kept only if it converges and is certified. Where the model the kind solves
+is focusing (U > 0), the point is also solved warm from the nearest solved
+Delta on its other side, and both results must agree, because there a
+certified state can be metastable (_refine). Otherwise, and where a start
+is not certified, the point is solved cold, as a grid cell is.
+
 A scan's JSONL store is an exact solve cache: one record per solve, grid
 cells and refinement points alike, appended as soon as it is solved. Each
 record's `key` is the sha256 of canonical JSON of every input that affects
 its r: the ModelParams fields (L, J, Delta, phi, U, floats by their
 round-trip repr; beta is fixed), kind, preparation, EXPERIMENT_RAMP (ramped
-scans), every SolverOptions field and the package version. A
-resumed scan reads each solve back bit for bit and solves only what is
-missing, so it returns what a fresh scan returns. Lines without a key,
+scans), every SolverOptions field and the package version. Every exact
+record also stores `certified`, its solve's certificate. A point that
+started warm is keyed by its cell's key chained with the keys of the
+records it started from, which it stores as `start` (the one whose state it
+goes on from) and `crosscheck` (the other side's, on the focusing side),
+and `warm` says whether the warm result was kept (else r is the cold
+solve's). A resumed scan reads
+each solve back bit for bit and solves only what is missing, so it returns
+what a fresh scan returns; a missing warm point re-derives the state it
+starts from by re-solving that record, bit for bit. Lines without a key,
 written by older versions, never match, so their cells are recomputed;
 failed cells (`ok: false`) are retried. A torn last line, as a kill during
 an append leaves it, is skipped with a logged warning and cut off before
@@ -39,7 +56,7 @@ import numpy as np
 from . import __version__
 from .dynamics import EXPERIMENT_RAMP, ramp_prepare
 from .eigensolve import (SolverOptions, batched_starts, linear_spectrum,
-                         require_converged, solve_state)
+                         require_converged, solve_state, warm_start)
 from .model import KINDS, ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
@@ -48,6 +65,9 @@ BISECTION_TOL = 1e-3
 # margin, rounding leaves about 40 % of such brackets an ulp wider, which
 # costs one solve past the n_max bound
 _ITP_EPSILON = 0.5 * BISECTION_TOL * (1 - 2.0 ** -30)
+# how far apart in r the warm solves of a focusing-side refinement point
+# from its two bracket ends may end and still count as one state
+_WARM_R_TOL = 1e-8
 
 log = logging.getLogger(__name__)
 
@@ -208,21 +228,30 @@ def transition_for_u(u, kind, deltas, L=21, phi=0.0,
 
     The increasing coarse grid `deltas` is solved in increasing Delta and
     only up to its first bracket r(lo) >= r_c > r(hi), which is then refined
-    as detect_transition does on the full grid: Delta_c is the same, but
-    `crossings` holds only that first bracket, and a cell past it is neither
-    solved nor able to fail the transition.
+    as scan_phase_diagram refines a row (warm where it can, _refine): Delta_c
+    is the same, but `crossings` holds only that first bracket, and a cell
+    past it is neither solved nor able to fail the transition. A failed
+    refinement solve raises a RuntimeError with its message.
     """
     r_c = critical_r(L, kind)
-
-    def r_at(delta):
-        return _cell_r(kind, L, float(u), float(delta), phi, "exact", opts)
-
-    rs = []
+    store, solved, rs = _Store(None), {}, []
     for delta in deltas:
-        rs.append(r_at(delta))
+        cell = (kind, L, float(u), float(delta), phi, "exact", opts)
+        r, certified, state = _solve_cell(*cell)
+        point = solved[cell[3]] = _Solved(_key_of(cell), cell, certified)
+        store.states[point.key] = state
+        rs.append(r)
         if len(rs) > 1 and rs[-2] >= r_c > rs[-1]:
             break
-    return detect_transition(deltas[:len(rs)], rs, r_c, refine=r_at)
+    records = _refine(store, [solved])
+
+    def refine(rows, xs):
+        rec, = records(rows, xs)
+        if not rec["ok"]:
+            raise RuntimeError(rec["error"])
+        return [rec["r"]]
+
+    return detect_transition([deltas[:len(rs)]], [rs], [r_c], refine)[0]
 
 
 # -------------------------
@@ -273,17 +302,20 @@ def _cell_inputs(L, u, delta, phi, preparation):
     return params, None if preparation == "exact" else EXPERIMENT_RAMP
 
 
-def _cell_r(kind, L, u, delta, phi, preparation, opts, start=None):
-    """Participation ratio of one scan cell (pure function of its key).
-    `start` is an exact cell's entry of batched_starts; r is the same
-    with it or without."""
+def _solve_cell(kind, L, u, delta, phi, preparation, opts, start=None):
+    """r of one scan cell (a pure function of its key, or of its chained key
+    with a warm start), and for an exact cell whether its solve is certified
+    and its state, in the frame the kind is solved in (False and None for a
+    ramped cell). `start` is solve_state's: an exact cell's entry of
+    batched_starts, with which the result is the same as without, or a
+    warm_start."""
     params, proto = _cell_inputs(L, u, delta, phi, preparation)
     if proto is None:
         sol = require_converged(solve_state(params, kind, opts, start=start),
                                 params, kind)
-        return participation_ratio(sol.state)
+        return participation_ratio(sol.state), sol.certified, sol.state.amplitudes.real
     final, _ = ramp_prepare(params, proto, kind)
-    return participation_ratio(final)
+    return participation_ratio(final), False, None
 
 
 def _exact_fields(obj):
@@ -310,31 +342,42 @@ def cell_key(params, kind, preparation, ramp, opts) -> str:
 
 
 def _key_of(cell):
-    """cell_key of a cell given by the arguments of _cell_r."""
+    """cell_key of a cell given by the arguments of _solve_cell."""
     kind, L, u, delta, phi, preparation, opts = cell
     params, proto = _cell_inputs(L, u, delta, phi, preparation)
     return cell_key(params, kind, preparation, proto, opts)
 
 
+def _chained(key, *start_keys):
+    """Store key of the solve of the cell keyed `key` that started warm from
+    the solves keyed `start_keys`."""
+    return hashlib.sha256(":".join((key,) + start_keys).encode()).hexdigest()
+
+
 def _cell_record(cell, key=None, start=None):
-    """Store record of one cell (the arguments of _cell_r): its key (given,
-    or computed) and readable inputs, and r or the error that stopped it."""
+    """Store record of one cell (the arguments of _solve_cell) and its state:
+    the record holds its key (given, or computed) and readable inputs, and
+    r and, if it is exact, `certified`, or the error that stopped it."""
     kind, L, u, delta, phi, preparation, opts = cell
     rec = {"key": key or _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
            "preparation": preparation}
     try:
-        return {**rec, "ok": True, "r": _cell_r(*cell, start=start)}
+        r, certified, state = _solve_cell(*cell, start=start)
     except Exception as exc:                      # cell failures must not kill the scan
-        return {**rec, "ok": False, "error": str(exc)}
+        return {**rec, "ok": False, "error": str(exc)}, None
+    if preparation == "exact":
+        rec["certified"] = certified
+    return {**rec, "ok": True, "r": r}, state
 
 
 class _Store:
     """Solve records by key: the sound records of a JSONL file (ok ones with
-    a key) plus each new one, appended to the file at once. Without a path
-    the records live in memory only."""
+    a key) plus each new one, appended to the file at once, and the states
+    of this run's exact solves by key. Without a path the records live in
+    memory only."""
 
     def __init__(self, path):
-        self.records, self._sink = {}, None
+        self.records, self.states, self._sink = {}, {}, None
         if not path:
             return
         data = b""
@@ -370,8 +413,10 @@ class _Store:
                 self.records[rec["key"]] = rec
         return len(data)
 
-    def add(self, rec):
+    def add(self, rec, state=None):
         self.records[rec["key"]] = rec
+        if state is not None:
+            self.states[rec["key"]] = state
         if self._sink:
             self._sink.write(json.dumps(rec, sort_keys=True) + "\n")
             self._sink.flush()
@@ -386,21 +431,131 @@ class _Store:
 
 
 def _records(store, cells):
-    """Records of cells (the arguments of _cell_r) that share L, preparation
-    and solver options: the stored ones, and the missing ones solved and
-    appended in the order given. Missing exact cells, of any kind and U, run
-    attempt 0's stages A and B as one batch (batched_starts), then each the
-    rest of its cascade alone."""
+    """Records of cells (the arguments of _solve_cell) that share L,
+    preparation and solver options: the stored ones, and the missing ones
+    solved and appended in the order given. Missing exact cells, of any kind
+    and U, if there are several, run attempt 0's stages A and B as one batch
+    (batched_starts), then each the rest of its cascade alone."""
     keys = [_key_of(c) for c in cells]
     recs = [store.records.get(k) for k in keys]
     todo = [i for i, rec in enumerate(recs) if rec is None]
     starts = [None] * len(todo)
-    if todo and cells[0][5] == "exact":
+    if len(todo) > 1 and cells[0][5] == "exact":
         starts = batched_starts([_cell_inputs(*cells[i][1:6])[0] for i in todo],
                                 [cells[i][0] for i in todo], cells[0][6])
     for i, start in zip(todo, starts):
-        recs[i] = store.add(_cell_record(cells[i], keys[i], start))
+        recs[i] = store.add(*_cell_record(cells[i], keys[i], start))
     return recs
+
+
+@dataclass
+class _Solved:
+    """A solved point of a (kind, U) row: the key of its record, its cell
+    (the arguments of _solve_cell), whether its solve is certified, and the
+    point it started warm from (None if it was solved cold)."""
+    key: str
+    cell: tuple
+    certified: bool
+    start: "_Solved | None" = None
+
+
+def _state(store, point):
+    """The state of a solved exact point: this run's, or its record re-solved
+    (from its own start's state, if it started warm), which gives it bit for
+    bit."""
+    if point.key not in store.states:
+        start = None if point.start is None else _warm_start(store, point.cell,
+                                                             point.start)
+        store.states[point.key] = _solve_cell(*point.cell, start=start)[2]
+    return store.states[point.key]
+
+
+def _warm_start(store, cell, point):
+    """warm_start of the exact cell `cell` from the solved point `point`."""
+    return warm_start(_cell_inputs(*cell[1:6])[0], cell[0], _state(store, point))
+
+
+def _warm_ends(row, x):
+    """The solved points of a row (Delta -> _Solved) that its point at x
+    starts warm from, or None if one is missing or not certified: the
+    nearest (the lower on a tie), and, where the model the kind solves is
+    focusing (U > 0), also the nearest on the other side of x."""
+    near = min(row, key=lambda d: (abs(d - x), d))
+    ends = [near]
+    kind, L, u, _, phi, preparation, _ = row[near].cell
+    if _cell_inputs(L, u, x, phi, preparation)[0].for_kind(kind).U > 0:
+        other = [d for d in row if (d > x if near <= x else d < x)]
+        if not other:
+            return None
+        ends.append(min(other, key=lambda d: abs(d - x)))
+    points = [row[d] for d in ends]
+    return points if all(p.certified for p in points) else None
+
+
+def _start_fields(ends):
+    """The record fields that name the solves a point started warm from."""
+    return {"start": ends[0].key,
+            **({"crosscheck": ends[1].key} if len(ends) > 1 else {})}
+
+
+def _warm_record(store, cell, ends):
+    """The record of `cell` solved warm from the solved point ends[0], under
+    its chained key, if that solve converges certified and, where `ends`
+    also holds the point on the other side, the solve warm from that one
+    converges certified to the same r within _WARM_R_TOL; else None."""
+    key = _chained(_key_of(cell), *(p.key for p in ends))
+    outs = [_cell_record(cell, key, _warm_start(store, cell, p)) for p in ends]
+    (first, state), recs = outs[0], [rec for rec, _ in outs]
+    if all(rec["ok"] and rec["certified"] and abs(rec["r"] - first["r"]) <= _WARM_R_TOL
+           for rec in recs):
+        return store.add({**first, **_start_fields(ends), "warm": True}, state)
+    return None
+
+
+def _refine(store, solved):
+    """detect_transition's many-row `refine` over the records of `store`,
+    returning records in place of r. solved[j] maps each Delta of row j
+    solved so far to its _Solved, and gains the points solved here.
+
+    A point whose _warm_ends are certified is read back under its chained
+    key, or solved warm from them (_warm_record). On the convex side
+    (U <= 0 in the model the kind solves) a certified stationary state is
+    the ground state (Lieb, Seiringer & Yngvason, PRA 61, 043602 (2000)).
+    On the focusing side it can be a metastable state, and continuation
+    from one side of a jump between branches follows the branch past it;
+    the warm solves from both sides of the point must then agree. The other
+    points, and those whose warm solve is not kept, are read back or solved
+    cold by _records, as one batch; a warm solve not kept also leaves a
+    record under the chained key that holds the cold outcome, so that a
+    resumed scan knows it unsolved.
+    """
+    def refine(rows, xs):
+        cells, starts, recs = [], [], []
+        for j, x in zip(rows, xs):
+            ends = _warm_ends(solved[j], float(x))
+            cell = next(iter(solved[j].values())).cell
+            cell = cell[:3] + (float(x),) + cell[4:]
+            rec = None
+            if ends:
+                rec = (store.records.get(_chained(_key_of(cell), *(p.key for p in ends)))
+                       or _warm_record(store, cell, ends))
+            cells.append(cell)
+            starts.append(ends)
+            recs.append(rec)
+        cold = [k for k, rec in enumerate(recs) if rec is None]
+        for k, rec in zip(cold, _records(store, [cells[k] for k in cold])):
+            if starts[k]:
+                rec = store.add({**rec, "key": _chained(rec["key"], *(p.key for p in starts[k])),
+                                 **_start_fields(starts[k]), "warm": False})
+            recs[k] = rec
+        for j, cell, ends, rec in zip(rows, cells, starts, recs):
+            if rec["ok"]:
+                warm = rec.get("warm", False)
+                solved[j][cell[3]] = _Solved(rec["key"] if warm else _key_of(cell),
+                                             cell, rec.get("certified", False),
+                                             ends[0] if warm else None)
+        return recs
+    return refine
 
 
 def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
@@ -415,12 +570,14 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     appended in (kind, U, Delta) order; `workers` > 1 solves the missing
     grid cells one by one in a process pool first. Every (kind, U) row's
     first bracket is then refined in lockstep (detect_transition's
-    many-row form): at each ITP step the missing points of all rows are
-    solved as one batch and appended together. Either way r is bitwise the
-    lone solve's. Per-cell failures are recorded and the scan continues;
-    failed cells hold NaN in the matrix. A refinement solve that fails ends
-    that U's detection (found=False, the grid's crossings kept) and is
-    recorded once among the failures.
+    many-row form, with _refine): at each ITP step each row's point is
+    solved warm from its certified bracket ends, or else the missing cold
+    points of all rows are solved as one batch, and all are appended
+    together. Either way each grid cell's r is bitwise its lone solve's.
+    Per-cell failures are recorded and the scan continues; failed cells
+    hold NaN in the matrix. A refinement solve that fails ends that U's
+    detection (found=False, the grid's crossings kept) and is recorded once
+    among the failures.
     """
     deltas = np.asarray(grid.delta_over_j, dtype=float)
     us = np.asarray(grid.u_over_j, dtype=float)
@@ -438,13 +595,16 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
                 # imported here: multiprocessing is only needed for a pool
                 from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for rec in pool.map(_cell_record, todo, chunksize=4):
-                        store.add(rec)
+                    for out in pool.map(_cell_record, todo, chunksize=4):
+                        store.add(*out)
 
         mat = np.full(len(cells), np.nan)
+        solved = [{} for _ in rows]
         for k, (c, rec) in enumerate(zip(cells, _records(store, cells))):
             if rec["ok"]:
                 mat[k] = rec["r"]
+                solved[k // deltas.size][c[3]] = _Solved(rec["key"], c,
+                                                         rec.get("certified", False))
             else:
                 failures.append((c[0], c[2], c[3], rec["error"]))
         mat = mat.reshape(len(rows), deltas.size)
@@ -454,13 +614,13 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
             valid = np.isfinite(mat)
             fit = [i for i in range(len(rows)) if valid[i].sum() >= 2]
             failed = {}
+            records = _refine(store, [solved[i] for i in fit])
 
             def refine(live, mids):
-                level = [cell(*rows[fit[j]], mid) for j, mid in zip(live, mids)]
                 out = []
-                for j, c, rec in zip(live, level, _records(store, level)):
+                for j, rec in zip(live, records(live, mids)):
                     if not rec["ok"]:
-                        failed[j] = (c[0], c[2], c[3], rec["error"])
+                        failed[j] = (rec["kind"], rec["u"], rec["delta"], rec["error"])
                     out.append(rec["r"] if rec["ok"] else RuntimeError(rec["error"]))
                 return out
 

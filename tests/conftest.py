@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 import nlaa.phasescan as phasescan
-from nlaa import SolverOptions, critical_r, detect_transition
+from nlaa import transition_for_u
 
 settings.register_profile("nlaa", max_examples=12, deadline=None,
                           derandomize=True, database=None)
@@ -40,22 +40,21 @@ def fail_solves(monkeypatch):
 @pytest.fixture
 def refinement_points():
     """refinement_points(L, deltas, kind, u): the Deltas, in order, at which
-    detect_transition refines the first bracket of the exact row (kind, U)
-    on the grid `deltas`, from lone solves that do not fail. A scan refines
-    the row at the same Deltas up to its first failure, because its r are
-    bitwise the lone solves'. Call it before fail_solves."""
+    transition_for_u refines the first bracket of the exact row (kind, U) on
+    the grid `deltas`, from solves that do not fail. A scan refines the row
+    at the same Deltas up to its first failure, because it refines each row
+    as transition_for_u does, from bitwise the same grid r and bracket-end
+    states. Call it before fail_solves."""
     def points(L, deltas, kind, u):
         visited = []
+        point = phasescan._itp_point
 
-        def r_at(delta):
-            return phasescan._cell_r(kind, L, u, float(delta), 0.0, "exact",
-                                     SolverOptions())
+        def spy(*args):
+            visited.append(point(*args))
+            return visited[-1]
 
-        def refine(delta):
-            visited.append(delta)
-            return r_at(delta)
-
-        detect_transition(deltas, [r_at(d) for d in deltas], critical_r(L, kind),
-                          refine)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(phasescan, "_itp_point", spy)
+            transition_for_u(u, kind, deltas, L=L)
         return visited
     return points

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nlaa.phasescan as phasescan
@@ -21,10 +21,12 @@ from nlaa import (
     classify_phase,
     critical_r,
     detect_transition,
+    participation_ratio,
     scan_phase_diagram,
     solve_state,
     transition_for_u,
 )
+from nlaa.eigensolve import require_converged, warm_start
 from nlaa.phasescan import BISECTION_TOL, cell_key
 
 
@@ -186,17 +188,18 @@ STEP = 0.25                                  # exact in binary: grid = k * STEP
 
 
 def _stub_cells(mp, deltas, rs, r_c, fail_at=None):
-    """Make _cell_r read r off the curve through (deltas, rs), linear between
-    grid points, and raise at `fail_at`; return the Delta of every call."""
+    """Make _solve_cell read r off the curve through (deltas, rs), linear
+    between grid points, uncertified, and raise at `fail_at`; return the
+    Delta of every call."""
     calls = []
 
-    def cell_r(kind, L, u, delta, *rest):
+    def solve_cell(kind, L, u, delta, *rest, start=None):
         calls.append(delta)
         if delta == fail_at:
             raise RuntimeError("injected cell failure")
-        return float(np.interp(delta, deltas, rs))
+        return float(np.interp(delta, deltas, rs)), False, None
 
-    mp.setattr(phasescan, "_cell_r", cell_r)
+    mp.setattr(phasescan, "_solve_cell", solve_cell)
     mp.setattr(phasescan, "critical_r", lambda L, kind: r_c)
     return calls
 
@@ -378,20 +381,35 @@ ORACLE = ScanGrid(delta_over_j=tuple(np.arange(1.0, 3.01, 0.25)),
 def _lone_scan(grid, opts):
     """(r, transitions, failures) of scan_phase_diagram from lone solves: each
     (kind, U) row filled cell by cell, then detected alone with
-    detect_transition(..., refine=lone solve)."""
+    detect_transition(..., refine=lone solve). A refinement point is solved
+    warm from the nearest solved Delta of its row (the lower on a tie) and,
+    where the model the kind solves is focusing, also from the nearest on
+    the other side, if those solves are certified; the first warm solve is
+    kept if every one converges certified to the same r within 1e-8, and
+    else the point is solved cold."""
     deltas = np.asarray(grid.delta_over_j)
 
-    def r_at(kind, u, delta):
-        return phasescan._cell_r(kind, grid.L, u, float(delta), grid.phi, "exact",
-                                 opts)
+    def solve_at(kind, u, delta, ends=()):
+        params = ModelParams(L=grid.L, J=1.0, Delta=float(delta), phi=grid.phi, U=u)
+        if ends and all(end.certified for end in ends):
+            warm = [phasescan.solve_state(params, kind, opts, start=warm_start(
+                params, kind, end.state.amplitudes.real)) for end in ends]
+            if all(sol.converged and sol.certified and abs(
+                    participation_ratio(sol.state) - participation_ratio(warm[0].state))
+                   <= 1e-8 for sol in warm):
+                return warm[0]
+        return require_converged(phasescan.solve_state(params, kind, opts),
+                                 params, kind)
 
-    r, transitions, failures = {}, {}, []
+    r, solved, transitions, failures = {}, {}, {}, []
     for kind in grid.kinds:
         r[kind] = np.full((len(grid.u_over_j), deltas.size), np.nan)
         for i, u in enumerate(grid.u_over_j):
+            solved[kind, u] = {}
             for k, delta in enumerate(deltas):
                 try:
-                    r[kind][i, k] = r_at(kind, u, delta)
+                    sol = solved[kind, u][delta] = solve_at(kind, u, delta)
+                    r[kind][i, k] = participation_ratio(sol.state)
                 except RuntimeError as exc:
                     failures.append((kind, u, float(delta), str(exc)))
     for kind in grid.kinds:
@@ -399,11 +417,17 @@ def _lone_scan(grid, opts):
         r_c = critical_r(grid.L, kind)
         for i, u in enumerate(grid.u_over_j):
             valid = np.isfinite(r[kind][i])
-            mids = []
+            mids, row = [], solved[kind, u]
 
-            def refine(delta, kind=kind, u=u):
+            def refine(delta, kind=kind, u=u, row=row):
                 mids.append(delta)
-                return r_at(kind, u, delta)
+                near = min(row, key=lambda d: (abs(d - delta), d))
+                ends = [near]
+                if (u > 0) == (kind == "gs") and u != 0:        # focusing
+                    ends.append(min((d for d in row if (d > delta) == (near < delta)),
+                                    key=lambda d: abs(d - delta)))
+                row[delta] = solve_at(kind, u, delta, [row[d] for d in ends])
+                return participation_ratio(row[delta].state)
 
             try:
                 tr = detect_transition(deltas[valid], r[kind][i][valid], r_c, refine)
@@ -448,9 +472,31 @@ def test_scan_equals_lone_detection_row_by_row(monkeypatch, refinement_points):
     assert sum(tr.found for trs in res.transitions.values() for tr in trs) == 3
 
 
+def _report_uncertified(monkeypatch, which):
+    """Make the scan's solves for which which(kind, U, Delta, start) holds
+    report certified=False, as solves that fail the certificate do."""
+    inner = phasescan.solve_state
+
+    def solve(params, kind, opts, start=None):
+        sol = inner(params, kind, opts, start=start)
+        return (replace(sol, certified=False)
+                if which(kind, params.U, params.Delta, start) else sol)
+
+    monkeypatch.setattr(phasescan, "solve_state", solve)
+
+
+def _is_warm(start):
+    """Whether a solve_state `start` is a warm_start: it has used no
+    iterations (batched_starts' entries have used some)."""
+    return start is not None and start[3] == 0
+
+
 def test_fresh_scan_batches_the_grid_once_and_each_bisection_level_once(
         tmp_path, monkeypatch):
+    # every solve reports uncertified, so no refinement point starts warm
+    # and each level's points are solved cold, as one batch
     path = tmp_path / "cells.jsonl"
+    _report_uncertified(monkeypatch, lambda *cell: True)
     batches = _count_calls(monkeypatch, "batched_starts")
     res = scan_phase_diagram(ORACLE, results_path=str(path))
     (grid_cells, grid_kinds, _), *levels = batches
@@ -465,6 +511,7 @@ def test_fresh_scan_batches_the_grid_once_and_each_bisection_level_once(
         0, 3, 4, 4, 3, 0]
     assert [len(cells) for cells, *_ in levels] == [4, 4, 4, 2]
     assert all(len(set(kinds)) == 2 for _, kinds, _ in levels)
+    assert not any("start" in rec or rec["certified"] for rec in _records(path))
     # a level whose points are all stored makes no call
     lines = path.read_text().splitlines(keepends=True)
     second = lines[54 + 4:54 + 2 * 4]
@@ -476,17 +523,181 @@ def test_fresh_scan_batches_the_grid_once_and_each_bisection_level_once(
     assert again.transitions == res.transitions
 
 
+def test_fresh_scan_refines_every_oracle_point_warm_from_its_nearer_end(
+        tmp_path, monkeypatch):
+    # ORACLE's bracket ends are certified and every warm solve is kept, so no
+    # cold batch follows the grid's. Each refinement record chains the key of
+    # the nearest Delta its row had solved (the lower on a tie) and, on the
+    # focusing rows (gs at U = 0.4, es at U = -0.4), of the nearest on the
+    # other side
+    path = tmp_path / "cells.jsonl"
+    batches = _count_calls(monkeypatch, "batched_starts")
+    scan_phase_diagram(ORACLE, results_path=str(path))
+    assert len(batches) == 1
+    recs = _records(path)
+    assert len(recs) == 54 + 14 and all(rec["certified"] for rec in recs)
+    assert not any("start" in rec for rec in recs[:54])
+    by_key = {rec["key"]: rec for rec in recs}
+    for k, rec in enumerate(recs[54:], 54):
+        row = [r for r in recs[:k] if (r["kind"], r["u"]) == (rec["kind"], rec["u"])]
+        near = min(row, key=lambda r: (abs(r["delta"] - rec["delta"]), r["delta"]))
+        ends = [near]
+        if rec["u"] == (0.4 if rec["kind"] == "gs" else -0.4):
+            ends.append(min((r for r in row if (r["delta"] > rec["delta"])
+                             == (near["delta"] < rec["delta"])),
+                            key=lambda r: abs(r["delta"] - rec["delta"])))
+            assert by_key[rec["crosscheck"]] is ends[1]
+        else:
+            assert "crosscheck" not in rec
+        params = ModelParams(L=ORACLE.L, Delta=rec["delta"], phi=ORACLE.phi, U=rec["u"])
+        plain = cell_key(params, rec["kind"], "exact", None, SolverOptions())
+        assert rec["warm"] and by_key[rec["start"]] is near
+        assert rec["key"] == phasescan._chained(plain, *(r["key"] for r in ends))
+
+
+def test_scan_interrupted_in_its_refinement_resumes_as_fresh(tmp_path, monkeypatch):
+    path = tmp_path / "cells.jsonl"
+    fresh = scan_phase_diagram(ORACLE, results_path=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    kept = 54 + 6          # the grid, the first level and half the second
+    path.write_text("".join(lines[:kept]) + lines[kept][:40])     # then torn
+    solves = _count_calls(monkeypatch, "solve_state")
+    batches = _count_calls(monkeypatch, "batched_starts")
+    again = scan_phase_diagram(ORACLE, results_path=str(path))
+    assert path.read_text() == "".join(lines)
+    for kind in ORACLE.kinds:
+        assert again.r[kind].tobytes() == fresh.r[kind].tobytes()
+    assert again.transitions == fresh.transitions
+    # solved: each missing point once from each record it starts from, and
+    # once each stored record whose state those need, for that state (a
+    # stored warm point from its own start, which needs that one's state)
+    recs = {rec["key"]: rec for rec in map(json.loads, lines)}
+    missing = [json.loads(line) for line in lines[kept:]]
+    stored = set()
+    for rec in missing:
+        for key in (rec["start"], rec.get("crosscheck")):
+            while key and key not in {r["key"] for r in missing}:
+                stored.add(key)
+                key = recs[key].get("start")
+    needed = ([r for r in missing for _ in range(1 + ("crosscheck" in r))]
+              + [recs[k] for k in stored])
+    assert sorted((p.Delta, p.U, kind) for p, kind, *_ in solves) == sorted(
+        (r["delta"], r["u"], r["kind"]) for r in needed)
+    assert batches == []
+
+
+def test_scan_on_a_complete_store_solves_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "cells.jsonl"
+    fresh = scan_phase_diagram(ORACLE, results_path=str(path))
+    text = path.read_text()
+    solves = _count_calls(monkeypatch, "solve_state")
+    batches = _count_calls(monkeypatch, "batched_starts")
+    again = scan_phase_diagram(ORACLE, results_path=str(path))
+    assert solves == [] and batches == []
+    assert path.read_text() == text
+    for kind in ORACLE.kinds:
+        assert again.r[kind].tobytes() == fresh.r[kind].tobytes()
+    assert again.transitions == fresh.transitions
+
+
+def _cold_detection(grid, kind, u):
+    """detect_transition of the row (kind, U) from lone cold solves: the
+    refinement as it ran before points started warm."""
+    def r_at(delta):
+        params = ModelParams(L=grid.L, Delta=float(delta), phi=grid.phi, U=u)
+        return participation_ratio(solve_state(params, kind).state)
+
+    deltas = np.asarray(grid.delta_over_j)
+    return detect_transition(deltas, [r_at(d) for d in deltas],
+                             critical_r(grid.L, kind), r_at)
+
+
+def test_row_with_uncertified_ends_refines_cold_as_before(monkeypatch):
+    # gs at U = 0.4 reports every solve uncertified: its points are solved
+    # cold, bitwise as the cold refinement; the other rows still start warm
+    _report_uncertified(monkeypatch, lambda kind, u, delta, start: (kind, u) == ("gs", 0.4))
+    warm = _count_calls(monkeypatch, "warm_start")
+    res = scan_phase_diagram(ORACLE)
+    assert res.transitions["gs"][2] == _cold_detection(ORACLE, "gs", 0.4)
+    assert not any((p.U, kind) == (0.4, "gs") for p, kind, _ in warm)
+    assert len(warm) == 3 + 2 * 4 + 3            # es at U = -0.4 from both ends
+
+
+def test_warm_solve_not_kept_is_stored_under_its_chained_key(tmp_path, monkeypatch):
+    # every warm solve reports uncertified, so each point is solved cold, as
+    # before; its chained record holds that outcome, which a resumed scan
+    # reads back without solving
+    path = tmp_path / "cells.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        _report_uncertified(mp, lambda kind, u, delta, start: _is_warm(start))
+        res = scan_phase_diagram(ORACLE, results_path=str(path))
+    for i, u in enumerate(ORACLE.u_over_j):
+        for kind in ORACLE.kinds:
+            if res.transitions[kind][i].found:
+                assert res.transitions[kind][i] == _cold_detection(ORACLE, kind, u)
+    recs = _records(path)[54:]
+    plain = [rec for rec in recs if "start" not in rec]
+    chained = [rec for rec in recs if "start" in rec]
+    assert len(plain) == len(chained) == 14
+    for cold, rec in zip(plain, chained):
+        assert "start" not in cold and not rec["warm"]
+        ends = [rec["start"]] + ([rec["crosscheck"]] if "crosscheck" in rec else [])
+        assert {k: v for k, v in rec.items()
+                if k not in ("key", "start", "crosscheck", "warm")} == {
+            k: v for k, v in cold.items() if k != "key"}
+        assert rec["key"] == phasescan._chained(cold["key"], *ends)
+    solves = _count_calls(monkeypatch, "solve_state")
+    again = scan_phase_diagram(ORACLE, results_path=str(path))
+    assert solves == [] and again.transitions == res.transitions
+
+
+@settings(max_examples=60)
+@given(L=st.integers(2, 34), delta=st.floats(0.25, 7.75), below=st.floats(1e-3, 0.25),
+       above=st.floats(1e-3, 0.25), U=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       kind=st.sampled_from(["gs", "es"]), phi=st.floats(0.0, 2.0 * np.pi))
+@pytest.mark.filterwarnings("ignore:.*self-trapping")
+def test_kept_warm_refinement_point_is_no_worse_than_cold(L, delta, below, above, U,
+                                                         kind, phi):
+    # a refinement point between two solved Deltas, where its warm solve is
+    # kept: no higher in E than the cold solve (in the model the kind
+    # solves), and at the same state unless it is strictly lower
+    opts, store, row = SolverOptions(), phasescan._Store(None), {}
+    for d in (delta - below, delta + above):
+        cell = (kind, L, U, d, phi, "exact", opts)
+        try:
+            r, certified, state = phasescan._solve_cell(*cell)
+        except RuntimeError:                     # unconverged: not a bracket end
+            assume(False)
+        row[d] = phasescan._Solved(phasescan._key_of(cell), cell, certified)
+        store.states[row[d].key] = state
+    rec, = phasescan._refine(store, [row])([0], [delta])
+    assume(rec.get("warm"))
+    p = ModelParams(L=L, Delta=delta, phi=phi, U=U)
+    warm = solve_state(p, kind, start=warm_start(p, kind, store.states[rec["start"]]))
+    cold = solve_state(p, kind)
+    assert participation_ratio(warm.state) == rec["r"]
+    sign = -1.0 if kind == "es" else 1.0
+    assert sign * warm.energy <= sign * cold.energy + 1e-12
+    if sign * warm.energy >= sign * cold.energy - 1e-12:
+        assert abs(rec["r"] - participation_ratio(cold.state)) <= 1e-8
+
+
 def test_refinement_solve_counts_are_pinned(monkeypatch):
     # machine-independent cost of the refinement: ORACLE's 54 grid cells plus
     # 3 + 4 + 4 + 3 ITP solves (bisection took 4 x 8 = 32), and one lazy
-    # sweep's 7 grid cells up to its bracket (1.25, 1.5) plus 4 (it took 8)
+    # sweep's 7 grid cells up to its bracket (1.25, 1.5) plus 4 (it took 8).
+    # Every refinement point starts warm and is kept; the focusing rows' (gs
+    # at U = 0.4, es at U = -0.4) points each take two warm solves
     solves = _count_calls(monkeypatch, "solve_state")
+    warm = _count_calls(monkeypatch, "warm_start")
     scan_phase_diagram(ORACLE)
-    assert len(solves) == 54 + 14
+    assert len(warm) == 3 + 2 * 4 + 2 * 4 + 3
+    assert len(solves) == 54 + len(warm)
     solves.clear()
+    warm.clear()
     tr = transition_for_u(0.4, "gs", STEP * np.arange(13), L=13)
     assert tr.crossings == [(1.25, 1.5)] and tr.refine_solves == 4
-    assert len(solves) == 7 + 4
+    assert len(warm) == 2 * 4 and len(solves) == 7 + len(warm)
 
 
 def _count_calls(monkeypatch, name):
