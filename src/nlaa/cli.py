@@ -506,7 +506,6 @@ def cmd_scan(cfg, outdir):
     results_path = cfg.results or str(outdir / "scan_cells.jsonl")
     res = scan_phase_diagram(grid, _solver_opts(cfg),
                              results_path=results_path,
-                             workers=cfg.workers,
                              detect=not cfg.no_detect)
     files = []
     header = ["u_over_j"] + [_fmt(d) for d in deltas]
@@ -710,7 +709,7 @@ COMMANDS = {
     "scan": (cmd_scan, "r over the (U, Delta) grid with transitions",
              dict(L=21, phi=0.0, kind="both", preparation="exact",
                   delta_min=0.0, delta_max=4.0, delta_step=0.05,
-                  u_min=-1.0, u_max=1.0, u_step=0.25, workers=1,
+                  u_min=-1.0, u_max=1.0, u_step=0.25,
                   results=None, no_detect=False, **SOLVER)),
     "phases": (cmd_phases, "GS/ES boundary curves Delta_c(U)",
                dict(L=21, phi=0.0, u_min=-1.0, u_max=1.0, u_step=0.25,

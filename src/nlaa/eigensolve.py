@@ -641,11 +641,12 @@ def warm_start(params, kind, v):
     and goes on from the state v, given in the frame the kind is solved in
     (as solve_state returns it): continuation from a solved neighbour. The
     linear ground state, from which the energy guard starts, is still the
-    cell's own."""
+    cell's own. v is copied to a contiguous array when it is not one (a
+    .real view is strided), so the solve does not depend on v's layout."""
     solved = params.for_kind(kind)
     eps = quasiperiodic_potential(solved)
     _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(solved.J)))
-    return v0, v, IMAG_TIME_STEP, 0, None
+    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:

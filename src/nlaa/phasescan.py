@@ -559,21 +559,19 @@ def _refine(store, solved):
 
 
 def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
-                       results_path=None, workers=1,
-                       detect=True) -> ScanResult:
+                       results_path=None, detect=True) -> ScanResult:
     """Fill the r-matrix over the grid, then locate transition curves.
 
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
     or refinement point, is read from it if stored and appended to it at
-    once if not. With `workers` = 1 all missing exact grid cells, of both
-    kinds and every U, run attempt 0's stages A and B as one batch and are
-    appended in (kind, U, Delta) order; `workers` > 1 solves the missing
-    grid cells one by one in a process pool first. Every (kind, U) row's
-    first bracket is then refined in lockstep (detect_transition's
-    many-row form, with _refine): at each ITP step each row's point is
-    solved warm from its certified bracket ends, or else the missing cold
-    points of all rows are solved as one batch, and all are appended
-    together. Either way each grid cell's r is bitwise its lone solve's.
+    once if not. All missing exact grid cells, of both kinds and every U,
+    run attempt 0's stages A and B as one batch and are appended in
+    (kind, U, Delta) order; each one's r is bitwise its lone solve's. Every
+    (kind, U) row's first bracket is then refined in lockstep
+    (detect_transition's many-row form, with _refine): at each ITP step
+    each row's point is solved warm from its certified bracket ends, or
+    else the missing cold points of all rows are solved as one batch, and
+    all are appended together.
     Per-cell failures are recorded and the scan continues; failed cells
     hold NaN in the matrix. A refinement solve that fails ends that U's
     detection (found=False, the grid's crossings kept) and is recorded once
@@ -589,15 +587,6 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     trans, failures = {}, []
     with _Store(results_path) as store:
         cells = [cell(kind, u, delta) for kind, u in rows for delta in deltas]
-        if workers > 1:
-            todo = [c for c in cells if _key_of(c) not in store.records]
-            if todo:
-                # imported here: multiprocessing is only needed for a pool
-                from concurrent.futures import ProcessPoolExecutor
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for out in pool.map(_cell_record, todo, chunksize=4):
-                        store.add(*out)
-
         mat = np.full(len(cells), np.nan)
         solved = [{} for _ in rows]
         for k, (c, rec) in enumerate(zip(cells, _records(store, cells))):

@@ -1142,16 +1142,27 @@ def test_workers_above_the_cpu_count_exit_2_before_any_pool(
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was created")
 
-    # cli and phasescan import the pool from concurrent.futures when they need one
+    # cli imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     n = os.cpu_count() or 1
+    # phases takes at most n workers; scan has no pool and reads no --workers
+    workers = n + 1 if subcommand == "phases" else 2
     out = tmp_path / "out"
-    extra = (["--config", _config_file(tmp_path, {"workers": n + 1})] if as_config
-             else ["--workers", str(n + 1)])
-    assert main([subcommand, "--L", "5", *extra, "--out", str(out)]) == 2
-    assert (f"error: --workers must be an integer in [1, {n}], got {n + 1}"
-            in capsys.readouterr().err)
-    assert list(out.iterdir()) == []
+    argv = [subcommand, "--L", "5", "--out", str(out)] + (
+        ["--config", _config_file(tmp_path, {"workers": workers})] if as_config
+        else ["--workers", str(workers)])
+    if subcommand == "scan" and not as_config:      # an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 2
+    expected = (f"error: --workers must be an integer in [1, {n}], got {n + 1}"
+                if subcommand == "phases" else
+                "error: unknown config keys ['workers']" if as_config else
+                "error: unrecognized arguments: --workers 2")
+    assert expected in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_every_number_option_has_a_domain_that_holds_its_defaults():

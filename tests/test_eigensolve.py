@@ -27,7 +27,7 @@ from nlaa.eigensolve import (IMAG_TIME_STEP, NEWTON_HANDOVER, SCF_MIXING, SCF_WI
                              _energy_gradient, _imag_time_block, _imag_time_rows,
                              _linear_edge_state, _norm, _projected, _residual_mu,
                              _scf_block, _scf_rows, batched_starts,
-                             require_converged)
+                             require_converged, warm_start)
 from nlaa.model import apply_stencil, energy_of
 
 
@@ -854,6 +854,21 @@ def test_require_converged_returns_a_converged_solve_and_names_an_unconverged_on
         require_converged(short, p, "es")
     assert str(exc.value) == ("solver did not converge (kind=es, U=0.25, Delta=1.0, "
                               f"residual={short.residual:.2e})")
+
+
+def test_warm_solve_does_not_depend_on_the_layout_of_its_start_state():
+    # a solved state is kept as the strided .real view of its amplitudes; a
+    # contiguous copy of it must start the same solve, bit for bit
+    src = ModelParams(L=21, J=1.0, Delta=3.4000000000000004, U=-0.5)
+    strided = solve_state(src, "gs").state.amplitudes.real
+    assert not strided.flags.c_contiguous
+    p = ModelParams(L=21, J=1.0, Delta=3.3500000000000005, U=-0.5)
+    a, b = (solve_state(p, "gs", start=warm_start(p, "gs", v))
+            for v in (strided, np.ascontiguousarray(strided)))
+    assert a.converged and a.certified
+    assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
+    assert (a.mu, a.energy, a.residual, a.iterations) == (
+        b.mu, b.energy, b.residual, b.iterations)
 
 
 # -------------------------

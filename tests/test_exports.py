@@ -9,7 +9,7 @@ import inspect
 import nlaa
 
 MODULES = ("cli", "dynamics", "eigensolve", "fitting", "gaa", "model", "phasescan")
-SETTABLE_VALUES = 52
+SETTABLE_VALUES = 51
 
 
 def test_every_exported_name_resolves():

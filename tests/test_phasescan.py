@@ -321,17 +321,6 @@ def test_scan_cell_records_carry_the_full_key(tmp_path):
     assert all(r["ok"] for r in recs)
 
 
-def test_scan_parallel_matches_serial(tmp_path):
-    grid = ScanGrid(kind="gs", **SMALL)
-    ser = scan_phase_diagram(grid, results_path=str(tmp_path / "s.jsonl"))
-    par = scan_phase_diagram(grid, results_path=str(tmp_path / "p.jsonl"),
-                             workers=2)
-    assert np.array_equal(ser.r["gs"], par.r["gs"])
-    assert ({r["key"]: r["r"] for r in _records(tmp_path / "s.jsonl")}
-            == {r["key"]: r["r"] for r in _records(tmp_path / "p.jsonl")})
-    assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "p.jsonl").read_bytes()
-
-
 def test_scan_detects_transitions_per_u(tmp_path):
     grid = ScanGrid(delta_over_j=tuple(np.arange(1.0, 3.01, 0.25)),
                     u_over_j=(0.0,), L=21, kind="both")
