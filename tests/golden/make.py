@@ -26,7 +26,10 @@ from its CSVs and JSONs by `record()`:
 - interaction-sweep (L = 13, t_final = 1, Delta = 1, five U): the final <d>
   and r at each U.
 
-Each also counts the eigen-solves the call ran (`solves`). The CSVs print
+Each also counts the work the call did, exactly: its eigen-solves
+(`solves`), their summed `iterations` and the `uncertified` and
+`unconverged` ones among them, and the right-hand-side calls (`rhs_calls`)
+and computed `steps` of its DOP853 trajectories. The CSVs print
 12 significant digits, and JSON stores the floats read back from them by
 their shortest round-trip repr. tests/test_golden.py reruns the same calls
 through `record()` and compares. Run this with the nlaa whose values are to
@@ -48,6 +51,7 @@ import tempfile
 from pathlib import Path
 
 import nlaa
+import nlaa.dynamics as dynamics
 import nlaa.gaa as gaa
 import nlaa.phasescan as phasescan
 from nlaa import cli
@@ -185,25 +189,41 @@ READ = {"scan": _read_scan, "phases": _read_phases, "solve": _read_solve,
 
 def record(cmd, out):
     """Run ARGV[cmd] into the directory `out` and return what it wrote, with
-    the number of eigen-solves it ran (the scan's cells, alpha-star's states
-    at Delta_c and the CLI's own)."""
-    calls = []
+    the work it did: the eigen-solves it ran (the scan's cells, alpha-star's
+    states at Delta_c and the CLI's own), their summed `iterations` and how
+    many ended uncertified or unconverged, and the right-hand-side calls and
+    steps summed over its `dynamics.evolve` trajectories."""
+    work = dict.fromkeys(("solves", "iterations", "uncertified", "unconverged",
+                          "rhs_calls", "steps"), 0)
 
-    def counted(solve):
+    def counted_solve(solve):
         def count(*args, **kwargs):
-            calls.append(None)
-            return solve(*args, **kwargs)
+            sol = solve(*args, **kwargs)
+            work["solves"] += 1
+            work["iterations"] += sol.iterations
+            work["uncertified"] += not sol.certified
+            work["unconverged"] += not sol.converged
+            return sol
         return count
 
+    def counted_evolve(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        work["rhs_calls"] += traj.rhs_calls
+        work["steps"] += traj.steps
+        return traj
+
     solvers = phasescan.solve_state, gaa.solve_state, cli.solve_state
-    phasescan.solve_state, gaa.solve_state, cli.solve_state = map(counted, solvers)
+    phasescan.solve_state, gaa.solve_state, cli.solve_state = map(counted_solve,
+                                                                  solvers)
+    evolve, dynamics.evolve = dynamics.evolve, counted_evolve
     try:
         code = cli.main(ARGV[cmd] + ["--out", str(out)])
     finally:
         phasescan.solve_state, gaa.solve_state, cli.solve_state = solvers
+        dynamics.evolve = evolve
     if code != 0:
         raise RuntimeError(f"nlaa {' '.join(ARGV[cmd])} exited with {code}")
-    return {"argv": ARGV[cmd], **READ[cmd](Path(out)), "solves": len(calls)}
+    return {"argv": ARGV[cmd], **READ[cmd](Path(out)), **work}
 
 
 def _leaves(value, path):

@@ -4,15 +4,18 @@ tests/golden/<cmd>.json, and the ramped data of the fit oracle.
 Each oracle is one small CLI call and what it wrote (tests/golden/make.py
 runs the call and reads the outputs; this test reruns it through the same
 `record()`). Labels, flags, counts, grids and echoed inputs must equal the
-oracle. The computed quantities named in TOLERANCE may move within the
+oracle, and so must the work counters: solves, their iterations, the
+uncertified and unconverged ones, and DOP853's right-hand-side calls and
+steps. The computed quantities named in TOLERANCE may move within the
 benchmark's own tolerances in perfbench/reference.py: r of solved states
 within R_TOL, Delta_c within DELTA_C_TOL, ramp, evolve and interaction-sweep
 observables within RK4_TOL (times max(1, |value|)) and linear energies
-within ENERGY_TOL. alpha-star's mu at Delta_c, alpha* and line fit follow from its Delta_c, so
-they get ALPHA_TOL, DELTA_C_TOL times the bound of their sensitivity to it.
-bragg-schedule is closed-form arithmetic and is pinned exactly. A change
-which reorders float arithmetic in the solver passes, while one that moves
-a state or a transition does not.
+within ENERGY_TOL. alpha-star's mu at Delta_c, alpha* and line fit follow
+from its Delta_c, so they get ALPHA_TOL, DELTA_C_TOL times the bound of
+their sensitivity to it. bragg-schedule is closed-form arithmetic and is
+pinned exactly. A change which reorders float arithmetic in the solver
+passes once it re-pins any counter it moves, while one that moves a state
+or a transition does not.
 """
 
 import importlib.util
