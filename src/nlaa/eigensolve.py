@@ -47,18 +47,24 @@ Newton steps' time but no iterations, and the cascade goes on bit for bit
 as without it. Every solve reports the certificate on the state it returns.
 
 Many cells that share L (a scan's grid, or one refinement step of all its
-rows, of both kinds and any U) can run attempt 0's stages A and B as (B, L)
-arrays: batched_starts returns each cell's `start`, and
-solve_state(..., start=...) runs the rest of its cascade alone. Each row
-carries its own J and U, as (B, 1) columns in the stencil, the
-eps - U v^2 diagonal and stage A's energy and gradient. The model's
-apply_stencil and the residual act on (..., L) arrays, and
-stage B's LAPACK edge eigenpair runs row by row on that row's own
-off-diagonal, so each row of the batch is computed bit for bit as the lone
-1-D solve computes it. The convex exit runs row by row between the stages,
-and the rows it finishes leave the batch before stage B. A solve can also
-skip stage A and start from a solved neighbour's state (warm_start), as the
-transition refinement of phasescan does.
+rows, of both kinds and any U) can run attempt 0 as (B, L) arrays:
+batched_starts returns each cell's `start`, and solve_state(...,
+start=...) goes on from there alone. Each row carries its own J and U, as
+(B, 1) columns in the stencil, the eps - U v^2 diagonal and stage A's
+energy and gradient. The model's apply_stencil and the residual act on
+(..., L) arrays, and stage B's LAPACK edge eigenpair runs row by row on
+that row's own off-diagonal. After stage A, the convex exit runs on the
+convex rows, stage B on the rest, and stage C on the rows stage B leaves
+above the tolerance, so the start carries attempt 0's finished outcome.
+Their Newton steps take all rows at once: the rows' tridiagonals, stacked
+with zero couplings, form one block-diagonal matrix, which one LAPACK
+dgtsv call per step (and one dpttrf call for the certificates) eliminates
+block by block, each block exactly as alone. So each row of the batch is
+computed bit for bit as the lone 1-D solve computes it. A lone solve keeps
+the scalar Newton loop, which is cheaper for one row. A solve can also
+skip stage A and start from a solved neighbour's state (warm_start), as
+the transition refinement of phasescan does; batched_warm_starts finishes
+attempt 0 of such starts as one batch.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
@@ -494,6 +500,125 @@ def _bordered_dense_step(off, d, v, F, F_L):
     return delta[:L], delta[L]
 
 
+def _block_couplings(J, L):
+    """The off-diagonal of the block-diagonal matrix that stacks one L x L
+    tridiagonal per row, row i's with off-diagonal J[i]: zero between
+    blocks. LAPACK's tridiagonal routines eliminate such a matrix block by
+    block, each block as they eliminate it alone (a zero coupling adds and
+    subtracts only zeros), until they stop at a failing position."""
+    off = np.zeros((len(J), L))
+    off[:, :-1] = J[:, None]
+    return off.ravel()[:-1]
+
+
+def _newton_steps(J, d, v, F, F_L):
+    """_newton_step on every row of the (B, L) arrays d, v and F, with row
+    i's own hopping J[i] and F_L[i]. One dgtsv call solves every row's
+    T [a b] = [-F, phi] as one block-diagonal system (_block_couplings).
+    Where its info names a failing position, the row holding it takes the
+    lone step, and the call is repeated on the other rows; where the result
+    is not finite, a NaN or inf may have crossed a coupling, and every row
+    takes the lone step. So does a row with |phi.b| <= 1e-8. Returns
+    (d_v, d_mu, ok): row i's step as _newton_step returns it, bit for bit,
+    and ok[i] False where the lone step raises LinAlgError."""
+    B, L = v.shape
+    rhs = np.array([-F, v])
+    a, b = np.zeros_like(v), np.zeros_like(v)
+    lone, todo = np.zeros(B, dtype=bool), np.arange(B)
+    while todo.size:
+        off = _block_couplings(J[todo], L)
+        *_, x, info = dgtsv(off, d[todo].ravel(), off, rhs[:, todo].reshape(2, -1).T)
+        if info > 0:
+            bad = todo[(info - 1) // L]
+            lone[bad] = True
+            todo = todo[todo != bad]
+        else:
+            if np.isfinite(x).all():
+                a[todo], b[todo] = x[:, 0].reshape(-1, L), x[:, 1].reshape(-1, L)
+            else:
+                lone[todo] = True
+            break
+    vb = np.vecdot(v, b)
+    lone |= ~(np.abs(vb) > 1e-8)
+    vb[lone] = 1.0                         # their step is the lone one, below
+    d_mu = (-F_L - np.vecdot(v, a)) / vb
+    d_v = a + d_mu[:, None] * b
+    ok = np.ones(B, dtype=bool)
+    for i in np.flatnonzero(lone):
+        try:
+            d_v[i], d_mu[i] = _newton_step(np.full(L - 1, J[i]), d[i], v[i], F[i],
+                                           F_L[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return d_v, d_mu, ok
+
+
+def _newton_rows(J, eps, U, v, mu, tol, max_newton):
+    """_newton_polish on every row of the (B, L) arrays eps and v, with row
+    i's own J[i], U[i], mu[i] and max_newton[i] ((B,) arrays): each pass
+    takes the Newton step of all rows still iterating at once
+    (_newton_steps), and a row leaves where the lone iteration returns.
+    Returns the arrays (v, ok, steps), row i's what the lone call returns
+    for it, bit for bit."""
+    out_v, out_ok, out_steps = v.copy(), np.zeros(len(v), dtype=bool), max_newton.copy()
+    idle = max_newton <= 0                 # no pass: the residual decides, as alone
+    if idle.any():
+        out_ok[idle] = _residual_mu(J[idle, None], eps[idle], U[idle, None],
+                                    v[idle])[0] < tol
+    live = np.flatnonzero(~idle)
+    J, U, eps, v, mu, max_newton = (a[live] for a in (J, U, eps, v, mu, max_newton))
+    k = 0
+    while live.size:
+        Jc, Uc = J[:, None], U[:, None]
+        F = apply_stencil(Jc, eps - Uc * v * v, v)
+        F -= mu[:, None] * v
+        F_L = 0.5 * (np.vecdot(v, v) - 1.0)
+        done = (_max(np.abs(F), axis=-1) < tol) & (np.abs(F_L) < 1e-13)
+        if done.any():
+            done[done] = _residual_mu(Jc[done], eps[done], Uc[done], v[done])[0] < tol
+        ok = done.copy()
+        moved = np.flatnonzero(~done)
+        d_v, d_mu, solved = _newton_steps(
+            J[moved], eps[moved] - 3.0 * Uc[moved] * v[moved] * v[moved] - mu[moved, None],
+            v[moved], F[moved], F_L[moved])
+        done[moved[~solved]] = True            # the lone step raised LinAlgError
+        moved = moved[solved]
+        v[moved] += d_v[solved]
+        mu[moved] += d_mu[solved]
+        nv = np.sqrt(np.vecdot(v[moved], v[moved]))
+        bad = (nv == 0) | ~np.isfinite(nv)
+        done[moved[bad]] = True
+        v[moved[~bad]] /= nv[~bad, None]
+        k += 1
+        spent = ~done & (max_newton == k)
+        if spent.any():
+            ok[spent] = _residual_mu(J[spent, None], eps[spent], U[spent, None],
+                                     v[spent])[0] < tol
+            done |= spent
+        if done.any():
+            rows = live[done]
+            out_v[rows], out_ok[rows], out_steps[rows] = v[done], ok[done], k
+            keep = ~done
+            live, J, U, eps, v, mu, max_newton = (a[keep] for a in (
+                live, J, U, eps, v, mu, max_newton))
+    return out_v, out_ok, out_steps
+
+
+def _guarded_rows(J, eps, U, v, best_e, tol, max_newton):
+    """_guarded_newton on every row of the (B, L) arrays eps and v, with row
+    i's own J[i], U[i], best_e[i] and max_newton[i], by _newton_rows.
+    Returns (kept, v, E, steps): where kept[i], row i of v and E is the
+    (state, its E) the lone guard returns, and steps[i] is its steps in
+    either case, bit for bit."""
+    mu = _residual_mu(J[:, None], eps, U[:, None], v)[1]
+    vn, kept, used = _newton_rows(J, eps, U, v.copy(), mu, tol, max_newton)
+    kept &= np.isfinite(vn).all(axis=-1)
+    en = np.full(len(vn), np.nan)
+    en[kept] = energy_of(J[kept], eps[kept], U[kept], vn[kept])
+    kept &= en <= best_e + 1e-12
+    return kept, vn, en, used
+
+
 def _guarded_newton(J, eps, U, v, best_e, tol, max_newton):
     """_newton_polish from v at its Rayleigh quotient, for up to max_newton
     steps. Returns (state, its E, steps) if Newton reaches `tol` at a finite
@@ -517,6 +642,30 @@ def _certified(J, eps, U, v, mu):
     *_, info = dpttrf(eps - U * v * v - (mu - CERTIFICATE_SHIFT),
                       np.full(len(v) - 1, float(J)))
     return info == 0
+
+
+def _certified_rows(J, eps, U, v, mu):
+    """_certified on every row of the (B, L) arrays eps and v, with row i's
+    own J[i], U[i] and mu[i]: one dpttrf call factors every row's
+    H[v] - (mu - CERTIFICATE_SHIFT) as one block-diagonal matrix
+    (_block_couplings). Where its info names a failing position, the row
+    holding it is not certified, and the call goes on with the rows after
+    it. Where a row is not finite, a NaN may have crossed a coupling, and
+    every row gets the lone verdict. Bit for bit the lone verdicts."""
+    B, L = v.shape
+    d = eps - U[:, None] * v * v - (mu - CERTIFICATE_SHIFT)[:, None]
+    if not np.isfinite(d).all():
+        return np.array([_certified(J[i], eps[i], U[i], v[i], mu[i]) for i in range(B)],
+                        dtype=bool)
+    ok, first = np.ones(B, dtype=bool), 0
+    while first < B:
+        *_, info = dpttrf(d[first:].ravel(), _block_couplings(J[first:], L))
+        if info == 0:
+            break
+        first += (info - 1) // L
+        ok[first] = False
+        first += 1
+    return ok
 
 
 def _convex_finish(J, eps, U, v0, v, tol, budget):
@@ -554,13 +703,14 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     the stationarity residual ||H[phi]phi - mu phi||_inf, not on energy
     change. `iterations` counts imaginary-time steps, SCF steps and Newton
     steps, and never exceeds opts.max_iterations. `start` is this cell's
-    entry of batched_starts: (linear ground state, v, step, iterations,
-    stage B) after attempt 0's stage A, where stage B is attempt 0's
-    _convex_finish or _scf_block outcome, or None to run them here. The
-    cascade then goes on from there, and its result is the one it returns
-    without `start`. A warm_start `start` begins stage B at another state,
-    so its result can differ. `certified` is _certified on the returned
-    state, in the model the kind solves.
+    entry of batched_starts, (linear ground state, v, step, iterations,
+    stage B, stage C): attempt 0's stage A outcome, its stage B outcome
+    (_convex_finish's or _scf_block's) and its stage C outcome
+    (_guarded_newton's), each None where it is to run here. None runs all
+    of attempt 0 here. The cascade goes on from there, and its result is
+    the one it returns without `start`. A warm_start `start` begins stage B
+    at another state, so its result can differ. `certified` is _certified
+    on the returned state, in the model the kind solves.
     """
     params, negate = params.for_kind(kind), kind == "es"
     eps = quasiperiodic_potential(params)
@@ -570,8 +720,8 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
         _, v0 = _linear_edge_state(eps, off)
         max_steps, target = _stage_a_plan(0)
         start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
-                                       target, opts.max_iterations), None)
-    v0, v, step, used, scf = start
+                                       target, opts.max_iterations), None, None)
+    v0, v, step, used, scf, polish = start
     iterations = 0
 
     best_v = v0.copy()
@@ -610,9 +760,12 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
                 best_v = u_best
                 break
 
-        # stage C: Newton polish from the best iterate so far
-        vn, en, used = _guarded_newton(J, eps, U, best_v, best_e, opts.residual_tol,
-                                       min(40, opts.max_iterations - iterations))
+        # stage C: Newton polish from the best iterate so far (attempt 0's
+        # may come with the start)
+        if attempt or polish is None:
+            polish = _guarded_newton(J, eps, U, best_v, best_e, opts.residual_tol,
+                                     min(40, opts.max_iterations - iterations))
+        vn, en, used = polish
         iterations += used
         if vn is not None:
             best_v, best_e = vn, en
@@ -646,7 +799,7 @@ def warm_start(params, kind, v):
     solved = params.for_kind(kind)
     eps = quasiperiodic_potential(solved)
     _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(solved.J)))
-    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None
+    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None, None
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:
@@ -659,40 +812,101 @@ def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSol
     return sol
 
 
-def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
-    """Attempt 0's stages A and B for cells that share L.
-
-    `cells` is a sequence of ModelParams (J, Delta, phi and U may
-    vary), and `kind` is one kind for all of them or a sequence of one kind
-    per cell. Both stages run on all of them as (B, L) arrays, each row with
-    its own J and U, and entry i of the returned list is the `start` that
-    solve_state(cells[i], kind_i, opts, start=...) goes on from: bit for bit
-    what the lone solve computes. A cell that _convex_finish finishes after
-    stage A carries that outcome and skips stage B. A cell that is not
-    finite after stage A, has no budget left for stage B, or fails in it
-    carries no stage B outcome, and its cascade runs (and fails in) stage B
-    alone.
-    """
+def _cell_rows(cells, kind):
+    """Per-row J, U and potential, as (B,), (B,) and (B, L) arrays, of the
+    models the cells (ModelParams that share L) solve for `kind`: one kind
+    for all, or one kind per cell."""
     kinds = [kind] * len(cells) if isinstance(kind, str) else kind
     solved = [p.for_kind(k) for p, k in zip(cells, kinds)]
     J = np.array([p.J for p in solved], dtype=float)
     U = np.array([p.U for p in solved], dtype=float)
-    eps = np.array([quasiperiodic_potential(p) for p in solved])
+    return J, U, np.array([quasiperiodic_potential(p) for p in solved])
+
+
+def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
+    """Attempt 0 for cells that share L, as (B, L) arrays.
+
+    `cells` is a sequence of ModelParams (J, Delta, phi and U may vary), and
+    `kind` is one kind for all of them or a sequence of one kind per cell.
+    Stage A runs on all rows at once, each with its own J and U, and then
+    the rest of attempt 0 as _attempt_rows runs it. Entry i of the returned
+    list is the `start` that solve_state(cells[i], kind_i, opts, start=...)
+    goes on from: bit for bit what the lone solve computes.
+    """
+    J, U, eps = _cell_rows(cells, kind)
     v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, j))[1]
                    for row, j in zip(eps, J)])
     max_steps, target = _stage_a_plan(0)
     v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                     target, opts.max_iterations)
+    return _attempt_rows(J, U, eps, v0, v, step, used, opts)
+
+
+def batched_warm_starts(cells, kind, starts, opts: SolverOptions):
+    """The warm_start entries `starts` of cells that share L (cells and
+    `kind` as batched_starts takes them), with the rest of attempt 0 run on
+    all rows at once by _attempt_rows. Entry i is the `start` with which
+    solve_state(cells[i], kind_i, opts, start=...) returns what it returns
+    from starts[i], bit for bit."""
+    J, U, eps = _cell_rows(cells, kind)
+    v0, v, step, used = (np.array(column) for column in zip(*(s[:4] for s in starts)))
+    return _attempt_rows(J, U, eps, v0, v, step, used, opts)
+
+
+def _attempt_rows(J, U, eps, v0, v, step, used, opts):
+    """The starts of rows that ran attempt 0's stage A (or skipped it), from
+    the linear ground states v0 and the (v, step, used) stage A gave them:
+    the rest of attempt 0, as solve_state's cascade runs it, on all rows at
+    once, each row bit for bit as alone.
+
+    - The convex exit (_convex_finish) runs on the rows whose model has
+      U <= 0, its Newton steps by _guarded_rows and its certificate by
+      _certified_rows. The rows it finishes carry that outcome as stage B's.
+    - Stage B (_scf_rows) runs on the other rows.
+    - Stage C (_guarded_rows) runs from each row's best iterate on the rows
+      that stage B leaves at or above the tolerance.
+    A row that is not finite after stage A, has no budget left for stage B,
+    or fails in it carries neither outcome, and its cascade runs (and fails
+    in) stage B alone. Returns one start per row, (v0, v, step, used,
+    stage B, stage C), stage C as _guarded_newton returns it or None.
+    """
+    tol, n = opts.residual_tol, len(v)
     budgets = opts.max_iterations - used
     ready = np.isfinite(v).all(axis=-1) & (budgets > 0)
-    scf = [None] * len(cells)
-    for i in np.flatnonzero(ready):     # convex rows that finish leave the batch
-        scf[i] = _convex_finish(J[i], eps[i], U[i], v0[i], v[i], opts.residual_tol,
-                                budgets[i])
-        ready[i] = scf[i] is None
+    scf, polish = [None] * n, [None] * n
+
+    rows = np.flatnonzero(ready & (U <= 0))
+    if rows.size:
+        Jr, Ur, er = J[rows], U[rows], eps[rows]
+        e0, ea = energy_of(Jr, er, Ur, v0[rows]), energy_of(Jr, er, Ur, v[rows])
+        kept, vn, _, steps = _guarded_rows(Jr, er, Ur, v[rows], np.where(ea < e0, ea, e0),
+                                           tol, np.minimum(40, budgets[rows]))
+        k = np.flatnonzero(kept)
+        res, mu = _residual_mu(Jr[k, None], er[k], Ur[k, None], vn[k])
+        for j, r, certified in zip(k, res, _certified_rows(Jr[k], er[k], Ur[k],
+                                                           vn[k], mu)):
+            if certified:
+                scf[rows[j]] = (r, vn[j], int(steps[j]))
+                ready[rows[j]] = False
+
     rows = np.flatnonzero(ready)
     for i, out in zip(rows, _scf_rows(J[rows], eps[rows], U[rows], v[rows], 2000,
-                                      opts.residual_tol, budgets[rows])):
+                                      tol, budgets[rows])):
         scf[i] = out
-    return [(v0[i], v[i], float(step[i]), int(used[i]), scf[i])
-            for i in range(len(cells))]
+
+    rows = np.array([i for i in rows if scf[i] is not None and not scf[i][0] < tol],
+                    dtype=int)
+    if rows.size:
+        Jr, Ur, er = J[rows], U[rows], eps[rows]
+        best_v, best_e = v0[rows], energy_of(Jr, er, Ur, v0[rows])
+        for w in (v[rows], np.array([scf[i][1] for i in rows])):
+            e = energy_of(Jr, er, Ur, w)
+            take = e <= best_e                  # solve_state's best iterate
+            best_v, best_e = np.where(take[:, None], w, best_v), np.where(take, e, best_e)
+        spent = used[rows] + np.array([scf[i][2] for i in rows])
+        kept, vn, en, steps = _guarded_rows(Jr, er, Ur, best_v, best_e, tol,
+                                            np.minimum(40, opts.max_iterations - spent))
+        for j, i in enumerate(rows):
+            polish[i] = ((vn[j], en[j]) if kept[j] else (None, None)) + (int(steps[j]),)
+    return [(v0[i], v[i], float(step[i]), int(used[i]), scf[i], polish[i])
+            for i in range(n)]

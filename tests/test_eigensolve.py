@@ -1,11 +1,11 @@
 """Self-consistent ground/excited eigenstate solver."""
 
 import importlib.machinery
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.linalg.lapack import dgtsv as dgtsv_lapack
@@ -150,6 +150,88 @@ def test_loader_takes_scipys_compiled_module():
 def test_loaded_routines_are_bitwise_scipy_linalg_lapack(L, J, scale, seed):
     d, off = _tridiagonal(L, J, scale, seed)
     assert _lapack_results(eigensolve, d, off) == _lapack_results(lapack, d, off)
+
+
+def _block(L, J, kind, rng):
+    """(d, off) of one L x L tridiagonal with off-diagonal J: random,
+    diagonally dominant (so positive definite), or singular, J times the
+    signless Laplacian of a path, tridiag(1, [1, 2, ..., 2, 1], 1), on which
+    Gaussian elimination meets an exact zero at its last pivot."""
+    if kind == "singular":
+        d = np.full(L, 2.0 * J)
+        d[[0, -1]] = J
+    elif kind == "definite":
+        d = rng.uniform(0.1, 3.0, L) + 2.0 * abs(J)
+    else:
+        d = rng.uniform(-3.0, 3.0, L)
+    return d, np.full(L - 1, J)
+
+
+def _stack(blocks):
+    """The diagonal and off-diagonal of the blocks stacked into one
+    block-diagonal matrix, with zero couplings between blocks."""
+    return (np.concatenate([d for d, _ in blocks]),
+            np.concatenate([np.append(off, 0.0) for _, off in blocks])[:-1])
+
+
+_BLOCK_ROWS = st.lists(st.tuples(st.floats(0.1, 2.0), st.sampled_from([1.0, -1.0]),
+                                 st.sampled_from(["random", "definite", "singular"])),
+                       min_size=1, max_size=6)
+
+
+@given(L=st.integers(2, 40), rows=_BLOCK_ROWS, seed=st.integers(0, 2**32 - 1))
+def test_stacked_blocks_solve_and_factor_bitwise_as_each_block_alone(L, rows, seed):
+    # dgtsv with two right-hand sides and dpttrf on B tridiagonal blocks of
+    # one L stacked with zero couplings: each block comes out bitwise as its
+    # lone call's, up to the first failing block, which info names
+    rng = np.random.default_rng(seed)
+    blocks = [_block(L, mag * sign, kind, rng) for mag, sign, kind in rows]
+    rhs = [np.asfortranarray(rng.normal(size=(L, 2))) for _ in blocks]
+    d, off = _stack(blocks)
+    for routine in ("dgtsv", "dpttrf"):
+        if routine == "dgtsv":
+            lone = [eigensolve.dgtsv(o, dd, o, b)[3:] for (dd, o), b in zip(blocks, rhs)]
+            x, info = eigensolve.dgtsv(off, d, off, np.asfortranarray(np.concatenate(rhs)))[3:]
+            outs = [(x[i * L:(i + 1) * L],) for i in range(len(blocks))]
+            lone = [((x_i,), info_i) for x_i, info_i in lone]
+        else:
+            lone = [(out[:2], out[2]) for out in map(eigensolve.dpttrf, *zip(*blocks))]
+            d_f, e_f, info = eigensolve.dpttrf(d, off)
+            outs = [(d_f[i * L:(i + 1) * L], e_f[i * L:(i + 1) * L - 1])
+                    for i in range(len(blocks))]
+        failing = [i for i, (_, info_i) in enumerate(lone) if info_i != 0]
+        first = failing[0] if failing else len(blocks)
+        assert info == (first * L + lone[first][1] if failing else 0), routine
+        if routine == "dpttrf" or not failing:
+            # dgtsv back-substitutes only once every block has factored
+            for out, (want, _) in zip(outs[:first], lone):
+                assert [_bits(a) for a in out] == [_bits(a) for a in want], routine
+
+
+@given(L=st.integers(2, 40), rows=_BLOCK_ROWS, seed=st.integers(0, 2**32 - 1))
+def test_rows_newton_steps_and_certificates_are_the_lone_ones(L, rows, seed):
+    # a failing block (a singular T, or a row H[v] - mu that is not positive
+    # definite) takes the lone path and leaves the other rows bitwise
+    rng = np.random.default_rng(seed)
+    J = np.array([mag * sign for mag, sign, _ in rows])
+    d = np.array([_block(L, j, kind, rng)[0] for j, (*_, kind) in zip(J, rows)])
+    v = rng.normal(size=(len(rows), L))
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    F, F_L = rng.normal(size=v.shape) * 1e-3, rng.normal(size=len(rows)) * 1e-14
+    d_v, d_mu, ok = eigensolve._newton_steps(J, d, v, F, F_L)
+    for i in range(len(rows)):
+        try:
+            want = eigensolve._newton_step(np.full(L - 1, J[i]), d[i], v[i], F[i], F_L[i])
+        except np.linalg.LinAlgError:
+            assert not ok[i]
+            continue
+        assert ok[i] and _bits([*d_v[i], d_mu[i]]) == _bits([*want[0], want[1]])
+    # certificates: mu below the spectrum of every definite row's H[v]
+    eps, U = d, rng.uniform(-2.0, 2.0, len(rows))
+    mu = np.where([kind == "definite" for *_, kind in rows], -10.0,
+                  rng.uniform(-3.0, 3.0, len(rows)))
+    assert list(eigensolve._certified_rows(J, eps, U, v, mu)) == [
+        eigensolve._certified(J[i], eps[i], U[i], v[i], mu[i]) for i in range(len(rows))]
 
 
 @pytest.mark.parametrize("hide", ["file", "load", "routine"])
@@ -373,13 +455,19 @@ def test_iterations_never_exceed_the_cap(cap, kind, U, delta):
 @given(L=st.integers(2, 34),
        cells=st.lists(st.tuples(st.floats(0.0, 8.0), st.floats(-2.0, 2.0),
                                 st.sampled_from(["gs", "es"])), min_size=1, max_size=8),
-       phi=st.floats(0.0, 2.0 * np.pi), cap=st.integers(1, 400))
+       phi=st.floats(0.0, 2.0 * np.pi), cap=st.integers(1, 400),
+       newton=st.one_of(st.none(), st.integers(1, 6)))
 @pytest.mark.filterwarnings("ignore:.*self-trapping")
-def test_batched_stage_a_equals_lone_solves(L, cells, phi, cap):
-    # one batch of cells with their own Delta, U and kind
-    opts = SolverOptions(max_iterations=cap)
+def test_batched_stage_a_equals_lone_solves(L, cells, phi, cap, newton):
+    # one batch of cells with their own Delta, U and kind. With `newton`,
+    # the cap ends that many iterations after the first cell's stage A:
+    # inside the Newton steps of its convex exit, or of its stage C after
+    # a stage B cut short
     params = [ModelParams(L=L, J=1.0, Delta=d, phi=phi, U=U) for d, U, _ in cells]
-    _assert_batched_equals_lone(params, [kind for *_, kind in cells], opts)
+    kinds = [kind for *_, kind in cells]
+    if newton is not None:
+        cap = batched_starts(params[:1], kinds[:1])[0][3] + newton
+    _assert_batched_equals_lone(params, kinds, SolverOptions(max_iterations=cap))
 
 
 def _assert_batched_equals_lone(cells, kind, opts):
@@ -388,12 +476,8 @@ def _assert_batched_equals_lone(cells, kind, opts):
     starts = batched_starts(cells, kind, opts)
     kinds = [kind] * len(cells) if isinstance(kind, str) else kind
     for params, k, start in zip(cells, kinds, starts):
-        lone = solve_state(params, k, opts)
-        batched = solve_state(params, k, opts, start=start)
-        assert batched.state.amplitudes.tobytes() == lone.state.amplitudes.tobytes()
-        assert _bits([batched.mu, batched.energy, batched.residual]) == \
-            _bits([lone.mu, lone.energy, lone.residual])
-        assert (batched.iterations, batched.converged) == (lone.iterations, lone.converged)
+        _assert_same_solution(solve_state(params, k, opts, start=start),
+                              solve_state(params, k, opts))
     return starts
 
 
@@ -415,21 +499,31 @@ def _assert_same_solution(a, b):
 @given(deltas=st.lists(st.sampled_from([0.5, 1.5, 2.0, 3.0, 5.0]), min_size=1,
                        max_size=5),
        U=st.sampled_from([0.5, 1.0]), kind=st.sampled_from(["gs", "es"]),
-       phi=st.floats(0.0, 2.0 * np.pi), frac=st.floats(0.0, 1.0))
+       phi=st.floats(0.0, 2.0 * np.pi), frac=st.floats(0.0, 1.0),
+       stage=st.sampled_from(["B", "C"]))
 def test_batched_stage_b_equals_lone_when_the_cap_ends_inside_it(deltas, U, kind,
-                                                                  phi, frac):
+                                                                  phi, frac, stage):
     # focusing cells (U > 0 in the model each kind solves), which the convex
-    # exit leaves to stage B
+    # exit leaves to stage B and then to stage C's Newton steps
     U = U if kind == "gs" else -U
     cells = [ModelParams(L=13, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
-    _, _, _, used_a, (_, _, used_b) = batched_starts(cells, kind)[0]
-    # a cap that stops the first cell's stage B after 1 ... used_b - 1 steps
-    cut = 1 + int(frac * (used_b - 2)) if used_b > 1 else 1
+    _, _, _, used_a, (_, _, used_b), polish = batched_starts(cells, kind)[0]
+    if stage == "B":
+        # a cap that stops the first cell's stage B after 1 ... used_b - 1 steps
+        cut = 1 + int(frac * (used_b - 2)) if used_b > 1 else 1
+    else:
+        # one that stops its stage C after 0 ... (its Newton steps - 1) steps
+        assume(polish is not None)
+        newton = int(frac * (polish[2] - 1))
+        cut = used_b + newton
     opts = SolverOptions(max_iterations=used_a + cut)
     starts = _assert_batched_equals_lone(cells, kind, opts)
-    # the capped cell really ran stage B, and stage B ran to the cap
+    # the capped cell really ran the stage, and the stage ran to the cap
     p = cells[0].for_kind(kind)
-    _, v, _, _, scf = starts[0]
+    _, v, _, _, scf, polish = starts[0]
+    if stage == "C":
+        assert scf[2] == used_b and polish[2] == newton
+        return
     want = _scf_block(p.J, np.full(12, p.J), quasiperiodic_potential(p), p.U, v,
                       2000, opts.residual_tol, cut)
     assert _bits([scf[0], *scf[1]]) == _bits([want[0], *want[1]])
@@ -452,7 +546,7 @@ def _stage_b_as_alone(cells, kind, opts):
                                   *args, budgets[i])
         assert _bits([rows[i][0], *rows[i][1]]) == _bits([res, *best])
         assert rows[i][2] == n
-        start = (v0[i], v[i], step[i], used[i], rows[i])
+        start = (v0[i], v[i], step[i], used[i], rows[i], None)
         _assert_same_solution(solve_state(p, kind, opts, start=start),
                               _without_convex_exit(solve_state, p, kind, opts))
     return rows
@@ -493,6 +587,31 @@ def test_batched_stage_b_exits_at_handover_stall_and_later_as_alone():
     assert opts.residual_tol <= res2 < NEWTON_HANDOVER and used2 > 2 * SCF_WINDOW
     assert all(_without_convex_exit(solve_state, p, "es", opts).converged
                for p in cells)
+
+
+def test_batched_row_the_energy_guard_rejects_goes_on_to_attempt_1_alone():
+    # gs at L = 13, Delta = 6.5, U = -0.5: the convex exit does not finish
+    # it, stage B stalls, and stage C's Newton steps from stage B's best
+    # iterate reach the tolerance at an E above it. The guard rejects that
+    # state, and the cell goes on to attempt 1 alone; its neighbours finish
+    # in attempt 0
+    opts = SolverOptions()
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=-0.5) for d in (6.5, 2.0, 4.0)]
+    starts = _assert_batched_equals_lone(cells, "gs", opts)
+    v0, v, _, used, (res, u, n), polish = starts[0]
+    assert res >= opts.residual_tol and polish[:2] == (None, None)
+    p = cells[0]
+    eps = quasiperiodic_potential(p)
+    e_u = energy_of(p.J, eps, p.U, u)
+    assert e_u <= min(energy_of(p.J, eps, p.U, v0), energy_of(p.J, eps, p.U, v))
+    mu = _residual_mu(p.J, eps, p.U, u)[1]
+    vn, ok, steps = eigensolve._newton_polish(p.J, eps, p.U, u.copy(), mu,
+                                              opts.residual_tol, 40)
+    assert ok and steps == polish[2] and energy_of(p.J, eps, p.U, vn) > e_u + 1e-12
+    sol = solve_state(p, "gs", opts, start=starts[0])
+    assert sol.converged and sol.iterations > used + n + steps
+    for start in starts[1:]:
+        assert start[4][0] < opts.residual_tol or start[5][0] is not None
 
 
 # (L, kind, U, Delta, r, E, iterations) of the cascade before stage B handed
@@ -585,15 +704,24 @@ def test_schur_newton_step_equals_the_dense_bordered_solve(L, J, sign, U, delta,
     assert err <= SCHUR_STEP_TOL * max(1.0, np.max(np.abs(want)))
 
 
-def _failing_dgtsv(failure):
+def _failing_dgtsv(failure, L=None):
     """dgtsv that reports T singular (info = 1), or that solves but returns
-    b = 0, so that |v.b| falls below the Schur step's threshold."""
+    b = 0, so that |v.b| falls below the Schur step's threshold; or
+    ("singular block") that reports the second L x L block singular (info =
+    L + 1) wherever it is called on several blocks stacked, and the
+    positions it reported that on in its `reported` list."""
     def dgtsv(dl, d, du, b):
         if failure == "singular":
             return dl, d, du, b, 1
         *factors, x, info = dgtsv_lapack(dl, d, du, b)
+        if failure == "singular block":
+            if len(d) > L:
+                dgtsv.reported.append(L + 1)
+                return *factors, x, L + 1
+            return *factors, x, info
         x[:, 1] = 0.0
         return *factors, x, info
+    dgtsv.reported = []
     return dgtsv
 
 
@@ -617,6 +745,15 @@ def test_dense_fallback_finishes_a_cell_as_the_schur_step(monkeypatch, failure, 
     assert calls and sol.converged
     assert abs(participation_ratio(sol.state) - want) <= 1e-12
     assert abs(participation_ratio(sol.state) - r) <= 1e-8
+    # in a batch with two neighbours, every row whose stacked step fails
+    # takes the lone step, dense here, as the lone solve does: the convex
+    # exit's steps (gs at U = -1) or stage C's (es at U = -0.5)
+    cells = [params] + [replace(params, Delta=delta + dd) for dd in (-0.5, 0.5)]
+    calls.clear()
+    starts = batched_starts(cells, kind)
+    assert calls
+    for p, start in zip(cells, starts):
+        _assert_same_solution(solve_state(p, kind, start=start), solve_state(p, kind))
 
 
 def _stage_a_rows(cells, opts):
@@ -630,14 +767,32 @@ def _stage_a_rows(cells, opts):
     return (J, U, eps, v0, *_imag_time_rows(J, eps, U, v0, *args))
 
 
-@pytest.mark.parametrize("failure", ["lapack", "non-finite"])
+@pytest.mark.parametrize("failure", ["lapack", "non-finite", "singular block"])
 def test_batched_stage_b_row_that_fails_leaves_the_others_bitwise(monkeypatch,
                                                                   failure):
     # on a batch sharing U and on one mixing U (row 1, the failing one, keeps
     # U = -1 in both)
     for us in ((-1.0, -1.0, -1.0), (0.7, -1.0, 0.4)):
         with monkeypatch.context() as mp:
-            _check_failing_stage_b_row(mp, failure, us)
+            if failure == "singular block":
+                _check_singular_newton_block(mp, us)
+            else:
+                _check_failing_stage_b_row(mp, failure, us)
+
+
+def _check_singular_newton_block(monkeypatch, us):
+    """The Newton steps of a batch (the convex exit's and stage C's) with
+    the second block of every stacked dgtsv call reported singular: the row
+    holding it takes the lone step, the call is repeated on the others, and
+    every cell's solve is bitwise its lone solve."""
+    cells = [ModelParams(L=13, J=1.0, Delta=d, U=U) for d, U in zip((0.5, 6.0, 3.0), us)]
+    lone = [solve_state(p, "gs") for p in cells]
+    failing = _failing_dgtsv("singular block", 13)
+    monkeypatch.setattr(eigensolve, "dgtsv", failing)
+    starts = batched_starts(cells, "gs")
+    assert failing.reported
+    for p, start, want in zip(cells, starts, lone):
+        _assert_same_solution(solve_state(p, "gs", start=start), want)
 
 
 def _check_failing_stage_b_row(monkeypatch, failure, us):
@@ -679,7 +834,7 @@ def _check_failing_stage_b_row(monkeypatch, failure, us):
         calls.clear()
         with pytest.raises(error) as cascade:
             solve_state(cells[1], "gs", opts,
-                        start=(v0[1], v[1], step[1], used[1], None))
+                        start=(v0[1], v[1], step[1], used[1], None, None))
         assert str(cascade.value) == str(lone.value)
     for i in (0, 2):
         res, best, n = _scf_block(J[i], off, eps[i], U[i], v[i], *args,
@@ -710,7 +865,7 @@ def _check_non_finite_potential_row(us):
         # the row's cascade goes on from the batch and raises the lone error
         with pytest.raises(RuntimeError) as batched:
             solve_state(cells[1], "gs", opts,
-                        start=(v0[1], v[1], step[1], used[1], None))
+                        start=(v0[1], v[1], step[1], used[1], None, None))
     assert str(batched.value) == str(lone.value)
     for i in (0, 2):
         v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U[i], v0[i], *args)
