@@ -558,8 +558,8 @@ def _newton_rows(J, eps, U, v, mu, tol, max_newton):
     i's own J[i], U[i], mu[i] and max_newton[i] ((B,) arrays): each pass
     takes the Newton step of all rows still iterating at once
     (_newton_steps), and a row leaves where the lone iteration returns.
-    Returns the arrays (v, ok, steps), row i's what the lone call returns
-    for it, bit for bit."""
+    Leaves v as it is. Returns the arrays (v, ok, steps), row i's what the
+    lone call returns for it, bit for bit."""
     out_v, out_ok, out_steps = v.copy(), np.zeros(len(v), dtype=bool), max_newton.copy()
     idle = max_newton <= 0                 # no pass: the residual decides, as alone
     if idle.any():
@@ -611,7 +611,7 @@ def _guarded_rows(J, eps, U, v, best_e, tol, max_newton):
     (state, its E) the lone guard returns, and steps[i] is its steps in
     either case, bit for bit."""
     mu = _residual_mu(J[:, None], eps, U[:, None], v)[1]
-    vn, kept, used = _newton_rows(J, eps, U, v.copy(), mu, tol, max_newton)
+    vn, kept, used = _newton_rows(J, eps, U, v, mu, tol, max_newton)
     kept &= np.isfinite(vn).all(axis=-1)
     en = np.full(len(vn), np.nan)
     en[kept] = energy_of(J[kept], eps[kept], U[kept], vn[kept])
