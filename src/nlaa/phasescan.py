@@ -434,7 +434,7 @@ def _records(store, cells):
     """Records of cells (the arguments of _solve_cell) that share L,
     preparation and solver options: the stored ones, and the missing ones
     solved and appended in the order given. Missing exact cells, of any kind
-    and U, if there are several, run attempt 0's stages A and B as one batch
+    and U, if there are several, run attempt 0 as one batch
     (batched_starts), then each the rest of its cascade alone."""
     keys = [_key_of(c) for c in cells]
     recs = [store.records.get(k) for k in keys]
@@ -585,7 +585,7 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
     or refinement point, is read from it if stored and appended to it at
     once if not. All missing exact grid cells, of both kinds and every U,
-    run attempt 0's stages A and B as one batch and are appended in
+    run attempt 0 as one batch and are appended in
     (kind, U, Delta) order; each one's r is bitwise its lone solve's. Every
     (kind, U) row's first bracket is then refined in lockstep
     (detect_transition's many-row form, with _refine): at each ITP step
