@@ -578,9 +578,9 @@ def _newton_rows(J, eps, U, v, mu, tol, max_newton):
             done[done] = _residual_mu(Jc[done], eps[done], Uc[done], v[done])[0] < tol
         ok = done.copy()
         moved = np.flatnonzero(~done)
-        d_v, d_mu, solved = _newton_steps(
-            J[moved], eps[moved] - 3.0 * Uc[moved] * v[moved] * v[moved] - mu[moved, None],
-            v[moved], F[moved], F_L[moved])
+        d = eps - 3.0 * Uc * v * v - mu[:, None]
+        d_v, d_mu, solved = _newton_steps(J[moved], d[moved], v[moved], F[moved],
+                                          F_L[moved])
         done[moved[~solved]] = True            # the lone step raised LinAlgError
         moved = moved[solved]
         v[moved] += d_v[solved]
