@@ -55,16 +55,17 @@ energy and gradient. The model's apply_stencil and the residual act on
 (..., L) arrays, and stage B's LAPACK edge eigenpair runs row by row on
 that row's own off-diagonal. After stage A, the convex exit runs on the
 convex rows, stage B on the rest, and stage C on the rows stage B leaves
-above the tolerance, so the start carries attempt 0's finished outcome.
+above the tolerance, so the start carries attempt 0's finished outcome,
+and, where that ends the solve, the finished solve, which solve_state
+returns as it is.
 Their Newton steps take all rows at once: the rows' tridiagonals, stacked
 with zero couplings, form one block-diagonal matrix, which one LAPACK
-dgtsv call per step (and one dpttrf call for the certificates) eliminates
-block by block, each block exactly as alone. So each row of the batch is
-computed bit for bit as the lone 1-D solve computes it. A lone solve keeps
-the scalar Newton loop, which is cheaper for one row. A solve can also
-skip stage A and start from a solved neighbour's state (warm_start), as
-the transition refinement of phasescan does; batched_warm_starts finishes
-attempt 0 of such starts as one batch.
+dgtsv call per step eliminates block by block, each block exactly as
+alone. So each row of the batch is computed bit for bit as the lone 1-D
+solve computes it. A lone solve keeps the scalar Newton loop, which is
+cheaper for one row. A solve can also skip stage A and start from a solved
+neighbour's state (warm_start), as the transition refinement of phasescan
+does; it runs the rest of its cascade alone.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
@@ -644,31 +645,7 @@ def _certified(J, eps, U, v, mu):
     return info == 0
 
 
-def _certified_rows(J, eps, U, v, mu):
-    """_certified on every row of the (B, L) arrays eps and v, with row i's
-    own J[i], U[i] and mu[i]: one dpttrf call factors every row's
-    H[v] - (mu - CERTIFICATE_SHIFT) as one block-diagonal matrix
-    (_block_couplings). Where its info names a failing position, the row
-    holding it is not certified, and the call goes on with the rows after
-    it. Where a row is not finite, a NaN may have crossed a coupling, and
-    every row gets the lone verdict. Bit for bit the lone verdicts."""
-    B, L = v.shape
-    d = eps - U[:, None] * v * v - (mu - CERTIFICATE_SHIFT)[:, None]
-    if not np.isfinite(d).all():
-        return np.array([_certified(J[i], eps[i], U[i], v[i], mu[i]) for i in range(B)],
-                        dtype=bool)
-    ok, first = np.ones(B, dtype=bool), 0
-    while first < B:
-        *_, info = dpttrf(d[first:].ravel(), _block_couplings(J[first:], L))
-        if info == 0:
-            break
-        first += (info - 1) // L
-        ok[first] = False
-        first += 1
-    return ok
-
-
-def _convex_finish(J, eps, U, v0, v, tol, budget):
+def _convex_finish(J, eps, U, v, best_e, tol, budget):
     """Attempt 0's exit after stage A, for a model with U <= 0.
 
     There E is convex in the density, so a stationary state that is the
@@ -676,19 +653,45 @@ def _convex_finish(J, eps, U, v0, v, tol, budget):
     Seiringer & Yngvason, PRA 61, 043602 (2000)). Newton runs from stage
     A's state v for up to min(40, budget) steps, and its result is the
     cell's stage B outcome (residual, state, Newton steps) if it passes
-    the cascade's guard on Newton (_guarded_newton, against the lower E of
-    v0 and v) and is _certified. Otherwise, and always
+    the cascade's guard on Newton (_guarded_newton, against best_e, the E
+    of the best iterate after stage A) and is _certified. Otherwise, and always
     where U > 0, returns None: there E is not convex, and a certified
     stationary state can lie above the ground state.
     """
     if U > 0:
         return None
-    best_e = min(energy_of(J, eps, U, v0), energy_of(J, eps, U, v))
     vn, _, used = _guarded_newton(J, eps, U, v, best_e, tol, min(40, budget))
     if vn is None:
         return None
-    res, mu = _residual_mu(J, eps, U, vn)
-    return (res, vn, used) if _certified(J, eps, U, vn, mu) else None
+    res, _, _, certified = _report(J, eps, U, vn)
+    return (res, vn, used) if certified else None
+
+
+def _report(J, eps, U, v):
+    """(residual, mu, E, certified) of the state v, as a solve reports them
+    in the model it solves."""
+    res, mu = map(float, _residual_mu(J, eps, U, v))
+    return res, mu, energy_of(J, eps, U, v), _certified(J, eps, U, v, mu)
+
+
+def _report_rows(J, eps, U, v):
+    """_report of each row of the (B, L) arrays eps and v, with row i's own
+    J[i] and U[i], bit for bit: the residual, mu and E as rows, the
+    certificate row by row."""
+    res, mu = _residual_mu(J[:, None], eps, U[:, None], v)
+    return [(float(r), float(m), e, _certified(j, d, u, w, float(m)))
+            for r, m, e, j, d, u, w in zip(res, mu, energy_of(J, eps, U, v), J, eps, U, v)]
+
+
+def _lower(J, eps, U, w, best_v, best_e):
+    """The cascade's best-iterate rule: (w, E[w]) where E[w] is not above
+    best_e, else (best_v, best_e). On (B, L) arrays w and best_v, with J,
+    U and best_e (B,) arrays, per row."""
+    e = energy_of(J, eps, U, w)
+    take = e <= best_e
+    if w.ndim == 1:
+        return (w.copy(), e) if take else (best_v, best_e)
+    return np.where(take[:, None], w, best_v), np.where(take, e, best_e)
 
 
 def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOptions(),
@@ -704,15 +707,37 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     change. `iterations` counts imaginary-time steps, SCF steps and Newton
     steps, and never exceeds opts.max_iterations. `start` is this cell's
     entry of batched_starts, (linear ground state, v, step, iterations,
-    stage B, stage C): attempt 0's stage A outcome, its stage B outcome
-    (_convex_finish's or _scf_block's) and its stage C outcome
-    (_guarded_newton's), each None where it is to run here. None runs all
-    of attempt 0 here. The cascade goes on from there, and its result is
-    the one it returns without `start`. A warm_start `start` begins stage B
-    at another state, so its result can differ. `certified` is _certified
-    on the returned state, in the model the kind solves.
+    stage B, stage C, finished): attempt 0's stage A outcome, its stage B
+    outcome (_convex_finish's or _scf_block's), its stage C outcome
+    (_guarded_newton's), each None where it is to run here, and, where
+    attempt 0 ends the solve, the solve's (state, iterations, *_report of
+    the state), which is then returned as is. None runs all of attempt 0
+    here. The cascade goes on from there, and its result is the one it
+    returns without `start`. A warm_start `start` begins stage B at another
+    state, so its result can differ. `certified` is _certified on the
+    returned state, in the model the kind solves.
     """
-    params, negate = params.for_kind(kind), kind == "es"
+    finished = None if start is None else start[6]
+    if finished is None:
+        finished = _cascade(params.for_kind(kind), opts, start)
+    v, iterations, res, mu, energy, certified = finished
+    negate = kind == "es"
+    return EigenSolution(
+        state=LatticeState(v.astype(complex)),
+        mu=-mu if negate else mu,
+        energy=-energy if negate else energy,
+        residual=res,
+        iterations=iterations,
+        converged=res < opts.residual_tol,
+        certified=certified,
+    )
+
+
+def _cascade(params, opts, start):
+    """solve_state's cascade on the model `params` (the one the kind
+    solves), from `start` as solve_state takes it (without its finished
+    solve) or from nothing. Returns the solve as (state, iterations, *_report
+    of the state)."""
     eps = quasiperiodic_potential(params)
     J, U = params.J, params.U
     off = np.full(params.L - 1, float(J))
@@ -720,8 +745,8 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
         _, v0 = _linear_edge_state(eps, off)
         max_steps, target = _stage_a_plan(0)
         start = (v0, *_imag_time_block(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
-                                       target, opts.max_iterations), None, None)
-    v0, v, step, used, scf, polish = start
+                                       target, opts.max_iterations), None, None, None)
+    v0, v, step, used, scf, polish, _ = start
     iterations = 0
 
     best_v = v0.copy()
@@ -739,23 +764,19 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
                                              target, budget)
         iterations += used
         _check_finite(v, "imaginary-time flow")
-        e = energy_of(J, eps, U, v)
-        if e <= best_e:
-            best_e, best_v = e, v.copy()
+        best_v, best_e = _lower(J, eps, U, v, best_v, best_e)
 
         # stage B: self-consistent refinement with density mixing
         budget = opts.max_iterations - iterations
         if budget > 0:
             if not attempt and scf is None:
-                scf = _convex_finish(J, eps, U, v0, v, opts.residual_tol, budget)
+                scf = _convex_finish(J, eps, U, v, best_e, opts.residual_tol, budget)
             if attempt or scf is None:
                 scf = _scf_block(J, off, eps, U, v, 2000, opts.residual_tol,
                                  budget)
             res_scf, u_best, used = scf
             iterations += used
-            e_scf = energy_of(J, eps, U, u_best)
-            if e_scf <= best_e:
-                best_e, best_v = e_scf, u_best.copy()
+            best_v, best_e = _lower(J, eps, U, u_best, best_v, best_e)
             if res_scf < opts.residual_tol:
                 best_v = u_best
                 break
@@ -776,17 +797,7 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     if nv == 0 or not np.isfinite(nv):
         raise RuntimeError("the solver ended on a zero or non-finite state; "
                            "check parameters (possible self-trapping blow-up)")
-    res, mu = map(float, _residual_mu(J, eps, U, best_v))
-    energy = energy_of(J, eps, U, best_v)
-    return EigenSolution(
-        state=LatticeState(best_v.astype(complex)),
-        mu=-mu if negate else mu,
-        energy=-energy if negate else energy,
-        residual=res,
-        iterations=iterations,
-        converged=res < opts.residual_tol,
-        certified=_certified(J, eps, U, best_v, mu),
-    )
+    return (best_v, iterations, *_report(J, eps, U, best_v))
 
 
 def warm_start(params, kind, v):
@@ -799,7 +810,7 @@ def warm_start(params, kind, v):
     solved = params.for_kind(kind)
     eps = quasiperiodic_potential(solved)
     _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(solved.J)))
-    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None, None
+    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None, None, None
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:
@@ -812,17 +823,6 @@ def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSol
     return sol
 
 
-def _cell_rows(cells, kind):
-    """Per-row J, U and potential, as (B,), (B,) and (B, L) arrays, of the
-    models the cells (ModelParams that share L) solve for `kind`: one kind
-    for all, or one kind per cell."""
-    kinds = [kind] * len(cells) if isinstance(kind, str) else kind
-    solved = [p.for_kind(k) for p, k in zip(cells, kinds)]
-    J = np.array([p.J for p in solved], dtype=float)
-    U = np.array([p.U for p in solved], dtype=float)
-    return J, U, np.array([quasiperiodic_potential(p) for p in solved])
-
-
 def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     """Attempt 0 for cells that share L, as (B, L) arrays.
 
@@ -833,7 +833,11 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     list is the `start` that solve_state(cells[i], kind_i, opts, start=...)
     goes on from: bit for bit what the lone solve computes.
     """
-    J, U, eps = _cell_rows(cells, kind)
+    kinds = [kind] * len(cells) if isinstance(kind, str) else kind
+    solved = [p.for_kind(k) for p, k in zip(cells, kinds)]
+    J = np.array([p.J for p in solved], dtype=float)
+    U = np.array([p.U for p in solved], dtype=float)
+    eps = np.array([quasiperiodic_potential(p) for p in solved])
     v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, j))[1]
                    for row, j in zip(eps, J)])
     max_steps, target = _stage_a_plan(0)
@@ -842,71 +846,75 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     return _attempt_rows(J, U, eps, v0, v, step, used, opts)
 
 
-def batched_warm_starts(cells, kind, starts, opts: SolverOptions):
-    """The warm_start entries `starts` of cells that share L (cells and
-    `kind` as batched_starts takes them), with the rest of attempt 0 run on
-    all rows at once by _attempt_rows. Entry i is the `start` with which
-    solve_state(cells[i], kind_i, opts, start=...) returns what it returns
-    from starts[i], bit for bit."""
-    J, U, eps = _cell_rows(cells, kind)
-    v0, v, step, used = (np.array(column) for column in zip(*(s[:4] for s in starts)))
-    return _attempt_rows(J, U, eps, v0, v, step, used, opts)
-
-
 def _attempt_rows(J, U, eps, v0, v, step, used, opts):
-    """The starts of rows that ran attempt 0's stage A (or skipped it), from
-    the linear ground states v0 and the (v, step, used) stage A gave them:
-    the rest of attempt 0, as solve_state's cascade runs it, on all rows at
-    once, each row bit for bit as alone.
+    """The starts of rows that ran attempt 0's stage A, from the linear
+    ground states v0 and the (v, step, used) stage A gave them: the rest of
+    attempt 0, as solve_state's cascade runs it, on all rows at once, each
+    row bit for bit as alone.
 
     - The convex exit (_convex_finish) runs on the rows whose model has
-      U <= 0, its Newton steps by _guarded_rows and its certificate by
-      _certified_rows. The rows it finishes carry that outcome as stage B's.
+      U <= 0, its Newton steps by _guarded_rows. The rows it finishes carry
+      that outcome as stage B's.
     - Stage B (_scf_rows) runs on the other rows.
     - Stage C (_guarded_rows) runs from each row's best iterate on the rows
       that stage B leaves at or above the tolerance.
+    - A row that attempt 0 ends (stage B reaches the tolerance, or stage C
+      passes its guard) carries its finished solve, as _cascade returns it.
     A row that is not finite after stage A, has no budget left for stage B,
-    or fails in it carries neither outcome, and its cascade runs (and fails
-    in) stage B alone. Returns one start per row, (v0, v, step, used,
-    stage B, stage C), stage C as _guarded_newton returns it or None.
+    or fails in it carries no outcome, and its cascade runs (and fails in)
+    stage B alone. Returns one start per row, (v0, v, step, used, stage B,
+    stage C, finished), stage C as _guarded_newton returns it or None.
     """
-    tol, n = opts.residual_tol, len(v)
+    tol = opts.residual_tol
     budgets = opts.max_iterations - used
-    ready = np.isfinite(v).all(axis=-1) & (budgets > 0)
-    scf, polish = [None] * n, [None] * n
+    live = np.flatnonzero(np.isfinite(v).all(axis=-1) & (budgets > 0))
+    Jl, Ul, el, vl, budgets = J[live], U[live], eps[live], v[live], budgets[live]
+    scf, polish, done = ([None] * live.size for _ in range(3))
+    # solve_state's best iterate after stage A
+    best_v, best_e = _lower(Jl, el, Ul, vl, v0[live], energy_of(Jl, el, Ul, v0[live]))
 
-    rows = np.flatnonzero(ready & (U <= 0))
+    rows = np.flatnonzero(Ul <= 0)
     if rows.size:
-        Jr, Ur, er = J[rows], U[rows], eps[rows]
-        e0, ea = energy_of(Jr, er, Ur, v0[rows]), energy_of(Jr, er, Ur, v[rows])
-        kept, vn, _, steps = _guarded_rows(Jr, er, Ur, v[rows], np.where(ea < e0, ea, e0),
-                                           tol, np.minimum(40, budgets[rows]))
+        kept, vn, _, steps = _guarded_rows(Jl[rows], el[rows], Ul[rows], vl[rows],
+                                           best_e[rows], tol, np.minimum(40, budgets[rows]))
         k = np.flatnonzero(kept)
-        res, mu = _residual_mu(Jr[k, None], er[k], Ur[k, None], vn[k])
-        for j, r, certified in zip(k, res, _certified_rows(Jr[k], er[k], Ur[k],
-                                                           vn[k], mu)):
-            if certified:
-                scf[rows[j]] = (r, vn[j], int(steps[j]))
-                ready[rows[j]] = False
+        for i, w, n, report in zip(rows[k], vn[k], steps[k],
+                                   _report_rows(Jl[rows[k]], el[rows[k]], Ul[rows[k]], vn[k])):
+            if report[3]:                      # the exit's certificate
+                scf[i] = report[0], w, int(n)
+                done[i] = (w, int(used[live[i]]) + int(n), *report)
 
-    rows = np.flatnonzero(ready)
-    for i, out in zip(rows, _scf_rows(J[rows], eps[rows], U[rows], v[rows], 2000,
-                                      tol, budgets[rows])):
-        scf[i] = out
+    rows = np.array([i for i in range(live.size) if scf[i] is None], dtype=int)
+    for i, outcome in zip(rows, _scf_rows(Jl[rows], el[rows], Ul[rows], vl[rows], 2000,
+                                          tol, budgets[rows])):
+        scf[i] = outcome
 
     rows = np.array([i for i in rows if scf[i] is not None and not scf[i][0] < tol],
                     dtype=int)
     if rows.size:
-        Jr, Ur, er = J[rows], U[rows], eps[rows]
-        best_v, best_e = v0[rows], energy_of(Jr, er, Ur, v0[rows])
-        for w in (v[rows], np.array([scf[i][1] for i in rows])):
-            e = energy_of(Jr, er, Ur, w)
-            take = e <= best_e                  # solve_state's best iterate
-            best_v, best_e = np.where(take[:, None], w, best_v), np.where(take, e, best_e)
-        spent = used[rows] + np.array([scf[i][2] for i in rows])
-        kept, vn, en, steps = _guarded_rows(Jr, er, Ur, best_v, best_e, tol,
+        Jr, Ur, er = Jl[rows], Ul[rows], el[rows]
+        bv, be = _lower(Jr, er, Ur, np.array([scf[i][1] for i in rows]), best_v[rows],
+                        best_e[rows])
+        spent = used[live[rows]] + np.array([scf[i][2] for i in rows])
+        kept, vn, en, steps = _guarded_rows(Jr, er, Ur, bv, be, tol,
                                             np.minimum(40, opts.max_iterations - spent))
         for j, i in enumerate(rows):
             polish[i] = ((vn[j], en[j]) if kept[j] else (None, None)) + (int(steps[j]),)
-    return [(v0[i], v[i], float(step[i]), int(used[i]), scf[i], polish[i])
-            for i in range(n)]
+
+    # the rows stage B or C ends, with the state and iterations _cascade ends at
+    ends = {}
+    for i in range(live.size):
+        if done[i] is None and scf[i] is not None:
+            if scf[i][0] < tol:
+                ends[i] = scf[i][1], scf[i][2]
+            elif polish[i][0] is not None:
+                ends[i] = polish[i][0], scf[i][2] + polish[i][2]
+    if ends:
+        rows = np.array(list(ends))
+        for i, report in zip(rows, _report_rows(Jl[rows], el[rows], Ul[rows],
+                                                np.array([w for w, _ in ends.values()]))):
+            w, n = ends[i]
+            done[i] = (w, int(used[live[i]]) + n, *report)
+    outcomes = dict(zip(live, zip(scf, polish, done)))
+    return [(v0[i], v[i], float(step[i]), int(used[i]), *outcomes.get(i, (None,) * 3))
+            for i in range(len(v))]

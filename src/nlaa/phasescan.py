@@ -55,8 +55,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import EXPERIMENT_RAMP, ramp_prepare
-from .eigensolve import (SolverOptions, batched_starts, batched_warm_starts,
-                         linear_spectrum, require_converged, solve_state, warm_start)
+from .eigensolve import (SolverOptions, batched_starts, linear_spectrum,
+                         require_converged, solve_state, warm_start)
 from .model import KINDS, ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
@@ -498,29 +498,13 @@ def _start_fields(ends):
             **({"crosscheck": ends[1].key} if len(ends) > 1 else {})}
 
 
-def _warm_starts(store, pending, batch):
-    """For each (cell, ends) of `pending`, the list of the warm starts of the
-    exact cell `cell` from each solved point of `ends` (_warm_start). Where
-    `batch` holds and there are several in all, batched_warm_starts runs
-    the rest of their attempt 0 as one batch (the cells share L and solver
-    options), and the solves go on from there as from the lone starts."""
-    todo = [(cell, p) for cell, ends in pending for p in ends]
-    flat = [_warm_start(store, cell, p) for cell, p in todo]
-    if batch and len(todo) > 1:
-        flat = batched_warm_starts([_cell_inputs(*cell[1:6])[0] for cell, _ in todo],
-                                   [cell[0] for cell, _ in todo], flat, todo[0][0][6])
-    flat = iter(flat)
-    return [[next(flat) for _ in ends] for _, ends in pending]
-
-
-def _warm_record(store, cell, ends, starts):
+def _warm_record(store, cell, ends):
     """The record of `cell` solved warm from the solved point ends[0], under
     its chained key, if that solve converges certified and, where `ends`
     also holds the point on the other side, the solve warm from that one
-    converges certified to the same r within _WARM_R_TOL; else None.
-    `starts` holds its warm starts from `ends` (_warm_starts)."""
+    converges certified to the same r within _WARM_R_TOL; else None."""
     key = _chained(_key_of(cell), *(p.key for p in ends))
-    outs = [_cell_record(cell, key, start) for start in starts]
+    outs = [_cell_record(cell, key, _warm_start(store, cell, p)) for p in ends]
     (first, state), recs = outs[0], [rec for rec, _ in outs]
     if all(rec["ok"] and rec["certified"] and abs(rec["r"] - first["r"]) <= _WARM_R_TOL
            for rec in recs):
@@ -534,10 +518,7 @@ def _refine(store, solved):
     solved so far to its _Solved, and gains the points solved here.
 
     A point whose _warm_ends are certified is read back under its chained
-    key, or solved warm from them (_warm_record); where the step refines
-    several rows, all its warm starts finish attempt 0 as one batch
-    (_warm_starts), and the records are appended in the same order as
-    when each is solved alone. On the convex side
+    key, or solved warm from them (_warm_record). On the convex side
     (U <= 0 in the model the kind solves) a certified stationary state is
     the ground state (Lieb, Seiringer & Yngvason, PRA 61, 043602 (2000)).
     On the focusing side it can be a metastable state, and continuation
@@ -554,14 +535,13 @@ def _refine(store, solved):
             ends = _warm_ends(solved[j], float(x))
             cell = next(iter(solved[j].values())).cell
             cell = cell[:3] + (float(x),) + cell[4:]
+            rec = None
+            if ends:
+                rec = (store.records.get(_chained(_key_of(cell), *(p.key for p in ends)))
+                       or _warm_record(store, cell, ends))
             cells.append(cell)
             starts.append(ends)
-            recs.append(ends and store.records.get(
-                _chained(_key_of(cell), *(p.key for p in ends))))
-        warm = [k for k, (ends, rec) in enumerate(zip(starts, recs)) if ends and not rec]
-        for k, ws in zip(warm, _warm_starts(store, [(cells[k], starts[k]) for k in warm],
-                                            len(rows) > 1)):
-            recs[k] = _warm_record(store, cells[k], starts[k], ws)
+            recs.append(rec)
         cold = [k for k, rec in enumerate(recs) if rec is None]
         for k, rec in zip(cold, _records(store, [cells[k] for k in cold])):
             if starts[k]:
@@ -589,10 +569,9 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     (kind, U, Delta) order; each one's r is bitwise its lone solve's. Every
     (kind, U) row's first bracket is then refined in lockstep
     (detect_transition's many-row form, with _refine): at each ITP step
-    each row's point is solved warm from its certified bracket ends, all
-    rows' warm starts finishing attempt 0 as one batch, or else the missing
-    cold points of all rows are solved as one batch, and all are appended
-    together.
+    each row's point is solved warm from its certified bracket ends, or
+    else the missing cold points of all rows are solved as one batch, and
+    all are appended together.
     Per-cell failures are recorded and the scan continues; failed cells
     hold NaN in the matrix. A refinement solve that fails ends that U's
     detection (found=False, the grid's crossings kept) and is recorded once

@@ -180,38 +180,28 @@ _BLOCK_ROWS = st.lists(st.tuples(st.floats(0.1, 2.0), st.sampled_from([1.0, -1.0
 
 
 @given(L=st.integers(2, 40), rows=_BLOCK_ROWS, seed=st.integers(0, 2**32 - 1))
-def test_stacked_blocks_solve_and_factor_bitwise_as_each_block_alone(L, rows, seed):
-    # dgtsv with two right-hand sides and dpttrf on B tridiagonal blocks of
-    # one L stacked with zero couplings: each block comes out bitwise as its
-    # lone call's, up to the first failing block, which info names
+def test_stacked_blocks_solve_bitwise_as_each_block_alone(L, rows, seed):
+    # dgtsv with two right-hand sides on B tridiagonal blocks of one L
+    # stacked with zero couplings: info names the first failing block, and
+    # where none fails each block's solution is bitwise its lone call's
+    # (dgtsv back-substitutes only once every block has factored)
     rng = np.random.default_rng(seed)
     blocks = [_block(L, mag * sign, kind, rng) for mag, sign, kind in rows]
     rhs = [np.asfortranarray(rng.normal(size=(L, 2))) for _ in blocks]
     d, off = _stack(blocks)
-    for routine in ("dgtsv", "dpttrf"):
-        if routine == "dgtsv":
-            lone = [eigensolve.dgtsv(o, dd, o, b)[3:] for (dd, o), b in zip(blocks, rhs)]
-            x, info = eigensolve.dgtsv(off, d, off, np.asfortranarray(np.concatenate(rhs)))[3:]
-            outs = [(x[i * L:(i + 1) * L],) for i in range(len(blocks))]
-            lone = [((x_i,), info_i) for x_i, info_i in lone]
-        else:
-            lone = [(out[:2], out[2]) for out in map(eigensolve.dpttrf, *zip(*blocks))]
-            d_f, e_f, info = eigensolve.dpttrf(d, off)
-            outs = [(d_f[i * L:(i + 1) * L], e_f[i * L:(i + 1) * L - 1])
-                    for i in range(len(blocks))]
-        failing = [i for i, (_, info_i) in enumerate(lone) if info_i != 0]
-        first = failing[0] if failing else len(blocks)
-        assert info == (first * L + lone[first][1] if failing else 0), routine
-        if routine == "dpttrf" or not failing:
-            # dgtsv back-substitutes only once every block has factored
-            for out, (want, _) in zip(outs[:first], lone):
-                assert [_bits(a) for a in out] == [_bits(a) for a in want], routine
+    lone = [eigensolve.dgtsv(o, dd, o, b)[3:] for (dd, o), b in zip(blocks, rhs)]
+    x, info = eigensolve.dgtsv(off, d, off, np.asfortranarray(np.concatenate(rhs)))[3:]
+    failing = [i for i, (_, info_i) in enumerate(lone) if info_i != 0]
+    assert info == (failing[0] * L + lone[failing[0]][1] if failing else 0)
+    if not failing:
+        for i, (want, _) in enumerate(lone):
+            assert _bits(x[i * L:(i + 1) * L]) == _bits(want)
 
 
 @given(L=st.integers(2, 40), rows=_BLOCK_ROWS, seed=st.integers(0, 2**32 - 1))
-def test_rows_newton_steps_and_certificates_are_the_lone_ones(L, rows, seed):
-    # a failing block (a singular T, or a row H[v] - mu that is not positive
-    # definite) takes the lone path and leaves the other rows bitwise
+def test_rows_newton_steps_are_the_lone_ones(L, rows, seed):
+    # a failing block (a singular T) takes the lone step and leaves the
+    # other rows bitwise
     rng = np.random.default_rng(seed)
     J = np.array([mag * sign for mag, sign, _ in rows])
     d = np.array([_block(L, j, kind, rng)[0] for j, (*_, kind) in zip(J, rows)])
@@ -226,12 +216,6 @@ def test_rows_newton_steps_and_certificates_are_the_lone_ones(L, rows, seed):
             assert not ok[i]
             continue
         assert ok[i] and _bits([*d_v[i], d_mu[i]]) == _bits([*want[0], want[1]])
-    # certificates: mu below the spectrum of every definite row's H[v]
-    eps, U = d, rng.uniform(-2.0, 2.0, len(rows))
-    mu = np.where([kind == "definite" for *_, kind in rows], -10.0,
-                  rng.uniform(-3.0, 3.0, len(rows)))
-    assert list(eigensolve._certified_rows(J, eps, U, v, mu)) == [
-        eigensolve._certified(J[i], eps[i], U[i], v[i], mu[i]) for i in range(len(rows))]
 
 
 @pytest.mark.parametrize("hide", ["file", "load", "routine"])
@@ -507,7 +491,7 @@ def test_batched_stage_b_equals_lone_when_the_cap_ends_inside_it(deltas, U, kind
     # exit leaves to stage B and then to stage C's Newton steps
     U = U if kind == "gs" else -U
     cells = [ModelParams(L=13, J=1.0, Delta=d, phi=phi, U=U) for d in deltas]
-    _, _, _, used_a, (_, _, used_b), polish = batched_starts(cells, kind)[0]
+    _, _, _, used_a, (_, _, used_b), polish, _ = batched_starts(cells, kind)[0]
     if stage == "B":
         # a cap that stops the first cell's stage B after 1 ... used_b - 1 steps
         cut = 1 + int(frac * (used_b - 2)) if used_b > 1 else 1
@@ -520,7 +504,7 @@ def test_batched_stage_b_equals_lone_when_the_cap_ends_inside_it(deltas, U, kind
     starts = _assert_batched_equals_lone(cells, kind, opts)
     # the capped cell really ran the stage, and the stage ran to the cap
     p = cells[0].for_kind(kind)
-    _, v, _, _, scf, polish = starts[0]
+    _, v, _, _, scf, polish, _ = starts[0]
     if stage == "C":
         assert scf[2] == used_b and polish[2] == newton
         return
@@ -546,7 +530,7 @@ def _stage_b_as_alone(cells, kind, opts):
                                   *args, budgets[i])
         assert _bits([rows[i][0], *rows[i][1]]) == _bits([res, *best])
         assert rows[i][2] == n
-        start = (v0[i], v[i], step[i], used[i], rows[i], None)
+        start = (v0[i], v[i], step[i], used[i], rows[i], None, None)
         _assert_same_solution(solve_state(p, kind, opts, start=start),
                               _without_convex_exit(solve_state, p, kind, opts))
     return rows
@@ -598,8 +582,8 @@ def test_batched_row_the_energy_guard_rejects_goes_on_to_attempt_1_alone():
     opts = SolverOptions()
     cells = [ModelParams(L=13, J=1.0, Delta=d, U=-0.5) for d in (6.5, 2.0, 4.0)]
     starts = _assert_batched_equals_lone(cells, "gs", opts)
-    v0, v, _, used, (res, u, n), polish = starts[0]
-    assert res >= opts.residual_tol and polish[:2] == (None, None)
+    v0, v, _, used, (res, u, n), polish, finished = starts[0]
+    assert res >= opts.residual_tol and polish[:2] == (None, None) and finished is None
     p = cells[0]
     eps = quasiperiodic_potential(p)
     e_u = energy_of(p.J, eps, p.U, u)
@@ -612,6 +596,7 @@ def test_batched_row_the_energy_guard_rejects_goes_on_to_attempt_1_alone():
     assert sol.converged and sol.iterations > used + n + steps
     for start in starts[1:]:
         assert start[4][0] < opts.residual_tol or start[5][0] is not None
+        assert start[6] is not None
 
 
 # (L, kind, U, Delta, r, E, iterations) of the cascade before stage B handed
@@ -834,7 +819,7 @@ def _check_failing_stage_b_row(monkeypatch, failure, us):
         calls.clear()
         with pytest.raises(error) as cascade:
             solve_state(cells[1], "gs", opts,
-                        start=(v0[1], v[1], step[1], used[1], None, None))
+                        start=(v0[1], v[1], step[1], used[1], None, None, None))
         assert str(cascade.value) == str(lone.value)
     for i in (0, 2):
         res, best, n = _scf_block(J[i], off, eps[i], U[i], v[i], *args,
@@ -865,7 +850,7 @@ def _check_non_finite_potential_row(us):
         # the row's cascade goes on from the batch and raises the lone error
         with pytest.raises(RuntimeError) as batched:
             solve_state(cells[1], "gs", opts,
-                        start=(v0[1], v[1], step[1], used[1], None, None))
+                        start=(v0[1], v[1], step[1], used[1], None, None, None))
     assert str(batched.value) == str(lone.value)
     for i in (0, 2):
         v_lone, step_lone, used_lone = _imag_time_block(1.0, eps[i], U[i], v0[i], *args)
@@ -967,7 +952,8 @@ def test_certified_newton_state_above_the_focusing_ground_state():
     sol = solve_state(p, "gs")
     assert sol.energy == pytest.approx(-2.176713, abs=1e-6)
     assert abs(participation_ratio(sol.state) - 0.0389) < 1e-4
-    assert eigensolve._convex_finish(p.J, eps, p.U, v0, v, 1e-10, 50_000) is None
+    best_e = min(energy_of(p.J, eps, p.U, v0), energy_of(p.J, eps, p.U, v))
+    assert eigensolve._convex_finish(p.J, eps, p.U, v, best_e, 1e-10, 50_000) is None
 
 
 # -------------------------

@@ -671,55 +671,6 @@ def test_kept_warm_refinement_point_is_no_worse_than_cold(L, delta, below, above
         assert abs(rec["r"] - participation_ratio(cold.state)) <= 1e-8
 
 
-def _scan_solves(grid, lone_warm):
-    """The store file a fresh scan of `grid` writes, each of its solves as
-    (params, kind, EigenSolution) in order, and the sizes of the warm
-    batches it ran; with `lone_warm`, every warm start is finished alone."""
-    solves, batches = [], []
-    inner, batch = phasescan.solve_state, phasescan.batched_warm_starts
-
-    def solve(params, kind, opts, start=None):
-        solves.append((params, kind, inner(params, kind, opts, start=start)))
-        return solves[-1][2]
-
-    def batched(cells, kind, starts, opts):
-        batches.append(len(cells))
-        return starts if lone_warm else batch(cells, kind, starts, opts)
-
-    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
-        mp.setattr(phasescan, "solve_state", solve)
-        mp.setattr(phasescan, "batched_warm_starts", batched)
-        path = Path(out) / "cells.jsonl"
-        scan_phase_diagram(grid, results_path=str(path))
-        return path.read_bytes(), solves, batches
-
-
-@settings(max_examples=6)
-@given(L=st.integers(8, 21),
-       us=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=2, max_size=3,
-                   unique=True),
-       phi=st.floats(0.0, 2.0 * np.pi))
-@pytest.mark.filterwarnings("ignore:.*self-trapping")
-def test_batched_warm_refinement_equals_lone_warm_solves(L, us, phi):
-    # the lockstep refines several rows at each ITP step and finishes all
-    # their warm starts as one batch: the store and every solve (state, mu,
-    # E, residual, iterations, certificate) are bitwise those of the same
-    # scan finishing each warm start alone
-    grid = ScanGrid(delta_over_j=tuple(np.arange(0.5, 4.01, 0.5)),
-                    u_over_j=tuple(sorted(us)), L=L, kind="both", phi=phi)
-    store, solves, batches = _scan_solves(grid, lone_warm=False)
-    lone_store, lone_solves, _ = _scan_solves(grid, lone_warm=True)
-    assert store == lone_store
-    assert [(p, kind) for p, kind, _ in solves] == [(p, kind) for p, kind, _ in lone_solves]
-    for (*_, a), (*_, b) in zip(solves, lone_solves):
-        assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
-        assert np.array([a.mu, a.energy, a.residual]).tobytes() == \
-            np.array([b.mu, b.energy, b.residual]).tobytes()
-        assert (a.iterations, a.converged, a.certified) == (b.iterations, b.converged,
-                                                           b.certified)
-    assert any(n > 1 for n in batches)
-
-
 def test_refinement_solve_counts_are_pinned(monkeypatch):
     # machine-independent cost of the refinement: ORACLE's 54 grid cells plus
     # 3 + 4 + 4 + 3 ITP solves (bisection took 4 x 8 = 32), and one lazy
