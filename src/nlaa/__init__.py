@@ -8,7 +8,7 @@ Internal units are hbar = J = 1 throughout; SI conversion happens only at
 the command-line boundary, in nlaa.cli's _internal_units.
 """
 
-__version__ = "0.1.12"
+__version__ = "0.1.13"
 
 from .dynamics import (RampProtocol, Trajectory, evolve, ramp_prepare,
                        transport_experiment)

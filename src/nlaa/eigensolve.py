@@ -34,7 +34,7 @@ wells (density "sloshes" between them); the stall exit hands such a block to
 Newton too, and to stage A of the next attempt if Newton fails.
 
 Where the solved model is defocusing (U <= 0), attempt 0 first tries to end
-right after stage A (_convex_finish): Newton from stage A's state, accepted
+right after stage A (_newton_exit): Newton from stage A's state, accepted
 in place of stage B's outcome if it reaches the tolerance, passes the
 cascade's energy guard and is certified. The certificate (_certified, one
 O(L) LAPACK dpttrf factorization) says that the state is the lowest
@@ -42,9 +42,12 @@ eigenvector of its own H[phi]. On this side E is convex in the density, and
 a stationary state that passes it is the ground state (Lieb, Seiringer &
 Yngvason, PRA 61, 043602 (2000)). Where U > 0 it is necessary but not
 sufficient: Newton from stage A can land on a certified stationary state
-above the ground state, so the exit stays off. A rejected exit costs its
-Newton steps' time but no iterations, and the cascade goes on bit for bit
-as without it. Every solve reports the certificate on the state it returns.
+above the ground state, so a cold solve runs the exit only where U <= 0. A
+warm start (below) runs it on either sign of U, from the solved
+neighbour's state; on the focusing side its caller checks the result
+(phasescan._refine). A rejected exit costs its Newton steps' time but no
+iterations, and the cascade goes on bit for bit as without it. Every solve
+reports the certificate on the state it returns.
 
 Many cells that share L (a scan's grid, or one refinement step of all its
 rows, of both kinds and any U) can run attempt 0 as (B, L) arrays:
@@ -65,7 +68,9 @@ alone. So each row of the batch is computed bit for bit as the lone 1-D
 solve computes it. A lone solve keeps the scalar Newton loop, which is
 cheaper for one row. A solve can also skip stage A and start from a solved
 neighbour's state (warm_start), as the transition refinement of phasescan
-does; it runs the rest of its cascade alone.
+does: the start carries the Newton exit from that state where it is
+accepted, and the solve runs stage B from it only where the exit is
+rejected.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
@@ -645,21 +650,19 @@ def _certified(J, eps, U, v, mu):
     return info == 0
 
 
-def _convex_finish(J, eps, U, v, best_e, tol, budget):
-    """Attempt 0's exit after stage A, for a model with U <= 0.
+def _newton_exit(J, eps, U, v, best_e, tol, budget):
+    """Attempt 0's exit from v, the state stage A or a warm start gives it.
 
-    There E is convex in the density, so a stationary state that is the
-    lowest eigenvector of its own H[phi] is the ground state (Lieb,
-    Seiringer & Yngvason, PRA 61, 043602 (2000)). Newton runs from stage
-    A's state v for up to min(40, budget) steps, and its result is the
-    cell's stage B outcome (residual, state, Newton steps) if it passes
+    Newton runs from v for up to min(40, budget) steps, and its result is
+    the cell's stage B outcome (residual, state, Newton steps) if it passes
     the cascade's guard on Newton (_guarded_newton, against best_e, the E
-    of the best iterate after stage A) and is _certified. Otherwise, and always
-    where U > 0, returns None: there E is not convex, and a certified
-    stationary state can lie above the ground state.
+    of the best iterate so far: min(E(v0), E(v))) and is _certified; else
+    None. Where U <= 0, E is convex in the density, and a stationary state
+    that is the lowest eigenvector of its own H[phi] is the ground state
+    (Lieb, Seiringer & Yngvason, PRA 61, 043602 (2000)). Where U > 0 it can
+    lie above the ground state, so a cold solve runs the exit only where
+    U <= 0, and a warm one on either sign (warm_start).
     """
-    if U > 0:
-        return None
     vn, _, used = _guarded_newton(J, eps, U, v, best_e, tol, min(40, budget))
     if vn is None:
         return None
@@ -708,13 +711,15 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     steps, and never exceeds opts.max_iterations. `start` is this cell's
     entry of batched_starts, (linear ground state, v, step, iterations,
     stage B, stage C, finished): attempt 0's stage A outcome, its stage B
-    outcome (_convex_finish's or _scf_block's), its stage C outcome
+    outcome (_newton_exit's or _scf_block's), its stage C outcome
     (_guarded_newton's), each None where it is to run here, and, where
     attempt 0 ends the solve, the solve's (state, iterations, *_report of
     the state), which is then returned as is. None runs all of attempt 0
     here. The cascade goes on from there, and its result is the one it
-    returns without `start`. A warm_start `start` begins stage B at another
-    state, so its result can differ. `certified` is _certified on the
+    returns without `start`. A warm_start `start` skips stage A: it carries
+    the Newton exit from another state as its stage B outcome where that
+    exit is accepted, on either sign of U, and begins stage B at that state
+    otherwise, so its result can differ. `certified` is _certified on the
     returned state, in the model the kind solves.
     """
     finished = None if start is None else start[6]
@@ -766,11 +771,12 @@ def _cascade(params, opts, start):
         _check_finite(v, "imaginary-time flow")
         best_v, best_e = _lower(J, eps, U, v, best_v, best_e)
 
-        # stage B: self-consistent refinement with density mixing
+        # stage B: self-consistent refinement with density mixing, after
+        # attempt 0's exit where U <= 0 (a warm start's may come with it)
         budget = opts.max_iterations - iterations
         if budget > 0:
-            if not attempt and scf is None:
-                scf = _convex_finish(J, eps, U, v, best_e, opts.residual_tol, budget)
+            if not attempt and scf is None and U <= 0:
+                scf = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, budget)
             if attempt or scf is None:
                 scf = _scf_block(J, off, eps, U, v, 2000, opts.residual_tol,
                                  budget)
@@ -800,17 +806,30 @@ def _cascade(params, opts, start):
     return (best_v, iterations, *_report(J, eps, U, best_v))
 
 
-def warm_start(params, kind, v):
+def warm_start(params, kind, v, opts):
     """solve_state's `start` for the cell (params, kind) that skips stage A
     and goes on from the state v, given in the frame the kind is solved in
     (as solve_state returns it): continuation from a solved neighbour. The
     linear ground state, from which the energy guard starts, is still the
     cell's own. v is copied to a contiguous array when it is not one (a
-    .real view is strided), so the solve does not depend on v's layout."""
+    .real view is strided), so the solve does not depend on v's layout.
+
+    The start carries attempt 0's Newton exit from v (_newton_exit, on
+    either sign of U, against min(E(v0), E(v)) and with opts' tolerance and
+    budget) as its stage B outcome where the exit is accepted: Newton from
+    the predicted point is continuation's corrector (Allgower & Georg,
+    SIAM 2003). Where U > 0 an accepted state can be metastable, which the
+    caller checks (phasescan._refine). Else the start is the bare (v0, v,
+    IMAG_TIME_STEP, 0, None, None, None), from which the cascade runs stage
+    B at v (where U <= 0 after its own exit, which rejects v again)."""
     solved = params.for_kind(kind)
     eps = quasiperiodic_potential(solved)
-    _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(solved.J)))
-    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None, None, None
+    J, U = solved.J, solved.U
+    _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(J)))
+    v = np.ascontiguousarray(v)
+    best_e = min(energy_of(J, eps, U, v0), energy_of(J, eps, U, v))
+    scf = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, opts.max_iterations)
+    return v0, v, IMAG_TIME_STEP, 0, scf, None, None
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:
@@ -852,7 +871,7 @@ def _attempt_rows(J, U, eps, v0, v, step, used, opts):
     attempt 0, as solve_state's cascade runs it, on all rows at once, each
     row bit for bit as alone.
 
-    - The convex exit (_convex_finish) runs on the rows whose model has
+    - The convex exit (_newton_exit) runs on the rows whose model has
       U <= 0, its Newton steps by _guarded_rows. The rows it finishes carry
       that outcome as stage B's.
     - Stage B (_scf_rows) runs on the other rows.

@@ -13,13 +13,15 @@ unconverged fails with eigensolve.require_converged's error.
 
 An exact refinement point starts warm: from the state of the nearest solved
 Delta of its row (the lower on a tie), if that solve is certified
-(eigensolve.warm_start skips stage A and goes on from that state; this is
-continuation along Delta, Allgower & Georg, SIAM 2003). The warm result is
-kept only if it converges and is certified. Where the model the kind solves
-is focusing (U > 0), the point is also solved warm from the nearest solved
-Delta on its other side, and both results must agree, because there a
-certified state can be metastable (_refine). Otherwise, and where a start
-is not certified, the point is solved cold, as a grid cell is.
+(eigensolve.warm_start skips stage A and corrects that state by Newton,
+on either sign of U, going on to stage B only where Newton is not accepted;
+this is continuation along Delta, Allgower & Georg, SIAM 2003). The warm
+result is kept only if it converges and is certified. Where the model the
+kind solves is focusing (U > 0), the point is also solved warm from the
+nearest solved Delta on its other side, and both results must agree,
+because there a certified state can be metastable (_refine). Otherwise, and
+where a start is not certified, the point is solved cold, as a grid cell
+is.
 
 A scan's JSONL store is an exact solve cache: one record per solve, grid
 cells and refinement points alike, appended as soon as it is solved. Each
@@ -472,7 +474,7 @@ def _state(store, point):
 
 def _warm_start(store, cell, point):
     """warm_start of the exact cell `cell` from the solved point `point`."""
-    return warm_start(_cell_inputs(*cell[1:6])[0], cell[0], _state(store, point))
+    return warm_start(_cell_inputs(*cell[1:6])[0], cell[0], _state(store, point), cell[6])
 
 
 def _warm_ends(row, x):
@@ -518,12 +520,14 @@ def _refine(store, solved):
     solved so far to its _Solved, and gains the points solved here.
 
     A point whose _warm_ends are certified is read back under its chained
-    key, or solved warm from them (_warm_record). On the convex side
-    (U <= 0 in the model the kind solves) a certified stationary state is
-    the ground state (Lieb, Seiringer & Yngvason, PRA 61, 043602 (2000)).
-    On the focusing side it can be a metastable state, and continuation
-    from one side of a jump between branches follows the branch past it;
-    the warm solves from both sides of the point must then agree. The other
+    key, or solved warm from them (_warm_record); each warm solve is
+    Newton from its end's state where that is accepted (warm_start). On
+    the convex side (U <= 0 in the model the kind solves) a certified
+    stationary state is the ground state (Lieb, Seiringer & Yngvason, PRA
+    61, 043602 (2000)). On the focusing side it can be a metastable state,
+    and continuation from one side of a jump between branches follows the
+    branch past it; the warm solves from both sides of the point must then
+    agree in r within _WARM_R_TOL, or the point is solved cold. The other
     points, and those whose warm solve is not kept, are read back or solved
     cold by _records, as one batch; a warm solve not kept also leaves a
     record under the chained key that holds the cold outcome, so that a

@@ -604,20 +604,21 @@ def test_phases_boundary_ordering(tmp_path):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
 def test_phases_pool_writes_the_serial_boundaries(tmp_path, monkeypatch):
-    # U on both sides of 0: the pool's lone solves take the convex exit too
-    finish, finished = eigensolve._convex_finish, []
+    # U on both sides of 0: the pool's warm solves take the Newton exit on
+    # either sign of U in the model each kind solves
+    finish, finished = eigensolve._newton_exit, []
 
-    def spy(*args):
-        out = finish(*args)
-        finished.append(out is not None)
+    def spy(J, eps, U, *args):
+        out = finish(J, eps, U, *args)
+        finished.append((U > 0, out is not None))
         return out
 
     argv = ["phases", "--L", "13", "--u-min", "-0.5", "--u-max", "0.5",
             "--u-step", "0.5", "--delta-max", "4", "--delta-step", "0.25"]
-    monkeypatch.setattr(eigensolve, "_convex_finish", spy)
+    monkeypatch.setattr(eigensolve, "_newton_exit", spy)
     assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
     monkeypatch.undo()
-    assert any(finished) and not all(finished)
+    assert {focusing for focusing, taken in finished if taken} == {False, True}
     assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool")]) == 0
     serial, pool = (tmp_path / name / "boundaries.csv" for name in ("serial", "pool"))
     assert pool.read_bytes() == serial.read_bytes()

@@ -466,10 +466,10 @@ def _assert_batched_equals_lone(cells, kind, opts):
 
 
 def _without_convex_exit(solve, *args, **kwargs):
-    """solve(*args, **kwargs) with _convex_finish rejecting every cell: the
+    """solve(*args, **kwargs) with _newton_exit rejecting every cell: the
     cascade as it runs where the exit after stage A does not certify."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolve, "_convex_finish", lambda *_: None)
+        mp.setattr(eigensolve, "_newton_exit", lambda *_: None)
         return solve(*args, **kwargs)
 
 
@@ -815,7 +815,7 @@ def _check_failing_stage_b_row(monkeypatch, failure, us):
         assert len(calls) == 8 and "LAPACK info=7" in str(lone.value)
         # the row's cascade runs stage B alone and raises the lone error (a
         # convex row reaches stage B only where the convex exit rejects it)
-        monkeypatch.setattr(eigensolve, "_convex_finish", lambda *_: None)
+        monkeypatch.setattr(eigensolve, "_newton_exit", lambda *_: None)
         calls.clear()
         with pytest.raises(error) as cascade:
             solve_state(cells[1], "gs", opts,
@@ -873,15 +873,15 @@ def test_focusing_increases_localization():
 # -------------------------
 
 def _exit_outcomes(solve, *args):
-    """solve(*args) and what each _convex_finish call it made returned."""
-    outcomes, finish = [], eigensolve._convex_finish
+    """solve(*args) and what each _newton_exit call it made returned."""
+    outcomes, finish = [], eigensolve._newton_exit
 
     def spy(*a):
         outcomes.append(finish(*a))
         return outcomes[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolve, "_convex_finish", spy)
+        mp.setattr(eigensolve, "_newton_exit", spy)
         return solve(*args), outcomes
 
 
@@ -898,7 +898,7 @@ def test_convex_exit_is_sound(L, delta, U, kind, phi):
     sol, outcomes = _exit_outcomes(solve_state, p, kind)
     ref = _without_convex_exit(solve_state, p, kind)
     if p.for_kind(kind).U > 0:
-        assert outcomes == [None]
+        assert outcomes == []
     if all(out is None for out in outcomes):
         _assert_same_solution(sol, ref)
         return
@@ -924,7 +924,7 @@ def test_cells_the_exit_leaves_are_solved_bitwise_as_before(L, kind, U, delta, r
                                                             energy, iterations):
     p = ModelParams(L=L, J=1.0, Delta=delta, U=U)
     sol, outcomes = _exit_outcomes(solve_state, p, kind)
-    assert outcomes == [None]
+    assert outcomes == ([] if U > 0 else [None])
     _assert_same_solution(sol, _without_convex_exit(solve_state, p, kind))
     assert _bits([participation_ratio(sol.state), sol.energy]) == _bits([r, energy])
     assert sol.iterations == iterations and sol.converged
@@ -932,9 +932,10 @@ def test_cells_the_exit_leaves_are_solved_bitwise_as_before(L, kind, U, delta, r
 
 
 def test_certified_newton_state_above_the_focusing_ground_state():
-    # why the exit stays off where U > 0: at this cell Newton from stage A
-    # passes the energy guard and the certificate, yet the cascade ends
-    # 0.0046 lower in E, at a state with r 0.039 in place of 0.103
+    # why a cold solve runs the exit only where U <= 0: at this cell Newton
+    # from stage A passes the energy guard and the certificate, so the exit
+    # accepts it, yet the cascade ends 0.0046 lower in E, at a state with r
+    # 0.039 in place of 0.103
     p = ModelParams(L=144, J=1.0, Delta=1.064, U=0.5)
     eps = quasiperiodic_potential(p)
     _, v0 = _linear_edge_state(eps, np.full(p.L - 1, p.J))
@@ -953,7 +954,8 @@ def test_certified_newton_state_above_the_focusing_ground_state():
     assert sol.energy == pytest.approx(-2.176713, abs=1e-6)
     assert abs(participation_ratio(sol.state) - 0.0389) < 1e-4
     best_e = min(energy_of(p.J, eps, p.U, v0), energy_of(p.J, eps, p.U, v))
-    assert eigensolve._convex_finish(p.J, eps, p.U, v, best_e, 1e-10, 50_000) is None
+    _, state, steps = eigensolve._newton_exit(p.J, eps, p.U, v, best_e, 1e-10, 50_000)
+    assert state.tobytes() == vn.tobytes() and steps <= 40
 
 
 # -------------------------
@@ -1004,12 +1006,115 @@ def test_warm_solve_does_not_depend_on_the_layout_of_its_start_state():
     strided = solve_state(src, "gs").state.amplitudes.real
     assert not strided.flags.c_contiguous
     p = ModelParams(L=21, J=1.0, Delta=3.3500000000000005, U=-0.5)
-    a, b = (solve_state(p, "gs", start=warm_start(p, "gs", v))
+    a, b = (solve_state(p, "gs", start=warm_start(p, "gs", v, SolverOptions()))
             for v in (strided, np.ascontiguousarray(strided)))
     assert a.converged and a.certified
     assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
     assert (a.mu, a.energy, a.residual, a.iterations) == (
         b.mu, b.energy, b.residual, b.iterations)
+
+
+def _bare_start(p, kind, v):
+    """warm_start without its Newton exit: the cascade goes on from v, runs
+    the exit itself where U <= 0 in the model the kind solves, and stage B
+    from v otherwise."""
+    solved = p.for_kind(kind)
+    eps = quasiperiodic_potential(solved)
+    _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, solved.J))
+    return v0, np.ascontiguousarray(v), IMAG_TIME_STEP, 0, None, None, None
+
+
+def _neighbour_state(p, kind, step):
+    """The state solve_state gives at p's Delta + step, as a scan keeps it."""
+    return solve_state(replace(p, Delta=p.Delta + step), kind).state.amplitudes.real
+
+
+@pytest.mark.parametrize("kind, U", [("gs", 0.5), ("es", -0.5)])
+def test_focusing_warm_start_the_exit_finishes_runs_no_stage_b(monkeypatch, kind, U):
+    # focusing in the model the kind solves: the exit's Newton steps from
+    # the neighbour's state are the whole solve
+    p = ModelParams(L=21, J=1.0, Delta=1.05, U=U)
+    start = warm_start(p, kind, _neighbour_state(p, kind, -0.05), SolverOptions())
+    _, state, steps = start[4]
+
+    def no_stage_b(*_):
+        raise AssertionError("stage B ran")
+
+    monkeypatch.setattr(eigensolve, "_scf_block", no_stage_b)
+    sol = solve_state(p, kind, start=start)
+    assert sol.converged and sol.certified
+    assert sol.iterations == steps and 0 < steps <= 40
+    assert sol.state.amplitudes.real.tobytes() == state.tobytes()
+
+
+@pytest.mark.parametrize("reject", ["certificate", "guard"])
+@pytest.mark.parametrize("kind, U", [("gs", 0.5), ("es", -0.5), ("gs", -0.5)])
+def test_warm_start_the_exit_rejects_is_the_bare_start(kind, U, reject):
+    # a rejected exit leaves the start bare, and the solve is the cascade's
+    # from v: stage B where U > 0, the cascade's own exit where U <= 0
+    p = ModelParams(L=21, J=1.0, Delta=1.05, U=U)
+    v = _neighbour_state(p, kind, -0.05)
+    guarded = eigensolve._guarded_newton
+    with pytest.MonkeyPatch.context() as mp:
+        if reject == "certificate":
+            mp.setattr(eigensolve, "_certified", lambda *_: False)
+        else:
+            mp.setattr(eigensolve, "_guarded_newton",
+                       lambda *args: (None, None, guarded(*args)[2]))
+        start = warm_start(p, kind, v, SolverOptions())
+    bare = _bare_start(p, kind, v)
+    assert start[2:] == bare[2:] == (IMAG_TIME_STEP, 0, None, None, None)
+    assert _bits([*start[0], *start[1]]) == _bits([*bare[0], *bare[1]])
+    _assert_same_solution(solve_state(p, kind, start=start),
+                          solve_state(p, kind, start=bare))
+
+
+def _exit_calls(solve, *args, **kwargs):
+    """solve(*args, **kwargs) and the arguments of each _newton_exit call it
+    made, as bytes."""
+    calls, finish = [], eigensolve._newton_exit
+
+    def spy(*a):
+        calls.append(_bits(np.concatenate([np.ravel(x) for x in a])))
+        return finish(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_newton_exit", spy)
+        return solve(*args, **kwargs), calls
+
+
+@settings(max_examples=30)
+@given(L=st.integers(2, 34), delta=st.floats(0.25, 8.0), step=st.floats(-0.25, 0.25),
+       U=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), kind=st.sampled_from(["gs", "es"]),
+       phi=st.floats(0.0, 2.0 * np.pi))
+@pytest.mark.filterwarnings("ignore:.*self-trapping")
+def test_convex_warm_solve_is_the_bare_starts(L, delta, step, U, kind, phi):
+    # U <= 0 in the model the kind solves: warm_start runs the exit the
+    # cascade runs from the bare start, with the same arguments (the energy
+    # guard's min(E(v0), E(v)) and the budget too), and the solve is the
+    # same bit for bit
+    p = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=-U if kind == "gs" else U)
+    v = _neighbour_state(p, kind, step)
+    start, warm = _exit_calls(warm_start, p, kind, v, SolverOptions())
+    sol, bare = _exit_calls(solve_state, p, kind, start=_bare_start(p, kind, v))
+    assert warm == bare[:1]
+    _assert_same_solution(solve_state(p, kind, start=start), sol)
+
+
+@given(delta=st.floats(0.5, 4.0), step=st.floats(-0.5, 0.5),
+       U=st.sampled_from([-0.5, 0.5]), kind=st.sampled_from(["gs", "es"]))
+def test_warm_solve_stays_within_max_iterations(delta, step, U, kind):
+    # every cap up to one past the steps the exit takes without one: the
+    # exit takes at most min(40, cap) Newton steps, and stage B after a
+    # rejected exit the rest of the budget
+    p = ModelParams(L=21, J=1.0, Delta=delta, U=U)
+    v = _neighbour_state(p, kind, step)
+    free = warm_start(p, kind, v, SolverOptions())[4]
+    for cap in range(1, (3 if free is None else free[2]) + 2):
+        opts = SolverOptions(max_iterations=cap)
+        start = warm_start(p, kind, v, opts)
+        assert start[4] is None or start[4][2] <= cap
+        assert solve_state(p, kind, opts, start=start).iterations <= cap
 
 
 # -------------------------

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nlaa.phasescan as phasescan
+from nlaa import eigensolve
 from nlaa import (
     ModelParams,
     RampProtocol,
@@ -382,7 +383,7 @@ def _lone_scan(grid, opts):
         params = ModelParams(L=grid.L, J=1.0, Delta=float(delta), phi=grid.phi, U=u)
         if ends and all(end.certified for end in ends):
             warm = [phasescan.solve_state(params, kind, opts, start=warm_start(
-                params, kind, end.state.amplitudes.real)) for end in ends]
+                params, kind, end.state.amplitudes.real, opts)) for end in ends]
             if all(sol.converged and sol.certified and abs(
                     participation_ratio(sol.state) - participation_ratio(warm[0].state))
                    <= 1e-8 for sol in warm):
@@ -608,7 +609,7 @@ def test_row_with_uncertified_ends_refines_cold_as_before(monkeypatch):
     warm = _count_calls(monkeypatch, "warm_start")
     res = scan_phase_diagram(ORACLE)
     assert res.transitions["gs"][2] == _cold_detection(ORACLE, "gs", 0.4)
-    assert not any((p.U, kind) == (0.4, "gs") for p, kind, _ in warm)
+    assert not any((p.U, kind) == (0.4, "gs") for p, kind, *_ in warm)
     assert len(warm) == 3 + 2 * 4 + 3            # es at U = -0.4 from both ends
 
 
@@ -662,7 +663,7 @@ def test_kept_warm_refinement_point_is_no_worse_than_cold(L, delta, below, above
     rec, = phasescan._refine(store, [row])([0], [delta])
     assume(rec.get("warm"))
     p = ModelParams(L=L, Delta=delta, phi=phi, U=U)
-    warm = solve_state(p, kind, start=warm_start(p, kind, store.states[rec["start"]]))
+    warm = solve_state(p, kind, start=warm_start(p, kind, store.states[rec["start"]], opts))
     cold = solve_state(p, kind)
     assert participation_ratio(warm.state) == rec["r"]
     sign = -1.0 if kind == "es" else 1.0
@@ -687,6 +688,31 @@ def test_refinement_solve_counts_are_pinned(monkeypatch):
     tr = transition_for_u(0.4, "gs", STEP * np.arange(13), L=13)
     assert tr.crossings == [(1.25, 1.5)] and tr.refine_solves == 4
     assert len(warm) == 2 * 4 and len(solves) == 7 + len(warm)
+
+
+def test_warm_refinement_solves_are_pinned_and_run_no_stage_b(monkeypatch):
+    # machine-independent cost of ORACLE's 22 warm solves: each ends at the
+    # Newton exit from its start, on both signs of U, so none runs stage B
+    # (_scf_block), and their iterations, all Newton steps, sum to 79
+    stage_b, warm = [], []
+    scf, inner = eigensolve._scf_block, phasescan.solve_state
+
+    def count_stage_b(*args):
+        stage_b.append(args)
+        return scf(*args)
+
+    def solve(params, kind, opts, start=None):
+        before = len(stage_b)
+        sol = inner(params, kind, opts, start=start)
+        if _is_warm(start):
+            warm.append((sol.iterations, len(stage_b) - before))
+        return sol
+
+    monkeypatch.setattr(eigensolve, "_scf_block", count_stage_b)
+    monkeypatch.setattr(phasescan, "solve_state", solve)
+    scan_phase_diagram(ORACLE)
+    assert len(warm) == 22 and all(runs == 0 for _, runs in warm)
+    assert sum(iterations for iterations, _ in warm) == 79
 
 
 def _count_calls(monkeypatch, name):
