@@ -736,11 +736,46 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every token starting with '-' and a
     digit, or '-.' and a digit, as a value: -1e-1 and -0.25,0.5 as well as
-    the -1 and -0.5 argparse knows. No nlaa flag has that form."""
+    the -1 and -0.5 argparse knows. No nlaa flag has that form.
 
-    def __init__(self, *args, **kwargs):
+    A subcommand's parser is made with its `command` name and adds that
+    command's options on first use, to parse or to format its help or
+    usage: a call pays for the options of the one subcommand it runs."""
+
+    def __init__(self, *args, command=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._command = command         # None once its options are added
+
+    def _add_options(self):
+        name, self._command = self._command, None
+        if name is None:
+            return
+        self.add_argument("--config",
+                          help="JSON file with config keys (flags override)")
+        self.add_argument("--out",
+                          help=f"output directory (default ${OUTDIR_ENV} or .)")
+        for dest, default in COMMANDS[name][2].items():
+            opt = _option(name, dest)
+            kw = (dict(action="store_true") if opt.type is bool
+                  else dict(type=opt.type, choices=opt.choices))
+            text = opt.help + (f"; must be {opt.domain[1]}" if opt.domain else "")
+            if default is not None and opt.type is not bool:
+                text += f" (default {default})"
+            self.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                              default=None, help=text, **kw)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_options()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._add_options()
+        return super().format_usage()
+
+    def format_help(self):
+        self._add_options()
+        return super().format_help()
 
 
 def build_parser():
@@ -750,21 +785,8 @@ def build_parser():
                     "quench dynamics, phase diagrams, and transition fits.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_, defaults) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config",
-                       help="JSON file with config keys (flags override)")
-        p.add_argument("--out",
-                       help=f"output directory (default ${OUTDIR_ENV} or .)")
-        for dest, default in defaults.items():
-            opt = _option(name, dest)
-            kw = (dict(action="store_true") if opt.type is bool
-                  else dict(type=opt.type, choices=opt.choices))
-            text = opt.help + (f"; must be {opt.domain[1]}" if opt.domain else "")
-            if default is not None and opt.type is not bool:
-                text += f" (default {default})"
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                           default=None, help=text, **kw)
+    for name, (_, help_, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_, command=name)
     return parser
 
 

@@ -127,37 +127,41 @@ class _RowAbort(RuntimeError):
 
 
 class _Rows:
-    """Snapshots of the chains of a batch and the observables of each row."""
+    """Snapshots of the chains of a batch, and the observables of all rows
+    of all snapshots, computed once on the stacked states."""
 
     def __init__(self, params):
         self.params = params
         self.eps = np.array([quasiperiodic_potential(p) for p in params])
-        self.times, self.states, self.r, self.d = [], [], [], []
-        self.energy, self.drift = [], []
+        self.times, self.fractions, self.states, self.drift = [], [], [], []
         self.rhs_calls = self.steps = 0
 
     def record(self, t, V, fraction):
         """Append the snapshot at t of the rows V, at hopping fraction
         J(t)/J; a row whose norm drift passes NORM_ABORT raises."""
-        drift = [abs(np.sum(np.abs(v) ** 2) - 1.0) for v in V]
-        for row, dr in enumerate(drift):
-            if not dr <= NORM_ABORT:          # False for NaN as well
-                where = f" in row {row}" if len(V) > 1 else ""
-                raise _RowAbort(row, f"norm drift {dr:.3e} at t={t:.4f} "
-                                     f"exceeds {NORM_ABORT}{where}")
-        states = [LatticeState(v) for v in V]
+        drift = np.abs(np.sum(np.abs(V) ** 2, axis=-1) - 1.0)
+        bad = np.flatnonzero(~(drift <= NORM_ABORT))     # NaN as well
+        if bad.size:
+            row = int(bad[0])
+            where = f" in row {row}" if len(V) > 1 else ""
+            raise _RowAbort(row, f"norm drift {drift[row]:.3e} at t={t:.4f} "
+                                 f"exceeds {NORM_ABORT}{where}")
         self.times.append(t)
-        self.states.append(states)
-        self.r.append([participation_ratio(st) for st in states])
-        self.d.append([momentum_width(st) for st in states])
-        self.energy.append([float(energy_of(p.J * fraction, eps, p.U, st.amplitudes))
-                            for p, eps, st in zip(self.params, self.eps, states)])
+        self.fractions.append(fraction)
+        self.states.append([LatticeState(v) for v in V])
         self.drift.append(drift)
 
     def trajectory(self, lone) -> Trajectory:
-        """The Trajectory of row 0 if `lone`, else of the batch."""
-        r, d, energy, drift = (np.array(x) for x in
-                               (self.r, self.d, self.energy, self.drift))
+        """The Trajectory of row 0 if `lone`, else of the batch. r, d and E
+        of each row are its own, bit for bit: each is computed on the
+        (snapshots, B, L) amplitudes along contiguous rows, E with the
+        row's J times the snapshot's hopping fraction."""
+        amps = np.array([[st.amplitudes for st in states] for states in self.states])
+        J = np.array([p.J for p in self.params])
+        U = np.array([p.U for p in self.params])
+        r, d = participation_ratio(amps), momentum_width(amps)
+        energy = energy_of(np.array(self.fractions)[:, None] * J, self.eps, U, amps)
+        drift = np.array(self.drift)
         counts = dict(rhs_calls=self.rhs_calls, steps=self.steps)
         if lone:
             return Trajectory(times=np.array(self.times),

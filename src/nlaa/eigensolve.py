@@ -192,10 +192,8 @@ def linear_spectrum(L, J, potential):
     if info != 0:
         raise np.linalg.LinAlgError(
             f"tridiagonal eigen-solve did not converge (LAPACK info={info})")
-    for k in range(L):
-        i = np.argmax(np.abs(v[:, k]))
-        if v[i, k] < 0:
-            v[:, k] = -v[:, k]
+    i = np.argmax(np.abs(v), axis=0)
+    np.negative(v, out=v, where=v[i, np.arange(L)] < 0)
     return w, v
 
 
@@ -718,8 +716,9 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     here. The cascade goes on from there, and its result is the one it
     returns without `start`. A warm_start `start` skips stage A: it carries
     the Newton exit from another state as its stage B outcome where that
-    exit is accepted, on either sign of U, and begins stage B at that state
-    otherwise, so its result can differ. `certified` is _certified on the
+    exit is accepted, on either sign of U, and False where it is rejected,
+    from which the cascade begins stage B at that state without running
+    the exit again; so its result can differ. `certified` is _certified on the
     returned state, in the model the kind solves.
     """
     finished = None if start is None else start[6]
@@ -772,12 +771,13 @@ def _cascade(params, opts, start):
         best_v, best_e = _lower(J, eps, U, v, best_v, best_e)
 
         # stage B: self-consistent refinement with density mixing, after
-        # attempt 0's exit where U <= 0 (a warm start's may come with it)
+        # attempt 0's exit where U <= 0 (a warm start's may come with it,
+        # False where it was rejected)
         budget = opts.max_iterations - iterations
         if budget > 0:
             if not attempt and scf is None and U <= 0:
                 scf = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, budget)
-            if attempt or scf is None:
+            if attempt or not scf:
                 scf = _scf_block(J, off, eps, U, v, 2000, opts.residual_tol,
                                  budget)
             res_scf, u_best, used = scf
@@ -819,9 +819,9 @@ def warm_start(params, kind, v, opts):
     budget) as its stage B outcome where the exit is accepted: Newton from
     the predicted point is continuation's corrector (Allgower & Georg,
     SIAM 2003). Where U > 0 an accepted state can be metastable, which the
-    caller checks (phasescan._refine). Else the start is the bare (v0, v,
-    IMAG_TIME_STEP, 0, None, None, None), from which the cascade runs stage
-    B at v (where U <= 0 after its own exit, which rejects v again)."""
+    caller checks (phasescan._refine). Else the start is (v0, v,
+    IMAG_TIME_STEP, 0, False, None, None): False records the rejected
+    exit, and the cascade runs stage B at v without running it again."""
     solved = params.for_kind(kind)
     eps = quasiperiodic_potential(solved)
     J, U = solved.J, solved.U
@@ -829,7 +829,7 @@ def warm_start(params, kind, v, opts):
     v = np.ascontiguousarray(v)
     best_e = min(energy_of(J, eps, U, v0), energy_of(J, eps, U, v))
     scf = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, opts.max_iterations)
-    return v0, v, IMAG_TIME_STEP, 0, scf, None, None
+    return v0, v, IMAG_TIME_STEP, 0, False if scf is None else scf, None, None
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:

@@ -136,7 +136,8 @@ def gaa_classify_spectrum(gp: GaaParams) -> GaaClassification:
     """
     pot = gaa_potential(gp)
     w, v = linear_spectrum(gp.L, gp.J, pot)
-    r = participation_of(np.abs(v.T) ** 2)      # eigenvectors are columns
+    # the densities in place: eigenvectors are the columns of v, and real
+    r = participation_of(np.square(v, out=v).T)
 
     if gp.alpha == 0:
         edge = None

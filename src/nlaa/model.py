@@ -199,20 +199,26 @@ def apply_hamiltonian(params: ModelParams, state):
 # Scalar observables
 # -------------------------
 
-def participation_ratio(state) -> float:
-    """r = (1/L) / sum_j n_j^2, between 1/L (one site) and 1 (uniform)."""
+def participation_ratio(state):
+    """r = (1/L) / sum_j n_j^2, between 1/L (one site) and 1 (uniform): a
+    float for a LatticeState or a vector, an array of r per row for an
+    (..., L) array of amplitudes, each row's bit for bit as alone."""
     n = state.density if isinstance(state, LatticeState) else np.abs(np.asarray(state)) ** 2
-    total = n.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    total = _sum(n, axis=-1)
+    if not np.all((total > 0.0) & np.isfinite(total)):
         raise ValueError("zero-norm state has no participation ratio")
-    return float(participation_of(n / total))
+    r = participation_of(n / total[..., None])
+    return float(r) if n.ndim == 1 else r
 
 
-def momentum_width(state: LatticeState) -> float:
-    """Mean displacement <d> = sum_j |j - center| n_j from the center site."""
-    n = state.density
-    j = np.arange(state.L)
-    return float(np.sum(np.abs(j - state.center) * n))
+def momentum_width(state):
+    """Mean displacement <d> = sum_j |j - center| n_j from the center site
+    (L-1)//2: a float for a LatticeState, an array of <d> per row for an
+    (..., L) array of normalized amplitudes."""
+    n = state.density if isinstance(state, LatticeState) else np.abs(np.asarray(state)) ** 2
+    L = n.shape[-1]
+    d = _sum(np.abs(np.arange(L) - (L - 1) // 2) * n, axis=-1)
+    return float(d) if n.ndim == 1 else d
 
 
 def energy_functional(params: ModelParams, state) -> float:

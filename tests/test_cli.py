@@ -1055,6 +1055,60 @@ def stub_handlers(monkeypatch):
                             (lambda cfg, outdir: [], help_, defaults))
 
 
+def _help_entries(text):
+    """The entries of an argparse help's options section, each as its
+    first long flag and its whole text with whitespace collapsed."""
+    lines = text.split("\noptions:\n", 1)[1].splitlines()
+    entries = []
+    for line in lines:
+        if line.startswith("  -"):
+            entries.append(line)
+        elif entries:
+            entries[-1] += " " + line
+    return {re.search(r"--[\w-]+", e).group(): " ".join(e.split()) for e in entries}
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "evolve", "interaction-sweep", "ramp",
+                                        "scan", "phases", "alpha-star", "gaa-me", "fit",
+                                        "bragg-schedule"])
+def test_help_lists_exactly_the_subcommands_options_with_their_domain(
+        capsys, subcommand):
+    from nlaa.cli import COMMANDS, _option
+    with pytest.raises(SystemExit):
+        main([subcommand, "--help"])
+    entries = _help_entries(capsys.readouterr().out)
+    defaults = COMMANDS[subcommand][2]
+    assert set(entries) == {"--help", "--config", "--out"} | {
+        "--" + dest.replace("_", "-") for dest in defaults}
+    for dest, default in defaults.items():
+        opt, entry = _option(subcommand, dest), entries["--" + dest.replace("_", "-")]
+        assert opt.help in entry
+        if opt.domain:
+            assert f"must be {opt.domain[1]}" in entry
+        if default is not None and opt.type is not bool:
+            assert entry.endswith(f"(default {default})")
+
+
+def test_a_call_adds_the_options_of_its_subcommand_only(tmp_path, monkeypatch,
+                                                        stub_handlers):
+    import argparse
+
+    import nlaa.cli as cli
+    parsers, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: parsers.append(build()) or parsers[-1])
+    for used in cli.COMMANDS:
+        assert main([used, "--out", str(tmp_path)]) == 0
+        sub, = (a for a in parsers[-1]._actions
+                if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            dests = [a.dest for a in parser._actions]
+            if name == used:
+                assert dests == ["help", "config", "out", *cli.COMMANDS[name][2]]
+            else:
+                assert dests == ["help"], name
+    assert len(parsers) == len(cli.COMMANDS)
+
+
 @pytest.mark.parametrize("subcommand, dest", _declared_options())
 def test_flag_and_config_key_give_the_same_manifest_config(
         tmp_path, stub_handlers, subcommand, dest):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
@@ -16,6 +16,7 @@ from nlaa import (
     ModelParams,
     RampProtocol,
     evolve,
+    momentum_width,
     participation_ratio,
     quasiperiodic_potential,
     ramp_prepare,
@@ -479,3 +480,52 @@ def test_a_failed_integration_reports_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="step budget spent"):
             evolve(wild, LatticeState.single_site(13, 6), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 4), L=st.integers(5, 34), ramped=st.booleans(),
+       kind=st.sampled_from(["gs", "es"]), lone=st.booleans(), data=st.data())
+def test_trajectory_observables_are_those_of_each_snapshot_state(
+        B, L, ramped, kind, lone, data):
+    # r, <d> and E are computed once on all snapshots' rows: each value is
+    # bit for bit the observable of the snapshot's state of its row, and
+    # the norm drift that of the amplitudes the integrator stopped at
+    lone = lone and B == 1
+    targets = [ModelParams(L=L, J=1.0, Delta=data.draw(st.floats(0.0, 4.0)),
+                           phi=data.draw(st.floats(0.0, 6.0)),
+                           U=data.draw(st.floats(-1.0, 1.0))) for _ in range(B)]
+    chains = [p.for_kind(kind) for p in targets]
+    recorded, record = [], dynamics._Rows.record
+
+    def spy(self, t, V, fraction):
+        recorded.append((V.copy(), fraction))
+        return record(self, t, V, fraction)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    initial = [LatticeState(rng.normal(size=L) + 1j * rng.normal(size=L))
+               for _ in range(B)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics._Rows, "record", spy)
+        if ramped:
+            _, traj = ramp_prepare(targets[0] if lone else targets,
+                                   RampProtocol(duration=0.033, hold=0.02), kind,
+                                   snapshot_stride=10)
+        else:
+            traj = evolve(chains[0] if lone else chains,
+                          initial[0] if lone else initial, 0.05, snapshot_stride=10)
+    sign = -1.0 if ramped and kind == "es" else 1.0
+    assert len(recorded) == len(traj.times) > 1
+    for k, (V, fraction) in enumerate(recorded):
+        states = [traj.states[k]] if lone else traj.states[k]
+        want = {name: [] for name in ("r", "d", "energy")}
+        for c, v, st_ in zip(chains, V, states):
+            assert st_.amplitudes.tobytes() == LatticeState(v).amplitudes.tobytes()
+            want["r"].append(participation_ratio(st_))
+            want["d"].append(momentum_width(st_))
+            want["energy"].append(sign * float(energy_of(
+                c.J * fraction, quasiperiodic_potential(c), c.U, st_.amplitudes)))
+        drift = [abs(np.sum(np.abs(v) ** 2) - 1.0) for v in V]
+        for name, values in want.items():
+            got = getattr(traj, name)[k]
+            assert np.array(got).tobytes() == np.array(values[0] if lone else values).tobytes()
+        assert np.float64(traj.norm_drift[k]).tobytes() == np.float64(max(drift)).tobytes()

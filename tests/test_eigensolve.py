@@ -1050,8 +1050,9 @@ def test_focusing_warm_start_the_exit_finishes_runs_no_stage_b(monkeypatch, kind
 @pytest.mark.parametrize("reject", ["certificate", "guard"])
 @pytest.mark.parametrize("kind, U", [("gs", 0.5), ("es", -0.5), ("gs", -0.5)])
 def test_warm_start_the_exit_rejects_is_the_bare_start(kind, U, reject):
-    # a rejected exit leaves the start bare, and the solve is the cascade's
-    # from v: stage B where U > 0, the cascade's own exit where U <= 0
+    # a rejected exit leaves the start bare but for the record of that
+    # exit, and the solve is the cascade's from the bare start: stage B from
+    # v, after the cascade's own exit where U <= 0, which rejects v again
     p = ModelParams(L=21, J=1.0, Delta=1.05, U=U)
     v = _neighbour_state(p, kind, -0.05)
     guarded = eigensolve._guarded_newton
@@ -1062,11 +1063,32 @@ def test_warm_start_the_exit_rejects_is_the_bare_start(kind, U, reject):
             mp.setattr(eigensolve, "_guarded_newton",
                        lambda *args: (None, None, guarded(*args)[2]))
         start = warm_start(p, kind, v, SolverOptions())
-    bare = _bare_start(p, kind, v)
-    assert start[2:] == bare[2:] == (IMAG_TIME_STEP, 0, None, None, None)
-    assert _bits([*start[0], *start[1]]) == _bits([*bare[0], *bare[1]])
-    _assert_same_solution(solve_state(p, kind, start=start),
-                          solve_state(p, kind, start=bare))
+        bare = _bare_start(p, kind, v)
+        assert start[2:] == (IMAG_TIME_STEP, 0, False, None, None)
+        assert bare[2:] == (IMAG_TIME_STEP, 0, None, None, None)
+        assert _bits([*start[0], *start[1]]) == _bits([*bare[0], *bare[1]])
+        _assert_same_solution(solve_state(p, kind, start=start),
+                              solve_state(p, kind, start=bare))
+
+
+@pytest.mark.parametrize("kind, U", [("gs", -0.5), ("es", 0.5), ("gs", 0.0), ("gs", 0.5)])
+def test_warm_solve_runs_a_rejected_exit_once(monkeypatch, kind, U):
+    # the start records its rejected exit, so the cascade does not run the
+    # exit again on the same inputs; the solve is the one the cascade gives
+    # when it runs (and rejects) the exit itself
+    p = ModelParams(L=21, J=1.0, Delta=1.05, U=U)
+    v = _neighbour_state(p, kind, -0.05)
+    calls = []
+
+    def reject(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(eigensolve, "_newton_exit", reject)
+    sol = solve_state(p, kind, start=warm_start(p, kind, v, SolverOptions()))
+    assert len(calls) == 1
+    bare = solve_state(p, kind, start=_bare_start(p, kind, v))
+    assert len(calls) == (2 if p.for_kind(kind).U <= 0 else 1)
+    _assert_same_solution(sol, bare)
 
 
 def _exit_calls(solve, *args, **kwargs):
@@ -1110,10 +1132,10 @@ def test_warm_solve_stays_within_max_iterations(delta, step, U, kind):
     p = ModelParams(L=21, J=1.0, Delta=delta, U=U)
     v = _neighbour_state(p, kind, step)
     free = warm_start(p, kind, v, SolverOptions())[4]
-    for cap in range(1, (3 if free is None else free[2]) + 2):
+    for cap in range(1, (free[2] if free else 3) + 2):
         opts = SolverOptions(max_iterations=cap)
         start = warm_start(p, kind, v, opts)
-        assert start[4] is None or start[4][2] <= cap
+        assert not start[4] or start[4][2] <= cap
         assert solve_state(p, kind, opts, start=start).iterations <= cap
 
 

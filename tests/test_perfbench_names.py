@@ -5,14 +5,18 @@ fields its span attributes read exist on what they return.
 with TraceTargetError if one is gone, reads span attributes off each return
 value with the entry's extractor, and `perfbench/mapping.json` names the
 spans each workload must record. Both files are read here, not changed, so
-that a refactor renaming a traced function or a result field fails the
-tests and not only a `--trace 1` benchmark run.
+that a refactor renaming a traced function or a result field, or one that
+stops calling a function a workload's spans require, fails the tests and
+not only a `--trace 1` benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import numpy as np
 from nlaa import LatticeState, ModelParams, piecewise_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def _tracing():
@@ -79,3 +84,45 @@ def test_every_attrs_extractor_reads_a_real_return_value():
         got = attrs(args, kwargs, fn(*args, **kwargs), inspect.signature(fn))
         assert got and all(isinstance(v, (bool, int, float)) for v in got.values()), \
             (attr, got)
+
+
+# installs perfbench's Tracer in a fresh interpreter, runs each CLI call and
+# prints its exit code and the names of the spans it recorded
+TRACED_CHILD = """
+import importlib.util, json, sys
+import nlaa.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer(0)
+tracer.install()
+runs = []
+for argv in json.loads(sys.argv[2]):
+    first = len(tracer.spans)
+    rc = nlaa.cli.main(argv)
+    runs.append({"rc": rc, "spans": sorted({s[0] for s in tracer.spans[first:]})})
+print(json.dumps(runs))
+"""
+
+# small calls of the subcommands of the ramp_fit and scan_grid workloads
+TRACED_CALLS = {
+    "ramp_fit": ["fit", "--synthesize", "--u-over-j", "0.3", "--bootstrap", "100",
+                 "--dt", "0.01"],
+    "scan_grid": ["scan", "--L", "13", "--delta-step", "0.25", "--u-step", "0.5"],
+}
+
+
+def test_small_workload_calls_record_every_required_span(tmp_path):
+    mapping = json.loads((PERFBENCH / "mapping.json").read_text())
+    calls = [[*argv, "--out", str(tmp_path / name)] for name, argv in TRACED_CALLS.items()]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CHILD, str(PERFBENCH / "tracing.py"),
+         json.dumps(calls)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name, run in zip(TRACED_CALLS, runs):
+        assert run["rc"] == 0, name
+        missing = set(mapping["workload_spans"][name]) - set(run["spans"])
+        assert not missing, f"{name} records no {sorted(missing)}"
