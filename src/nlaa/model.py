@@ -204,10 +204,10 @@ def participation_ratio(state):
     float for a LatticeState or a vector, an array of r per row for an
     (..., L) array of amplitudes, each row's bit for bit as alone."""
     n = state.density if isinstance(state, LatticeState) else np.abs(np.asarray(state)) ** 2
-    total = _sum(n, axis=-1)
-    if not np.all((total > 0.0) & np.isfinite(total)):
+    total = _sum(n, axis=-1, keepdims=True)
+    if not 0.0 < total.min() < np.inf:         # False for NaN as well
         raise ValueError("zero-norm state has no participation ratio")
-    r = participation_of(n / total[..., None])
+    r = participation_of(n / total)
     return float(r) if n.ndim == 1 else r
 
 
