@@ -52,11 +52,13 @@ reports the certificate on the state it returns.
 Many cells that share L (a scan's grid, or one refinement step of all its
 rows, of both kinds and any U) can run attempt 0 as (B, L) arrays:
 batched_starts returns each cell's `start`, and solve_state(...,
-start=...) goes on from there alone. Each row carries its own J and U, as
-(B, 1) columns in the stencil, the eps - U v^2 diagonal and stage A's
-energy and gradient. The model's apply_stencil and the residual act on
-(..., L) arrays, and stage B's LAPACK edge eigenpair runs row by row on
-that row's own off-diagonal. After stage A, the convex exit runs on the
+start=...) goes on from there alone. A row's potential and linear ground
+state depend on (J, Delta, phi) and not on U, so the batch computes each
+once per distinct (J, Delta, phi) (_model_rows). Each row carries its own
+J and U, as (B, 1) columns in the stencil, the eps - U v^2 diagonal and
+stage A's energy and gradient. The model's apply_stencil and the residual
+act on (..., L) arrays, and stage B's LAPACK edge eigenpair runs row by row
+on that row's own off-diagonal. After stage A, the convex exit runs on the
 convex rows, stage B on the rest, and stage C on the rows stage B leaves
 above the tolerance, so the start carries attempt 0's finished outcome,
 and, where that ends the solve, the finished solve, which solve_state
@@ -68,9 +70,11 @@ alone. So each row of the batch is computed bit for bit as the lone 1-D
 solve computes it. A lone solve keeps the scalar Newton loop, which is
 cheaper for one row. A solve can also skip stage A and start from a solved
 neighbour's state (warm_start), as the transition refinement of phasescan
-does: the start carries the Newton exit from that state where it is
-accepted, and the solve runs stage B from it only where the exit is
-rejected.
+does: the start carries the Newton exit from that state, and the finished
+solve, where the exit is accepted, and the solve runs stage B from it only
+where the exit is rejected. warm_starts makes the starts of several cells
+at once, their Newton exits as rows through the rows exit (_exit_rows)
+that the batch's convex exit runs too, each start bit for bit warm_start's.
 
 The highest excited state is the ground state of the negated model
 (J, Delta, U) -> (-J, -Delta, -U). solve_state, the one entry point, solves
@@ -651,21 +655,39 @@ def _certified(J, eps, U, v, mu):
 def _newton_exit(J, eps, U, v, best_e, tol, budget):
     """Attempt 0's exit from v, the state stage A or a warm start gives it.
 
-    Newton runs from v for up to min(40, budget) steps, and its result is
-    the cell's stage B outcome (residual, state, Newton steps) if it passes
-    the cascade's guard on Newton (_guarded_newton, against best_e, the E
-    of the best iterate so far: min(E(v0), E(v))) and is _certified; else
-    None. Where U <= 0, E is convex in the density, and a stationary state
-    that is the lowest eigenvector of its own H[phi] is the ground state
-    (Lieb, Seiringer & Yngvason, PRA 61, 043602 (2000)). Where U > 0 it can
-    lie above the ground state, so a cold solve runs the exit only where
-    U <= 0, and a warm one on either sign (warm_start).
+    Newton runs from v for up to min(40, budget) steps. If its result
+    passes the cascade's guard on Newton (_guarded_newton, against best_e,
+    the E of the best iterate so far: min(E(v0), E(v))) and is _certified,
+    the exit returns the cell's stage B outcome (residual, state, Newton
+    steps) and the _report of that state, which ends the solve; else None.
+    Where U <= 0, E is convex in the density, and a stationary state that
+    is the lowest eigenvector of its own H[phi] is the ground state (Lieb,
+    Seiringer & Yngvason, PRA 61, 043602 (2000)). Where U > 0 it can lie
+    above the ground state, so a cold solve runs the exit only where U <= 0,
+    and a warm one on either sign (warm_start).
     """
     vn, _, used = _guarded_newton(J, eps, U, v, best_e, tol, min(40, budget))
     if vn is None:
         return None
-    res, _, _, certified = _report(J, eps, U, vn)
-    return (res, vn, used) if certified else None
+    report = _report(J, eps, U, vn)
+    return ((report[0], vn, used), report) if report[3] else None
+
+
+def _exit_rows(J, eps, U, v, best_e, tol, max_newton):
+    """_newton_exit on every row of the (B, L) arrays eps and v, with row
+    i's own J[i], U[i], best_e[i] and Newton cap max_newton[i] (the lone
+    exit's min(40, budget)): its Newton steps by _guarded_rows, its
+    certificates by _report_rows. Entry i is what the lone exit returns for
+    row i, bit for bit."""
+    out = [None] * len(v)
+    if not out:
+        return out
+    kept, vn, _, steps = _guarded_rows(J, eps, U, v, best_e, tol, max_newton)
+    k = np.flatnonzero(kept)
+    for i, report in zip(k, _report_rows(J[k], eps[k], U[k], vn[k])):
+        if report[3]:                          # the exit's certificate
+            out[i] = (report[0], vn[i], int(steps[i])), report
+    return out
 
 
 def _report(J, eps, U, v):
@@ -715,11 +737,11 @@ def solve_state(params: ModelParams, kind: str, opts: SolverOptions = SolverOpti
     the state), which is then returned as is. None runs all of attempt 0
     here. The cascade goes on from there, and its result is the one it
     returns without `start`. A warm_start `start` skips stage A: it carries
-    the Newton exit from another state as its stage B outcome where that
-    exit is accepted, on either sign of U, and False where it is rejected,
-    from which the cascade begins stage B at that state without running
-    the exit again; so its result can differ. `certified` is _certified on the
-    returned state, in the model the kind solves.
+    the Newton exit from another state as its stage B outcome and finished
+    solve where that exit is accepted, on either sign of U, and False where
+    it is rejected, from which the cascade begins stage B at that state
+    without running the exit again; so its result can differ. `certified`
+    is _certified on the returned state, in the model the kind solves.
     """
     finished = None if start is None else start[6]
     if finished is None:
@@ -776,7 +798,8 @@ def _cascade(params, opts, start):
         budget = opts.max_iterations - iterations
         if budget > 0:
             if not attempt and scf is None and U <= 0:
-                scf = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, budget)
+                out = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, budget)
+                scf = out and out[0]
             if attempt or not scf:
                 scf = _scf_block(J, off, eps, U, v, 2000, opts.residual_tol,
                                  budget)
@@ -816,20 +839,46 @@ def warm_start(params, kind, v, opts):
 
     The start carries attempt 0's Newton exit from v (_newton_exit, on
     either sign of U, against min(E(v0), E(v)) and with opts' tolerance and
-    budget) as its stage B outcome where the exit is accepted: Newton from
-    the predicted point is continuation's corrector (Allgower & Georg,
-    SIAM 2003). Where U > 0 an accepted state can be metastable, which the
-    caller checks (phasescan._refine). Else the start is (v0, v,
-    IMAG_TIME_STEP, 0, False, None, None): False records the rejected
-    exit, and the cascade runs stage B at v without running it again."""
+    budget) where the exit is accepted: its outcome as stage B's and the
+    finished solve, (state, Newton steps, *_report of the state), which is
+    what the cascade makes of that outcome. Newton from the predicted point
+    is continuation's corrector (Allgower & Georg, SIAM 2003). Where U > 0
+    an accepted state can be metastable, which the caller checks
+    (phasescan._refine). Else the start is (v0, v, IMAG_TIME_STEP, 0,
+    False, None, None): False records the rejected exit, and the cascade
+    runs stage B at v without running it again."""
     solved = params.for_kind(kind)
     eps = quasiperiodic_potential(solved)
     J, U = solved.J, solved.U
     _, v0 = _linear_edge_state(eps, np.full(solved.L - 1, float(J)))
     v = np.ascontiguousarray(v)
     best_e = min(energy_of(J, eps, U, v0), energy_of(J, eps, U, v))
-    scf = _newton_exit(J, eps, U, v, best_e, opts.residual_tol, opts.max_iterations)
-    return v0, v, IMAG_TIME_STEP, 0, False if scf is None else scf, None, None
+    return _warm(v0, v, _newton_exit(J, eps, U, v, best_e, opts.residual_tol,
+                                     opts.max_iterations))
+
+
+def warm_starts(cells, kinds, states, opts):
+    """warm_start of each cell (ModelParams that share L) of kinds[i] from
+    states[i], as rows: entry i is warm_start(cells[i], kinds[i],
+    states[i], opts), bit for bit. The linear ground states come once per
+    distinct model (_model_rows), and the Newton exits of all rows run at
+    once (_exit_rows), as the convex exit of a batched attempt 0 does."""
+    J, U, eps, v0 = _model_rows([p.for_kind(k) for p, k in zip(cells, kinds)])
+    v = np.array(states)
+    e0, e = energy_of(J, eps, U, v0), energy_of(J, eps, U, v)
+    best_e = np.where(e < e0, e, e0)         # min(E(v0), E(v)), as alone
+    exits = _exit_rows(J, eps, U, v, best_e, opts.residual_tol,
+                       np.full(len(v), min(40, opts.max_iterations)))
+    return [_warm(v0[i], v[i], out) for i, out in enumerate(exits)]
+
+
+def _warm(v0, v, out):
+    """The warm start from v, given the linear ground state v0 and what the
+    Newton exit from v returned."""
+    if out is None:
+        return v0, v, IMAG_TIME_STEP, 0, False, None, None
+    (res, vn, steps), report = out
+    return v0, v, IMAG_TIME_STEP, 0, (res, vn, steps), None, (vn, steps, *report)
 
 
 def require_converged(sol: EigenSolution, params: ModelParams, kind) -> EigenSolution:
@@ -853,16 +902,30 @@ def batched_starts(cells, kind, opts: SolverOptions = SolverOptions()):
     goes on from: bit for bit what the lone solve computes.
     """
     kinds = [kind] * len(cells) if isinstance(kind, str) else kind
-    solved = [p.for_kind(k) for p, k in zip(cells, kinds)]
-    J = np.array([p.J for p in solved], dtype=float)
-    U = np.array([p.U for p in solved], dtype=float)
-    eps = np.array([quasiperiodic_potential(p) for p in solved])
-    v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, j))[1]
-                   for row, j in zip(eps, J)])
+    J, U, eps, v0 = _model_rows([p.for_kind(k) for p, k in zip(cells, kinds)])
     max_steps, target = _stage_a_plan(0)
     v, step, used = _imag_time_rows(J, eps, U, v0, max_steps, IMAG_TIME_STEP,
                                     target, opts.max_iterations)
     return _attempt_rows(J, U, eps, v0, v, step, used, opts)
+
+
+def _model_rows(solved):
+    """(J, U, eps, v0) of the models `solved` (ModelParams that share L) as
+    rows: J and U of shape (B,), each model's potential and linear ground
+    state of shape (B, L). The potential and the ground state depend on
+    (J, Delta, phi) and not on U, so each is computed once per distinct
+    (J, Delta, phi), bit for bit as for each model alone."""
+    firsts, index = {}, []
+    rows = np.array([(p.J, p.Delta, p.phi) for p in solved], dtype=float)
+    for i, row in enumerate(rows):
+        index.append(firsts.setdefault(row.tobytes(), (len(firsts), i))[0])
+    models = [solved[i] for _, i in firsts.values()]
+    eps = np.array([quasiperiodic_potential(p) for p in models])
+    v0 = np.array([_linear_edge_state(row, np.full(len(row) - 1, float(p.J)))[1]
+                   for row, p in zip(eps, models)])
+    J = np.array([p.J for p in solved], dtype=float)
+    U = np.array([p.U for p in solved], dtype=float)
+    return J, U, eps[index], v0[index]
 
 
 def _attempt_rows(J, U, eps, v0, v, step, used, opts):
@@ -893,15 +956,12 @@ def _attempt_rows(J, U, eps, v0, v, step, used, opts):
     best_v, best_e = _lower(Jl, el, Ul, vl, v0[live], energy_of(Jl, el, Ul, v0[live]))
 
     rows = np.flatnonzero(Ul <= 0)
-    if rows.size:
-        kept, vn, _, steps = _guarded_rows(Jl[rows], el[rows], Ul[rows], vl[rows],
-                                           best_e[rows], tol, np.minimum(40, budgets[rows]))
-        k = np.flatnonzero(kept)
-        for i, w, n, report in zip(rows[k], vn[k], steps[k],
-                                   _report_rows(Jl[rows[k]], el[rows[k]], Ul[rows[k]], vn[k])):
-            if report[3]:                      # the exit's certificate
-                scf[i] = report[0], w, int(n)
-                done[i] = (w, int(used[live[i]]) + int(n), *report)
+    exits = _exit_rows(Jl[rows], el[rows], Ul[rows], vl[rows], best_e[rows], tol,
+                       np.minimum(40, budgets[rows]))
+    for i, out in zip(rows, exits):
+        if out is not None:
+            scf[i], report = out
+            done[i] = (scf[i][1], int(used[live[i]]) + scf[i][2], *report)
 
     rows = np.array([i for i in range(live.size) if scf[i] is None], dtype=int)
     for i, outcome in zip(rows, _scf_rows(Jl[rows], el[rows], Ul[rows], vl[rows], 2000,

@@ -24,6 +24,7 @@ Conventions used throughout the package:
 - open (hard-wall) boundaries: phi_{-1} = phi_L = 0.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -69,9 +70,9 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.L, (int, np.integer)) or self.L < 2:
             raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
-        for name in ("J", "Delta", "phi", "U"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
+        for name, v in (("J", self.J), ("Delta", self.Delta), ("phi", self.phi),
+                        ("U", self.U)):
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if self.self_trapping_guard:
             warnings.warn(
@@ -115,11 +116,12 @@ class LatticeState:
     """
 
     def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).copy()
+        amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-d vector of length >= 2")
-        norm = np.linalg.norm(amps)
-        if not np.isfinite(norm) or norm == 0.0:
+        re, im = amps.real, amps.imag      # np.linalg.norm's sum, without its wrapper
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+        if not math.isfinite(norm) or norm == 0.0:
             raise ValueError("cannot normalize a zero or non-finite state")
         self.amplitudes = amps / norm
 

@@ -24,11 +24,16 @@ where a start is not certified, the point is solved cold, as a grid cell
 is.
 
 A scan's JSONL store is an exact solve cache: one record per solve, grid
-cells and refinement points alike, appended as soon as it is solved. Each
-record's `key` is the sha256 of canonical JSON of every input that affects
-its r: the ModelParams fields (L, J, Delta, phi, U, floats by their
-round-trip repr; beta is fixed), kind, preparation, EXPERIMENT_RAMP (ramped
-scans), every SolverOptions field and the package version. Every exact
+cells and refinement points alike, appended as soon as it is solved (the
+cells of one batch together, once the batch is solved). Each record's `key`
+is the sha256 of canonical JSON of every input that affects its r: the
+ModelParams fields (L, J, Delta, phi, U, floats by their round-trip repr;
+beta is fixed), kind, preparation, EXPERIMENT_RAMP (ramped scans), every
+SolverOptions field and the package version. The text is assembled from
+one template per (kind, L, phi, preparation, ramp, solver options,
+version), the JSON of all the inputs but Delta and U, into which those two
+are written as the whole JSON writes them, so a key is byte for byte the
+one json.dumps of all the inputs gives (cell_key). Every exact
 record also stores `certified`, its solve's certificate. A point that
 started warm is keyed by its cell's key chained with the keys of the
 records it started from, which it stores as `start` (the one whose state it
@@ -58,7 +63,7 @@ import numpy as np
 from . import __version__
 from .dynamics import EXPERIMENT_RAMP, ramp_prepare
 from .eigensolve import (SolverOptions, batched_starts, linear_spectrum,
-                         require_converged, solve_state, warm_start)
+                         require_converged, solve_state, warm_start, warm_starts)
 from .model import KINDS, ModelParams, participation_ratio, quasiperiodic_potential
 
 BISECTION_TOL = 1e-3
@@ -320,34 +325,82 @@ def _solve_cell(kind, L, u, delta, phi, preparation, opts, start=None):
     return participation_ratio(final), False, None
 
 
+def _exact(v):
+    """A key's JSON value of one input: a float by its round-trip repr, a
+    numpy integer as an int."""
+    return (repr(float(v)) if isinstance(v, (float, np.floating))
+            else int(v) if isinstance(v, np.integer) else v)
+
+
+def _exact_json(v):
+    """json.dumps(_exact(v)), without json.dumps for a float or an int (a
+    float's repr needs no escaping)."""
+    if isinstance(v, (float, np.floating)):
+        return f'"{float(v)!r}"'
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return str(int(v))
+    return json.dumps(_exact(v))
+
+
 def _exact_fields(obj):
-    """A dataclass's fields as JSON values, floats by their round-trip repr."""
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        out[f.name] = (repr(float(v)) if isinstance(v, (float, np.floating))
-                       else int(v) if isinstance(v, np.integer) else v)
-    return out
+    """A dataclass's fields as JSON values (_exact)."""
+    return {f.name: _exact(getattr(obj, f.name)) for f in fields(obj)}
+
+
+_SLOT = json.dumps("\0")      # where a template takes Delta, then U
+
+
+def _key_template(kind, params, preparation, ramp, opts):
+    """cell_key's canonical JSON of its inputs, cut where Delta and U go:
+    (head, middle, tail), so that head + Delta + middle + U + tail, each
+    value written as _exact_json writes it, is the whole text."""
+    head, middle, tail = json.dumps(
+        {"version": __version__, "kind": kind, "preparation": preparation,
+         "params": {**_exact_fields(params), "Delta": "\0", "U": "\0"},
+         "ramp": None if ramp is None else _exact_fields(ramp),
+         "solver": _exact_fields(opts)},
+        sort_keys=True, separators=(",", ":")).split(_SLOT)
+    return head, middle, tail
+
+
+def _filled(template, delta, u):
+    """The key of a _key_template filled with Delta and U."""
+    head, middle, tail = template
+    text = head + _exact_json(delta) + middle + _exact_json(u) + tail
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def cell_key(params, kind, preparation, ramp, opts) -> str:
-    """Store key of one solve: sha256 of canonical JSON of every input that
-    affects its r. `ramp` is the RampProtocol of a ramped solve, None for
-    exact preparation."""
-    text = json.dumps({"version": __version__, "kind": kind,
-                       "preparation": preparation,
-                       "params": _exact_fields(params),
-                       "ramp": None if ramp is None else _exact_fields(ramp),
-                       "solver": _exact_fields(opts)},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """Store key of one solve: sha256 of canonical JSON (keys sorted, no
+    spaces) of every input that affects its r, {"version", "kind",
+    "preparation", "params": ModelParams' fields, "ramp": the RampProtocol's
+    fields or null, "solver": SolverOptions' fields}, each float written as
+    the string of its round-trip repr and each numpy integer as an int.
+    `ramp` is the RampProtocol of a ramped solve, None for exact
+    preparation. The text is assembled from a _key_template, the JSON of
+    all but Delta and U, with those two written in; it is byte for byte
+    the json.dumps of the whole."""
+    return _filled(_key_template(kind, params, preparation, ramp, opts),
+                   params.Delta, params.U)
+
+
+def _keys_of(cells):
+    """cell_key of each cell (the arguments of _solve_cell), from one
+    _key_template per distinct (kind, L, phi, preparation, options) among
+    them."""
+    templates, keys = {}, []
+    for kind, L, u, delta, phi, preparation, opts in cells:
+        at = (kind, _exact_json(L), _exact_json(phi), preparation, id(opts))
+        if at not in templates:
+            params, ramp = _cell_inputs(L, 0.0, 0.0, phi, preparation)
+            templates[at] = _key_template(kind, params, preparation, ramp, opts)
+        keys.append(_filled(templates[at], delta, u))
+    return keys
 
 
 def _key_of(cell):
     """cell_key of a cell given by the arguments of _solve_cell."""
-    kind, L, u, delta, phi, preparation, opts = cell
-    params, proto = _cell_inputs(L, u, delta, phi, preparation)
-    return cell_key(params, kind, preparation, proto, opts)
+    return _keys_of([cell])[0]
 
 
 def _chained(key, *start_keys):
@@ -356,20 +409,53 @@ def _chained(key, *start_keys):
     return hashlib.sha256(":".join((key,) + start_keys).encode()).hexdigest()
 
 
-def _cell_record(cell, key=None, start=None):
+def _record_of(cell, key):
+    """The readable inputs of a cell's store record, under `key`."""
+    kind, L, u, delta, _, preparation, _ = cell
+    return {"key": key, "kind": kind, "L": L, "u": u, "delta": delta,
+            "preparation": preparation}
+
+
+def _cell_record(cell, key, start=None):
     """Store record of one cell (the arguments of _solve_cell) and its state:
-    the record holds its key (given, or computed) and readable inputs, and
-    r and, if it is exact, `certified`, or the error that stopped it."""
-    kind, L, u, delta, phi, preparation, opts = cell
-    rec = {"key": key or _key_of(cell), "kind": kind, "L": L, "u": u, "delta": delta,
-           "preparation": preparation}
+    the record holds its key and readable inputs, and r and, if it is
+    exact, `certified`, or the error that stopped it."""
+    rec = _record_of(cell, key)
     try:
         r, certified, state = _solve_cell(*cell, start=start)
     except Exception as exc:                      # cell failures must not kill the scan
         return {**rec, "ok": False, "error": str(exc)}, None
-    if preparation == "exact":
+    if cell[5] == "exact":
         rec["certified"] = certified
     return {**rec, "ok": True, "r": r}, state
+
+
+def _exact_records(cells, keys, params, starts):
+    """_cell_record of each exact cell (the arguments of _solve_cell) from
+    its start, given its key and ModelParams: each solve_state alone, and
+    the r of all the converged solves at once, each bit for bit its lone
+    participation_ratio."""
+    out, sols, ok = [], [], []
+    for cell, key, p, start in zip(cells, keys, params, starts):
+        rec = _record_of(cell, key)
+        try:
+            sol = require_converged(solve_state(p, cell[0], cell[6], start=start), p,
+                                    cell[0])
+        except Exception as exc:                  # cell failures must not kill the scan
+            out.append(({**rec, "ok": False, "error": str(exc)}, None))
+            continue
+        ok.append(len(out))
+        sols.append(sol)
+        out.append(rec)
+    if sols:
+        rs = participation_ratio(np.array([sol.state.amplitudes for sol in sols])).tolist()
+        for k, sol, r in zip(ok, sols, rs):
+            out[k] = ({**out[k], "certified": sol.certified, "ok": True, "r": r},
+                      sol.state.amplitudes.real)
+    return out
+
+
+_RECORD_JSON = json.JSONEncoder(sort_keys=True)   # json.dumps(rec, sort_keys=True)
 
 
 class _Store:
@@ -416,13 +502,21 @@ class _Store:
         return len(data)
 
     def add(self, rec, state=None):
-        self.records[rec["key"]] = rec
-        if state is not None:
-            self.states[rec["key"]] = state
+        return self.extend([(rec, state)])[0]
+
+    def extend(self, solved):
+        """add() each (record, state) of `solved`, in one append to the
+        file; returns the records."""
+        lines = []
+        for rec, state in solved:
+            self.records[rec["key"]] = rec
+            if state is not None:
+                self.states[rec["key"]] = state
+            lines.append(_RECORD_JSON.encode(rec) + "\n")
         if self._sink:
-            self._sink.write(json.dumps(rec, sort_keys=True) + "\n")
+            self._sink.write("".join(lines))
             self._sink.flush()
-        return rec
+        return [rec for rec, _ in solved]
 
     def __enter__(self):
         return self
@@ -437,16 +531,20 @@ def _records(store, cells):
     preparation and solver options: the stored ones, and the missing ones
     solved and appended in the order given. Missing exact cells, of any kind
     and U, if there are several, run attempt 0 as one batch
-    (batched_starts), then each the rest of its cascade alone."""
-    keys = [_key_of(c) for c in cells]
+    (batched_starts), then each the rest of its cascade alone, and are
+    appended together (_exact_records)."""
+    keys = _keys_of(cells)
     recs = [store.records.get(k) for k in keys]
     todo = [i for i, rec in enumerate(recs) if rec is None]
-    starts = [None] * len(todo)
     if len(todo) > 1 and cells[0][5] == "exact":
-        starts = batched_starts([_cell_inputs(*cells[i][1:6])[0] for i in todo],
-                                [cells[i][0] for i in todo], cells[0][6])
-    for i, start in zip(todo, starts):
-        recs[i] = store.add(*_cell_record(cells[i], keys[i], start))
+        params = [_cell_inputs(*cells[i][1:6])[0] for i in todo]
+        starts = batched_starts(params, [cells[i][0] for i in todo], cells[0][6])
+        for i, rec in zip(todo, store.extend(_exact_records(
+                [cells[i] for i in todo], [keys[i] for i in todo], params, starts))):
+            recs[i] = rec
+    else:
+        for i in todo:
+            recs[i] = store.add(*_cell_record(cells[i], keys[i]))
     return recs
 
 
@@ -500,18 +598,34 @@ def _start_fields(ends):
             **({"crosscheck": ends[1].key} if len(ends) > 1 else {})}
 
 
-def _warm_record(store, cell, ends):
-    """The record of `cell` solved warm from the solved point ends[0], under
-    its chained key, if that solve converges certified and, where `ends`
-    also holds the point on the other side, the solve warm from that one
-    converges certified to the same r within _WARM_R_TOL; else None."""
-    key = _chained(_key_of(cell), *(p.key for p in ends))
-    outs = [_cell_record(cell, key, _warm_start(store, cell, p)) for p in ends]
-    (first, state), recs = outs[0], [rec for rec, _ in outs]
-    if all(rec["ok"] and rec["certified"] and abs(rec["r"] - first["r"]) <= _WARM_R_TOL
-           for rec in recs):
-        return store.add({**first, **_start_fields(ends), "warm": True}, state)
-    return None
+def _warm_records(store, cells, keys, ends):
+    """The record of each cell (cells that share L and solver options)
+    solved warm from the solved point ends[k][0], under its chained key
+    keys[k], if that solve converges certified and, where ends[k] also holds
+    the point on the other side, the solve warm from that one converges
+    certified to the same r within _WARM_R_TOL; else None. The kept records
+    are appended in order. The Newton exits of all the warm solves run as
+    rows (warm_starts), or lone (warm_start) where there is one."""
+    pairs = [(cells[k], keys[k], p) for k, points in enumerate(ends) for p in points]
+    if len(pairs) > 1:
+        solves = [cell for cell, _, _ in pairs]
+        params = [_cell_inputs(*cell[1:6])[0] for cell in solves]
+        starts = warm_starts(params, [cell[0] for cell in solves],
+                             [_state(store, p) for _, _, p in pairs], cells[0][6])
+        outs = _exact_records(solves, [key for _, key, _ in pairs], params, starts)
+    else:
+        outs = [_cell_record(cell, key, _warm_start(store, cell, p))
+                for cell, key, p in pairs]
+    outs = iter(outs)
+    recs = []
+    for points in ends:
+        (first, state), *rest = [next(outs) for _ in points]
+        if all(rec["ok"] and rec["certified"] and abs(rec["r"] - first["r"]) <= _WARM_R_TOL
+               for rec in [first] + [rec for rec, _ in rest]):
+            recs.append(store.add({**first, **_start_fields(points), "warm": True}, state))
+        else:
+            recs.append(None)
+    return recs
 
 
 def _refine(store, solved):
@@ -520,44 +634,46 @@ def _refine(store, solved):
     solved so far to its _Solved, and gains the points solved here.
 
     A point whose _warm_ends are certified is read back under its chained
-    key, or solved warm from them (_warm_record); each warm solve is
-    Newton from its end's state where that is accepted (warm_start). On
-    the convex side (U <= 0 in the model the kind solves) a certified
-    stationary state is the ground state (Lieb, Seiringer & Yngvason, PRA
-    61, 043602 (2000)). On the focusing side it can be a metastable state,
-    and continuation from one side of a jump between branches follows the
-    branch past it; the warm solves from both sides of the point must then
-    agree in r within _WARM_R_TOL, or the point is solved cold. The other
-    points, and those whose warm solve is not kept, are read back or solved
-    cold by _records, as one batch; a warm solve not kept also leaves a
-    record under the chained key that holds the cold outcome, so that a
-    resumed scan knows it unsolved.
+    key, or solved warm from them (_warm_records, all the step's such points
+    together); each warm solve is Newton from its end's state where that is
+    accepted (warm_start). On the convex side (U <= 0 in the model the kind
+    solves) a certified stationary state is the ground state (Lieb,
+    Seiringer & Yngvason, PRA 61, 043602 (2000)). On the focusing side it
+    can be a metastable state, and continuation from one side of a jump
+    between branches follows the branch past it; the warm solves from both
+    sides of the point must then agree in r within _WARM_R_TOL, or the
+    point is solved cold. The other points, and those whose warm solve is
+    not kept, are read back or solved cold by _records, as one batch; a
+    warm solve not kept also leaves a record under the chained key that
+    holds the cold outcome, so that a resumed scan knows it unsolved.
     """
     def refine(rows, xs):
-        cells, starts, recs = [], [], []
+        cells, starts = [], []
         for j, x in zip(rows, xs):
-            ends = _warm_ends(solved[j], float(x))
             cell = next(iter(solved[j].values())).cell
-            cell = cell[:3] + (float(x),) + cell[4:]
-            rec = None
-            if ends:
-                rec = (store.records.get(_chained(_key_of(cell), *(p.key for p in ends)))
-                       or _warm_record(store, cell, ends))
-            cells.append(cell)
-            starts.append(ends)
-            recs.append(rec)
+            cells.append(cell[:3] + (float(x),) + cell[4:])
+            starts.append(_warm_ends(solved[j], float(x)) or [])
+        keys = _keys_of(cells)
+        chained = [_chained(key, *(p.key for p in ends)) if ends else None
+                   for key, ends in zip(keys, starts)]
+        recs = [store.records.get(key) if key else None for key in chained]
+        warm = [k for k, rec in enumerate(recs) if rec is None and starts[k]]
+        for k, rec in zip(warm, _warm_records(store, [cells[k] for k in warm],
+                                              [chained[k] for k in warm],
+                                              [starts[k] for k in warm])):
+            recs[k] = rec
         cold = [k for k, rec in enumerate(recs) if rec is None]
         for k, rec in zip(cold, _records(store, [cells[k] for k in cold])):
             if starts[k]:
-                rec = store.add({**rec, "key": _chained(rec["key"], *(p.key for p in starts[k])),
-                                 **_start_fields(starts[k]), "warm": False})
+                rec = store.add({**rec, "key": chained[k], **_start_fields(starts[k]),
+                                 "warm": False})
             recs[k] = rec
-        for j, cell, ends, rec in zip(rows, cells, starts, recs):
+        for j, cell, key, ends, rec in zip(rows, cells, keys, starts, recs):
             if rec["ok"]:
-                warm = rec.get("warm", False)
-                solved[j][cell[3]] = _Solved(rec["key"] if warm else _key_of(cell),
-                                             cell, rec.get("certified", False),
-                                             ends[0] if warm else None)
+                kept = rec.get("warm", False)
+                solved[j][cell[3]] = _Solved(rec["key"] if kept else key, cell,
+                                             rec.get("certified", False),
+                                             ends[0] if kept else None)
         return recs
     return refine
 
@@ -573,9 +689,10 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     (kind, U, Delta) order; each one's r is bitwise its lone solve's. Every
     (kind, U) row's first bracket is then refined in lockstep
     (detect_transition's many-row form, with _refine): at each ITP step
-    each row's point is solved warm from its certified bracket ends, or
-    else the missing cold points of all rows are solved as one batch, and
-    all are appended together.
+    each row's point is solved warm from its certified bracket ends, the
+    Newton exits of all the step's warm starts as rows, or else the missing
+    cold points of all rows are solved as one batch, and all are appended
+    together.
     Per-cell failures are recorded and the scan continues; failed cells
     hold NaN in the matrix. A refinement solve that fails ends that U's
     detection (found=False, the grid's crossings kept) and is recorded once

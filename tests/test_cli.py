@@ -605,17 +605,24 @@ def test_phases_boundary_ordering(tmp_path):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
 def test_phases_pool_writes_the_serial_boundaries(tmp_path, monkeypatch):
     # U on both sides of 0: the pool's warm solves take the Newton exit on
-    # either sign of U in the model each kind solves
-    finish, finished = eigensolve._newton_exit, []
+    # either sign of U in the model each kind solves, lone or as rows (a
+    # focusing row's two warm starts)
+    finish, finish_rows, finished = eigensolve._newton_exit, eigensolve._exit_rows, []
 
     def spy(J, eps, U, *args):
         out = finish(J, eps, U, *args)
         finished.append((U > 0, out is not None))
         return out
 
+    def spy_rows(J, eps, U, *args):
+        outs = finish_rows(J, eps, U, *args)
+        finished.extend((u > 0, out is not None) for u, out in zip(U, outs))
+        return outs
+
     argv = ["phases", "--L", "13", "--u-min", "-0.5", "--u-max", "0.5",
             "--u-step", "0.5", "--delta-max", "4", "--delta-step", "0.25"]
     monkeypatch.setattr(eigensolve, "_newton_exit", spy)
+    monkeypatch.setattr(eigensolve, "_exit_rows", spy_rows)
     assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
     monkeypatch.undo()
     assert {focusing for focusing, taken in finished if taken} == {False, True}

@@ -27,7 +27,7 @@ from nlaa.eigensolve import (IMAG_TIME_STEP, NEWTON_HANDOVER, SCF_MIXING, SCF_WI
                              _energy_gradient, _imag_time_block, _imag_time_rows,
                              _linear_edge_state, _norm, _projected, _residual_mu,
                              _scf_block, _scf_rows, batched_starts,
-                             require_converged, warm_start)
+                             require_converged, warm_start, warm_starts)
 from nlaa.model import apply_stencil, energy_of
 
 
@@ -954,7 +954,8 @@ def test_certified_newton_state_above_the_focusing_ground_state():
     assert sol.energy == pytest.approx(-2.176713, abs=1e-6)
     assert abs(participation_ratio(sol.state) - 0.0389) < 1e-4
     best_e = min(energy_of(p.J, eps, p.U, v0), energy_of(p.J, eps, p.U, v))
-    _, state, steps = eigensolve._newton_exit(p.J, eps, p.U, v, best_e, 1e-10, 50_000)
+    (_, state, steps), _ = eigensolve._newton_exit(p.J, eps, p.U, v, best_e, 1e-10,
+                                                   50_000)
     assert state.tobytes() == vn.tobytes() and steps <= 40
 
 
@@ -1121,6 +1122,123 @@ def test_convex_warm_solve_is_the_bare_starts(L, delta, step, U, kind, phi):
     sol, bare = _exit_calls(solve_state, p, kind, start=_bare_start(p, kind, v))
     assert warm == bare[:1]
     _assert_same_solution(solve_state(p, kind, start=start), sol)
+
+
+def _assert_same_start(a, b):
+    """Two solve_state starts, or lists of them, are equal, arrays and
+    floats bit for bit."""
+    if isinstance(a, (tuple, list)):
+        assert type(b) is type(a) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_start(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif isinstance(a, float):
+        assert _bits(a) == _bits(b)
+    else:
+        assert type(a) is type(b) and a == b
+
+
+@settings(max_examples=25)
+@given(L=st.integers(2, 34), deltas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4),
+       us=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4, unique=True),
+       phi=st.floats(0.0, 2.0 * np.pi),
+       kinds=st.sampled_from([("gs",), ("es",), ("gs", "es")]))
+@pytest.mark.filterwarnings("ignore:.*self-trapping")
+def test_batched_starts_solve_one_edge_state_per_distinct_model(L, deltas, us, phi, kinds):
+    # cells that differ only in U share the linear ground state, which
+    # depends on (J, eps) alone: one _linear_edge_state call per distinct
+    # (J, eps) of the models the kinds solve, and every start is bitwise
+    # the start of its cell batched alone
+    cells = [(ModelParams(L=L, J=1.0, Delta=d, phi=phi, U=u), kind)
+             for kind in kinds for d in deltas for u in us]
+    calls, edge = [], eigensolve._linear_edge_state
+
+    def counted(eps, off):
+        calls.append(None)
+        return edge(eps, off)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_linear_edge_state", counted)
+        starts = batched_starts([p for p, _ in cells], [kind for _, kind in cells])
+    solved = [p.for_kind(kind) for p, kind in cells]
+    assert len(calls) == len({(_bits(q.J), quasiperiodic_potential(q).tobytes())
+                              for q in solved})
+    for (p, kind), start in zip(cells, starts):
+        _assert_same_start(start, batched_starts([p], [kind])[0])
+
+
+def _exit_cases(L, rows, phi):
+    """(ModelParams, kind, state) of rows (Delta, U, kind, start), start a
+    step to the neighbour whose solved state the row starts from, or None
+    for a start far from any solution (the linear ground state of the
+    opposite kind), which the exit rejects or does not certify."""
+    cases = []
+    for delta, U, kind, step in rows:
+        p = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=U)
+        if step is None:
+            other = "es" if kind == "gs" else "gs"
+            v = solve_state(replace(p, U=0.0), other).state.amplitudes.real
+        else:
+            v = _neighbour_state(p, kind, step)
+        cases.append((p, kind, v))
+    return cases
+
+
+@settings(max_examples=30)
+@given(L=st.integers(2, 34), phi=st.floats(0.0, 2.0 * np.pi),
+       rows=st.lists(st.tuples(st.floats(0.25, 8.0), st.floats(-2.0, 2.0),
+                               st.sampled_from(["gs", "es"]),
+                               st.one_of(st.none(), st.floats(-0.3, 0.3))),
+                     min_size=1, max_size=6),
+       cap=st.one_of(st.just(50_000), st.integers(1, 6)),
+       uncertify=st.one_of(st.none(), st.integers(2, 4)))
+@pytest.mark.filterwarnings("ignore:.*self-trapping")
+def test_rows_warm_starts_are_the_lone_warm_starts(L, phi, rows, cap, uncertify):
+    # the Newton exits of several warm starts as rows: each start bitwise
+    # the lone warm_start, on both signs of U in the model the kind solves,
+    # where the exit is accepted (the finished solve too), rejected (False),
+    # cut off by a small max_iterations, or refused its certificate (with
+    # `uncertify`, every state whose bytes sum to 0 mod it)
+    cases = _exit_cases(L, rows, phi)
+    opts = SolverOptions(max_iterations=cap)
+    certified = eigensolve._certified
+    with pytest.MonkeyPatch.context() as mp:
+        if uncertify:
+            mp.setattr(eigensolve, "_certified", lambda J, eps, U, v, mu: (
+                certified(J, eps, U, v, mu) and sum(v.tobytes()) % uncertify != 0))
+        batch = warm_starts([p for p, _, _ in cases], [kind for _, kind, _ in cases],
+                            [v for *_, v in cases], opts)
+        for (p, kind, v), start in zip(cases, batch):
+            lone = warm_start(p, kind, v, opts)
+            _assert_same_start(start, lone)
+            _assert_same_solution(solve_state(p, kind, opts, start=start),
+                                  solve_state(p, kind, opts, start=lone))
+
+
+@pytest.mark.parametrize("U", [-0.5, 0.5])
+def test_rows_warm_starts_cover_every_exit_outcome(monkeypatch, U):
+    # fixed rows of gs at U on one side of 0: accepted exits, an exit the
+    # guard or Newton rejects, one cut off by the budget, and one refused
+    # its certificate, each as the lone warm_start
+    cases = _exit_cases(21, [(1.05, U, "gs", -0.05), (2.5, U, "gs", 0.05),
+                             (1.05, U, "gs", None)], 0.0)
+    params, kinds, states = ([case[i] for case in cases] for i in range(3))
+    lone = [warm_start(p, kind, v, SolverOptions()) for p, kind, v in cases]
+    assert [bool(start[4]) for start in lone] == [True, True, False]
+    _assert_same_start(warm_starts(params, kinds, states, SolverOptions()), lone)
+    spent = SolverOptions(max_iterations=1)
+    cut = warm_starts(params, kinds, states, spent)
+    assert not cut[0][4]
+    _assert_same_start(cut, [warm_start(p, kind, v, spent) for p, kind, v in cases])
+    refused = lone[1][4][1].tobytes()
+    certified = eigensolve._certified
+    monkeypatch.setattr(eigensolve, "_certified", lambda J, eps, U, v, mu: (
+        v.tobytes() != refused and certified(J, eps, U, v, mu)))
+    batch = warm_starts(params, kinds, states, SolverOptions())
+    assert [bool(start[4]) for start in batch] == [True, False, False]
+    _assert_same_start(batch, [warm_start(p, kind, v, SolverOptions())
+                               for p, kind, v in cases])
 
 
 @given(delta=st.floats(0.5, 4.0), step=st.floats(-0.5, 0.5),

@@ -6,9 +6,12 @@ says how). Delta_c, every bootstrap resample's Delta_c and the stderr must
 equal it exactly. A and gamma may move within 1e-5 relative, about where a
 least-squares stop at a step tolerance of 1e-8 leaves them; B is set by the
 winning candidate and must be exact; and the RSS may only fall, up to
-rounding.
+rounding. The work counters must equal it exactly: DOP853's right-hand-side
+calls and steps over the ramps that synthesize the data, and the fit
+kernel's calls and row evaluations in the bootstrap of the pinned data.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -17,8 +20,11 @@ import pytest
 
 from nlaa.fitting import bootstrap_delta_c
 
-GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "fit.json")
-                    .read_text())
+HERE = Path(__file__).resolve().parent / "golden"
+GOLDEN = json.loads((HERE / "fit.json").read_text())
+_spec = importlib.util.spec_from_file_location("golden_make_fit", HERE / "make_fit.py")
+make_fit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_fit)
 PARAM_RTOL = 1e-5
 RSS_SLACK = 1e-12
 
@@ -50,3 +56,8 @@ def test_fit_parameters_within_tolerance(case):
     assert got.base.A == pytest.approx(fit["A"], rel=PARAM_RTOL)
     assert got.base.gamma == pytest.approx(fit["gamma"], rel=PARAM_RTOL)
     assert got.base.rss <= fit["rss"] * (1 + RSS_SLACK)
+
+
+def test_work_counters_are_exact(case):
+    _, want = case
+    assert make_fit.work(want["seed"], np.array(want["data"])) == want["work"]

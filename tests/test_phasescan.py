@@ -1,10 +1,11 @@
 """Transition detection, grid scans with persistence, phase labels."""
 
+import hashlib
 import json
 import logging
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ from nlaa import (
     solve_state,
     transition_for_u,
 )
+from nlaa.dynamics import EXPERIMENT_RAMP
 from nlaa.eigensolve import require_converged, warm_start
+from nlaa.model import KINDS
 from nlaa.phasescan import BISECTION_TOL, cell_key
 
 
@@ -606,7 +609,7 @@ def test_row_with_uncertified_ends_refines_cold_as_before(monkeypatch):
     # gs at U = 0.4 reports every solve uncertified: its points are solved
     # cold, bitwise as the cold refinement; the other rows still start warm
     _report_uncertified(monkeypatch, lambda kind, u, delta, start: (kind, u) == ("gs", 0.4))
-    warm = _count_calls(monkeypatch, "warm_start")
+    warm = _count_warm_starts(monkeypatch)
     res = scan_phase_diagram(ORACLE)
     assert res.transitions["gs"][2] == _cold_detection(ORACLE, "gs", 0.4)
     assert not any((p.U, kind) == (0.4, "gs") for p, kind, *_ in warm)
@@ -679,7 +682,7 @@ def test_refinement_solve_counts_are_pinned(monkeypatch):
     # Every refinement point starts warm and is kept; the focusing rows' (gs
     # at U = 0.4, es at U = -0.4) points each take two warm solves
     solves = _count_calls(monkeypatch, "solve_state")
-    warm = _count_calls(monkeypatch, "warm_start")
+    warm = _count_warm_starts(monkeypatch)
     scan_phase_diagram(ORACLE)
     assert len(warm) == 3 + 2 * 4 + 2 * 4 + 3
     assert len(solves) == 54 + len(warm)
@@ -728,6 +731,25 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_warm_starts(monkeypatch):
+    """Count the warm starts phasescan makes, lone (warm_start) or as rows
+    (warm_starts): one (params, kind) per start."""
+    calls = []
+    lone, rows = phasescan.warm_start, phasescan.warm_starts
+
+    def counted(params, kind, *args):
+        calls.append((params, kind))
+        return lone(params, kind, *args)
+
+    def counted_rows(cells, kinds, *args):
+        calls.extend(zip(cells, kinds))
+        return rows(cells, kinds, *args)
+
+    monkeypatch.setattr(phasescan, "warm_start", counted)
+    monkeypatch.setattr(phasescan, "warm_starts", counted_rows)
+    return calls
+
+
 def test_cell_key_covers_every_input(monkeypatch):
     params = ModelParams(L=13, Delta=1.5, U=0.3)
     ramp, opts = RampProtocol(duration=2.0), SolverOptions()
@@ -749,6 +771,74 @@ def test_cell_key_covers_every_input(monkeypatch):
     monkeypatch.setattr(phasescan, "__version__", "0.0.0")
     variants.append(cell_key(params, "gs", "ramped", ramp, opts))
     assert len(set(variants) | {base}) == len(variants) + 1
+
+
+def _canonical_key(params, kind, preparation, ramp, opts):
+    """cell_key's definition, the oracle of its assembly: sha256 of the JSON
+    of every input, keys sorted and no spaces, each float written as the
+    string of its round-trip repr and each numpy integer as an int."""
+    def exact(obj):
+        out = {}
+        for f in fields(obj):
+            v = getattr(obj, f.name)
+            out[f.name] = (repr(float(v)) if isinstance(v, (float, np.floating))
+                           else int(v) if isinstance(v, np.integer) else v)
+        return out
+
+    text = json.dumps({"version": phasescan.__version__, "kind": kind,
+                       "preparation": preparation, "params": exact(params),
+                       "ramp": None if ramp is None else exact(ramp),
+                       "solver": exact(opts)},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a float, np.float64 or int value, signed zeros and extremes included
+_VALUE = st.one_of(_FINITE, _FINITE.map(np.float64), st.integers(-10**6, 10**6),
+                   st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]))
+_SIZE = st.one_of(st.integers(2, 10**4), st.integers(2, 10**4).map(np.int64))
+_RAMP = st.builds(RampProtocol,
+                  duration=st.one_of(st.floats(1e-6, 1e3), st.integers(1, 99)),
+                  hold=st.one_of(st.floats(1e-6, 1e3), st.integers(1, 99)))
+_OPTIONS = st.builds(SolverOptions,
+                     residual_tol=st.one_of(st.floats(1e-300, 1.0), st.integers(1, 3)),
+                     max_iterations=st.one_of(st.integers(1, 10**9),
+                                              st.integers(1, 10**6).map(np.int64)))
+
+
+def _twin(v):
+    """A value equal to v that a key writes otherwise: the other signed
+    zero, an integral float as an int, an int as a float."""
+    if v == 0 and isinstance(v, float):
+        return -v
+    if isinstance(v, (int, np.integer)):
+        return float(v)
+    return int(v) if float(v).is_integer() and abs(v) < 2 ** 53 else v
+
+
+@settings(max_examples=100)
+@given(cells=st.lists(st.tuples(_SIZE, _VALUE, _VALUE, _VALUE, _VALUE), min_size=1,
+                      max_size=5),
+       kind=st.sampled_from(KINDS), ramp=st.one_of(st.none(), _RAMP), opts=_OPTIONS)
+@pytest.mark.filterwarnings("ignore:.*self-trapping", "ignore:overflow encountered")
+def test_cell_key_is_byte_identical_to_its_canonical_json(cells, kind, ramp, opts):
+    # every key, alone (cell_key) or assembled from the templates of a batch
+    # of cells (_keys_of, with EXPERIMENT_RAMP where ramped), is the sha256
+    # of the canonical JSON of its inputs; the batch also holds each cell's
+    # twin, with values equal to its own but written otherwise
+    preparation = "exact" if ramp is None else "ramped"
+    cells += [(L, J, *map(_twin, rest)) for L, J, *rest in cells]
+    for L, J, u, delta, phi in cells:
+        params = ModelParams(L=L, J=J, Delta=delta, phi=phi, U=u)
+        assert cell_key(params, kind, preparation, ramp, opts) == _canonical_key(
+            params, kind, preparation, ramp, opts)
+    scan_ramp = None if ramp is None else EXPERIMENT_RAMP
+    assert phasescan._keys_of([(kind, L, u, delta, phi, preparation, opts)
+                               for L, _, u, delta, phi in cells]) == [
+        _canonical_key(ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=u), kind,
+                       preparation, scan_ramp, opts)
+        for L, _, u, delta, phi in cells]
 
 
 def test_ramped_resume_reads_every_ramp_back(tmp_path, monkeypatch):
