@@ -20,9 +20,9 @@ import pytest
 
 from nlaa.fitting import bootstrap_delta_c
 
-HERE = Path(__file__).resolve().parent / "golden"
-GOLDEN = json.loads((HERE / "fit.json").read_text())
-_spec = importlib.util.spec_from_file_location("golden_make_fit", HERE / "make_fit.py")
+ORACLES = Path(__file__).resolve().parent / "golden"
+GOLDEN = json.loads((ORACLES / "fit.json").read_text())
+_spec = importlib.util.spec_from_file_location("golden_make_fit", ORACLES / "make_fit.py")
 make_fit = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_fit)
 PARAM_RTOL = 1e-5
