@@ -3,7 +3,7 @@ Command-line front end.
 
 All physics lives in the library modules; this layer does configuration
 ingestion (JSON config file + flag overrides), SI-to-internal unit
-conversion at ingress (`_internal_units`, the only place lab units enter),
+conversion at ingress (`_internal_units`; bragg-schedule keeps SI units),
 subcommand dispatch, and plot-ready CSV/JSON output with a manifest per run.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
@@ -269,13 +269,9 @@ def _internal_units(cfg):
     times in ms; the ramp ends there, or at 275 Hz without it. Returns delta
     and u, t_final (evolve) and ramp (ramp), each checked after conversion
     from lab units: delta and u finite, times finite and >= 0, the ramp
-    duration > 0.
-    bragg-schedule keeps SI (recoil_joule, j_joule)."""
+    duration > 0."""
     si = {k: v for k, v in vars(cfg).items() if v is not None}
     j_hz = si.get("j_hz")
-    if "recoil_khz" in si:
-        return SimpleNamespace(recoil_joule=H_SI * si["recoil_khz"] * 1e3,
-                               j_joule=H_SI * j_hz)
     units = SimpleNamespace(delta=cfg.delta_over_j, u=cfg.u_over_j,
                             t_final=getattr(cfg, "t_final", None))
     if j_hz is not None:
@@ -663,10 +659,9 @@ def cmd_fit(cfg, outdir):
 
 
 def cmd_bragg_schedule(cfg, outdir):
-    units = _internal_units(cfg)
     params = ModelParams(L=cfg.L, J=1.0, Delta=cfg.delta_over_j, phi=cfg.phi)
-    sched = bragg_detunings(params, recoil_joule=units.recoil_joule,
-                            j_energy_joule=units.j_joule)
+    sched = bragg_detunings(params, recoil_joule=H_SI * cfg.recoil_khz * 1e3,
+                            j_energy_joule=H_SI * cfg.j_hz)
     rows = [(j + BRAGG_SITE_OFFSET,
              float(sched.detunings[j] / (2.0 * np.pi)),
              float(sched.phases[j]))

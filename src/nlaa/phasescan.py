@@ -9,7 +9,13 @@ extended-to-localized transition at fixed U is the first downward crossing
 of r_c along increasing Delta, refined by ITP (re-solving at points between
 the secant root and the midpoint of the bracket) to a bracket of 1e-3 in
 Delta/J. The caller gives the Delta grid; an exact cell whose solve ends
-unconverged fails with eigensolve.require_converged's error.
+unconverged fails with eigensolve.require_converged's error: a scan records
+the failure, and transition_for_u raises it as a RuntimeError.
+
+Every exact solve, of a grid cell, a refinement point or a stored point
+whose state is needed again, goes one way to its record (_exact_records):
+cold from one batch (batched_starts) where more than one cell is missing,
+else from scratch; warm from warm_starts rows, or warm_start for one.
 
 An exact refinement point starts warm: from the state of the nearest solved
 Delta of its row (the lower on a tie), if that solve is certified
@@ -119,39 +125,31 @@ class TransitionResult:
 
 
 def detect_transition(deltas, r_values, r_c, refine=None):
-    """First downward crossing of r_c on an increasing Delta grid.
+    """First downward crossing of r_c on increasing Delta grids, one
+    TransitionResult per row.
 
-    `deltas`/`r_values` sample the r(Delta) curve; every bracketing interval
-    with r(lo) >= r_c > r(hi) is reported, and the first is refined by ITP
-    when a `refine(delta) -> r` callback is supplied (the callback re-solves
-    the model at the points ITP picks). ITP (interpolate, truncate, project;
+    `deltas` and `r_values` hold each row's samples of its r(Delta) curve,
+    and `r_c` its critical value. Every bracketing interval with r(lo) >=
+    r_c > r(hi) is reported, and the first is refined by ITP when a
+    `refine` callback is supplied; without one the grid midpoint of the
+    first bracket is returned. ITP (interpolate, truncate, project;
     Oliveira & Takahashi, ACM TOMS 47(1), 5 (2020)) steps toward the secant
     root of r - r_c but never falls more than one step behind bisection: it
     ends, like bisection, with a bracket no wider than BISECTION_TOL and
     Delta_c its midpoint, after at most one solve more than bisection would
-    take, whatever the shape of r. Without a callback the grid midpoint of
-    the first bracket is returned.
-
-    Many-row form: `r_c` is a sequence with one critical value per row, and
-    `deltas` and `r_values` are sequences of each row's samples. It returns
-    one TransitionResult per row, the one the 1-D call returns for that row,
-    and refines all rows' first brackets in lockstep: at each step,
-    `refine(rows, deltas)` gets the indices of the rows still refining and
-    their next points, and returns one r per row, or the exception that
-    stopped that row's solve. Such a row's detection ends unfound, with its
-    grid crossings kept and the failed point in its message.
+    take, whatever the shape of r. All rows refine in lockstep, each as it
+    would alone: at each step, `refine(rows, deltas)` gets the indices of
+    the rows still refining and their next points, and re-solves the model
+    there, returning one r per row or the exception that stopped that row's
+    solve. Such a row's detection ends unfound, with its grid crossings
+    kept and the failed point in its message.
     """
-    if np.ndim(r_c):
-        grid = [_grid_transition(d, r, rc)
-                for d, r, rc in zip(deltas, r_values, r_c, strict=True)]
-        results = [tr for tr, _ in grid]
-        if refine is not None:
-            _itp(results, [ends for _, ends in grid], refine)
-        return results
-    result, ends = _grid_transition(deltas, r_values, r_c)
+    grid = [_grid_transition(d, r, rc)
+            for d, r, rc in zip(deltas, r_values, r_c, strict=True)]
+    results = [tr for tr, _ in grid]
     if refine is not None:
-        _itp([result], [ends], lambda rows, xs: [refine(xs[0])])
-    return result
+        _itp(results, [ends for _, ends in grid], refine)
+    return results
 
 
 def _grid_transition(deltas, r_values, r_c):
@@ -233,32 +231,33 @@ def transition_for_u(u, kind, deltas, L=21, phi=0.0,
                      opts=SolverOptions()) -> TransitionResult:
     """Locate Delta_c for one (U, kind) by coarse scan + ITP refinement.
 
-    The increasing coarse grid `deltas` is solved in increasing Delta and
-    only up to its first bracket r(lo) >= r_c > r(hi), which is then refined
-    as scan_phase_diagram refines a row (warm where it can, _refine): Delta_c
-    is the same, but `crossings` holds only that first bracket, and a cell
-    past it is neither solved nor able to fail the transition. A failed
-    refinement solve raises a RuntimeError with its message.
+    The increasing coarse grid `deltas` is solved cell by cell (_records, in
+    memory) in increasing Delta, only up to its first bracket r(lo) >= r_c
+    > r(hi), which is then refined as scan_phase_diagram refines a row (warm
+    where it can, _refine): Delta_c is the same, but `crossings` holds only
+    that first bracket, and a cell past it is neither solved nor able to
+    fail the transition. A failed solve raises a RuntimeError with its
+    message.
     """
     r_c = critical_r(L, kind)
     store, solved, rs = _Store(None), {}, []
     for delta in deltas:
         cell = (kind, L, float(u), float(delta), phi, "exact", opts)
-        r, certified, state = _solve_cell(*cell)
-        point = solved[cell[3]] = _Solved(_key_of(cell), cell, certified)
-        store.states[point.key] = state
-        rs.append(r)
+        rec, = _records(store, [cell])
+        rs.append(_r(rec))
+        solved[cell[3]] = _Solved(rec["key"], cell, rec["certified"])
         if len(rs) > 1 and rs[-2] >= r_c > rs[-1]:
             break
     records = _refine(store, [solved])
+    return detect_transition([deltas[:len(rs)]], [rs], [r_c],
+                             lambda rows, xs: list(map(_r, records(rows, xs))))[0]
 
-    def refine(rows, xs):
-        rec, = records(rows, xs)
-        if not rec["ok"]:
-            raise RuntimeError(rec["error"])
-        return [rec["r"]]
 
-    return detect_transition([deltas[:len(rs)]], [rs], [r_c], refine)[0]
+def _r(rec):
+    """r of a solve's record; a failed solve's error as a RuntimeError."""
+    if not rec["ok"]:
+        raise RuntimeError(rec["error"])
+    return rec["r"]
 
 
 # -------------------------
@@ -275,14 +274,14 @@ class ScanGrid:
     phi: float = 0.0
 
     def __post_init__(self):
-        d = np.asarray(self.delta_over_j, dtype=float)
-        u = np.asarray(self.u_over_j, dtype=float)
-        if d.size == 0 or u.size == 0:
-            raise ValueError("grid must be nonempty")
-        if d.size > 1 and np.any(np.diff(d) <= 0):
-            raise ValueError("delta samples must be strictly increasing")
-        if u.size > 1 and np.any(np.diff(u) <= 0):
-            raise ValueError("u samples must be strictly increasing")
+        for name in ("delta_over_j", "u_over_j"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.size == 0:
+                raise ValueError(f"{name} must be nonempty")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} samples must be finite")
+            if np.any(np.diff(v) <= 0):
+                raise ValueError(f"{name} samples must be strictly increasing")
         if self.kind not in KINDS + ("both",):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.preparation not in ("exact", "ramped"):
@@ -304,25 +303,10 @@ class ScanResult:
 
 
 def _cell_inputs(L, u, delta, phi, preparation):
-    """ModelParams of one scan cell and, if it is ramped, EXPERIMENT_RAMP."""
+    """ModelParams of a scan cell (kind, L, u, delta, phi, preparation, opts),
+    given cell[1:6], and, if it is ramped, EXPERIMENT_RAMP."""
     params = ModelParams(L=L, J=1.0, Delta=delta, phi=phi, U=u)
     return params, None if preparation == "exact" else EXPERIMENT_RAMP
-
-
-def _solve_cell(kind, L, u, delta, phi, preparation, opts, start=None):
-    """r of one scan cell (a pure function of its key, or of its chained key
-    with a warm start), and for an exact cell whether its solve is certified
-    and its state, in the frame the kind is solved in (False and None for a
-    ramped cell). `start` is solve_state's: an exact cell's entry of
-    batched_starts, with which the result is the same as without, or a
-    warm_start."""
-    params, proto = _cell_inputs(L, u, delta, phi, preparation)
-    if proto is None:
-        sol = require_converged(solve_state(params, kind, opts, start=start),
-                                params, kind)
-        return participation_ratio(sol.state), sol.certified, sol.state.amplitudes.real
-    final, _ = ramp_prepare(params, proto, kind)
-    return participation_ratio(final), False, None
 
 
 def _exact(v):
@@ -385,9 +369,8 @@ def cell_key(params, kind, preparation, ramp, opts) -> str:
 
 
 def _keys_of(cells):
-    """cell_key of each cell (the arguments of _solve_cell), from one
-    _key_template per distinct (kind, L, phi, preparation, options) among
-    them."""
+    """cell_key of each cell, from one _key_template per distinct (kind, L,
+    phi, preparation, options) among them."""
     templates, keys = {}, []
     for kind, L, u, delta, phi, preparation, opts in cells:
         at = (kind, _exact_json(L), _exact_json(phi), preparation, id(opts))
@@ -396,11 +379,6 @@ def _keys_of(cells):
             templates[at] = _key_template(kind, params, preparation, ramp, opts)
         keys.append(_filled(templates[at], delta, u))
     return keys
-
-
-def _key_of(cell):
-    """cell_key of a cell given by the arguments of _solve_cell."""
-    return _keys_of([cell])[0]
 
 
 def _chained(key, *start_keys):
@@ -416,25 +394,24 @@ def _record_of(cell, key):
             "preparation": preparation}
 
 
-def _cell_record(cell, key, start=None):
-    """Store record of one cell (the arguments of _solve_cell) and its state:
-    the record holds its key and readable inputs, and r and, if it is
-    exact, `certified`, or the error that stopped it."""
+def _ramped_record(cell, key):
+    """Store record of one ramped cell: its key and readable inputs, and r
+    or the error that stopped it."""
     rec = _record_of(cell, key)
     try:
-        r, certified, state = _solve_cell(*cell, start=start)
+        final, _ = ramp_prepare(*_cell_inputs(*cell[1:6]), cell[0])
+        return {**rec, "ok": True, "r": participation_ratio(final)}
     except Exception as exc:                      # cell failures must not kill the scan
-        return {**rec, "ok": False, "error": str(exc)}, None
-    if cell[5] == "exact":
-        rec["certified"] = certified
-    return {**rec, "ok": True, "r": r}, state
+        return {**rec, "ok": False, "error": str(exc)}
 
 
 def _exact_records(cells, keys, params, starts):
-    """_cell_record of each exact cell (the arguments of _solve_cell) from
-    its start, given its key and ModelParams: each solve_state alone, and
-    the r of all the converged solves at once, each bit for bit its lone
-    participation_ratio."""
+    """(store record, state) of each exact cell, given its key and
+    ModelParams, from its solve_state start (None, its batched_starts entry,
+    which gives the same result, or a warm start): r and `certified`, or the
+    error that stopped the solve and None. Each solve runs alone, then the
+    r of all converged ones at once, each bit for bit its lone
+    participation_ratio. This is the one way phasescan solves an exact cell."""
     out, sols, ok = [], [], []
     for cell, key, p, start in zip(cells, keys, params, starts):
         rec = _record_of(cell, key)
@@ -527,32 +504,31 @@ class _Store:
 
 
 def _records(store, cells):
-    """Records of cells (the arguments of _solve_cell) that share L,
-    preparation and solver options: the stored ones, and the missing ones
-    solved and appended in the order given. Missing exact cells, of any kind
-    and U, if there are several, run attempt 0 as one batch
-    (batched_starts), then each the rest of its cascade alone, and are
-    appended together (_exact_records)."""
+    """Records of cells that share L, preparation and solver options: the
+    stored ones, and the missing ones solved and appended in the order
+    given. Missing exact cells, of any kind and U, are appended together
+    (_exact_records), solved from scratch if alone, else with attempt 0 as
+    one batch (batched_starts) and the rest of each cascade alone."""
     keys = _keys_of(cells)
     recs = [store.records.get(k) for k in keys]
     todo = [i for i, rec in enumerate(recs) if rec is None]
-    if len(todo) > 1 and cells[0][5] == "exact":
+    if todo and cells[0][5] == "exact":
         params = [_cell_inputs(*cells[i][1:6])[0] for i in todo]
-        starts = batched_starts(params, [cells[i][0] for i in todo], cells[0][6])
-        for i, rec in zip(todo, store.extend(_exact_records(
-                [cells[i] for i in todo], [keys[i] for i in todo], params, starts))):
-            recs[i] = rec
+        starts = (batched_starts(params, [cells[i][0] for i in todo], cells[0][6])
+                  if len(todo) > 1 else [None])
+        solved = store.extend(_exact_records([cells[i] for i in todo],
+                                             [keys[i] for i in todo], params, starts))
     else:
-        for i in todo:
-            recs[i] = store.add(*_cell_record(cells[i], keys[i]))
+        solved = [store.add(_ramped_record(cells[i], keys[i])) for i in todo]
+    for i, rec in zip(todo, solved):
+        recs[i] = rec
     return recs
 
 
 @dataclass
 class _Solved:
-    """A solved point of a (kind, U) row: the key of its record, its cell
-    (the arguments of _solve_cell), whether its solve is certified, and the
-    point it started warm from (None if it was solved cold)."""
+    """A solved point of a (kind, U) row: its record's key, its cell, whether
+    its solve is certified, and the point it started warm from (None: cold)."""
     key: str
     cell: tuple
     certified: bool
@@ -561,18 +537,26 @@ class _Solved:
 
 def _state(store, point):
     """The state of a solved exact point: this run's, or its record re-solved
-    (from its own start's state, if it started warm), which gives it bit for
-    bit."""
+    by _exact_records (from its own start's state, if it started warm),
+    which gives it bit for bit; a re-solve that fails raises its error."""
     if point.key not in store.states:
-        start = None if point.start is None else _warm_start(store, point.cell,
-                                                             point.start)
-        store.states[point.key] = _solve_cell(*point.cell, start=start)[2]
+        params = [_cell_inputs(*point.cell[1:6])[0]]
+        starts = ([None] if point.start is None
+                  else _warm_starts(store, [point.cell], params, [point.start]))
+        (rec, state), = _exact_records([point.cell], [point.key], params, starts)
+        _r(rec)
+        store.states[point.key] = state
     return store.states[point.key]
 
 
-def _warm_start(store, cell, point):
-    """warm_start of the exact cell `cell` from the solved point `point`."""
-    return warm_start(_cell_inputs(*cell[1:6])[0], cell[0], _state(store, point), cell[6])
+def _warm_starts(store, cells, params, points):
+    """solve_state's warm start of each exact cell, given its ModelParams,
+    from the state of the solved point points[k]: as rows (warm_starts), or
+    lone (warm_start, cheaper for one) where there is one."""
+    states = [_state(store, p) for p in points]
+    if len(cells) > 1:
+        return warm_starts(params, [cell[0] for cell in cells], states, cells[0][6])
+    return [warm_start(p, cell[0], v, cell[6]) for p, cell, v in zip(params, cells, states)]
 
 
 def _warm_ends(row, x):
@@ -604,19 +588,13 @@ def _warm_records(store, cells, keys, ends):
     keys[k], if that solve converges certified and, where ends[k] also holds
     the point on the other side, the solve warm from that one converges
     certified to the same r within _WARM_R_TOL; else None. The kept records
-    are appended in order. The Newton exits of all the warm solves run as
-    rows (warm_starts), or lone (warm_start) where there is one."""
+    are appended in order. The warm solves are _exact_records from
+    _warm_starts, all their Newton exits at once."""
     pairs = [(cells[k], keys[k], p) for k, points in enumerate(ends) for p in points]
-    if len(pairs) > 1:
-        solves = [cell for cell, _, _ in pairs]
-        params = [_cell_inputs(*cell[1:6])[0] for cell in solves]
-        starts = warm_starts(params, [cell[0] for cell in solves],
-                             [_state(store, p) for _, _, p in pairs], cells[0][6])
-        outs = _exact_records(solves, [key for _, key, _ in pairs], params, starts)
-    else:
-        outs = [_cell_record(cell, key, _warm_start(store, cell, p))
-                for cell, key, p in pairs]
-    outs = iter(outs)
+    solves = [cell for cell, _, _ in pairs]
+    params = [_cell_inputs(*cell[1:6])[0] for cell in solves]
+    outs = iter(_exact_records(solves, [key for _, key, _ in pairs], params, _warm_starts(
+        store, solves, params, [p for _, _, p in pairs])))
     recs = []
     for points in ends:
         (first, state), *rest = [next(outs) for _ in points]
@@ -685,10 +663,10 @@ def scan_phase_diagram(grid: ScanGrid, opts: SolverOptions = SolverOptions(),
     `results_path` (JSONL) makes the scan resumable: every solve, grid cell
     or refinement point, is read from it if stored and appended to it at
     once if not. All missing exact grid cells, of both kinds and every U,
-    run attempt 0 as one batch and are appended in
-    (kind, U, Delta) order; each one's r is bitwise its lone solve's. Every
-    (kind, U) row's first bracket is then refined in lockstep
-    (detect_transition's many-row form, with _refine): at each ITP step
+    are solved together (_records, attempt 0 as one batch where more than
+    one is missing) and appended in (kind, U, Delta) order; each one's r is
+    bitwise its lone solve's. Every (kind, U) row's first bracket is then
+    refined in lockstep (detect_transition, with _refine): at each ITP step
     each row's point is solved warm from its certified bracket ends, the
     Newton exits of all the step's warm starts as rows, or else the missing
     cold points of all rows are solved as one batch, and all are appended

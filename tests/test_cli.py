@@ -602,6 +602,20 @@ def test_phases_boundary_ordering(tmp_path):
     assert dc_gs < dc_es                                # focusing shifts GS down
 
 
+def test_phases_whose_grid_cell_does_not_converge_exits_3(tmp_path, capsys,
+                                                          fail_solves):
+    # a grid cell below the first bracket of (es, U = 0.25) fails: no
+    # boundary is written from a row with a hole in it
+    fail_solves({("es", 0.25, 1.0)})
+    rc = main(["phases", "--L", "13", "--u-min", "0.25", "--u-max", "0.25",
+               "--u-step", "1.0", "--delta-max", "4.0", "--delta-step", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "solver did not converge (kind=es, U=0.25, Delta=1.0, residual=" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "boundaries.csv").exists()
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
 def test_phases_pool_writes_the_serial_boundaries(tmp_path, monkeypatch):
     # U on both sides of 0: the pool's warm solves take the Newton exit on

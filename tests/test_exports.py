@@ -1,10 +1,14 @@
-"""The package's public names: every name in ``nlaa.__all__`` is bound, so
-that a deleted function cannot linger as a stale export, and the public API
-has as many settable values as pinned, so that one no caller varies is not
-added unnoticed."""
+"""The package's names: every name in ``nlaa.__all__`` is bound, so that a
+deleted function cannot linger as a stale export; the public API has as
+many settable values as pinned, so that one no caller varies is not added
+unnoticed; and every private function and class is named somewhere in the
+package besides its definition, so that a refactor cannot leave a dead
+helper behind."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import nlaa
 
@@ -56,3 +60,20 @@ def settable_values():
 def test_settable_values_are_as_pinned():
     found = settable_values()
     assert len(found) == SETTABLE_VALUES, "\n".join(found)
+
+
+def test_every_private_helper_is_referenced():
+    defined, named = [], set()
+    for path in sorted(Path(nlaa.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append(f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert defined
+    assert [d for d in defined if d.split()[1] not in named] == []

@@ -63,17 +63,23 @@ def test_critical_r_rejects_unknown_kind():
 # Detection
 # -------------------------
 
+def _detect(deltas, rs, r_c, refine=None):
+    """detect_transition of one row; `refine(delta) -> r` re-solves it."""
+    lone = None if refine is None else lambda rows, xs: [refine(xs[0])]
+    return detect_transition([deltas], [rs], [r_c], lone)[0]
+
+
 def test_detect_transition_grid_midpoint():
     deltas = np.array([1.0, 2.0, 3.0, 4.0])
     rs = np.array([0.9, 0.5, 0.1, 0.05])
-    tr = detect_transition(deltas, rs, r_c=0.3)
+    tr = _detect(deltas, rs, r_c=0.3)
     assert tr.found
     assert tr.crossings == [(2.0, 3.0)]
     assert tr.delta_c == pytest.approx(2.5)
 
 
 def test_detect_transition_no_crossing():
-    tr = detect_transition([1.0, 2.0], [0.9, 0.8], r_c=0.3)
+    tr = _detect([1.0, 2.0], [0.9, 0.8], r_c=0.3)
     assert not tr.found
     assert tr.delta_c is None
     assert tr.crossings == []
@@ -83,7 +89,7 @@ def test_detect_transition_no_crossing():
 def test_detect_transition_reports_all_crossings_refines_first():
     deltas = np.linspace(0.0, 5.0, 11)
     rs = np.array([0.9, 0.8, 0.2, 0.7, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0])
-    tr = detect_transition(deltas, rs, r_c=0.5)
+    tr = _detect(deltas, rs, r_c=0.5)
     assert len(tr.crossings) == 2
     assert tr.delta_c == pytest.approx(0.5 * (deltas[1] + deltas[2]))
 
@@ -94,7 +100,7 @@ def test_detect_transition_bisection_on_analytic_curve():
     def r_of(d):
         return 1.0 / (1.0 + np.exp((d - 2.0) / 0.1))
 
-    tr = detect_transition(deltas, r_of(deltas), r_c=0.5, refine=r_of)
+    tr = _detect(deltas, r_of(deltas), r_c=0.5, refine=r_of)
     assert abs(tr.delta_c - 2.0) <= BISECTION_TOL
 
 
@@ -161,8 +167,7 @@ def test_itp_refines_many_rows_as_each_alone(rows, steps, step_lo, step_width):
         assert tr.refine_solves == len(visits[i])
         alone, [visited] = _refine_rows([f], [bracket], [r_c])
         assert alone == [tr] and visited == visits[i]
-        single = detect_transition(bracket, [f(bracket[0]), f(bracket[1])], r_c,
-                                   refine=f)
+        single = _detect(bracket, [f(bracket[0]), f(bracket[1])], r_c, refine=f)
         assert single == tr
         # at most one solve more than bisection, on the step curve too
         width = bracket[1] - bracket[0]
@@ -177,9 +182,9 @@ def test_itp_refines_many_rows_as_each_alone(rows, steps, step_lo, step_width):
 
 def test_detect_transition_validates_grid():
     with pytest.raises(ValueError):
-        detect_transition([2.0, 1.0], [0.9, 0.1], r_c=0.5)
+        _detect([2.0, 1.0], [0.9, 0.1], r_c=0.5)
     with pytest.raises(ValueError):
-        detect_transition([1.0], [0.9], r_c=0.5)
+        _detect([1.0], [0.9], r_c=0.5)
 
 
 def test_transition_for_u_linear_anchor():
@@ -192,18 +197,24 @@ STEP = 0.25                                  # exact in binary: grid = k * STEP
 
 
 def _stub_cells(mp, deltas, rs, r_c, fail_at=None):
-    """Make _solve_cell read r off the curve through (deltas, rs), linear
-    between grid points, uncertified, and raise at `fail_at`; return the
-    Delta of every call."""
+    """Make _exact_records read r off the curve through (deltas, rs), linear
+    between grid points, uncertified, and fail at `fail_at`; return the
+    Delta of every solve."""
     calls = []
 
-    def solve_cell(kind, L, u, delta, *rest, start=None):
-        calls.append(delta)
-        if delta == fail_at:
-            raise RuntimeError("injected cell failure")
-        return float(np.interp(delta, deltas, rs)), False, None
+    def exact_records(cells, keys, params, starts):
+        out = []
+        for cell, key in zip(cells, keys):
+            calls.append(cell[3])
+            rec = phasescan._record_of(cell, key)
+            if cell[3] == fail_at:
+                out.append(({**rec, "ok": False, "error": "injected cell failure"}, None))
+            else:
+                r = float(np.interp(cell[3], deltas, rs))
+                out.append(({**rec, "certified": False, "ok": True, "r": r}, None))
+        return out
 
-    mp.setattr(phasescan, "_solve_cell", solve_cell)
+    mp.setattr(phasescan, "_exact_records", exact_records)
     mp.setattr(phasescan, "critical_r", lambda L, kind: r_c)
     return calls
 
@@ -212,8 +223,7 @@ def _stub_cells(mp, deltas, rs, r_c, fail_at=None):
        r_c=st.floats(0.05, 0.95))
 def test_lazy_sweep_equals_full_grid_detection(rs, r_c):
     deltas = STEP * np.arange(len(rs))
-    full = detect_transition(deltas, rs, r_c,
-                             refine=lambda d: float(np.interp(d, deltas, rs)))
+    full = _detect(deltas, rs, r_c, refine=lambda d: float(np.interp(d, deltas, rs)))
     with pytest.MonkeyPatch.context() as mp:
         calls = _stub_cells(mp, deltas, rs, r_c)
         tr = transition_for_u(0.3, "gs", deltas)
@@ -226,6 +236,14 @@ def test_lazy_sweep_equals_full_grid_detection(rs, r_c):
         assert max(calls) == hi
     else:
         assert grid == list(deltas)
+
+
+def test_lazy_sweep_grid_cell_failure_raises_the_solver_message(fail_solves):
+    # as a refinement failure does: the grid cell 0.5 lies below the bracket
+    fail_solves({("gs", 0.25, 0.5)})
+    with pytest.raises(RuntimeError, match=r"^solver did not converge \(kind=gs, "
+                                           r"U=0\.25, Delta=0\.5, residual="):
+        transition_for_u(0.25, "gs", STEP * np.arange(13), L=13)
 
 
 def test_lazy_sweep_cell_failure_past_the_bracket_is_not_reached():
@@ -259,8 +277,7 @@ def test_curve_duality_exact_form():
         rs_gs.append(1.0 / (21 * np.sum(gs.state.density ** 2)))
     assert np.allclose(rs_es, rs_gs, rtol=0, atol=1e-10)
     r_c = critical_r(21, "es")
-    t1 = detect_transition(deltas, rs_es, r_c)
-    t2 = detect_transition(deltas, rs_gs, r_c)
+    t1, t2 = detect_transition([deltas, deltas], [rs_es, rs_gs], [r_c, r_c])
     assert t1.crossings == t2.crossings
 
 
@@ -273,6 +290,16 @@ def test_scan_grid_validation():
         ScanGrid(delta_over_j=(1.0, 0.5), u_over_j=(0.0,))
     with pytest.raises(ValueError):
         ScanGrid(delta_over_j=(1.0,), u_over_j=(0.0,), kind="middle")
+
+
+@pytest.mark.parametrize("field", ["delta_over_j", "u_over_j"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_grid_rejects_non_finite_samples(field, bad):
+    # NaN compares False, so an increasing check alone lets it through
+    for samples in [(bad,), (0.5, bad), (bad, 0.5, 1.0)]:
+        with pytest.raises(ValueError, match=f"^{field} samples must be finite$"):
+            ScanGrid(**{"delta_over_j": (1.0, 2.0), "u_over_j": (0.0,),
+                        field: samples})
 
 
 SMALL = dict(delta_over_j=(1.6, 2.0, 2.4), u_over_j=(-0.3, 0.3), L=13)
@@ -374,7 +401,7 @@ ORACLE = ScanGrid(delta_over_j=tuple(np.arange(1.0, 3.01, 0.25)),
 def _lone_scan(grid, opts):
     """(r, transitions, failures) of scan_phase_diagram from lone solves: each
     (kind, U) row filled cell by cell, then detected alone with
-    detect_transition(..., refine=lone solve). A refinement point is solved
+    _detect(..., refine=lone solve). A refinement point is solved
     warm from the nearest solved Delta of its row (the lower on a tie) and,
     where the model the kind solves is focusing, also from the nearest on
     the other side, if those solves are certified; the first warm solve is
@@ -423,9 +450,9 @@ def _lone_scan(grid, opts):
                 return participation_ratio(row[delta].state)
 
             try:
-                tr = detect_transition(deltas[valid], r[kind][i][valid], r_c, refine)
+                tr = _detect(deltas[valid], r[kind][i][valid], r_c, refine)
             except RuntimeError as exc:
-                tr = replace(detect_transition(deltas[valid], r[kind][i][valid], r_c),
+                tr = replace(_detect(deltas[valid], r[kind][i][valid], r_c),
                              delta_c=None, found=False, refine_solves=len(mids),
                              message=f"refinement failed at Delta={mids[-1]:.6g}: {exc}")
                 if (kind, u, mids[-1], str(exc)) not in failures:
@@ -601,8 +628,7 @@ def _cold_detection(grid, kind, u):
         return participation_ratio(solve_state(params, kind).state)
 
     deltas = np.asarray(grid.delta_over_j)
-    return detect_transition(deltas, [r_at(d) for d in deltas],
-                             critical_r(grid.L, kind), r_at)
+    return _detect(deltas, [r_at(d) for d in deltas], critical_r(grid.L, kind), r_at)
 
 
 def test_row_with_uncertified_ends_refines_cold_as_before(monkeypatch):
@@ -657,12 +683,9 @@ def test_kept_warm_refinement_point_is_no_worse_than_cold(L, delta, below, above
     opts, store, row = SolverOptions(), phasescan._Store(None), {}
     for d in (delta - below, delta + above):
         cell = (kind, L, U, d, phi, "exact", opts)
-        try:
-            r, certified, state = phasescan._solve_cell(*cell)
-        except RuntimeError:                     # unconverged: not a bracket end
-            assume(False)
-        row[d] = phasescan._Solved(phasescan._key_of(cell), cell, certified)
-        store.states[row[d].key] = state
+        end, = phasescan._records(store, [cell])
+        assume(end["ok"])                        # unconverged: not a bracket end
+        row[d] = phasescan._Solved(end["key"], cell, end["certified"])
     rec, = phasescan._refine(store, [row])([0], [delta])
     assume(rec.get("warm"))
     p = ModelParams(L=L, Delta=delta, phi=phi, U=U)
@@ -882,6 +905,21 @@ def test_unterminated_last_record_is_used_and_terminated(tmp_path, monkeypatch):
     scan_phase_diagram(wider, results_path=str(path), detect=False)
     assert len(solves) == 2                       # only the new column
     assert len(_records(path)) == 8
+
+
+def test_lone_missing_cell_is_solved_unbatched_to_its_batch_record(monkeypatch):
+    # one missing exact cell is solved from scratch, without batched_starts,
+    # and its record and state are bitwise those the same cell gets in a batch
+    cells = [("es", 13, 0.3, d, 0.0, "exact", SolverOptions()) for d in (1.2, 2.0, 2.8)]
+    batch = phasescan._Store(None)
+    phasescan._records(batch, cells)
+    batches = _count_calls(monkeypatch, "batched_starts")
+    lone = phasescan._Store(None)
+    rec, = phasescan._records(lone, cells[1:2])
+    assert batches == []
+    assert json.dumps(rec, sort_keys=True) == json.dumps(batch.records[rec["key"]],
+                                                         sort_keys=True)
+    assert lone.states[rec["key"]].tobytes() == batch.states[rec["key"]].tobytes()
 
 
 def test_half_stored_row_solves_only_its_missing_cells(tmp_path, monkeypatch):
