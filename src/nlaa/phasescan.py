@@ -35,25 +35,24 @@ cells of one batch together, once the batch is solved). Each record's `key`
 is the sha256 of canonical JSON of every input that affects its r: the
 ModelParams fields (L, J, Delta, phi, U, floats by their round-trip repr;
 beta is fixed), kind, preparation, EXPERIMENT_RAMP (ramped scans), every
-SolverOptions field and the package version. The text is assembled from
-one template per (kind, L, phi, preparation, ramp, solver options,
-version), the JSON of all the inputs but Delta and U, into which those two
-are written as the whole JSON writes them, so a key is byte for byte the
-one json.dumps of all the inputs gives (cell_key). Every exact
-record also stores `certified`, its solve's certificate. A point that
-started warm is keyed by its cell's key chained with the keys of the
-records it started from, which it stores as `start` (the one whose state it
-goes on from) and `crosscheck` (the other side's, on the focusing side),
-and `warm` says whether the warm result was kept (else r is the cold
-solve's). A resumed scan reads
-each solve back bit for bit and solves only what is missing, so it returns
-what a fresh scan returns; a missing warm point re-derives the state it
-starts from by re-solving that record, bit for bit. Lines without a key,
-written by older versions, never match, so their cells are recomputed;
-failed cells (`ok: false`) are retried. A torn last line, as a kill during
-an append leaves it, is skipped with a logged warning and cut off before
-the next append; a malformed line anywhere else raises ValueError naming
-its line number.
+SolverOptions field and the package version. The text is assembled from one
+template per (kind, L, phi, preparation, ramp, solver options, version), the
+JSON of all the inputs but Delta and U, into which those two are written as
+the whole JSON writes them, so a key is byte for byte the one json.dumps of
+all the inputs gives (cell_key). Every exact record also stores `certified`,
+its solve's certificate. A point that started warm is keyed by its cell's
+key chained with the keys of the records it started from, which it stores as
+`start` (the one whose state it goes on from) and `crosscheck` (the other
+side's, on the focusing side), and `warm` says whether the warm result was
+kept (else r is the cold solve's). A resumed scan reads each solve back bit
+for bit and solves only what is missing, so it returns what a fresh scan
+returns; a missing warm point re-derives the state it starts from by
+re-solving that record, bit for bit. Lines without a key, written by older
+versions, never match, so their cells are recomputed; failed cells
+(`ok: false`) are retried. A torn last line, as a kill during an append
+leaves it, is skipped with a logged warning and cut off before the next
+append; a malformed line anywhere else raises ValueError naming its line
+number.
 """
 
 import hashlib
@@ -232,12 +231,12 @@ def transition_for_u(u, kind, deltas, L=21, phi=0.0,
     """Locate Delta_c for one (U, kind) by coarse scan + ITP refinement.
 
     The increasing coarse grid `deltas` is solved cell by cell (_records, in
-    memory) in increasing Delta, only up to its first bracket r(lo) >= r_c
-    > r(hi), which is then refined as scan_phase_diagram refines a row (warm
+    memory) in increasing Delta, only up to its first bracket r(lo) >= r_c >
+    r(hi), which is then refined as scan_phase_diagram refines a row (warm
     where it can, _refine): Delta_c is the same, but `crossings` holds only
-    that first bracket, and a cell past it is neither solved nor able to
-    fail the transition. A failed solve raises a RuntimeError with its
-    message.
+    that first bracket, and a cell past it is neither solved nor able to fail
+    the transition. A failed solve, grid cell or refinement point, raises a
+    RuntimeError with its message whatever its exception's type (CLI exit 3).
     """
     r_c = critical_r(L, kind)
     store, solved, rs = _Store(None), {}, []
@@ -254,7 +253,7 @@ def transition_for_u(u, kind, deltas, L=21, phi=0.0,
 
 
 def _r(rec):
-    """r of a solve's record; a failed solve's error as a RuntimeError."""
+    """r of a solve's record; a failed solve's error raised as a RuntimeError."""
     if not rec["ok"]:
         raise RuntimeError(rec["error"])
     return rec["r"]
@@ -544,7 +543,8 @@ def _state(store, point):
         starts = ([None] if point.start is None
                   else _warm_starts(store, [point.cell], params, [point.start]))
         (rec, state), = _exact_records([point.cell], [point.key], params, starts)
-        _r(rec)
+        if not rec["ok"]:
+            raise RuntimeError(rec["error"])
         store.states[point.key] = state
     return store.states[point.key]
 

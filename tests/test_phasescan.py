@@ -246,6 +246,21 @@ def test_lazy_sweep_grid_cell_failure_raises_the_solver_message(fail_solves):
         transition_for_u(0.25, "gs", STEP * np.arange(13), L=13)
 
 
+def test_lazy_sweep_grid_cell_exception_of_any_type_raises_as_runtime_error(monkeypatch):
+    # the record keeps only the message, so a ValueError in a grid cell's
+    # solve reaches the caller as a RuntimeError (the CLI's exit 3)
+    solve = phasescan.solve_state
+
+    def solve_or_raise(params, kind, opts, start=None):
+        if params.Delta == 0.5:
+            raise ValueError("injected at Delta=0.5")
+        return solve(params, kind, opts, start=start)
+
+    monkeypatch.setattr(phasescan, "solve_state", solve_or_raise)
+    with pytest.raises(RuntimeError, match=r"^injected at Delta=0\.5$"):
+        transition_for_u(0.25, "gs", STEP * np.arange(13), L=13)
+
+
 def test_lazy_sweep_cell_failure_past_the_bracket_is_not_reached():
     deltas = STEP * np.arange(8)
     rs = [0.9, 0.8, 0.7, 0.2, 0.1, 0.6, 0.1, 0.05]     # brackets at 2 and 5
@@ -670,6 +685,12 @@ def test_warm_solve_not_kept_is_stored_under_its_chained_key(tmp_path, monkeypat
     assert solves == [] and again.transitions == res.transitions
 
 
+# the starts of the messages of the RuntimeErrors an exact solve raises
+# (eigensolve: _check_finite, solve_state's last check, require_converged)
+_SOLVER_FAILURES = ("non-finite amplitudes", "the solver ended on a zero or non-finite state",
+                    "solver did not converge")
+
+
 @settings(max_examples=60)
 @given(L=st.integers(2, 34), delta=st.floats(0.25, 7.75), below=st.floats(1e-3, 0.25),
        above=st.floats(1e-3, 0.25), U=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
@@ -684,7 +705,9 @@ def test_kept_warm_refinement_point_is_no_worse_than_cold(L, delta, below, above
     for d in (delta - below, delta + above):
         cell = (kind, L, U, d, phi, "exact", opts)
         end, = phasescan._records(store, [cell])
-        assume(end["ok"])                        # unconverged: not a bracket end
+        if not end["ok"]:                        # unconverged: not a bracket end
+            assert end["error"].startswith(_SOLVER_FAILURES), end["error"]
+            assume(False)
         row[d] = phasescan._Solved(end["key"], cell, end["certified"])
     rec, = phasescan._refine(store, [row])([0], [delta])
     assume(rec.get("warm"))
