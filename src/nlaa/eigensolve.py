@@ -11,7 +11,9 @@ The nonlinear ground state is found variationally on the unit sphere:
   stage A  normalized imaginary-time gradient flow from the linear ground
            state (robust far from the solution; energy is monotone under
            the accepted steps, with adaptive step halving; one
-           Hamiltonian product per step gives energy and gradient),
+           Hamiltonian product per step gives energy and gradient; a lone
+           block steps on arrays allocated once per call, bit for bit as
+           with per-step arrays, and returns a state that owns its memory),
   stage B  self-consistent refinement: the density is relaxed with linear
            mixing against the ground state of the frozen-density Hamiltonian.
            It stops at residual NEWTON_HANDOVER (1e-5), or at the solver's
@@ -292,21 +294,46 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     """Projected gradient descent in imaginary time.
 
     Steps that raise the energy are rejected and retried with half the step;
-    accepted steps slowly re-grow it. An accepted state's _energy_gradient
-    gives the next step. Returns (v, step, iterations_used).
+    accepted steps slowly re-grow it. An accepted state's energy and gradient
+    give the next step.
+
+    The loop allocates nothing per step. It keeps two (state, gradient)
+    buffer pairs, allocated once per call and swapped when a step is
+    accepted, and writes every operation into them with an out argument: the
+    candidate v - step * g, its normalization, and _energy_gradient of it,
+    with apply_stencil inlined on shifted views built once. Each operation
+    keeps those functions' operand order, so every step is bit for bit
+    theirs (tests/test_eigensolve.py's reference loop checks it). `v` is not
+    written to; the returned state is an array of this call's own, which
+    shares memory with nothing. Returns (v, step, iterations_used).
     """
-    e_prev, g = _energy_gradient(J, eps, U, v)
+    e_prev, g = _energy_gradient(J, eps, U, v)   # g is a new array: a buffer
+    v, w, h = v.copy(), np.empty_like(v), np.empty_like(v)
+    jv, n, un = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    jv_lo, jv_hi = jv[:-1], jv[1:]
+    cur, nxt = (v, g, g[:-1], g[1:]), (w, h, h[:-1], h[1:])
+    mul = np.multiply
     used = 0
     for k in range(min(max_steps, budget)):
         used += 1
-        w = g * -step      # then += v: v - step * g, bit for bit
+        w, h, h_lo, h_hi = nxt
+        mul(g, -step, out=w)   # then += v: v - step * g, bit for bit
         w += v
-        w /= _norm(w)
-        e, g_w = _energy_gradient(J, eps, U, w)
+        w /= math.sqrt(w.dot(w))
+        mul(eps, w, out=h)     # apply_stencil(J, eps, w) into h
+        mul(J, w, out=jv)
+        h_lo += jv_hi
+        h_hi += jv_lo
+        mul(w, w, out=n)       # the rest of _energy_gradient(J, eps, U, w)
+        mul(U, n, out=un)
+        e = w.dot(h) - 0.5 * n.dot(un)
+        un *= w
+        h -= un
         if e > e_prev + 1e-15:
             step *= 0.5
             continue
-        v, e_prev, g = w, e, g_w
+        cur, nxt = nxt, cur
+        v, g, e_prev = w, h, e
         step = min(step * 1.02, 0.2)
         if k % 50 == 0:
             _check_finite(v, "imaginary-time flow")

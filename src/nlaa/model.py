@@ -158,7 +158,10 @@ def quasiperiodic_potential(params: ModelParams):
 
 def apply_stencil(J, diag, v):
     """diag_j v_j + J (v_{j+1} + v_{j-1}) per row, hard walls. Callers pass
-    their own diagonal (eps - U |v|^2); J is a scalar or a (B, 1) column."""
+    their own diagonal (eps - U |v|^2); J is a scalar or a (B, 1) column.
+    eigensolve._imag_time_block runs an inlined copy of these four
+    operations on preallocated arrays; tests/test_eigensolve.py's
+    test_stage_a_is_bitwise_the_reference_loop ties it to this function."""
     out = diag * v
     jv = J * v             # one product per site, shared by both neighbours
     out[..., :-1] += jv[..., 1:]

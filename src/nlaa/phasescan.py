@@ -482,15 +482,14 @@ class _Store:
 
     def extend(self, solved):
         """add() each (record, state) of `solved`, in one append to the
-        file; returns the records."""
-        lines = []
+        file, if the store has one; returns the records."""
         for rec, state in solved:
             self.records[rec["key"]] = rec
             if state is not None:
                 self.states[rec["key"]] = state
-            lines.append(_RECORD_JSON.encode(rec) + "\n")
         if self._sink:
-            self._sink.write("".join(lines))
+            self._sink.write("".join(_RECORD_JSON.encode(rec) + "\n"
+                                     for rec, _ in solved))
             self._sink.flush()
         return [rec for rec, _ in solved]
 

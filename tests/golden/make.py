@@ -39,8 +39,9 @@ be pinned on the path, naming the calls to pin (all of them by default):
 
 With --diff it writes nothing and prints each value of the named oracles
 that pinning would move, one line each as `<cmd>.json/<path>: old → new`
-(`absent` where a value is new or gone). The nlaa_version stamp is left out:
-it moves with every release.
+(`absent` where a value is new or gone), and exits 1 if any value would
+move and 0 if none would, so that a script can gate on it. The nlaa_version
+stamp is left out: it moves with every release.
 """
 
 import csv
@@ -249,7 +250,9 @@ def moved(cmd, golden):
 
 
 def main(args):
-    diff = "--diff" in args
+    """Pin the named oracles, or with --diff list their moves; returns the
+    exit status: 1 if --diff found a value that would move, else 0."""
+    diff, n_moved = "--diff" in args, 0
     for cmd in [a for a in args if a != "--diff"] or ARGV:
         with tempfile.TemporaryDirectory() as out:
             golden = {"nlaa_version": nlaa.__version__, **record(cmd, out)}
@@ -257,12 +260,14 @@ def main(args):
             lines = moved(cmd, json.loads(json.dumps(golden)))  # as the file reads back
             for line in lines:
                 print(line)
+            n_moved += len(lines)
             print(f"{cmd}.json: {len(lines)} value(s) would move", file=sys.stderr)
         else:
             path = HERE / f"{cmd}.json"
             path.write_text(json.dumps(golden, indent=1) + "\n")
             print(f"wrote {path} from nlaa {nlaa.__version__}", file=sys.stderr)
+    return 1 if n_moved else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

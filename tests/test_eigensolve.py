@@ -312,17 +312,19 @@ def test_stage_a_energy_and_gradient_are_the_kernels(L, cells, seed):
 
 
 def _imag_time_reference(J, eps, U, v, max_steps, step, res_target, budget):
-    """_imag_time_block's loop with each step's arrays written as they were
-    before it ran without temporaries: w = v - step * g and the gradient
-    h - U * n * w. (apply_stencil is the two-product stencil bit for bit,
-    which tests/test_model.py checks.)"""
+    """_imag_time_block's loop with new arrays at every step, written as it
+    was before it stepped on preallocated buffers or without temporaries:
+    the stencil is apply_stencil, w = v - step * g and the gradient h - U *
+    n * w. (apply_stencil is the two-product stencil bit for bit, which
+    tests/test_model.py checks.) Returns (v, step, iterations_used, number
+    of steps the energy guard rejected)."""
     def energy_gradient(w):
         h = apply_stencil(J, eps, w)
         n = w * w
         return w.dot(h) - 0.5 * n.dot(U * n), h - U * n * w
 
     e_prev, g = energy_gradient(v)
-    used = 0
+    used = rejected = 0
     for k in range(min(max_steps, budget)):
         used += 1
         w = v - step * g
@@ -330,26 +332,64 @@ def _imag_time_reference(J, eps, U, v, max_steps, step, res_target, budget):
         e, g_w = energy_gradient(w)
         if e > e_prev + 1e-15:
             step *= 0.5
+            rejected += 1
             continue
         v, e_prev, g = w, e, g_w
         step = min(step * 1.02, 0.2)
         if k % 50 == 0 and _projected(v, g)[0] < res_target:
             break
-    return v, step, used
+    return v, step, used, rejected
 
 
-@given(L=st.integers(2, 34), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
+def _assert_stage_a_is_the_reference(J, eps, U, v0, *args):
+    """_imag_time_block bit for bit as the reference loop; returns how many
+    steps the reference's energy guard rejected."""
+    v, step, used = _imag_time_block(J, eps, U, v0, *args)
+    v_ref, step_ref, used_ref, rejected = _imag_time_reference(J, eps, U, v0, *args)
+    assert _bits([*v, step]) == _bits([*v_ref, step_ref])
+    assert used == used_ref
+    return rejected
+
+
+# L up to 150: finite_size's solves are lone blocks at L = 144
+@given(L=st.integers(2, 150), J=st.floats(0.1, 2.0), sign=st.sampled_from([1.0, -1.0]),
        U=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), delta=st.floats(0.0, 8.0),
        phi=st.floats(0.0, 2.0 * np.pi), max_steps=st.integers(1, 400))
 def test_stage_a_is_bitwise_the_reference_loop(L, J, sign, U, delta, phi, max_steps):
     J *= sign
     eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=delta, phi=phi))
     _, v0 = _linear_edge_state(eps, np.full(L - 1, J))
-    args = (max_steps, IMAG_TIME_STEP, 1e-3, 50_000)
-    v, step, used = _imag_time_block(J, eps, U, v0, *args)
-    v_ref, step_ref, used_ref = _imag_time_reference(J, eps, U, v0, *args)
-    assert _bits([*v, step]) == _bits([*v_ref, step_ref])
-    assert used == used_ref
+    _assert_stage_a_is_the_reference(J, eps, U, v0, max_steps, IMAG_TIME_STEP, 1e-3,
+                                     50_000)
+
+
+def test_stage_a_with_rejected_steps_is_bitwise_the_reference_loop():
+    # from the uniform state a first step of 5.0 overshoots: the guard
+    # rejects and halves it, and the loop goes on from the state and
+    # buffers it kept
+    L, J, U = 144, 1.0, -0.5
+    eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=4.88))
+    v0 = np.full(L, L ** -0.5)
+    assert _assert_stage_a_is_the_reference(J, eps, U, v0, 300, 5.0, 1e-3, 50_000) >= 1
+
+
+def test_stage_a_returns_a_state_of_its_own():
+    L, J, U = 144, 1.0, 0.5
+    eps = quasiperiodic_potential(ModelParams(L=L, J=J, Delta=2.0))
+    v0 = np.full(L, L ** -0.5)
+    before = v0.copy()
+    # 0 steps and a rejected step (both return the input's bits), and 120
+    for max_steps, step in ((0, IMAG_TIME_STEP), (1, 50.0), (120, IMAG_TIME_STEP)):
+        first = _imag_time_block(J, eps, U, v0, max_steps, step, 1e-3, 50_000)[0]
+        second = _imag_time_block(J, eps, U, v0, max_steps, step, 1e-3, 50_000)[0]
+        assert _bits(v0) == _bits(before)
+        assert (_bits(first) == _bits(v0)) == (max_steps < 2)
+        assert not np.shares_memory(first, v0)
+        assert not np.shares_memory(first, second)
+        assert _bits(first) == _bits(second)
+        first[:] = np.nan
+        assert _bits(second) != _bits(first)
+        assert _bits(v0) == _bits(before)
 
 
 def test_non_finite_frozen_density_raises_runtime_error():

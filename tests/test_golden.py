@@ -144,3 +144,20 @@ def test_ramped_fit_data_within_rk4_tol_of_the_fit_oracle(case):
     assert [row[0] for row in got.tolist()] == [row[0] for row in want]
     for (_, g), (delta, w) in zip(got.tolist(), want):
         assert abs(g - w) <= ref.RK4_TOL * max(1.0, abs(w)), (delta, g, w)
+
+
+def test_make_diff_exit_status_says_whether_a_value_would_move(tmp_path, monkeypatch,
+                                                               capsys):
+    """make.py --diff writes nothing and returns 0 where no value would move,
+    and 1 (with the moved value's line) where one would."""
+    pinned = (GOLDEN / "bragg-schedule.json").read_text()
+    (tmp_path / "bragg-schedule.json").write_text(pinned)
+    monkeypatch.setattr(make, "HERE", tmp_path)
+    assert make.main(["--diff", "bragg-schedule"]) == 0
+    assert capsys.readouterr().out == ""
+    oracle = json.loads(pinned)
+    oracle["phase_rad"][0] += 1.0
+    (tmp_path / "bragg-schedule.json").write_text(json.dumps(oracle, indent=1) + "\n")
+    assert make.main(["--diff", "bragg-schedule"]) == 1
+    assert capsys.readouterr().out.startswith("bragg-schedule.json/phase_rad/0: ")
+    assert json.loads((tmp_path / "bragg-schedule.json").read_text()) == oracle

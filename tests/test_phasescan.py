@@ -7,6 +7,7 @@ import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -633,6 +634,27 @@ def test_scan_on_a_complete_store_solves_nothing(tmp_path, monkeypatch):
     for kind in ORACLE.kinds:
         assert again.r[kind].tobytes() == fresh.r[kind].tobytes()
     assert again.transitions == fresh.transitions
+
+
+def test_only_a_store_with_a_file_encodes_its_records(tmp_path, monkeypatch):
+    """A store without a file never JSON-encodes a record, in a whole scan
+    too; one with a file appends each record as its sort_keys JSON line, in
+    the order given."""
+    encoded, encoder = [], phasescan._RECORD_JSON
+    monkeypatch.setattr(phasescan, "_RECORD_JSON", SimpleNamespace(
+        encode=lambda rec: encoded.append(rec["key"]) or encoder.encode(rec)))
+    recs = [{"key": f"k{i}", "ok": True, "r": 0.1 * i, "delta": i} for i in range(3)]
+    memory = phasescan._Store(None)
+    assert memory.extend([(rec, None) for rec in recs]) == recs
+    assert memory.records == {rec["key"]: rec for rec in recs}
+    scan_phase_diagram(ORACLE)
+    assert encoded == []
+    path = tmp_path / "cells.jsonl"
+    with phasescan._Store(str(path)) as store:
+        store.extend([(rec, None) for rec in recs])
+    assert encoded == ["k0", "k1", "k2"]
+    assert path.read_text() == "".join(json.dumps(rec, sort_keys=True) + "\n"
+                                       for rec in recs)
 
 
 def _cold_detection(grid, kind, u):
