@@ -297,15 +297,14 @@ def _imag_time_block(J, eps, U, v, max_steps, step, res_target, budget):
     accepted steps slowly re-grow it. An accepted state's energy and gradient
     give the next step.
 
-    The loop allocates nothing per step. It keeps two (state, gradient)
-    buffer pairs, allocated once per call and swapped when a step is
-    accepted, and writes every operation into them with an out argument: the
-    candidate v - step * g, its normalization, and _energy_gradient of it,
-    with apply_stencil inlined on shifted views built once. Each operation
-    keeps those functions' operand order, so every step is bit for bit
-    theirs (tests/test_eigensolve.py's reference loop checks it). `v` is not
-    written to; the returned state is an array of this call's own, which
-    shares memory with nothing. Returns (v, step, iterations_used).
+    Each step writes into arrays allocated once per call: two (state,
+    gradient) pairs, swapped when a step is accepted, and three scratch
+    arrays. The candidate v - step * g, its normalization and its
+    _energy_gradient, with apply_stencil inlined on shifted views built
+    once, keep those functions' operand order, so each step is bit for bit
+    theirs (test_stage_a_is_bitwise_the_reference_loop). `v` is never
+    written to, and the returned state is an array of this call's own.
+    Returns (v, step, iterations_used).
     """
     e_prev, g = _energy_gradient(J, eps, U, v)   # g is a new array: a buffer
     v, w, h = v.copy(), np.empty_like(v), np.empty_like(v)
